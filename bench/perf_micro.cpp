@@ -152,8 +152,9 @@ BENCHMARK(BM_CoherentReplay);
 
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
 // affinity over the SoA columns (sharded when the trace is long enough),
-// the fused profile+affinity builder, and the incremental greedy affinity
-// chain. Arg is the block count, which also decides dense vs CSR storage.
+// the fused profile+affinity builder, and the heap-driven greedy affinity
+// chain. Arg is the block count, which also decides dense vs CSR storage;
+// 16384 blocks is the size of the perfbench affinity-16k workload.
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({
@@ -207,7 +208,7 @@ void BM_AffinityClustering(benchmark::State& state) {
         benchmark::DoNotOptimize(map.num_blocks());
     }
 }
-BENCHMARK(BM_AffinityClustering)->Arg(512)->Arg(4096);
+BENCHMARK(BM_AffinityClustering)->Arg(512)->Arg(4096)->Arg(16384);
 
 // Streaming-pipeline paths: the chunked replay driver feeding the profile
 // builder from a generator source (no materialized trace), the fused

@@ -1,11 +1,100 @@
 #include "cluster/affinity_cluster.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
 
 namespace memopt {
+
+namespace {
+
+/// Indexed binary max-heap of blocks ordered by (score desc, block asc):
+/// the top is the block a linear argmax with a first-index tie-break picks.
+/// pos_ maps a block to its heap slot (kAbsent when not in the heap), so a
+/// block whose score changed is re-keyed in place in O(log n).
+class BlockHeap {
+public:
+    struct Entry {
+        double score;
+        std::size_t block;
+    };
+
+    /// Heapify `entries` (distinct blocks < num_blocks).
+    BlockHeap(std::vector<Entry> entries, std::size_t num_blocks)
+        : heap_(std::move(entries)), pos_(num_blocks, kAbsent) {
+        for (std::size_t i = 0; i < heap_.size(); ++i) pos_[heap_[i].block] = i;
+        for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+    }
+
+    bool empty() const { return heap_.empty(); }
+    bool contains(std::size_t block) const { return pos_[block] != kAbsent; }
+
+    /// Remove and return the best block.
+    std::size_t pop() {
+        MEMOPT_ASSERT(!heap_.empty());
+        const std::size_t top = heap_.front().block;
+        pos_[top] = kAbsent;
+        const Entry last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty()) {
+            heap_.front() = last;
+            sift_down(0);
+        }
+        return top;
+    }
+
+    /// Re-key `block` (which must be in the heap) to `score`.
+    void update(std::size_t block, double score) {
+        const std::size_t i = pos_[block];
+        MEMOPT_ASSERT(i != kAbsent);
+        heap_[i].score = score;
+        if (i > 0 && before(heap_[i], heap_[(i - 1) / 2])) sift_up(i);
+        else sift_down(i);
+    }
+
+private:
+    static constexpr std::size_t kAbsent = SIZE_MAX;
+
+    static bool before(const Entry& a, const Entry& b) {
+        return a.score > b.score || (a.score == b.score && a.block < b.block);
+    }
+
+    void place(std::size_t i, const Entry& e) {
+        heap_[i] = e;
+        pos_[e.block] = i;
+    }
+
+    void sift_up(std::size_t i) {
+        const Entry e = heap_[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!before(e, heap_[parent])) break;
+            place(i, heap_[parent]);
+            i = parent;
+        }
+        place(i, e);
+    }
+
+    void sift_down(std::size_t i) {
+        const Entry e = heap_[i];
+        const std::size_t size = heap_.size();
+        for (std::size_t child = 2 * i + 1; child < size; child = 2 * i + 1) {
+            if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+            if (!before(heap_[child], e)) break;
+            place(i, heap_[child]);
+            i = child;
+        }
+        place(i, e);
+    }
+
+    std::vector<Entry> heap_;
+    std::vector<std::size_t> pos_;
+};
+
+}  // namespace
 
 AddressMap affinity_clustering(const BlockProfile& profile, const AffinityMatrix& affinity,
                                const AffinityClusterParams& params) {
@@ -36,7 +125,6 @@ AddressMap affinity_clustering(const BlockProfile& profile, const AffinityMatrix
 
     std::vector<std::size_t> chain;
     chain.reserve(hot.size());
-    std::vector<bool> placed(n, false);
 
     if (!hot.empty()) {
         // Seed: hottest block (stable for ties).
@@ -45,41 +133,40 @@ AddressMap affinity_clustering(const BlockProfile& profile, const AffinityMatrix
             if (profile.counts(b).total() > profile.counts(seed).total()) seed = b;
         }
 
-        // Incremental attraction scores: attraction[b] is the affinity of b
-        // to the blocks currently inside the tail window. Each placement
-        // updates only the new (and evicted) chain member's neighbours —
-        // O(degree) — instead of rescanning the window for every candidate,
-        // turning the chain build from O(n^2 * window) into O(n^2 + n *
-        // degree). Affinity weights are integer co-access counts, so the
-        // running add/subtract bookkeeping is exact and the chain is
-        // bit-identical to the rescanning formulation.
+        // attraction[b] is the affinity of b to the blocks currently inside
+        // the tail window. Each placement and eviction changes it only for
+        // the member's neighbours, so only those are re-scored and re-keyed
+        // in the heap: O((n + sum of degrees) * log n) for the whole chain.
+        // Affinity weights are integer co-access counts, so the running
+        // add/subtract bookkeeping is exact, every score equals a fresh
+        // evaluation, and the heap's (score desc, block asc) top is the
+        // block a linear scan over the unplaced hot blocks would pick.
         std::vector<double> attraction(n, 0.0);
+        const auto score = [&](std::size_t b) {
+            double aff = attraction[b];
+            if (max_affinity > 0.0) aff /= max_affinity * static_cast<double>(params.tail_window);
+            return aff + params.frequency_weight * heat(b);
+        };
+        std::vector<BlockHeap::Entry> unplaced;
+        unplaced.reserve(hot.size() - 1);
+        for (std::size_t b : hot) {
+            if (b != seed) unplaced.push_back({score(b), b});
+        }
+        BlockHeap heap(std::move(unplaced), n);
+
         auto tail_update = [&](std::size_t member, double sign) {
-            affinity.for_each_neighbor(
-                member, [&](std::size_t b, double w) { attraction[b] += sign * w; });
+            affinity.for_each_neighbor(member, [&](std::size_t b, double w) {
+                attraction[b] += sign * w;
+                if (heap.contains(b)) heap.update(b, score(b));
+            });
         };
 
         chain.push_back(seed);
-        placed[seed] = true;
         tail_update(seed, 1.0);
 
-        while (chain.size() < hot.size()) {
-            double best_score = -1.0;
-            std::size_t best_block = SIZE_MAX;
-            for (std::size_t b : hot) {
-                if (placed[b]) continue;
-                double aff = attraction[b];
-                if (max_affinity > 0.0) aff /= max_affinity * static_cast<double>(params.tail_window);
-                const double score = aff + params.frequency_weight * heat(b);
-                if (score > best_score) {
-                    best_score = score;
-                    best_block = b;
-                }
-            }
-            MEMOPT_ASSERT(best_block != SIZE_MAX);
-            chain.push_back(best_block);
-            placed[best_block] = true;
-            tail_update(best_block, 1.0);
+        while (!heap.empty()) {
+            chain.push_back(heap.pop());
+            tail_update(chain.back(), 1.0);
             if (chain.size() > params.tail_window)
                 tail_update(chain[chain.size() - 1 - params.tail_window], -1.0);
         }

@@ -39,7 +39,7 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
         for (std::size_t k = 0; k < count; ++k) {
-            if (ring[k] != block) acc.add(ring[k], block, 1.0);
+            if (ring[k] != block) acc.add(ring[k], block);
         }
         push(block);
     }
@@ -61,7 +61,7 @@ void transition_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> co
     }
     for (; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-        if (block != prev) acc.add(prev, block, 1.0);
+        if (block != prev) acc.add(prev, block);
         prev = block;
     }
 }
@@ -156,27 +156,57 @@ double AffinityMatrix::max_offdiagonal() const {
 // ---------------------------------------------------------------------------
 // AffinityAccumulator
 
+namespace {
+
+constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+constexpr unsigned kInitialSlotsLog2 = 10;
+
+}  // namespace
+
 AffinityAccumulator::AffinityAccumulator(std::size_t num_blocks)
     : n_(num_blocks), dense_(num_blocks <= kAffinityDenseMaxBlocks) {
     require(num_blocks > 0, "AffinityAccumulator: num_blocks must be > 0");
-    require(static_cast<std::uint64_t>(num_blocks) <= (std::uint64_t{1} << 32),
-            "AffinityAccumulator: too many blocks");
-    if (dense_) tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-}
-
-std::uint64_t AffinityAccumulator::pack(std::size_t a, std::size_t b) const {
-    MEMOPT_ASSERT(a < n_ && b < n_);
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
-}
-
-void AffinityAccumulator::add(std::size_t a, std::size_t b, double w) {
+    // Block ids below 2^32 - 1 keep every packed key below kEmptyKey.
+    require(static_cast<std::uint64_t>(num_blocks) < (std::uint64_t{1} << 32),
+            "AffinityAccumulator: num_blocks must be < 2^32");
     if (dense_) {
-        if (a > b) std::swap(a, b);
-        MEMOPT_ASSERT(b < n_);
-        tri_[a * n_ - a * (a + 1) / 2 + b] += w;
+        tri_.assign(n_ * (n_ + 1) / 2, 0);
     } else {
-        pairs_[pack(a, b)] += w;
+        slots_.assign(std::size_t{1} << kInitialSlotsLog2, Slot{kEmptyKey, 0});
+        hash_shift_ = 64 - kInitialSlotsLog2;
+    }
+}
+
+void AffinityAccumulator::add(std::size_t a, std::size_t b) {
+    if (a > b) std::swap(a, b);
+    MEMOPT_ASSERT(b < n_);
+    if (dense_) ++tri_[a * n_ - a * (a + 1) / 2 + b];
+    else add_to_slot((static_cast<std::uint64_t>(a) << 32) | b, 1);
+}
+
+void AffinityAccumulator::add_to_slot(std::uint64_t key, std::uint64_t count) {
+    // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+    const std::size_t mask = slots_.size() - 1;
+    auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> hash_shift_);
+    while (slots_[i].key != key && slots_[i].key != kEmptyKey) i = (i + 1) & mask;
+    if (slots_[i].key == key) {
+        slots_[i].count += count;
+    } else if (4 * (occupied_ + 1) > 3 * slots_.size()) {
+        grow();
+        add_to_slot(key, count);
+    } else {
+        slots_[i] = Slot{key, count};
+        ++occupied_;
+    }
+}
+
+void AffinityAccumulator::grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(2 * slots_.size(), Slot{kEmptyKey, 0}));
+    --hash_shift_;
+    occupied_ = 0;
+    for (const Slot& s : old) {
+        if (s.key != kEmptyKey) add_to_slot(s.key, s.count);
     }
 }
 
@@ -186,36 +216,34 @@ void AffinityAccumulator::merge(const AffinityAccumulator& other) {
     if (dense_) {
         for (std::size_t i = 0; i < tri_.size(); ++i) tri_[i] += other.tri_[i];
     } else {
-        // memopt-lint: order-independent -- keys are unique within other.pairs_,
-        // so each target slot receives exactly one += per merge; the per-key sum
-        // is the same whatever order the source map is walked in. (Cross-shard
-        // merge order is fixed by the callers' in-shard-order reduction.)
-        for (const auto& [key, w] : other.pairs_) pairs_[key] += w;
+        // Grow for the worst-case union first. other's slots come out in
+        // home-slot order, and a table that had to grow midway would take
+        // them at its old size, stacking them into one long probe run.
+        while (4 * (occupied_ + other.occupied_) > 3 * slots_.size()) grow();
+        for (const Slot& s : other.slots_) {
+            if (s.key != kEmptyKey) add_to_slot(s.key, s.count);
+        }
     }
 }
 
 AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
+    const std::vector<std::uint64_t> tri = std::exchange(tri_, {});
+    std::vector<Slot> slots = std::exchange(slots_, {});
+    occupied_ = 0;
+
     AffinityMatrix m(1);  // placeholder; reshaped below
     m.n_ = n_;
     if (n_ <= dense_max_blocks) {
-        // Dense result.
-        m.sparse_ = false;
-        m.row_ptr_.clear();
-        m.col_.clear();
-        m.val_.clear();
+        m.tri_.assign(n_ * (n_ + 1) / 2, 0.0);
         if (dense_) {
-            m.tri_ = std::move(tri_);
-            tri_.clear();
+            for (std::size_t i = 0; i < tri.size(); ++i) m.tri_[i] = static_cast<double>(tri[i]);
         } else {
-            m.tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-            // memopt-lint: order-independent -- pure scatter: each unique key
-            // writes (not accumulates) its own triangular slot exactly once.
-            for (const auto& [key, w] : pairs_) {
-                const auto a = static_cast<std::size_t>(key >> 32);
-                const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
-                m.tri_[a * n_ - a * (a + 1) / 2 + b] = w;
+            for (const Slot& s : slots) {
+                if (s.key == kEmptyKey) continue;
+                const auto a = static_cast<std::size_t>(s.key >> 32);
+                const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
+                m.tri_[a * n_ - a * (a + 1) / 2 + b] = static_cast<double>(s.count);
             }
-            pairs_.clear();
         }
         return m;
     }
@@ -226,36 +254,32 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
     // row r first receives its below-diagonal neighbours (from pairs whose
     // larger element is r, arriving as the smaller element ascends), then
     // its above-diagonal neighbours (from its own row's pairs).
-    std::vector<std::pair<std::uint64_t, double>> sorted;
+    std::vector<Slot> sorted;
     if (dense_) {
         for (std::size_t a = 0; a < n_; ++a) {
             const std::size_t row_base = a * n_ - a * (a + 1) / 2;
             for (std::size_t b = a; b < n_; ++b) {
-                const double w = tri_[row_base + b];
-                if (w != 0.0)
-                    sorted.emplace_back((static_cast<std::uint64_t>(a) << 32) | b, w);
+                if (tri[row_base + b] != 0)
+                    sorted.push_back(
+                        Slot{(static_cast<std::uint64_t>(a) << 32) | b, tri[row_base + b]});
             }
         }
-        tri_.clear();
     } else {
-        sorted.reserve(pairs_.size());
-        // memopt-lint: order-independent -- collection order is erased by the
-        // std::sort on the (unique) packed keys before any emission; pinned by
-        // Affinity.SparseAccumulatorInvariantUnderInsertOrder.
-        for (const auto& [key, w] : pairs_) {
-            if (w != 0.0) sorted.emplace_back(key, w);
-        }
-        pairs_.clear();
+        // Compact the table in place and hand its empty slots back before
+        // the CSR arrays are allocated; the sort erases the slot order.
+        sorted = std::move(slots);
+        std::erase_if(sorted, [](const Slot& s) { return s.key == kEmptyKey; });
+        sorted.shrink_to_fit();
         std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
+                  [](const Slot& x, const Slot& y) { return x.key < y.key; });
     }
 
     m.sparse_ = true;
     m.tri_.clear();
     std::vector<std::size_t> degree(n_, 0);
-    for (const auto& [key, w] : sorted) {
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
+    for (const Slot& s : sorted) {
+        const auto a = static_cast<std::size_t>(s.key >> 32);
+        const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
         ++degree[a];
         if (a != b) ++degree[b];
     }
@@ -265,9 +289,10 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
     m.col_.assign(nnz, 0);
     m.val_.assign(nnz, 0.0);
     std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
-    for (const auto& [key, w] : sorted) {
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xFFFFFFFFu);
+    for (const Slot& s : sorted) {
+        const auto a = static_cast<std::size_t>(s.key >> 32);
+        const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
+        const auto w = static_cast<double>(s.count);
         m.col_[cursor[a]] = static_cast<std::uint32_t>(b);
         m.val_[cursor[a]] = w;
         ++cursor[a];
@@ -375,7 +400,7 @@ ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t bl
                 if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
                 else ++shard.writes[block];
                 for (std::size_t k = 0; k < count; ++k) {
-                    if (ring[k] != block) shard.acc.add(ring[k], block, 1.0);
+                    if (ring[k] != block) shard.acc.add(ring[k], block);
                 }
                 push(block);
             }

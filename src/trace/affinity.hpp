@@ -15,17 +15,22 @@
 // the n^2 possible ones. Both representations produce bit-identical query
 // results for the integer-valued co-access counts the builders emit.
 //
+// The builders count pairs as uint64_t in an AffinityAccumulator: the dense
+// triangle for small block counts, a flat open-addressing table of packed
+// pair keys above that. Each access costs O(window) expected-O(1) table
+// updates, finalize() sorts the P distinct pairs once (O(P log P)), and
+// memory follows P, not n^2.
+//
 // Long traces are replayed sharded across the process thread pool
 // (support/parallel.hpp): each shard replays a contiguous slice of the
 // trace (pre-warming its sliding window from the preceding accesses) and
-// the per-shard partial sums are reduced in shard order. Co-access weights
-// are integer counts, so the reduction is exact and results are
-// bit-identical at any job count.
+// the per-shard partial counts are reduced in shard order. Counts are
+// integers, so the reduction is exact and results are bit-identical at any
+// job count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/profile.hpp"
@@ -110,20 +115,29 @@ private:
     std::vector<double> val_;
 };
 
-/// Order-independent affinity accumulator: the builders' shard-local sink.
-/// Accumulates (a, b) += w pairs (a == b allowed) and finalizes into the
-/// representation matching the block count. merge() folds another shard's
-/// partial sums in, element-wise.
+/// Co-access pair counter: the builders' shard-local sink. Counts unordered
+/// (a, b) pairs (a == b allowed) as uint64_t and finalizes into the matrix
+/// representation matching the block count.
+///
+/// Up to kAffinityDenseMaxBlocks blocks the counts live in the dense
+/// triangle. Above it they live in a flat open-addressing table: packed
+/// (min << 32 | max) keys, linear probing over a power-of-two capacity that
+/// doubles whenever an insert would push the load factor above 3/4. Slot
+/// order depends on the insertion order, so finalize() sorts the occupied
+/// entries by key before it emits CSR.
 class AffinityAccumulator {
 public:
+    /// Requires 0 < num_blocks < 2^32 (Error otherwise): a key packs two
+    /// 32-bit block ids, and the all-ones key marks an empty slot.
     explicit AffinityAccumulator(std::size_t num_blocks);
 
     std::size_t num_blocks() const { return n_; }
 
-    void add(std::size_t a, std::size_t b, double w);
+    /// Count one co-access of blocks a and b.
+    void add(std::size_t a, std::size_t b);
 
-    /// Fold `other`'s partial sums into this accumulator (element-wise).
-    /// Call in shard order for a deterministic reduction.
+    /// Fold `other`'s counts into this accumulator. Call in shard order for
+    /// a deterministic reduction.
     void merge(const AffinityAccumulator& other);
 
     /// Finalize into a matrix: dense for num_blocks <= dense_max_blocks,
@@ -131,12 +145,21 @@ public:
     AffinityMatrix finalize(std::size_t dense_max_blocks = kAffinityDenseMaxBlocks);
 
 private:
-    std::uint64_t pack(std::size_t a, std::size_t b) const;
+    struct Slot {
+        std::uint64_t key;
+        std::uint64_t count;
+    };
+
+    /// Add `count` to the table entry of `key`, inserting it if absent.
+    void add_to_slot(std::uint64_t key, std::uint64_t count);
+    void grow();
 
     std::size_t n_;
     bool dense_;
-    std::vector<double> tri_;                           // dense accumulation
-    std::unordered_map<std::uint64_t, double> pairs_;   // sparse accumulation
+    std::vector<std::uint64_t> tri_;  // dense counts, upper triangle
+    std::vector<Slot> slots_;         // sparse counts, flat hash table
+    std::size_t occupied_ = 0;        // non-empty slots
+    unsigned hash_shift_ = 0;         // 64 - log2(slots_.size())
 };
 
 /// Build a transition affinity: affinity(a,b) += 1 whenever an access to

@@ -637,8 +637,8 @@ TEST(AffinityCsr, SparseMatchesDense) {
     for (std::size_t i = 1; i < t.size(); ++i) {
         const std::size_t a = static_cast<std::size_t>(addrs[i - 1] / 256);
         const std::size_t b = static_cast<std::size_t>(addrs[i] / 256);
-        acc_dense.add(a, b, 1.0);
-        acc_sparse.add(a, b, 1.0);
+        acc_dense.add(a, b);
+        acc_sparse.add(a, b);
     }
     const AffinityMatrix dense = acc_dense.finalize();
     const AffinityMatrix sparse = acc_sparse.finalize(0);
@@ -660,11 +660,11 @@ TEST(AffinityCsr, SparseMatchesDense) {
 }
 
 TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
-    // Regression for the unordered pair map inside AffinityAccumulator: above
-    // kAffinityDenseMaxBlocks the accumulator collects (block, block) weights
-    // in an unordered_map, and finalize() must erase its hash order via the
-    // packed-key sort before emitting CSR. Feeding the same pair multiset in
-    // forward and reversed order must therefore produce identical matrices.
+    // Above kAffinityDenseMaxBlocks the accumulator counts (block, block)
+    // pairs in a flat open-addressing table. Where a key lands depends on the
+    // keys inserted before it, so finalize() must erase the slot order via
+    // the packed-key sort before emitting CSR. Feeding the same pair multiset
+    // in forward and reversed order must therefore produce identical matrices.
     const std::size_t n = kAffinityDenseMaxBlocks + 64;
     Rng rng(9);
     std::vector<std::pair<std::size_t, std::size_t>> adds;
@@ -674,8 +674,8 @@ TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
     }
     AffinityAccumulator fwd(n);
     AffinityAccumulator rev(n);
-    for (const auto& [a, b] : adds) fwd.add(a, b, 1.0);
-    for (auto it = adds.rbegin(); it != adds.rend(); ++it) rev.add(it->first, it->second, 1.0);
+    for (const auto& [a, b] : adds) fwd.add(a, b);
+    for (auto it = adds.rbegin(); it != adds.rend(); ++it) rev.add(it->first, it->second);
 
     const AffinityMatrix ma = fwd.finalize();
     const AffinityMatrix mb = rev.finalize();
@@ -692,6 +692,14 @@ TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
         mb.for_each_neighbor(row, [&](std::size_t b, double w) { nb.emplace_back(b, w); });
         ASSERT_EQ(na, nb) << "row " << row;
     }
+}
+
+// A table key packs two 32-bit block ids, and the all-ones key marks an
+// empty slot, so block ids must stay below 2^32 - 1.
+TEST(Affinity, AccumulatorBlockCountLimit) {
+    constexpr std::size_t kLimit = std::size_t{1} << 32;
+    EXPECT_THROW(AffinityAccumulator{kLimit}, Error);
+    EXPECT_EQ(AffinityAccumulator{kLimit - 1}.num_blocks(), kLimit - 1);
 }
 
 }  // namespace
