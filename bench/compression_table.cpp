@@ -10,6 +10,7 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 namespace memopt::bench {
 
@@ -43,12 +44,13 @@ bool run_compression_table(const PlatformModel& platform, const std::string& exp
 
     for (const auto& run_ptr : run_suite()) {
         const KernelRun& run = *run_ptr;
+        MaterializedSource source(run.result.data_trace);
         const auto base = CompressedMemorySim(platform.config, nullptr)
-                              .run(run.result.data_trace, run.program.data, run.program.data_base);
+                              .run(source, run.program.data, run.program.data_base);
         const auto comp = CompressedMemorySim(platform.config, &diff)
-                              .run(run.result.data_trace, run.program.data, run.program.data_base);
+                              .run(source, run.program.data, run.program.data_base);
         const auto zr = CompressedMemorySim(platform.config, &zero_run)
-                            .run(run.result.data_trace, run.program.data, run.program.data_base);
+                            .run(source, run.program.data, run.program.data_base);
 
         const double base_path = base.energy.component("main_memory");
         const double comp_path =

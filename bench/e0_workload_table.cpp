@@ -13,6 +13,7 @@
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 
 using namespace memopt;
 
@@ -50,7 +51,8 @@ int main() {
     for (const auto& run_ptr : bench::run_suite()) {
         const bench::KernelRun& run = *run_ptr;
         const auto& trace = run.result.data_trace;
-        const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+        MaterializedSource source(trace);
+        const BlockProfile profile = BlockProfile::from_source(source, 256);
         std::uint64_t touched_blocks = 0;
         for (std::size_t b = 0; b < profile.num_blocks(); ++b)
             touched_blocks += profile.counts(b).total() > 0;

@@ -18,6 +18,7 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 using namespace memopt;
 
@@ -28,14 +29,14 @@ struct SleepyResult {
     std::uint64_t wakeups = 0;
 };
 
-SleepyResult run_sleepy(const FlowResult& flow_result, const MemTrace& trace,
+SleepyResult run_sleepy(const FlowResult& flow_result, TraceSource& source,
                         const PartitionEnergyParams& params, const SleepParams& sleep) {
     PartitionEnergyParams with_remap = params;
     if (!flow_result.map.is_identity())
         with_remap.extra_pj_per_access =
             RemapTableModel(flow_result.map.num_blocks()).lookup_energy();
     const SleepReport report = evaluate_partition_sleepy(
-        flow_result.solution.arch, flow_result.map, trace, with_remap, sleep);
+        flow_result.solution.arch, flow_result.map, source, with_remap, sleep);
     return SleepyResult{report.energy.total(), report.total_wakeups()};
 }
 
@@ -76,15 +77,15 @@ int main() {
         FlowParams kernel_fp = fp;
         kernel_fp.energy.runtime_cycles = run->result.cycles;
         const MemoryOptimizationFlow flow(kernel_fp);
-        const MemTrace& trace = run->result.data_trace;
+        MaterializedSource source(run->result.data_trace);
 
-        const FlowResult none = flow.run(trace, ClusterMethod::None);
-        const FlowResult freq = flow.run(trace, ClusterMethod::Frequency);
-        const FlowResult aff = flow.run(trace, ClusterMethod::Affinity);
+        const FlowResult none = flow.run(source, ClusterMethod::None);
+        const FlowResult freq = flow.run(source, ClusterMethod::Frequency);
+        const FlowResult aff = flow.run(source, ClusterMethod::Affinity);
 
-        return Row{run->name, run_sleepy(none, trace, kernel_fp.energy, sleep),
-                   run_sleepy(freq, trace, kernel_fp.energy, sleep),
-                   run_sleepy(aff, trace, kernel_fp.energy, sleep)};
+        return Row{run->name, run_sleepy(none, source, kernel_fp.energy, sleep),
+                   run_sleepy(freq, source, kernel_fp.energy, sleep),
+                   run_sleepy(aff, source, kernel_fp.energy, sleep)};
     });
 
     for (const Row& row : rows) {

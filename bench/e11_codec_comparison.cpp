@@ -19,6 +19,7 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 using namespace memopt;
 
@@ -54,12 +55,12 @@ int main() {
     const auto rows = parallel_map(bench::run_suite(), [&](const bench::KernelRunPtr& run) {
         const DictionaryCodec dict = DictionaryCodec::train(run->result.data_trace, 16);
         const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
+        MaterializedSource source(run->result.data_trace);
         Row row;
         row.name = run->name;
         for (std::size_t c = 0; c < codecs.size(); ++c) {
-            const auto report =
-                CompressedMemorySim(platform.config, codecs[c])
-                    .run(run->result.data_trace, run->program.data, run->program.data_base);
+            const auto report = CompressedMemorySim(platform.config, codecs[c])
+                                    .run(source, run->program.data, run->program.data_base);
             row.ratios[c] = report.traffic_ratio();
         }
         return row;

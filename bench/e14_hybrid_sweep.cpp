@@ -22,6 +22,7 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 using namespace memopt;
 
@@ -63,13 +64,13 @@ int main() {
         FlowParams kernel_fp = fp;
         kernel_fp.energy.runtime_cycles = run->result.cycles;
         const MemoryOptimizationFlow flow(kernel_fp);
-        const MemTrace& trace = run->result.data_trace;
+        MaterializedSource source(run->result.data_trace);
 
         Row row;
         row.name = run->name;
         for (std::size_t p = 0; p < 4; ++p) {
             const auto result = flow.run_hybrid(
-                trace, ClusterMethod::Frequency,
+                source, ClusterMethod::Frequency,
                 BankPool::homogeneous(parse_technology(kHomogeneous[p])));
             row.homogeneous_pj[p] = result.total();
         }
@@ -77,7 +78,7 @@ int main() {
         for (std::size_t i = 0; i < kGateLeakScales.size(); ++i) {
             HybridGatingParams gating;
             gating.gate_leak_scale = kGateLeakScales[i];
-            const auto result = flow.run_hybrid(trace, ClusterMethod::Frequency, mix, gating);
+            const auto result = flow.run_hybrid(source, ClusterMethod::Frequency, mix, gating);
             row.sweep_pj[i] = result.total();
             if (i == 0) {
                 row.hybrid_pj = result.total();

@@ -14,6 +14,7 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 using namespace memopt;
 
@@ -27,12 +28,11 @@ double avg_path_savings(const CompressedMemConfig& config,
                         const std::vector<bench::KernelRunPtr>& runs) {
     const DiffCodec codec;
     const std::vector<double> savings = parallel_map(runs, [&](const bench::KernelRunPtr& run) {
+        MaterializedSource source(run->result.data_trace);
         const auto base = CompressedMemorySim(config, nullptr)
-                              .run(run->result.data_trace, run->program.data,
-                                   run->program.data_base);
+                              .run(source, run->program.data, run->program.data_base);
         const auto comp = CompressedMemorySim(config, &codec)
-                              .run(run->result.data_trace, run->program.data,
-                                   run->program.data_base);
+                              .run(source, run->program.data, run->program.data_base);
         const double b = base.energy.component("main_memory");
         const double c = comp.energy.component("main_memory") + comp.energy.component("codec");
         return percent_savings(b, c);

@@ -56,7 +56,8 @@ void BM_PartitionDp(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const auto sol = solve_partition_optimal(profile, {8}, {});
         benchmark::DoNotOptimize(sol.energy.total());
@@ -73,7 +74,8 @@ void BM_PartitionGreedy(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const auto sol = solve_partition_greedy(profile, {8}, {});
         benchmark::DoNotOptimize(sol.energy.total());
@@ -84,7 +86,8 @@ BENCHMARK(BM_PartitionGreedy)->Arg(1024)->Arg(4096);
 void BM_FrequencyClustering(benchmark::State& state) {
     const MemTrace trace = uniform_trace({.span_bytes = 256 * 1024, .num_accesses = 100000,
                                           .write_fraction = 0.3, .seed = 2});
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
         const AddressMap map = frequency_clustering(profile);
         benchmark::DoNotOptimize(map.num_blocks());
@@ -164,10 +167,11 @@ void BM_WindowedAffinity(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     std::uint64_t accesses = 0;
     for (auto _ : state) {
-        const AffinityMatrix aff = windowed_affinity(trace, profile, 8);
+        const AffinityMatrix aff = windowed_affinity(source, profile, 8);
         accesses += trace.size();
         benchmark::DoNotOptimize(aff.total());
     }
@@ -185,8 +189,9 @@ void BM_ProfileAndAffinity(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
+    MaterializedSource source(trace);
     for (auto _ : state) {
-        const ProfileAffinity pa = build_profile_and_affinity(trace, 256, 8);
+        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
         benchmark::DoNotOptimize(pa.affinity.total());
         benchmark::DoNotOptimize(pa.profile.total_accesses());
     }
@@ -202,7 +207,8 @@ void BM_AffinityClustering(benchmark::State& state) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const ProfileAffinity pa = build_profile_and_affinity(trace, 256, 8);
+    MaterializedSource source(trace);
+    const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
     for (auto _ : state) {
         const AddressMap map = affinity_clustering(pa.profile, pa.affinity);
         benchmark::DoNotOptimize(map.num_blocks());
@@ -285,8 +291,9 @@ void BM_FullFlow(benchmark::State& state) {
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
+    MaterializedSource source(run.data_trace);
     for (auto _ : state) {
-        const FlowComparison cmp = flow.compare(run.data_trace, ClusterMethod::Frequency);
+        const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
         benchmark::DoNotOptimize(cmp.clustering_savings_pct());
     }
 }

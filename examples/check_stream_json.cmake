@@ -1,10 +1,11 @@
 # ctest driver for the streaming trace pipeline's CLI contract.
 #
-# The same partition study is run four ways — materialized from an .mtsc
-# container written by `trace`, and streamed with --trace-stream at
-# --jobs 1 and --jobs 8 (plus a non-default --chunk-size) — and the
-# "results" sections of all four memopt.report.v1 documents must be
-# bit-identical: streaming must change memory behaviour, never results.
+# The same partition study is run four ways — materialized from a text
+# trace written by `trace` (a text file opens as an in-memory trace), and
+# streamed with --trace-stream at --jobs 1 and --jobs 8 and from an .mtsc
+# container at a non-default --chunk-size — and the "results" sections of
+# all four memopt.report.v1 documents must be bit-identical: streaming must
+# change memory behaviour, never results.
 #
 # Invoked as:
 #   cmake -DCLI=<memopt_cli> -DPYTHON=<python3> -DWORK_DIR=<scratch>
@@ -26,9 +27,11 @@ endfunction()
 
 set(SPEC "synthetic:hotspot,span=65536,n=300000,seed=17,write=0.3,hotspots=4,hotspot-bytes=2048,hot-frac=0.8")
 
-# Materialize the spec into a compressed container, then round-trip it.
+# Write the spec out as a text trace and as a compressed container, then
+# round-trip both.
+run_checked(${CLI} trace ${SPEC} ${WORK_DIR}/trace.txt)
 run_checked(${CLI} trace ${SPEC} ${WORK_DIR}/trace.mtsc --compress 1)
-run_checked(${CLI} partition ${WORK_DIR}/trace.mtsc --cluster affinity
+run_checked(${CLI} partition ${WORK_DIR}/trace.txt --cluster affinity
             --json ${WORK_DIR}/materialized.json)
 run_checked(${CLI} partition --trace-stream ${SPEC} --cluster affinity --jobs 1
             --json ${WORK_DIR}/stream_j1.json)

@@ -14,6 +14,7 @@
 #include "sim/kernels.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 int main(int argc, char** argv) {
     using namespace memopt;
@@ -37,6 +38,7 @@ int main(int argc, char** argv) {
     std::printf("kernel %s: %zu data accesses\n\n", name.c_str(), run.data_trace.size());
 
     const ZeroRunCodec zero_run;
+    MaterializedSource source(run.data_trace);
     for (const PlatformModel& platform : {vliw_platform(), risc_platform()}) {
         std::printf("platform %s: %s\n", platform.name.c_str(), platform.description.c_str());
         TablePrinter table({"configuration", "traffic [B]", "traffic ratio", "cache [nJ]",
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
         for (const Config& cfg : {Config{"uncompressed", nullptr}, Config{"diff codec", &diff},
                                   Config{"zero-run codec", &zero_run}}) {
             const auto report = CompressedMemorySim(platform.config, cfg.codec)
-                                    .run(run.data_trace, program.data, program.data_base);
+                                    .run(source, program.data, program.data_base);
             table.add_row({cfg.label,
                            format("%llu", (unsigned long long)report.actual_traffic_bytes),
                            format_fixed(report.traffic_ratio(), 3),

@@ -12,6 +12,7 @@
 #include "core/report.hpp"
 #include "sim/kernels.hpp"
 #include "support/string_util.hpp"
+#include "trace/source.hpp"
 
 int main(int argc, char** argv) {
     using namespace memopt;
@@ -33,7 +34,8 @@ int main(int argc, char** argv) {
     for (std::uint32_t v : run.output) std::printf(" 0x%08x", v);
     std::printf("\n\n");
 
-    const BlockProfile profile = BlockProfile::from_trace(run.data_trace, 256);
+    MaterializedSource source(run.data_trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     std::printf("profile: %zu blocks of 256 B; hottest 8 blocks hold %.1f%% of accesses; "
                 "spatial locality %.2f\n\n",
                 profile.num_blocks(), 100.0 * profile.hot_fraction(8),
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
     params.block_size = 256;
     params.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(params);
-    const FlowComparison cmp = flow.compare(run.data_trace, ClusterMethod::Affinity);
+    const FlowComparison cmp = flow.compare(source, ClusterMethod::Affinity);
 
     energy_comparison_table({
                                 {"monolithic", cmp.monolithic},

@@ -7,9 +7,9 @@
 //   memopt_cli disasm <kernel>
 //   memopt_cli cc <file.arc> [--emit asm|run]
 //   memopt_cli trace <source> <out-file>          (.mtsc = stream container,
-//                        .mtrc = binary, else text; `source` is a kernel, a
-//                        trace file, or "synthetic:<kind>[,k=v]...")
-//   memopt_cli partition <kernel|trace-file> [--banks N] [--block BYTES]
+//                        else text; `source` is a kernel, a trace file, or
+//                        "synthetic:<kind>[,k=v]...")
+//   memopt_cli partition <source> [--banks N] [--block BYTES]
 //                        [--cluster none|frequency|affinity]
 //                        [--trace-stream SPEC] [--chunk-size N]
 //   memopt_cli compress <kernel> [--platform vliw|risc]
@@ -31,10 +31,12 @@
 // threads of the parallel runtime (equivalent to MEMOPT_JOBS=N; jobs=1 is
 // fully serial). Results are bit-identical at any job count.
 //
-// `partition --trace-stream SPEC` replays a chunked trace stream (a
-// synthetic: spec, an .mtsc/.mtrc file, or a kernel) without materializing
-// it — out-of-core traces run in O(chunk) memory and the report is
-// bit-identical to the materialized run at any --jobs.
+// `partition` replays its source (the positional argument, or the same
+// spec given as `--trace-stream SPEC`: a kernel, a text trace file, an
+// .mtsc container or a synthetic: spec) as a chunked trace stream.
+// Synthetic specs and .mtsc files are never materialized — out-of-core
+// traces run in O(chunk) memory — and the report is bit-identical at any
+// --jobs and --chunk-size.
 //
 // `run`, `partition`, `compress`, `encode` and `study` also accept
 // `--json FILE`: the command's results are exported as one
@@ -196,10 +198,11 @@ int usage() {
               "                                         (private L1s + banked L2 + MSI)\n"
               "  disasm <kernel>                        annotated program listing\n"
               "  cc <file.arc> [--emit asm|run]         compile arclang and emit/run\n"
-              "  trace <source> <file>                  dump a data trace; source is a\n"
-              "        [--trace-format mtsc|bin|text]   kernel, a trace file, or\n"
-              "        [--chunk-size N] [--compress 1]  synthetic:<kind>[,k=v]...\n"
-              "  partition <kernel|file> [--banks N] [--block BYTES]\n"
+              "  trace <source> <file>                  dump a data trace (<file>.mtsc:\n"
+              "        [--chunk-size N] [--compress 1]  stream container, else text);\n"
+              "                                         source is a kernel, a trace\n"
+              "                                         file, or synthetic:<kind>[,k=v]...\n"
+              "  partition <source> [--banks N] [--block BYTES]\n"
               "            [--cluster none|frequency|affinity]\n"
               "            [--trace-stream SPEC] [--chunk-size N]\n"
               "            [--bank-pool SPEC]                hybrid pool, e.g.\n"
@@ -242,15 +245,6 @@ int usage() {
               "  3 interrupted by --deadline-sec or SIGINT/SIGTERM (partial results\n"
               "    checkpointed; rerun with --resume)");
     return 1;
-}
-
-MemTrace trace_of(const std::string& source) {
-    // A kernel name, or a trace file path for anything containing a dot/slash.
-    if (source.size() >= 5 && source.compare(source.size() - 5, 5, ".mtsc") == 0)
-        return read_trace_stream(source);
-    if (source.find('.') != std::string::npos || source.find('/') != std::string::npos)
-        return load_trace(source);
-    return WorkloadRepository::instance().run(source)->result.data_trace;
 }
 
 int cmd_kernels() {
@@ -386,20 +380,16 @@ int cmd_trace(const Args& args) {
     const std::string& out = args.positional[1];
     const std::int64_t chunk = args.get_int("chunk-size", 0);
     usage_require(chunk >= 0, "trace: --chunk-size expects a non-negative count");
+    reject_retired_trace_format(out);
     // The source is never materialized: a synthetic:... spec of 10^8
     // accesses streams straight into the output file in O(chunk) memory.
     const std::unique_ptr<TraceSource> source =
         WorkloadRepository::instance().open_trace_source(args.positional[0],
                                                          static_cast<std::size_t>(chunk));
 
-    const auto ends_with = [&](const char* suffix) {
-        const std::string s(suffix);
-        return out.size() >= s.size() && out.compare(out.size() - s.size(), s.size(), s) == 0;
-    };
-    std::string fmt = args.get("trace-format", "");
-    if (fmt.empty()) fmt = ends_with(".mtsc") ? "mtsc" : ends_with(".mtrc") ? "bin" : "text";
-
-    if (fmt == "mtsc" || fmt == "mmap") {
+    // The extension picks the format, the same rule open_trace_source
+    // reads files back with.
+    if (out.ends_with(".mtsc")) {
         StreamWriteOptions opts;
         if (chunk > 0) opts.chunk_accesses = static_cast<std::size_t>(chunk);
         opts.compress = args.get_int("compress", 0) != 0;
@@ -409,20 +399,12 @@ int cmd_trace(const Args& args) {
                     opts.compress ? ", compressed" : "");
         return 0;
     }
-    usage_require(fmt == "bin" || fmt == "mtrc" || fmt == "text",
-                  "trace: --trace-format must be mtsc, bin or text");
-    const bool binary = fmt != "text";
-    atomic_write(
-        out,
-        [&](std::ostream& os) {
-            source->reset();  // commit retries re-run the body from the start
-            if (binary) write_trace_binary(os, *source);
-            else write_trace_text(os, *source);
-            require(os.good(), "trace: write failed for '" + out + "'");
-        },
-        binary ? std::ios::binary : std::ios_base::openmode{});
-    std::printf("wrote %llu accesses to %s (%s)\n", (unsigned long long)source->size(),
-                out.c_str(), binary ? "binary" : "text");
+    atomic_write(out, [&](std::ostream& os) {
+        write_trace_text(os, *source);  // rewinds, so commit retries restart cleanly
+        require(os.good(), "trace: write failed for '" + out + "'");
+    });
+    std::printf("wrote %llu accesses to %s (text)\n", (unsigned long long)source->size(),
+                out.c_str());
     return 0;
 }
 
@@ -430,6 +412,16 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     const std::string stream_spec = args.get("trace-stream", "");
     usage_require(!args.positional.empty() || !stream_spec.empty(),
                   "partition: missing kernel or trace file (or --trace-stream SPEC)");
+    const std::int64_t chunk = args.get_int("chunk-size", 0);
+    usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
+    // The positional source resolves exactly like --trace-stream (which
+    // wins when both are given). Opened once the options have been
+    // validated, so a usage error always outranks a data error.
+    const auto open_source = [&] {
+        return WorkloadRepository::instance().open_trace_source(
+            stream_spec.empty() ? args.positional[0] : stream_spec,
+            static_cast<std::size_t>(chunk));
+    };
 
     FlowParams fp;
     fp.block_size = static_cast<std::uint64_t>(args.get_int("block", 256));
@@ -462,17 +454,7 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         usage_require(gating.gate_leak_scale >= 0.0,
                       "partition: --gate-leak-scale expects a non-negative factor");
 
-        HybridFlowResult result;
-        if (!stream_spec.empty()) {
-            const std::int64_t chunk = args.get_int("chunk-size", 0);
-            usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-            const std::unique_ptr<TraceSource> source =
-                WorkloadRepository::instance().open_trace_source(
-                    stream_spec, static_cast<std::size_t>(chunk));
-            result = flow.run_hybrid(*source, method, pool, gating);
-        } else {
-            result = flow.run_hybrid(trace_of(args.positional[0]), method, pool, gating);
-        }
+        const HybridFlowResult result = flow.run_hybrid(*open_source(), method, pool, gating);
         result.report.energy.print(std::cout, "hybrid energy (" + pool.to_string() + "):");
         std::printf("banks: %zu   wakeups: %llu\n", result.base.solution.arch.num_banks(),
                     static_cast<unsigned long long>(result.report.total_wakeups()));
@@ -493,33 +475,13 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         return 0;
     }
     if (method == ClusterMethod::None) {
-        FlowResult result;
-        if (!stream_spec.empty()) {
-            const std::int64_t chunk = args.get_int("chunk-size", 0);
-            usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-            const std::unique_ptr<TraceSource> source =
-                WorkloadRepository::instance().open_trace_source(
-                    stream_spec, static_cast<std::size_t>(chunk));
-            result = flow.run(*source, method);
-        } else {
-            result = flow.run(trace_of(args.positional[0]), method);
-        }
+        const FlowResult result = flow.run(*open_source(), method);
         result.energy.print(std::cout, "partitioned energy:");
         std::printf("banks: %zu\n", result.solution.arch.num_banks());
         if (jw != nullptr) to_json(*jw, result);
         return 0;
     }
-    FlowComparison cmp;
-    if (!stream_spec.empty()) {
-        const std::int64_t chunk = args.get_int("chunk-size", 0);
-        usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
-        const std::unique_ptr<TraceSource> source =
-            WorkloadRepository::instance().open_trace_source(
-                stream_spec, static_cast<std::size_t>(chunk));
-        cmp = flow.compare(*source, method);
-    } else {
-        cmp = flow.compare(trace_of(args.positional[0]), method);
-    }
+    const FlowComparison cmp = flow.compare(*open_source(), method);
     if (jw != nullptr) to_json(*jw, cmp);
     energy_comparison_table({
                                 {"monolithic", cmp.monolithic},
@@ -559,10 +521,11 @@ int cmd_compress(const Args& args, JsonWriter* jw) {
     else if (codec_name == "dictionary") codec = &dict;
     else throw UsageError("compress: unknown codec '" + codec_name + "'");
 
+    MaterializedSource source(run.data_trace);
     const auto base = CompressedMemorySim(platform.config, nullptr)
-                          .run(run.data_trace, program.data, program.data_base);
-    const auto comp = CompressedMemorySim(platform.config, codec)
-                          .run(run.data_trace, program.data, program.data_base);
+                          .run(source, program.data, program.data_base);
+    const auto comp =
+        CompressedMemorySim(platform.config, codec).run(source, program.data, program.data_base);
     base.energy.print(std::cout, "uncompressed:");
     comp.energy.print(std::cout, "\nwith " + codec_name + " codec:");
     std::printf("\ntraffic ratio: %.3f   total savings: %.1f%%\n", comp.traffic_ratio(),
@@ -658,10 +621,10 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     if (drowsy > 0.0) {
         FlowParams fp;
         fp.constraints.max_banks = 4;
-        const FlowResult fr =
-            MemoryOptimizationFlow(fp).run(run.data_trace, ClusterMethod::Frequency);
-        const SleepReport sleep = evaluate_partition_sleepy(
-            fr.solution.arch, fr.map, run.data_trace, fp.energy, SleepParams{});
+        MaterializedSource source(run.data_trace);
+        const FlowResult fr = MemoryOptimizationFlow(fp).run(source, ClusterMethod::Frequency);
+        const SleepReport sleep =
+            evaluate_partition_sleepy(fr.solution.arch, fr.map, source, fp.energy, SleepParams{});
         probs = sleepy_line_probabilities(fr.solution.arch, fr.map, sleep,
                                           config.bit_flip_rate, drowsy, program.data_base,
                                           corpus.size(), config.line_bytes, run.cycles);

@@ -16,6 +16,7 @@
 #include "sim/kernels.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/source.hpp"
 
 int main() {
     using namespace memopt;
@@ -33,7 +34,8 @@ int main() {
         // Shared artifacts: a second profiling pass (or another example in
         // the same process) reuses the simulation instead of re-running it.
         const RunResult& run = WorkloadRepository::instance().run(app.kernel)->result;
-        profiles.push_back(BlockProfile::from_trace(run.data_trace, 256));
+        MaterializedSource source(run.data_trace);
+        profiles.push_back(BlockProfile::from_source(source, 256));
         weights.push_back(app.duty);
         std::printf("%-10s duty %.0f%%  %llu accesses\n", app.kernel, 100 * app.duty,
                     (unsigned long long)profiles.back().total_accesses());
@@ -64,8 +66,7 @@ int main() {
         fp.block_size = 256;
         fp.constraints.max_banks = 4;
         const MemoryOptimizationFlow flow(fp);
-        const FlowResult private_best =
-            flow.run(profiles[i], ClusterMethod::Frequency, nullptr);
+        const FlowResult private_best = flow.run(profiles[i], ClusterMethod::Frequency);
 
         // This app's traffic through the shared architecture. The shared
         // map may span more blocks than the app's profile covers; extend

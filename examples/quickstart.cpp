@@ -7,6 +7,7 @@
 
 #include "core/flow.hpp"
 #include "core/report.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 int main() {
@@ -23,8 +24,10 @@ int main() {
         .hot_fraction = 0.9,
     });
 
-    // 2. Profile it at 256-byte block granularity.
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    // 2. Profile it at 256-byte block granularity. Every replay consumer
+    //    reads a chunked TraceSource; an in-memory trace is wrapped once.
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     std::cout << "profile: " << profile.num_blocks() << " blocks, "
               << profile.total_accesses() << " accesses, spatial locality "
               << profile.spatial_locality() << "\n\n";
@@ -34,7 +37,7 @@ int main() {
     params.block_size = 256;
     params.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(params);
-    const FlowComparison cmp = flow.compare(trace, ClusterMethod::Frequency);
+    const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
 
     energy_comparison_table({
                                 {"monolithic", cmp.monolithic},

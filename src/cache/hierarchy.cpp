@@ -53,11 +53,6 @@ void CacheHierarchy::replay(TraceSource& source) {
     }
 }
 
-void CacheHierarchy::replay(const MemTrace& trace) {
-    MaterializedSource source(trace);
-    replay(source);
-}
-
 void CacheHierarchy::flush() {
     for (std::uint64_t line : l1_.flush()) l2_access(line, AccessKind::Write);
     traffic_.line_writes += l2_.flush().size();

@@ -12,7 +12,6 @@
 
 namespace memopt {
 
-class MemTrace;
 class TraceSource;
 
 /// Traffic seen by main memory after the hierarchy filters the trace.
@@ -37,9 +36,6 @@ public:
     /// [addr, addr+size) span straddles an L1 line boundary are split and
     /// charged once per touched line.
     void replay(TraceSource& source);
-
-    /// Convenience overload over an in-memory trace.
-    void replay(const MemTrace& trace);
 
     /// Flush both levels (dirty L1 lines propagate into L2 first).
     void flush();

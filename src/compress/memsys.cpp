@@ -25,13 +25,6 @@ CompressedMemorySim::CompressedMemorySim(const CompressedMemConfig& config,
                 "CompressedMemorySim: stored_bit_flip_prob must be in [0,1]");
 }
 
-CompressedMemReport CompressedMemorySim::run(const MemTrace& trace,
-                                             std::span<const std::uint8_t> image,
-                                             std::uint64_t image_base) {
-    MaterializedSource source(trace);
-    return run(source, image, image_base);
-}
-
 CompressedMemReport CompressedMemorySim::run(TraceSource& source,
                                              std::span<const std::uint8_t> image,
                                              std::uint64_t image_base) {

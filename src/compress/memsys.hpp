@@ -19,7 +19,6 @@
 #include "energy/dram_model.hpp"
 #include "energy/report.hpp"
 #include "energy/sram_model.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 
@@ -91,18 +90,14 @@ public:
     /// The codec must outlive the simulation.
     CompressedMemorySim(const CompressedMemConfig& config, const LineCodec* codec);
 
-    /// Replay `trace` (value-carrying, e.g. from the AR32 ISS).
-    /// `image` is the initial memory content at byte address `image_base`
-    /// (addresses outside it start as zero). Dirty lines are flushed at the
-    /// end so both configurations account for all traffic.
-    CompressedMemReport run(const MemTrace& trace, std::span<const std::uint8_t> image,
-                            std::uint64_t image_base);
-
-    /// Streaming variant: replay `source` chunk by chunk. The replay is
-    /// sequential (cache + shadow memory are stateful), so results are
-    /// bit-identical to the MemTrace overload, which delegates here. Memory
-    /// is O(chunk + address span) — the shadow memory still covers the
-    /// span, which the source's summary provides without materializing.
+    /// Replay `source` (value-carrying, e.g. the AR32 ISS data trace in a
+    /// MaterializedSource) chunk by chunk. `image` is the initial memory
+    /// content at byte address `image_base` (addresses outside it start as
+    /// zero). Dirty lines are flushed at the end so both configurations
+    /// account for all traffic. The replay is sequential (cache + shadow
+    /// memory are stateful), so chunking changes nothing. Memory is
+    /// O(chunk + address span) — the shadow memory still covers the span,
+    /// which the source's summary provides without materializing.
     CompressedMemReport run(TraceSource& source, std::span<const std::uint8_t> image,
                             std::uint64_t image_base);
 

@@ -52,48 +52,31 @@ MemoryOptimizationFlow::MemoryOptimizationFlow(const FlowParams& params) : param
     require(params.affinity_window >= 2, "FlowParams: affinity_window must be >= 2");
 }
 
-FlowResult MemoryOptimizationFlow::run(const MemTrace& trace, ClusterMethod method) const {
+FlowResult MemoryOptimizationFlow::run(TraceSource& source, ClusterMethod method) const {
     if (method == ClusterMethod::Affinity) {
         // Fused path: the profile and the windowed affinity come out of one
         // streaming replay of the trace (bit-identical to the two-pass
         // build, roughly half the replay cost).
         ProfileAffinity pa = [&] {
             const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(trace, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_prepared(pa.profile, method, &trace, &pa.affinity);
-    }
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_trace(trace, params_.block_size);
-    }();
-    return run(profile, method, &trace);
-}
-
-FlowResult MemoryOptimizationFlow::run(TraceSource& source, ClusterMethod method) const {
-    if (method == ClusterMethod::Affinity) {
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
             return build_profile_and_affinity(source, params_.block_size,
                                               params_.affinity_window);
         }();
-        return run_prepared(pa.profile, method, nullptr, &pa.affinity);
+        return run_prepared(pa.profile, method, &pa.affinity);
     }
     const BlockProfile profile = [&] {
         const ScopedTimer scope(profile_timer());
         return BlockProfile::from_source(source, params_.block_size);
     }();
-    return run_prepared(profile, method, nullptr, nullptr);
+    return run_prepared(profile, method, nullptr);
 }
 
-FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method,
-                                       const MemTrace* trace) const {
-    return run_prepared(profile, method, trace, nullptr);
+FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method) const {
+    return run_prepared(profile, method, nullptr);
 }
 
 FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
-                                                ClusterMethod method, const MemTrace* trace,
+                                                ClusterMethod method,
                                                 const AffinityMatrix* affinity,
                                                 std::size_t pool_banks) const {
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.runs");
@@ -108,18 +91,11 @@ FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
             case ClusterMethod::Frequency:
                 map = frequency_clustering(profile);
                 break;
-            case ClusterMethod::Affinity: {
-                if (affinity != nullptr) {
-                    map = affinity_clustering(profile, *affinity, params_.affinity);
-                    break;
-                }
-                require(trace != nullptr,
+            case ClusterMethod::Affinity:
+                require(affinity != nullptr,
                         "affinity clustering requires the trace, not just the profile");
-                const AffinityMatrix built =
-                    windowed_affinity(*trace, profile, params_.affinity_window);
-                map = affinity_clustering(profile, built, params_.affinity);
+                map = affinity_clustering(profile, *affinity, params_.affinity);
                 break;
-            }
         }
     }
 
@@ -150,13 +126,6 @@ FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
     return result;
 }
 
-HybridFlowResult MemoryOptimizationFlow::run_hybrid(const MemTrace& trace,
-                                                    ClusterMethod method, const BankPool& pool,
-                                                    const HybridGatingParams& gating) const {
-    MaterializedSource source(trace);
-    return run_hybrid(source, method, pool, gating);
-}
-
 HybridFlowResult MemoryOptimizationFlow::run_hybrid(TraceSource& source, ClusterMethod method,
                                                     const BankPool& pool,
                                                     const HybridGatingParams& gating) const {
@@ -182,7 +151,7 @@ HybridFlowResult MemoryOptimizationFlow::run_hybrid_prepared(
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.hybrid_runs");
     runs.add();
 
-    FlowResult base = run_prepared(profile, method, nullptr, affinity, pool.total_banks());
+    FlowResult base = run_prepared(profile, method, affinity, pool.total_banks());
 
     // The remap-table per-access overhead enters the hybrid evaluation the
     // same way it enters the legacy one (constant per access, added at
@@ -208,27 +177,6 @@ HybridFlowResult MemoryOptimizationFlow::run_hybrid_prepared(
     return HybridFlowResult{std::move(base), pool, std::move(techs), rank, std::move(report)};
 }
 
-FlowComparison MemoryOptimizationFlow::compare(const MemTrace& trace,
-                                               ClusterMethod method) const {
-    require(method != ClusterMethod::None, "compare: pick a real clustering method");
-    static MetricCounter& compares = MetricsRegistry::instance().counter("flow.compares");
-    compares.add();
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_trace(trace, params_.block_size);
-    }();
-    EnergyBreakdown monolithic = [&] {
-        const ScopedTimer scope(evaluate_timer());
-        return evaluate_monolithic(profile, params_.energy);
-    }();
-    FlowComparison cmp{
-        std::move(monolithic),
-        run(profile, ClusterMethod::None, &trace),
-        run(profile, method, &trace),
-    };
-    return cmp;
-}
-
 FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
                                                ClusterMethod method) const {
     require(method != ClusterMethod::None, "compare: pick a real clustering method");
@@ -243,8 +191,7 @@ FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
         return evaluate_monolithic(profile, params_.energy);
     }();
     // Affinity needs the trace a second time; re-replay the source instead
-    // of materializing. The builder is the same one the MemTrace path uses,
-    // so the comparison stays bit-identical to compare() on the trace.
+    // of materializing.
     std::optional<AffinityMatrix> built;
     if (method == ClusterMethod::Affinity) {
         const ScopedTimer scope(cluster_timer());
@@ -252,8 +199,8 @@ FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
     }
     FlowComparison cmp{
         std::move(monolithic),
-        run_prepared(profile, ClusterMethod::None, nullptr, nullptr),
-        run_prepared(profile, method, nullptr, built ? &*built : nullptr),
+        run_prepared(profile, ClusterMethod::None, nullptr),
+        run_prepared(profile, method, built ? &*built : nullptr),
     };
     return cmp;
 }
@@ -265,15 +212,15 @@ std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(
         require(trace != nullptr, "compare_all: null trace");
     // Each configuration is an independent pure evaluation; the parallel
     // runtime preserves input order, so the batch is bit-identical to the
-    // serial loop at every job count.
+    // serial loop at every job count. A source is a cursor, so every task
+    // builds its own.
     return parallel_map(
-        traces, [&](const MemTrace* trace) { return compare(*trace, method); }, jobs);
-}
-
-std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(
-    std::span<const MemTrace> traces, ClusterMethod method, std::size_t jobs) const {
-    return parallel_map(
-        traces, [&](const MemTrace& trace) { return compare(trace, method); }, jobs);
+        traces,
+        [&](const MemTrace* trace) {
+            MaterializedSource source(*trace);
+            return compare(source, method);
+        },
+        jobs);
 }
 
 double FlowComparison::clustering_savings_pct() const {

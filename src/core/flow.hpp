@@ -91,19 +91,15 @@ public:
 
     const FlowParams& params() const { return params_; }
 
-    /// Run one configuration on a trace.
-    FlowResult run(const MemTrace& trace, ClusterMethod method) const;
-
-    /// Streaming variant: run one configuration off a chunked trace stream
-    /// in O(chunk) trace memory (the profile and affinity builders replay
-    /// the source; the trace is never materialized). Bit-identical to the
-    /// MemTrace overload on the materialized equivalent.
+    /// Run one configuration off a chunked trace stream in O(chunk) trace
+    /// memory (profiling and the affinity build replay the source; the
+    /// trace is never materialized). Wrap an in-memory trace in a
+    /// MaterializedSource; results do not depend on the chunking.
     FlowResult run(TraceSource& source, ClusterMethod method) const;
 
     /// Run one configuration on a pre-built profile (no affinity methods:
     /// Affinity requires the trace; throws if requested).
-    FlowResult run(const BlockProfile& profile, ClusterMethod method,
-                   const MemTrace* trace = nullptr) const;
+    FlowResult run(const BlockProfile& profile, ClusterMethod method) const;
 
     /// Hybrid-pool variant of run(): cluster and split as usual (bank
     /// budget capped by the pool size), replay the trace once to extract
@@ -111,42 +107,33 @@ public:
     /// the banks with the exact assignment DP (partition/hybrid.hpp).
     /// Sequential and --jobs-invariant; resets `source` before replaying,
     /// so back-to-back pool evaluations on one source are independent.
-    HybridFlowResult run_hybrid(const MemTrace& trace, ClusterMethod method,
-                                const BankPool& pool,
-                                const HybridGatingParams& gating = {}) const;
     HybridFlowResult run_hybrid(TraceSource& source, ClusterMethod method,
                                 const BankPool& pool,
                                 const HybridGatingParams& gating = {}) const;
 
-    /// Monolithic / partitioned / clustered comparison on one trace.
-    FlowComparison compare(const MemTrace& trace,
-                           ClusterMethod method = ClusterMethod::Frequency) const;
-
-    /// Streaming variant of compare() (see the streaming run() overload).
+    /// Monolithic / partitioned / clustered comparison on one trace stream
+    /// (see run()); Affinity replays the source once more after profiling
+    /// to build the windowed affinity.
     FlowComparison compare(TraceSource& source,
                            ClusterMethod method = ClusterMethod::Frequency) const;
 
-    /// Batch compare(): evaluate many traces concurrently on the parallel
-    /// runtime (support/parallel.hpp). Results preserve input order and are
+    /// Batch compare(): evaluate many in-memory traces concurrently on the
+    /// parallel runtime (support/parallel.hpp), each through its own
+    /// MaterializedSource. Results preserve input order and are
     /// bit-identical to a serial loop of compare() calls at any job count.
     /// `jobs == 0` means default_jobs() (the MEMOPT_JOBS knob).
     std::vector<FlowComparison> compare_all(
         std::span<const MemTrace* const> traces,
         ClusterMethod method = ClusterMethod::Frequency, std::size_t jobs = 0) const;
 
-    /// Convenience overload over owned traces.
-    std::vector<FlowComparison> compare_all(
-        std::span<const MemTrace> traces,
-        ClusterMethod method = ClusterMethod::Frequency, std::size_t jobs = 0) const;
-
 private:
     /// Shared implementation: cluster + partition + evaluate one profile.
-    /// `affinity` is the pre-built windowed affinity from the fused trace
-    /// replay (nullptr to build it from `trace` on demand).
+    /// `affinity` is the pre-built windowed affinity from a trace replay;
+    /// ClusterMethod::Affinity requires it (Error when null).
     /// `pool_banks` > 0 additionally caps the bank budget at the hybrid
     /// pool size (solve_partition_pooled); 0 is the legacy path.
     FlowResult run_prepared(const BlockProfile& profile, ClusterMethod method,
-                            const MemTrace* trace, const AffinityMatrix* affinity,
+                            const AffinityMatrix* affinity,
                             std::size_t pool_banks = 0) const;
 
     /// Shared hybrid implementation: split (pool-capped), replay, assign.

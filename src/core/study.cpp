@@ -10,6 +10,7 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 
@@ -29,14 +30,16 @@ StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
     StudyReport report;
     report.name = name;
 
+    // Every replay below resets the source first, so one cursor serves all.
+    MaterializedSource source(data_trace);
     const MemoryOptimizationFlow flow(params.flow);
-    report.memory = flow.compare(data_trace, params.cluster_method);
+    report.memory = flow.compare(source, params.cluster_method);
 
     const DiffCodec codec;
     report.compression_baseline =
-        CompressedMemorySim(params.platform.config, nullptr).run(data_trace, image, image_base);
+        CompressedMemorySim(params.platform.config, nullptr).run(source, image, image_base);
     report.compression =
-        CompressedMemorySim(params.platform.config, &codec).run(data_trace, image, image_base);
+        CompressedMemorySim(params.platform.config, &codec).run(source, image, image_base);
 
     if (!fetch_stream.empty())
         report.encoding = search_transform(fetch_stream, params.encoding);

@@ -72,17 +72,11 @@ std::vector<KernelRunPtr> WorkloadRepository::suite(bool fetch, std::size_t jobs
 std::unique_ptr<TraceSource> WorkloadRepository::open_trace_source(
     const std::string& spec, std::size_t chunk_accesses) {
     if (chunk_accesses == 0) chunk_accesses = kDefaultTraceChunk;
-    const auto ends_with = [&](const char* suffix) {
-        const std::string s(suffix);
-        return spec.size() >= s.size() &&
-               spec.compare(spec.size() - s.size(), s.size(), s) == 0;
-    };
     if (spec.rfind("synthetic:", 0) == 0)
         return std::make_unique<SyntheticSource>(
             parse_synthetic_spec(spec.substr(std::string("synthetic:").size())),
             chunk_accesses);
-    if (ends_with(".mtsc")) return std::make_unique<MmapBinarySource>(spec);
-    if (ends_with(".mtrc")) return std::make_unique<BinaryFileSource>(spec, chunk_accesses);
+    if (spec.ends_with(".mtsc")) return std::make_unique<MmapBinarySource>(spec);
     if (spec.find('.') != std::string::npos || spec.find('/') != std::string::npos)
         return std::make_unique<MaterializedSource>(
             std::make_shared<const MemTrace>(load_trace(spec)), chunk_accesses);

@@ -69,13 +69,15 @@ public:
     ///
     ///   "synthetic:<kind>[,k=v]..."  on-the-fly generator, never materialized
     ///   "*.mtsc"                     memory-mapped stream container
-    ///   "*.mtrc"                     chunked reader over the binary format
-    ///   contains '.' or '/'          text/binary trace file, materialized
+    ///   contains '.' or '/'          text trace file, materialized
+    ///                                (load_trace; a retired "*.mtrc" path
+    ///                                is rejected)
     ///   anything else                bundled kernel (cached artifact; the
     ///                                source aliases it, no trace copy)
     ///
-    /// `chunk_accesses == 0` picks the default chunk size. Throws
-    /// memopt::Error for unknown kernels or unreadable/corrupt files.
+    /// `chunk_accesses == 0` picks the default chunk size; the mmap reader
+    /// always delivers the container's own blocks. Throws memopt::Error for
+    /// unknown kernels or unreadable/corrupt files.
     std::unique_ptr<TraceSource> open_trace_source(const std::string& spec,
                                                    std::size_t chunk_accesses = 0);
 

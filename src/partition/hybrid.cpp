@@ -104,14 +104,6 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     return activity;
 }
 
-std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
-                                               const AddressMap& map, const MemTrace& trace,
-                                               const HybridGatingParams& gating,
-                                               std::uint64_t min_total_cycles) {
-    MaterializedSource source(trace);
-    return replay_bank_activity(arch, map, source, gating, min_total_cycles);
-}
-
 double hybrid_bank_energy(const TechEnergyModel& model, const BankActivity& a,
                           double cycle_ns, double gate_leak_scale) {
     return static_cast<double>(a.reads) * model.read_energy() +

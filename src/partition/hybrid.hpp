@@ -68,12 +68,6 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const HybridGatingParams& gating,
                                                std::uint64_t min_total_cycles = 0);
 
-/// Convenience overload over a materialized trace.
-std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
-                                               const AddressMap& map, const MemTrace& trace,
-                                               const HybridGatingParams& gating,
-                                               std::uint64_t min_total_cycles = 0);
-
 /// Closed-form energy [pJ] of one bank built as `model` with activity `a`:
 /// access + powered leakage + refresh (over powered cycles) + gated leakage
 /// (scaled by gate_leak_scale) + wake-up energy. Excludes the per-access

@@ -15,14 +15,6 @@ std::uint64_t SleepReport::total_wakeups() const {
 }
 
 SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const AddressMap& map,
-                                      const MemTrace& trace,
-                                      const PartitionEnergyParams& energy_params,
-                                      const SleepParams& sleep) {
-    MaterializedSource source(trace);
-    return evaluate_partition_sleepy(arch, map, source, energy_params, sleep);
-}
-
-SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const AddressMap& map,
                                       TraceSource& source,
                                       const PartitionEnergyParams& energy_params,
                                       const SleepParams& sleep) {

@@ -53,19 +53,13 @@ struct SleepReport {
     std::uint64_t total_wakeups() const;
 };
 
-/// Replay `trace` through `arch` under `map` (identity allowed) with the
-/// sleep controller. `energy_params.extra_pj_per_access` is charged per
-/// access exactly as in the static evaluation; leakage uses the trace's
-/// cycle stamps (the last access's cycle is the run length).
-SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const AddressMap& map,
-                                      const MemTrace& trace,
-                                      const PartitionEnergyParams& energy_params,
-                                      const SleepParams& sleep);
-
-/// Streaming variant: replay `source` chunk by chunk in O(chunk) memory.
-/// The replay is inherently sequential (the sleep controller is a state
-/// machine over cycle time), so chunking changes nothing: results are
-/// bit-identical to the MemTrace overload, which delegates here.
+/// Replay `source` chunk by chunk in O(chunk) memory through `arch` under
+/// `map` (identity allowed) with the sleep controller.
+/// `energy_params.extra_pj_per_access` is charged per access exactly as in
+/// the static evaluation; leakage uses the trace's cycle stamps (the last
+/// access's cycle is the run length). The replay is inherently sequential
+/// (the sleep controller is a state machine over cycle time), so chunking
+/// changes nothing.
 SleepReport evaluate_partition_sleepy(const MemoryArchitecture& arch, const AddressMap& map,
                                       TraceSource& source,
                                       const PartitionEnergyParams& energy_params,

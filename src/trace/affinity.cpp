@@ -308,12 +308,6 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
 // ---------------------------------------------------------------------------
 // Builders
 
-AffinityMatrix transition_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                   std::size_t jobs) {
-    MaterializedSource source(trace);
-    return transition_affinity(source, profile, jobs);
-}
-
 AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
                                    std::size_t jobs) {
     const unsigned shift = log2_exact(profile.block_size());
@@ -326,12 +320,6 @@ AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& prof
         },
         [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
     return acc.finalize();
-}
-
-AffinityMatrix windowed_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                 std::size_t window, std::size_t jobs) {
-    MaterializedSource source(trace);
-    return windowed_affinity(source, profile, window, jobs);
 }
 
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
@@ -347,12 +335,6 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
         },
         [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
     return acc.finalize();
-}
-
-ProfileAffinity build_profile_and_affinity(const MemTrace& trace, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs) {
-    MaterializedSource source(trace);
-    return build_profile_and_affinity(source, block_size, window, jobs);
 }
 
 ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,

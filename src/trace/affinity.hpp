@@ -162,17 +162,13 @@ private:
     unsigned hash_shift_ = 0;         // 64 - log2(slots_.size())
 };
 
-/// Build a transition affinity: affinity(a,b) += 1 whenever an access to
-/// block b immediately follows an access to block a (a != b), using the
-/// block geometry of `profile`. Accesses outside the profile span are
-/// rejected (Error). Long traces are sharded over `jobs` threads
-/// (0 = default_jobs()); results are bit-identical at any job count.
-AffinityMatrix transition_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                   std::size_t jobs = 0);
-
-/// Streaming variant: one chunked replay of `source` in O(chunk) memory.
-/// Bit-identical to the MemTrace overload on the materialized equivalent
-/// (which delegates here).
+/// Build a transition affinity from one chunked replay of `source` in
+/// O(chunk) memory: affinity(a,b) += 1 whenever an access to block b
+/// immediately follows an access to block a (a != b), using the block
+/// geometry of `profile`. Accesses outside the profile span are rejected
+/// (Error). Long traces are sharded over `jobs` threads (0 =
+/// default_jobs()); results are bit-identical at any job count and chunk
+/// size.
 AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
                                    std::size_t jobs = 0);
 
@@ -180,11 +176,7 @@ AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& prof
 /// consecutive accesses, every unordered pair of distinct blocks that
 /// co-occurs in the window gains affinity 1 (counted once per window
 /// position where the pair is formed with the newest access). `window >= 2`.
-/// Sharded like transition_affinity.
-AffinityMatrix windowed_affinity(const MemTrace& trace, const BlockProfile& profile,
-                                 std::size_t window, std::size_t jobs = 0);
-
-/// Streaming variant of windowed_affinity (see transition_affinity).
+/// Streamed and sharded like transition_affinity.
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs = 0);
 
@@ -194,17 +186,12 @@ struct ProfileAffinity {
     AffinityMatrix affinity;
 };
 
-/// Fused single-pass builder: stream the trace once, producing both the
-/// block profile (reads/writes per block) and the windowed co-access
-/// affinity. Equivalent to BlockProfile::from_trace + windowed_affinity —
-/// bit-identical outputs — at roughly half the trace-replay cost. Long
-/// traces are sharded over `jobs` threads with an in-order reduction.
-ProfileAffinity build_profile_and_affinity(const MemTrace& trace, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs = 0);
-
-/// Streaming variant of the fused builder: one chunked replay of `source`
-/// in O(chunk) memory (the profile geometry comes from the source's
-/// summary). Bit-identical to the MemTrace overload, which delegates here.
+/// Fused single pass: stream `source` once in O(chunk) memory,
+/// producing both the block profile (reads/writes per block; geometry from
+/// the source's summary) and the windowed co-access affinity. Equivalent
+/// to BlockProfile::from_source + windowed_affinity — bit-identical
+/// outputs — at roughly half the trace-replay cost. Long traces are
+/// sharded over `jobs` threads with an in-order reduction.
 ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
                                            std::size_t window, std::size_t jobs = 0);
 

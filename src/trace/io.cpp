@@ -1,6 +1,5 @@
 #include "trace/io.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,43 +9,6 @@
 #include "trace/source.hpp"
 
 namespace memopt {
-
-namespace {
-
-constexpr char kMagic[4] = {'M', 'T', 'R', 'C'};
-constexpr std::uint32_t kVersion = 1;
-
-void write_u32(std::ostream& os, std::uint32_t v) {
-    char bytes[4];
-    for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-    os.write(bytes, 4);
-}
-
-void write_u64(std::ostream& os, std::uint64_t v) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-    os.write(bytes, 8);
-}
-
-std::uint32_t read_u32(std::istream& is) {
-    char bytes[4];
-    is.read(bytes, 4);
-    require(is.gcount() == 4, "trace: truncated binary stream");
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(bytes[i]);
-    return v;
-}
-
-std::uint64_t read_u64(std::istream& is) {
-    char bytes[8];
-    is.read(bytes, 8);
-    require(is.gcount() == 8, "trace: truncated binary stream");
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(bytes[i]);
-    return v;
-}
-
-}  // namespace
 
 namespace {
 
@@ -60,11 +22,6 @@ void write_text_chunk(std::ostream& os, const TraceChunk& chunk) {
 }
 
 }  // namespace
-
-void write_trace_text(std::ostream& os, const MemTrace& trace) {
-    MaterializedSource source(trace);
-    write_trace_text(os, source);
-}
 
 void write_trace_text(std::ostream& os, TraceSource& source) {
     os << "# memopt trace v1: kind addr size cycle value\n";
@@ -124,99 +81,29 @@ MemTrace read_trace_text(std::istream& is) {
     return trace;
 }
 
-void write_trace_binary(std::ostream& os, const MemTrace& trace) {
-    MaterializedSource source(trace);
-    write_trace_binary(os, source);
+void reject_retired_trace_format(const std::string& path) {
+    if (path.ends_with(".mtrc"))
+        throw Error("'" + path +
+                    "': the .mtrc trace format is retired; use a .mtsc container or a "
+                    "text trace instead");
 }
-
-void write_trace_binary(std::ostream& os, TraceSource& source) {
-    os.write(kMagic, 4);
-    write_u32(os, kVersion);
-    write_u64(os, source.size());
-    source.reset();
-    TraceChunk chunk;
-    std::uint64_t written = 0;
-    while (source.next(chunk)) {
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            write_u64(os, chunk.addrs[i]);
-            write_u64(os, chunk.cycles[i]);
-            write_u32(os, chunk.values[i]);
-            const std::uint32_t meta =
-                static_cast<std::uint32_t>(chunk.sizes[i]) |
-                (chunk.kinds[i] == AccessKind::Write ? 0x100u : 0u);
-            write_u32(os, meta);
-        }
-        written += chunk.size();
-    }
-    // The count field was written up front from size(); a source that lied
-    // would leave a malformed stream behind.
-    require(written == source.size(),
-            "write_trace_binary: source delivered a different access count than size()");
-}
-
-MemTrace read_trace_binary(std::istream& is) {
-    char magic[4];
-    is.read(magic, 4);
-    require(is.gcount() == 4 && std::equal(magic, magic + 4, kMagic),
-            "trace: bad binary magic");
-    const std::uint32_t version = read_u32(is);
-    require(version == kVersion, "trace: unsupported binary version");
-    const std::uint64_t count = read_u64(is);
-    MemTrace trace;
-    // `count` comes straight from the (possibly corrupt or truncated) file
-    // header, so it must not drive an unbounded up-front allocation: a
-    // flipped bit could request a multi-GiB reserve before the very first
-    // record read fails. Cap the hint and let the vector grow normally —
-    // a genuinely huge trace still loads, a lying header fails fast on
-    // "truncated binary stream" instead of in the allocator.
-    constexpr std::uint64_t kMaxReserveRecords = std::uint64_t{1} << 16;
-    trace.reserve(static_cast<std::size_t>(std::min(count, kMaxReserveRecords)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        MemAccess a;
-        a.addr = read_u64(is);
-        a.cycle = read_u64(is);
-        a.value = read_u32(is);
-        const std::uint32_t meta = read_u32(is);
-        const std::uint32_t size = meta & 0xFF;
-        require(size == 1 || size == 2 || size == 4 || size == 8,
-                format("trace: record %llu has invalid access size %u",
-                       static_cast<unsigned long long>(i), size));
-        require((meta & ~0x1FFu) == 0,
-                format("trace: record %llu has unknown meta bits set",
-                       static_cast<unsigned long long>(i)));
-        a.size = static_cast<std::uint8_t>(size);
-        a.kind = (meta & 0x100u) ? AccessKind::Write : AccessKind::Read;
-        trace.add(a);
-    }
-    return trace;
-}
-
-namespace {
-bool is_binary_path(const std::string& path) {
-    return path.size() >= 5 && path.compare(path.size() - 5, 5, ".mtrc") == 0;
-}
-}  // namespace
 
 void save_trace(const std::string& path, const MemTrace& trace) {
     // Crash-safe: a killed run must never leave a truncated trace under the
     // final name. atomic_write stages into <path>.tmp and renames on commit.
-    atomic_write(
-        path,
-        [&](std::ostream& os) {
-            if (is_binary_path(path)) {
-                write_trace_binary(os, trace);
-            } else {
-                write_trace_text(os, trace);
-            }
-            require(os.good(), "save_trace: write failed for '" + path + "'");
-        },
-        is_binary_path(path) ? std::ios::binary : std::ios_base::openmode{});
+    reject_retired_trace_format(path);
+    atomic_write(path, [&](std::ostream& os) {
+        MaterializedSource source(trace);
+        write_trace_text(os, source);
+        require(os.good(), "save_trace: write failed for '" + path + "'");
+    });
 }
 
 MemTrace load_trace(const std::string& path) {
-    std::ifstream is(path, is_binary_path(path) ? std::ios::binary : std::ios::in);
+    reject_retired_trace_format(path);
+    std::ifstream is(path);
     require(is.is_open(), "load_trace: cannot open '" + path + "'");
-    return is_binary_path(path) ? read_trace_binary(is) : read_trace_text(is);
+    return read_trace_text(is);
 }
 
 }  // namespace memopt

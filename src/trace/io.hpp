@@ -1,14 +1,12 @@
 // Trace (de)serialization.
 //
 // Lets external simulators feed traces into memopt and lets long traces be
-// captured once and replayed across experiments. Two formats:
-//
-//  * text  — one access per line: "R|W <hex addr> <size> <cycle> <hex value>".
-//            Human-readable/diffable; columns after addr are optional on
-//            input (defaults: size 4, cycle 0, value 0). '#' starts a
-//            comment.
-//  * binary — "MTRC" magic, u32 version, u64 count, then packed records.
-//             Compact and fast; fixed little-endian layout.
+// captured once and replayed across experiments. This file holds the text
+// format — one access per line: "R|W <hex addr> <size> <cycle> <hex
+// value>". It is human-readable and diffable; columns after addr are
+// optional on input (defaults: size 4, cycle 0, value 0), and '#' starts a
+// comment. Traces too large for text go into the ".mtsc" block container
+// (trace/stream_file.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -20,30 +18,20 @@ namespace memopt {
 
 class TraceSource;
 
-/// Write `trace` in the text format.
-void write_trace_text(std::ostream& os, const MemTrace& trace);
-
-/// Streaming variant: write a chunked trace stream in the text format
-/// without materializing it (O(chunk) memory). Byte-identical to the
-/// MemTrace overload on the materialized equivalent.
+/// Write a chunked trace stream in the text format without materializing
+/// it (O(chunk) memory).
 void write_trace_text(std::ostream& os, TraceSource& source);
 
 /// Parse the text format. Throws memopt::Error with a line number on any
 /// malformed record.
 MemTrace read_trace_text(std::istream& is);
 
-/// Write `trace` in the binary format.
-void write_trace_binary(std::ostream& os, const MemTrace& trace);
+/// Throw memopt::Error if `path` names a ".mtrc" file: that flat binary
+/// format is retired, and the message points at the ".mtsc" container.
+void reject_retired_trace_format(const std::string& path);
 
-/// Streaming variant of the binary writer (see write_trace_text above).
-void write_trace_binary(std::ostream& os, TraceSource& source);
-
-/// Read the binary format. Throws memopt::Error on bad magic/version or a
-/// truncated stream.
-MemTrace read_trace_binary(std::istream& is);
-
-/// Convenience file wrappers (throw memopt::Error if the file cannot be
-/// opened). The format is chosen by extension: ".mtrc" binary, else text.
+/// Text-format file wrappers. Throw memopt::Error if the file cannot be
+/// opened or `path` ends in ".mtrc" (see reject_retired_trace_format).
 void save_trace(const std::string& path, const MemTrace& trace);
 MemTrace load_trace(const std::string& path);
 

@@ -16,17 +16,11 @@ BlockProfile::BlockProfile(std::uint64_t block_size, std::size_t num_blocks)
     counts_.assign(num_blocks, BlockCounts{});
 }
 
-BlockProfile BlockProfile::from_trace(const MemTrace& trace, std::uint64_t block_size,
-                                      std::size_t jobs) {
-    MaterializedSource source(trace);
-    return from_source(source, block_size, jobs);
-}
-
 BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_size,
                                        std::size_t jobs) {
-    require(is_pow2(block_size), "from_trace: block_size must be a power of two");
+    require(is_pow2(block_size), "from_source: block_size must be a power of two");
     const TraceSummary& sum = source.summary();
-    require(sum.accesses > 0, "from_trace: empty trace");
+    require(sum.accesses > 0, "from_source: empty trace");
     const std::uint64_t span = std::max<std::uint64_t>(sum.span_pow2(), block_size);
     const auto num_blocks = static_cast<std::size_t>(span / block_size);
     const unsigned shift = log2_exact(block_size);

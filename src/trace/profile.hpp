@@ -35,20 +35,14 @@ public:
     /// num_blocks > 0.
     BlockProfile(std::uint64_t block_size, std::size_t num_blocks);
 
-    /// Build a profile from a trace. The covered span is the smallest
-    /// power-of-two multiple of block_size that contains every access.
-    /// block_size must be a power of two. Long traces are replayed sharded
-    /// over `jobs` threads (0 = default_jobs()) with an in-order reduction;
-    /// counts are integer sums, so the result is bit-identical at any job
-    /// count.
-    static BlockProfile from_trace(const MemTrace& trace, std::uint64_t block_size,
-                                   std::size_t jobs = 0);
-
-    /// Streaming counterpart of from_trace: one chunked replay of `source`
-    /// in O(chunk) memory (plus the profile itself). The covered span comes
-    /// from the source's summary, so the result is bit-identical to
-    /// from_trace on the materialized equivalent — from_trace itself
-    /// delegates here through a MaterializedSource.
+    /// Build a profile from one chunked replay of `source` in O(chunk)
+    /// memory (plus the profile itself); wrap an in-memory trace in a
+    /// MaterializedSource. The covered span is the smallest power-of-two
+    /// multiple of block_size that contains every access, taken from the
+    /// source's summary. block_size must be a power of two. Long traces are
+    /// replayed sharded over `jobs` threads (0 = default_jobs()) with an
+    /// in-order reduction; counts are integer sums, so the result is
+    /// bit-identical at any job count and chunk size.
     static BlockProfile from_source(TraceSource& source, std::uint64_t block_size,
                                     std::size_t jobs = 0);
 

@@ -7,9 +7,10 @@
 // cache hierarchy, the end-to-end flow) consumes a TraceSource, which is
 // what lets a 10^8–10^9-access trace run end to end in O(chunk) memory.
 //
+// Every replay consumer has a single TraceSource& entry point; an
+// in-memory MemTrace enters through a MaterializedSource at the call site.
 // Three concrete sources exist:
-//  * MaterializedSource  — zero-copy span slices over an in-memory MemTrace
-//                          (preserves every existing call site);
+//  * MaterializedSource  — zero-copy span slices over an in-memory MemTrace;
 //  * SyntheticSource     — generates chunks on the fly from the
 //                          deterministic generators in trace/synthetic.hpp
 //                          without ever materializing the trace
@@ -20,8 +21,8 @@
 // Determinism contract: a source replays the exact same access sequence on
 // every pass (reset() rewinds to access 0), and all chunked accumulations
 // in this repository reduce integer-valued sums — so results are
-// bit-identical between the streaming and materialized paths at any job
-// count (the same property the PR-4 sharded replays rely on).
+// bit-identical across sources and chunk sizes at any job count (the same
+// property the PR-4 sharded replays rely on).
 #pragma once
 
 #include <cstddef>
@@ -287,8 +288,8 @@ inline std::vector<std::uint64_t> gather_context(const std::vector<TraceChunk>& 
 
 }  // namespace stream_detail
 
-/// Chunked map/reduce replay driver — the streaming counterpart of the
-/// sharded materialized replays.
+/// Chunked map/reduce replay engine shared by the sharded replay consumers
+/// (profiling and the affinity matrices).
 ///
 /// Streams `source` once, calling `map_chunk(state, chunk, context)` for
 /// every chunk, where `context` holds the up-to-`context_size` addresses
@@ -297,12 +298,11 @@ inline std::vector<std::uint64_t> gather_context(const std::vector<TraceChunk>& 
 /// together; the reduction happens in a fixed task order.
 ///
 /// Parallelism: stable sources replay their zero-copy chunks sharded into
-/// contiguous task ranges (exactly the materialized sharding strategy);
-/// non-stable sources pull chunk copies sequentially and map batches of
-/// them concurrently onto persistent per-slot states. Either way, partial
-/// sums must be exact under reordering — every accumulation in this
-/// repository reduces integer-valued sums, so results are bit-identical at
-/// any job count.
+/// contiguous task ranges; non-stable sources pull chunk copies
+/// sequentially and map batches of them concurrently onto persistent
+/// per-slot states. Either way, partial sums must be exact under
+/// reordering — every accumulation in this repository reduces
+/// integer-valued sums, so results are bit-identical at any job count.
 ///
 /// Cancellation: the global CancellationToken is polled at every chunk
 /// boundary on all three execution paths, so a deadline or SIGINT/SIGTERM

@@ -52,8 +52,7 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
     return h;
 }
 
-// Endianness-independent little-endian loads/stores (byte assembly, same
-// technique as the '.mtrc' reader).
+// Endianness-independent little-endian loads/stores (byte assembly).
 std::uint32_t le_u32(const std::uint8_t* p) {
     std::uint32_t v = 0;
     for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
@@ -284,12 +283,6 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     return s;
 }
 
-TraceSummary write_trace_stream(const std::string& path, const MemTrace& trace,
-                                const StreamWriteOptions& opts) {
-    MaterializedSource source(trace, std::max<std::size_t>(opts.chunk_accesses, 1));
-    return write_trace_stream(path, source, opts);
-}
-
 MemTrace read_trace_stream(const std::string& path) {
     MmapBinarySource source(path);
     MemTrace trace;
@@ -297,9 +290,9 @@ MemTrace read_trace_stream(const std::string& path) {
     // container's payloads have no fixed per-access size, so a crafted
     // block_count/chunk pair can still claim up to block_count * 2^24
     // accesses), so it must not drive an unbounded up-front allocation.
-    // Cap the hint like the '.mtrc' reader (src/trace/io.cpp) and let the
-    // columns grow normally: a lying header fails fast on the first
-    // block's access-count mismatch instead of in the allocator.
+    // Cap the hint and let the columns grow normally: a lying header fails
+    // fast on the first block's access-count mismatch instead of in the
+    // allocator.
     constexpr std::uint64_t kMaxReserveRecords = std::uint64_t{1} << 16;
     trace.reserve(
         static_cast<std::size_t>(std::min<std::uint64_t>(source.size(), kMaxReserveRecords)));
@@ -559,97 +552,6 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
                        std::span(v, n), std::span(sz, n), std::span(kd, n));
     ++block_;
     return true;
-}
-
-// ---------------------------------------------------------------------------
-// BinaryFileSource
-
-struct BinaryFileSource::Stream {
-    std::ifstream is;
-};
-
-BinaryFileSource::BinaryFileSource(const std::string& path, std::size_t chunk_accesses)
-    : path_(path), chunk_(chunk_accesses), stream_(std::make_shared<Stream>()) {
-    require(chunk_ > 0 && chunk_ <= kMaxStreamChunkAccesses,
-            "BinaryFileSource: chunk_accesses out of range");
-    stream_->is.open(path_, std::ios::binary);
-    require(stream_->is.is_open(), "BinaryFileSource: cannot open '" + path_ + "'");
-    char magic[4];
-    stream_->is.read(magic, 4);
-    require(stream_->is.gcount() == 4 && std::memcmp(magic, "MTRC", 4) == 0,
-            "trace: bad binary magic");
-    std::uint8_t word[8];
-    stream_->is.read(reinterpret_cast<char*>(word), 4);
-    require(stream_->is.gcount() == 4, "trace: truncated binary stream");
-    require(le_u32(word) == 1, "trace: unsupported binary version");
-    stream_->is.read(reinterpret_cast<char*>(word), 8);
-    require(stream_->is.gcount() == 8, "trace: truncated binary stream");
-    count_ = le_u64(word);
-    data_start_ = 16;
-    buffer_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(chunk_, count_)));
-}
-
-bool BinaryFileSource::next(TraceChunk& chunk) {
-    if (pos_ >= count_) {
-        chunk = TraceChunk{};
-        return false;
-    }
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(chunk_, count_ - pos_));
-    raw_.resize(n * 24);
-    // Each attempt re-seeks to the chunk's absolute offset, so a short read
-    // (injected below by delivering half the bytes, or a real transient
-    // one) is healed by simply reading again. A file that is genuinely too
-    // short fails the gcount check with a plain Error and is not retried.
-    RetryPolicy::process().run("mtrc.read", pos_, [&](std::uint32_t attempt) {
-        stream_->is.clear();
-        stream_->is.seekg(static_cast<std::streamoff>(data_start_ + pos_ * 24));
-        if (!stream_->is.good()) {
-            throw TransientIoError("BinaryFileSource: seek failed for '" + path_ + "'");
-        }
-        if (io_faults().should_fail("mtrc.read", pos_, attempt)) {
-            stream_->is.read(reinterpret_cast<char*>(raw_.data()),
-                             static_cast<std::streamsize>(raw_.size() / 2));
-            throw TransientIoError("injected short read: '" + path_ + "' chunk at " +
-                                   std::to_string(pos_));
-        }
-        stream_->is.read(reinterpret_cast<char*>(raw_.data()),
-                         static_cast<std::streamsize>(raw_.size()));
-        require(stream_->is.gcount() == static_cast<std::streamsize>(raw_.size()),
-                "trace: truncated binary stream");
-        return 0;
-    });
-    buffer_.begin(pos_);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t* r = raw_.data() + i * 24;
-        MemAccess a;
-        a.addr = le_u64(r);
-        a.cycle = le_u64(r + 8);
-        a.value = le_u32(r + 16);
-        const std::uint32_t meta = le_u32(r + 20);
-        const std::uint32_t size = meta & 0xFF;
-        // Branch first so the happy path never materializes a message.
-        if ((size != 1 && size != 2 && size != 4 && size != 8) || (meta & ~0x1FFu) != 0) {
-            require(size == 1 || size == 2 || size == 4 || size == 8,
-                    format("trace: record %llu has invalid access size %u",
-                           static_cast<unsigned long long>(pos_ + i), size));
-            throw Error(format("trace: record %llu has unknown meta bits set",
-                               static_cast<unsigned long long>(pos_ + i)));
-        }
-        a.size = static_cast<std::uint8_t>(size);
-        a.kind = (meta & 0x100u) ? AccessKind::Write : AccessKind::Read;
-        buffer_.push_back(a);
-    }
-    pos_ += n;
-    chunk = buffer_.view();
-    return true;
-}
-
-void BinaryFileSource::reset() {
-    stream_->is.clear();
-    stream_->is.seekg(static_cast<std::streamoff>(data_start_));
-    require(stream_->is.good(), "BinaryFileSource: seek failed for '" + path_ + "'");
-    pos_ = 0;
 }
 
 }  // namespace memopt

@@ -1,8 +1,8 @@
-// Block-structured streaming trace container (".mtsc") and its readers.
+// Block-structured streaming trace container (".mtsc") and its reader.
 //
-// The ".mtrc" binary format (trace/io.hpp) is a flat record stream: compact,
-// but reading it means parsing every record. The ".mtsc" container stores
-// the same trace as a sequence of SoA *blocks* so that a reader can
+// The toolkit's binary trace format. Next to the diffable text format
+// (trace/io.hpp), the ".mtsc" container stores a trace as a sequence of SoA
+// *blocks* so that a reader can
 //  * memory-map the file and hand out zero-copy column spans per block
 //    (MmapBinarySource — the out-of-core replay path), and
 //  * verify integrity per block (checksum + structural validation) instead
@@ -30,9 +30,8 @@
 // whole-trace summary, so opening a container never needs a summary pass.
 //
 // All header/block fields are validated against the file size BEFORE any
-// allocation they would size (mirroring the ".mtrc" reader hardening): a
-// corrupt count or block table fails with a diagnostic, not in the
-// allocator.
+// allocation they would size: a corrupt count or block table fails with a
+// diagnostic, not in the allocator.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +58,6 @@ struct StreamWriteOptions {
 /// Throws memopt::Error on I/O failure or if the source delivers a
 /// different number of accesses than its size() promised.
 TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
-                                const StreamWriteOptions& opts = {});
-
-/// Convenience wrapper over an in-memory trace.
-TraceSummary write_trace_stream(const std::string& path, const MemTrace& trace,
                                 const StreamWriteOptions& opts = {});
 
 /// Materialize an ".mtsc" container into an in-memory trace (for consumers
@@ -123,32 +118,6 @@ private:
     std::vector<bool> verified_;        ///< per-block one-time validation
     std::vector<std::uint64_t> decoded_;  ///< 8-aligned decode buffer
     std::uint32_t block_ = 0;           ///< cursor
-};
-
-/// Streaming reader for the flat ".mtrc" binary format: O(chunk) memory
-/// where load_trace() materializes the whole trace. Record validation is
-/// identical to read_trace_binary().
-class BinaryFileSource final : public TraceSource {
-public:
-    explicit BinaryFileSource(const std::string& path,
-                              std::size_t chunk_accesses = kDefaultTraceChunk);
-
-    std::uint64_t size() const override { return count_; }
-    bool next(TraceChunk& chunk) override;
-    void reset() override;
-
-private:
-    std::string path_;
-    std::vector<std::uint8_t> raw_;  ///< staging bytes for one chunk of records
-    ChunkBuffer buffer_;
-    std::size_t chunk_;
-    std::uint64_t count_ = 0;
-    std::uint64_t pos_ = 0;
-    std::uint64_t data_start_ = 0;
-    // The stream handle lives in the implementation (pimpl-free: a shared
-    // ifstream would drag <fstream> into this header).
-    struct Stream;
-    std::shared_ptr<Stream> stream_;
 };
 
 }  // namespace memopt

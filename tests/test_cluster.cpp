@@ -12,6 +12,7 @@
 #include "core/flow.hpp"
 #include "partition/solver.hpp"
 #include "support/assert.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -55,7 +56,8 @@ TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
     // with profiling.
     const MemTrace trace = uniform_trace({.span_bytes = 4096, .num_accesses = 3000,
                                           .write_fraction = 0.25, .seed = 5});
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     Rng rng(7);
     std::vector<std::size_t> perm(profile.num_blocks());
     std::iota(perm.begin(), perm.end(), std::size_t{0});
@@ -63,7 +65,9 @@ TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
     const AddressMap map(256, perm);
 
     const BlockProfile direct = map.apply(profile);
-    const BlockProfile via_trace = BlockProfile::from_trace(map.apply(trace), 256);
+    const MemTrace mapped = map.apply(trace);
+    MaterializedSource mapped_source(mapped);
+    const BlockProfile via_trace = BlockProfile::from_source(mapped_source, 256);
     ASSERT_EQ(direct.num_blocks(), via_trace.num_blocks());
     for (std::size_t b = 0; b < direct.num_blocks(); ++b) {
         EXPECT_EQ(direct.counts(b).reads, via_trace.counts(b).reads) << b;
@@ -95,7 +99,8 @@ TEST(FrequencyClustering, IsAlwaysABijection) {
         .hotspot_bytes = 512,
         .hot_fraction = 0.9,
     });
-    const BlockProfile p = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile p = BlockProfile::from_source(source, 256);
     const AddressMap map = frequency_clustering(p);  // ctor validates bijection
     EXPECT_EQ(map.num_blocks(), p.num_blocks());
 }
@@ -103,8 +108,9 @@ TEST(FrequencyClustering, IsAlwaysABijection) {
 TEST(AffinityClustering, ProducesValidMapAndKeepsHotSeedFirst) {
     const MemTrace trace = two_phase_trace({.span_bytes = 8192, .num_accesses = 4000,
                                             .write_fraction = 0.3, .seed = 11});
-    const BlockProfile p = BlockProfile::from_trace(trace, 256);
-    const AffinityMatrix aff = windowed_affinity(trace, p, 16);
+    MaterializedSource source(trace);
+    const BlockProfile p = BlockProfile::from_source(source, 256);
+    const AffinityMatrix aff = windowed_affinity(source, p, 16);
     const AddressMap map = affinity_clustering(p, aff);
     EXPECT_EQ(map.num_blocks(), p.num_blocks());
     // The seed (hottest block) lands at physical position 0.
@@ -199,7 +205,8 @@ TEST_P(ClusteringWins, BeatsPlainPartitioningOnScatteredHotspots) {
     fp.block_size = 256;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
-    const FlowComparison cmp = flow.compare(trace, ClusterMethod::Frequency);
+    MaterializedSource source(trace);
+    const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
     EXPECT_GT(cmp.partitioning_savings_pct(), 0.0);
     EXPECT_GT(cmp.clustering_savings_pct(), 5.0)
         << "clustering must clearly beat plain partitioning on scattered profiles";
@@ -221,7 +228,8 @@ TEST_P(FrequencyOptimality, NoPermutationBeatsFrequencyPlusExactDp) {
         .hotspot_bytes = 512,
         .hot_fraction = 0.85,
     });
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
     const PartitionConstraints constraints{4};
     const PartitionEnergyParams params;  // no remap term: pure permutation comparison
 
@@ -253,7 +261,8 @@ TEST(Flow, ComparisonFieldsAreConsistent) {
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
-    const FlowComparison cmp = flow.compare(trace, ClusterMethod::Affinity);
+    MaterializedSource source(trace);
+    const FlowComparison cmp = flow.compare(source, ClusterMethod::Affinity);
     EXPECT_EQ(cmp.partitioned.method, ClusterMethod::None);
     EXPECT_EQ(cmp.clustered.method, ClusterMethod::Affinity);
     EXPECT_TRUE(cmp.partitioned.map.is_identity());
@@ -270,8 +279,8 @@ TEST(Flow, AffinityNeedsTrace) {
     BlockProfile p(256, 8);
     p.add_counts(0, 10, 5);
     const MemoryOptimizationFlow flow(FlowParams{});
-    EXPECT_THROW(flow.run(p, ClusterMethod::Affinity, nullptr), Error);
-    EXPECT_NO_THROW(flow.run(p, ClusterMethod::Frequency, nullptr));
+    EXPECT_THROW(flow.run(p, ClusterMethod::Affinity), Error);
+    EXPECT_NO_THROW(flow.run(p, ClusterMethod::Frequency));
 }
 
 TEST(Flow, AutoGreedyFallbackOnHugeProfiles) {
@@ -289,7 +298,8 @@ TEST(Flow, AutoGreedyFallbackOnHugeProfiles) {
     fp.block_size = 256;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
-    const FlowResult result = flow.run(trace, ClusterMethod::Frequency);
+    MaterializedSource source(trace);
+    const FlowResult result = flow.run(source, ClusterMethod::Frequency);
     EXPECT_EQ(result.solution.arch.num_blocks(), 8192u);
     EXPECT_LE(result.solution.arch.num_banks(), 4u);
 }

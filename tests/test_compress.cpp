@@ -12,6 +12,7 @@
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -273,8 +274,9 @@ MemTrace kernel_trace(const std::string& name, AssembledProgram& prog_out) {
 TEST(Memsys, BaselineMovesRawTraffic) {
     AssembledProgram prog;
     const MemTrace trace = kernel_trace("histogram", prog);
+    MaterializedSource source(trace);
     CompressedMemorySim sim(vliw_platform().config, nullptr);
-    const auto report = sim.run(trace, prog.data, prog.data_base);
+    const auto report = sim.run(source, prog.data, prog.data_base);
     EXPECT_EQ(report.raw_traffic_bytes, report.actual_traffic_bytes);
     EXPECT_DOUBLE_EQ(report.traffic_ratio(), 1.0);
     EXPECT_DOUBLE_EQ(report.energy.component("codec"), 0.0);
@@ -286,10 +288,11 @@ TEST(Memsys, CompressionNeverIncreasesTraffic) {
     for (const char* name : {"histogram", "biquad", "listchase", "qsort"}) {
         AssembledProgram prog;
         const MemTrace trace = kernel_trace(name, prog);
+        MaterializedSource source(trace);
         const auto base =
-            CompressedMemorySim(vliw_platform().config, nullptr).run(trace, prog.data, prog.data_base);
+            CompressedMemorySim(vliw_platform().config, nullptr).run(source, prog.data, prog.data_base);
         const auto comp =
-            CompressedMemorySim(vliw_platform().config, &codec).run(trace, prog.data, prog.data_base);
+            CompressedMemorySim(vliw_platform().config, &codec).run(source, prog.data, prog.data_base);
         EXPECT_LE(comp.actual_traffic_bytes, base.actual_traffic_bytes) << name;
         // Geometry is codec-independent.
         EXPECT_EQ(comp.cache_stats.accesses(), base.cache_stats.accesses()) << name;
@@ -303,10 +306,11 @@ TEST(Memsys, CompressibleWorkloadSavesMemoryEnergy) {
     const DiffCodec codec;
     AssembledProgram prog;
     const MemTrace trace = kernel_trace("listchase", prog);  // pointer-rich
+    MaterializedSource source(trace);
     const auto base =
-        CompressedMemorySim(vliw_platform().config, nullptr).run(trace, prog.data, prog.data_base);
+        CompressedMemorySim(vliw_platform().config, nullptr).run(source, prog.data, prog.data_base);
     const auto comp =
-        CompressedMemorySim(vliw_platform().config, &codec).run(trace, prog.data, prog.data_base);
+        CompressedMemorySim(vliw_platform().config, &codec).run(source, prog.data, prog.data_base);
     EXPECT_LT(comp.energy.component("main_memory"), base.energy.component("main_memory"));
     EXPECT_LT(comp.traffic_ratio(), 0.85);
 }
@@ -323,10 +327,11 @@ TEST(Memsys, EndToEndRoundTripInvariantHoldsOnAllKernels) {
     for (const Kernel& kernel : kernel_suite()) {
         AssembledProgram prog;
         const MemTrace trace = kernel_trace(kernel.name, prog);
+        MaterializedSource source(trace);
         for (const LineCodec* codec : {static_cast<const LineCodec*>(&diff),
                                        static_cast<const LineCodec*>(&bdi)}) {
             EXPECT_NO_THROW(
-                CompressedMemorySim(cfg, codec).run(trace, prog.data, prog.data_base))
+                CompressedMemorySim(cfg, codec).run(source, prog.data, prog.data_base))
                 << kernel.name << " with " << codec->name();
         }
     }
@@ -340,7 +345,9 @@ TEST(Memsys, RequiresWriteBackCache) {
 
 TEST(Memsys, EmptyTraceRejected) {
     CompressedMemorySim sim(vliw_platform().config, nullptr);
-    EXPECT_THROW(sim.run(MemTrace{}, {}, 0), Error);
+    const MemTrace empty;
+    MaterializedSource source(empty);
+    EXPECT_THROW(sim.run(source, {}, 0), Error);
 }
 
 TEST(DictionaryCodec, TrainingInvariantUnderInsertOrder) {

@@ -22,7 +22,6 @@
 #include "support/durable/io_faults.hpp"
 #include "support/durable/retry.hpp"
 #include "support/rng.hpp"
-#include "trace/io.hpp"
 #include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
@@ -691,43 +690,6 @@ TEST_F(DurableTest, StreamContainerReadsIdenticallyUnderFaults) {
     for (std::size_t i = 0; i < clean.size(); ++i) {
         ASSERT_EQ(faulted.addrs()[i], clean.addrs()[i]) << i;
         ASSERT_EQ(faulted.values()[i], clean.values()[i]) << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST_F(DurableTest, BinaryTraceReadsIdenticallyUnderFaults) {
-    const std::string path = temp_path("faulted.mtrc");
-    SyntheticSpec spec;
-    spec.kind = SyntheticKind::Stride;
-    spec.base.num_accesses = 4000;
-    SyntheticSource source(spec, 512);
-    MemTrace trace;
-    TraceChunk chunk;
-    while (source.next(chunk)) {
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            MemAccess a;
-            a.addr = chunk.addrs[i];
-            a.cycle = chunk.cycles[i];
-            a.value = chunk.values[i];
-            a.size = chunk.sizes[i];
-            a.kind = chunk.kinds[i];
-            trace.add(a);
-        }
-    }
-    save_trace(path, trace);
-
-    IoFaultSpec faults;
-    faults.enabled = true;
-    faults.seed = 21;
-    faults.rate = 0.4;
-    set_io_faults(faults);
-    const MemTrace faulted = load_trace(path);
-    set_io_faults(IoFaultSpec{});
-
-    ASSERT_EQ(faulted.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(faulted.addrs()[i], trace.addrs()[i]) << i;
-        ASSERT_EQ(faulted.values()[i], trace.values()[i]) << i;
     }
     std::remove(path.c_str());
 }

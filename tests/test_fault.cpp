@@ -9,6 +9,7 @@
 #include "fault/inject.hpp"
 #include "fault/protect.hpp"
 #include "support/rng.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -306,6 +307,7 @@ TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
     sp.write_fraction = 0.5;
     sp.seed = 3;
     const MemTrace trace = uniform_trace(sp);
+    MaterializedSource source(trace);
     std::vector<std::uint8_t> image(4096);
     Rng rng(4);
     std::uint8_t value = 0;
@@ -319,7 +321,7 @@ TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
     config.protection = ProtectionScheme::Secded;
     config.faults = MemFaultParams{0.002, 8};
 
-    const CompressedMemReport a = CompressedMemorySim(config, &diff).run(trace, image, 0);
+    const CompressedMemReport a = CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_GT(a.faults_injected, 0u);
     EXPECT_GT(a.corrected_faults, 0u);
     EXPECT_GT(a.degraded_refills, 0u);
@@ -328,7 +330,7 @@ TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
     // SECDED flags every detected line: nothing slips through silently at
     // this flip rate's double-bit-per-word scale, and what does slip is
     // counted, never delivered as if clean.
-    const CompressedMemReport b = CompressedMemorySim(config, &diff).run(trace, image, 0);
+    const CompressedMemReport b = CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_EQ(a.faults_injected, b.faults_injected);
     EXPECT_EQ(a.corrected_faults, b.corrected_faults);
     EXPECT_EQ(a.degraded_refills, b.degraded_refills);
@@ -343,6 +345,7 @@ TEST(MemsysFaults, UnprotectedFaultsSlipThroughOrRejected) {
     sp.write_fraction = 0.5;
     sp.seed = 5;
     const MemTrace trace = uniform_trace(sp);
+    MaterializedSource source(trace);
     const std::vector<std::uint8_t> image(4096, 0x11);
 
     const DiffCodec diff;
@@ -350,7 +353,7 @@ TEST(MemsysFaults, UnprotectedFaultsSlipThroughOrRejected) {
     config.faults = MemFaultParams{0.004, 8};  // protection stays None
 
     const CompressedMemReport report =
-        CompressedMemorySim(config, &diff).run(trace, image, 0);
+        CompressedMemorySim(config, &diff).run(source, image, 0);
     EXPECT_GT(report.faults_injected, 0u);
     EXPECT_EQ(report.corrected_faults, 0u);
     // Without ECC every corrupted line either decodes to garbage (silent)

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "compress/bdi_codec.hpp"
 #include "compress/dictionary_codec.hpp"
@@ -21,6 +25,8 @@
 #include "sim/cpu.hpp"
 #include "support/rng.hpp"
 #include "trace/io.hpp"
+#include "trace/source.hpp"
+#include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -289,21 +295,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FrontEndFuzz, ::testing::Range<std::uint64_t>(1,
 
 // ---- trace-reader robustness fuzzing ------------------------------------
 
-/// Corrupted trace streams fed to both readers: serialize a valid trace,
-/// flip random bytes / truncate at random offsets, and require that parsing
+/// Corrupted traces fed to both readers: serialize a valid trace, flip
+/// random bytes / truncate at random offsets, and require that parsing
 /// either succeeds or throws memopt::Error — never crashes, hangs, or
 /// attempts an unbounded allocation.
 class TraceIoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The binary reader is the mmap ".mtsc" container reader: header, offset
+// table, block headers and payloads all take random hits, on plain and
+// compressed containers alike.
 TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
     Rng rng(GetParam() * 52711 + 11);
     SyntheticParams sp;
     sp.span_bytes = 4096;
     sp.num_accesses = 64;
     sp.seed = GetParam();
-    std::stringstream ss;
-    write_trace_binary(ss, uniform_trace(sp));
-    const std::string pristine = ss.str();
+    const MemTrace trace = uniform_trace(sp);
+    MaterializedSource source(trace);
+    const std::string path =
+        ::testing::TempDir() + "trace_fuzz_" + std::to_string(GetParam()) + ".mtsc";
+    StreamWriteOptions opts;
+    opts.chunk_accesses = 16;  // four blocks, so the offset table is live
+    opts.compress = GetParam() % 2 == 0;
+    write_trace_stream(path, source, opts);
+    std::string pristine;
+    {
+        std::ifstream is(path, std::ios::binary);
+        pristine.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(pristine.empty());
 
     for (int trial = 0; trial < 200; ++trial) {
         std::string bytes = pristine;
@@ -312,14 +332,18 @@ TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
             bytes[rng.next_below(bytes.size())] ^=
                 static_cast<char>(1 + rng.next_below(255));
         if (rng.next_below(4) == 0) bytes.resize(rng.next_below(bytes.size() + 1));
-        std::stringstream corrupted(bytes);
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         try {
-            read_trace_binary(corrupted);
+            MmapBinarySource reader(path);
+            TraceChunk chunk;
+            while (reader.next(chunk)) {
+            }
         } catch (const Error&) {
             // rejected cleanly: fine
         }
     }
-    SUCCEED();
+    std::remove(path.c_str());
 }
 
 TEST_P(TraceIoFuzz, TextReaderSurvivesCorruption) {
@@ -329,7 +353,9 @@ TEST_P(TraceIoFuzz, TextReaderSurvivesCorruption) {
     sp.span_bytes = 4096;
     sp.num_accesses = 32;
     sp.seed = GetParam();
-    write_trace_text(ss, uniform_trace(sp));
+    const MemTrace trace = uniform_trace(sp);
+    MaterializedSource source(trace);
+    write_trace_text(ss, source);
     const std::string pristine = ss.str();
 
     for (int trial = 0; trial < 200; ++trial) {

@@ -12,6 +12,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/kernels.hpp"
 #include "support/stats.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 namespace {
@@ -29,7 +30,8 @@ TEST_P(KernelFlow, PartitioningPipelineIsSoundOnKernelTraces) {
     const Kernel& kernel = kernel_suite()[GetParam()];
     const RunResult run = run_kernel(kernel);
     const MemoryOptimizationFlow flow(e1_params());
-    const FlowComparison cmp = flow.compare(run.data_trace, ClusterMethod::Frequency);
+    MaterializedSource source(run.data_trace);
+    const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
 
     // Partitioning never loses to monolithic (k=1 is in the search space).
     EXPECT_LE(cmp.partitioned.energy.total(), cmp.monolithic.total() * (1 + 1e-12));
@@ -38,7 +40,7 @@ TEST_P(KernelFlow, PartitioningPipelineIsSoundOnKernelTraces) {
               cmp.partitioned.solution.arch.num_blocks());
     // The remapped trace reproduces the clustered profile's bank loads:
     // total accesses are conserved under the bijection.
-    const BlockProfile original = BlockProfile::from_trace(run.data_trace, 256);
+    const BlockProfile original = BlockProfile::from_source(source, 256);
     const BlockProfile remapped = cmp.clustered.map.apply(original);
     EXPECT_EQ(remapped.total_accesses(), original.total_accesses());
     EXPECT_GT(cmp.partitioning_savings_pct(), 0.0);
@@ -55,8 +57,9 @@ TEST(E1Headline, ClusteringBeatsPartitioningOnAverage) {
     const MemoryOptimizationFlow flow(e1_params());
     for (const Kernel& kernel : kernel_suite()) {
         const RunResult run = run_kernel(kernel);
-        savings.push_back(flow.compare(run.data_trace, ClusterMethod::Frequency)
-                              .clustering_savings_pct());
+        MaterializedSource source(run.data_trace);
+        savings.push_back(
+            flow.compare(source, ClusterMethod::Frequency).clustering_savings_pct());
     }
     const double avg = mean(savings);
     const double max = *std::max_element(savings.begin(), savings.end());
@@ -71,10 +74,11 @@ TEST(E4Headline, CompressionSavesOnCompressibleKernels) {
     for (const char* name : {"biquad", "conv3x3", "listchase"}) {
         const auto prog = assemble(kernel_by_name(name).source);
         const RunResult run = Cpu(CpuConfig{}).run(prog);
-        const auto base = CompressedMemorySim(platform.config, nullptr)
-                              .run(run.data_trace, prog.data, prog.data_base);
-        const auto comp = CompressedMemorySim(platform.config, &codec)
-                              .run(run.data_trace, prog.data, prog.data_base);
+        MaterializedSource source(run.data_trace);
+        const auto base =
+            CompressedMemorySim(platform.config, nullptr).run(source, prog.data, prog.data_base);
+        const auto comp =
+            CompressedMemorySim(platform.config, &codec).run(source, prog.data, prog.data_base);
         const double base_path = base.energy.component("main_memory");
         const double comp_path =
             comp.energy.component("main_memory") + comp.energy.component("codec");
@@ -129,7 +133,8 @@ TEST(Determinism, FullPipelineIsReproducible) {
     auto run_once = [&]() {
         const RunResult run = run_kernel(kernel);
         const MemoryOptimizationFlow flow(e1_params());
-        return flow.compare(run.data_trace, ClusterMethod::Affinity).clustered.energy.total();
+        MaterializedSource source(run.data_trace);
+        return flow.compare(source, ClusterMethod::Affinity).clustered.energy.total();
     };
     EXPECT_DOUBLE_EQ(run_once(), run_once());
 }

@@ -16,6 +16,7 @@
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -174,11 +175,12 @@ TEST(Metrics, InstrumentationNeverChangesFlowResults) {
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
+    MaterializedSource source(trace);
 
     const auto serialize = [&] {
         std::stringstream ss;
         JsonWriter w(ss);
-        const FlowComparison cmp = flow.compare(trace, ClusterMethod::Frequency);
+        const FlowComparison cmp = flow.compare(source, ClusterMethod::Frequency);
         to_json(w, cmp);
         return ss.str();
     };
@@ -191,8 +193,10 @@ TEST(Metrics, InstrumentationNeverChangesFlowResults) {
 // -------------------------------------------------------------- Serializers
 
 TEST(Serializers, FlowComparisonSchemaAndJobInvariance) {
-    std::vector<MemTrace> traces;
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) traces.push_back(make_hot_trace(seed));
+    std::vector<MemTrace> owned;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) owned.push_back(make_hot_trace(seed));
+    std::vector<const MemTrace*> traces;
+    for (const MemTrace& trace : owned) traces.push_back(&trace);
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
@@ -201,9 +205,7 @@ TEST(Serializers, FlowComparisonSchemaAndJobInvariance) {
         std::stringstream ss;
         JsonWriter w(ss);
         w.begin_array();
-        for (const FlowComparison& cmp :
-             flow.compare_all(std::span<const MemTrace>(traces), ClusterMethod::Frequency,
-                              jobs))
+        for (const FlowComparison& cmp : flow.compare_all(traces, ClusterMethod::Frequency, jobs))
             to_json(w, cmp);
         w.end_array();
         return ss.str();

@@ -16,6 +16,7 @@
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
+#include "trace/source.hpp"
 
 namespace memopt {
 namespace {
@@ -214,7 +215,8 @@ TEST(Determinism, CompareAllIsBitIdenticalAcrossJobCounts) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
         expect_identical(serial[i], threaded[i]);
         // And both match the plain single-trace entry point.
-        const FlowComparison direct = flow.compare(*traces[i], ClusterMethod::Frequency);
+        MaterializedSource source(*traces[i]);
+        const FlowComparison direct = flow.compare(source, ClusterMethod::Frequency);
         expect_identical(serial[i], direct);
     }
 }

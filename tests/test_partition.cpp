@@ -9,6 +9,7 @@
 #include "partition/solver.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -145,7 +146,8 @@ TEST_P(SolverOrdering, OptimalLeqGreedyLeqMonolithic) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.85,
     });
-    const BlockProfile p = BlockProfile::from_trace(trace, 256);
+    MaterializedSource source(trace);
+    const BlockProfile p = BlockProfile::from_source(source, 256);
     PartitionConstraints constraints;
     constraints.max_banks = 8;
     const PartitionEnergyParams params;
@@ -230,13 +232,14 @@ MemTrace bursty_trace(std::uint64_t gap_cycles) {
 
 TEST(SleepyBanks, IdleBanksSleepAndWake) {
     const MemTrace trace = bursty_trace(5000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     // Two banks: blocks [0,1) and [1, N).
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     SleepParams sleep;
     sleep.idle_cycles = 500;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, trace, {}, sleep);
+    const SleepReport report = evaluate_partition_sleepy(arch, map, source, {}, sleep);
     // Each bank is touched by 5 bursts: it must wake repeatedly.
     EXPECT_GE(report.total_wakeups(), 8u);
     EXPECT_GT(report.energy.component("wakeup"), 0.0);
@@ -249,7 +252,8 @@ TEST(SleepyBanks, IdleBanksSleepAndWake) {
 
 TEST(SleepyBanks, SleepCutsLeakageVersusAlwaysOn) {
     const MemTrace trace = bursty_trace(20000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
 
@@ -258,20 +262,21 @@ TEST(SleepyBanks, SleepCutsLeakageVersusAlwaysOn) {
     SleepParams never;
     never.idle_cycles = UINT64_MAX / 2;  // effectively never sleeps
     const double leak_sleepy =
-        evaluate_partition_sleepy(arch, map, trace, {}, sleepy).energy.component("leakage");
+        evaluate_partition_sleepy(arch, map, source, {}, sleepy).energy.component("leakage");
     const double leak_never =
-        evaluate_partition_sleepy(arch, map, trace, {}, never).energy.component("leakage");
+        evaluate_partition_sleepy(arch, map, source, {}, never).energy.component("leakage");
     EXPECT_LT(leak_sleepy, 0.5 * leak_never);
 }
 
 TEST(SleepyBanks, NeverSleepingMatchesNominalLeakage) {
     const MemTrace trace = bursty_trace(100);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     SleepParams never;
     never.idle_cycles = UINT64_MAX / 2;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, trace, {}, never);
+    const SleepReport report = evaluate_partition_sleepy(arch, map, source, {}, never);
     // Nominal leakage over the run length, computed independently.
     const SramEnergyModel model(arch.banks()[0].size_bytes);
     const std::uint64_t run = trace.accesses().back().cycle + 1;
@@ -282,26 +287,30 @@ TEST(SleepyBanks, NeverSleepingMatchesNominalLeakage) {
 
 TEST(SleepyBanks, RemapChargedPerAccess) {
     const MemTrace trace = bursty_trace(1000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     PartitionEnergyParams params;
     params.extra_pj_per_access = 2.0;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, trace, params, {});
+    const SleepReport report = evaluate_partition_sleepy(arch, map, source, params, {});
     EXPECT_DOUBLE_EQ(report.energy.component("remap"), 2.0 * trace.size());
 }
 
 TEST(SleepyBanks, ValidatesInputs) {
     const MemTrace trace = bursty_trace(100);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
     const AddressMap wrong = AddressMap::identity(1024, profile.num_blocks() + 1);
-    EXPECT_THROW(evaluate_partition_sleepy(arch, wrong, trace, {}, {}), Error);
+    EXPECT_THROW(evaluate_partition_sleepy(arch, wrong, source, {}, {}), Error);
     const AddressMap ok = AddressMap::identity(1024, profile.num_blocks());
-    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, MemTrace{}, {}, {}), Error);
+    const MemTrace empty;
+    MaterializedSource empty_source(empty);
+    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, empty_source, {}, {}), Error);
     SleepParams bad;
     bad.sleep_leak_factor = 2.0;
-    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, trace, {}, bad), Error);
+    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, source, {}, bad), Error);
 }
 
 }  // namespace

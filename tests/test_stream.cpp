@@ -184,7 +184,8 @@ TEST(StreamEquivalenceTest, ProfileMatchesAtAnyJobCount) {
     // Big enough that the parallel replay actually shards (> 2 * 64Ki).
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=65536,n=200000,seed=2");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile expected = BlockProfile::from_trace(trace, 256, 1);
+    MaterializedSource reference(trace);  // default chunking
+    const BlockProfile expected = BlockProfile::from_source(reference, 256, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
         expect_profiles_equal(BlockProfile::from_source(source, 256, jobs), expected);
@@ -197,9 +198,10 @@ TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
     const SyntheticSpec spec =
         parse_synthetic_spec("two-phase,span=32768,n=200000,seed=13");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256, 1);
-    const AffinityMatrix t_expected = transition_affinity(trace, profile, 1);
-    const AffinityMatrix w_expected = windowed_affinity(trace, profile, 16, 1);
+    MaterializedSource reference(trace);  // default chunking
+    const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
+    const AffinityMatrix t_expected = transition_affinity(reference, profile, 1);
+    const AffinityMatrix w_expected = windowed_affinity(reference, profile, 16, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
         expect_matrices_equal(transition_affinity(source, profile, jobs), t_expected);
@@ -211,9 +213,10 @@ TEST(StreamEquivalenceTest, SparseAffinityMatchesOnLargeSpans) {
     // > 1024 blocks at 256 B forces the CSR representation.
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=1048576,n=150000,seed=21");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 256, 1);
+    MaterializedSource reference(trace);  // default chunking
+    const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
     ASSERT_GT(profile.num_blocks(), kAffinityDenseMaxBlocks);
-    const AffinityMatrix expected = windowed_affinity(trace, profile, 8, 1);
+    const AffinityMatrix expected = windowed_affinity(reference, profile, 8, 1);
     ASSERT_TRUE(expected.is_sparse());
     SyntheticSource source(spec, 10000);
     expect_matrices_equal(windowed_affinity(source, profile, 8, 8), expected);
@@ -224,8 +227,9 @@ TEST(StreamEquivalenceTest, FusedBuilderMatchesTwoPass) {
         parse_synthetic_spec("hotspot,span=32768,n=200000,seed=5,hotspots=4,"
                              "hotspot-bytes=1024,hot-frac=0.8");
     const MemTrace trace = materialize_synthetic(spec);
-    const BlockProfile p_expected = BlockProfile::from_trace(trace, 256, 1);
-    const AffinityMatrix a_expected = windowed_affinity(trace, p_expected, 32, 1);
+    MaterializedSource reference(trace);  // default chunking
+    const BlockProfile p_expected = BlockProfile::from_source(reference, 256, 1);
+    const AffinityMatrix a_expected = windowed_affinity(reference, p_expected, 32, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
         const ProfileAffinity pa = build_profile_and_affinity(source, 256, 32, jobs);
@@ -240,8 +244,9 @@ TEST(StreamEquivalenceTest, SleepReplayMatches) {
     const MemTrace trace = mixed_trace(50000);
     FlowParams fp;
     fp.constraints.max_banks = 4;
-    const FlowResult fr = MemoryOptimizationFlow(fp).run(trace, ClusterMethod::Frequency);
-    const SleepReport expected = evaluate_partition_sleepy(fr.solution.arch, fr.map, trace,
+    MaterializedSource reference(trace);  // default chunking
+    const FlowResult fr = MemoryOptimizationFlow(fp).run(reference, ClusterMethod::Frequency);
+    const SleepReport expected = evaluate_partition_sleepy(fr.solution.arch, fr.map, reference,
                                                            fp.energy, SleepParams{});
     MaterializedSource source(trace, 4096);
     const SleepReport streamed = evaluate_partition_sleepy(fr.solution.arch, fr.map, source,
@@ -261,8 +266,9 @@ TEST(StreamEquivalenceTest, CompressedMemoryReplayMatches) {
     CompressedMemConfig config;
     config.cache.size_bytes = 1024;
     config.cache.line_bytes = 32;
+    MaterializedSource reference(trace);  // default chunking
     const CompressedMemReport expected =
-        CompressedMemorySim(config, &codec).run(trace, {}, 0);
+        CompressedMemorySim(config, &codec).run(reference, {}, 0);
     MaterializedSource source(trace, 4096);
     const CompressedMemReport streamed =
         CompressedMemorySim(config, &codec).run(source, {}, 0);
@@ -281,7 +287,8 @@ TEST(StreamEquivalenceTest, CacheHierarchyReplayMatches) {
     l2.size_bytes = 4096;
     l2.line_bytes = 32;
     CacheHierarchy expected(l1, l2);
-    expected.replay(trace);
+    MaterializedSource reference(trace);  // default chunking
+    expected.replay(reference);
     CacheHierarchy streamed(l1, l2);
     MaterializedSource source(trace, 4096);
     streamed.replay(source);
@@ -300,9 +307,10 @@ TEST(StreamEquivalenceTest, FlowRunAndCompareMatch) {
     FlowParams fp;
     fp.constraints.max_banks = 4;
     const MemoryOptimizationFlow flow(fp);
+    MaterializedSource reference(trace);  // default chunking
     for (const ClusterMethod method :
          {ClusterMethod::None, ClusterMethod::Frequency, ClusterMethod::Affinity}) {
-        const FlowResult expected = flow.run(trace, method);
+        const FlowResult expected = flow.run(reference, method);
         SyntheticSource source(spec, 10000);
         const FlowResult streamed = flow.run(source, method);
         expect_energy_equal(streamed.energy, expected.energy);
@@ -314,7 +322,7 @@ TEST(StreamEquivalenceTest, FlowRunAndCompareMatch) {
                       expected.solution.arch.banks()[b].num_blocks);
         }
     }
-    const FlowComparison expected = flow.compare(trace, ClusterMethod::Affinity);
+    const FlowComparison expected = flow.compare(reference, ClusterMethod::Affinity);
     SyntheticSource source(spec, 10000);
     const FlowComparison streamed = flow.compare(source, ClusterMethod::Affinity);
     expect_energy_equal(streamed.monolithic, expected.monolithic);
@@ -344,7 +352,8 @@ TEST_F(StreamFileTest, RoundTripUncompressed) {
     const std::string file = path("plain.mtsc");
     StreamWriteOptions opts;
     opts.chunk_accesses = 1024;
-    const TraceSummary written = write_trace_stream(file, trace, opts);
+    MaterializedSource input(trace);
+    const TraceSummary written = write_trace_stream(file, input, opts);
     EXPECT_EQ(written.accesses, trace.size());
     EXPECT_EQ(written.reads, trace.read_count());
 
@@ -366,7 +375,8 @@ TEST_F(StreamFileTest, RoundTripCompressed) {
     StreamWriteOptions opts;
     opts.chunk_accesses = 2048;
     opts.compress = true;
-    write_trace_stream(file, trace, opts);
+    MaterializedSource input(trace);
+    write_trace_stream(file, input, opts);
     MmapBinarySource source(file);
     EXPECT_TRUE(source.compressed());
     EXPECT_FALSE(source.stable_chunks());
@@ -379,10 +389,11 @@ TEST_F(StreamFileTest, CompressionShrinksRegularTraces) {
     const MemTrace trace =
         materialize_synthetic(parse_synthetic_spec("stride,span=65536,n=20000,stride=4"));
     const std::string plain = path("a.mtsc"), packed = path("b.mtsc");
-    write_trace_stream(plain, trace);
+    MaterializedSource input(trace);
+    write_trace_stream(plain, input);
     StreamWriteOptions opts;
     opts.compress = true;
-    write_trace_stream(packed, trace, opts);
+    write_trace_stream(packed, input, opts);
     std::ifstream pa(plain, std::ios::ate | std::ios::binary);
     std::ifstream pb(packed, std::ios::ate | std::ios::binary);
     EXPECT_LT(pb.tellg(), pa.tellg());
@@ -404,13 +415,16 @@ TEST_F(StreamFileTest, WriterRechunksArbitrarySourceChunks) {
 TEST_F(StreamFileTest, ReadTraceStreamMaterializes) {
     const MemTrace trace = mixed_trace(3000);
     const std::string file = path("mat.mtsc");
-    write_trace_stream(file, trace);
+    MaterializedSource input(trace);
+    write_trace_stream(file, input);
     expect_traces_equal(read_trace_stream(file), trace);
 }
 
 TEST_F(StreamFileTest, EmptyTraceRoundTrips) {
     const std::string file = path("empty.mtsc");
-    write_trace_stream(file, MemTrace{});
+    const MemTrace empty;
+    MaterializedSource input(empty);
+    write_trace_stream(file, input);
     MmapBinarySource source(file);
     EXPECT_EQ(source.size(), 0u);
     TraceChunk chunk;
@@ -419,11 +433,12 @@ TEST_F(StreamFileTest, EmptyTraceRoundTrips) {
 
 TEST_F(StreamFileTest, InvalidWriteOptionsThrow) {
     const MemTrace trace = mixed_trace(10);
+    MaterializedSource input(trace);
     StreamWriteOptions opts;
     opts.chunk_accesses = 0;
-    EXPECT_THROW(write_trace_stream(path("bad0.mtsc"), trace, opts), Error);
+    EXPECT_THROW(write_trace_stream(path("bad0.mtsc"), input, opts), Error);
     opts.chunk_accesses = kMaxStreamChunkAccesses + 1;
-    EXPECT_THROW(write_trace_stream(path("bad1.mtsc"), trace, opts), Error);
+    EXPECT_THROW(write_trace_stream(path("bad1.mtsc"), input, opts), Error);
 }
 
 // ------------------------------------------------- corruption handling ----
@@ -466,7 +481,9 @@ protected:
         StreamWriteOptions opts;
         opts.chunk_accesses = chunk;
         opts.compress = compress;
-        write_trace_stream(file_, mixed_trace(n), opts);
+        const MemTrace trace = mixed_trace(n);
+        MaterializedSource input(trace);
+        write_trace_stream(file_, input, opts);
         return slurp(file_);
     }
 
@@ -634,47 +651,16 @@ TEST_F(StreamFuzzTest, InvalidKindByteRejectedEvenWithValidChecksum) {
     expect_rejected(bytes);
 }
 
-// ------------------------------------------------------- mtrc streaming ----
-
-TEST_F(StreamFileTest, BinaryFileSourceMatchesLoadTrace) {
-    const MemTrace trace = mixed_trace(5000);
-    const std::string file = path("stream.mtrc");
-    save_trace(file, trace);
-    BinaryFileSource source(file, 512);
-    EXPECT_EQ(source.size(), trace.size());
-    expect_traces_equal(drain(source), trace);
-    expect_traces_equal(drain(source), trace);  // reset + second pass
-}
-
-TEST_F(StreamFileTest, BinaryFileSourceRejectsCorruptStream) {
-    const MemTrace trace = mixed_trace(100);
-    const std::string file = path("corrupt.mtrc");
-    save_trace(file, trace);
-    auto bytes = slurp(file);
-    bytes.resize(bytes.size() - 10);
-    spit(file, bytes);
-    EXPECT_THROW(
-        {
-            BinaryFileSource source(file);
-            TraceChunk chunk;
-            while (source.next(chunk)) {
-            }
-        },
-        Error);
-}
-
 // --------------------------------------------------- streaming writers ----
 
 TEST_F(StreamFileTest, StreamingTextAndBinaryWritersMatchMaterialized) {
     const MemTrace trace = mixed_trace(2000);
+    MaterializedSource reference(trace);  // default chunking
     MaterializedSource source(trace, 300);
-    std::ostringstream text_a, text_b, bin_a, bin_b;
-    write_trace_text(text_a, trace);
+    std::ostringstream text_a, text_b;
+    write_trace_text(text_a, reference);
     write_trace_text(text_b, source);
     EXPECT_EQ(text_a.str(), text_b.str());
-    write_trace_binary(bin_a, trace);
-    write_trace_binary(bin_b, source);
-    EXPECT_EQ(bin_a.str(), bin_b.str());
 }
 
 // ------------------------------------------------------ repository specs ----
@@ -685,7 +671,7 @@ TEST(WorkloadStreamTest, OpenTraceSourceResolvesSpecs) {
     EXPECT_EQ(synth->size(), 1234u);
     EXPECT_THROW(repo.open_trace_source("synthetic:nope"), Error);
     EXPECT_THROW(repo.open_trace_source("no-such-kernel"), Error);
-    EXPECT_THROW(repo.open_trace_source("/nonexistent/trace.mtrc"), Error);
+    EXPECT_THROW(repo.open_trace_source("/nonexistent/trace.txt"), Error);
 }
 
 TEST(WorkloadStreamTest, KernelSourceAliasesCachedArtifact) {

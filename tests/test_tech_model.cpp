@@ -132,7 +132,8 @@ TEST(BankPool, RejectsBadSpecs) {
 
 TEST(HybridGating, GatedBankChargesZeroDynamicEnergy) {
     const MemTrace trace = bursty_trace(5000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     // Bank 1 covers only the cold tail past both hot regions: never
     // accessed, gated for essentially the whole run.
     const auto arch =
@@ -140,7 +141,7 @@ TEST(HybridGating, GatedBankChargesZeroDynamicEnergy) {
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     HybridGatingParams gating;
     gating.idle_cycles = 100;
-    const auto activity = replay_bank_activity(arch, map, trace, gating);
+    const auto activity = replay_bank_activity(arch, map, source, gating);
     ASSERT_EQ(activity.size(), 2u);
 
     const std::size_t cold = activity[0].accesses() == 0 ? 0 : 1;
@@ -161,12 +162,13 @@ TEST(HybridGating, GatedBankChargesZeroDynamicEnergy) {
 
 TEST(HybridGating, ResidencyIsConsistent) {
     const MemTrace trace = bursty_trace(3000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {4});
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     HybridGatingParams gating;
     gating.idle_cycles = 200;
-    const auto activity = replay_bank_activity(arch, map, trace, gating);
+    const auto activity = replay_bank_activity(arch, map, source, gating);
 
     const std::uint64_t end = trace.accesses().back().cycle + 1;
     std::uint64_t accesses = 0;
@@ -179,7 +181,7 @@ TEST(HybridGating, ResidencyIsConsistent) {
     // Gating disabled: every cycle is active, nothing wakes.
     HybridGatingParams off;
     off.enabled = false;
-    for (const BankActivity& a : replay_bank_activity(arch, map, trace, off)) {
+    for (const BankActivity& a : replay_bank_activity(arch, map, source, off)) {
         EXPECT_EQ(a.gated_cycles, 0u);
         EXPECT_EQ(a.wakeups, 0u);
         EXPECT_EQ(a.active_cycles, end);
@@ -190,7 +192,8 @@ TEST(HybridGating, ResidencyIsConsistent) {
 
 TEST(HybridIdentity, AllSramStaticEvaluationMatchesLegacyBitForBit) {
     const MemTrace trace = bursty_trace(1000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {2, 5});
     PartitionEnergyParams params;
     params.runtime_cycles = 100000;
@@ -206,7 +209,8 @@ TEST(HybridIdentity, AllSramStaticEvaluationMatchesLegacyBitForBit) {
 
 TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     const MemTrace trace = bursty_trace(1000);
-    const BlockProfile profile = BlockProfile::from_trace(trace, 1024);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {2, 5});
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     PartitionEnergyParams params;
@@ -215,7 +219,7 @@ TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     HybridGatingParams off;
     off.enabled = false;
     const auto activity =
-        replay_bank_activity(arch, map, trace, off, params.runtime_cycles);
+        replay_bank_activity(arch, map, source, off, params.runtime_cycles);
     const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);
     const HybridReport report =
         evaluate_partition_hybrid(arch, sram, activity, params, off);
@@ -237,7 +241,8 @@ TEST(HybridAssignment, RespectsPoolCountsAndPrefersCheapTech) {
     const MemoryOptimizationFlow flow(fp);
 
     const BankPool pool = BankPool::parse("sram=1,sttmram=7");
-    const auto result = flow.run_hybrid(trace, ClusterMethod::Frequency, pool);
+    MaterializedSource source(trace);
+    const auto result = flow.run_hybrid(source, ClusterMethod::Frequency, pool);
     std::size_t sram_banks = 0;
     for (MemTechnology tech : result.techs)
         if (tech == MemTechnology::Sram) ++sram_banks;
@@ -260,12 +265,13 @@ TEST(HybridAssignment, FreeMixNeverLosesToHomogeneous) {
     fp.energy.runtime_cycles = trace.accesses().back().cycle + 1;
     const MemoryOptimizationFlow flow(fp);
 
+    MaterializedSource source(trace);
     const double mix =
-        flow.run_hybrid(trace, ClusterMethod::Frequency,
+        flow.run_hybrid(source, ClusterMethod::Frequency,
                         BankPool::parse("sram,edram,sttmram,drowsy")).total();
     for (const char* name : {"sram", "edram", "sttmram", "drowsy"}) {
         const double homog =
-            flow.run_hybrid(trace, ClusterMethod::Frequency,
+            flow.run_hybrid(source, ClusterMethod::Frequency,
                             BankPool::homogeneous(parse_technology(name))).total();
         EXPECT_LE(mix, homog * (1.0 + 1e-12)) << name;
     }
@@ -277,8 +283,9 @@ TEST(HybridAssignment, PoolCapsBankCount) {
     fp.block_size = 1024;
     fp.constraints.max_banks = 8;
     const MemoryOptimizationFlow flow(fp);
+    MaterializedSource source(trace);
     const auto result =
-        flow.run_hybrid(trace, ClusterMethod::Frequency, BankPool::parse("edram=2"));
+        flow.run_hybrid(source, ClusterMethod::Frequency, BankPool::parse("edram=2"));
     EXPECT_LE(result.base.solution.arch.num_banks(), 2u);
 }
 
@@ -314,8 +321,9 @@ TEST(HybridDeterminism, BackToBackPoolEvaluationsAreIndependent) {
                   alone.report.banks[b].activity.wakeups);
     }
     // And the first run was not disturbed by having had a different pool.
+    MaterializedSource fresh_first(trace);
     EXPECT_EQ(first.total(),
-              flow.run_hybrid(trace, ClusterMethod::Frequency, BankPool::parse("sram"))
+              flow.run_hybrid(fresh_first, ClusterMethod::Frequency, BankPool::parse("sram"))
                   .total());
 }
 
@@ -332,7 +340,8 @@ TEST(HybridDeterminism, JobsInvariance1vs8) {
     const BankPool pool = BankPool::parse("sram=2,edram=2,sttmram=4");
 
     const auto eval = [&](const MemTrace& trace) {
-        return flow.run_hybrid(trace, ClusterMethod::Frequency, pool).total();
+        MaterializedSource source(trace);
+        return flow.run_hybrid(source, ClusterMethod::Frequency, pool).total();
     };
     const std::vector<double> serial =
         parallel_map(std::span<const MemTrace>(traces), eval, 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -12,6 +13,7 @@
 #include "trace/synthetic.hpp"
 #include "sim/kernels.hpp"
 #include "trace/io.hpp"
+#include "trace/source.hpp"
 #include "trace/symbolize.hpp"
 #include "trace/trace.hpp"
 
@@ -81,7 +83,8 @@ TEST(BlockProfile, FromTraceCountsPerBlock) {
     t.add_read(255);      // block 0  (byte access at end of block)
     t.add_write(256);     // block 1
     t.add_read(1020);     // block 3
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     EXPECT_EQ(p.num_blocks(), 4u);
     EXPECT_EQ(p.counts(0).reads, 2u);  // accesses at 0 and 255 both start in block 0
     EXPECT_EQ(p.counts(1).writes, 1u);
@@ -164,8 +167,9 @@ TEST(Affinity, TransitionCountsAdjacentBlocks) {
     t.add_read(256);   // block 1 -> edge 0-1
     t.add_read(0);     // block 0 -> edge 0-1 (symmetric)
     t.add_read(0);     // same block, no edge
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    const AffinityMatrix m = transition_affinity(t, p);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    const AffinityMatrix m = transition_affinity(src, p);
     EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(m.at(1, 0), 2.0);
     EXPECT_DOUBLE_EQ(m.total(), 2.0);
@@ -176,20 +180,22 @@ TEST(Affinity, WindowedSeesNonAdjacentPairs) {
     t.add_read(0);      // block 0
     t.add_read(256);    // block 1
     t.add_read(512);    // block 2
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    const AffinityMatrix m3 = windowed_affinity(t, p, 3);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    const AffinityMatrix m3 = windowed_affinity(src, p, 3);
     EXPECT_DOUBLE_EQ(m3.at(0, 1), 1.0);
     EXPECT_DOUBLE_EQ(m3.at(1, 2), 1.0);
     EXPECT_DOUBLE_EQ(m3.at(0, 2), 1.0);  // within window of 3
-    const AffinityMatrix m2 = windowed_affinity(t, p, 2);
+    const AffinityMatrix m2 = windowed_affinity(src, p, 2);
     EXPECT_DOUBLE_EQ(m2.at(0, 2), 0.0);  // not adjacent
 }
 
 TEST(Affinity, WindowValidation) {
     MemTrace t;
     t.add_read(0);
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
-    EXPECT_THROW(windowed_affinity(t, p, 1), Error);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
+    EXPECT_THROW(windowed_affinity(src, p, 1), Error);
 }
 
 TEST(Affinity, SetQueryAndSymmetry) {
@@ -229,7 +235,8 @@ TEST(Synthetic, HotspotTraceIsSkewedAndScattered) {
     hp.hotspot_bytes = 1024;
     hp.hot_fraction = 0.9;
     const MemTrace t = scattered_hotspot_trace(hp);
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     // 8 hotspots of 4 blocks each: ~32 hot blocks should hold ~90%.
     EXPECT_GT(p.hot_fraction(40), 0.85);
     // And they must be scattered, not contiguous.
@@ -298,23 +305,9 @@ void expect_traces_equal(const MemTrace& a, const MemTrace& b) {
 TEST(TraceIo, TextRoundTrip) {
     const MemTrace t = sample_trace();
     std::stringstream ss;
-    write_trace_text(ss, t);
+    MaterializedSource src(t);
+    write_trace_text(ss, src);
     expect_traces_equal(t, read_trace_text(ss));
-}
-
-TEST(TraceIo, BinaryRoundTrip) {
-    const MemTrace t = sample_trace();
-    std::stringstream ss;
-    write_trace_binary(ss, t);
-    expect_traces_equal(t, read_trace_binary(ss));
-}
-
-TEST(TraceIo, BinaryRoundTripLargeRandom) {
-    const MemTrace t = uniform_trace({.span_bytes = 65536, .num_accesses = 5000,
-                                      .write_fraction = 0.4, .seed = 77});
-    std::stringstream ss;
-    write_trace_binary(ss, t);
-    expect_traces_equal(t, read_trace_binary(ss));
 }
 
 TEST(TraceIo, TextAcceptsShortRecordsAndComments) {
@@ -333,16 +326,6 @@ TEST(TraceIo, TextRejectsMalformedRecords) {
     EXPECT_THROW(read_trace_text(bad_addr), Error);
     std::stringstream bad_size("R 0x100 3\n");
     EXPECT_THROW(read_trace_text(bad_size), Error);
-}
-
-TEST(TraceIo, BinaryRejectsBadMagicAndTruncation) {
-    std::stringstream bad("NOPE");
-    EXPECT_THROW(read_trace_binary(bad), Error);
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    const std::string full = ss.str();
-    std::stringstream truncated(full.substr(0, full.size() - 3));
-    EXPECT_THROW(read_trace_binary(truncated), Error);
 }
 
 TEST(TraceIo, TextRejectsValueOutOfRange) {
@@ -365,61 +348,27 @@ TEST(TraceIo, TextRejectsValueOutOfRange) {
     }
 }
 
-TEST(TraceIo, BinaryRejectsInvalidAccessSize) {
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    std::string bytes = ss.str();
-    // Layout: 16-byte header (magic, version, count), then 24-byte records
-    // of addr(8) cycle(8) value(4) meta(4). The size field is the low byte
-    // of the first record's meta word, at offset 36.
-    ASSERT_GE(bytes.size(), 40u);
-    bytes[36] = 3;  // not in {1, 2, 4, 8}
-    std::stringstream corrupted(bytes);
-    try {
-        read_trace_binary(corrupted);
-        FAIL() << "expected Error";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("invalid access size"), std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(TraceIo, BinaryRejectsUnknownMetaBits) {
-    std::stringstream ss;
-    write_trace_binary(ss, sample_trace());
-    std::string bytes = ss.str();
-    ASSERT_GE(bytes.size(), 40u);
-    bytes[38] = 0x40;  // meta bits above the size/kind fields
-    std::stringstream corrupted(bytes);
-    EXPECT_THROW(read_trace_binary(corrupted), Error);
-}
-
-TEST(TraceIo, BinaryHugeCountHeaderFailsFast) {
-    // A corrupt header advertising ~10^18 records must not drive an
-    // up-front multi-GiB reserve; it has to fail on the first missing
-    // record instead. If the reserve cap regressed, this test would die on
-    // allocation long before the EXPECT_THROW.
-    std::string bytes = "MTRC";
-    bytes += std::string(1, '\x01') + std::string(3, '\x00');  // version 1 LE
-    bytes += std::string(7, '\xFF') + std::string(1, '\x0F');  // count = 2^60-ish
-    std::stringstream corrupted(bytes);
-    EXPECT_THROW(read_trace_binary(corrupted), Error);
-}
-
 TEST(TraceIo, FileSaveLoadBothFormats) {
     const MemTrace t = sample_trace();
     const std::string text_path = ::testing::TempDir() + "memopt_trace_test.txt";
-    const std::string bin_path = ::testing::TempDir() + "memopt_trace_test.mtrc";
     save_trace(text_path, t);
-    save_trace(bin_path, t);
     expect_traces_equal(t, load_trace(text_path));
-    expect_traces_equal(t, load_trace(bin_path));
     std::remove(text_path.c_str());
-    std::remove(bin_path.c_str());
+    // The retired flat binary format is refused in both directions (nothing
+    // is written), with a message that points at its replacement.
+    const std::string mtrc_path = ::testing::TempDir() + "memopt_trace_test.mtrc";
+    EXPECT_THROW(save_trace(mtrc_path, t), Error);
+    EXPECT_FALSE(std::ifstream(mtrc_path).is_open());
+    try {
+        load_trace(mtrc_path);
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(".mtsc"), std::string::npos) << e.what();
+    }
 }
 
 TEST(TraceIo, LoadMissingFileThrows) {
-    EXPECT_THROW(load_trace("/nonexistent/path/trace.mtrc"), Error);
+    EXPECT_THROW(load_trace("/nonexistent/path/trace.txt"), Error);
 }
 
 
@@ -526,16 +475,12 @@ TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
     for (const MemAccess& a : soa.accesses()) aos.add(a);
 
     std::stringstream text_soa, text_aos;
-    write_trace_text(text_soa, soa);
-    write_trace_text(text_aos, aos);
+    MaterializedSource soa_src(soa);
+    MaterializedSource aos_src(aos);
+    write_trace_text(text_soa, soa_src);
+    write_trace_text(text_aos, aos_src);
     EXPECT_EQ(text_soa.str(), text_aos.str());
     expect_traces_equal(soa, read_trace_text(text_soa));
-
-    std::stringstream bin_soa, bin_aos;
-    write_trace_binary(bin_soa, soa);
-    write_trace_binary(bin_aos, aos);
-    EXPECT_EQ(bin_soa.str(), bin_aos.str());
-    expect_traces_equal(soa, read_trace_binary(bin_soa));
 }
 
 TEST(SoaLayout, FromColumnsMatchesAddAndValidates) {
@@ -568,18 +513,19 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
         .hotspot_bytes = 1024,
         .hot_fraction = 0.9,
     });
-    const BlockProfile p1 = BlockProfile::from_trace(t, 256, 1);
-    const AffinityMatrix w1 = windowed_affinity(t, p1, 8, 1);
-    const AffinityMatrix a1 = transition_affinity(t, p1, 1);
+    MaterializedSource src(t);
+    const BlockProfile p1 = BlockProfile::from_source(src, 256, 1);
+    const AffinityMatrix w1 = windowed_affinity(src, p1, 8, 1);
+    const AffinityMatrix a1 = transition_affinity(src, p1, 1);
     for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
-        const BlockProfile pj = BlockProfile::from_trace(t, 256, jobs);
+        const BlockProfile pj = BlockProfile::from_source(src, 256, jobs);
         ASSERT_EQ(pj.num_blocks(), p1.num_blocks());
         for (std::size_t b = 0; b < p1.num_blocks(); ++b) {
             EXPECT_EQ(pj.counts(b).reads, p1.counts(b).reads) << b;
             EXPECT_EQ(pj.counts(b).writes, p1.counts(b).writes) << b;
         }
-        const AffinityMatrix wj = windowed_affinity(t, pj, 8, jobs);
-        const AffinityMatrix aj = transition_affinity(t, pj, jobs);
+        const AffinityMatrix wj = windowed_affinity(src, pj, 8, jobs);
+        const AffinityMatrix aj = transition_affinity(src, pj, jobs);
         EXPECT_EQ(wj.total(), w1.total());
         EXPECT_EQ(aj.total(), a1.total());
         for (std::size_t a = 0; a < p1.num_blocks(); ++a) {
@@ -601,10 +547,11 @@ TEST(ShardedReplay, FusedBuilderMatchesTwoPass) {
         .hotspot_bytes = 512,
         .hot_fraction = 0.8,
     });
-    const BlockProfile ref_profile = BlockProfile::from_trace(t, 256, 1);
-    const AffinityMatrix ref_affinity = windowed_affinity(t, ref_profile, 8, 1);
+    MaterializedSource src(t);
+    const BlockProfile ref_profile = BlockProfile::from_source(src, 256, 1);
+    const AffinityMatrix ref_affinity = windowed_affinity(src, ref_profile, 8, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        const ProfileAffinity pa = build_profile_and_affinity(t, 256, 8, jobs);
+        const ProfileAffinity pa = build_profile_and_affinity(src, 256, 8, jobs);
         ASSERT_EQ(pa.profile.num_blocks(), ref_profile.num_blocks());
         for (std::size_t b = 0; b < ref_profile.num_blocks(); ++b) {
             EXPECT_EQ(pa.profile.counts(b).reads, ref_profile.counts(b).reads) << b;
@@ -629,7 +576,8 @@ TEST(AffinityCsr, SparseMatchesDense) {
         .hotspot_bytes = 512,
         .hot_fraction = 0.8,
     });
-    const BlockProfile p = BlockProfile::from_trace(t, 256);
+    MaterializedSource src(t);
+    const BlockProfile p = BlockProfile::from_source(src, 256);
     const auto addrs = t.addrs();
 
     AffinityAccumulator acc_dense(p.num_blocks());
