@@ -21,6 +21,7 @@
 #include "compress/diff_codec.hpp"
 #include "core/flow.hpp"
 #include "encoding/search.hpp"
+#include "partition/hybrid.hpp"
 #include "partition/solver.hpp"
 #include "sim/kernels.hpp"
 #include "tools/lint/lint.hpp"
@@ -272,6 +273,31 @@ void BM_MmapRead(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MmapRead);
+
+// The hybrid flow's bank-activity replay: per access, a logical block ->
+// bank table lookup and the bank's lazy gate settlement.
+void BM_ReplayBankActivity(benchmark::State& state) {
+    const MemTrace trace = materialize_synthetic(parse_synthetic_spec(
+        "hotspot,span=1048576,n=1000000,seed=5,write=0.3,hotspots=8,"
+        "hotspot-bytes=1024,hot-frac=0.9"));
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
+    const AddressMap map = frequency_clustering(profile);
+    std::vector<std::size_t> splits;
+    for (std::size_t j = 1; j < 8; ++j) splits.push_back(profile.num_blocks() * j / 8);
+    const auto arch = MemoryArchitecture::from_splits(256, profile.num_blocks(), splits);
+    const HybridGatingParams gating;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        const std::vector<BankActivity> activity =
+            replay_bank_activity(arch, map, source, gating);
+        benchmark::DoNotOptimize(activity.data());
+        accesses += trace.size();
+    }
+    state.counters["accesses/s"] =
+        benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReplayBankActivity);
 
 void BM_TransformSearch(benchmark::State& state) {
     CpuConfig cfg;

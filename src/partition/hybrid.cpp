@@ -1,6 +1,7 @@
 #include "partition/hybrid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "support/assert.hpp"
@@ -33,15 +34,36 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     const std::size_t num_banks = arch.num_banks();
     std::vector<BankActivity> activity(num_banks);
 
-    // Same shape as the sleep controller of partition/sleep.cpp, but the
-    // replay records *cycles*, not energy: the gate state machine depends
-    // only on access times, so one pass serves every candidate technology.
+    // Logical block -> bank, resolved once, so an access costs a shift and
+    // a load.
+    std::vector<std::uint32_t> bank_of(map.num_blocks());
+    for (std::size_t block = 0; block < bank_of.size(); ++block)
+        bank_of[block] = static_cast<std::uint32_t>(arch.bank_of_block(map.map_block(block)));
+    const int block_shift = std::countr_zero(map.block_size());  // a power of two
+
+    // The idle-threshold gate of partition/sleep.cpp, recorded as cycles,
+    // not energy: the gate state machine depends only on access times, so
+    // one pass serves every candidate technology. Each bank's timeline
+    // depends only on its own access times, so a bank's gate transition is
+    // settled lazily, at its next access or at close-out: a bank idle past
+    // the threshold went dark idle_cycles after its last access, wherever
+    // in between the transition is noticed.
     struct BankState {
         std::uint64_t last_access = 0;
-        std::uint64_t state_since = 0;  // cycle the current power state began
-        bool gated = false;
+        std::uint64_t powered_since = 0;  // start of the current powered stretch
+        std::uint64_t accesses[2] = {};   // reads, writes (indexed: no branch to mispredict)
     };
     std::vector<BankState> states(num_banks);
+    // Charges a bank found dark at cycle `t`: powered up to its gate point,
+    // dark from there to `t`. Returns false when the bank is still powered.
+    const auto settle = [&](BankState& s, BankActivity& a, std::uint64_t t) {
+        if (!gating.enabled || t <= s.last_access + gating.idle_cycles) return false;
+        const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
+        a.active_cycles += gate_start - s.powered_since;
+        a.gated_cycles += t - gate_start;
+        s.powered_since = t;
+        return true;
+    };
 
     std::uint64_t now = 0;
     source.reset();
@@ -50,37 +72,14 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             MEMOPT_ASSERT_MSG(chunk.cycles[i] >= now, "trace cycles must be non-decreasing");
             now = chunk.cycles[i];
-            const std::uint64_t phys = map.map_addr(chunk.addrs[i]);
-            const std::size_t block = static_cast<std::size_t>(phys / arch.block_size());
-            const std::size_t bank = arch.bank_of_block(block);
-
-            if (gating.enabled) {
-                // Retire gate transitions for every bank whose idle
-                // threshold has passed (cf. sleep.cpp: the accessed bank
-                // must be exact, the rest need the transition point for
-                // their own residency split).
-                for (std::size_t b = 0; b < num_banks; ++b) {
-                    BankState& s = states[b];
-                    if (!s.gated && now > s.last_access + gating.idle_cycles) {
-                        const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
-                        activity[b].active_cycles += gate_start - s.state_since;
-                        s.gated = true;
-                        s.state_since = gate_start;
-                    }
-                }
-                BankState& s = states[bank];
-                if (s.gated) {
-                    activity[bank].gated_cycles += now - s.state_since;
-                    s.gated = false;
-                    s.state_since = now;
-                    ++activity[bank].wakeups;
-                }
-                s.last_access = now;
-            }
-            if (chunk.kinds[i] == AccessKind::Read)
-                ++activity[bank].reads;
-            else
-                ++activity[bank].writes;
+            const std::uint64_t block = chunk.addrs[i] >> block_shift;
+            if (block >= bank_of.size()) throw Error("map_addr: address outside mapped span");
+            const std::size_t bank = bank_of[block];
+            BankState& s = states[bank];
+            BankActivity& a = activity[bank];
+            if (settle(s, a, now)) ++a.wakeups;
+            s.last_access = now;
+            ++s.accesses[chunk.kinds[i] != AccessKind::Read];
         }
     }
 
@@ -90,16 +89,10 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     const std::uint64_t end = std::max(now + 1, min_total_cycles);
     for (std::size_t b = 0; b < num_banks; ++b) {
         BankState& s = states[b];
-        if (gating.enabled && !s.gated && end > s.last_access + gating.idle_cycles) {
-            const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
-            activity[b].active_cycles += gate_start - s.state_since;
-            s.gated = true;
-            s.state_since = gate_start;
-        }
-        if (s.gated)
-            activity[b].gated_cycles += end - s.state_since;
-        else
-            activity[b].active_cycles += end - s.state_since;
+        settle(s, activity[b], end);
+        activity[b].active_cycles += end - s.powered_since;
+        activity[b].reads = s.accesses[0];
+        activity[b].writes = s.accesses[1];
     }
     return activity;
 }

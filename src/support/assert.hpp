@@ -24,7 +24,14 @@ namespace detail {
 }
 
 /// Throw memopt::Error with the given message if `cond` is false.
-/// Use for validating caller-supplied arguments.
+/// Use for validating caller-supplied arguments. A literal message binds
+/// to this overload and is only turned into a std::string when the check
+/// fails, so a passing check never allocates.
+inline void require(bool cond, const char* msg) {
+    if (!cond) throw Error(msg);
+}
+
+/// As above, for composed messages (format(...), concatenations).
 inline void require(bool cond, const std::string& msg) {
     if (!cond) throw Error(msg);
 }

@@ -27,7 +27,7 @@ namespace {
 
 constexpr char kStreamMagic[4] = {'M', 'T', 'S', 'C'};
 constexpr char kBlockMagic[4] = {'M', 'T', 'S', 'B'};
-constexpr std::uint32_t kStreamVersion = 1;
+constexpr std::uint32_t kStreamVersion = 2;
 constexpr std::uint32_t kFlagCompressed = 1u;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kBlockHeaderBytes = 24;
@@ -43,13 +43,165 @@ void require_little_endian() {
             "stream trace: the '.mtsc' zero-copy layout requires a little-endian host");
 }
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
+// Block checksum (see the layout comment in stream_file.hpp): four
+// independent lanes, each absorbing every fourth 8-byte LE word with the
+// multiply-rotate round below. The round is a bijection of the lane for a
+// fixed word and of the word for a fixed lane, and the final combine is a
+// bijection of each lane when the others are fixed, so any change confined
+// to one word, in particular every single-bit flip, changes the checksum.
+constexpr std::uint64_t kMixP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kMixP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kMixP3 = 0x165667B19E3779F9ULL;
+constexpr std::size_t kStripeBytes = 32;  // one word per lane
+
+std::uint64_t load_word(const std::uint8_t* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);  // little-endian host (require_little_endian)
+    return w;
+}
+
+class ChecksumLanes {
+public:
+    /// Absorb `stripes` whole 32-byte stripes starting at `p`.
+    void absorb(const std::uint8_t* p, std::size_t stripes) {
+        std::uint64_t l0 = lane_[0], l1 = lane_[1], l2 = lane_[2], l3 = lane_[3];
+        for (std::size_t s = 0; s < stripes; ++s, p += kStripeBytes) {
+            l0 = round(l0, load_word(p));
+            l1 = round(l1, load_word(p + 8));
+            l2 = round(l2, load_word(p + 16));
+            l3 = round(l3, load_word(p + 24));
+        }
+        lane_[0] = l0;
+        lane_[1] = l1;
+        lane_[2] = l2;
+        lane_[3] = l3;
     }
-    return h;
+
+    /// Absorb the `tail_bytes` (< 32) left after the whole stripes as one
+    /// zero-padded stripe, then fold in the total length and avalanche.
+    std::uint64_t finish(const std::uint8_t* tail, std::size_t tail_bytes,
+                         std::uint64_t total_bytes) {
+        if (tail_bytes > 0) {
+            std::uint8_t stripe[kStripeBytes] = {};
+            std::memcpy(stripe, tail, tail_bytes);
+            absorb(stripe, 1);
+        }
+        std::uint64_t h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) +
+                          std::rotl(lane_[2], 12) + std::rotl(lane_[3], 18) + total_bytes;
+        h ^= h >> 33;
+        h *= kMixP2;
+        h ^= h >> 29;
+        h *= kMixP3;
+        h ^= h >> 32;
+        return h;
+    }
+
+private:
+    static std::uint64_t round(std::uint64_t lane, std::uint64_t word) {
+        return std::rotl(lane + word * kMixP2, 31) * kMixP1;
+    }
+
+    std::uint64_t lane_[4] = {kMixP1 + kMixP2, kMixP2, 0, 0 - kMixP1};
+};
+
+// The content rules every delivered record meets: size in {1, 2, 4, 8},
+// kind 0 or 1, and [addr, addr + size - 1] inside the header's
+// [min_addr, max_addr]. RecordScreen is the branch-free form that runs
+// inside the checksum pass: clean() proves every screened record valid.
+// It is conservative only for addresses within 7 bytes of max_addr, where
+// it cannot see the record's size; check_records() then decides exactly.
+class RecordScreen {
+public:
+    explicit RecordScreen(const TraceSummary& s)
+        : min_addr_(s.min_addr), span_(s.max_addr - s.min_addr) {}
+
+    void addrs(const std::uint64_t* a, std::size_t n) {
+        std::uint64_t worst = worst_;
+        for (std::size_t i = 0; i < n; ++i) worst = std::max(worst, a[i] - min_addr_);
+        worst_ = worst;
+    }
+
+    void sizes(const std::uint8_t* s, std::size_t n) {
+        std::uint8_t bad = bad_;
+        for (std::size_t i = 0; i < n; ++i) {
+            // s - 1 is in [0, 7] and shares no bit with s exactly for 1/2/4/8.
+            const auto m = static_cast<std::uint8_t>(s[i] - 1);
+            bad |= static_cast<std::uint8_t>((s[i] & m) | (m & 0xF8));
+        }
+        bad_ = bad;
+    }
+
+    void kinds(const std::uint8_t* k, std::size_t n) {
+        std::uint8_t bad = bad_;
+        for (std::size_t i = 0; i < n; ++i) bad |= static_cast<std::uint8_t>(k[i] & 0xFE);
+        bad_ = bad;
+    }
+
+    /// All columns of an `n`-record raw image at once.
+    void image(const std::uint8_t* image, std::size_t n) {
+        addrs(reinterpret_cast<const std::uint64_t*>(image), n);
+        sizes(image + n * 20, n);
+        kinds(image + n * 21, n);
+    }
+
+    bool clean() const { return bad_ == 0 && worst_ <= span_ && span_ - worst_ >= 7; }
+
+private:
+    std::uint64_t min_addr_;
+    std::uint64_t span_;
+    std::uint64_t worst_ = 0;  ///< max(addr - min_addr), wrapping below min_addr
+    std::uint8_t bad_ = 0;     ///< OR of invalid size/kind bits
+};
+
+// Scan tile of the fused pass: small enough that the screen re-reads the
+// tile from L1 right after the checksum loop brought it in.
+constexpr std::size_t kScanTileBytes = std::size_t{8} << 10;
+
+// The single pass over an uncompressed block: returns the checksum of its
+// `n`-record column image and screens the addr/size/kind columns tile by
+// tile on the way.
+std::uint64_t scan_raw_block(const std::uint8_t* image, std::size_t n, RecordScreen& screen) {
+    const std::size_t bytes = n * kBytesPerAccess;
+    const auto* addrs = reinterpret_cast<const std::uint64_t*>(image);
+    ChecksumLanes lanes;
+    for (std::size_t lo = 0; lo < bytes; lo += kScanTileBytes) {
+        const std::size_t hi = std::min(lo + kScanTileBytes, bytes);
+        lanes.absorb(image + lo, (hi - lo) / kStripeBytes);
+        // The tile's share of a column [begin, begin + len) as a byte range.
+        const auto overlap = [&](std::size_t begin, std::size_t len) {
+            return std::pair{std::max(lo, begin), std::min(hi, begin + len)};
+        };
+        if (const auto [b, e] = overlap(0, n * 8); b < e) screen.addrs(addrs + b / 8, (e - b) / 8);
+        if (const auto [b, e] = overlap(n * 20, n); b < e) screen.sizes(image + b, e - b);
+        if (const auto [b, e] = overlap(n * 21, n); b < e) screen.kinds(image + b, e - b);
+    }
+    const std::size_t tail = bytes % kStripeBytes;
+    return lanes.finish(image + (bytes - tail), tail, bytes);
+}
+
+// The exact form of the content rules: throws memopt::Error naming block
+// `block`'s first offending record.
+void check_records(const std::uint8_t* image, std::uint32_t n, std::uint32_t block,
+                   const TraceSummary& s) {
+    const auto* a = reinterpret_cast<const std::uint64_t*>(image);
+    const std::uint8_t* sz = image + std::size_t{n} * 20;
+    const std::uint8_t* kd = image + std::size_t{n} * 21;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint8_t size = sz[i];
+        if (size != 1 && size != 2 && size != 4 && size != 8) {
+            throw Error(format("stream trace: block %u: record %u has invalid access size %u",
+                               block, i, static_cast<unsigned>(size)));
+        }
+        if (kd[i] > 1) {
+            throw Error(
+                format("stream trace: block %u: record %u has invalid access kind", block, i));
+        }
+        if (a[i] < s.min_addr || a[i] > s.max_addr || s.max_addr - a[i] < size - 1u) {
+            throw Error(format(
+                "stream trace: block %u: record %u address outside the header summary range",
+                block, i));
+        }
+    }
 }
 
 // Endianness-independent little-endian loads/stores (byte assembly).
@@ -154,6 +306,13 @@ void decode_image(std::span<const std::uint8_t> payload, std::uint8_t* image,
 
 }  // namespace
 
+std::uint64_t mtsc_block_checksum(const std::uint8_t* data, std::size_t n) {
+    ChecksumLanes lanes;
+    lanes.absorb(data, n / kStripeBytes);
+    const std::size_t tail = n % kStripeBytes;
+    return lanes.finish(data + (n - tail), tail, n);
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 
@@ -212,7 +371,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
         std::memcpy(head, kBlockMagic, 4);
         store_u32(head + 4, static_cast<std::uint32_t>(n));
         store_u64(head + 8, payload_bytes);
-        store_u64(head + 16, fnv1a64(payload, payload_bytes));
+        store_u64(head + 16, mtsc_block_checksum(payload, payload_bytes));
         os.write(reinterpret_cast<const char*>(head), kBlockHeaderBytes);
         os.write(reinterpret_cast<const char*>(payload),
                  static_cast<std::streamsize>(payload_bytes));
@@ -397,7 +556,12 @@ void MmapBinarySource::close_file() {
 void MmapBinarySource::parse_header() {
     require(map_bytes_ >= kHeaderBytes, "stream trace: truncated header");
     require(std::memcmp(map_, kStreamMagic, 4) == 0, "stream trace: bad magic");
-    require(le_u32(map_ + 4) == kStreamVersion, "stream trace: unsupported version");
+    const std::uint32_t version = le_u32(map_ + 4);
+    if (version != kStreamVersion) {
+        throw Error(format("stream trace: '%s' is .mtsc version %u, this reader reads version %u "
+                           "only; regenerate it with `memopt_cli trace`",
+                           path_.c_str(), version, kStreamVersion));
+    }
     count_ = le_u64(map_ + 8);
     chunk_accesses_ = le_u32(map_ + 16);
     block_count_ = le_u32(map_ + 20);
@@ -445,9 +609,7 @@ std::uint32_t MmapBinarySource::expected_block_accesses(std::uint32_t block) con
     return static_cast<std::uint32_t>(count_ - std::uint64_t{block} * chunk_accesses_);
 }
 
-const std::uint8_t* MmapBinarySource::validate_block(std::uint32_t block,
-                                                     std::uint32_t* out_count,
-                                                     std::uint64_t* out_payload_bytes) {
+MmapBinarySource::BlockView MmapBinarySource::locate_block(std::uint32_t block) const {
     const std::uint64_t off = le_u64(offset_table_ + std::size_t{block} * 8);
     const std::uint64_t blocks_start = kHeaderBytes + std::uint64_t{block_count_} * 8;
     require(off >= blocks_start && off % 8 == 0 && off <= map_bytes_ &&
@@ -456,37 +618,20 @@ const std::uint8_t* MmapBinarySource::validate_block(std::uint32_t block,
     const std::uint8_t* p = map_ + off;
     require(std::memcmp(p, kBlockMagic, 4) == 0,
             format("stream trace: block %u: bad block magic", block));
-    const std::uint32_t n = le_u32(p + 4);
-    require(n == expected_block_accesses(block),
+    BlockView view;
+    view.count = le_u32(p + 4);
+    require(view.count == expected_block_accesses(block),
             format("stream trace: block %u: access count mismatch", block));
-    const std::uint64_t payload_bytes = le_u64(p + 8);
-    require(payload_bytes <= map_bytes_ - off - kBlockHeaderBytes,
+    view.payload_bytes = le_u64(p + 8);
+    require(view.payload_bytes <= map_bytes_ - off - kBlockHeaderBytes,
             format("stream trace: block %u: truncated payload", block));
     if (!compressed_) {
-        require(payload_bytes == std::uint64_t{n} * kBytesPerAccess,
+        require(view.payload_bytes == std::uint64_t{view.count} * kBytesPerAccess,
                 format("stream trace: block %u: bad payload size", block));
     }
-    if (!verified_[block]) {
-        // A checksum mismatch can be a transient misread (injected here as
-        // a bit flip into the computed hash), so the verification re-reads
-        // the payload under the retry policy before giving up. Persistent
-        // corruption exhausts the retries and surfaces with the same
-        // diagnostic as before (TransientIoError is an Error).
-        const std::uint64_t want = le_u64(p + 16);
-        RetryPolicy::process().run("mtsc.block", block, [&](std::uint32_t attempt) {
-            std::uint64_t got =
-                fnv1a64(p + kBlockHeaderBytes, static_cast<std::size_t>(payload_bytes));
-            if (io_faults().should_fail("mtsc.block", block, attempt)) got ^= 1;
-            if (got != want) {
-                throw TransientIoError(
-                    format("stream trace: block %u: checksum mismatch", block));
-            }
-            return 0;
-        });
-    }
-    *out_count = n;
-    *out_payload_bytes = payload_bytes;
-    return p + kBlockHeaderBytes;
+    view.checksum = le_u64(p + 16);
+    view.payload = p + kBlockHeaderBytes;
+    return view;
 }
 
 bool MmapBinarySource::next(TraceChunk& chunk) {
@@ -495,19 +640,53 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
         return false;
     }
     const std::uint32_t b = block_;
-    std::uint32_t n = 0;
-    std::uint64_t payload_bytes = 0;
-    const std::uint8_t* payload = validate_block(b, &n, &payload_bytes);
+    const BlockView view = locate_block(b);
+    const std::uint32_t n = view.count;
+    const bool first = !verified_[b];
 
-    const std::uint8_t* image = payload;
+    // Downstream replay loops (e.g. BlockProfile::from_source) size their
+    // buffers from the header summary and then index them by address
+    // without per-access bounds checks, so the first delivery of a block
+    // checks its seal AND pins every record's [addr, addr+size-1] inside
+    // the header's [min_addr, max_addr]: a checksum only proves the payload
+    // matches its own seal, so a crafted payload with a resealed checksum
+    // must fail here with a block diagnostic, not corrupt memory in a
+    // consumer. For an uncompressed block both checks are one pass.
+    RecordScreen screen(summary());
+    if (first) {
+        // A checksum mismatch can be a transient misread (injected here as
+        // a bit flip into the computed checksum), so the verification
+        // re-reads the payload under the retry policy before giving up.
+        // Persistent corruption exhausts the retries and surfaces with the
+        // same diagnostic (TransientIoError is an Error).
+        RetryPolicy::process().run("mtsc.block", b, [&](std::uint32_t attempt) {
+            screen = RecordScreen(summary());
+            std::uint64_t got =
+                compressed_ ? mtsc_block_checksum(view.payload,
+                                                  static_cast<std::size_t>(view.payload_bytes))
+                            : scan_raw_block(view.payload, n, screen);
+            if (io_faults().should_fail("mtsc.block", b, attempt)) got ^= 1;
+            if (got != view.checksum) {
+                throw TransientIoError(format("stream trace: block %u: checksum mismatch", b));
+            }
+            return 0;
+        });
+    }
+
+    const std::uint8_t* image = view.payload;
     if (compressed_) {
         const std::size_t raw = std::size_t{n} * kBytesPerAccess;
         // uint64_t backing guarantees the 8-byte alignment the column
         // reinterpret_casts below rely on.
         decoded_.assign(pad8(raw) / 8, 0);
-        decode_image({payload, static_cast<std::size_t>(payload_bytes)},
+        decode_image({view.payload, static_cast<std::size_t>(view.payload_bytes)},
                      reinterpret_cast<std::uint8_t*>(decoded_.data()), pad8(raw), b);
         image = reinterpret_cast<const std::uint8_t*>(decoded_.data());
+        if (first) screen.image(image, n);
+    }
+    if (first) {
+        if (!screen.clean()) check_records(image, n, b, summary());
+        verified_[b] = true;
     }
 
     const auto* a = reinterpret_cast<const std::uint64_t*>(image);
@@ -515,38 +694,6 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
     const auto* v = reinterpret_cast<const std::uint32_t*>(image + std::size_t{n} * 16);
     const std::uint8_t* sz = image + std::size_t{n} * 20;
     const auto* kd = reinterpret_cast<const AccessKind*>(image + std::size_t{n} * 21);
-
-    if (!verified_[b]) {
-        // Downstream replay loops (e.g. BlockProfile::from_source) size
-        // their buffers from the header summary and then index them by
-        // address without per-access bounds checks, so the one-time
-        // content validation must also pin every record's [addr,
-        // addr+size-1] inside the header's [min_addr, max_addr]. A block
-        // checksum only proves the payload matches its own seal — a
-        // crafted payload with a resealed FNV-1a must fail here with a
-        // block diagnostic, not corrupt memory in a consumer.
-        const TraceSummary& s = summary();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint8_t size = sz[i];
-            const auto kind = static_cast<std::uint8_t>(kd[i]);
-            const std::uint64_t addr = a[i];
-            // Branch first so the happy path never materializes a message.
-            if ((size != 1 && size != 2 && size != 4 && size != 8) || kind > 1) {
-                require(size == 1 || size == 2 || size == 4 || size == 8,
-                        format("stream trace: block %u: record %u has invalid access size %u", b,
-                               i, static_cast<unsigned>(size)));
-                throw Error(
-                    format("stream trace: block %u: record %u has invalid access kind", b, i));
-            }
-            if (addr < s.min_addr || addr > s.max_addr ||
-                s.max_addr - addr < std::uint64_t{size} - 1) {
-                throw Error(format(
-                    "stream trace: block %u: record %u address outside the header summary range",
-                    b, i));
-            }
-        }
-        verified_[b] = true;
-    }
 
     chunk = TraceChunk(std::uint64_t{b} * chunk_accesses_, std::span(a, n), std::span(cy, n),
                        std::span(v, n), std::span(sz, n), std::span(kd, n));

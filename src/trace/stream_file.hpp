@@ -17,8 +17,8 @@
 //     u64 min_addr | u64 max_addr | u64 reads | u64 writes
 //   block offset table: block_count x u64 absolute file offsets
 //   blocks, each 8-byte aligned:
-//     "MTSB" magic | u32 count | u64 payload_bytes | u64 checksum (FNV-1a
-//     over the stored payload) | payload | zero padding to 8 bytes
+//     "MTSB" magic | u32 count | u64 payload_bytes | u64 checksum (over
+//     the stored payload, below) | payload | zero padding to 8 bytes
 //
 // An uncompressed payload is the raw column image
 //   addrs[count*8] cycles[count*8] values[count*4] sizes[count] kinds[count]
@@ -28,6 +28,31 @@
 // smallest of {raw, diff codec, zero-run codec}: the in-tree cache-line
 // codecs self-host the container's compression. The header carries the
 // whole-trace summary, so opening a container never needs a summary pass.
+//
+// Block checksum (version 2). The payload is read as 8-byte little-endian
+// words in 32-byte stripes; word j of every stripe feeds lane j of four:
+//   lane = rotl(lane + word * P2, 31) * P1,   lanes seeded {P1+P2, P2, 0, -P1}
+// A trailing partial stripe is zero-padded and absorbed the same way. Then
+//   h = rotl(l0,1) + rotl(l1,7) + rotl(l2,12) + rotl(l3,18) + payload_bytes
+//   h ^= h >> 33; h *= P2; h ^= h >> 29; h *= P3; h ^= h >> 32
+// with P1/P2/P3 the xxHash64 primes. The round and the combine are
+// bijections of any one lane, so every change confined to one word (every
+// single-bit flip) changes the checksum; the four lanes are independent
+// dependency chains, so the checksum keeps up with memory. Version 1
+// containers (byte-serial FNV-1a seals) are not read: opening one raises
+// memopt::Error naming the version; rewrite the trace with
+// `memopt_cli trace`.
+//
+// The reader verifies each block once, on first delivery. For an
+// uncompressed block that is ONE pass: the sweep that computes the
+// checksum also screens every record (size in {1,2,4,8}, kind 0/1,
+// [addr, addr+size-1] inside the header's [min_addr, max_addr]) tile by
+// tile, and an exact per-record check runs only when the screen flags the
+// block. A compressed block's checksum covers its stored bytes; its
+// records are screened after decoding. Measured first pass over a freshly
+// mapped 10^7-access (220 MB) container: 5.5-7.3 ns per access (Release,
+// GCC 12.2, 4-vCPU x86-64), against 3.2-3.3 ns per access to merely sum
+// every word of the same mapping.
 //
 // All header/block fields are validated against the file size BEFORE any
 // allocation they would size: a corrupt count or block table fails with a
@@ -59,6 +84,10 @@ struct StreamWriteOptions {
 /// different number of accesses than its size() promised.
 TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
                                 const StreamWriteOptions& opts = {});
+
+/// The ".mtsc" block checksum of `n` bytes at `data` (see the layout
+/// comment above). Exposed so tests can reseal crafted payloads.
+std::uint64_t mtsc_block_checksum(const std::uint8_t* data, std::size_t n);
 
 /// Materialize an ".mtsc" container into an in-memory trace (for consumers
 /// that genuinely need random access; replay loops should stream through
@@ -97,10 +126,18 @@ private:
     void close_file();
     void parse_header();
     std::uint32_t expected_block_accesses(std::uint32_t block) const;
-    /// Validate block `b`'s header, bounds and checksum; returns the
-    /// payload pointer. Throws memopt::Error on any corruption.
-    const std::uint8_t* validate_block(std::uint32_t block, std::uint32_t* out_count,
-                                       std::uint64_t* out_payload_bytes);
+
+    /// One block as stored: its payload, record count and seal.
+    struct BlockView {
+        const std::uint8_t* payload = nullptr;
+        std::uint32_t count = 0;
+        std::uint64_t payload_bytes = 0;
+        std::uint64_t checksum = 0;  ///< stored, not yet verified
+    };
+    /// Validate block `b`'s header and bounds against the file (every
+    /// delivery; the checksum and content checks run once, in next()).
+    /// Throws memopt::Error on any corruption.
+    BlockView locate_block(std::uint32_t block) const;
 
     std::string path_;
     // Mapping (or fallback buffer when mmap is unavailable).

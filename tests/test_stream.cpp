@@ -3,6 +3,7 @@
 // round-trip, and corruption handling of the mmap reader.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -461,13 +462,67 @@ void store_le64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t 
         static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-std::uint64_t test_fnv1a(const std::uint8_t* data, std::size_t n) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
+std::uint64_t load_le64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 8; i-- > 0;) v = (v << 8) | bytes[at + i];
+    return v;
+}
+
+/// The .mtsc v2 block checksum written straight from the stream_file.hpp
+/// layout comment, one word at a time: the reference the library's
+/// striped implementation is checked against, and the seal the fuzz cases
+/// below reseal crafted payloads with.
+std::uint64_t test_checksum_v2(const std::uint8_t* data, std::size_t n) {
+    constexpr std::uint64_t P1 = 0x9E3779B185EBCA87ULL;
+    constexpr std::uint64_t P2 = 0xC2B2AE3D27D4EB4FULL;
+    constexpr std::uint64_t P3 = 0x165667B19E3779F9ULL;
+    std::uint64_t lane[4] = {P1 + P2, P2, 0, 0 - P1};
+    const std::size_t padded = (n + 31) / 32 * 32;  // zero-padded last stripe
+    for (std::size_t k = 0; k * 8 < padded; ++k) {
+        std::uint64_t word = 0;
+        for (std::size_t b = 8; b-- > 0;) {
+            const std::size_t at = k * 8 + b;
+            word = (word << 8) | (at < n ? data[at] : 0u);
+        }
+        lane[k % 4] = std::rotl(lane[k % 4] + word * P2, 31) * P1;
     }
+    std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
+                      std::rotl(lane[3], 18) + n;
+    h ^= h >> 33;
+    h *= P2;
+    h ^= h >> 29;
+    h *= P3;
+    h ^= h >> 32;
     return h;
+}
+
+/// Deterministic test bytes for the checksum vectors.
+std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<std::uint8_t>(i * 131 + 17);
+    return bytes;
+}
+
+TEST(StreamChecksumTest, KnownAnswerVectors) {
+    // Freezes the v2 on-disk seal: lengths around the 8-byte word and the
+    // 32-byte stripe boundaries, plus a multi-tile length with a tail.
+    const std::pair<std::size_t, std::uint64_t> vectors[] = {
+        {0, 0x9090306C6E91ED59ULL},    {1, 0x3B12750D5B2226BAULL},
+        {7, 0xB261C568D7F4D8A1ULL},    {8, 0xFD706C507D743F3FULL},
+        {31, 0xE9647C4D187A33A8ULL},   {32, 0x1D34C5B48653EFF8ULL},
+        {33, 0xD9FAB320881D315AULL},   {4101, 0x91BF770421AAD07AULL},
+    };
+    for (const auto& [n, want] : vectors) {
+        const auto bytes = pattern_bytes(n);
+        EXPECT_EQ(mtsc_block_checksum(bytes.data(), n), want) << n << " bytes";
+        EXPECT_EQ(test_checksum_v2(bytes.data(), n), want) << n << " bytes";
+    }
+}
+
+TEST(StreamChecksumTest, StripedMatchesWordAtATimeReference) {
+    const auto bytes = pattern_bytes(1000);
+    for (std::size_t n = 0; n <= bytes.size(); ++n)
+        ASSERT_EQ(mtsc_block_checksum(bytes.data(), n), test_checksum_v2(bytes.data(), n)) << n;
 }
 
 class StreamFuzzTest : public StreamFileTest {
@@ -499,6 +554,20 @@ protected:
             Error);
     }
 
+    /// expect_rejected, and the diagnostic must contain `what`.
+    void expect_rejected_with(const std::vector<std::uint8_t>& bytes, const std::string& what) {
+        spit(file_, bytes);
+        try {
+            MmapBinarySource source(file_);
+            TraceChunk chunk;
+            while (source.next(chunk)) {
+            }
+            ADD_FAILURE() << "corrupt container accepted; expected: " << what;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+        }
+    }
+
     std::string file_;
 };
 
@@ -515,7 +584,12 @@ TEST_F(StreamFuzzTest, BadMagicRejected) {
 TEST_F(StreamFuzzTest, BadVersionRejected) {
     auto bytes = valid_container("version.mtsc");
     bytes[4] = 99;
-    expect_rejected(bytes);
+    expect_rejected_with(bytes, "version 99");
+    // Version 1 (FNV-1a seals) is no longer read; the diagnostic says how
+    // to get a readable file.
+    bytes[4] = 1;
+    expect_rejected_with(bytes, ".mtsc version 1, this reader reads version 2 only; "
+                                "regenerate it with `memopt_cli trace`");
 }
 
 TEST_F(StreamFuzzTest, TruncatedHeaderRejected) {
@@ -556,7 +630,44 @@ TEST_F(StreamFuzzTest, TruncatedBlockPayloadRejected) {
 TEST_F(StreamFuzzTest, FlippedPayloadByteFailsChecksum) {
     auto bytes = valid_container("flip.mtsc");
     bytes[bytes.size() - 3] ^= 0x40;  // inside the last block's payload
-    expect_rejected(bytes);
+    expect_rejected_with(bytes, "block 2: checksum mismatch");
+}
+
+TEST_F(StreamFuzzTest, EverySingleBitFlipFailsChecksum) {
+    // A 3-record block has a 66-byte payload: two whole 32-byte stripes and
+    // a 2-byte tail. Every one of its 528 single-bit flips must break the
+    // seal on its own, before any record-content check could step in.
+    const auto pristine = valid_container("bits.mtsc", 3, 256);
+    const std::size_t block_off = 64 + 8;
+    const std::size_t payload_off = block_off + 24;
+    ASSERT_EQ(pristine.size(), payload_off + 66 + 6);  // 66 bytes + padding
+    const std::uint64_t seal = load_le64(pristine, block_off + 16);
+    std::vector<std::uint8_t> payload(pristine.begin() + payload_off,
+                                      pristine.begin() + payload_off + 66);
+    ASSERT_EQ(mtsc_block_checksum(payload.data(), payload.size()), seal);
+    for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+        payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        EXPECT_NE(mtsc_block_checksum(payload.data(), payload.size()), seal) << "bit " << bit;
+        payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    // End to end, through the reader: one flip in each stripe and in the tail.
+    for (const std::size_t bit : {5u, 300u, 525u}) {
+        auto bytes = pristine;
+        bytes[payload_off + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        expect_rejected_with(bytes, "block 0: checksum mismatch");
+    }
+}
+
+TEST_F(StreamFuzzTest, OneByteTruncatedPayloadFailsChecksum) {
+    const auto image = pattern_bytes(66);
+    EXPECT_NE(mtsc_block_checksum(image.data(), 65), mtsc_block_checksum(image.data(), 66));
+    // A compressed payload has no fixed size, so a block whose stored length
+    // lost one byte passes every structural check and only the seal can
+    // catch it.
+    auto bytes = valid_container("short.mtsc", 3, 256, /*compress=*/true);
+    const std::size_t block_off = 64 + 8;
+    store_le64(bytes, block_off + 8, load_le64(bytes, block_off + 8) - 1);
+    expect_rejected_with(bytes, "block 0: checksum mismatch");
 }
 
 TEST_F(StreamFuzzTest, CorruptSummaryCountsRejected) {
@@ -575,8 +686,8 @@ TEST_F(StreamFuzzTest, InvalidSizeByteRejectedEvenWithValidChecksum) {
     const std::size_t sizes_off = payload_off + 8 * n + 8 * n + 4 * n;
     bytes[sizes_off + 7] = 3;  // not one of 1/2/4/8
     const std::size_t payload_bytes = bytes.size() - payload_off;
-    store_le64(bytes, block_off + 16, test_fnv1a(bytes.data() + payload_off, payload_bytes));
-    expect_rejected(bytes);
+    store_le64(bytes, block_off + 16, test_checksum_v2(bytes.data() + payload_off, payload_bytes));
+    expect_rejected_with(bytes, "block 0: record 7 has invalid access size 3");
 }
 
 TEST_F(StreamFuzzTest, AddressOutsideSummaryRejectedEvenWithValidChecksum) {
@@ -589,8 +700,60 @@ TEST_F(StreamFuzzTest, AddressOutsideSummaryRejectedEvenWithValidChecksum) {
     const std::size_t payload_off = block_off + 24;
     store_le64(bytes, payload_off + 8 * 7, std::uint64_t{1} << 60);  // addrs[7]
     const std::size_t payload_bytes = bytes.size() - payload_off;
-    store_le64(bytes, block_off + 16, test_fnv1a(bytes.data() + payload_off, payload_bytes));
-    expect_rejected(bytes);
+    store_le64(bytes, block_off + 16, test_checksum_v2(bytes.data() + payload_off, payload_bytes));
+    expect_rejected_with(bytes, "block 0: record 7 address outside the header summary range");
+}
+
+TEST_F(StreamFuzzTest, AccessStraddlingSummaryMaxRejectedEvenWithValidChecksum) {
+    // An address inside [min_addr, max_addr] whose access runs past
+    // max_addr: the in-pass screen cannot see the size next to the address,
+    // so it must hand the block to the exact per-record check.
+    auto bytes = valid_container("straddle.mtsc", 100, 256);
+    const std::size_t block_off = 64 + 8;
+    const std::size_t payload_off = block_off + 24;
+    const std::size_t n = 100;
+    store_le64(bytes, payload_off + 8 * 9, load_le64(bytes, 40) - 1);  // addrs[9] = max_addr - 1
+    bytes[payload_off + 20 * n + 9] = 4;                                // sizes[9]
+    const std::size_t payload_bytes = bytes.size() - payload_off;
+    store_le64(bytes, block_off + 16, test_checksum_v2(bytes.data() + payload_off, payload_bytes));
+    expect_rejected_with(bytes, "block 0: record 9 address outside the header summary range");
+}
+
+TEST_F(StreamFuzzTest, EverySizeAndKindByteValueJudgedExactly) {
+    // Resealed single-record patches over all 256 byte values: exactly
+    // sizes 1/2/4/8 and kinds 0/1 are delivered. The patched block has no
+    // address within 8 bytes of max_addr, so the in-pass screen judges it
+    // alone, without the exact per-record fallback.
+    constexpr std::size_t n = 100;
+    const auto pristine = valid_container("bytevals.mtsc", 6 * n, n);  // six blocks
+    const std::uint64_t max_addr = load_le64(pristine, 40);
+    std::size_t payload_off = 0;
+    for (std::size_t b = 0; b < 6 && payload_off == 0; ++b) {
+        const std::size_t block_payload = load_le64(pristine, 64 + 8 * b) + 24;
+        bool far = true;
+        for (std::size_t r = 0; r < n; ++r)
+            far = far && load_le64(pristine, block_payload + 8 * r) + 8 <= max_addr;
+        if (far) payload_off = block_payload;
+    }
+    ASSERT_NE(payload_off, 0u);
+    for (unsigned v = 0; v < 256; ++v) {
+        for (const bool size_column : {true, false}) {
+            auto bytes = pristine;
+            bytes[payload_off + (size_column ? 20 : 21) * n + 3] = static_cast<std::uint8_t>(v);
+            store_le64(bytes, payload_off - 8,  // the block's seal
+                       test_checksum_v2(bytes.data() + payload_off, 22 * n));
+            const bool valid = size_column ? (v == 1 || v == 2 || v == 4 || v == 8) : v <= 1;
+            SCOPED_TRACE((size_column ? "size " : "kind ") + std::to_string(v));
+            if (valid) {
+                spit(file_, bytes);
+                MmapBinarySource source(file_);
+                EXPECT_NO_THROW(drain(source));
+            } else {
+                expect_rejected_with(bytes, size_column ? "record 3 has invalid access size"
+                                                        : "record 3 has invalid access kind");
+            }
+        }
+    }
 }
 
 TEST_F(StreamFuzzTest, ProfileFromPatchedAddressesFailsWithDiagnostic) {
@@ -603,10 +766,18 @@ TEST_F(StreamFuzzTest, ProfileFromPatchedAddressesFailsWithDiagnostic) {
     const std::size_t payload_off = block_off + 24;
     store_le64(bytes, payload_off + 8 * 3, std::uint64_t{1} << 44);
     const std::size_t payload_bytes = bytes.size() - payload_off;
-    store_le64(bytes, block_off + 16, test_fnv1a(bytes.data() + payload_off, payload_bytes));
+    store_le64(bytes, block_off + 16, test_checksum_v2(bytes.data() + payload_off, payload_bytes));
     spit(file_, bytes);
     MmapBinarySource source(file_);
-    EXPECT_THROW(BlockProfile::from_source(source, 64, 1), Error);
+    try {
+        BlockProfile::from_source(source, 64, 1);
+        ADD_FAILURE() << "patched addresses were profiled";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "block 0: record 3 address outside the header summary range"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(StreamFuzzTest, HugeHeaderCountRejectedAgainstFileSize) {
@@ -647,8 +818,8 @@ TEST_F(StreamFuzzTest, InvalidKindByteRejectedEvenWithValidChecksum) {
     const std::size_t kinds_off = payload_off + 8 * n + 8 * n + 4 * n + n;
     bytes[kinds_off + 5] = 7;  // AccessKind is 0 or 1
     const std::size_t payload_bytes = bytes.size() - payload_off;
-    store_le64(bytes, block_off + 16, test_fnv1a(bytes.data() + payload_off, payload_bytes));
-    expect_rejected(bytes);
+    store_le64(bytes, block_off + 16, test_checksum_v2(bytes.data() + payload_off, payload_bytes));
+    expect_rejected_with(bytes, "block 0: record 5 has invalid access kind");
 }
 
 // --------------------------------------------------- streaming writers ----

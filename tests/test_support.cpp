@@ -1,7 +1,10 @@
 // Unit tests for the support module: RNG, statistics, strings, tables, CSV.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <sstream>
 
@@ -11,6 +14,23 @@
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+
+// Counting replacement of the global allocation functions. It is local to
+// this test binary and lets ErrorHandling.PassingLiteralRequireDoesNotAllocate
+// observe every operator new call (operator new[] forwards here too).
+namespace {
+std::atomic<std::uint64_t> g_operator_new_calls{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+    g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+    throw std::bad_alloc();
+}
+// Not inlined: GCC would otherwise pair the free() with a new-expression at
+// the call site and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace memopt {
 namespace {
@@ -262,6 +282,18 @@ TEST(ErrorHandling, RequireThrowsWithMessage) {
     } catch (const Error& e) {
         EXPECT_STREQ(e.what(), "my message");
     }
+}
+
+TEST(ErrorHandling, PassingLiteralRequireDoesNotAllocate) {
+    // Hot replay paths (AddressMap::map_addr, bank_of_block) guard every
+    // access with a literal require; a passing check must not build its
+    // message. The literal is longer than any small-string buffer.
+    volatile bool ok = true;  // keeps the condition opaque to the optimizer
+    const std::uint64_t before = g_operator_new_calls.load();
+    for (int i = 0; i < 10000; ++i)
+        require(ok, "a passing require must not build its message on the heap");
+    EXPECT_EQ(g_operator_new_calls.load() - before, 0u);
+    EXPECT_THROW(require(!ok, "a failing literal require still throws"), Error);
 }
 
 }  // namespace
