@@ -3,7 +3,8 @@
 // The 1B-1 line of work flags leakage-aware banking as the natural next
 // step: once banks can sleep, the *temporal* structure of the trace starts
 // to matter. This bench replays kernel traces through the synthesized
-// architectures with a sleep controller and compares the clustering
+// architectures under the hybrid flow's gating controller, every bank built
+// in drowsy SRAM (partition/hybrid.hpp), and compares the clustering
 // policies under the time-aware objective, where affinity clustering (which
 // groups co-accessed blocks) should reduce wake-ups versus pure frequency
 // ordering.
@@ -13,7 +14,7 @@
 
 #include "bench_util.hpp"
 #include "core/flow.hpp"
-#include "partition/sleep.hpp"
+#include "partition/hybrid.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
@@ -29,15 +30,21 @@ struct SleepyResult {
     std::uint64_t wakeups = 0;
 };
 
+// Energy and wake-ups of `flow_result` with every bank built in drowsy SRAM;
+// the replay window ends at the last access + 1.
 SleepyResult run_sleepy(const FlowResult& flow_result, TraceSource& source,
-                        const PartitionEnergyParams& params, const SleepParams& sleep) {
+                        const PartitionEnergyParams& params, const HybridGatingParams& gating) {
     PartitionEnergyParams with_remap = params;
     if (!flow_result.map.is_identity())
         with_remap.extra_pj_per_access =
             RemapTableModel(flow_result.map.num_blocks()).lookup_energy();
-    const SleepReport report = evaluate_partition_sleepy(
-        flow_result.solution.arch, flow_result.map, source, with_remap, sleep);
-    return SleepyResult{report.energy.total(), report.total_wakeups()};
+    const MemoryArchitecture& arch = flow_result.solution.arch;
+    const std::vector<BankActivity> activity =
+        replay_bank_activity(arch, flow_result.map, source, gating, /*min_total_cycles=*/0);
+    const std::vector<MemTechnology> drowsy(arch.num_banks(), MemTechnology::DrowsySram);
+    const HybridReport report =
+        evaluate_partition_hybrid(arch, drowsy, activity, with_remap, gating);
+    return SleepyResult{report.total(), report.total_wakeups()};
 }
 
 }  // namespace
@@ -55,7 +62,7 @@ int main() {
     fp.block_size = 256;
     fp.constraints.max_banks = 4;
     fp.energy.runtime_cycles = 1;  // placeholder; replay uses real cycles
-    const SleepParams sleep;
+    const HybridGatingParams gating;
 
     TablePrinter table({"benchmark", "none [nJ]", "freq [nJ]", "affinity [nJ]",
                         "freq wakeups", "aff wakeups", "aff vs freq [%]"});
@@ -83,9 +90,9 @@ int main() {
         const FlowResult freq = flow.run(source, ClusterMethod::Frequency);
         const FlowResult aff = flow.run(source, ClusterMethod::Affinity);
 
-        return Row{run->name, run_sleepy(none, source, kernel_fp.energy, sleep),
-                   run_sleepy(freq, source, kernel_fp.energy, sleep),
-                   run_sleepy(aff, source, kernel_fp.energy, sleep)};
+        return Row{run->name, run_sleepy(none, source, kernel_fp.energy, gating),
+                   run_sleepy(freq, source, kernel_fp.energy, gating),
+                   run_sleepy(aff, source, kernel_fp.energy, gating)};
     });
 
     for (const Row& row : rows) {

@@ -58,6 +58,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -79,7 +80,7 @@
 #include "encoding/search.hpp"
 #include "energy/bus_model.hpp"
 #include "fault/campaign.hpp"
-#include "partition/sleep.hpp"
+#include "partition/hybrid.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
@@ -497,6 +498,19 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     return 0;
 }
 
+/// The line codec `command` was asked for with --codec `name`. Only the
+/// dictionary codec is trained, on the kernel's data trace. Any other name
+/// is a usage error.
+std::unique_ptr<LineCodec> make_codec(const std::string& command, const std::string& name,
+                                      const MemTrace& data_trace) {
+    if (name == "diff") return std::make_unique<DiffCodec>();
+    if (name == "zero-run") return std::make_unique<ZeroRunCodec>();
+    if (name == "bdi") return std::make_unique<BdiCodec>();
+    if (name == "dictionary")
+        return std::make_unique<DictionaryCodec>(DictionaryCodec::train(data_trace, 16));
+    throw UsageError(command + ": unknown codec '" + name + "'");
+}
+
 int cmd_compress(const Args& args, JsonWriter* jw) {
     usage_require(!args.positional.empty(), "compress: missing kernel name");
     const KernelRunPtr artifact = WorkloadRepository::instance().run(args.positional[0]);
@@ -509,23 +523,14 @@ int cmd_compress(const Args& args, JsonWriter* jw) {
     usage_require(platform_name == "vliw" || platform_name == "risc",
                   "compress: unknown platform '" + platform_name + "'");
 
-    const DiffCodec diff;
-    const ZeroRunCodec zero_run;
-    const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(run.data_trace, 16);
     const std::string codec_name = args.get("codec", "diff");
-    const LineCodec* codec = nullptr;
-    if (codec_name == "diff") codec = &diff;
-    else if (codec_name == "zero-run") codec = &zero_run;
-    else if (codec_name == "bdi") codec = &bdi;
-    else if (codec_name == "dictionary") codec = &dict;
-    else throw UsageError("compress: unknown codec '" + codec_name + "'");
+    const std::unique_ptr<LineCodec> codec = make_codec("compress", codec_name, run.data_trace);
 
     MaterializedSource source(run.data_trace);
     const auto base = CompressedMemorySim(platform.config, nullptr)
                           .run(source, program.data, program.data_base);
-    const auto comp =
-        CompressedMemorySim(platform.config, codec).run(source, program.data, program.data_base);
+    const auto comp = CompressedMemorySim(platform.config, codec.get())
+                          .run(source, program.data, program.data_base);
     base.energy.print(std::cout, "uncompressed:");
     comp.energy.print(std::cout, "\nwith " + codec_name + " codec:");
     std::printf("\ntraffic ratio: %.3f   total savings: %.1f%%\n", comp.traffic_ratio(),
@@ -597,24 +602,18 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     else if (prot_name == "secded") config.protection = ProtectionScheme::Secded;
     else throw UsageError("fault: unknown protection '" + prot_name + "'");
 
-    const DiffCodec diff;
-    const ZeroRunCodec zero_run;
-    const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(run.data_trace, 16);
     const std::string codec_name = args.get("codec", "none");
-    if (codec_name == "none") config.codec = nullptr;
-    else if (codec_name == "diff") config.codec = &diff;
-    else if (codec_name == "zero-run") config.codec = &zero_run;
-    else if (codec_name == "bdi") config.codec = &bdi;
-    else if (codec_name == "dictionary") config.codec = &dict;
-    else throw UsageError("fault: unknown codec '" + codec_name + "'");
+    const std::unique_ptr<LineCodec> codec =
+        codec_name == "none" ? nullptr : make_codec("fault", codec_name, run.data_trace);
+    config.codec = codec.get();
     config.codec_tag = codec_name;
 
     const auto corpus = line_corpus(program.data, config.line_bytes);
 
-    // Drowsy scaling: partition the kernel's trace, replay it against the
-    // sleepy-bank model, and raise each line's flip rate by its bank's
-    // sleep residency (drowsy banks hold state at reduced noise margins).
+    // Drowsy scaling: partition the kernel's trace, replay it through the
+    // default gating controller, and raise each line's flip rate by its
+    // bank's gated residency (drowsy banks hold state at reduced noise
+    // margins).
     const double drowsy = args.get_double("drowsy", 0.0);
     usage_require(drowsy >= 0.0, "fault: --drowsy expects a non-negative factor");
     std::vector<double> probs;
@@ -623,9 +622,9 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
         fp.constraints.max_banks = 4;
         MaterializedSource source(run.data_trace);
         const FlowResult fr = MemoryOptimizationFlow(fp).run(source, ClusterMethod::Frequency);
-        const SleepReport sleep =
-            evaluate_partition_sleepy(fr.solution.arch, fr.map, source, fp.energy, SleepParams{});
-        probs = sleepy_line_probabilities(fr.solution.arch, fr.map, sleep,
+        const std::vector<BankActivity> activity =
+            replay_bank_activity(fr.solution.arch, fr.map, source, HybridGatingParams{});
+        probs = sleepy_line_probabilities(fr.solution.arch, fr.map, activity,
                                           config.bit_flip_rate, drowsy, program.data_base,
                                           corpus.size(), config.line_bytes, run.cycles);
     }

@@ -22,7 +22,6 @@ struct SramTechnology {
     double read_dec_pj = 0.25;      ///< decoder cost per address bit
     double write_factor = 1.18;     ///< write energy = factor * read energy
     double leak_pw_per_byte = 1.5;  ///< standby leakage per byte
-    double wakeup_pj = 0.0;         ///< cost to reactivate a sleeping bank (0 = always on)
     double ecc_xor_pj = 0.004;      ///< one XOR term of an ECC encode/check tree
 };
 

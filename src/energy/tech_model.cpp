@@ -19,9 +19,9 @@ namespace {
 //     must torque the magnetic junction (several times a read), and the
 //     cell is non-volatile — negligible standby leakage and a perfect,
 //     cheap power gate.
-//   * Drowsy SRAM: the existing sleep machinery as a first-class
-//     technology — full access energy, full leakage while active, but a
-//     retentive standby state that is cheap to enter and leave.
+//   * Drowsy SRAM: the sleepy bank as a first-class technology — full
+//     access energy, full leakage while active, but a retentive standby
+//     state that is cheap to enter and leave.
 const TechFactors kSramFactors{
     /*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
     /*refresh_pw_per_byte=*/0.0,

@@ -17,9 +17,10 @@
 //                  close to SRAM, writes several times more expensive —
 //                  the classic cold-data technology;
 //   * DrowsySram — SRAM with a retentive low-voltage standby state (the
-//                  `sleep` machinery of partition/sleep.hpp): gating is
-//                  cheap to enter/exit and keeps state, but only cuts
-//                  leakage to a fraction instead of (almost) zero.
+//                  sleepy bank of the leakage-aware study and of the drowsy
+//                  fault scaling, both replayed by partition/hybrid.hpp):
+//                  gating is cheap to enter/exit and keeps state, but only
+//                  cuts leakage to a fraction instead of (almost) zero.
 //
 // The technology constants are qualitative reproductions of the
 // heterogeneous-memory design points in the dark-silicon embedded CMP

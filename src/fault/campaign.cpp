@@ -70,12 +70,13 @@ std::vector<std::vector<std::uint8_t>> line_corpus(std::span<const std::uint8_t>
 }
 
 std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
-                                              const AddressMap& map, const SleepReport& sleep,
+                                              const AddressMap& map,
+                                              const std::vector<BankActivity>& activity,
                                               double base_rate, double drowsy_factor,
                                               std::uint64_t image_base, std::size_t num_lines,
                                               unsigned line_bytes, std::uint64_t total_cycles) {
-    require(sleep.banks.size() == arch.num_banks(),
-            "sleepy_line_probabilities: sleep report does not match architecture");
+    require(activity.size() == arch.num_banks(),
+            "sleepy_line_probabilities: bank activity does not match architecture");
     const std::uint64_t mapped_span =
         map.block_size() * static_cast<std::uint64_t>(map.num_blocks());
     std::vector<double> probs(num_lines);
@@ -86,7 +87,7 @@ std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
             const std::uint64_t phys = map.map_addr(addr);
             const std::size_t block = static_cast<std::size_t>(phys / arch.block_size());
             if (block < arch.num_blocks())
-                asleep = sleep.banks[arch.bank_of_block(block)].asleep_cycles;
+                asleep = activity[arch.bank_of_block(block)].gated_cycles;
         }
         probs[i] = sleepy_flip_probability(base_rate, asleep, total_cycles, drowsy_factor);
     }

@@ -10,6 +10,9 @@
 // SRAM access cost from the incremental cost of protection (check-bit
 // storage + encode/check logic) and the re-fetch penalty of degraded
 // lines, so studies report the true price of protecting drowsy banks.
+// A drowsy bank's residency is the gated_cycles of the hybrid flow's
+// bank-activity replay (partition/hybrid.hpp); sleepy_line_probabilities
+// turns it into per-line flip rates.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,7 @@
 #include "energy/report.hpp"
 #include "energy/sram_model.hpp"
 #include "partition/bank.hpp"
-#include "partition/sleep.hpp"
+#include "partition/hybrid.hpp"
 
 namespace memopt {
 
@@ -76,12 +79,15 @@ std::vector<std::vector<std::uint8_t>> line_corpus(std::span<const std::uint8_t>
                                                    unsigned line_bytes);
 
 /// Per-line flip probabilities scaled by drowsy-bank residency: each line's
-/// bank (under `map` and `arch`) contributes its asleep_cycles fraction via
+/// bank (under `map` and `arch`) contributes the gated_cycles of its
+/// `activity` entry (replay_bank_activity(), partition/hybrid.hpp) via
 /// sleepy_flip_probability(). Lines beyond the mapped span fall back to the
-/// nominal `base_rate`. `total_cycles` is the replay length that produced
-/// `sleep`.
+/// nominal `base_rate`. `total_cycles` is the run length the residency is
+/// a fraction of. Throws memopt::Error when `activity` does not have one
+/// entry per bank of `arch`.
 std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
-                                              const AddressMap& map, const SleepReport& sleep,
+                                              const AddressMap& map,
+                                              const std::vector<BankActivity>& activity,
                                               double base_rate, double drowsy_factor,
                                               std::uint64_t image_base, std::size_t num_lines,
                                               unsigned line_bytes, std::uint64_t total_cycles);

@@ -55,8 +55,9 @@ private:
 /// of `total_cycles` in the drowsy state: sleeping retention is
 /// `drowsy_factor` times more fault-prone than nominal, so
 ///   p = base_rate * (1 + drowsy_factor * asleep_fraction),
-/// clamped to [0, 0.5]. This is the coupling between partition/sleep
-/// residency statistics and the fault model.
+/// clamped to [0, 0.5]. This is the coupling between the gated residency
+/// of the bank-activity replay (BankActivity::gated_cycles,
+/// partition/hybrid.hpp) and the fault model.
 double sleepy_flip_probability(double base_rate, std::uint64_t asleep_cycles,
                                std::uint64_t total_cycles, double drowsy_factor);
 

@@ -49,52 +49,4 @@ EnergyBreakdown evaluate_monolithic(const BlockProfile& profile,
     return evaluate_partition(arch, profile, params);
 }
 
-EnergyBreakdown evaluate_partition_tech(const MemoryArchitecture& arch,
-                                        const std::vector<MemTechnology>& techs,
-                                        const BlockProfile& profile,
-                                        const PartitionEnergyParams& params) {
-    require(arch.num_blocks() == profile.num_blocks(),
-            "evaluate_partition_tech: architecture does not cover the profile");
-    require(arch.block_size() == profile.block_size(),
-            "evaluate_partition_tech: block size mismatch");
-    require(techs.size() == arch.num_banks(),
-            "evaluate_partition_tech: techs do not match architecture");
-
-    EnergyBreakdown breakdown;
-    double access_pj = 0.0;
-    double leak_pj = 0.0;
-    double refresh_pj = 0.0;
-    for (std::size_t b = 0; b < arch.num_banks(); ++b) {
-        const Bank& bank = arch.banks()[b];
-        const TechEnergyModel model(techs[b], bank.size_bytes, 32, params.sram,
-                                    params.protection);
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        for (std::size_t blk = bank.first_block; blk < bank.end_block(); ++blk) {
-            reads += profile.counts(blk).reads;
-            writes += profile.counts(blk).writes;
-        }
-        access_pj += static_cast<double>(reads) * model.read_energy() +
-                     static_cast<double>(writes) * model.write_energy();
-        if (params.runtime_cycles > 0) {
-            leak_pj += model.leakage_energy(params.runtime_cycles, params.cycle_ns);
-            refresh_pj += model.refresh_energy(params.runtime_cycles, params.cycle_ns);
-        }
-    }
-    breakdown.add("bank_access", access_pj);
-
-    const double select_pj = bank_select_energy(arch.num_banks(), params.sram);
-    breakdown.add("bank_select",
-                  select_pj * static_cast<double>(profile.total_accesses()));
-    if (params.runtime_cycles > 0) breakdown.add("leakage", leak_pj);
-    if (refresh_pj > 0.0) breakdown.add("refresh", refresh_pj);
-    if (params.extra_pj_per_access > 0.0)
-        breakdown.add("remap",
-                      params.extra_pj_per_access * static_cast<double>(profile.total_accesses()));
-    if (params.protection != ProtectionScheme::None)
-        breakdown.add("ecc", protection_access_energy(params.protection, 32, params.sram) *
-                                 static_cast<double>(profile.total_accesses()));
-    return breakdown;
-}
-
 }  // namespace memopt

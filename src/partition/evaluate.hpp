@@ -8,11 +8,8 @@
 
 #include <cstdint>
 
-#include <vector>
-
 #include "energy/report.hpp"
 #include "energy/sram_model.hpp"
-#include "energy/tech_model.hpp"
 #include "partition/bank.hpp"
 #include "trace/profile.hpp"
 
@@ -40,16 +37,5 @@ EnergyBreakdown evaluate_partition(const MemoryArchitecture& arch, const BlockPr
 /// Convenience: total energy [pJ] of the monolithic baseline.
 EnergyBreakdown evaluate_monolithic(const BlockProfile& profile,
                                     const PartitionEnergyParams& params);
-
-/// Static heterogeneous evaluation: like evaluate_partition(), but bank b
-/// is built in techs[b] (energy/tech_model.hpp) instead of uniform SRAM.
-/// Adds a "refresh" component when a dynamic technology is present and
-/// params.runtime_cycles > 0 (no gating here — the trace-driven gated
-/// evaluation lives in partition/hybrid.hpp). With every bank
-/// MemTechnology::Sram the result is bit-identical to evaluate_partition().
-EnergyBreakdown evaluate_partition_tech(const MemoryArchitecture& arch,
-                                        const std::vector<MemTechnology>& techs,
-                                        const BlockProfile& profile,
-                                        const PartitionEnergyParams& params);
 
 }  // namespace memopt

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "support/assert.hpp"
+#include "support/string_util.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
@@ -18,6 +19,18 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
             "replay_bank_activity: map does not match architecture");
     require(map.block_size() == arch.block_size(),
             "replay_bank_activity: block size mismatch");
+}
+
+// Kept out of line so the replay loop's passing path stays a compare and a
+// branch.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_backward_cycle(std::uint64_t index,
+                                                                 std::uint64_t cycle,
+                                                                 std::uint64_t previous) {
+    throw Error(format("replay_bank_activity: access %llu is at cycle %llu, before the "
+                       "previous access's cycle %llu (trace cycles must be non-decreasing)",
+                       static_cast<unsigned long long>(index),
+                       static_cast<unsigned long long>(cycle),
+                       static_cast<unsigned long long>(previous)));
 }
 
 }  // namespace
@@ -41,13 +54,13 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
         bank_of[block] = static_cast<std::uint32_t>(arch.bank_of_block(map.map_block(block)));
     const int block_shift = std::countr_zero(map.block_size());  // a power of two
 
-    // The idle-threshold gate of partition/sleep.cpp, recorded as cycles,
-    // not energy: the gate state machine depends only on access times, so
-    // one pass serves every candidate technology. Each bank's timeline
-    // depends only on its own access times, so a bank's gate transition is
-    // settled lazily, at its next access or at close-out: a bank idle past
-    // the threshold went dark idle_cycles after its last access, wherever
-    // in between the transition is noticed.
+    // The idle-threshold gate, recorded as cycles, not energy: the gate
+    // state machine depends only on access times, so one pass serves every
+    // candidate technology. Each bank's timeline depends only on its own
+    // access times, so a bank's gate transition is settled lazily, at its
+    // next access or at close-out: a bank idle past the threshold went dark
+    // idle_cycles after its last access, wherever in between the transition
+    // is noticed.
     struct BankState {
         std::uint64_t last_access = 0;
         std::uint64_t powered_since = 0;  // start of the current powered stretch
@@ -70,7 +83,8 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     TraceChunk chunk;
     while (source.next(chunk)) {
         for (std::size_t i = 0; i < chunk.size(); ++i) {
-            MEMOPT_ASSERT_MSG(chunk.cycles[i] >= now, "trace cycles must be non-decreasing");
+            if (chunk.cycles[i] < now)
+                throw_backward_cycle(chunk.first_index + i, chunk.cycles[i], now);
             now = chunk.cycles[i];
             const std::uint64_t block = chunk.addrs[i] >> block_shift;
             if (block >= bank_of.size()) throw Error("map_addr: address outside mapped span");

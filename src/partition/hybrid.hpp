@@ -1,11 +1,15 @@
 // Hybrid (mixed-technology) bank evaluation with dark-silicon gating.
 //
-// The heterogeneous counterpart of partition/evaluate.hpp + partition/sleep.hpp:
-// given an architecture and a BankPool of available technologies, replay the
-// trace once to extract each bank's *technology-independent* activity (access
-// counts and the power-gating residency the idle-threshold controller would
-// produce), then choose the energy-optimal technology per bank with an exact
-// assignment DP over the pool's slot counts.
+// The trace-driven counterpart of partition/evaluate.hpp, and the toolkit's
+// one gated-bank model: given an architecture and a BankPool of available
+// technologies, replay the trace once to extract each bank's
+// *technology-independent* activity (access counts and the power-gating
+// residency the idle-threshold controller would produce), then choose the
+// energy-optimal technology per bank with an exact assignment DP over the
+// pool's slot counts. Sleepy banks are DrowsySram banks under the default
+// controller: the leakage-aware study (bench/e10_sleep_ablation) evaluates
+// them with evaluate_partition_hybrid, and the drowsy fault scaling
+// (fault/campaign.hpp) reads their gated residency from the replay.
 //
 // The split matters: the gating state machine only looks at access *times*,
 // which are fixed by the architecture and the address map, never by what the
@@ -33,8 +37,9 @@ namespace memopt {
 
 class TraceSource;
 
-/// Dark-silicon gating controller parameters (the idle-threshold policy of
-/// partition/sleep.hpp, applied per bank of the hybrid pool).
+/// Dark-silicon gating controller parameters: a bank idle for more than
+/// `idle_cycles` cycles is gated from `idle_cycles` after its last access
+/// until its next one.
 struct HybridGatingParams {
     bool enabled = true;             ///< false = banks never gate (static study)
     std::uint64_t idle_cycles = 200; ///< idle time before a bank is gated
@@ -62,7 +67,10 @@ struct BankActivity {
 /// cycles; the tail beyond the last access follows the gating controller
 /// like any other idle stretch. Resets `source` before replaying (and
 /// leaves it exhausted), so back-to-back evaluations of different pools on
-/// one source are independent.
+/// one source are independent. Throws memopt::Error on an empty trace, a
+/// map that does not match `arch`, a negative gate_leak_scale, an address
+/// outside the mapped span, or an access whose cycle precedes the previous
+/// access's (the message names the access index and both cycles).
 std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const AddressMap& map, TraceSource& source,
                                                const HybridGatingParams& gating,

@@ -3,7 +3,7 @@
 // A TraceSource delivers a trace as a sequence of TraceChunks — SoA column
 // spans over up to ~64Ki accesses — instead of requiring the whole MemTrace
 // to be resident. Every replay loop in the toolkit (profile builder,
-// affinity builders, sleepy-bank replay, compressed-memory simulation,
+// affinity builders, bank-activity replay, compressed-memory simulation,
 // cache hierarchy, the end-to-end flow) consumes a TraceSource, which is
 // what lets a 10^8–10^9-access trace run end to end in O(chunk) memory.
 //

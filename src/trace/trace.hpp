@@ -8,7 +8,7 @@
 // Storage is columnar (structure-of-arrays): each access field lives in its
 // own contiguous vector. Replay loops that only need a subset of the fields
 // — the profile builder reads addr+kind, the affinity builder reads addr
-// only, the sleep replayer reads addr+cycle+kind — stream exactly those
+// only, the bank-activity replay reads addr+cycle+kind — stream exactly those
 // bytes instead of striding over 24-byte structs, which is what keeps the
 // trace pipeline memory-bandwidth-friendly on multi-million-access traces.
 // `accesses()` provides an AoS-compatible view for call sites that want

@@ -202,6 +202,38 @@ TEST(SleepyFlipProbability, ScalesWithResidencyAndClamps) {
     EXPECT_THROW(sleepy_flip_probability(-1.0, 0, 1, 1.0), Error);
 }
 
+TEST(SleepyLineProbabilities, ScaleEachLineByItsBanksGatedResidency) {
+    // Two 256-byte blocks, one per bank. With 32-byte lines from address
+    // 128, lines 0-3 sit in bank 0, lines 4-11 in bank 1, and lines 12-13
+    // lie past the 512-byte mapped span.
+    const auto arch = MemoryArchitecture::from_splits(256, 2, {1});
+    const AddressMap map = AddressMap::identity(256, 2);
+    std::vector<BankActivity> activity(2);
+    activity[0].gated_cycles = 100;
+    activity[1].gated_cycles = 700;
+    const double base = 1e-4;
+    const double factor = 3.0;
+    const std::uint64_t total = 1000;
+    const std::vector<double> probs =
+        sleepy_line_probabilities(arch, map, activity, base, factor, /*image_base=*/128,
+                                  /*num_lines=*/14, /*line_bytes=*/32, total);
+    ASSERT_EQ(probs.size(), 14u);
+    for (std::size_t i = 0; i < 12; ++i) {
+        const std::size_t bank = i < 4 ? 0 : 1;
+        EXPECT_EQ(probs[i],
+                  sleepy_flip_probability(base, activity[bank].gated_cycles, total, factor))
+            << "line " << i;
+    }
+    EXPECT_LT(probs[0], probs[4]);
+    EXPECT_EQ(probs[12], base);
+    EXPECT_EQ(probs[13], base);
+
+    const std::vector<BankActivity> short_activity(1);
+    EXPECT_THROW(sleepy_line_probabilities(arch, map, short_activity, base, factor, 128, 14, 32,
+                                           total),
+                 Error);
+}
+
 // ---- campaigns -----------------------------------------------------------
 
 std::vector<std::vector<std::uint8_t>> test_corpus(std::size_t lines, unsigned line_bytes,

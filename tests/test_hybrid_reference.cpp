@@ -54,9 +54,9 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
 
             if (gating.enabled) {
                 // Retire gate transitions for every bank whose idle
-                // threshold has passed (cf. sleep.cpp: the accessed bank
-                // must be exact, the rest need the transition point for
-                // their own residency split).
+                // threshold has passed (the accessed bank must be exact,
+                // the rest need the transition point for their own
+                // residency split).
                 for (std::size_t b = 0; b < num_banks; ++b) {
                     BankState& s = states[b];
                     if (!s.gated && now > s.last_access + gating.idle_cycles) {

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "partition/evaluate.hpp"
-#include "partition/sleep.hpp"
 #include "partition/solver.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -208,109 +207,6 @@ TEST(Solver, GreedyHandlesLargeProfiles) {
     const auto sol = solve_partition_greedy(p, {8}, {});
     EXPECT_LE(sol.arch.num_banks(), 8u);
     EXPECT_EQ(sol.arch.num_blocks(), 4096u);
-}
-
-
-// -------------------------------------------------------- sleepy banks ----
-
-MemTrace bursty_trace(std::uint64_t gap_cycles) {
-    // Two 4-block regions accessed in alternating bursts separated by idle
-    // gaps longer than any reasonable sleep threshold.
-    MemTrace t;
-    std::uint64_t cycle = 0;
-    for (int burst = 0; burst < 10; ++burst) {
-        const std::uint64_t base = burst % 2 == 0 ? 0 : 2048;
-        for (int i = 0; i < 50; ++i) {
-            t.add(MemAccess{.addr = base + static_cast<std::uint64_t>(i % 256) * 4,
-                            .cycle = cycle, .size = 4, .kind = AccessKind::Read});
-            cycle += 2;
-        }
-        cycle += gap_cycles;
-    }
-    return t;
-}
-
-TEST(SleepyBanks, IdleBanksSleepAndWake) {
-    const MemTrace trace = bursty_trace(5000);
-    MaterializedSource source(trace);
-    const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    // Two banks: blocks [0,1) and [1, N).
-    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
-    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
-    SleepParams sleep;
-    sleep.idle_cycles = 500;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, source, {}, sleep);
-    // Each bank is touched by 5 bursts: it must wake repeatedly.
-    EXPECT_GE(report.total_wakeups(), 8u);
-    EXPECT_GT(report.energy.component("wakeup"), 0.0);
-    EXPECT_GT(report.energy.component("leakage"), 0.0);
-    // Every access is accounted to some bank.
-    std::uint64_t accesses = 0;
-    for (const SleepBankStats& b : report.banks) accesses += b.accesses;
-    EXPECT_EQ(accesses, trace.size());
-}
-
-TEST(SleepyBanks, SleepCutsLeakageVersusAlwaysOn) {
-    const MemTrace trace = bursty_trace(20000);
-    MaterializedSource source(trace);
-    const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
-    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
-
-    SleepParams sleepy;
-    sleepy.idle_cycles = 300;
-    SleepParams never;
-    never.idle_cycles = UINT64_MAX / 2;  // effectively never sleeps
-    const double leak_sleepy =
-        evaluate_partition_sleepy(arch, map, source, {}, sleepy).energy.component("leakage");
-    const double leak_never =
-        evaluate_partition_sleepy(arch, map, source, {}, never).energy.component("leakage");
-    EXPECT_LT(leak_sleepy, 0.5 * leak_never);
-}
-
-TEST(SleepyBanks, NeverSleepingMatchesNominalLeakage) {
-    const MemTrace trace = bursty_trace(100);
-    MaterializedSource source(trace);
-    const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
-    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
-    SleepParams never;
-    never.idle_cycles = UINT64_MAX / 2;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, source, {}, never);
-    // Nominal leakage over the run length, computed independently.
-    const SramEnergyModel model(arch.banks()[0].size_bytes);
-    const std::uint64_t run = trace.accesses().back().cycle + 1;
-    EXPECT_NEAR(report.energy.component("leakage"),
-                model.leakage_energy(run, never.cycle_ns), 1e-9);
-    EXPECT_EQ(report.total_wakeups(), 0u);
-}
-
-TEST(SleepyBanks, RemapChargedPerAccess) {
-    const MemTrace trace = bursty_trace(1000);
-    MaterializedSource source(trace);
-    const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
-    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
-    PartitionEnergyParams params;
-    params.extra_pj_per_access = 2.0;
-    const SleepReport report = evaluate_partition_sleepy(arch, map, source, params, {});
-    EXPECT_DOUBLE_EQ(report.energy.component("remap"), 2.0 * trace.size());
-}
-
-TEST(SleepyBanks, ValidatesInputs) {
-    const MemTrace trace = bursty_trace(100);
-    MaterializedSource source(trace);
-    const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
-    const AddressMap wrong = AddressMap::identity(1024, profile.num_blocks() + 1);
-    EXPECT_THROW(evaluate_partition_sleepy(arch, wrong, source, {}, {}), Error);
-    const AddressMap ok = AddressMap::identity(1024, profile.num_blocks());
-    const MemTrace empty;
-    MaterializedSource empty_source(empty);
-    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, empty_source, {}, {}), Error);
-    SleepParams bad;
-    bad.sleep_leak_factor = 2.0;
-    EXPECT_THROW(evaluate_partition_sleepy(arch, ok, source, {}, bad), Error);
 }
 
 }  // namespace

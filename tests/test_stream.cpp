@@ -16,7 +16,6 @@
 #include "compress/memsys.hpp"
 #include "core/flow.hpp"
 #include "core/workload.hpp"
-#include "partition/sleep.hpp"
 #include "support/assert.hpp"
 #include "trace/affinity.hpp"
 #include "trace/io.hpp"
@@ -240,26 +239,6 @@ TEST(StreamEquivalenceTest, FusedBuilderMatchesTwoPass) {
 }
 
 // ----------------------------------------------- replay-engine equality ----
-
-TEST(StreamEquivalenceTest, SleepReplayMatches) {
-    const MemTrace trace = mixed_trace(50000);
-    FlowParams fp;
-    fp.constraints.max_banks = 4;
-    MaterializedSource reference(trace);  // default chunking
-    const FlowResult fr = MemoryOptimizationFlow(fp).run(reference, ClusterMethod::Frequency);
-    const SleepReport expected = evaluate_partition_sleepy(fr.solution.arch, fr.map, reference,
-                                                           fp.energy, SleepParams{});
-    MaterializedSource source(trace, 4096);
-    const SleepReport streamed = evaluate_partition_sleepy(fr.solution.arch, fr.map, source,
-                                                           fp.energy, SleepParams{});
-    expect_energy_equal(streamed.energy, expected.energy);
-    ASSERT_EQ(streamed.banks.size(), expected.banks.size());
-    for (std::size_t i = 0; i < expected.banks.size(); ++i) {
-        EXPECT_EQ(streamed.banks[i].accesses, expected.banks[i].accesses);
-        EXPECT_EQ(streamed.banks[i].wakeups, expected.banks[i].wakeups);
-        EXPECT_EQ(streamed.banks[i].asleep_cycles, expected.banks[i].asleep_cycles);
-    }
-}
 
 TEST(StreamEquivalenceTest, CompressedMemoryReplayMatches) {
     const MemTrace trace = mixed_trace(30000);

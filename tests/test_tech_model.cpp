@@ -1,9 +1,12 @@
 // Heterogeneous memory technology tests: per-technology energy identities,
-// BankPool parsing, gating residency replay, assignment DP behavior, the
-// homogeneous-SRAM bit-identity contract with the legacy evaluation, and the
-// back-to-back pool evaluation / jobs-invariance determinism contracts.
+// BankPool parsing, gating residency replay (including the sleepy-bank
+// study's drowsy-SRAM contracts and the rejection of backward cycles),
+// assignment DP behavior, the homogeneous-SRAM bit-identity contract with
+// the legacy evaluation, and the back-to-back pool evaluation /
+// jobs-invariance determinism contracts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/flow.hpp"
@@ -93,8 +96,8 @@ TEST(TechModel, DrowsyMatchesSleepMachineryConstants) {
     // Access and standby energy are plain SRAM; only the gate differs.
     EXPECT_EQ(drowsy.read_energy(), sram.read_energy());
     EXPECT_EQ(drowsy.leakage_pw(), sram.leakage_pw());
-    // The drowsy state is the SleepParams design point: 8% residual
-    // leakage, 40 pJ wake, retentive.
+    // The drowsy state is the sleepy-bank design point of E10 and
+    // `fault --drowsy`: 8% residual leakage, 40 pJ wake, retentive.
     EXPECT_DOUBLE_EQ(drowsy.factors().gate_leak_factor, 0.08);
     EXPECT_DOUBLE_EQ(drowsy.gate_wake_energy(), 40.0);
     EXPECT_TRUE(drowsy.factors().retentive);
@@ -188,24 +191,108 @@ TEST(HybridGating, ResidencyIsConsistent) {
     }
 }
 
-// ------------------------------------------------- legacy bit-identity ----
+TEST(HybridGating, BackwardCyclesThrowNamingTheAccess) {
+    MemTrace trace;
+    for (const std::uint64_t cycle : {10u, 5u, 20u})
+        trace.add(MemAccess{.addr = 4 * cycle, .cycle = cycle, .size = 4,
+                            .kind = AccessKind::Read});
+    const auto arch = MemoryArchitecture::monolithic(1024, 1);
+    const AddressMap map = AddressMap::identity(1024, 1);
+    // The index is the access's position in the trace, not in its chunk.
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
+        MaterializedSource source(trace, chunk);
+        try {
+            replay_bank_activity(arch, map, source, HybridGatingParams{});
+            ADD_FAILURE() << "backward cycles accepted (chunk " << chunk << ")";
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("access 1 "), std::string::npos) << what;
+            EXPECT_NE(what.find("cycle 5,"), std::string::npos) << what;
+            EXPECT_NE(what.find("cycle 10 "), std::string::npos) << what;
+        }
+    }
+}
 
-TEST(HybridIdentity, AllSramStaticEvaluationMatchesLegacyBitForBit) {
+// ---------------------------------------------------------- sleepy banks ----
+//
+// The leakage-aware study: every bank drowsy SRAM under the default gating
+// controller (bench/e10_sleep_ablation).
+
+HybridReport drowsy_report(const MemoryArchitecture& arch, const AddressMap& map,
+                           TraceSource& source, const PartitionEnergyParams& params,
+                           const HybridGatingParams& gating) {
+    const std::vector<MemTechnology> drowsy(arch.num_banks(), MemTechnology::DrowsySram);
+    return evaluate_partition_hybrid(arch, drowsy,
+                                     replay_bank_activity(arch, map, source, gating), params,
+                                     gating);
+}
+
+TEST(SleepyBanks, IdleBanksSleepAndWake) {
+    const MemTrace trace = bursty_trace(5000);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
+    // Two banks: blocks [0,1) and [1, N).
+    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
+    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
+    HybridGatingParams gating;
+    gating.idle_cycles = 500;
+    const HybridReport report = drowsy_report(arch, map, source, {}, gating);
+    // Each bank is touched by 5 bursts: it must wake repeatedly.
+    EXPECT_GE(report.total_wakeups(), 8u);
+    EXPECT_GT(report.energy.component("wakeup"), 0.0);
+    EXPECT_GT(report.energy.component("leakage"), 0.0);
+    // Every access is accounted to some bank.
+    std::uint64_t accesses = 0;
+    for (const HybridBankReport& b : report.banks) accesses += b.activity.accesses();
+    EXPECT_EQ(accesses, trace.size());
+}
+
+TEST(SleepyBanks, SleepCutsLeakageVersusAlwaysOn) {
+    const MemTrace trace = bursty_trace(20000);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
+    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {1});
+    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
+
+    HybridGatingParams sleepy;
+    sleepy.idle_cycles = 300;
+    HybridGatingParams never;
+    never.enabled = false;
+    const EnergyBreakdown gated = drowsy_report(arch, map, source, {}, sleepy).energy;
+    const EnergyBreakdown ungated = drowsy_report(arch, map, source, {}, never).energy;
+    EXPECT_LT(gated.component("leakage") + gated.component("gated_leakage"),
+              0.5 * ungated.component("leakage"));
+}
+
+TEST(SleepyBanks, RemapChargedPerAccess) {
     const MemTrace trace = bursty_trace(1000);
     MaterializedSource source(trace);
     const BlockProfile profile = BlockProfile::from_source(source, 1024);
-    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {2, 5});
+    const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
+    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     PartitionEnergyParams params;
-    params.runtime_cycles = 100000;
-    params.extra_pj_per_access = 1.5;
-
-    const EnergyBreakdown legacy = evaluate_partition(arch, profile, params);
-    const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);
-    const EnergyBreakdown tech = evaluate_partition_tech(arch, sram, profile, params);
-    for (const char* component : {"bank_access", "bank_select", "leakage", "remap"})
-        EXPECT_EQ(tech.component(component), legacy.component(component)) << component;
-    EXPECT_EQ(tech.total(), legacy.total());
+    params.extra_pj_per_access = 2.0;
+    const HybridReport report = drowsy_report(arch, map, source, params, {});
+    EXPECT_DOUBLE_EQ(report.energy.component("remap"), 2.0 * trace.size());
 }
+
+TEST(SleepyBanks, ValidatesInputs) {
+    const MemTrace trace = bursty_trace(100);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
+    const auto arch = MemoryArchitecture::monolithic(1024, profile.num_blocks());
+    const AddressMap wrong = AddressMap::identity(1024, profile.num_blocks() + 1);
+    EXPECT_THROW(replay_bank_activity(arch, wrong, source, {}), Error);
+    const AddressMap ok = AddressMap::identity(1024, profile.num_blocks());
+    const MemTrace empty;
+    MaterializedSource empty_source(empty);
+    EXPECT_THROW(replay_bank_activity(arch, ok, empty_source, {}), Error);
+    HybridGatingParams bad;
+    bad.gate_leak_scale = -1.0;
+    EXPECT_THROW(replay_bank_activity(arch, ok, source, bad), Error);
+}
+
+// ------------------------------------------------- legacy bit-identity ----
 
 TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     const MemTrace trace = bursty_trace(1000);
