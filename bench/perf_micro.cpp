@@ -354,15 +354,16 @@ BENCHMARK(BM_E1ClusteringSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The two-pass linter over the real src/ tree: the cold scan tokenizes and
-// indexes every file; the warm scan replays the content-hash cache and only
-// re-runs the (cheap) global pass. Their ratio is the incremental win the
-// static-analysis CI job banks on. MEMOPT_LINT_SCAN_ROOT is the source tree
-// (a compile definition — the bench binary can run from anywhere).
+// The two-pass linter over the real src/ and tools/ trees (the lint engine
+// itself included): the cold scan tokenizes and indexes every file; the
+// warm scan replays the content-hash cache and only re-runs the (cheap)
+// global pass. Their ratio is the incremental win the static-analysis CI
+// job banks on. MEMOPT_LINT_SCAN_ROOT is the source tree (a compile
+// definition — the bench binary can run from anywhere).
 void BM_LintFullScan(benchmark::State& state) {
     lint::LintOptions options;
     options.root = MEMOPT_LINT_SCAN_ROOT;
-    options.paths = {"src"};
+    options.paths = {"src", "tools"};
     for (auto _ : state) {
         const lint::LintReport report = run_lint(options);
         benchmark::DoNotOptimize(report.findings.size());
@@ -375,7 +376,7 @@ void BM_LintWarmCache(benchmark::State& state) {
         (std::filesystem::temp_directory_path() / "memopt_lint_bench.cache").string();
     lint::LintOptions options;
     options.root = MEMOPT_LINT_SCAN_ROOT;
-    options.paths = {"src"};
+    options.paths = {"src", "tools"};
     options.cache_path = cache;
     run_lint(options);  // prime the cache once, outside the timed loop
     for (auto _ : state) {

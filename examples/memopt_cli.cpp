@@ -29,7 +29,8 @@
 //
 // Every command accepts a global `--jobs N` option bounding the worker
 // threads of the parallel runtime (equivalent to MEMOPT_JOBS=N; jobs=1 is
-// fully serial). Results are bit-identical at any job count.
+// fully serial). Results are bit-identical at any job count. Any option a
+// command does not read is a usage error, as is a negative count.
 //
 // `partition` replays its source (the positional argument, or the same
 // spec given as `--trace-stream SPEC`: a kernel, a text trace file, an
@@ -57,9 +58,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,6 +144,28 @@ void write_partial_json(const std::string& path, const std::string& command,
     atomic_write(path, doc.str() + "\n");
 }
 
+/// The options each command reads. The globals --jobs, --json and
+/// --deadline-sec are accepted by every command; any other option is a
+/// usage error, so a misspelled option never falls back to its default.
+const std::map<std::string, std::set<std::string>> kCommandOptions = {
+    {"kernels", {}},
+    {"run", {"cores", "l2-banks", "chunk-size"}},
+    {"disasm", {}},
+    {"cc", {"emit"}},
+    {"trace", {"chunk-size", "compress"}},
+    {"partition",
+     {"trace-stream", "chunk-size", "block", "banks", "cluster", "bank-pool", "gate-idle",
+      "gate-leak-scale"}},
+    {"compress", {"platform", "codec"}},
+    {"encode", {"gates"}},
+    {"schedule", {"seed"}},
+    {"study", {"checkpoint", "resume", "checkpoint-every", "ckpt-max-units"}},
+    {"fault",
+     {"seed", "trials", "rate", "line", "protection", "codec", "drowsy", "checkpoint", "resume",
+      "checkpoint-every", "ckpt-max-units"}},
+};
+const std::set<std::string> kGlobalOptions = {"jobs", "json", "deadline-sec"};
+
 /// Trivial "--key value" option parser; positional args stay in order.
 struct Args {
     std::vector<std::string> positional;
@@ -176,6 +201,23 @@ struct Args {
         const auto v = parse_int(it->second);
         usage_require(v.has_value(), "option --" + key + " expects an integer");
         return *v;
+    }
+
+    /// A count: a non-negative integer that fits `T`, never wrapped through
+    /// the unsigned conversion.
+    template <typename T>
+    T get_count(const std::string& key, T fallback) const {
+        const auto it = options.find(key);
+        if (it == options.end()) return fallback;
+        const auto v = parse_int(it->second);
+        usage_require(v.has_value() && *v >= 0,
+                      "option --" + key + " expects a non-negative count");
+        if constexpr (sizeof(T) < sizeof(std::int64_t)) {
+            usage_require(*v <= std::int64_t{std::numeric_limits<T>::max()},
+                          "option --" + key + " expects a count of at most " +
+                              std::to_string(std::numeric_limits<T>::max()));
+        }
+        return static_cast<T>(*v);
     }
 
     double get_double(const std::string& key, double fallback) const {
@@ -259,20 +301,17 @@ int cmd_kernels() {
 // traffic, and the energy breakdown.
 int cmd_run_cores(const Args& args, JsonWriter* jw) {
     const std::string spec = args.positional[0];
-    const std::int64_t cores = args.get_int("cores", 4);
-    usage_require(cores >= 1 && cores <= 64, "run: --cores expects a count in [1, 64]");
-    const std::int64_t banks = args.get_int("l2-banks", 4);
-    usage_require(banks >= 1, "run: --l2-banks expects a positive count");
-    const std::int64_t chunk = args.get_int("chunk-size", 0);
-    usage_require(chunk >= 0, "run: --chunk-size expects a non-negative count");
-
     MultiCoreConfig config;
-    config.cores = static_cast<unsigned>(cores);
-    config.l2_banks = static_cast<unsigned>(banks);
+    config.cores = args.get_count<unsigned>("cores", 4);
+    usage_require(config.cores >= 1 && config.cores <= 64,
+                  "run: --cores expects a count in [1, 64]");
+    config.l2_banks = args.get_count<unsigned>("l2-banks", 4);
+    usage_require(config.l2_banks >= 1, "run: --l2-banks expects a positive count");
+    const auto chunk = args.get_count<std::size_t>("chunk-size", 0);
+
     MultiCoreCacheSystem system(config);
     const std::vector<std::unique_ptr<TraceSource>> sources =
-        WorkloadRepository::instance().open_core_trace_sources(
-            spec, config.cores, static_cast<std::size_t>(chunk));
+        WorkloadRepository::instance().open_core_trace_sources(spec, config.cores, chunk);
     system.replay(sources);
     system.flush();
 
@@ -379,20 +418,18 @@ int cmd_cc(const Args& args) {
 int cmd_trace(const Args& args) {
     usage_require(args.positional.size() >= 2, "trace: need <source> <file>");
     const std::string& out = args.positional[1];
-    const std::int64_t chunk = args.get_int("chunk-size", 0);
-    usage_require(chunk >= 0, "trace: --chunk-size expects a non-negative count");
+    const auto chunk = args.get_count<std::size_t>("chunk-size", 0);
     reject_retired_trace_format(out);
     // The source is never materialized: a synthetic:... spec of 10^8
     // accesses streams straight into the output file in O(chunk) memory.
     const std::unique_ptr<TraceSource> source =
-        WorkloadRepository::instance().open_trace_source(args.positional[0],
-                                                         static_cast<std::size_t>(chunk));
+        WorkloadRepository::instance().open_trace_source(args.positional[0], chunk);
 
     // The extension picks the format, the same rule open_trace_source
     // reads files back with.
     if (out.ends_with(".mtsc")) {
         StreamWriteOptions opts;
-        if (chunk > 0) opts.chunk_accesses = static_cast<std::size_t>(chunk);
+        if (chunk > 0) opts.chunk_accesses = chunk;
         opts.compress = args.get_int("compress", 0) != 0;
         const TraceSummary sum = write_trace_stream(out, *source, opts);
         std::printf("wrote %llu accesses to %s (mtsc%s)\n",
@@ -413,20 +450,18 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     const std::string stream_spec = args.get("trace-stream", "");
     usage_require(!args.positional.empty() || !stream_spec.empty(),
                   "partition: missing kernel or trace file (or --trace-stream SPEC)");
-    const std::int64_t chunk = args.get_int("chunk-size", 0);
-    usage_require(chunk >= 0, "partition: --chunk-size expects a non-negative count");
+    const auto chunk = args.get_count<std::size_t>("chunk-size", 0);
     // The positional source resolves exactly like --trace-stream (which
     // wins when both are given). Opened once the options have been
     // validated, so a usage error always outranks a data error.
     const auto open_source = [&] {
         return WorkloadRepository::instance().open_trace_source(
-            stream_spec.empty() ? args.positional[0] : stream_spec,
-            static_cast<std::size_t>(chunk));
+            stream_spec.empty() ? args.positional[0] : stream_spec, chunk);
     };
 
     FlowParams fp;
-    fp.block_size = static_cast<std::uint64_t>(args.get_int("block", 256));
-    fp.constraints.max_banks = static_cast<std::size_t>(args.get_int("banks", 4));
+    fp.block_size = args.get_count<std::uint64_t>("block", 256);
+    fp.constraints.max_banks = args.get_count<std::size_t>("banks", 4);
     const MemoryOptimizationFlow flow(fp);
 
     const std::string method_name = args.get("cluster", "frequency");
@@ -447,10 +482,8 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
             throw UsageError(std::string("partition: ") + e.what());
         }
         HybridGatingParams gating;
-        const std::int64_t idle = args.get_int("gate-idle", 200);
-        usage_require(idle >= 0, "partition: --gate-idle expects a non-negative count");
-        gating.enabled = idle > 0;
-        gating.idle_cycles = static_cast<std::uint64_t>(idle);
+        gating.idle_cycles = args.get_count<std::uint64_t>("gate-idle", 200);
+        gating.enabled = gating.idle_cycles > 0;
         gating.gate_leak_scale = args.get_double("gate-leak-scale", 1.0);
         usage_require(gating.gate_leak_scale >= 0.0,
                       "partition: --gate-leak-scale expects a non-negative factor");
@@ -556,7 +589,7 @@ int cmd_encode(const Args& args, JsonWriter* jw) {
         WorkloadRepository::instance().run(args.positional[0], /*fetch=*/true)->result;
 
     TransformSearchParams params;
-    params.max_gates = static_cast<std::size_t>(args.get_int("gates", 16));
+    params.max_gates = args.get_count<std::size_t>("gates", 16);
     const TransformSearchResult result = search_transform(run.fetch_stream, params);
     const BusEnergyModel bus;
     const EnergyBreakdown net = encoded_energy(result.transform, run.fetch_stream,
@@ -589,9 +622,9 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
 
     FaultCampaignConfig config;
     config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    config.trials = static_cast<std::size_t>(args.get_int("trials", 64));
+    config.trials = args.get_count<std::size_t>("trials", 64);
     config.bit_flip_rate = args.get_double("rate", 1e-4);
-    config.line_bytes = static_cast<unsigned>(args.get_int("line", 32));
+    config.line_bytes = args.get_count<unsigned>("line", 32);
     usage_require(config.trials > 0, "fault: --trials expects a positive count");
     usage_require(config.bit_flip_rate >= 0.0 && config.bit_flip_rate <= 1.0,
                   "fault: --rate expects a probability in [0,1]");
@@ -635,12 +668,9 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
         CampaignCheckpointOptions copts;
         copts.path = ckpt_path;
         copts.resume = args.options.count("resume") != 0;
-        const std::int64_t every = args.get_int("checkpoint-every", 16);
-        usage_require(every > 0, "fault: --checkpoint-every expects a positive count");
-        copts.every = static_cast<std::size_t>(every);
-        const std::int64_t max_units = args.get_int("ckpt-max-units", 0);
-        usage_require(max_units >= 0, "fault: --ckpt-max-units expects a non-negative count");
-        copts.max_trials_this_run = static_cast<std::size_t>(max_units);
+        copts.every = args.get_count<std::size_t>("checkpoint-every", 16);
+        usage_require(copts.every > 0, "fault: --checkpoint-every expects a positive count");
+        copts.max_trials_this_run = args.get_count<std::size_t>("ckpt-max-units", 0);
         const CampaignCheckpointOutcome outcome =
             run_campaign_checkpointed(config, corpus, probs, copts);
         if (!outcome.completed) {
@@ -709,12 +739,9 @@ int cmd_study(const Args& args, JsonWriter* jw) {
         StudyCheckpointOptions sopts;
         sopts.path = ckpt_path;
         sopts.resume = args.options.count("resume") != 0;
-        const std::int64_t every = args.get_int("checkpoint-every", 1);
-        usage_require(every > 0, "study: --checkpoint-every expects a positive count");
-        sopts.every = static_cast<std::size_t>(every);
-        const std::int64_t max_units = args.get_int("ckpt-max-units", 0);
-        usage_require(max_units >= 0, "study: --ckpt-max-units expects a non-negative count");
-        sopts.max_kernels_this_run = static_cast<std::size_t>(max_units);
+        sopts.every = args.get_count<std::size_t>("checkpoint-every", 1);
+        usage_require(sopts.every > 0, "study: --checkpoint-every expects a positive count");
+        sopts.max_kernels_this_run = args.get_count<std::size_t>("ckpt-max-units", 0);
         sopts.config_tag = "banks=4";  // fingerprint of every result-shaping flag
 
         const std::vector<Kernel> kernels = kernel_suite();
@@ -791,7 +818,17 @@ int main(int argc, char** argv) {
     AtomicOstream json_file;
     std::optional<JsonWriter> jw;
     try {
+        const auto command_options = kCommandOptions.find(command);
+        if (command_options == kCommandOptions.end()) {
+            std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+            return usage();
+        }
         const Args args = Args::parse(argc, argv, 2);
+        const std::set<std::string>& known = command_options->second;
+        for (const auto& [key, _] : args.options) {
+            usage_require(known.count(key) != 0 || kGlobalOptions.count(key) != 0,
+                          command + ": unknown option --" + key);
+        }
         // Global knob: bound the parallel runtime before any command runs.
         // 0 means "use the default" (MEMOPT_JOBS or hardware concurrency);
         // anything negative is a user error, not a silent default.
@@ -846,10 +883,6 @@ int main(int argc, char** argv) {
         else if (command == "schedule") rc = cmd_schedule(args);
         else if (command == "study") rc = cmd_study(args, writer);
         else if (command == "fault") rc = cmd_fault(args, writer);
-        else {
-            std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-            return usage();
-        }
 
         if (jw.has_value() && (rc == 0 || rc == 3)) {
             if (rc == 3) {

@@ -60,7 +60,7 @@ SCHEMAS = {
         "notes": "The lint report writers: the memopt.lint.v1 document and "
                  "the SARIF 2.1.0 rendering live in the same file, so both "
                  "key sets are frozen here.",
-        "sources": ["src/tools/lint/lint.cpp"],
+        "sources": ["tools/lint/lint.cpp"],
     },
     "memopt.ckpt.v1": {
         "notes": "The checkpoint container itself is binary (see "

@@ -11,16 +11,6 @@ namespace {
 std::uint64_t core_bit(unsigned core) { return std::uint64_t{1} << core; }
 }  // namespace
 
-const char* msi_state_name(MsiState state) {
-    switch (state) {
-        case MsiState::Invalid: return "I";
-        case MsiState::Shared: return "S";
-        case MsiState::Modified: return "M";
-    }
-    MEMOPT_ASSERT_MSG(false, "invalid MsiState");
-    return "?";
-}
-
 MsiDirectory::MsiDirectory(unsigned cores) : cores_(cores) {
     require(cores >= 1 && cores <= 64,
             "MsiDirectory: core count must be in [1, 64] (sharer bitset width)");

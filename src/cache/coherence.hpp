@@ -52,9 +52,6 @@ enum class MsiState : std::uint8_t {
     Modified,  ///< exactly one dirty copy, read-write
 };
 
-/// Display name ("I", "S", "M").
-const char* msi_state_name(MsiState state);
-
 /// Directory record of one tracked line.
 struct DirectoryLine {
     MsiState state = MsiState::Invalid;

@@ -24,7 +24,6 @@
 
 #include "cache/cache.hpp"
 #include "cache/coherence.hpp"
-#include "cache/hierarchy.hpp"
 #include "energy/coherence_model.hpp"
 #include "energy/report.hpp"
 
@@ -32,6 +31,13 @@ namespace memopt {
 
 class JsonWriter;
 class TraceSource;
+
+/// Traffic seen by main memory after the caches filter the trace.
+struct MemoryTraffic {
+    std::uint64_t line_fetches = 0;  ///< L2-line reads from memory
+    std::uint64_t line_writes = 0;   ///< L2-line write-backs to memory
+    std::uint64_t word_writes = 0;   ///< write-through words reaching memory
+};
 
 /// Geometry of the multi-core system. L2 bank line size must equal the L1
 /// line size (the directory tracks L1-line-sized blocks), and the L1 must

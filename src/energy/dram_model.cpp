@@ -1,17 +1,10 @@
 #include "energy/dram_model.hpp"
 
-#include "support/assert.hpp"
-
 namespace memopt {
 
 double DramEnergyModel::burst_energy(std::uint64_t bytes) const {
     if (bytes == 0) return 0.0;
     return tech_.activate_pj + tech_.per_byte_pj * static_cast<double>(bytes);
-}
-
-double DramEnergyModel::standby_energy(std::uint64_t cycles, double cycle_ns) const {
-    require(cycle_ns >= 0.0, "standby_energy: negative cycle time");
-    return tech_.standby_pw * static_cast<double>(cycles) * cycle_ns * 1e-9;
 }
 
 }  // namespace memopt

@@ -17,7 +17,6 @@ namespace memopt {
 struct DramTechnology {
     double activate_pj = 1800.0;   ///< row activation + control, per burst
     double per_byte_pj = 42.0;     ///< per byte moved over the external bus
-    double standby_pw = 6.0e6;     ///< standby power of the DRAM device [pW]
 };
 
 /// Energy model of the off-chip memory path.
@@ -27,9 +26,6 @@ public:
 
     /// Energy of one burst moving `bytes` bytes [pJ].
     double burst_energy(std::uint64_t bytes) const;
-
-    /// Standby energy over `cycles` at `cycle_ns` ns/cycle [pJ].
-    double standby_energy(std::uint64_t cycles, double cycle_ns) const;
 
     const DramTechnology& technology() const { return tech_; }
 

@@ -58,37 +58,6 @@ Format format_of(Op op) {
     return Format::None;
 }
 
-bool is_memory_op(Op op) {
-    switch (op) {
-        case Op::Ldw:
-        case Op::Ldh:
-        case Op::Ldb:
-        case Op::Stw:
-        case Op::Sth:
-        case Op::Stb:
-        case Op::Ldwx:
-        case Op::Ldbx:
-        case Op::Stwx:
-        case Op::Stbx:
-            return true;
-        default:
-            return false;
-    }
-}
-
-bool is_load_op(Op op) {
-    switch (op) {
-        case Op::Ldw:
-        case Op::Ldh:
-        case Op::Ldb:
-        case Op::Ldwx:
-        case Op::Ldbx:
-            return true;
-        default:
-            return false;
-    }
-}
-
 std::string_view mnemonic(Op op) {
     switch (op) {
         case Op::Add: return "add";

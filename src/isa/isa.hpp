@@ -114,12 +114,6 @@ enum class Format : std::uint8_t { R, I, Branch, Call, None };
 /// Format of an opcode.
 Format format_of(Op op);
 
-/// True for opcodes that read or write data memory.
-bool is_memory_op(Op op);
-
-/// True for loads (Ldw/Ldh/Ldb/Ldwx/Ldbx).
-bool is_load_op(Op op);
-
 /// Lower-case mnemonic ("add", "ldw", ...).
 std::string_view mnemonic(Op op);
 

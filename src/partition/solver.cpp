@@ -1,7 +1,6 @@
 #include "partition/solver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -246,34 +245,6 @@ PartitionSolution solve_partition_greedy(const BlockProfile& profile,
 
     const std::vector<std::size_t> splits(bounds.begin() + 1, bounds.end() - 1);
     return make_solution(profile, params, splits);
-}
-
-PartitionSolution solve_partition_brute(const BlockProfile& profile,
-                                        const PartitionConstraints& constraints,
-                                        const PartitionEnergyParams& params) {
-    check_inputs(profile, constraints);
-    const std::size_t n = profile.num_blocks();
-    require(n <= 20, "solve_partition_brute: too many blocks (tests only)");
-
-    double best_total = kInf;
-    std::vector<std::size_t> best_splits;
-    const std::uint64_t combinations = 1ULL << (n - 1);
-    for (std::uint64_t mask = 0; mask < combinations; ++mask) {
-        const auto bank_count = static_cast<std::size_t>(std::popcount(mask)) + 1;
-        if (bank_count > constraints.max_banks) continue;
-        std::vector<std::size_t> splits;
-        for (std::size_t bit = 0; bit + 1 < n; ++bit) {
-            if (mask & (1ULL << bit)) splits.push_back(bit + 1);
-        }
-        const auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits,
-                                                          params.min_bank_bytes);
-        const double total = evaluate_partition(arch, profile, params).total();
-        if (total < best_total) {
-            best_total = total;
-            best_splits = std::move(splits);
-        }
-    }
-    return make_solution(profile, params, best_splits);
 }
 
 PartitionSolution solve_partition_pooled(const BlockProfile& profile,

@@ -2,14 +2,13 @@
 //
 // Given a block profile, find the multi-bank architecture (contiguous block
 // ranges, power-of-two capacities, bounded bank count) minimizing the
-// energy objective of partition/evaluate.hpp. Three solvers:
+// energy objective of partition/evaluate.hpp. Two solvers:
 //   * solve_partition_optimal — exact dynamic program, O(N^2 * K);
 //   * solve_partition_greedy  — iterative best-split refinement, O(K * N),
-//     for very large block counts;
-//   * solve_partition_brute   — exhaustive split enumeration (tests only,
-//     N <= 20).
+//     for very large block counts.
 // The DP is the reference partitioner from the memory-partitioning prior
-// art that DATE'03 1B-1's address clustering builds on.
+// art that DATE'03 1B-1's address clustering builds on; tests certify it
+// against an exhaustive split enumeration (tests/test_partition.cpp).
 #pragma once
 
 #include <cstddef>
@@ -44,12 +43,6 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
 PartitionSolution solve_partition_greedy(const BlockProfile& profile,
                                          const PartitionConstraints& constraints,
                                          const PartitionEnergyParams& params);
-
-/// Exhaustive solver over all split subsets; requires num_blocks <= 20.
-/// Used by tests to certify the DP.
-PartitionSolution solve_partition_brute(const BlockProfile& profile,
-                                        const PartitionConstraints& constraints,
-                                        const PartitionEnergyParams& params);
 
 /// Pool-aware solving entry for hybrid bank pools: the bank budget is
 /// additionally capped by the pool's total bank count (`pool_banks`), since

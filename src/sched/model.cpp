@@ -47,16 +47,6 @@ double ReconfArch::move_pj(MemLevel from, MemLevel to, std::uint64_t bytes) cons
     return words * (access_pj(from) + access_pj(to));
 }
 
-std::uint64_t ReconfArch::level_capacity(MemLevel level) const {
-    switch (level) {
-        case MemLevel::L1: return l1_bytes;
-        case MemLevel::L2: return l2_bytes;
-        case MemLevel::Ext: return UINT64_MAX;
-    }
-    MEMOPT_ASSERT_MSG(false, "invalid MemLevel");
-    return 0;
-}
-
 Application generate_application(const AppGenParams& params) {
     require(params.num_datasets >= 1 && params.num_phases >= 1,
             "AppGenParams: need at least one data set and one phase");

@@ -72,8 +72,6 @@ struct ReconfArch {
     /// (read at source + write at destination, word by word). Zero if the
     /// levels are equal.
     double move_pj(MemLevel from, MemLevel to, std::uint64_t bytes) const;
-
-    std::uint64_t level_capacity(MemLevel level) const;
 };
 
 /// A schedule: assignment[phase][dataset] = level of that data set during

@@ -74,11 +74,6 @@ double percentile(std::span<const double> xs, double p) {
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double percent_change(double a, double b) {
-    require(b != 0.0, "percent_change with zero baseline");
-    return 100.0 * (a - b) / b;
-}
-
 double percent_savings(double base, double opt) {
     require(base != 0.0, "percent_savings with zero baseline");
     return 100.0 * (base - opt) / base;

@@ -43,9 +43,6 @@ double geomean(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0,100]; requires a non-empty span.
 double percentile(std::span<const double> xs, double p);
 
-/// Relative change (a - b) / b expressed in percent; b must be nonzero.
-double percent_change(double a, double b);
-
 /// Savings of `opt` versus `base` in percent: 100 * (base - opt) / base.
 double percent_savings(double base, double opt);
 

@@ -14,11 +14,6 @@ TablePrinter::TablePrinter(std::vector<std::string> header) : header_(std::move(
     aligns_[0] = Align::Left;
 }
 
-void TablePrinter::set_align(std::size_t col, Align align) {
-    require(col < aligns_.size(), "set_align: column out of range");
-    aligns_[col] = align;
-}
-
 void TablePrinter::add_row(std::vector<std::string> cells) {
     require(cells.size() == header_.size(), "add_row: cell count does not match header");
     rows_.push_back(Row{false, std::move(cells)});
@@ -73,10 +68,6 @@ std::string TablePrinter::to_string() const {
     std::ostringstream oss;
     print(oss);
     return oss.str();
-}
-
-void print_banner(std::ostream& os, const std::string& title) {
-    os << "\n== " << title << " ==\n";
 }
 
 }  // namespace memopt

@@ -23,10 +23,8 @@ enum class Align { Left, Right };
 class TablePrinter {
 public:
     /// Construct with header labels; the column count is fixed from here on.
+    /// The first column is left-aligned, the rest right-aligned.
     explicit TablePrinter(std::vector<std::string> header);
-
-    /// Set alignment for one column (default: first column Left, rest Right).
-    void set_align(std::size_t col, Align align);
 
     /// Append a data row; must match the header's column count.
     void add_row(std::vector<std::string> cells);
@@ -53,8 +51,5 @@ private:
     std::vector<Align> aligns_;
     std::vector<Row> rows_;
 };
-
-/// Print a section banner ("== title ==") used to label bench output blocks.
-void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace memopt

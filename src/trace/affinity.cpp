@@ -45,27 +45,6 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     }
 }
 
-/// Consecutive-access block transitions over a chunked replay. The
-/// predecessor of the chunk's first access is the last context address
-/// (empty context = start of the trace).
-void transition_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> context,
-                      unsigned shift, std::size_t num_blocks, AffinityAccumulator& acc) {
-    if (chunk.empty()) return;
-    std::size_t i = 0;
-    std::size_t prev;
-    if (context.empty()) {
-        prev = block_of_checked(chunk.addrs[0], shift, num_blocks);
-        i = 1;
-    } else {
-        prev = block_of_checked(context.back(), shift, num_blocks);
-    }
-    for (; i < chunk.size(); ++i) {
-        const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-        if (block != prev) acc.add(prev, block);
-        prev = block;
-    }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -307,20 +286,6 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
 
 // ---------------------------------------------------------------------------
 // Builders
-
-AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
-                                   std::size_t jobs) {
-    const unsigned shift = log2_exact(profile.block_size());
-    const std::size_t num_blocks = profile.num_blocks();
-    AffinityAccumulator acc = stream_accumulate(
-        source, 1, jobs, [&] { return AffinityAccumulator(num_blocks); },
-        [&](AffinityAccumulator& out, const TraceChunk& chunk,
-            std::span<const std::uint64_t> context) {
-            transition_chunk(chunk, context, shift, num_blocks, out);
-        },
-        [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
-    return acc.finalize();
-}
 
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs) {

@@ -2,11 +2,11 @@
 //
 // Affinity clustering (DATE'03 1B-1 flavour) needs to know which blocks are
 // accessed close together in time: placing such blocks in the same bank lets
-// the other banks stay idle for long stretches. This module computes
-//  * a transition matrix (consecutive-access block adjacency), and
-//  * a windowed co-access affinity matrix,
-// plus a fused single-pass builder that produces the block profile and the
-// affinity matrix from one streaming replay of the trace.
+// the other banks stay idle for long stretches. This module computes a
+// windowed co-access affinity matrix (a window of 2 counts consecutive-
+// access block transitions), plus a fused single-pass builder that produces
+// the block profile and the affinity matrix from one streaming replay of
+// the trace.
 //
 // Storage is adaptive behind one interface: small block counts use the
 // dense upper-triangular array (O(n^2/2) doubles); large block counts use a
@@ -162,21 +162,16 @@ private:
     unsigned hash_shift_ = 0;         // 64 - log2(slots_.size())
 };
 
-/// Build a transition affinity from one chunked replay of `source` in
-/// O(chunk) memory: affinity(a,b) += 1 whenever an access to block b
-/// immediately follows an access to block a (a != b), using the block
-/// geometry of `profile`. Accesses outside the profile span are rejected
+/// Build a windowed co-access affinity from one chunked replay of `source`
+/// in O(chunk) memory, using the block geometry of `profile`: for a sliding
+/// window of `window` consecutive accesses, every unordered pair of
+/// distinct blocks that co-occurs in the window gains affinity 1 (counted
+/// once per window position where the pair is formed with the newest
+/// access). `window >= 2`; a window of 2 counts the transitions between
+/// consecutive accesses. Accesses outside the profile span are rejected
 /// (Error). Long traces are sharded over `jobs` threads (0 =
 /// default_jobs()); results are bit-identical at any job count and chunk
 /// size.
-AffinityMatrix transition_affinity(TraceSource& source, const BlockProfile& profile,
-                                   std::size_t jobs = 0);
-
-/// Build a windowed co-access affinity: for a sliding window of `window`
-/// consecutive accesses, every unordered pair of distinct blocks that
-/// co-occurs in the window gains affinity 1 (counted once per window
-/// position where the pair is formed with the newest access). `window >= 2`.
-/// Streamed and sharded like transition_affinity.
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs = 0);
 

@@ -1,10 +1,11 @@
 // Differential tests for the two affinity kernels of the clustering path:
-// the co-access pair accumulator behind windowed_affinity /
-// transition_affinity / build_profile_and_affinity, and the heap-driven
-// greedy chain in affinity_clustering. Each kernel is compared exactly
-// against a short, obviously-correct reference over the synthetic trace
-// families, block counts on both sides of the dense/CSR threshold, and
-// job counts that do and do not shard the replay.
+// the co-access pair accumulator behind windowed_affinity (at the tested
+// window and at window 2, the consecutive transitions) and
+// build_profile_and_affinity, and the heap-driven greedy chain in
+// affinity_clustering. Each kernel is compared exactly against a short,
+// obviously-correct reference over the synthetic trace families, block
+// counts on both sides of the dense/CSR threshold, and job counts that do
+// and do not shard the replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -220,7 +221,7 @@ TEST_P(AffinityReference, PairCountsMatchStdMapReference) {
             for (TraceSource* source : {static_cast<TraceSource*>(&stable),
                                         static_cast<TraceSource*>(&generated)}) {
                 expect_matrix(windowed_affinity(*source, profile, kWindow, jobs), windowed);
-                expect_matrix(transition_affinity(*source, profile, jobs), transitions);
+                expect_matrix(windowed_affinity(*source, profile, 2, jobs), transitions);
             }
             if (!std::has_single_bit(blocks)) continue;  // the fused builder sizes by span
             const ProfileAffinity fused = build_profile_and_affinity(stable, kBlock, kWindow, jobs);

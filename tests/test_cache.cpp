@@ -4,7 +4,7 @@
 #include <algorithm>
 
 #include "cache/cache.hpp"
-#include "cache/hierarchy.hpp"
+#include "cache_hierarchy.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "trace/source.hpp"

@@ -28,6 +28,9 @@
 #ifndef MEMOPT_LINT_FIXTURES_DIR
 #error "MEMOPT_LINT_FIXTURES_DIR must point at tests/lint_fixtures"
 #endif
+#ifndef MEMOPT_LINT_TREE_ROOT
+#error "MEMOPT_LINT_TREE_ROOT must point at the repository root"
+#endif
 
 namespace memopt::lint {
 namespace {
@@ -624,50 +627,6 @@ TEST(LintGraph, ModuleOfUsesSecondComponentUnderSrc) {
     EXPECT_EQ(module_of("tools/memopt_lint.cpp"), "tools");
 }
 
-constexpr const char* kLayeringDoc =
-    "# comment\n"
-    "schema = \"memopt.layering.v1\"\n"
-    "allow_same_layer = true\n"
-    "[[layer]]\n"
-    "rank = 0\n"
-    "modules = [\"support\"]\n"
-    "[[layer]]\n"
-    "rank = 1\n"
-    "modules = [\"cache\", \"trace\"]\n"
-    "[[exception]]\n"
-    "from = \"support\"\n"
-    "to = \"trace\"\n"
-    "reason = \"fixture back-edge\"\n";
-
-TEST(LintGraph, ParsesLayeringDocument) {
-    const LayeringConfig config = parse_layering(kLayeringDoc, "layering.toml");
-    EXPECT_EQ(config.module_layers.at("support"), 0);
-    EXPECT_EQ(config.module_layers.at("cache"), 1);
-    EXPECT_EQ(config.module_layers.at("trace"), 1);
-    EXPECT_TRUE(config.allow_same_layer);
-    EXPECT_TRUE(config.exception_allows("support", "trace"));
-    EXPECT_FALSE(config.exception_allows("support", "cache"));
-}
-
-TEST(LintGraph, RejectsMalformedLayering) {
-    EXPECT_THROW(parse_layering("allow_same_layer = true\n", "t"), Error);  // no schema
-    EXPECT_THROW(parse_layering("schema = \"memopt.layering.v2\"\n", "t"), Error);
-    EXPECT_THROW(parse_layering("schema = \"memopt.layering.v1\"\n"
-                                "[[layer]]\n"
-                                "modules = [\"support\"]\n",  // missing rank
-                                "t"),
-                 Error);
-    EXPECT_THROW(parse_layering("schema = \"memopt.layering.v1\"\n"
-                                "[[layer]]\nrank = 0\nmodules = [\"support\"]\n"
-                                "[[layer]]\nrank = 1\nmodules = [\"support\"]\n",  // duplicate
-                                "t"),
-                 Error);
-    EXPECT_THROW(parse_layering("schema = \"memopt.layering.v1\"\n"
-                                "[[exception]]\nfrom = \"a\"\nto = \"b\"\n",  // no reason
-                                "t"),
-                 Error);
-}
-
 TEST(LintGraph, LayeringBackEdgeFlaggedUnlessExcepted) {
     std::map<std::string, FileIndex> indexes;
     indexes["src/support/low.hpp"] =
@@ -675,7 +634,9 @@ TEST(LintGraph, LayeringBackEdgeFlaggedUnlessExcepted) {
     indexes["src/cache/high.hpp"] = synthetic_index("src/cache/high.hpp", {"support/low.hpp"});
     indexes["src/trace/peer.hpp"] = synthetic_index("src/trace/peer.hpp", {});
     const IncludeGraph graph = build_include_graph(indexes);
-    const LayeringConfig config = parse_layering(kLayeringDoc, "layering.toml");
+    LayeringConfig config;
+    config.module_layers = {{"support", 0}, {"cache", 1}, {"trace", 1}};
+    config.exceptions = {{"support", "trace"}};
 
     std::vector<Finding> findings;
     resolve_layering(indexes, graph, config, findings);
@@ -685,6 +646,22 @@ TEST(LintGraph, LayeringBackEdgeFlaggedUnlessExcepted) {
     EXPECT_EQ(findings[0].rule, "L1");
     EXPECT_EQ(findings[0].file, "src/support/low.hpp");
     EXPECT_NE(findings[0].message.find("cache"), std::string::npos);
+}
+
+// L1 skips the files of a module without a rank, so a new src/ directory
+// must get one in project_layering() or it escapes the DAG check.
+TEST(LintGraph, EveryTreeModuleHasARank) {
+    namespace fs = std::filesystem;
+    const fs::path root = MEMOPT_LINT_TREE_ROOT;
+    std::vector<std::string> modules = {"bench", "tests", "examples", "tools"};
+    for (const auto& entry : fs::directory_iterator(root / "src")) {
+        if (entry.is_directory()) modules.push_back(entry.path().filename().string());
+    }
+    ASSERT_GT(modules.size(), 4u);
+    const LayeringConfig& layering = project_layering();
+    for (const std::string& m : modules) {
+        EXPECT_EQ(layering.module_layers.count(m), 1u) << "module '" << m << "' has no rank";
+    }
 }
 
 // ---------------------------------------------------------------------------

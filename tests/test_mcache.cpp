@@ -12,8 +12,8 @@
 
 #include "cache/cache.hpp"
 #include "cache/coherence.hpp"
-#include "cache/hierarchy.hpp"
 #include "cache/mcache.hpp"
+#include "cache_hierarchy.hpp"
 #include "core/workload.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"

@@ -2,7 +2,10 @@
 // validation, energy evaluation, and DP-vs-brute-force certification.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "partition/evaluate.hpp"
 #include "partition/solver.hpp"
@@ -23,6 +26,31 @@ BlockProfile random_profile(std::size_t blocks, std::uint64_t seed, std::uint64_
     }
     if (p.total_accesses() == 0) p.add_counts(0, 10, 5);
     return p;
+}
+
+/// The DP's oracle: every subset of the num_blocks - 1 split points with at
+/// most max_banks banks, each evaluated from scratch; requires
+/// num_blocks <= 20.
+PartitionSolution solve_partition_brute(const BlockProfile& profile,
+                                        const PartitionConstraints& constraints,
+                                        const PartitionEnergyParams& params) {
+    const std::size_t n = profile.num_blocks();
+    require(n >= 1 && n <= 20, "solve_partition_brute: needs 1 to 20 blocks");
+    require(constraints.max_banks >= 1, "solve_partition_brute: max_banks must be >= 1");
+    std::optional<PartitionSolution> best;
+    for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << (n - 1)); ++mask) {
+        if (static_cast<std::size_t>(std::popcount(mask)) + 1 > constraints.max_banks) continue;
+        std::vector<std::size_t> splits;
+        for (std::size_t bit = 0; bit + 1 < n; ++bit) {
+            if (mask & (std::uint64_t{1} << bit)) splits.push_back(bit + 1);
+        }
+        auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits,
+                                                    params.min_bank_bytes);
+        auto energy = evaluate_partition(arch, profile, params);
+        if (!best || energy.total() < best->energy.total())
+            best = PartitionSolution{std::move(arch), std::move(energy)};
+    }
+    return *best;
 }
 
 // ------------------------------------------------------- architecture ----

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.hpp"
+#include "cache_hierarchy.hpp"
 #include "compress/diff_codec.hpp"
 #include "compress/memsys.hpp"
 #include "core/flow.hpp"
@@ -200,11 +200,11 @@ TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
     const MemTrace trace = materialize_synthetic(spec);
     MaterializedSource reference(trace);  // default chunking
     const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
-    const AffinityMatrix t_expected = transition_affinity(reference, profile, 1);
+    const AffinityMatrix t_expected = windowed_affinity(reference, profile, 2, 1);
     const AffinityMatrix w_expected = windowed_affinity(reference, profile, 16, 1);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         SyntheticSource source(spec, 10000);
-        expect_matrices_equal(transition_affinity(source, profile, jobs), t_expected);
+        expect_matrices_equal(windowed_affinity(source, profile, 2, jobs), t_expected);
         expect_matrices_equal(windowed_affinity(source, profile, 16, jobs), w_expected);
     }
 }

@@ -169,7 +169,7 @@ TEST(Affinity, TransitionCountsAdjacentBlocks) {
     t.add_read(0);     // same block, no edge
     MaterializedSource src(t);
     const BlockProfile p = BlockProfile::from_source(src, 256);
-    const AffinityMatrix m = transition_affinity(src, p);
+    const AffinityMatrix m = windowed_affinity(src, p, 2);  // consecutive transitions
     EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(m.at(1, 0), 2.0);
     EXPECT_DOUBLE_EQ(m.total(), 2.0);
@@ -516,7 +516,7 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
     MaterializedSource src(t);
     const BlockProfile p1 = BlockProfile::from_source(src, 256, 1);
     const AffinityMatrix w1 = windowed_affinity(src, p1, 8, 1);
-    const AffinityMatrix a1 = transition_affinity(src, p1, 1);
+    const AffinityMatrix a1 = windowed_affinity(src, p1, 2, 1);
     for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
         const BlockProfile pj = BlockProfile::from_source(src, 256, jobs);
         ASSERT_EQ(pj.num_blocks(), p1.num_blocks());
@@ -525,7 +525,7 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
             EXPECT_EQ(pj.counts(b).writes, p1.counts(b).writes) << b;
         }
         const AffinityMatrix wj = windowed_affinity(src, pj, 8, jobs);
-        const AffinityMatrix aj = transition_affinity(src, pj, jobs);
+        const AffinityMatrix aj = windowed_affinity(src, pj, 2, jobs);
         EXPECT_EQ(wj.total(), w1.total());
         EXPECT_EQ(aj.total(), a1.total());
         for (std::size_t a = 0; a < p1.num_blocks(); ++a) {

@@ -3,13 +3,13 @@
 // Usage:
 //   memopt_lint [paths...] [--root DIR] [--baseline FILE] [--json FILE]
 //               [--sarif FILE] [--cache FILE] [--jobs N]
-//               [--layering FILE] [--schemas DIR] [--list-rules] [--help]
+//               [--schemas DIR] [--list-rules] [--help]
 //
 // Walks the given paths (default: src bench tests examples tools, relative
 // to --root), indexes every C++ source file — in parallel, incrementally
 // when --cache names an index cache — and enforces the project's
 // determinism, layering, include-hygiene, and schema invariants as named
-// rules (see src/tools/lint/rules.hpp for the catalogue). Findings print
+// rules (see tools/lint/rules.hpp for the catalogue). Findings print
 // as `file:line: rule: message`; `--json` additionally writes a
 // memopt.lint.v1 report and `--sarif` a SARIF 2.1.0 document for GitHub
 // code scanning.
@@ -30,7 +30,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: memopt_lint [paths...] [--root DIR] [--baseline FILE] [--json FILE]\n"
     "                   [--sarif FILE] [--cache FILE] [--jobs N]\n"
-    "                   [--layering FILE] [--schemas DIR] [--list-rules] [--help]\n"
+    "                   [--schemas DIR] [--list-rules] [--help]\n"
     "\n"
     "Determinism & invariant static analysis over the memopt sources.\n"
     "Paths default to `src bench tests examples tools` relative to --root\n"
@@ -46,8 +46,6 @@ constexpr const char* kUsage =
     "                   identical either way\n"
     "  --jobs N         scan parallelism (0 = hardware default); findings are\n"
     "                   bit-identical at any value\n"
-    "  --layering FILE  module-layering config for rule L1 (default:\n"
-    "                   tools/layering.toml under --root when present)\n"
     "  --schemas DIR    schema goldens for rule S1 (default: docs/schemas\n"
     "                   under --root when present)\n"
     "  --list-rules     print the rule catalogue and exit\n"
@@ -134,10 +132,6 @@ int main(int argc, char** argv) {
             } catch (const std::exception&) {
                 return usage_error("--jobs requires a non-negative integer");
             }
-        } else if (arg == "--layering") {
-            const char* v = value("--layering");
-            if (!v) return usage_error("--layering requires a file argument");
-            options.layering_path = v;
         } else if (arg == "--schemas") {
             const char* v = value("--schemas");
             if (!v) return usage_error("--schemas requires a directory argument");
