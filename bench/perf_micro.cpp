@@ -157,8 +157,9 @@ BENCHMARK(BM_CoherentReplay);
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
 // affinity over the SoA columns (sharded when the trace is long enough),
 // the fused profile+affinity builder, and the heap-driven greedy affinity
-// chain. Arg is the block count, which also decides dense vs CSR storage;
-// 16384 blocks is the size of the perfbench affinity-16k workload.
+// chain. Arg is the block count, which also decides whether the pair
+// accumulator counts in its dense triangle or its hash table; 16384 blocks
+// is the size of the perfbench affinity-16k workload.
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({

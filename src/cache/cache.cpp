@@ -1,7 +1,6 @@
 #include "cache/cache.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "support/assert.hpp"
 
@@ -78,14 +77,6 @@ std::size_t CacheModel::resident_lines() const {
     return count;
 }
 
-std::uint64_t CacheModel::next_rand() {
-    // xorshift64*: deterministic across runs, uniform enough here.
-    rng_state_ ^= rng_state_ >> 12;
-    rng_state_ ^= rng_state_ << 25;
-    rng_state_ ^= rng_state_ >> 27;
-    return rng_state_ * 0x2545F4914F6CDD1DULL;
-}
-
 CacheAccessResult CacheModel::access(std::uint64_t addr, AccessKind kind) {
     CacheAccessResult result;
     const std::size_t set = set_of(addr);
@@ -97,18 +88,12 @@ CacheAccessResult CacheModel::access(std::uint64_t addr, AccessKind kind) {
     for (unsigned w = 0; w < config_.associativity; ++w) {
         Way& way = base[w];
         if (way.valid && way.tag == tag) {
-            // FIFO keeps the fill order: touches do not refresh age.
-            if (config_.replacement == Replacement::Lru) way.lru = tick_;
+            way.lru = tick_;
             if (kind == AccessKind::Read) {
                 ++stats_.read_hits;
             } else {
                 ++stats_.write_hits;
-                if (config_.write_policy == WritePolicy::WriteBackAllocate) {
-                    way.dirty = true;
-                } else {
-                    ++stats_.write_throughs;
-                    result.write_through_addr = addr;
-                }
+                way.dirty = true;
             }
             result.hit = true;
             return result;
@@ -122,38 +107,15 @@ CacheAccessResult CacheModel::access(std::uint64_t addr, AccessKind kind) {
         ++stats_.write_misses;
     }
 
-    if (kind == AccessKind::Write && config_.write_policy == WritePolicy::WriteThroughNoAllocate) {
-        ++stats_.write_throughs;
-        result.write_through_addr = addr;
-        return result;  // no allocation
-    }
-
-    // Choose the victim: an invalid way if any, else by policy.
+    // Choose the victim: an invalid way if any, else the least recently used.
     Way* victim = nullptr;
     for (unsigned w = 0; w < config_.associativity && victim == nullptr; ++w) {
         if (!base[w].valid) victim = &base[w];
     }
     if (victim == nullptr) {
-        if (config_.replacement == Replacement::Random) {
-            // Unbiased victim index: draw the next power-of-two's worth of
-            // bits and reject values >= associativity (expected < 2 draws).
-            // A plain `% associativity` would favour low way indices for
-            // non-power-of-two way counts (bias up to 1/ways). Today's
-            // geometry checks (pow2 size and line) force a pow2 way count,
-            // where the mask never rejects and this reduces to the old
-            // modulo — but the reduction stays exact if that ever relaxes.
-            const std::uint64_t mask =
-                std::bit_ceil<std::uint64_t>(config_.associativity) - 1;
-            std::uint64_t idx;
-            do {
-                idx = next_rand() & mask;
-            } while (idx >= config_.associativity);
-            victim = &base[idx];
-        } else {  // Lru and Fifo both evict the smallest age stamp
-            victim = base;
-            for (unsigned w = 1; w < config_.associativity; ++w) {
-                if (base[w].lru < victim->lru) victim = &base[w];
-            }
+        victim = base;
+        for (unsigned w = 1; w < config_.associativity; ++w) {
+            if (base[w].lru < victim->lru) victim = &base[w];
         }
     }
 
@@ -171,8 +133,7 @@ CacheAccessResult CacheModel::access(std::uint64_t addr, AccessKind kind) {
     ++stats_.fills;
     result.fill_line = line_base(addr);
     victim->valid = true;
-    victim->dirty = kind == AccessKind::Write &&
-                    config_.write_policy == WritePolicy::WriteBackAllocate;
+    victim->dirty = kind == AccessKind::Write;
     victim->tag = tag;
     victim->lru = tick_;
     return result;
@@ -197,10 +158,6 @@ void CacheModel::reset() {
     std::fill(ways_.begin(), ways_.end(), Way{});
     tick_ = 0;
     stats_ = CacheStats{};
-    // Reseed the Random-replacement RNG: without this a replay after
-    // reset() diverges from a fresh model as soon as a random victim is
-    // drawn (the stream would continue where the previous run left off).
-    rng_state_ = kRngSeed;
 }
 
 }  // namespace memopt

@@ -2,9 +2,10 @@
 //
 // A trace-driven geometric cache simulator: it tracks tags, validity,
 // dirtiness and LRU state, and reports hit/miss/fill/write-back events per
-// access. It does not store data — data reconstruction is layered on top by
-// the compressed-memory simulation (src/compress/memsys), which replays
-// access values from the trace.
+// access. The policy is fixed: true LRU replacement, write-back with
+// write-allocate. It does not store data — data reconstruction is layered
+// on top by the compressed-memory simulation (src/compress/memsys), which
+// replays access values from the trace.
 #pragma once
 
 #include <cstdint>
@@ -15,27 +16,12 @@
 
 namespace memopt {
 
-/// Write policy of the cache.
-enum class WritePolicy {
-    WriteBackAllocate,     ///< write-back, write-allocate (default for D$)
-    WriteThroughNoAllocate ///< write-through, no write-allocate
-};
-
-/// Replacement policy of the cache.
-enum class Replacement {
-    Lru,    ///< true least-recently-used (default)
-    Fifo,   ///< evict the oldest fill, ignoring later touches
-    Random  ///< pseudo-random victim (deterministic: internal xorshift)
-};
-
 /// Cache geometry. size_bytes, line_bytes and associativity must make a
 /// consistent power-of-two geometry (sets = size / (line * assoc) >= 1).
 struct CacheConfig {
     std::uint64_t size_bytes = 8 * 1024;
     unsigned line_bytes = 32;
     unsigned associativity = 4;
-    WritePolicy write_policy = WritePolicy::WriteBackAllocate;
-    Replacement replacement = Replacement::Lru;
 };
 
 /// Counters accumulated by the model.
@@ -46,7 +32,6 @@ struct CacheStats {
     std::uint64_t write_misses = 0;
     std::uint64_t fills = 0;           ///< lines fetched from the next level
     std::uint64_t writebacks = 0;      ///< dirty lines evicted to the next level
-    std::uint64_t write_throughs = 0;  ///< accesses forwarded by write-through
 
     bool operator==(const CacheStats&) const = default;
 
@@ -64,14 +49,13 @@ struct CacheAccessResult {
     bool hit = false;
     std::optional<std::uint64_t> fill_line;       ///< line base addr fetched
     std::optional<std::uint64_t> writeback_line;  ///< dirty line base addr evicted
-    std::optional<std::uint64_t> write_through_addr;  ///< word written through
     /// Base address of any valid line the fill replaced, dirty or clean.
     /// writeback_line covers only the dirty case; coherence controllers
     /// need clean replacements too to keep sharer sets precise.
     std::optional<std::uint64_t> evicted_line;
 };
 
-/// The cache model (true LRU replacement).
+/// The cache model (true LRU replacement, write-back/write-allocate).
 class CacheModel {
 public:
     explicit CacheModel(const CacheConfig& config);
@@ -109,9 +93,8 @@ public:
     /// Number of valid lines currently resident.
     std::size_t resident_lines() const;
 
-    /// Reset tags, statistics, and the replacement RNG: a replay after
-    /// reset() is bit-identical to a fresh model (also under
-    /// Replacement::Random).
+    /// Reset tags and statistics: a replay after reset() is bit-identical
+    /// to a fresh model.
     void reset();
 
     /// Line base address of `addr` under this geometry.
@@ -125,21 +108,15 @@ private:
         bool dirty = false;
     };
 
-    /// Seed of the Random-replacement RNG; reset() restores it so replays
-    /// after reset() match a fresh model bit for bit.
-    static constexpr std::uint64_t kRngSeed = 0x9E3779B97F4A7C15ULL;
-
     std::size_t set_of(std::uint64_t addr) const;
     std::uint64_t tag_of(std::uint64_t addr) const;
     Way* find_way(std::uint64_t addr);
     const Way* find_way(std::uint64_t addr) const;
-    std::uint64_t next_rand();
 
     CacheConfig config_;
     std::size_t sets_;
     std::vector<Way> ways_;  // sets_ * associativity, row-major by set
     std::uint64_t tick_ = 0;
-    std::uint64_t rng_state_ = kRngSeed;  // Random replacement
     CacheStats stats_;
 };
 

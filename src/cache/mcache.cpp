@@ -16,8 +16,6 @@ MultiCoreCacheSystem::MultiCoreCacheSystem(const MultiCoreConfig& config)
             "MultiCoreCacheSystem: core count must be in [1, 64]");
     require(config.l2_banks >= 1,
             "MultiCoreCacheSystem: need at least one L2 bank");
-    require(config.l1.write_policy == WritePolicy::WriteBackAllocate,
-            "MultiCoreCacheSystem: MSI requires a write-back/write-allocate L1");
     require(config.l2_bank.line_bytes == config.l1.line_bytes,
             "MultiCoreCacheSystem: L2 bank line size must equal the L1 line size "
             "(the directory tracks L1-line-sized blocks)");
@@ -153,7 +151,6 @@ void accumulate(CacheStats& into, const CacheStats& from) {
     into.write_misses += from.write_misses;
     into.fills += from.fills;
     into.writebacks += from.writebacks;
-    into.write_throughs += from.write_throughs;
 }
 }  // namespace
 

@@ -36,12 +36,11 @@ class TraceSource;
 struct MemoryTraffic {
     std::uint64_t line_fetches = 0;  ///< L2-line reads from memory
     std::uint64_t line_writes = 0;   ///< L2-line write-backs to memory
-    std::uint64_t word_writes = 0;   ///< write-through words reaching memory
+    std::uint64_t word_writes = 0;   ///< always 0: every cache is write-back
 };
 
 /// Geometry of the multi-core system. L2 bank line size must equal the L1
-/// line size (the directory tracks L1-line-sized blocks), and the L1 must
-/// be write-back/write-allocate (MSI has no write-through mode).
+/// line size (the directory tracks L1-line-sized blocks).
 struct MultiCoreConfig {
     unsigned cores = 4;
     CacheConfig l1;       ///< private per-core L1 geometry

@@ -15,8 +15,6 @@ namespace memopt {
 CompressedMemorySim::CompressedMemorySim(const CompressedMemConfig& config,
                                          const LineCodec* codec)
     : config_(config), codec_(codec) {
-    require(config.cache.write_policy == WritePolicy::WriteBackAllocate,
-            "CompressedMemorySim: compression requires a write-back cache");
     require(!(config.verify_roundtrip && config.faults.has_value()),
             "CompressedMemorySim: verify_roundtrip and fault injection are exclusive");
     if (config.faults.has_value())

@@ -10,7 +10,6 @@ PlatformModel vliw_platform() {
     p.config.cache.size_bytes = 2 * 1024;
     p.config.cache.line_bytes = 32;
     p.config.cache.associativity = 4;
-    p.config.cache.write_policy = WritePolicy::WriteBackAllocate;
     p.config.dram.activate_pj = 2200.0;
     p.config.dram.per_byte_pj = 55.0;
     p.config.compress_pj_per_word = 1.2;
@@ -26,7 +25,6 @@ PlatformModel risc_platform() {
     p.config.cache.size_bytes = 1024;
     p.config.cache.line_bytes = 16;
     p.config.cache.associativity = 2;
-    p.config.cache.write_policy = WritePolicy::WriteBackAllocate;
     p.config.dram.activate_pj = 1400.0;
     p.config.dram.per_byte_pj = 52.0;
     p.config.compress_pj_per_word = 1.2;

@@ -31,7 +31,6 @@
 #include "energy/tech_model.hpp"
 #include "partition/bank.hpp"
 #include "partition/evaluate.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 

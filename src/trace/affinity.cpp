@@ -21,9 +21,11 @@ std::size_t block_of_checked(std::uint64_t addr, unsigned shift, std::size_t num
 /// up-to-`window - 1` addresses preceding the chunk (`context`), so the
 /// pairs a chunk forms are exactly the ones the serial replay forms at the
 /// same positions — chunk boundaries are invisible in the pair multiset.
+/// `on_access(i, block)` sees each access of the chunk before it pairs.
+template <typename OnAccess>
 void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> context,
                     std::size_t window, unsigned shift, std::size_t num_blocks,
-                    AffinityAccumulator& acc) {
+                    AffinityAccumulator& acc, const OnAccess& on_access) {
     const std::size_t cap = window - 1;
     std::vector<std::size_t> ring(cap);
     std::size_t count = 0;  // occupied slots
@@ -38,6 +40,7 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
         push(block_of_checked(context[i], shift, num_blocks));
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
+        on_access(i, block);
         for (std::size_t k = 0; k < count; ++k) {
             if (ring[k] != block) acc.add(ring[k], block);
         }
@@ -50,19 +53,21 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
 // ---------------------------------------------------------------------------
 // AffinityMatrix
 
-AffinityMatrix::AffinityMatrix(std::size_t num_blocks) : n_(num_blocks) {
+AffinityMatrix::AffinityMatrix(std::size_t num_blocks)
+    : n_(num_blocks), row_ptr_(num_blocks + 1, 0) {
     require(num_blocks > 0, "AffinityMatrix: num_blocks must be > 0");
-    tri_.assign(n_ * (n_ + 1) / 2, 0.0);
 }
 
-std::size_t AffinityMatrix::tri_index(std::size_t a, std::size_t b) const {
-    MEMOPT_ASSERT(a < n_ && b < n_);
-    if (a > b) std::swap(a, b);
-    // Row-major upper triangle: row a starts at a*n - a*(a-1)/2 - a offsets.
-    return a * n_ - a * (a + 1) / 2 + b;
+std::size_t AffinityMatrix::stored_pairs() const {
+    std::size_t diagonal = 0;
+    for (std::size_t a = 0; a < n_; ++a) {
+        if (at(a, a) != 0.0) ++diagonal;
+    }
+    return (col_.size() - diagonal) / 2 + diagonal;
 }
 
-double AffinityMatrix::sparse_at(std::size_t a, std::size_t b) const {
+double AffinityMatrix::at(std::size_t a, std::size_t b) const {
+    require(a < n_ && b < n_, "AffinityMatrix::at out of range");
     const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[a]);
     const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[a + 1]);
     const auto it = std::lower_bound(first, last, static_cast<std::uint32_t>(b));
@@ -70,64 +75,22 @@ double AffinityMatrix::sparse_at(std::size_t a, std::size_t b) const {
     return val_[static_cast<std::size_t>(it - col_.begin())];
 }
 
-std::size_t AffinityMatrix::stored_pairs() const {
-    if (sparse_) {
-        std::size_t diagonal = 0;
-        for (std::size_t a = 0; a < n_; ++a) {
-            if (sparse_at(a, a) != 0.0) ++diagonal;
-        }
-        return (col_.size() - diagonal) / 2 + diagonal;
-    }
-    return static_cast<std::size_t>(
-        std::count_if(tri_.begin(), tri_.end(), [](double v) { return v != 0.0; }));
-}
-
-double AffinityMatrix::at(std::size_t a, std::size_t b) const {
-    require(a < n_ && b < n_, "AffinityMatrix::at out of range");
-    return sparse_ ? sparse_at(a, b) : tri_[tri_index(a, b)];
-}
-
-void AffinityMatrix::add(std::size_t a, std::size_t b, double w) {
-    require(a < n_ && b < n_, "AffinityMatrix::add out of range");
-    require(!sparse_, "AffinityMatrix::add: sparse matrix is immutable");
-    tri_[tri_index(a, b)] += w;
-}
-
-double AffinityMatrix::affinity_to_set(std::size_t a,
-                                       const std::vector<std::size_t>& members) const {
-    double sum = 0.0;
-    for (std::size_t m : members) sum += at(a, m);
-    return sum;
-}
-
 double AffinityMatrix::total() const {
     double sum = 0.0;
-    if (sparse_) {
-        // Upper-triangle entries in row-major order: the same accumulation
-        // order as the dense loop below (zeros contribute nothing there).
-        for (std::size_t a = 0; a < n_; ++a) {
-            for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
-                if (col_[e] >= a) sum += val_[e];
-            }
+    for (std::size_t a = 0; a < n_; ++a) {
+        for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
+            if (col_[e] >= a) sum += val_[e];
         }
-        return sum;
     }
-    for (double v : tri_) sum += v;
     return sum;
 }
 
 double AffinityMatrix::max_offdiagonal() const {
     double best = 0.0;
-    if (sparse_) {
-        for (std::size_t a = 0; a < n_; ++a) {
-            for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
-                if (col_[e] > a) best = std::max(best, val_[e]);
-            }
-        }
-        return best;
-    }
     for (std::size_t a = 0; a < n_; ++a) {
-        for (std::size_t b = a + 1; b < n_; ++b) best = std::max(best, tri_[tri_index(a, b)]);
+        for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
+            if (col_[e] > a) best = std::max(best, val_[e]);
+        }
     }
     return best;
 }
@@ -205,36 +168,16 @@ void AffinityAccumulator::merge(const AffinityAccumulator& other) {
     }
 }
 
-AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
-    const std::vector<std::uint64_t> tri = std::exchange(tri_, {});
-    std::vector<Slot> slots = std::exchange(slots_, {});
-    occupied_ = 0;
-
-    AffinityMatrix m(1);  // placeholder; reshaped below
-    m.n_ = n_;
-    if (n_ <= dense_max_blocks) {
-        m.tri_.assign(n_ * (n_ + 1) / 2, 0.0);
-        if (dense_) {
-            for (std::size_t i = 0; i < tri.size(); ++i) m.tri_[i] = static_cast<double>(tri[i]);
-        } else {
-            for (const Slot& s : slots) {
-                if (s.key == kEmptyKey) continue;
-                const auto a = static_cast<std::size_t>(s.key >> 32);
-                const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
-                m.tri_[a * n_ - a * (a + 1) / 2 + b] = static_cast<double>(s.count);
-            }
-        }
-        return m;
-    }
-
-    // CSR result: collect the upper-triangle pairs sorted by (row, col),
-    // then scatter each into both adjacency rows. Processing pairs in
-    // ascending (a, b) order fills every row's columns in ascending order:
-    // row r first receives its below-diagonal neighbours (from pairs whose
-    // larger element is r, arriving as the smaller element ascends), then
-    // its above-diagonal neighbours (from its own row's pairs).
+AffinityMatrix AffinityAccumulator::finalize() {
+    // Collect the upper-triangle pairs sorted by (row, col), then scatter
+    // each into both adjacency rows. Processing pairs in ascending (a, b)
+    // order fills every row's columns in ascending order: row r first
+    // receives its below-diagonal neighbours (from pairs whose larger
+    // element is r, arriving as the smaller element ascends), then its
+    // above-diagonal neighbours (from its own row's pairs).
     std::vector<Slot> sorted;
     if (dense_) {
+        const std::vector<std::uint64_t> tri = std::exchange(tri_, {});
         for (std::size_t a = 0; a < n_; ++a) {
             const std::size_t row_base = a * n_ - a * (a + 1) / 2;
             for (std::size_t b = a; b < n_; ++b) {
@@ -246,24 +189,22 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t dense_max_blocks) {
     } else {
         // Compact the table in place and hand its empty slots back before
         // the CSR arrays are allocated; the sort erases the slot order.
-        sorted = std::move(slots);
+        sorted = std::exchange(slots_, {});
+        occupied_ = 0;
         std::erase_if(sorted, [](const Slot& s) { return s.key == kEmptyKey; });
         sorted.shrink_to_fit();
         std::sort(sorted.begin(), sorted.end(),
                   [](const Slot& x, const Slot& y) { return x.key < y.key; });
     }
 
-    m.sparse_ = true;
-    m.tri_.clear();
-    std::vector<std::size_t> degree(n_, 0);
+    AffinityMatrix m(n_);
     for (const Slot& s : sorted) {
         const auto a = static_cast<std::size_t>(s.key >> 32);
         const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
-        ++degree[a];
-        if (a != b) ++degree[b];
+        ++m.row_ptr_[a + 1];
+        if (a != b) ++m.row_ptr_[b + 1];
     }
-    m.row_ptr_.assign(n_ + 1, 0);
-    for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] = m.row_ptr_[a] + degree[a];
+    for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
     const std::size_t nnz = m.row_ptr_[n_];
     m.col_.assign(nnz, 0);
     m.val_.assign(nnz, 0.0);
@@ -296,7 +237,8 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
         source, window - 1, jobs, [&] { return AffinityAccumulator(num_blocks); },
         [&](AffinityAccumulator& out, const TraceChunk& chunk,
             std::span<const std::uint64_t> context) {
-            windowed_chunk(chunk, context, window, shift, num_blocks, out);
+            windowed_chunk(chunk, context, window, shift, num_blocks, out,
+                           [](std::size_t, std::size_t) {});
         },
         [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
     return acc.finalize();
@@ -330,27 +272,11 @@ ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t bl
                          AffinityAccumulator(num_blocks)};
         },
         [&](Shard& shard, const TraceChunk& chunk, std::span<const std::uint64_t> context) {
-            const std::size_t cap = window - 1;
-            std::vector<std::size_t> ring(cap);
-            std::size_t count = 0;
-            std::size_t next = 0;
-            auto push = [&](std::size_t block) {
-                ring[next] = block;
-                next = (next + 1) % cap;
-                if (count < cap) ++count;
-            };
-            const std::size_t skip = context.size() > cap ? context.size() - cap : 0;
-            for (std::size_t i = skip; i < context.size(); ++i)
-                push(block_of_checked(context[i], shift, num_blocks));
-            for (std::size_t i = 0; i < chunk.size(); ++i) {
-                const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-                if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
-                else ++shard.writes[block];
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (ring[k] != block) shard.acc.add(ring[k], block);
-                }
-                push(block);
-            }
+            windowed_chunk(chunk, context, window, shift, num_blocks, shard.acc,
+                           [&](std::size_t i, std::size_t block) {
+                               if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
+                               else ++shard.writes[block];
+                           });
         },
         [&](Shard& into, const Shard& from) {
             for (std::size_t b = 0; b < num_blocks; ++b) {

@@ -8,25 +8,21 @@
 // the block profile and the affinity matrix from one streaming replay of
 // the trace.
 //
-// Storage is adaptive behind one interface: small block counts use the
-// dense upper-triangular array (O(n^2/2) doubles); large block counts use a
-// compressed-sparse-row (CSR) adjacency, because a windowed trace replay
-// touches O(accesses * window) pairs but typically only a tiny fraction of
-// the n^2 possible ones. Both representations produce bit-identical query
-// results for the integer-valued co-access counts the builders emit.
+// The matrix is a compressed-sparse-row (CSR) adjacency: a windowed trace
+// replay touches O(accesses * window) pairs, typically a tiny fraction of
+// the n^2 possible ones, and the greedy chain walks each block's neighbours.
 //
-// The builders count pairs as uint64_t in an AffinityAccumulator: the dense
+// The builders count pairs as uint64_t in an AffinityAccumulator: a dense
 // triangle for small block counts, a flat open-addressing table of packed
-// pair keys above that. Each access costs O(window) expected-O(1) table
+// pair keys above that. Each access costs O(window) expected-O(1) counter
 // updates, finalize() sorts the P distinct pairs once (O(P log P)), and
 // memory follows P, not n^2.
 //
-// Long traces are replayed sharded across the process thread pool
-// (support/parallel.hpp): each shard replays a contiguous slice of the
-// trace (pre-warming its sliding window from the preceding accesses) and
-// the per-shard partial counts are reduced in shard order. Counts are
-// integers, so the reduction is exact and results are bit-identical at any
-// job count.
+// Both builders run one sliding-window kernel per chunk through
+// stream_accumulate (trace/source.hpp): each chunk's window is pre-warmed
+// from the accesses preceding it, the per-task partial counts are reduced
+// in task order, and counts are integers, so results are bit-identical at
+// any job count and chunk size.
 #pragma once
 
 #include <cstddef>
@@ -40,36 +36,25 @@ namespace memopt {
 
 class TraceSource;
 
-/// Block counts at or below this use the dense triangular representation;
-/// larger matrices are finalized to CSR.
+/// Block counts at or below this count pairs in AffinityAccumulator's
+/// dense triangle; larger ones use its hash table.
 inline constexpr std::size_t kAffinityDenseMaxBlocks = 1024;
 
-/// Symmetric block-affinity matrix. Dense upper-triangle storage for small
-/// block counts, CSR adjacency for large ones — same queries, bit-identical
-/// results for integer-valued weights (see file comment).
+/// Symmetric block-affinity matrix in CSR form. AffinityAccumulator::
+/// finalize() builds it; it is immutable afterwards.
 class AffinityMatrix {
 public:
-    /// Zero matrix over `num_blocks` blocks (always dense; mutable via add).
+    /// The n-block matrix with no affinity between any blocks.
     explicit AffinityMatrix(std::size_t num_blocks);
 
     std::size_t num_blocks() const { return n_; }
 
-    /// True when backed by the immutable CSR representation.
-    bool is_sparse() const { return sparse_; }
-
     /// Number of stored unordered block pairs with non-zero affinity
-    /// (diagonal included when present). O(n^2) for dense, O(1) for sparse.
+    /// (diagonal included when present). O(n log degree).
     std::size_t stored_pairs() const;
 
     /// Affinity between blocks a and b (symmetric; diagonal allowed).
     double at(std::size_t a, std::size_t b) const;
-
-    /// Add `w` to the affinity between a and b. Dense matrices only; a
-    /// sparse matrix is immutable once finalized.
-    void add(std::size_t a, std::size_t b, double w);
-
-    /// Sum of affinities from `a` to every block in `members`.
-    double affinity_to_set(std::size_t a, const std::vector<std::size_t>& members) const;
 
     /// Total affinity mass (sum over unordered pairs, diagonal included once).
     double total() const;
@@ -79,45 +64,30 @@ public:
     double max_offdiagonal() const;
 
     /// Invoke fn(b, w) for every block b != a with non-zero affinity w to
-    /// `a`, in ascending block order. O(degree) for sparse, O(n) for dense.
+    /// `a`, in ascending block order. O(degree).
     template <typename Fn>
     void for_each_neighbor(std::size_t a, Fn&& fn) const {
         require(a < n_, "AffinityMatrix::for_each_neighbor out of range");
-        if (sparse_) {
-            for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
-                const std::size_t b = col_[e];
-                if (b != a) fn(b, val_[e]);
-            }
-        } else {
-            for (std::size_t b = 0; b < n_; ++b) {
-                if (b == a) continue;
-                const double w = tri_[tri_index(a, b)];
-                if (w != 0.0) fn(b, w);
-            }
+        for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
+            const std::size_t b = col_[e];
+            if (b != a) fn(b, val_[e]);
         }
     }
 
 private:
     friend class AffinityAccumulator;
 
-    std::size_t tri_index(std::size_t a, std::size_t b) const;
-    /// CSR lookup: value at (a, b) or 0.0.
-    double sparse_at(std::size_t a, std::size_t b) const;
-
     std::size_t n_;
-    bool sparse_ = false;
-    std::vector<double> tri_;  // dense: upper-triangular storage, row-major
-
-    // sparse: CSR over the full symmetric adjacency (each off-diagonal pair
-    // stored in both rows; diagonal stored once), columns ascending per row.
+    // The full symmetric adjacency: each off-diagonal pair is stored in both
+    // rows, the diagonal once, and every row's columns ascend.
     std::vector<std::size_t> row_ptr_;  // n_ + 1
     std::vector<std::uint32_t> col_;
     std::vector<double> val_;
 };
 
-/// Co-access pair counter: the builders' shard-local sink. Counts unordered
-/// (a, b) pairs (a == b allowed) as uint64_t and finalizes into the matrix
-/// representation matching the block count.
+/// Co-access pair counter: the builders' task-local sink. Counts unordered
+/// (a, b) pairs (a == b allowed) as uint64_t and finalizes into the CSR
+/// matrix.
 ///
 /// Up to kAffinityDenseMaxBlocks blocks the counts live in the dense
 /// triangle. Above it they live in a flat open-addressing table: packed
@@ -136,13 +106,12 @@ public:
     /// Count one co-access of blocks a and b.
     void add(std::size_t a, std::size_t b);
 
-    /// Fold `other`'s counts into this accumulator. Call in shard order for
+    /// Fold `other`'s counts into this accumulator. Call in task order for
     /// a deterministic reduction.
     void merge(const AffinityAccumulator& other);
 
-    /// Finalize into a matrix: dense for num_blocks <= dense_max_blocks,
-    /// CSR above. Leaves the accumulator empty.
-    AffinityMatrix finalize(std::size_t dense_max_blocks = kAffinityDenseMaxBlocks);
+    /// Finalize into the CSR matrix. Leaves the accumulator empty.
+    AffinityMatrix finalize();
 
 private:
     struct Slot {

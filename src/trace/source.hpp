@@ -18,11 +18,15 @@
 //  * MmapBinarySource    — memory-mapped zero-copy reader for the ".mtsc"
 //                          block container (trace/stream_file.hpp).
 //
+// The parallel replays (profiling and the affinity builders) share one
+// driver, stream_accumulate: one loop pulls chunks into batches, maps
+// contiguous ranges of each batch onto task-local states and merges the
+// states in task order.
+//
 // Determinism contract: a source replays the exact same access sequence on
 // every pass (reset() rewinds to access 0), and all chunked accumulations
 // in this repository reduce integer-valued sums — so results are
-// bit-identical across sources and chunk sizes at any job count (the same
-// property the PR-4 sharded replays rely on).
+// bit-identical across sources and chunk sizes at any job count.
 #pragma once
 
 #include <cstddef>
@@ -265,145 +269,81 @@ inline void update_tail(std::vector<std::uint64_t>& tail, std::span<const std::u
     tail.insert(tail.end(), addrs.begin(), addrs.end());
 }
 
-/// The up-to-`context` addresses immediately preceding chunks[k] (gathered
-/// backward across chunk boundaries; empty for k == 0).
-inline std::vector<std::uint64_t> gather_context(const std::vector<TraceChunk>& chunks,
-                                                 std::size_t k, std::size_t context) {
-    std::vector<std::uint64_t> out;
-    if (context == 0 || k == 0) return out;
-    std::vector<std::span<const std::uint64_t>> tails;
-    std::size_t need = context;
-    std::size_t j = k;
-    while (need > 0 && j > 0) {
-        --j;
-        const auto& a = chunks[j].addrs;
-        const std::size_t take = std::min(need, a.size());
-        tails.push_back(a.subspan(a.size() - take, take));
-        need -= take;
-    }
-    for (auto it = tails.rbegin(); it != tails.rend(); ++it)
-        out.insert(out.end(), it->begin(), it->end());
-    return out;
-}
-
 }  // namespace stream_detail
 
 /// Chunked map/reduce replay engine shared by the sharded replay consumers
-/// (profiling and the affinity matrices).
+/// (profiling and the affinity builders).
 ///
 /// Streams `source` once, calling `map_chunk(state, chunk, context)` for
-/// every chunk, where `context` holds the up-to-`context_size` addresses
-/// immediately preceding the chunk (for window pre-warming; pass 0 when the
-/// mapper is context-free). `merge(into, from)` folds partial states
-/// together; the reduction happens in a fixed task order.
+/// every non-empty chunk, where `context` holds the up-to-`context_size`
+/// addresses immediately preceding the chunk (for window pre-warming; pass
+/// 0 when the mapper is context-free). `merge(into, from)` folds the task
+/// states together in task order.
 ///
-/// Parallelism: stable sources replay their zero-copy chunks sharded into
-/// contiguous task ranges; non-stable sources pull chunk copies
-/// sequentially and map batches of them concurrently onto persistent
-/// per-slot states. Either way, partial sums must be exact under
-/// reordering — every accumulation in this repository reduces
-/// integer-valued sums, so results are bit-identical at any job count.
+/// One loop serves every source. It pulls chunks in order into a batch and
+/// cuts each chunk's context from the rolling tail as the chunk is pulled.
+/// A stable source's batch is all of its chunks, as zero-copy spans; any
+/// other source's batch holds up to one copied chunk per task (with one
+/// task, nothing is copied). Contiguous ranges of the batch map onto
+/// min(tasks, batch size) task states in parallel. Each state is moved into
+/// a local on its task's thread while it maps: the states sit side by side
+/// in one vector, and mapping them in place would share cache lines across
+/// threads. Every accumulation in this repository reduces integer-valued
+/// sums, so results are bit-identical at any job count.
 ///
-/// Cancellation: the global CancellationToken is polled at every chunk
-/// boundary on all three execution paths, so a deadline or SIGINT/SIGTERM
-/// interrupts a billion-access replay within one chunk (~64Ki accesses).
-/// The resulting CancelledError unwinds through parallel_map like any
-/// worker exception; partial state is discarded by the caller.
+/// Cancellation: the global CancellationToken is polled before every chunk
+/// is mapped, so a deadline or SIGINT/SIGTERM interrupts a billion-access
+/// replay within one chunk (~64Ki accesses). The resulting CancelledError
+/// unwinds through parallel_for like any worker exception; partial state
+/// is discarded by the caller.
 template <typename MakeState, typename MapChunk, typename Merge>
 auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_t jobs,
                        const MakeState& make_state, const MapChunk& map_chunk,
                        const Merge& merge) {
     using State = std::invoke_result_t<MakeState>;
     source.reset();
-    std::size_t tasks = stream_detail::stream_task_count(source.size(), jobs);
-
-    if (source.stable_chunks() && tasks > 1) {
-        std::vector<TraceChunk> chunks;
-        TraceChunk c;
-        while (source.next(c)) {
-            if (!c.empty()) chunks.push_back(c);
-        }
-        tasks = std::min(tasks, chunks.size());
-        if (tasks > 1) {
-            std::vector<std::size_t> ids(tasks);
-            for (std::size_t s = 0; s < tasks; ++s) ids[s] = s;
-            std::vector<State> parts = parallel_map(
-                ids,
-                [&](std::size_t s) {
-                    State state = make_state();
-                    const std::size_t begin = chunks.size() * s / tasks;
-                    const std::size_t end = chunks.size() * (s + 1) / tasks;
-                    for (std::size_t k = begin; k < end; ++k) {
-                        CancellationToken::global().check();
-                        const std::vector<std::uint64_t> ctx =
-                            stream_detail::gather_context(chunks, k, context_size);
-                        map_chunk(state, chunks[k], std::span<const std::uint64_t>(ctx));
-                    }
-                    return state;
-                },
-                jobs);
-            State out = std::move(parts.front());
-            for (std::size_t s = 1; s < parts.size(); ++s) merge(out, parts[s]);
-            return out;
-        }
-        State state = make_state();
-        for (std::size_t k = 0; k < chunks.size(); ++k) {
-            CancellationToken::global().check();
-            const std::vector<std::uint64_t> ctx =
-                stream_detail::gather_context(chunks, k, context_size);
-            map_chunk(state, chunks[k], std::span<const std::uint64_t>(ctx));
-        }
-        return state;
-    }
-
-    if (tasks <= 1) {
-        State state = make_state();
-        std::vector<std::uint64_t> tail;
-        TraceChunk c;
-        while (source.next(c)) {
-            CancellationToken::global().check();
-            if (c.empty()) continue;
-            map_chunk(state, c, std::span<const std::uint64_t>(tail));
-            stream_detail::update_tail(tail, c.addrs, context_size);
-        }
-        return state;
-    }
-
-    // Non-stable parallel path: per-slot persistent states; each batch
-    // pulls up to `tasks` chunk copies (sequential, preserving context
-    // tails across batches) and maps them concurrently.
-    std::vector<State> states;
-    states.reserve(tasks);
-    for (std::size_t s = 0; s < tasks; ++s) states.push_back(make_state());
-    std::vector<ChunkBuffer> buffers(tasks);
-    std::vector<std::vector<std::uint64_t>> contexts(tasks);
+    const std::size_t tasks = stream_detail::stream_task_count(source.size(), jobs);
+    const bool stable = source.stable_chunks();
+    std::vector<ChunkBuffer> buffers(stable || tasks == 1 ? 0 : tasks);
+    std::vector<TraceChunk> batch;
+    std::vector<std::vector<std::uint64_t>> contexts;
     std::vector<std::uint64_t> tail;
+    std::vector<std::optional<State>> states;
     bool more = true;
     while (more) {
-        std::size_t filled = 0;
+        batch.clear();
+        contexts.clear();
         TraceChunk c;
-        while (filled < tasks && (more = source.next(c))) {
-            CancellationToken::global().check();
+        while ((stable || batch.size() < tasks) && (more = source.next(c))) {
             if (c.empty()) continue;
-            buffers[filled].assign(c);
-            contexts[filled] = tail;
+            if (!buffers.empty()) {
+                buffers[batch.size()].assign(c);
+                c = buffers[batch.size()].view();
+            }
+            contexts.push_back(tail);
             stream_detail::update_tail(tail, c.addrs, context_size);
-            ++filled;
+            batch.push_back(c);
         }
-        if (filled == 0) break;
-        std::vector<std::size_t> ids(filled);
-        for (std::size_t s = 0; s < filled; ++s) ids[s] = s;
-        parallel_map(
-            ids,
+        if (batch.empty()) break;
+        const std::size_t parts = std::min(tasks, batch.size());
+        if (states.size() < parts) states.resize(parts);
+        parallel_for(
+            parts,
             [&](std::size_t s) {
-                map_chunk(states[s], buffers[s].view(),
-                          std::span<const std::uint64_t>(contexts[s]));
-                return 0;
+                std::optional<State> state = std::move(states[s]);
+                if (!state) state.emplace(make_state());
+                for (std::size_t k = batch.size() * s / parts; k < batch.size() * (s + 1) / parts;
+                     ++k) {
+                    CancellationToken::global().check();
+                    map_chunk(*state, batch[k], std::span<const std::uint64_t>(contexts[k]));
+                }
+                states[s] = std::move(state);
             },
             jobs);
     }
-    State out = std::move(states.front());
-    for (std::size_t s = 1; s < states.size(); ++s) merge(out, states[s]);
+    if (states.empty()) return make_state();
+    State out = std::move(*states.front());
+    for (std::size_t s = 1; s < states.size(); ++s) merge(out, *states[s]);
     return out;
 }
 

@@ -11,12 +11,10 @@
 // only, the bank-activity replay reads addr+cycle+kind — stream exactly those
 // bytes instead of striding over 24-byte structs, which is what keeps the
 // trace pipeline memory-bandwidth-friendly on multi-million-access traces.
-// `accesses()` provides an AoS-compatible view for call sites that want
-// whole records.
+// `at(i)` materializes one whole record.
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <vector>
 
@@ -38,65 +36,6 @@ struct MemAccess {
     std::uint32_t value = 0;
     std::uint8_t size = 4;
     AccessKind kind = AccessKind::Read;
-};
-
-class MemTrace;
-
-/// Random-access AoS-style view over a MemTrace: indexing and iteration
-/// materialize MemAccess records on the fly from the trace's columns.
-/// Cheap to copy (one pointer); valid as long as the trace is alive and
-/// unmodified.
-class AccessView {
-public:
-    class iterator {
-    public:
-        using iterator_category = std::random_access_iterator_tag;
-        using value_type = MemAccess;
-        using difference_type = std::ptrdiff_t;
-        using pointer = const MemAccess*;
-        using reference = MemAccess;  // materialized by value
-
-        iterator() = default;
-        iterator(const MemTrace* trace, std::size_t i) : trace_(trace), i_(i) {}
-
-        MemAccess operator*() const;
-        MemAccess operator[](difference_type d) const;
-        iterator& operator++() { ++i_; return *this; }
-        iterator operator++(int) { iterator t = *this; ++i_; return t; }
-        iterator& operator--() { --i_; return *this; }
-        iterator operator--(int) { iterator t = *this; --i_; return t; }
-        iterator& operator+=(difference_type d) { i_ += static_cast<std::size_t>(d); return *this; }
-        iterator& operator-=(difference_type d) { i_ -= static_cast<std::size_t>(d); return *this; }
-        friend iterator operator+(iterator it, difference_type d) { return it += d; }
-        friend iterator operator+(difference_type d, iterator it) { return it += d; }
-        friend iterator operator-(iterator it, difference_type d) { return it -= d; }
-        friend difference_type operator-(const iterator& a, const iterator& b) {
-            return static_cast<difference_type>(a.i_) - static_cast<difference_type>(b.i_);
-        }
-        friend bool operator==(const iterator& a, const iterator& b) { return a.i_ == b.i_; }
-        friend bool operator!=(const iterator& a, const iterator& b) { return a.i_ != b.i_; }
-        friend bool operator<(const iterator& a, const iterator& b) { return a.i_ < b.i_; }
-        friend bool operator<=(const iterator& a, const iterator& b) { return a.i_ <= b.i_; }
-        friend bool operator>(const iterator& a, const iterator& b) { return a.i_ > b.i_; }
-        friend bool operator>=(const iterator& a, const iterator& b) { return a.i_ >= b.i_; }
-
-    private:
-        const MemTrace* trace_ = nullptr;
-        std::size_t i_ = 0;
-    };
-
-    explicit AccessView(const MemTrace* trace) : trace_(trace) {}
-
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
-    MemAccess operator[](std::size_t i) const;
-    MemAccess front() const { return (*this)[0]; }
-    MemAccess back() const { return (*this)[size() - 1]; }
-    iterator begin() const { return iterator(trace_, 0); }
-    iterator end() const { return iterator(trace_, size()); }
-
-private:
-    const MemTrace* trace_;
 };
 
 /// An ordered sequence of memory accesses plus cheap summary statistics,
@@ -122,9 +61,6 @@ public:
                                  std::vector<std::uint32_t> values,
                                  std::vector<std::uint8_t> sizes,
                                  std::vector<AccessKind> kinds);
-
-    /// All accesses in program order (AoS-compatible materializing view).
-    AccessView accesses() const { return AccessView(this); }
 
     /// Contiguous column views — the fast path for replay loops.
     std::span<const std::uint64_t> addrs() const { return addrs_; }
@@ -169,13 +105,6 @@ private:
     std::uint64_t min_addr_ = 0;
     std::uint64_t max_addr_ = 0;
 };
-
-inline MemAccess AccessView::iterator::operator*() const { return trace_->at(i_); }
-inline MemAccess AccessView::iterator::operator[](difference_type d) const {
-    return trace_->at(i_ + static_cast<std::size_t>(d));
-}
-inline std::size_t AccessView::size() const { return trace_->size(); }
-inline MemAccess AccessView::operator[](std::size_t i) const { return trace_->at(i); }
 
 /// Round `v` up to the next power of two (v=0 -> 1).
 std::uint64_t ceil_pow2(std::uint64_t v);

@@ -33,8 +33,6 @@ public:
         if (r.writeback_line) l2_access(*r.writeback_line, AccessKind::Write);
         // An L1 fill becomes an L2 read of the missing line.
         if (r.fill_line) l2_access(*r.fill_line, AccessKind::Read);
-        // Write-through traffic from L1 goes into L2 as a word write.
-        if (r.write_through_addr) l2_access(*r.write_through_addr, AccessKind::Write);
     }
 
     /// Replay a whole chunked trace stream through the hierarchy (does not
@@ -71,7 +69,6 @@ private:
         const CacheAccessResult r = l2_.access(addr, kind);
         if (r.fill_line) ++traffic_.line_fetches;
         if (r.writeback_line) ++traffic_.line_writes;
-        if (r.write_through_addr) ++traffic_.word_writes;
     }
 
     CacheModel l1_;

@@ -4,14 +4,17 @@
 // build_profile_and_affinity, and the heap-driven greedy chain in
 // affinity_clustering. Each kernel is compared exactly against a short,
 // obviously-correct reference over the synthetic trace families, block
-// counts on both sides of the dense/CSR threshold, and job counts that do
-// and do not shard the replay.
+// counts on both sides of the accumulator's dense/hash-table threshold,
+// stable and non-stable sources, and job counts that do and do not shard
+// the replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,6 +23,7 @@
 #include "cluster/affinity_cluster.hpp"
 #include "support/assert.hpp"
 #include "trace/source.hpp"
+#include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
@@ -122,16 +126,34 @@ AddressMap affinity_chain(const BlockProfile& profile, const AffinityMatrix& aff
 
 constexpr std::uint64_t kBlock = 256;
 constexpr std::size_t kWindow = 4;
-// Two shards at --jobs 8: the replay splits only from 2 * 64Ki accesses.
+// Two tasks at --jobs 8: the replay splits only from 2 * 64Ki accesses.
 constexpr std::size_t kShardedAccesses = 140000;
 constexpr std::size_t kChunk = 4096;
 constexpr std::size_t kBlockCounts[] = {64, kAffinityDenseMaxBlocks, kAffinityDenseMaxBlocks + 1,
                                         16384};
-constexpr std::size_t kJobs[] = {1, 8};
+
+/// A trace length, the block counts and job counts it is replayed at, and
+/// whether a compressed .mtsc copy joins the sources.
+struct Replay {
+    std::size_t accesses;
+    std::span<const std::size_t> blocks;
+    std::vector<std::size_t> jobs;
+    bool compressed;
+};
+// 140000 accesses: serial, and two tasks over 35 chunks, on both sides of
+// the accumulator's dense/hash-table threshold. 200000 accesses at
+// --jobs 3: three tasks over 49 chunks, so a non-stable source's last batch
+// holds one chunk; one small block count keeps the reference and the
+// compressed write cheap.
+constexpr std::size_t kSmallBlockCount[] = {64};
+const Replay kReplays[] = {
+    {kShardedAccesses, kBlockCounts, {1, 8}, false},
+    {200000, kSmallBlockCount, {3}, true},
+};
 
 /// A trace of `kind` whose addresses fall in the first bit_floor(blocks)
 /// blocks, so a profile of `blocks` blocks covers it (1025 blocks leaves
-/// one block cold but still selects the CSR representation).
+/// one block cold but still selects the accumulator's hash table).
 SyntheticSpec spec_for(SyntheticKind kind, std::size_t blocks, std::size_t accesses) {
     SyntheticSpec spec;
     spec.kind = kind;
@@ -177,11 +199,10 @@ ExpectedMatrix expected_matrix(const PairCounts& counts, std::size_t n) {
     return e;
 }
 
-/// `m` must hold exactly `expected`, in the representation its size selects.
+/// `m` must hold exactly `expected`.
 void expect_matrix(const AffinityMatrix& m, const ExpectedMatrix& expected) {
     const std::size_t n = m.num_blocks();
     ASSERT_EQ(n, expected.rows.size());
-    ASSERT_EQ(m.is_sparse(), n > kAffinityDenseMaxBlocks);
     EXPECT_EQ(m.stored_pairs(), expected.pairs);
     EXPECT_EQ(m.total(), expected.total);
     std::vector<std::pair<std::size_t, double>> row;
@@ -201,34 +222,55 @@ std::vector<std::size_t> layout(const AddressMap& map) {
 
 class AffinityReference : public ::testing::TestWithParam<SyntheticKind> {};
 
-// Stable zero-copy chunks (MaterializedSource) and generated chunk copies
-// (SyntheticSource) take different sharding paths in stream_accumulate;
-// both must reproduce the reference counts at every job count.
+// Stable zero-copy chunks (MaterializedSource) and copied chunks
+// (SyntheticSource, and a compressed .mtsc read through the non-stable mmap
+// reader) batch differently in stream_accumulate; all of them must
+// reproduce the reference counts and profile at every job count.
 TEST_P(AffinityReference, PairCountsMatchStdMapReference) {
-    for (const std::size_t blocks : kBlockCounts) {
-        SCOPED_TRACE(testing::Message() << "blocks " << blocks);
-        const SyntheticSpec spec = spec_for(GetParam(), blocks, kShardedAccesses);
-        const MemTrace trace = materialize_synthetic(spec);
-        const BlockProfile profile = profile_of(trace, blocks);
-        const ExpectedMatrix windowed =
-            expected_matrix(reference::pair_counts(trace.addrs(), kBlock, kWindow), blocks);
-        const ExpectedMatrix transitions =
-            expected_matrix(reference::pair_counts(trace.addrs(), kBlock, 2), blocks);
-        for (const std::size_t jobs : kJobs) {
-            SCOPED_TRACE(testing::Message() << "jobs " << jobs);
-            MaterializedSource stable(trace, kChunk);
-            SyntheticSource generated(spec, kChunk);
-            for (TraceSource* source : {static_cast<TraceSource*>(&stable),
-                                        static_cast<TraceSource*>(&generated)}) {
-                expect_matrix(windowed_affinity(*source, profile, kWindow, jobs), windowed);
-                expect_matrix(windowed_affinity(*source, profile, 2, jobs), transitions);
+    const std::string packed = ::testing::TempDir() + "affinity_ref_" +
+                               synthetic_kind_name(GetParam()) + "_z.mtsc";
+    for (const Replay& replay : kReplays) {
+        for (const std::size_t blocks : replay.blocks) {
+            SCOPED_TRACE(testing::Message() << replay.accesses << " accesses, blocks " << blocks);
+            const SyntheticSpec spec = spec_for(GetParam(), blocks, replay.accesses);
+            const MemTrace trace = materialize_synthetic(spec);
+            const BlockProfile profile = profile_of(trace, blocks);
+            const ExpectedMatrix windowed =
+                expected_matrix(reference::pair_counts(trace.addrs(), kBlock, kWindow), blocks);
+            const ExpectedMatrix transitions =
+                expected_matrix(reference::pair_counts(trace.addrs(), kBlock, 2), blocks);
+            if (replay.compressed) {
+                MaterializedSource source(trace);
+                write_trace_stream(packed, source, {.chunk_accesses = kChunk, .compress = true});
             }
-            if (!std::has_single_bit(blocks)) continue;  // the fused builder sizes by span
-            const ProfileAffinity fused = build_profile_and_affinity(stable, kBlock, kWindow, jobs);
-            ASSERT_EQ(fused.profile.num_blocks(), blocks);
-            expect_matrix(fused.affinity, windowed);
+            for (const std::size_t jobs : replay.jobs) {
+                SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+                MaterializedSource stable(trace, kChunk);
+                SyntheticSource generated(spec, kChunk);
+                std::vector<TraceSource*> sources = {&stable, &generated};
+                std::optional<MmapBinarySource> compressed;
+                if (replay.compressed) {
+                    compressed.emplace(packed);
+                    ASSERT_FALSE(compressed->stable_chunks());
+                    sources.push_back(&*compressed);
+                }
+                for (TraceSource* source : sources) {
+                    expect_matrix(windowed_affinity(*source, profile, kWindow, jobs), windowed);
+                    expect_matrix(windowed_affinity(*source, profile, 2, jobs), transitions);
+                    if (!std::has_single_bit(blocks)) continue;  // the fused builder sizes by span
+                    const ProfileAffinity fused =
+                        build_profile_and_affinity(*source, kBlock, kWindow, jobs);
+                    ASSERT_EQ(fused.profile.num_blocks(), blocks);
+                    for (std::size_t b = 0; b < blocks; ++b) {
+                        ASSERT_EQ(fused.profile.counts(b).reads, profile.counts(b).reads) << b;
+                        ASSERT_EQ(fused.profile.counts(b).writes, profile.counts(b).writes) << b;
+                    }
+                    expect_matrix(fused.affinity, windowed);
+                }
+            }
         }
     }
+    std::remove(packed.c_str());
 }
 
 // The heap chain must pick the same block as the linear argmax at every
@@ -271,8 +313,7 @@ INSTANTIATE_TEST_SUITE_P(Families, AffinityReference,
                              return name;
                          });
 
-/// An n-block matrix holding `pairs` (each co-accessed `count` times):
-/// dense up to kAffinityDenseMaxBlocks, CSR above.
+/// An n-block matrix holding `pairs` (each co-accessed `count` times).
 AffinityMatrix matrix_of(std::size_t n,
                          const std::vector<std::pair<std::pair<std::size_t, std::size_t>,
                                                      std::uint64_t>>& pairs) {
@@ -295,7 +336,6 @@ TEST(AffinityChainTies, EqualHeatsWithoutAffinityChainInAscendingOrder) {
             if (std::find(hot.begin(), hot.end(), b) == hot.end()) order.push_back(b);
 
         const AffinityMatrix none = matrix_of(n, {});
-        ASSERT_EQ(none.is_sparse(), n > kAffinityDenseMaxBlocks);
         for (const double weight : {0.0, 0.25, 4.0}) {
             for (const std::size_t tail : {std::size_t{1}, std::size_t{8}}) {
                 const AffinityClusterParams params{.frequency_weight = weight, .tail_window = tail};

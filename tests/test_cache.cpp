@@ -6,7 +6,6 @@
 #include "cache/cache.hpp"
 #include "cache_hierarchy.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 #include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
@@ -93,23 +92,6 @@ TEST(Cache, LruReplacementOrder) {
     EXPECT_TRUE(c.contains(0x40));
 }
 
-TEST(Cache, WriteThroughNoAllocate) {
-    CacheConfig cfg = small_cache();
-    cfg.write_policy = WritePolicy::WriteThroughNoAllocate;
-    CacheModel c(cfg);
-    const auto w = c.access(0x100, AccessKind::Write);
-    EXPECT_FALSE(w.hit);
-    EXPECT_FALSE(w.fill_line.has_value());  // no allocation on write miss
-    ASSERT_TRUE(w.write_through_addr.has_value());
-    EXPECT_FALSE(c.contains(0x100));
-    // Read-allocate, then a write hit still writes through and stays clean.
-    c.access(0x100, AccessKind::Read);
-    const auto w2 = c.access(0x100, AccessKind::Write);
-    EXPECT_TRUE(w2.hit);
-    EXPECT_TRUE(w2.write_through_addr.has_value());
-    EXPECT_TRUE(c.flush().empty());  // nothing dirty
-}
-
 TEST(Cache, FlushWritesAllDirtyLinesOnce) {
     CacheModel c(small_cache(2, 16, 128));
     c.access(0x00, AccessKind::Write);
@@ -133,7 +115,7 @@ TEST(Cache, StatsAreConsistent) {
     CacheModel c(small_cache(2, 32, 1024));
     const MemTrace trace = uniform_trace({.span_bytes = 8192, .num_accesses = 5000,
                                           .write_fraction = 0.4, .seed = 3});
-    for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
+    for (std::size_t i = 0; i < trace.size(); ++i) c.access(trace.addrs()[i], trace.kinds()[i]);
     const CacheStats& s = c.stats();
     EXPECT_EQ(s.accesses(), 5000u);
     EXPECT_EQ(s.fills, s.read_misses + s.write_misses);  // write-allocate
@@ -160,98 +142,14 @@ TEST_P(LruInclusion, BiggerFullyAssociativeCacheNeverWorse) {
         cfg.line_bytes = 16;
         cfg.associativity = static_cast<unsigned>(size / 16);  // fully associative
         CacheModel c(cfg);
-        for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            c.access(trace.addrs()[i], trace.kinds()[i]);
         EXPECT_LE(c.stats().misses(), prev_misses) << "size=" << size;
         prev_misses = c.stats().misses();
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruInclusion, ::testing::Values(1, 2, 3, 4, 5));
-
-// ---------------------------------------------------------- replacement ----
-
-TEST(Replacement, FifoIgnoresTouchRefresh) {
-    // Classic LRU/FIFO distinguishing sequence in one 2-way set:
-    // fill A, fill B, touch A, fill C.
-    //   LRU evicts B (A was refreshed); FIFO evicts A (oldest fill).
-    CacheConfig lru_cfg = small_cache(2, 16, 64);
-    CacheConfig fifo_cfg = lru_cfg;
-    fifo_cfg.replacement = Replacement::Fifo;
-
-    for (const bool fifo : {false, true}) {
-        CacheModel c(fifo ? fifo_cfg : lru_cfg);
-        c.access(0x00, AccessKind::Read);  // A
-        c.access(0x20, AccessKind::Read);  // B (same set: 2 sets, stride 32)
-        c.access(0x00, AccessKind::Read);  // touch A
-        c.access(0x40, AccessKind::Read);  // C evicts ...
-        if (fifo) {
-            EXPECT_FALSE(c.contains(0x00)) << "FIFO must evict the oldest fill";
-            EXPECT_TRUE(c.contains(0x20));
-        } else {
-            EXPECT_TRUE(c.contains(0x00)) << "LRU must keep the refreshed line";
-            EXPECT_FALSE(c.contains(0x20));
-        }
-    }
-}
-
-TEST(Replacement, RandomIsDeterministicAcrossRuns) {
-    CacheConfig cfg = small_cache(4, 16, 512);
-    cfg.replacement = Replacement::Random;
-    const MemTrace trace = uniform_trace({.span_bytes = 8192, .num_accesses = 5000,
-                                          .write_fraction = 0.3, .seed = 12});
-    auto run = [&]() {
-        CacheModel c(cfg);
-        for (const MemAccess& a : trace.accesses()) c.access(a.addr, a.kind);
-        return c.stats().misses();
-    };
-    EXPECT_EQ(run(), run());
-}
-
-TEST(Replacement, RandomReplayAfterResetMatchesFreshModel) {
-    // Regression: reset() used to clear the arrays but not reseed the
-    // xorshift state, so a replay after reset() drew a different victim
-    // sequence than a fresh model — reset() was not the documented full
-    // rewind. The per-access hit pattern is the sensitive observable.
-    CacheConfig cfg = small_cache(4, 16, 512);
-    cfg.replacement = Replacement::Random;
-    const MemTrace trace = uniform_trace({.span_bytes = 8192, .num_accesses = 5000,
-                                          .write_fraction = 0.3, .seed = 21});
-    auto hit_pattern = [&](CacheModel& c) {
-        std::vector<bool> hits;
-        hits.reserve(trace.size());
-        for (const MemAccess& a : trace.accesses()) hits.push_back(c.access(a.addr, a.kind).hit);
-        return hits;
-    };
-    CacheModel model(cfg);
-    const std::vector<bool> fresh = hit_pattern(model);
-    model.reset();
-    EXPECT_EQ(hit_pattern(model), fresh);
-    EXPECT_EQ(model.stats().misses(),
-              static_cast<std::uint64_t>(std::count(fresh.begin(), fresh.end(), false)));
-}
-
-TEST(Replacement, LruBeatsRandomOnReuseFriendlyWorkloads) {
-    // A hot working set that fits the cache plus uniform background noise:
-    // LRU protects the hot lines, random replacement occasionally evicts
-    // them. (On cyclic sweeps beyond capacity the ordering flips — that is
-    // the classic anti-LRU case, deliberately not used here.)
-    CacheConfig lru_cfg = small_cache(4, 16, 1024);
-    CacheConfig rnd_cfg = lru_cfg;
-    rnd_cfg.replacement = Replacement::Random;
-    const MemTrace trace = scattered_hotspot_trace({
-        .base = {.span_bytes = 32768, .num_accesses = 30000, .write_fraction = 0.2, .seed = 4},
-        .num_hotspots = 2,
-        .hotspot_bytes = 256,
-        .hot_fraction = 0.9,
-    });
-    CacheModel lru(lru_cfg);
-    CacheModel rnd(rnd_cfg);
-    for (const MemAccess& a : trace.accesses()) {
-        lru.access(a.addr, a.kind);
-        rnd.access(a.addr, a.kind);
-    }
-    EXPECT_LE(lru.stats().misses(), rnd.stats().misses());
-}
 
 // ----------------------------------------------------------- hierarchy ----
 
@@ -290,7 +188,7 @@ TEST(Hierarchy, TrafficConservation) {
     CacheHierarchy h(small_cache(2, 16, 512), small_cache(4, 32, 4096));
     const MemTrace trace = uniform_trace({.span_bytes = 32768, .num_accesses = 20000,
                                           .write_fraction = 0.3, .seed = 9});
-    for (const MemAccess& a : trace.accesses()) h.access(a.addr, a.kind);
+    for (std::size_t i = 0; i < trace.size(); ++i) h.access(trace.addrs()[i], trace.kinds()[i]);
     h.flush();
     // Everything that was fetched from memory was either still resident at
     // flush time or had been written back (clean evictions drop data, so

@@ -125,9 +125,9 @@ TEST(AffinityClustering, ColdBlocksLandAtTheTail) {
     BlockProfile p(256, 6);
     p.add_counts(1, 10, 0);
     p.add_counts(3, 20, 0);
-    AffinityMatrix aff(6);
-    aff.add(1, 3, 5.0);
-    const AddressMap map = affinity_clustering(p, aff);
+    AffinityAccumulator acc(6);
+    for (int i = 0; i < 5; ++i) acc.add(1, 3);
+    const AddressMap map = affinity_clustering(p, acc.finalize());
     EXPECT_LT(map.map_block(1), 2u);
     EXPECT_LT(map.map_block(3), 2u);
     EXPECT_GE(map.map_block(0), 2u);
@@ -141,9 +141,9 @@ TEST(AffinityClustering, GroupsCoAccessedBlocks) {
     p.add_counts(0, 100, 0);
     p.add_counts(9, 100, 0);
     p.add_counts(5, 100, 0);
-    AffinityMatrix aff(10);
-    aff.add(0, 9, 100.0);
-    const AddressMap map = affinity_clustering(p, aff);
+    AffinityAccumulator acc(10);
+    for (int i = 0; i < 100; ++i) acc.add(0, 9);
+    const AddressMap map = affinity_clustering(p, acc.finalize());
     const auto pos0 = map.map_block(0);
     const auto pos9 = map.map_block(9);
     const auto pos5 = map.map_block(5);

@@ -337,12 +337,6 @@ TEST(Memsys, EndToEndRoundTripInvariantHoldsOnAllKernels) {
     }
 }
 
-TEST(Memsys, RequiresWriteBackCache) {
-    CompressedMemConfig cfg = vliw_platform().config;
-    cfg.cache.write_policy = WritePolicy::WriteThroughNoAllocate;
-    EXPECT_THROW(CompressedMemorySim(cfg, nullptr), Error);
-}
-
 TEST(Memsys, EmptyTraceRejected) {
     CompressedMemorySim sim(vliw_platform().config, nullptr);
     const MemTrace empty;

@@ -176,7 +176,7 @@ TEST_P(HybridReplayReference, LazySettlementMatchesEagerReplay) {
         gatings.emplace_back("idle " + std::to_string(idle), g);
     }
 
-    const std::uint64_t span = trace.accesses().back().cycle + 1;
+    const std::uint64_t span = trace.cycles().back() + 1;
     for (const auto& [map_name, map] : maps) {
         for (const std::size_t banks : {1u, 3u, 8u}) {
             const MemoryArchitecture arch = even_split(num_blocks, banks);

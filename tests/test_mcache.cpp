@@ -283,9 +283,6 @@ TEST(MultiCore, RejectsInvalidConfigs) {
     cfg.l2_bank.line_bytes = 64;  // directory blocks must match the L1 line
     EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
     cfg = tiny_config(2);
-    cfg.l1.write_policy = WritePolicy::WriteThroughNoAllocate;
-    EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
-    cfg = tiny_config(2);
     cfg.cores = 0;
     EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
 }

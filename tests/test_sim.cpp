@@ -301,12 +301,13 @@ TEST(CpuExec, DataTraceRecordsValuesAndKinds) {
 buf:    .word 0
 )");
     ASSERT_EQ(r.data_trace.size(), 2u);
-    const auto accesses = r.data_trace.accesses();
-    EXPECT_EQ(accesses[0].kind, AccessKind::Write);
-    EXPECT_EQ(accesses[0].value, 77u);
-    EXPECT_EQ(accesses[1].kind, AccessKind::Read);
-    EXPECT_EQ(accesses[1].value, 77u);
-    EXPECT_EQ(accesses[0].addr, accesses[1].addr);
+    const MemAccess store = r.data_trace.at(0);
+    const MemAccess load = r.data_trace.at(1);
+    EXPECT_EQ(store.kind, AccessKind::Write);
+    EXPECT_EQ(store.value, 77u);
+    EXPECT_EQ(load.kind, AccessKind::Read);
+    EXPECT_EQ(load.value, 77u);
+    EXPECT_EQ(store.addr, load.addr);
 }
 
 TEST(CpuExec, FetchStreamMatchesExecutedWords) {

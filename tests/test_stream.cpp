@@ -210,14 +210,13 @@ TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
 }
 
 TEST(StreamEquivalenceTest, SparseAffinityMatchesOnLargeSpans) {
-    // > 1024 blocks at 256 B forces the CSR representation.
+    // > 1024 blocks at 256 B counts pairs in the accumulator's hash table.
     const SyntheticSpec spec = parse_synthetic_spec("uniform,span=1048576,n=150000,seed=21");
     const MemTrace trace = materialize_synthetic(spec);
     MaterializedSource reference(trace);  // default chunking
     const BlockProfile profile = BlockProfile::from_source(reference, 256, 1);
     ASSERT_GT(profile.num_blocks(), kAffinityDenseMaxBlocks);
     const AffinityMatrix expected = windowed_affinity(reference, profile, 8, 1);
-    ASSERT_TRUE(expected.is_sparse());
     SyntheticSource source(spec, 10000);
     expect_matrices_equal(windowed_affinity(source, profile, 8, 8), expected);
 }

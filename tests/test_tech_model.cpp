@@ -173,7 +173,7 @@ TEST(HybridGating, ResidencyIsConsistent) {
     gating.idle_cycles = 200;
     const auto activity = replay_bank_activity(arch, map, source, gating);
 
-    const std::uint64_t end = trace.accesses().back().cycle + 1;
+    const std::uint64_t end = trace.cycles().back() + 1;
     std::uint64_t accesses = 0;
     for (const BankActivity& a : activity) {
         EXPECT_EQ(a.total_cycles(), end);  // active + gated partition the run
@@ -301,7 +301,7 @@ TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {2, 5});
     const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
     PartitionEnergyParams params;
-    params.runtime_cycles = trace.accesses().back().cycle + 1;
+    params.runtime_cycles = trace.cycles().back() + 1;
 
     HybridGatingParams off;
     off.enabled = false;
@@ -324,7 +324,7 @@ TEST(HybridAssignment, RespectsPoolCountsAndPrefersCheapTech) {
     FlowParams fp;
     fp.block_size = 1024;
     fp.constraints.max_banks = 8;
-    fp.energy.runtime_cycles = trace.accesses().back().cycle + 1;
+    fp.energy.runtime_cycles = trace.cycles().back() + 1;
     const MemoryOptimizationFlow flow(fp);
 
     const BankPool pool = BankPool::parse("sram=1,sttmram=7");
@@ -349,7 +349,7 @@ TEST(HybridAssignment, FreeMixNeverLosesToHomogeneous) {
     FlowParams fp;
     fp.block_size = 1024;
     fp.constraints.max_banks = 6;
-    fp.energy.runtime_cycles = trace.accesses().back().cycle + 1;
+    fp.energy.runtime_cycles = trace.cycles().back() + 1;
     const MemoryOptimizationFlow flow(fp);
 
     MaterializedSource source(trace);
@@ -386,7 +386,7 @@ TEST(HybridDeterminism, BackToBackPoolEvaluationsAreIndependent) {
     FlowParams fp;
     fp.block_size = 1024;
     fp.constraints.max_banks = 6;
-    fp.energy.runtime_cycles = trace.accesses().back().cycle + 1;
+    fp.energy.runtime_cycles = trace.cycles().back() + 1;
     const MemoryOptimizationFlow flow(fp);
 
     MaterializedSource shared(trace);

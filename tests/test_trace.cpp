@@ -198,15 +198,6 @@ TEST(Affinity, WindowValidation) {
     EXPECT_THROW(windowed_affinity(src, p, 1), Error);
 }
 
-TEST(Affinity, SetQueryAndSymmetry) {
-    AffinityMatrix m(4);
-    m.add(1, 3, 2.5);
-    m.add(3, 1, 0.5);
-    EXPECT_DOUBLE_EQ(m.at(1, 3), 3.0);
-    EXPECT_DOUBLE_EQ(m.affinity_to_set(1, {0, 3}), 3.0);
-    EXPECT_THROW(m.at(4, 0), Error);
-}
-
 // ---------------------------------------------------------- synthetic ----
 
 TEST(Synthetic, DeterministicBySeed) {
@@ -216,7 +207,7 @@ TEST(Synthetic, DeterministicBySeed) {
     const MemTrace b = uniform_trace(p);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a.accesses()[i].addr, b.accesses()[i].addr);
+        EXPECT_EQ(a.at(i).addr, b.at(i).addr);
 }
 
 TEST(Synthetic, UniformStaysInSpan) {
@@ -255,9 +246,9 @@ TEST(Synthetic, StridedWrapsAround) {
     sp.base.num_accesses = 600;
     sp.stride = 4;
     const MemTrace t = strided_trace(sp);
-    EXPECT_EQ(t.accesses()[0].addr, 0u);
-    EXPECT_EQ(t.accesses()[255].addr, 1020u);
-    EXPECT_EQ(t.accesses()[256].addr, 0u);  // wrapped
+    EXPECT_EQ(t.at(0).addr, 0u);
+    EXPECT_EQ(t.at(255).addr, 1020u);
+    EXPECT_EQ(t.at(256).addr, 0u);  // wrapped
 }
 
 TEST(Synthetic, TwoPhaseUsesDisjointHalves) {
@@ -265,8 +256,8 @@ TEST(Synthetic, TwoPhaseUsesDisjointHalves) {
     p.span_bytes = 8192;
     p.num_accesses = 1000;
     const MemTrace t = two_phase_trace(p);
-    for (std::size_t i = 0; i < 500; ++i) EXPECT_LT(t.accesses()[i].addr, 4096u);
-    for (std::size_t i = 500; i < 1000; ++i) EXPECT_GE(t.accesses()[i].addr, 4096u);
+    for (std::size_t i = 0; i < 500; ++i) EXPECT_LT(t.at(i).addr, 4096u);
+    for (std::size_t i = 500; i < 1000; ++i) EXPECT_GE(t.at(i).addr, 4096u);
 }
 
 TEST(Synthetic, SmoothWordStreamHasBoundedDeltas) {
@@ -294,11 +285,13 @@ MemTrace sample_trace() {
 void expect_traces_equal(const MemTrace& a, const MemTrace& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.accesses()[i].addr, b.accesses()[i].addr) << i;
-        EXPECT_EQ(a.accesses()[i].cycle, b.accesses()[i].cycle) << i;
-        EXPECT_EQ(a.accesses()[i].value, b.accesses()[i].value) << i;
-        EXPECT_EQ(a.accesses()[i].size, b.accesses()[i].size) << i;
-        EXPECT_EQ(a.accesses()[i].kind, b.accesses()[i].kind) << i;
+        const MemAccess x = a.at(i);
+        const MemAccess y = b.at(i);
+        EXPECT_EQ(x.addr, y.addr) << i;
+        EXPECT_EQ(x.cycle, y.cycle) << i;
+        EXPECT_EQ(x.value, y.value) << i;
+        EXPECT_EQ(x.size, y.size) << i;
+        EXPECT_EQ(x.kind, y.kind) << i;
     }
 }
 
@@ -314,9 +307,9 @@ TEST(TraceIo, TextAcceptsShortRecordsAndComments) {
     std::stringstream ss("# header\nR 0x100\nW 0x104 2\nR 0x108 4 99  # inline\n");
     const MemTrace t = read_trace_text(ss);
     ASSERT_EQ(t.size(), 3u);
-    EXPECT_EQ(t.accesses()[0].size, 4u);
-    EXPECT_EQ(t.accesses()[1].size, 2u);
-    EXPECT_EQ(t.accesses()[2].cycle, 99u);
+    EXPECT_EQ(t.at(0).size, 4u);
+    EXPECT_EQ(t.at(1).size, 2u);
+    EXPECT_EQ(t.at(2).cycle, 99u);
 }
 
 TEST(TraceIo, TextRejectsMalformedRecords) {
@@ -438,9 +431,9 @@ TEST(Symbolize, AccountsEveryAccessExactlyOnce) {
 
 // -------------------------------------------------- SoA column layout ----
 
-// The columnar storage and the materializing AccessView must describe the
-// same trace: every row assembled from the column spans equals the
-// MemAccess the view (the old AoS interface) hands out.
+// The columnar storage and the materializing at(i) must describe the same
+// trace: every row assembled from the column spans equals the MemAccess
+// at(i) hands out.
 TEST(SoaLayout, ColumnsAgreeWithAccessView) {
     const MemTrace t = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
                                       .write_fraction = 0.4, .seed = 9});
@@ -455,13 +448,12 @@ TEST(SoaLayout, ColumnsAgreeWithAccessView) {
     ASSERT_EQ(sizes.size(), t.size());
     ASSERT_EQ(kinds.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
-        const MemAccess a = t.accesses()[i];
+        const MemAccess a = t.at(i);
         EXPECT_EQ(a.addr, addrs[i]) << i;
         EXPECT_EQ(a.cycle, cycles[i]) << i;
         EXPECT_EQ(a.value, values[i]) << i;
         EXPECT_EQ(a.size, sizes[i]) << i;
         EXPECT_EQ(a.kind, kinds[i]) << i;
-        EXPECT_EQ(a.addr, t.at(i).addr) << i;
     }
 }
 
@@ -472,7 +464,7 @@ TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
     const MemTrace soa = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
                                         .write_fraction = 0.4, .seed = 10});
     MemTrace aos;
-    for (const MemAccess& a : soa.accesses()) aos.add(a);
+    for (std::size_t i = 0; i < soa.size(); ++i) aos.add(soa.at(i));
 
     std::stringstream text_soa, text_aos;
     MaterializedSource soa_src(soa);
@@ -564,49 +556,6 @@ TEST(ShardedReplay, FusedBuilderMatchesTwoPass) {
     }
 }
 
-// ------------------------------------------------- CSR affinity storage ----
-
-// Forcing the sparse representation (dense_max_blocks = 0) must reproduce
-// the dense matrix entry for entry, including neighbour iteration order.
-TEST(AffinityCsr, SparseMatchesDense) {
-    const MemTrace t = scattered_hotspot_trace({
-        .base = {.span_bytes = 64 * 256, .num_accesses = 50000, .write_fraction = 0.3,
-                 .seed = 23},
-        .num_hotspots = 4,
-        .hotspot_bytes = 512,
-        .hot_fraction = 0.8,
-    });
-    MaterializedSource src(t);
-    const BlockProfile p = BlockProfile::from_source(src, 256);
-    const auto addrs = t.addrs();
-
-    AffinityAccumulator acc_dense(p.num_blocks());
-    AffinityAccumulator acc_sparse(p.num_blocks());
-    for (std::size_t i = 1; i < t.size(); ++i) {
-        const std::size_t a = static_cast<std::size_t>(addrs[i - 1] / 256);
-        const std::size_t b = static_cast<std::size_t>(addrs[i] / 256);
-        acc_dense.add(a, b);
-        acc_sparse.add(a, b);
-    }
-    const AffinityMatrix dense = acc_dense.finalize();
-    const AffinityMatrix sparse = acc_sparse.finalize(0);
-    ASSERT_FALSE(dense.is_sparse());
-    ASSERT_TRUE(sparse.is_sparse());
-
-    ASSERT_EQ(dense.num_blocks(), sparse.num_blocks());
-    EXPECT_EQ(dense.total(), sparse.total());
-    EXPECT_EQ(dense.max_offdiagonal(), sparse.max_offdiagonal());
-    for (std::size_t a = 0; a < dense.num_blocks(); ++a) {
-        for (std::size_t b = 0; b < dense.num_blocks(); ++b) {
-            ASSERT_EQ(dense.at(a, b), sparse.at(a, b)) << a << "," << b;
-        }
-        std::vector<std::pair<std::size_t, double>> nd, ns;
-        dense.for_each_neighbor(a, [&](std::size_t b, double w) { nd.emplace_back(b, w); });
-        sparse.for_each_neighbor(a, [&](std::size_t b, double w) { ns.emplace_back(b, w); });
-        ASSERT_EQ(nd, ns) << "row " << a;
-    }
-}
-
 TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
     // Above kAffinityDenseMaxBlocks the accumulator counts (block, block)
     // pairs in a flat open-addressing table. Where a key lands depends on the
@@ -627,9 +576,8 @@ TEST(Affinity, SparseAccumulatorInvariantUnderInsertOrder) {
 
     const AffinityMatrix ma = fwd.finalize();
     const AffinityMatrix mb = rev.finalize();
-    ASSERT_TRUE(ma.is_sparse());
-    ASSERT_TRUE(mb.is_sparse());
     EXPECT_EQ(ma.stored_pairs(), mb.stored_pairs());
+    EXPECT_THROW(ma.at(n, 0), Error);
     EXPECT_EQ(ma.total(), mb.total());
     for (const auto& [a, b] : adds) {
         ASSERT_EQ(ma.at(a, b), mb.at(a, b)) << a << "," << b;
