@@ -60,7 +60,7 @@ int main() {
             config.protection = schemes[s];
             config.codec = storage.codec;
             config.line_bytes = 32;
-            const FaultCampaignResult r = run_campaign(config, corpus);
+            const FaultCampaignResult r = run_campaign(config, corpus).result;
             residuals[s] = r.residual_corruption_rate();
             if (schemes[s] == ProtectionScheme::Secded && r.corrected > 0)
                 secded_corrects = true;

@@ -16,10 +16,12 @@
 //                        [--codec diff|zero-run|bdi|dictionary]
 //   memopt_cli encode <kernel> [--gates N]
 //   memopt_cli schedule [--seed N]
-//   memopt_cli study <kernel>|all
+//   memopt_cli study <kernel>
+//   memopt_cli study all [--checkpoint PATH [--resume] [--checkpoint-every N]]
 //   memopt_cli fault <kernel> [--protection none|parity|secded]
 //                    [--codec none|diff|zero-run|bdi|dictionary]
 //                    [--rate R] [--trials N] [--seed S] [--drowsy F]
+//                    [--line BYTES]
 //                    [--checkpoint PATH [--resume] [--checkpoint-every N]]
 //
 // Exit codes: 0 = success, 1 = usage error (bad command line),
@@ -53,6 +55,8 @@
 // `--deadline-sec S` arms a cooperative watchdog that (together with
 // SIGINT/SIGTERM) stops the run at the next unit boundary, checkpoints,
 // reports `"partial": true`, and exits with code 3 (DESIGN.md §9).
+// --resume, --checkpoint-every and --ckpt-max-units (a deterministic stop
+// after N new units) need --checkpoint PATH.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -114,7 +118,7 @@ void usage_require(bool condition, const std::string& message) {
     if (!condition) throw UsageError(message);
 }
 
-/// Why a checkpointed command stopped early (exit code 3); main() records
+/// Why `fault` or `study all` stopped early (exit code 3); main() records
 /// it in the JSON envelope as "reason" next to "partial": true.
 std::string g_partial_reason;
 
@@ -125,8 +129,8 @@ bool json_metrics_enabled() {
     return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
-/// Minimal partial document for runs cancelled outside a checkpointed
-/// command (the staged envelope was discarded mid-value): same schema,
+/// Minimal partial document for runs cancelled outside the checkpointed
+/// driver (the staged envelope was discarded mid-value): same schema,
 /// "results": null, "partial": true. Written crash-safely like any
 /// final artifact.
 void write_partial_json(const std::string& path, const std::string& command,
@@ -259,7 +263,7 @@ int usage() {
               "  encode <kernel> [--gates N]\n"
               "  schedule [--seed N]\n"
               "  study <kernel>                         all optimizations, one report\n"
-              "  study all [--checkpoint PATH [--resume]]\n"
+              "  study all [--checkpoint PATH [--resume] [--checkpoint-every N]]\n"
               "                                         whole-suite study, in parallel\n"
               "  fault <kernel> [--protection none|parity|secded]\n"
               "            [--codec none|diff|zero-run|bdi|dictionary] [--rate R]\n"
@@ -282,7 +286,9 @@ int usage() {
               "  --checkpoint PATH / --resume           durable progress for fault and\n"
               "  --checkpoint-every N                   study all (memopt.ckpt.v1 file);\n"
               "                                         resumed runs are bit-identical to\n"
-              "                                         uninterrupted ones at any --jobs\n"
+              "                                         uninterrupted ones at any --jobs;\n"
+              "                                         --resume and --checkpoint-every\n"
+              "                                         need --checkpoint PATH\n"
               "exit codes:\n"
               "  0 success   1 usage error   2 data or environment error\n"
               "  3 interrupted by --deadline-sec or SIGINT/SIGTERM (partial results\n"
@@ -544,6 +550,42 @@ std::unique_ptr<LineCodec> make_codec(const std::string& command, const std::str
     throw UsageError(command + ": unknown codec '" + name + "'");
 }
 
+/// The durable-progress options of `fault` and `study all`. --resume,
+/// --checkpoint-every and --ckpt-max-units shape only a checkpointed run,
+/// so each of them without --checkpoint PATH is a usage error.
+CheckpointOptions checkpoint_options(const Args& args, const std::string& command,
+                                     std::size_t default_every) {
+    CheckpointOptions opts;
+    opts.path = args.get("checkpoint", "");
+    if (opts.path.empty()) {
+        for (const char* key : {"resume", "checkpoint-every", "ckpt-max-units"})
+            usage_require(args.options.count(key) == 0,
+                          command + ": --" + key + " requires --checkpoint PATH");
+        return opts;
+    }
+    opts.resume = args.options.count("resume") != 0;
+    opts.every = args.get_count<std::size_t>("checkpoint-every", default_every);
+    usage_require(opts.every > 0, command + ": --checkpoint-every expects a positive count");
+    opts.max_units_this_run = args.get_count<std::size_t>("ckpt-max-units", 0);
+    return opts;
+}
+
+/// Report a `fault` or `study all` run that stopped early: how far it got
+/// on stdout (with the resume hint when it was checkpointed), null results
+/// in the --json document, and exit code 3.
+int report_interrupted(const char* what, std::size_t done, std::size_t total,
+                       const char* units, const std::string& reason,
+                       const CheckpointOptions& checkpoint, JsonWriter* jw) {
+    std::printf("%s interrupted: %zu/%zu %s done (%s)\n", what, done, total, units,
+                reason.c_str());
+    if (!checkpoint.path.empty())
+        std::printf("(checkpoint -> %s; rerun with --resume to continue)\n",
+                    checkpoint.path.c_str());
+    if (jw != nullptr) jw->null();
+    g_partial_reason = reason;
+    return 3;
+}
+
 int cmd_compress(const Args& args, JsonWriter* jw) {
     usage_require(!args.positional.empty(), "compress: missing kernel name");
     const KernelRunPtr artifact = WorkloadRepository::instance().run(args.positional[0]);
@@ -628,6 +670,9 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     usage_require(config.trials > 0, "fault: --trials expects a positive count");
     usage_require(config.bit_flip_rate >= 0.0 && config.bit_flip_rate <= 1.0,
                   "fault: --rate expects a probability in [0,1]");
+    usage_require(config.line_bytes > 0 && config.line_bytes % 4 == 0,
+                  "fault: --line expects a positive multiple of 4");
+    const CheckpointOptions checkpoint = checkpoint_options(args, "fault", 16);
 
     const std::string prot_name = args.get("protection", "secded");
     if (prot_name == "none") config.protection = ProtectionScheme::None;
@@ -662,32 +707,11 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
                                           corpus.size(), config.line_bytes, run.cycles);
     }
 
-    FaultCampaignResult result;
-    const std::string ckpt_path = args.get("checkpoint", "");
-    if (!ckpt_path.empty()) {
-        CampaignCheckpointOptions copts;
-        copts.path = ckpt_path;
-        copts.resume = args.options.count("resume") != 0;
-        copts.every = args.get_count<std::size_t>("checkpoint-every", 16);
-        usage_require(copts.every > 0, "fault: --checkpoint-every expects a positive count");
-        copts.max_trials_this_run = args.get_count<std::size_t>("ckpt-max-units", 0);
-        const CampaignCheckpointOutcome outcome =
-            run_campaign_checkpointed(config, corpus, probs, copts);
-        if (!outcome.completed) {
-            std::printf("campaign interrupted: %zu/%zu trials done (%s)\n"
-                        "(checkpoint -> %s; rerun with --resume to continue)\n",
-                        outcome.trials_done, outcome.trials_total,
-                        outcome.stop_reason.c_str(), ckpt_path.c_str());
-            if (jw != nullptr) jw->null();
-            g_partial_reason = outcome.stop_reason;
-            return 3;
-        }
-        result = outcome.result;
-    } else {
-        usage_require(args.options.count("resume") == 0,
-                      "fault: --resume requires --checkpoint PATH");
-        result = run_campaign(config, corpus, probs);
-    }
+    const CampaignOutcome outcome = run_campaign(config, corpus, probs, checkpoint);
+    if (!outcome.completed)
+        return report_interrupted("campaign", outcome.trials_done, outcome.trials_total,
+                                  "trials", outcome.stop_reason, checkpoint, jw);
+    const FaultCampaignResult& result = outcome.result;
     std::printf("campaign        : %zu lines x %zu trials, %s codec, %s protection\n",
                 corpus.size(), config.trials, codec_name.c_str(),
                 protection_name(config.protection));
@@ -726,26 +750,14 @@ int cmd_study(const Args& args, JsonWriter* jw) {
     StudyParams params;
     params.flow.constraints.max_banks = 4;
 
-    const std::string ckpt_path = args.get("checkpoint", "");
-    usage_require(ckpt_path.empty() || args.positional[0] == "all",
-                  "study: --checkpoint requires 'study all'");
-    usage_require(ckpt_path.empty() ? args.options.count("resume") == 0 : true,
-                  "study: --resume requires --checkpoint PATH");
-
-    if (args.positional[0] == "all" && !ckpt_path.empty()) {
-        // Checkpointed whole-suite study: kernels run in order, the
-        // finished prefix snapshots after each batch, and resumed kernels
-        // splice their recorded JSON into the envelope byte-identically.
-        StudyCheckpointOptions sopts;
-        sopts.path = ckpt_path;
-        sopts.resume = args.options.count("resume") != 0;
-        sopts.every = args.get_count<std::size_t>("checkpoint-every", 1);
-        usage_require(sopts.every > 0, "study: --checkpoint-every expects a positive count");
-        sopts.max_kernels_this_run = args.get_count<std::size_t>("ckpt-max-units", 0);
-        sopts.config_tag = "banks=4";  // fingerprint of every result-shaping flag
-
-        const std::vector<Kernel> kernels = kernel_suite();
-        const StudySuiteOutcome outcome = study_suite_checkpointed(kernels, params, 0, sopts);
+    if (args.positional[0] == "all") {
+        // Whole-suite batch study: every (kernel x optimization) evaluated
+        // concurrently on the parallel runtime. With --checkpoint, kernels
+        // run in batches, the finished prefix snapshots after each one,
+        // and resumed kernels splice their recorded JSON into the envelope
+        // byte-identically.
+        const CheckpointOptions checkpoint = checkpoint_options(args, "study", 1);
+        const StudySuiteOutcome outcome = study_suite(kernel_suite(), params, 0, checkpoint);
         TablePrinter table({"kernel", "1B-1 clustering [%]", "1B-2 compression [%]",
                             "1B-3 encoding [%]"});
         for (const StudyOutcome& o : outcome.outcomes)
@@ -753,16 +765,11 @@ int cmd_study(const Args& args, JsonWriter* jw) {
                            format_fixed(o.compression_savings_pct, 1),
                            format_fixed(o.encoding_reduction_pct, 1)});
         table.print(std::cout);
-        if (!outcome.completed) {
-            std::printf("\nstudy interrupted: %zu/%zu kernels done (%s)\n"
-                        "(checkpoint -> %s; rerun with --resume to continue)\n",
-                        outcome.outcomes.size(), outcome.total,
-                        outcome.stop_reason.c_str(), ckpt_path.c_str());
-            if (jw != nullptr) jw->null();
-            g_partial_reason = outcome.stop_reason;
-            return 3;
-        }
-        std::printf("\n(%zu kernels studied with %zu jobs)\n", outcome.outcomes.size(),
+        std::printf("\n");
+        if (!outcome.completed)
+            return report_interrupted("study", outcome.outcomes.size(), outcome.total,
+                                      "kernels", outcome.stop_reason, checkpoint, jw);
+        std::printf("(%zu kernels studied with %zu jobs)\n", outcome.outcomes.size(),
                     default_jobs());
         if (jw != nullptr) {
             jw->begin_array();
@@ -772,27 +779,9 @@ int cmd_study(const Args& args, JsonWriter* jw) {
         return 0;
     }
 
-    if (args.positional[0] == "all") {
-        // Whole-suite batch study: every (kernel x optimization) evaluated
-        // concurrently on the parallel runtime.
-        const std::vector<StudyReport> reports = study_suite(kernel_suite(), params);
-        TablePrinter table({"kernel", "1B-1 clustering [%]", "1B-2 compression [%]",
-                            "1B-3 encoding [%]"});
-        for (const StudyReport& report : reports)
-            table.add_row({report.name, format_fixed(report.clustering_savings_pct(), 1),
-                           format_fixed(report.compression_savings_pct(), 1),
-                           format_fixed(report.encoding_reduction_pct(), 1)});
-        table.print(std::cout);
-        std::printf("\n(%zu kernels studied with %zu jobs)\n", reports.size(),
-                    default_jobs());
-        if (jw != nullptr) {
-            jw->begin_array();
-            for (const StudyReport& report : reports) to_json(*jw, report);
-            jw->end_array();
-        }
-        return 0;
-    }
-
+    for (const char* key : {"checkpoint", "resume", "checkpoint-every", "ckpt-max-units"})
+        usage_require(args.options.count(key) == 0,
+                      std::string("study: --") + key + " requires 'study all'");
     const StudyReport report = study_kernel(kernel_by_name(args.positional[0]), params);
     if (jw != nullptr) to_json(*jw, report);
     std::printf("study for %s\n", report.name.c_str());

@@ -20,6 +20,7 @@
 #include "core/flow.hpp"
 #include "encoding/search.hpp"
 #include "sim/kernels.hpp"
+#include "support/durable/checkpoint.hpp"
 
 namespace memopt {
 
@@ -71,23 +72,15 @@ StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
                         std::span<const std::uint32_t> fetch_stream,
                         const StudyParams& params = StudyParams{});
 
-/// Batch study_kernel(): study many kernels concurrently on the parallel
-/// runtime (support/parallel.hpp). Reports preserve input order and are
-/// bit-identical to a serial loop of study_kernel() calls at any job count.
-/// `jobs == 0` means default_jobs() (the MEMOPT_JOBS knob).
-std::vector<StudyReport> study_suite(std::span<const Kernel> kernels,
-                                     const StudyParams& params = StudyParams{},
-                                     std::size_t jobs = 0);
-
 // ---------------------------------------------------------------------------
-// Checkpoint/resume
+// Suites and checkpoint/resume
 //
 // A suite's unit of durable progress is one kernel's finished study. The
 // checkpoint record stores the kernel's name, its fully rendered results
 // JSON (deterministic JsonWriter output at root depth), and the three
-// headline percentages — enough for the CLI to splice resumed kernels into
-// the envelope byte-identically via JsonWriter::raw_fragment without
-// re-running them.
+// headline percentages — enough for the CLI to splice every kernel into
+// the envelope byte-identically via JsonWriter::raw_fragment, resumed ones
+// without re-running them.
 
 /// One kernel's durable study outcome (checkpoint record payload).
 struct StudyOutcome {
@@ -105,19 +98,6 @@ std::string encode_study_record(const StudyOutcome& outcome);
 /// Throws memopt::Error on a malformed record.
 StudyOutcome decode_study_record(std::string_view record);
 
-struct StudyCheckpointOptions {
-    std::string path;        ///< checkpoint file; empty = never snapshot
-    bool resume = false;     ///< load an existing compatible checkpoint first
-    std::size_t every = 1;   ///< snapshot after this many new kernels
-    /// The caller's fingerprint of every StudyParams knob that shapes
-    /// results (the CLI builds it from its flags). Hashed together with
-    /// the kernel-name sequence; resume refuses a mismatch.
-    std::string config_tag;
-    /// Test hook: stop (as if cancelled) after this many new kernels; 0 =
-    /// unlimited.
-    std::size_t max_kernels_this_run = 0;
-};
-
 struct StudySuiteOutcome {
     std::vector<StudyOutcome> outcomes;  ///< completed prefix, kernel order
     std::size_t total = 0;
@@ -125,14 +105,19 @@ struct StudySuiteOutcome {
     std::string stop_reason;  ///< why the run stopped early; empty when completed
 };
 
-/// Checkpointed suite driver: kernels run in order in batches of `every`,
-/// the finished prefix snapshots to a memopt.ckpt.v1 file (engine
-/// kCkptEngineStudy) after each batch, and cancellation (deadline, signal,
-/// max_kernels_this_run) returns completed == false with the prefix intact.
-/// A resumed run's outcome sequence is byte-identical to an uninterrupted
-/// one at any job count.
-StudySuiteOutcome study_suite_checkpointed(std::span<const Kernel> kernels,
-                                           const StudyParams& params, std::size_t jobs,
-                                           const StudyCheckpointOptions& ckpt);
+/// Study every kernel of `kernels` concurrently on the parallel runtime
+/// (support/parallel.hpp; `jobs == 0` means default_jobs()). Outcomes keep
+/// input order and are byte-identical to a serial loop of study_kernel()
+/// calls at any job count and after any resume.
+///
+/// The kernels run on run_checkpointed() (engine kCkptEngineStudy). The
+/// config hash covers params.flow.constraints.max_banks and the kernel-name
+/// sequence; resume refuses a mismatch. With `checkpoint.path` set, the
+/// finished prefix is snapshotted every `checkpoint.every` kernels. A
+/// deadline, signal or exhausted `max_units_this_run` returns completed ==
+/// false with the prefix intact instead of throwing.
+StudySuiteOutcome study_suite(std::span<const Kernel> kernels,
+                              const StudyParams& params = StudyParams{}, std::size_t jobs = 0,
+                              const CheckpointOptions& checkpoint = {});
 
 }  // namespace memopt

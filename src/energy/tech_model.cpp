@@ -25,26 +25,22 @@ namespace {
 const TechFactors kSramFactors{
     /*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
     /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.03, /*gate_wake_pj=*/80.0, /*retentive=*/false,
-    /*read_latency_cycles=*/1, /*write_latency_cycles=*/1};
+    /*gate_leak_factor=*/0.03, /*gate_wake_pj=*/80.0};
 
 const TechFactors kEdramFactors{
     /*read_factor=*/0.72, /*write_factor=*/0.78, /*leak_factor=*/0.30,
     /*refresh_pw_per_byte=*/0.55,
-    /*gate_leak_factor=*/0.02, /*gate_wake_pj=*/60.0, /*retentive=*/false,
-    /*read_latency_cycles=*/2, /*write_latency_cycles=*/2};
+    /*gate_leak_factor=*/0.02, /*gate_wake_pj=*/60.0};
 
 const TechFactors kSttMramFactors{
     /*read_factor=*/1.15, /*write_factor=*/5.5, /*leak_factor=*/0.02,
     /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.0, /*gate_wake_pj=*/15.0, /*retentive=*/true,
-    /*read_latency_cycles=*/2, /*write_latency_cycles=*/10};
+    /*gate_leak_factor=*/0.0, /*gate_wake_pj=*/15.0};
 
 const TechFactors kDrowsyFactors{
     /*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
     /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.08, /*gate_wake_pj=*/40.0, /*retentive=*/true,
-    /*read_latency_cycles=*/1, /*write_latency_cycles=*/1};
+    /*gate_leak_factor=*/0.08, /*gate_wake_pj=*/40.0};
 
 }  // namespace
 
@@ -82,13 +78,9 @@ const TechFactors& technology_factors(MemTechnology tech) {
 TechEnergyModel::TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes,
                                  unsigned word_bits, const SramTechnology& base,
                                  ProtectionScheme protection)
-    : TechEnergyModel(tech, technology_factors(tech), size_bytes, word_bits, base,
-                      protection) {}
-
-TechEnergyModel::TechEnergyModel(MemTechnology tech, const TechFactors& factors,
-                                 std::uint64_t size_bytes, unsigned word_bits,
-                                 const SramTechnology& base, ProtectionScheme protection)
-    : tech_(tech), factors_(factors), base_(size_bytes, word_bits, base, protection) {
+    : tech_(tech),
+      factors_(technology_factors(tech)),
+      base_(size_bytes, word_bits, base, protection) {
     // SRAM bypasses the factor multiplications entirely so an all-SRAM pool
     // reproduces the legacy SramEnergyModel doubles bit for bit (x * 1.0 is
     // identity in IEEE, but the contract should not hinge on that).

@@ -54,8 +54,7 @@ const char* technology_name(MemTechnology tech);
 MemTechnology parse_technology(const std::string& name);
 
 /// Per-technology scaling factors applied on top of the SRAM base model,
-/// plus the refresh, gating and latency constants that have no SRAM
-/// counterpart. All factors are relative to SramEnergyModel at the same
+/// plus the refresh and gating constants that have no SRAM counterpart. All factors are relative to SramEnergyModel at the same
 /// capacity; SRAM is all-ones with no refresh so it degenerates to the
 /// legacy arithmetic.
 struct TechFactors {
@@ -70,19 +69,13 @@ struct TechFactors {
     /// standby leakage (0 = perfect gate).
     double gate_leak_factor = 0.0;
     double gate_wake_pj = 0.0;      ///< energy to re-activate a gated bank
-    /// True when the gated bank keeps its contents (drowsy SRAM retention,
-    /// NVM non-volatility). Purely informational for the energy study; a
-    /// timing/refill model would charge restore traffic for !retentive.
-    bool retentive = false;
-    unsigned read_latency_cycles = 1;   ///< access latency (reporting only)
-    unsigned write_latency_cycles = 1;
 };
 
 /// The default design point of `tech` (see the header comment for the
 /// rationale behind each ordering).
 const TechFactors& technology_factors(MemTechnology tech);
 
-/// Energy/latency model of one bank in a given technology. Mirrors the
+/// Energy model of one bank in a given technology. Mirrors the
 /// SramEnergyModel interface (read/write/leakage queries are pure, the
 /// object is cheap to copy) and adds the refresh and gating terms. For
 /// MemTechnology::Sram every query returns the exact SramEnergyModel
@@ -92,12 +85,9 @@ class TechEnergyModel {
 public:
     /// `size_bytes` power of two and >= 16, as in SramEnergyModel.
     /// The SRAM technology constants and protection scheme feed the base
-    /// model; `factors` defaults to the technology's standard design point.
+    /// model; the factors are the technology's standard design point.
     TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes, unsigned word_bits = 32,
                     const SramTechnology& base = SramTechnology{},
-                    ProtectionScheme protection = ProtectionScheme::None);
-    TechEnergyModel(MemTechnology tech, const TechFactors& factors, std::uint64_t size_bytes,
-                    unsigned word_bits = 32, const SramTechnology& base = SramTechnology{},
                     ProtectionScheme protection = ProtectionScheme::None);
 
     MemTechnology technology() const { return tech_; }
@@ -124,9 +114,6 @@ public:
 
     /// Energy to re-activate the bank after a gate period [pJ].
     double gate_wake_energy() const { return factors_.gate_wake_pj; }
-
-    unsigned read_latency_cycles() const { return factors_.read_latency_cycles; }
-    unsigned write_latency_cycles() const { return factors_.write_latency_cycles; }
 
 private:
     MemTechnology tech_;

@@ -1,17 +1,13 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
 
 #include "fault/inject.hpp"
 #include "support/assert.hpp"
+#include "support/bytes.hpp"
 #include "support/durable/cancel.hpp"
-#include "support/durable/checkpoint.hpp"
-#include "support/durable/io_faults.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 
 namespace memopt {
 
@@ -96,7 +92,7 @@ std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
 
 namespace {
 
-/// Shared precondition checks of both campaign drivers.
+/// Precondition checks of run_campaign.
 void validate_campaign(const FaultCampaignConfig& config,
                        std::span<const std::vector<std::uint8_t>> corpus,
                        std::span<const double> line_flip_prob) {
@@ -122,7 +118,7 @@ std::vector<std::vector<std::uint8_t>> encode_stored(
 }
 
 /// One Monte-Carlo trial — a pure function of (config, corpus, trial), the
-/// invariant both drivers and the checkpoint format rely on.
+/// invariant the checkpoint format relies on.
 FaultTrialStats run_one_trial(const FaultCampaignConfig& config,
                               std::span<const std::vector<std::uint8_t>> corpus,
                               std::span<const std::vector<std::uint8_t>> stored,
@@ -163,9 +159,9 @@ FaultTrialStats run_one_trial(const FaultCampaignConfig& config,
 }
 
 /// Fold per-trial tallies (in trial order) into the campaign result and
-/// derive the energy breakdown from the integer counters. Both drivers end
-/// here with the identical trial sequence, which is what makes a resumed
-/// run bit-identical to an uninterrupted one.
+/// derive the energy breakdown from the integer counters. A resumed run
+/// ends here with the identical trial sequence, which is what makes it
+/// bit-identical to an uninterrupted one.
 FaultCampaignResult reduce_trials(const FaultCampaignConfig& config, std::size_t corpus_size,
                                   std::span<const std::vector<std::uint8_t>> stored,
                                   std::span<const FaultTrialStats> trials) {
@@ -216,190 +212,77 @@ FaultCampaignResult reduce_trials(const FaultCampaignConfig& config, std::size_t
 
 }  // namespace
 
-FaultCampaignResult run_campaign(const FaultCampaignConfig& config,
-                                 std::span<const std::vector<std::uint8_t>> corpus,
-                                 std::span<const double> line_flip_prob) {
-    validate_campaign(config, corpus, line_flip_prob);
-    const std::vector<std::vector<std::uint8_t>> stored = encode_stored(config, corpus);
-    const FaultInjector injector(config.seed);
-    std::vector<std::size_t> trial_ids(config.trials);
-    for (std::size_t t = 0; t < config.trials; ++t) trial_ids[t] = t;
-
-    const std::vector<FaultTrialStats> trials = parallel_map(
-        trial_ids,
-        [&](std::size_t trial) {
-            return run_one_trial(config, corpus, stored, line_flip_prob, injector, trial);
-        },
-        config.jobs);
-    return reduce_trials(config, corpus.size(), stored, trials);
-}
-
-namespace {
-
-void store_u64_at(std::string& out, std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out[at + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
-}
-
-std::uint64_t load_u64_at(std::string_view in, std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<std::uint8_t>(in[at + static_cast<std::size_t>(i)]);
-    return v;
-}
-
-/// Incremental FNV-1a over heterogenous fields (fixed visit order).
-struct Hasher {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    void bytes(const void* data, std::size_t n) {
-        const auto* p = static_cast<const std::uint8_t*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ULL;
-        }
-    }
-    void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= static_cast<std::uint8_t>(v >> (8 * i));
-            h *= 0x100000001b3ULL;
-        }
-    }
-    void f64(double v) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-};
-
-}  // namespace
-
 std::string encode_trial_record(const FaultTrialStats& stats) {
-    std::string out(56, '\0');
-    store_u64_at(out, 0, stats.injected);
-    store_u64_at(out, 8, stats.corrected);
-    store_u64_at(out, 16, stats.detected);
-    store_u64_at(out, 24, stats.codec_rejects);
-    store_u64_at(out, 32, stats.degraded);
-    store_u64_at(out, 40, stats.silent);
-    store_u64_at(out, 48, stats.clean);
-    return out;
+    return RecordWriter()
+        .u64(stats.injected)
+        .u64(stats.corrected)
+        .u64(stats.detected)
+        .u64(stats.codec_rejects)
+        .u64(stats.degraded)
+        .u64(stats.silent)
+        .u64(stats.clean)
+        .take();
 }
 
 FaultTrialStats decode_trial_record(std::string_view record) {
     require(record.size() == 56, "campaign checkpoint: bad trial record size");
+    RecordReader in(record, "campaign checkpoint");
     FaultTrialStats s;
-    s.injected = load_u64_at(record, 0);
-    s.corrected = load_u64_at(record, 8);
-    s.detected = load_u64_at(record, 16);
-    s.codec_rejects = load_u64_at(record, 24);
-    s.degraded = load_u64_at(record, 32);
-    s.silent = load_u64_at(record, 40);
-    s.clean = load_u64_at(record, 48);
+    s.injected = in.u64();
+    s.corrected = in.u64();
+    s.detected = in.u64();
+    s.codec_rejects = in.u64();
+    s.degraded = in.u64();
+    s.silent = in.u64();
+    s.clean = in.u64();
     return s;
 }
 
 std::uint64_t campaign_config_hash(const FaultCampaignConfig& config,
                                    std::span<const std::vector<std::uint8_t>> corpus,
                                    std::span<const double> line_flip_prob) {
-    Hasher hash;
+    Fnv1a64 hash;
     hash.u64(config.seed);
     hash.u64(config.trials);
     hash.f64(config.bit_flip_rate);
     hash.u64(static_cast<std::uint64_t>(config.protection));
     hash.u64(config.codec_tag.size());
-    hash.bytes(config.codec_tag.data(), config.codec_tag.size());
+    hash.bytes(config.codec_tag);
     hash.u64(config.line_bytes);
     hash.u64(corpus.size());
     for (const std::vector<std::uint8_t>& line : corpus) {
         hash.u64(line.size());
-        hash.bytes(line.data(), line.size());
+        hash.bytes(line);
     }
     hash.u64(line_flip_prob.size());
     for (const double p : line_flip_prob) hash.f64(p);
-    return hash.h;
+    return hash.value();
 }
 
-CampaignCheckpointOutcome run_campaign_checkpointed(
-    const FaultCampaignConfig& config, std::span<const std::vector<std::uint8_t>> corpus,
-    std::span<const double> line_flip_prob, const CampaignCheckpointOptions& ckpt) {
+CampaignOutcome run_campaign(const FaultCampaignConfig& config,
+                             std::span<const std::vector<std::uint8_t>> corpus,
+                             std::span<const double> line_flip_prob,
+                             const CheckpointOptions& checkpoint) {
     validate_campaign(config, corpus, line_flip_prob);
     const std::vector<std::vector<std::uint8_t>> stored = encode_stored(config, corpus);
     const FaultInjector injector(config.seed);
-    const std::uint64_t config_hash = campaign_config_hash(config, corpus, line_flip_prob);
+    const CheckpointedRun run = run_checkpointed(
+        kCkptEngineFault, campaign_config_hash(config, corpus, line_flip_prob), config.trials,
+        [&](std::size_t trial) {
+            return encode_trial_record(
+                run_one_trial(config, corpus, stored, line_flip_prob, injector, trial));
+        },
+        checkpoint, config.jobs);
 
-    std::vector<FaultTrialStats> done;
-    if (ckpt.resume && !ckpt.path.empty()) {
-        if (const std::optional<Checkpoint> loaded =
-                load_checkpoint_for_resume(ckpt.path, kCkptEngineFault, config_hash)) {
-            done.reserve(loaded->records.size());
-            for (const std::string& record : loaded->records)
-                done.push_back(decode_trial_record(record));
-            // The config hash pins `trials`, so a valid checkpoint can
-            // never hold more records than the campaign has trials.
-            require(done.size() <= config.trials,
-                    "campaign checkpoint: more records than trials");
-        }
-    }
-
-    const auto snapshot = [&] {
-        if (ckpt.path.empty()) return;
-        Checkpoint snap;
-        snap.engine = kCkptEngineFault;
-        snap.config_hash = config_hash;
-        snap.records.reserve(done.size());
-        for (const FaultTrialStats& s : done) snap.records.push_back(encode_trial_record(s));
-        save_checkpoint(ckpt.path, snap);
-    };
-
-    CampaignCheckpointOutcome out;
+    std::vector<FaultTrialStats> trials;
+    trials.reserve(run.records.size());
+    for (const std::string& record : run.records) trials.push_back(decode_trial_record(record));
+    CampaignOutcome out;
+    out.trials_done = trials.size();
     out.trials_total = config.trials;
-    const std::size_t every = ckpt.every == 0 ? 1 : ckpt.every;
-    std::size_t new_done = 0;
-    CancellationToken& token = CancellationToken::global();
-    while (done.size() < config.trials) {
-        if (token.triggered()) {
-            out.stop_reason = token.reason();
-            break;
-        }
-        if (ckpt.max_trials_this_run != 0 && new_done >= ckpt.max_trials_this_run) {
-            out.stop_reason = "trial budget for this run exhausted";
-            break;
-        }
-        const std::size_t begin = done.size();
-        std::size_t batch = std::min(every, config.trials - begin);
-        if (ckpt.max_trials_this_run != 0)
-            batch = std::min(batch, ckpt.max_trials_this_run - new_done);
-        std::vector<std::size_t> trial_ids(batch);
-        for (std::size_t t = 0; t < batch; ++t) trial_ids[t] = begin + t;
-        std::vector<FaultTrialStats> stats;
-        try {
-            stats = parallel_map(
-                trial_ids,
-                [&](std::size_t trial) {
-                    return run_one_trial(config, corpus, stored, line_flip_prob, injector,
-                                         trial);
-                },
-                config.jobs);
-        } catch (const CancelledError&) {
-            // Mid-batch trip: the batch is discarded (trials are cheap to
-            // recompute) and the completed prefix is what gets snapshotted.
-            out.stop_reason = token.reason();
-            break;
-        }
-        done.insert(done.end(), stats.begin(), stats.end());
-        new_done += batch;
-        snapshot();
-    }
-
-    out.trials_done = done.size();
-    if (done.size() == config.trials) {
-        out.completed = true;
-        out.result = reduce_trials(config, corpus.size(), stored, done);
-    } else {
-        if (out.stop_reason.empty()) out.stop_reason = "stopped";
-        snapshot();
-    }
+    out.completed = run.completed;
+    out.stop_reason = run.stop_reason;
+    if (run.completed) out.result = reduce_trials(config, corpus.size(), stored, trials);
     return out;
 }
 

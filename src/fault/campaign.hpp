@@ -28,6 +28,7 @@
 #include "energy/sram_model.hpp"
 #include "partition/bank.hpp"
 #include "partition/hybrid.hpp"
+#include "support/durable/checkpoint.hpp"
 
 namespace memopt {
 
@@ -92,28 +93,35 @@ std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
                                               std::uint64_t image_base, std::size_t num_lines,
                                               unsigned line_bytes, std::uint64_t total_cycles);
 
+/// Outcome of a campaign run: the result once every trial is done, else
+/// how far it got and why it stopped.
+struct CampaignOutcome {
+    FaultCampaignResult result;   ///< valid only when completed
+    std::size_t trials_done = 0;  ///< completed trials (including resumed ones)
+    std::size_t trials_total = 0;
+    bool completed = false;
+    std::string stop_reason;      ///< why the run stopped early; empty when completed
+};
+
 /// Run the campaign over `corpus`. `line_flip_prob`, when non-empty, gives
 /// the per-line per-bit flip probability (same length as the corpus; see
 /// sleepy_line_probabilities); otherwise config.bit_flip_rate applies
 /// uniformly. Deterministic for a given (config, corpus): bit-identical
-/// counters and energy at any jobs value. Polls the global
-/// CancellationToken at trial boundaries: a tripped deadline or signal
-/// surfaces as CancelledError (use the checkpointed runner to keep the
-/// completed trials instead).
-FaultCampaignResult run_campaign(const FaultCampaignConfig& config,
-                                 std::span<const std::vector<std::uint8_t>> corpus,
-                                 std::span<const double> line_flip_prob = {});
-
-// ---------------------------------------------------------------------------
-// Checkpoint/resume
-//
-// Trials are pure functions of (config, corpus, trial index), so the unit
-// of durable progress is one trial's integer tallies. The checkpointed
-// runner executes trials in index order in batches of `every`, snapshots
-// the completed prefix into a memopt.ckpt.v1 file (engine kCkptEngineFault)
-// after each batch, and reduces exactly like run_campaign once all trials
-// exist — which is why a resumed run is bit-identical to an uninterrupted
-// one at any --jobs value.
+/// counters and energy at any jobs value, and after any resume.
+///
+/// Trials are pure functions of (config, corpus, trial index), so the unit
+/// of durable progress is one trial's integer tallies: the trials run on
+/// run_checkpointed() (engine kCkptEngineFault, config hash
+/// campaign_config_hash) and reduce in trial order. With
+/// `checkpoint.path` set, the completed prefix is snapshotted every
+/// `checkpoint.every` trials and `checkpoint.resume` continues from it. A
+/// deadline, signal or exhausted `max_units_this_run` returns completed ==
+/// false with the prefix intact instead of throwing; the caller emits the
+/// partial report and exits with the documented code.
+CampaignOutcome run_campaign(const FaultCampaignConfig& config,
+                             std::span<const std::vector<std::uint8_t>> corpus,
+                             std::span<const double> line_flip_prob = {},
+                             const CheckpointOptions& checkpoint = {});
 
 /// One trial's tallies — the checkpoint record payload.
 struct FaultTrialStats {
@@ -140,30 +148,5 @@ FaultTrialStats decode_trial_record(std::string_view record);
 std::uint64_t campaign_config_hash(const FaultCampaignConfig& config,
                                    std::span<const std::vector<std::uint8_t>> corpus,
                                    std::span<const double> line_flip_prob);
-
-struct CampaignCheckpointOptions {
-    std::string path;            ///< checkpoint file; empty = never snapshot
-    bool resume = false;         ///< load an existing compatible checkpoint first
-    std::size_t every = 16;      ///< snapshot after this many new trials
-    /// Test hook: stop (as if cancelled) after this many new trials this
-    /// run; 0 = unlimited. Gives deterministic partial runs without timing.
-    std::size_t max_trials_this_run = 0;
-};
-
-struct CampaignCheckpointOutcome {
-    FaultCampaignResult result;   ///< valid only when completed
-    std::size_t trials_done = 0;  ///< completed trials (including resumed ones)
-    std::size_t trials_total = 0;
-    bool completed = false;
-    std::string stop_reason;      ///< why the run stopped early; empty when completed
-};
-
-/// Checkpointed campaign driver. On cancellation (deadline, signal, or the
-/// max_trials_this_run hook) it snapshots the completed prefix and returns
-/// completed == false instead of throwing; the caller emits the partial
-/// report and exits with the documented code.
-CampaignCheckpointOutcome run_campaign_checkpointed(
-    const FaultCampaignConfig& config, std::span<const std::vector<std::uint8_t>> corpus,
-    std::span<const double> line_flip_prob, const CampaignCheckpointOptions& ckpt);
 
 }  // namespace memopt

@@ -6,20 +6,9 @@
 
 namespace memopt {
 
-namespace {
-
-/// SplitMix64 finalizer — decorrelates (seed, stream) pairs so that
-/// neighboring stream ids produce unrelated generators.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Rng FaultInjector::stream_rng(std::uint64_t stream) const {
+    // mix64 decorrelates (seed, stream) pairs so that neighboring stream
+    // ids produce unrelated generators.
     return Rng(mix64(seed_ ^ mix64(stream)));
 }
 

@@ -5,6 +5,7 @@
 
 #include "isa/encode.hpp"
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 #include "support/string_util.hpp"
 #include "trace/trace.hpp"
 
@@ -80,14 +81,6 @@ enum class Section { Code, Data };
 std::size_t code_words_of(const Line& line) {
     if (line.op == "li" || line.op == "la" || line.op == "push" || line.op == "pop") return 2;
     return 1;
-}
-
-std::uint64_t splitmix64_step(std::uint64_t& x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
 }
 
 /// Branch mnemonic table: "b", "beq", ... -> condition.
@@ -541,7 +534,7 @@ std::vector<std::uint32_t> asm_random_words(std::size_t count, std::uint64_t see
     words.reserve(count);
     std::uint64_t state = seed;
     for (std::size_t i = 0; i < count; ++i)
-        words.push_back(static_cast<std::uint32_t>(splitmix64_step(state)));
+        words.push_back(static_cast<std::uint32_t>(splitmix64(state)));
     return words;
 }
 
@@ -550,12 +543,12 @@ std::vector<std::uint32_t> asm_smooth_words(std::size_t count, std::uint64_t see
     std::vector<std::uint32_t> words;
     words.reserve(count);
     std::uint64_t state = seed;
-    std::uint32_t value = static_cast<std::uint32_t>(splitmix64_step(state));
+    std::uint32_t value = static_cast<std::uint32_t>(splitmix64(state));
     const std::uint64_t steps = 2ULL * max_delta + 1;
     for (std::size_t i = 0; i < count; ++i) {
         words.push_back(value);
         const auto step =
-            static_cast<std::int64_t>(splitmix64_step(state) % steps) - max_delta;
+            static_cast<std::int64_t>(splitmix64(state) % steps) - max_delta;
         value = static_cast<std::uint32_t>(static_cast<std::int64_t>(value) + step);
     }
     return words;

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "support/assert.hpp"
+#include "support/bytes.hpp"
 #include "support/durable/retry.hpp"
 
 #if !defined(_WIN32)

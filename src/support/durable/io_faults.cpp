@@ -3,41 +3,11 @@
 #include <cstdlib>
 #include <optional>
 
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {
-
-namespace {
-
-/// SplitMix64 finalizer (same mixer as fault/inject): decorrelates the
-/// (seed, site, unit, attempt) tuple into one well-mixed Rng seed.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 IoFaultSpec parse_io_fault_spec(const std::string& spec) {
     IoFaultSpec out;
@@ -72,6 +42,7 @@ IoFaultSpec parse_io_fault_spec(const std::string& spec) {
 bool IoFaultInjector::should_fail(std::string_view site, std::uint64_t unit,
                                   std::uint64_t attempt) const {
     if (!enabled() || attempt >= spec_.max_failures) return false;
+    // mix64 folds the (seed, site, unit, attempt) tuple into one Rng seed.
     Rng rng(mix64(spec_.seed ^ fnv1a64(site)) ^ mix64(unit) ^ mix64(attempt + 1));
     return rng.next_bool(spec_.rate);
 }

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -39,11 +38,6 @@ class TransientIoError : public Error {
 public:
     using Error::Error;
 };
-
-/// FNV-1a 64-bit — the repository's standing checksum/name-hash primitive
-/// (same constants as the .mtsc block checksums).
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
-std::uint64_t fnv1a64(std::string_view text);
 
 struct IoFaultSpec {
     bool enabled = false;

@@ -5,21 +5,11 @@
 #include <cstdlib>
 #include <thread>
 
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {
-
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t RetryPolicy::delay_us(std::string_view site, std::uint64_t unit,
                                     std::uint32_t attempt) const {

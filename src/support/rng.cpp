@@ -6,15 +6,15 @@
 
 namespace memopt {
 
-namespace {
-std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
+std::uint64_t splitmix64(std::uint64_t& state) {
+    state += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = state;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
 }
 
+namespace {
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 

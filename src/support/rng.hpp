@@ -8,8 +8,15 @@
 #include <cstdint>
 #include <vector>
 
-
 namespace memopt {
+
+/// One SplitMix64 step: advance `state` by the golden-ratio increment and
+/// return the mixed output. Seeds Rng, and is the `.rand` word stream.
+std::uint64_t splitmix64(std::uint64_t& state);
+
+/// SplitMix64's output for state `x`, as a pure function: decorrelates
+/// seeds, stream ids and hash keys into well-mixed Rng seeds.
+inline std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 /// xoshiro256** PRNG (Blackman & Vigna). Fast, high quality, 256-bit state,
 /// seeded via SplitMix64 so that any 64-bit seed yields a well-mixed state.

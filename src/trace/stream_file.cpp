@@ -8,6 +8,7 @@
 #include "compress/codec.hpp"
 #include "compress/diff_codec.hpp"
 #include "compress/zero_run.hpp"
+#include "support/bytes.hpp"
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/durable/retry.hpp"
@@ -204,27 +205,6 @@ void check_records(const std::uint8_t* image, std::uint32_t n, std::uint32_t blo
     }
 }
 
-// Endianness-independent little-endian loads/stores (byte assembly).
-std::uint32_t le_u32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t le_u64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void store_u64(std::uint8_t* p, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 // Split the raw column image into 4 KiB lines and store each as the
@@ -251,7 +231,7 @@ std::vector<std::uint8_t> compress_image(std::span<const std::uint8_t> image) {
         }
         std::uint8_t frame[5];
         frame[0] = id;
-        store_u32(frame + 1, static_cast<std::uint32_t>(stored.size()));
+        store_le32(frame + 1, static_cast<std::uint32_t>(stored.size()));
         out.insert(out.end(), frame, frame + 5);
         out.insert(out.end(), stored.begin(), stored.end());
     }
@@ -270,7 +250,7 @@ void decode_image(std::span<const std::uint8_t> payload, std::uint8_t* image,
         require(pos + 5 <= payload.size(),
                 format("stream trace: block %u: truncated compressed payload", block));
         const std::uint8_t id = payload[pos];
-        const std::uint32_t len = le_u32(payload.data() + pos + 1);
+        const std::uint32_t len = load_le32(payload.data() + pos + 1);
         pos += 5;
         require(len <= payload.size() - pos,
                 format("stream trace: block %u: truncated compressed payload", block));
@@ -369,9 +349,9 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
 
         std::uint8_t head[kBlockHeaderBytes];
         std::memcpy(head, kBlockMagic, 4);
-        store_u32(head + 4, static_cast<std::uint32_t>(n));
-        store_u64(head + 8, payload_bytes);
-        store_u64(head + 16, mtsc_block_checksum(payload, payload_bytes));
+        store_le32(head + 4, static_cast<std::uint32_t>(n));
+        store_le64(head + 8, payload_bytes);
+        store_le64(head + 16, mtsc_block_checksum(payload, payload_bytes));
         os.write(reinterpret_cast<const char*>(head), kBlockHeaderBytes);
         os.write(reinterpret_cast<const char*>(payload),
                  static_cast<std::streamsize>(payload_bytes));
@@ -422,19 +402,19 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
 
     std::uint8_t head[kHeaderBytes] = {};
     std::memcpy(head, kStreamMagic, 4);
-    store_u32(head + 4, kStreamVersion);
-    store_u64(head + 8, count);
-    store_u32(head + 16, static_cast<std::uint32_t>(opts.chunk_accesses));
-    store_u32(head + 20, block_count);
-    store_u32(head + 24, opts.compress ? kFlagCompressed : 0u);
-    store_u64(head + 32, s.min_addr);
-    store_u64(head + 40, s.max_addr);
-    store_u64(head + 48, s.reads);
-    store_u64(head + 56, s.writes);
+    store_le32(head + 4, kStreamVersion);
+    store_le64(head + 8, count);
+    store_le32(head + 16, static_cast<std::uint32_t>(opts.chunk_accesses));
+    store_le32(head + 20, block_count);
+    store_le32(head + 24, opts.compress ? kFlagCompressed : 0u);
+    store_le64(head + 32, s.min_addr);
+    store_le64(head + 40, s.max_addr);
+    store_le64(head + 48, s.reads);
+    store_le64(head + 56, s.writes);
     os.seekp(0);
     os.write(reinterpret_cast<const char*>(head), kHeaderBytes);
     std::vector<std::uint8_t> table(std::size_t{block_count} * 8);
-    for (std::uint32_t b = 0; b < block_count; ++b) store_u64(table.data() + 8 * b, offsets[b]);
+    for (std::uint32_t b = 0; b < block_count; ++b) store_le64(table.data() + 8 * b, offsets[b]);
     os.write(reinterpret_cast<const char*>(table.data()),
              static_cast<std::streamsize>(table.size()));
     require(os.good(), "write_trace_stream: write failed for '" + path + "'");
@@ -494,7 +474,7 @@ void MmapBinarySource::open_file() {
     // Transient open failures (injected or real EINTR-class flake) retry
     // under the process policy; a genuinely missing file throws plain
     // Error on the first attempt and is never retried.
-    const std::uint64_t unit = memopt::fnv1a64(std::string_view{path_});
+    const std::uint64_t unit = fnv1a64(std::string_view{path_});
 #if MEMOPT_HAS_MMAP
     fd_ = RetryPolicy::process().run("mtsc.open", unit, [&](std::uint32_t attempt) {
         io_faults().maybe_fail("mtsc.open", unit, attempt);
@@ -556,16 +536,16 @@ void MmapBinarySource::close_file() {
 void MmapBinarySource::parse_header() {
     require(map_bytes_ >= kHeaderBytes, "stream trace: truncated header");
     require(std::memcmp(map_, kStreamMagic, 4) == 0, "stream trace: bad magic");
-    const std::uint32_t version = le_u32(map_ + 4);
+    const std::uint32_t version = load_le32(map_ + 4);
     if (version != kStreamVersion) {
         throw Error(format("stream trace: '%s' is .mtsc version %u, this reader reads version %u "
                            "only; regenerate it with `memopt_cli trace`",
                            path_.c_str(), version, kStreamVersion));
     }
-    count_ = le_u64(map_ + 8);
-    chunk_accesses_ = le_u32(map_ + 16);
-    block_count_ = le_u32(map_ + 20);
-    const std::uint32_t flags = le_u32(map_ + 24);
+    count_ = load_le64(map_ + 8);
+    chunk_accesses_ = load_le32(map_ + 16);
+    block_count_ = load_le32(map_ + 20);
+    const std::uint32_t flags = load_le32(map_ + 24);
     require((flags & ~kFlagCompressed) == 0, "stream trace: unknown flags");
     compressed_ = (flags & kFlagCompressed) != 0;
     require(chunk_accesses_ > 0 && chunk_accesses_ <= kMaxStreamChunkAccesses,
@@ -588,11 +568,11 @@ void MmapBinarySource::parse_header() {
     offset_table_ = map_ + kHeaderBytes;
     verified_.assign(block_count_, false);
 
-    const std::uint64_t min_addr = le_u64(map_ + 32);
-    const std::uint64_t max_addr = le_u64(map_ + 40);
-    const std::uint64_t reads = le_u64(map_ + 48);
+    const std::uint64_t min_addr = load_le64(map_ + 32);
+    const std::uint64_t max_addr = load_le64(map_ + 40);
+    const std::uint64_t reads = load_le64(map_ + 48);
     require(reads <= count_, "stream trace: corrupt summary counts");
-    const std::uint64_t writes = le_u64(map_ + 56);
+    const std::uint64_t writes = load_le64(map_ + 56);
     require(writes == count_ - reads, "stream trace: corrupt summary counts");
     require(count_ == 0 || min_addr <= max_addr, "stream trace: corrupt summary range");
     TraceSummary s;
@@ -610,7 +590,7 @@ std::uint32_t MmapBinarySource::expected_block_accesses(std::uint32_t block) con
 }
 
 MmapBinarySource::BlockView MmapBinarySource::locate_block(std::uint32_t block) const {
-    const std::uint64_t off = le_u64(offset_table_ + std::size_t{block} * 8);
+    const std::uint64_t off = load_le64(offset_table_ + std::size_t{block} * 8);
     const std::uint64_t blocks_start = kHeaderBytes + std::uint64_t{block_count_} * 8;
     require(off >= blocks_start && off % 8 == 0 && off <= map_bytes_ &&
                 map_bytes_ - off >= kBlockHeaderBytes,
@@ -619,17 +599,17 @@ MmapBinarySource::BlockView MmapBinarySource::locate_block(std::uint32_t block) 
     require(std::memcmp(p, kBlockMagic, 4) == 0,
             format("stream trace: block %u: bad block magic", block));
     BlockView view;
-    view.count = le_u32(p + 4);
+    view.count = load_le32(p + 4);
     require(view.count == expected_block_accesses(block),
             format("stream trace: block %u: access count mismatch", block));
-    view.payload_bytes = le_u64(p + 8);
+    view.payload_bytes = load_le64(p + 8);
     require(view.payload_bytes <= map_bytes_ - off - kBlockHeaderBytes,
             format("stream trace: block %u: truncated payload", block));
     if (!compressed_) {
         require(view.payload_bytes == std::uint64_t{view.count} * kBytesPerAccess,
                 format("stream trace: block %u: bad payload size", block));
     }
-    view.checksum = le_u64(p + 16);
+    view.checksum = load_le64(p + 16);
     view.payload = p + kBlockHeaderBytes;
     return view;
 }

@@ -441,6 +441,9 @@ TEST_F(DurableTest, TrialRecordRoundTripsAndRejectsWrongSize) {
     stats.clean = 11;
     const std::string record = encode_trial_record(stats);
     EXPECT_EQ(record.size(), 56u);
+    // The on-disk layout: seven little-endian u64 tallies in field order.
+    EXPECT_EQ(record.substr(0, 8), std::string("\x05\0\0\0\0\0\0\0", 8));
+    EXPECT_EQ(record.substr(48), std::string("\x0b\0\0\0\0\0\0\0", 8));
     const FaultTrialStats back = decode_trial_record(record);
     EXPECT_EQ(back.injected, stats.injected);
     EXPECT_EQ(back.corrected, stats.corrected);
@@ -457,7 +460,8 @@ TEST_F(DurableTest, CampaignConfigHashPinsResultShapingInputs) {
     const auto corpus = small_corpus();
     FaultCampaignConfig a = small_campaign_config();
     const std::uint64_t base = campaign_config_hash(a, corpus, {});
-    EXPECT_EQ(base, campaign_config_hash(a, corpus, {}));  // stable
+    // Pinned: a changed value orphans every checkpoint already on disk.
+    EXPECT_EQ(base, 0x794452fafd5e0f42ULL);
 
     FaultCampaignConfig b = a;
     b.seed = 78;
@@ -477,29 +481,27 @@ TEST_F(DurableTest, CampaignResumesBitIdenticallyAtAnyJobs) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
         FaultCampaignConfig config = small_campaign_config();
         config.jobs = jobs;
-        const FaultCampaignResult reference = run_campaign(config, corpus);
+        const FaultCampaignResult reference = run_campaign(config, corpus).result;
 
         const std::string path =
             temp_path("campaign_j" + std::to_string(jobs) + ".ckpt");
         std::remove(path.c_str());
 
-        CampaignCheckpointOptions first;
+        CheckpointOptions first;
         first.path = path;
         first.every = 4;
-        first.max_trials_this_run = 10;  // deterministic "interruption"
-        const CampaignCheckpointOutcome partial =
-            run_campaign_checkpointed(config, corpus, {}, first);
+        first.max_units_this_run = 10;  // deterministic "interruption"
+        const CampaignOutcome partial = run_campaign(config, corpus, {}, first);
         EXPECT_FALSE(partial.completed);
         EXPECT_EQ(partial.trials_done, 10u);
         EXPECT_EQ(partial.trials_total, config.trials);
         EXPECT_FALSE(partial.stop_reason.empty());
 
-        CampaignCheckpointOptions second;
+        CheckpointOptions second;
         second.path = path;
         second.resume = true;
         second.every = 4;
-        const CampaignCheckpointOutcome resumed =
-            run_campaign_checkpointed(config, corpus, {}, second);
+        const CampaignOutcome resumed = run_campaign(config, corpus, {}, second);
         ASSERT_TRUE(resumed.completed);
         EXPECT_EQ(resumed.trials_done, config.trials);
         expect_results_equal(resumed.result, reference);
@@ -510,35 +512,25 @@ TEST_F(DurableTest, CampaignResumesBitIdenticallyAtAnyJobs) {
 TEST_F(DurableTest, CampaignResumeIgnoresIncompatibleCheckpoint) {
     const auto corpus = small_corpus();
     FaultCampaignConfig config = small_campaign_config();
-    const FaultCampaignResult reference = run_campaign(config, corpus);
+    const FaultCampaignResult reference = run_campaign(config, corpus).result;
 
     const std::string path = temp_path("campaign_stale.ckpt");
     FaultCampaignConfig other = config;
     other.seed = 12345;
-    CampaignCheckpointOptions stale;
+    CheckpointOptions stale;
     stale.path = path;
-    stale.max_trials_this_run = 6;
-    (void)run_campaign_checkpointed(other, corpus, {}, stale);
+    stale.max_units_this_run = 6;
+    (void)run_campaign(other, corpus, {}, stale);
 
     // Resume under the real config: the stale checkpoint's hash mismatches,
     // so the run restarts from zero and still converges on the reference.
-    CampaignCheckpointOptions resume;
+    CheckpointOptions resume;
     resume.path = path;
     resume.resume = true;
-    const CampaignCheckpointOutcome outcome =
-        run_campaign_checkpointed(config, corpus, {}, resume);
+    const CampaignOutcome outcome = run_campaign(config, corpus, {}, resume);
     ASSERT_TRUE(outcome.completed);
     expect_results_equal(outcome.result, reference);
     std::remove(path.c_str());
-}
-
-TEST_F(DurableTest, CampaignWithoutCheckpointPathStillCompletes) {
-    const auto corpus = small_corpus();
-    const FaultCampaignConfig config = small_campaign_config();
-    const CampaignCheckpointOutcome outcome =
-        run_campaign_checkpointed(config, corpus, {}, CampaignCheckpointOptions{});
-    ASSERT_TRUE(outcome.completed);
-    expect_results_equal(outcome.result, run_campaign(config, corpus));
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +544,10 @@ TEST_F(DurableTest, StudyRecordRoundTripsAndRejectsMalformed) {
     outcome.compression_savings_pct = -3.25;
     outcome.encoding_reduction_pct = 40.0;
     const std::string record = encode_study_record(outcome);
+    // The on-disk layout: u32 name length, name, three f64 bit patterns
+    // (12.5 is 0x4029000000000000), u32 JSON length, JSON.
+    EXPECT_EQ(record.substr(0, 15), std::string("\x03\0\0\0fir\0\0\0\0\0\0\x29\x40", 15));
+    EXPECT_EQ(record.size(), 4 + 3 + 3 * 8 + 4 + outcome.json.size());
     const StudyOutcome back = decode_study_record(record);
     EXPECT_EQ(back.name, outcome.name);
     EXPECT_EQ(back.json, outcome.json);
@@ -563,38 +559,49 @@ TEST_F(DurableTest, StudyRecordRoundTripsAndRejectsMalformed) {
     EXPECT_THROW(decode_study_record(""), Error);
 }
 
-TEST_F(DurableTest, StudySuiteResumesByteIdentically) {
+std::vector<Kernel> two_study_kernels() {
     const std::vector<Kernel> suite = kernel_suite();
-    ASSERT_GE(suite.size(), 2u);
-    const std::vector<Kernel> kernels(suite.begin(), suite.begin() + 2);
+    return {suite.begin(), suite.begin() + 2};
+}
+
+StudyParams four_bank_study() {
     StudyParams params;
     params.flow.constraints.max_banks = 4;
+    return params;
+}
 
-    const std::vector<StudyReport> reference = study_suite(kernels, params);
+TEST_F(DurableTest, StudySuiteResumesByteIdentically) {
+    const std::vector<Kernel> kernels = two_study_kernels();
+    const StudyParams params = four_bank_study();
+
+    const std::vector<StudyOutcome> reference = study_suite(kernels, params).outcomes;
+    ASSERT_EQ(reference.size(), 2u);
 
     const std::string path = temp_path("study.ckpt");
     std::remove(path.c_str());
-    StudyCheckpointOptions first;
+    CheckpointOptions first;
     first.path = path;
-    first.config_tag = "banks=4";
-    first.max_kernels_this_run = 1;
-    const StudySuiteOutcome partial = study_suite_checkpointed(kernels, params, 0, first);
+    first.every = 1;
+    first.max_units_this_run = 1;
+    const StudySuiteOutcome partial = study_suite(kernels, params, 0, first);
     EXPECT_FALSE(partial.completed);
     EXPECT_EQ(partial.outcomes.size(), 1u);
     EXPECT_FALSE(partial.stop_reason.empty());
+    // Pinned: a changed fingerprint orphans every checkpoint already on disk.
+    EXPECT_EQ(load_checkpoint(path).config_hash, 0x062e455b2803111fULL);
 
-    StudyCheckpointOptions second;
+    CheckpointOptions second;
     second.path = path;
     second.resume = true;
-    second.config_tag = "banks=4";
-    const StudySuiteOutcome resumed = study_suite_checkpointed(kernels, params, 0, second);
+    second.every = 1;
+    const StudySuiteOutcome resumed = study_suite(kernels, params, 0, second);
     ASSERT_TRUE(resumed.completed);
     ASSERT_EQ(resumed.outcomes.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
         // The resumed kernel's recorded JSON (written before the interrupt)
         // must match a fresh render byte for byte — the property that lets
         // the CLI splice checkpointed kernels into --json envelopes.
-        EXPECT_EQ(resumed.outcomes[i].json, to_outcome(reference[i]).json) << i;
+        EXPECT_EQ(resumed.outcomes[i].json, reference[i].json) << i;
         EXPECT_EQ(resumed.outcomes[i].name, reference[i].name);
     }
     std::remove(path.c_str());
@@ -638,14 +645,21 @@ TEST_F(DurableTest, TrippedTokenCancelsACampaign) {
     CancellationToken::global().request("test trip");
     const auto corpus = small_corpus();
     const FaultCampaignConfig config = small_campaign_config();
-    EXPECT_THROW(run_campaign(config, corpus), CancelledError);
 
-    // The checkpointed driver converts the trip into a graceful partial
-    // outcome instead of throwing.
-    const CampaignCheckpointOutcome outcome =
-        run_campaign_checkpointed(config, corpus, {}, CampaignCheckpointOptions{});
+    // The driver converts the trip into a graceful partial outcome instead
+    // of throwing.
+    const CampaignOutcome outcome = run_campaign(config, corpus);
     EXPECT_FALSE(outcome.completed);
     EXPECT_EQ(outcome.trials_done, 0u);
+    EXPECT_EQ(outcome.stop_reason, "test trip");
+}
+
+TEST_F(DurableTest, TrippedTokenCancelsAStudySuite) {
+    CancellationToken::global().request("test trip");
+    const StudySuiteOutcome outcome = study_suite(two_study_kernels(), four_bank_study());
+    EXPECT_FALSE(outcome.completed);
+    EXPECT_TRUE(outcome.outcomes.empty());
+    EXPECT_EQ(outcome.total, 2u);
     EXPECT_EQ(outcome.stop_reason, "test trip");
 }
 

@@ -274,9 +274,9 @@ TEST(FaultCampaign, BitIdenticalAcrossJobCounts) {
     config.codec = &diff;
 
     config.jobs = 1;
-    const FaultCampaignResult serial = run_campaign(config, corpus);
+    const FaultCampaignResult serial = run_campaign(config, corpus).result;
     config.jobs = 4;
-    const FaultCampaignResult parallel = run_campaign(config, corpus);
+    const FaultCampaignResult parallel = run_campaign(config, corpus).result;
 
     EXPECT_EQ(serial.lines_evaluated, parallel.lines_evaluated);
     EXPECT_EQ(serial.faults_injected, parallel.faults_injected);
@@ -304,11 +304,11 @@ TEST(FaultCampaign, StrongerProtectionDeliversFewerSilentLines) {
     config.bit_flip_rate = 1e-3;
 
     config.protection = ProtectionScheme::None;
-    const FaultCampaignResult none = run_campaign(config, corpus);
+    const FaultCampaignResult none = run_campaign(config, corpus).result;
     config.protection = ProtectionScheme::Parity;
-    const FaultCampaignResult parity = run_campaign(config, corpus);
+    const FaultCampaignResult parity = run_campaign(config, corpus).result;
     config.protection = ProtectionScheme::Secded;
-    const FaultCampaignResult secded = run_campaign(config, corpus);
+    const FaultCampaignResult secded = run_campaign(config, corpus).result;
 
     EXPECT_GT(none.silent, 0u);
     EXPECT_EQ(none.corrected, 0u);

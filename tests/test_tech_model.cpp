@@ -72,7 +72,6 @@ TEST(TechModel, SttMramReadWriteAsymmetry) {
     EXPECT_GT(stt.write_energy(), 4.0 * stt.read_energy());
     EXPECT_LT(stt.leakage_pw(), 0.05 * sram.leakage_pw());
     EXPECT_EQ(stt.gated_leakage_energy(100000, 10.0), 0.0);
-    EXPECT_TRUE(stt.factors().retentive);
 }
 
 TEST(TechModel, EdramRefreshScalesWithPoweredCycles) {
@@ -100,7 +99,6 @@ TEST(TechModel, DrowsyMatchesSleepMachineryConstants) {
     // `fault --drowsy`: 8% residual leakage, 40 pJ wake, retentive.
     EXPECT_DOUBLE_EQ(drowsy.factors().gate_leak_factor, 0.08);
     EXPECT_DOUBLE_EQ(drowsy.gate_wake_energy(), 40.0);
-    EXPECT_TRUE(drowsy.factors().retentive);
 }
 
 // ----------------------------------------------------------- bank pool ----
