@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "compress/platform.hpp"
+#include "cache/platform.hpp"
 
 namespace memopt::bench {
 

@@ -10,11 +10,11 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "cache/platform.hpp"
 #include "support/parallel.hpp"
 #include "compress/bdi_codec.hpp"
 #include "compress/dictionary_codec.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "compress/zero_run.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
@@ -53,7 +53,8 @@ int main() {
         std::array<double, 4> ratios;  // diff, zero-run, bdi, dict
     };
     const auto rows = parallel_map(bench::run_suite(), [&](const bench::KernelRunPtr& run) {
-        const DictionaryCodec dict = DictionaryCodec::train(run->result.data_trace, 16);
+        const DictionaryCodec dict =
+            DictionaryCodec::train(run->result.data_trace.write_values(), 16);
         const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
         MaterializedSource source(run->result.data_trace);
         Row row;

@@ -7,9 +7,9 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "cache/platform.hpp"
 #include "support/csv.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"

@@ -12,7 +12,7 @@
 #include "encoding/search.hpp"
 #include "energy/bus_model.hpp"
 #include "energy/sram_model.hpp"
-#include "trace/trace.hpp"
+#include "support/bits.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"

@@ -8,8 +8,8 @@
 #include <iostream>
 #include <string>
 
+#include "cache/platform.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "compress/zero_run.hpp"
 #include "sim/kernels.hpp"
 #include "support/string_util.hpp"

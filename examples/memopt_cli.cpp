@@ -32,7 +32,10 @@
 // Every command accepts a global `--jobs N` option bounding the worker
 // threads of the parallel runtime (equivalent to MEMOPT_JOBS=N; jobs=1 is
 // fully serial). Results are bit-identical at any job count. Any option a
-// command does not read is a usage error, as is a negative count.
+// command does not read is a usage error, as is a negative count; so is an
+// option only another path of the command reads (--l2-banks without
+// --cores, --gate-idle without --bank-pool, --compress without a .mtsc
+// output).
 //
 // `partition` replays its source (the positional argument, or the same
 // spec given as `--trace-stream SPEC`: a kernel, a text trace file, an
@@ -61,6 +64,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -72,14 +76,15 @@
 #include <vector>
 
 #include "cache/mcache.hpp"
+#include "cache/platform.hpp"
 #include "compress/bdi_codec.hpp"
 #include "compress/dictionary_codec.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "compress/zero_run.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "core/symbolize.hpp"
 #include "core/workload.hpp"
 #include "isa/disasm.hpp"
 #include "lang/codegen.hpp"
@@ -91,6 +96,7 @@
 #include "sched/scheduler.hpp"
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/json.hpp"
@@ -101,7 +107,6 @@
 #include "trace/io.hpp"
 #include "trace/source.hpp"
 #include "trace/stream_file.hpp"
-#include "trace/symbolize.hpp"
 
 namespace {
 
@@ -233,6 +238,16 @@ struct Args {
                       "option --" + key + " expects a number");
         return v;
     }
+
+    /// Options the command knows but the path this command line takes does
+    /// not read are usage errors, never silently ignored: `needs` names
+    /// what would make the command read them.
+    void reject_unread(const std::string& command, std::initializer_list<const char*> keys,
+                       const std::string& needs) const {
+        for (const char* key : keys)
+            usage_require(options.count(key) == 0,
+                          command + ": --" + key + " requires " + needs);
+    }
 };
 
 int usage() {
@@ -349,6 +364,7 @@ int cmd_run_cores(const Args& args, JsonWriter* jw) {
 int cmd_run(const Args& args, JsonWriter* jw) {
     usage_require(!args.positional.empty(), "run: missing kernel name");
     if (args.options.count("cores") != 0) return cmd_run_cores(args, jw);
+    args.reject_unread("run", {"l2-banks", "chunk-size"}, "--cores N");
     const KernelRunPtr artifact =
         WorkloadRepository::instance().run(args.positional[0], /*fetch=*/true);
     const AssembledProgram& program = artifact->program;
@@ -425,6 +441,9 @@ int cmd_trace(const Args& args) {
     usage_require(args.positional.size() >= 2, "trace: need <source> <file>");
     const std::string& out = args.positional[1];
     const auto chunk = args.get_count<std::size_t>("chunk-size", 0);
+    const std::int64_t compress = args.get_int("compress", 0);
+    usage_require(compress == 0 || compress == 1, "trace: --compress expects 0 or 1");
+    if (!out.ends_with(".mtsc")) args.reject_unread("trace", {"compress"}, "a .mtsc output file");
     reject_retired_trace_format(out);
     // The source is never materialized: a synthetic:... spec of 10^8
     // accesses streams straight into the output file in O(chunk) memory.
@@ -436,7 +455,7 @@ int cmd_trace(const Args& args) {
     if (out.ends_with(".mtsc")) {
         StreamWriteOptions opts;
         if (chunk > 0) opts.chunk_accesses = chunk;
-        opts.compress = args.get_int("compress", 0) != 0;
+        opts.compress = compress == 1;
         const TraceSummary sum = write_trace_stream(out, *source, opts);
         std::printf("wrote %llu accesses to %s (mtsc%s)\n",
                     (unsigned long long)sum.accesses, out.c_str(),
@@ -467,7 +486,9 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
 
     FlowParams fp;
     fp.block_size = args.get_count<std::uint64_t>("block", 256);
+    usage_require(is_pow2(fp.block_size), "partition: --block expects a power of two");
     fp.constraints.max_banks = args.get_count<std::size_t>("banks", 4);
+    usage_require(fp.constraints.max_banks >= 1, "partition: --banks expects a positive count");
     const MemoryOptimizationFlow flow(fp);
 
     const std::string method_name = args.get("cluster", "frequency");
@@ -489,7 +510,6 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         }
         HybridGatingParams gating;
         gating.idle_cycles = args.get_count<std::uint64_t>("gate-idle", 200);
-        gating.enabled = gating.idle_cycles > 0;
         gating.gate_leak_scale = args.get_double("gate-leak-scale", 1.0);
         usage_require(gating.gate_leak_scale >= 0.0,
                       "partition: --gate-leak-scale expects a non-negative factor");
@@ -514,6 +534,7 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         if (jw != nullptr) to_json(*jw, result);
         return 0;
     }
+    args.reject_unread("partition", {"gate-idle", "gate-leak-scale"}, "--bank-pool SPEC");
     if (method == ClusterMethod::None) {
         const FlowResult result = flow.run(*open_source(), method);
         result.energy.print(std::cout, "partitioned energy:");
@@ -546,7 +567,8 @@ std::unique_ptr<LineCodec> make_codec(const std::string& command, const std::str
     if (name == "zero-run") return std::make_unique<ZeroRunCodec>();
     if (name == "bdi") return std::make_unique<BdiCodec>();
     if (name == "dictionary")
-        return std::make_unique<DictionaryCodec>(DictionaryCodec::train(data_trace, 16));
+        return std::make_unique<DictionaryCodec>(
+            DictionaryCodec::train(data_trace.write_values(), 16));
     throw UsageError(command + ": unknown codec '" + name + "'");
 }
 
@@ -558,9 +580,8 @@ CheckpointOptions checkpoint_options(const Args& args, const std::string& comman
     CheckpointOptions opts;
     opts.path = args.get("checkpoint", "");
     if (opts.path.empty()) {
-        for (const char* key : {"resume", "checkpoint-every", "ckpt-max-units"})
-            usage_require(args.options.count(key) == 0,
-                          command + ": --" + key + " requires --checkpoint PATH");
+        args.reject_unread(command, {"resume", "checkpoint-every", "ckpt-max-units"},
+                           "--checkpoint PATH");
         return opts;
     }
     opts.resume = args.options.count("resume") != 0;
@@ -779,9 +800,8 @@ int cmd_study(const Args& args, JsonWriter* jw) {
         return 0;
     }
 
-    for (const char* key : {"checkpoint", "resume", "checkpoint-every", "ckpt-max-units"})
-        usage_require(args.options.count(key) == 0,
-                      std::string("study: --") + key + " requires 'study all'");
+    args.reject_unread("study", {"checkpoint", "resume", "checkpoint-every", "ckpt-max-units"},
+                       "'study all'");
     const StudyReport report = study_kernel(kernel_by_name(args.positional[0]), params);
     if (jw != nullptr) to_json(*jw, report);
     std::printf("study for %s\n", report.name.c_str());

@@ -36,7 +36,7 @@ SCHEMAS = {
         "sources": [
             "examples/memopt_cli.cpp",
             "src/cache/mcache.cpp",
-            "src/compress/memsys.cpp",
+            "src/cache/memsys.cpp",
             "src/core/flow.cpp",
             "src/core/study.cpp",
             "src/encoding/search.cpp",

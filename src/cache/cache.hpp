@@ -4,7 +4,7 @@
 // dirtiness and LRU state, and reports hit/miss/fill/write-back events per
 // access. The policy is fixed: true LRU replacement, write-back with
 // write-allocate. It does not store data — data reconstruction is layered
-// on top by the compressed-memory simulation (src/compress/memsys), which
+// on top by the compressed-memory simulation (cache/memsys), which
 // replays access values from the trace.
 #pragma once
 

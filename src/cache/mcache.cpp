@@ -173,7 +173,7 @@ EnergyBreakdown MultiCoreCacheSystem::energy(const CoherenceEnergyModel& coheren
 
     // Array energy: one read/write per access plus the word-wise line
     // install on every fill (the same accounting as the compressed-memory
-    // simulation in compress/memsys.cpp).
+    // simulation in cache/memsys.cpp).
     const SramEnergyModel l1_model(config_.l1.size_bytes);
     const CacheStats l1 = l1_totals();
     out.add("l1", l1_model.read_energy() * static_cast<double>(l1.read_hits + l1.read_misses) +

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 
 namespace memopt {
 

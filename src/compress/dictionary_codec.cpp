@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 
 namespace memopt {
 
@@ -18,10 +19,11 @@ DictionaryCodec::DictionaryCodec(std::vector<std::uint32_t> dictionary)
     index_bits_ = log2_exact(dict_.size());
 }
 
-namespace {
-DictionaryCodec train_from_counts(std::unordered_map<std::uint32_t, std::uint64_t>& counts,
-                                  std::size_t entries) {
+DictionaryCodec DictionaryCodec::train(std::span<const std::uint32_t> words,
+                                       std::size_t entries) {
     require(entries > 0 && is_pow2(entries), "DictionaryCodec: entries must be a power of two");
+    std::unordered_map<std::uint32_t, std::uint64_t> counts;
+    for (std::uint32_t w : words) ++counts[w];
     // memopt-lint: order-independent -- ranked is immediately std::sort'ed by a
     // strict total order (count desc, then word asc) over unique keys, so the
     // map's hash order never reaches the truncation below. Pinned by
@@ -44,24 +46,6 @@ DictionaryCodec train_from_counts(std::unordered_map<std::uint32_t, std::uint64_
         ++filler;
     }
     return DictionaryCodec(std::move(dict));
-}
-}  // namespace
-
-DictionaryCodec DictionaryCodec::train(const MemTrace& trace, std::size_t entries) {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    const auto values = trace.values();
-    const auto kinds = trace.kinds();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (kinds[i] == AccessKind::Write) ++counts[values[i]];
-    }
-    return train_from_counts(counts, entries);
-}
-
-DictionaryCodec DictionaryCodec::train(std::span<const std::uint32_t> words,
-                                       std::size_t entries) {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    for (std::uint32_t w : words) ++counts[w];
-    return train_from_counts(counts, entries);
 }
 
 BitWriter DictionaryCodec::encode(std::span<const std::uint8_t> line) const {

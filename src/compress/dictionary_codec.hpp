@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "compress/codec.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 
@@ -26,11 +25,9 @@ public:
     /// two, at most 65536 entries; entries must be unique).
     explicit DictionaryCodec(std::vector<std::uint32_t> dictionary);
 
-    /// Train a dictionary of `entries` words from the write values of a
-    /// profiling trace (most frequent first; deterministic tie-break).
-    static DictionaryCodec train(const MemTrace& trace, std::size_t entries = 16);
-
-    /// Train from a plain word stream.
+    /// Train a dictionary of `entries` words from a profiling word stream,
+    /// e.g. the write values of a trace (most frequent first;
+    /// deterministic tie-break).
     static DictionaryCodec train(std::span<const std::uint32_t> words,
                                  std::size_t entries = 16);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "core/symbolize.hpp"
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
-#include "trace/symbolize.hpp"
 
 namespace memopt {
 

@@ -3,8 +3,9 @@
 #include <optional>
 
 #include "cluster/frequency.hpp"
-#include "cluster/heat.hpp"
+#include "partition/heat.hpp"
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"

@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "cache/memsys.hpp"
+#include "cache/platform.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/memsys.hpp"
-#include "compress/platform.hpp"
 #include "core/flow.hpp"
 #include "encoding/search.hpp"
 #include "sim/kernels.hpp"

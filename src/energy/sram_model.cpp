@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "support/assert.hpp"
-#include "trace/trace.hpp"
+#include "support/bits.hpp"
 
 namespace memopt {
 
@@ -34,6 +34,13 @@ unsigned protection_check_bits(ProtectionScheme scheme, unsigned data_bits) {
     }
     MEMOPT_ASSERT_MSG(false, "unknown ProtectionScheme");
     return 0;
+}
+
+std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme) {
+    if (scheme == ProtectionScheme::None || data_bytes == 0) return data_bytes;
+    const std::size_t words = (data_bytes + 7) / 8;
+    const std::size_t check_bits = words * protection_check_bits(scheme, 64);
+    return data_bytes + (check_bits + 7) / 8;
 }
 
 double protection_access_energy(ProtectionScheme scheme, unsigned data_bits,

@@ -10,6 +10,7 @@
 // ~79 pJ, in line with published 0.18um-era figures.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace memopt {
@@ -41,6 +42,10 @@ const char* protection_name(ProtectionScheme scheme);
 /// Check bits stored per `data_bits`-wide word under `scheme`
 /// (Parity: 1; SECDED: Hamming bits + overall parity, e.g. 8 for 64).
 unsigned protection_check_bits(ProtectionScheme scheme, unsigned data_bits);
+
+/// Bytes a `data_bytes`-long buffer occupies in storage under `scheme`
+/// (check bits of every started 64-bit word, rounded up to whole bytes).
+std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme);
 
 /// Per-access energy of the encode/check logic (XOR trees) [pJ]. The
 /// *storage* overhead of the check bits is modeled separately by

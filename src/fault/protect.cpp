@@ -88,13 +88,6 @@ std::uint8_t parity_encode(std::uint64_t data) {
     return static_cast<std::uint8_t>(parity64(data));
 }
 
-std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme) {
-    if (scheme == ProtectionScheme::None || data_bytes == 0) return data_bytes;
-    const std::size_t words = (data_bytes + 7) / 8;
-    const std::size_t check_bits = words * protection_check_bits(scheme, kDataBits);
-    return data_bytes + (check_bits + 7) / 8;
-}
-
 ProtectedBuffer::ProtectedBuffer(std::span<const std::uint8_t> bytes, ProtectionScheme scheme)
     : scheme_(scheme),
       data_bytes_(bytes.size()),

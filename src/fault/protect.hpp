@@ -37,10 +37,6 @@ CheckOutcome secded_check(std::uint64_t& data, std::uint8_t& check);
 /// Even parity bit of a 64-bit word.
 std::uint8_t parity_encode(std::uint64_t data);
 
-/// Bytes a `data_bytes`-long buffer occupies in storage under `scheme`
-/// (check bits of every started 64-bit word, rounded up to whole bytes).
-std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme);
-
 /// A byte buffer stored as protected 64-bit words. The buffer is padded
 /// with zero bytes to a whole number of words; the padding is genuinely
 /// stored (and therefore injectable), exactly as a hardware row would be.

@@ -5,9 +5,9 @@
 
 #include "isa/encode.hpp"
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 

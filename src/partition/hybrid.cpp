@@ -70,7 +70,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     // Charges a bank found dark at cycle `t`: powered up to its gate point,
     // dark from there to `t`. Returns false when the bank is still powered.
     const auto settle = [&](BankState& s, BankActivity& a, std::uint64_t t) {
-        if (!gating.enabled || t <= s.last_access + gating.idle_cycles) return false;
+        if (gating.idle_cycles == 0 || t <= s.last_access + gating.idle_cycles) return false;
         const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
         a.active_cycles += gate_start - s.powered_since;
         a.gated_cycles += t - gate_start;
@@ -279,7 +279,7 @@ HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
     report.energy.add("bank_select", select_pj * static_cast<double>(accesses));
     report.energy.add("leakage", leak_pj);
     if (refresh_pj > 0.0) report.energy.add("refresh", refresh_pj);
-    if (gating.enabled) {
+    if (gating.idle_cycles > 0) {
         report.energy.add("gated_leakage", gated_pj);
         report.energy.add("wakeup", wake_pj);
     }

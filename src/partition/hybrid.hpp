@@ -40,8 +40,8 @@ class TraceSource;
 /// `idle_cycles` cycles is gated from `idle_cycles` after its last access
 /// until its next one.
 struct HybridGatingParams {
-    bool enabled = true;             ///< false = banks never gate (static study)
-    std::uint64_t idle_cycles = 200; ///< idle time before a bank is gated
+    /// Idle time before a bank is gated; 0 = banks never gate (static study).
+    std::uint64_t idle_cycles = 200;
     /// Ablation knob: scales every technology's gate_leak_factor (1 = the
     /// technology's nominal gate, 0 = perfect gates everywhere). Used by
     /// bench/e14_hybrid_sweep to show gating savings are monotone in gate

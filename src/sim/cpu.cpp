@@ -2,6 +2,7 @@
 
 #include "isa/encode.hpp"
 #include "sim/memory.hpp"
+#include "support/bits.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {

@@ -1,6 +1,7 @@
 #include "sim/memory.hpp"
 
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/string_util.hpp"
 #include "trace/trace.hpp"
 

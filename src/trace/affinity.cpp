@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/parallel.hpp"
 #include "trace/source.hpp"
 

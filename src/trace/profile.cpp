@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "support/bits.hpp"
 #include "support/parallel.hpp"
 #include "trace/source.hpp"
 

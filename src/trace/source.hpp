@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/parallel.hpp"
 #include "trace/synthetic.hpp"

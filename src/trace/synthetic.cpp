@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/bits.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {

@@ -1,7 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <bit>
+
+#include "support/bits.hpp"
 
 namespace memopt {
 
@@ -80,6 +81,15 @@ std::uint64_t MemTrace::address_span_pow2() const {
     return ceil_pow2(max_addr_ + 1);
 }
 
+std::vector<std::uint32_t> MemTrace::write_values() const {
+    std::vector<std::uint32_t> out;
+    out.reserve(writes_);
+    for (std::size_t i = 0; i < size(); ++i) {
+        if (kinds_[i] == AccessKind::Write) out.push_back(values_[i]);
+    }
+    return out;
+}
+
 void MemTrace::clear() {
     addrs_.clear();
     cycles_.clear();
@@ -96,18 +106,6 @@ void MemTrace::reserve(std::size_t n) {
     values_.reserve(n);
     sizes_.reserve(n);
     kinds_.reserve(n);
-}
-
-std::uint64_t ceil_pow2(std::uint64_t v) {
-    if (v <= 1) return 1;
-    return std::bit_ceil(v);
-}
-
-bool is_pow2(std::uint64_t v) { return v != 0 && std::has_single_bit(v); }
-
-unsigned log2_exact(std::uint64_t v) {
-    MEMOPT_ASSERT(is_pow2(v));
-    return static_cast<unsigned>(std::countr_zero(v));
 }
 
 }  // namespace memopt

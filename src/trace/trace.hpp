@@ -69,6 +69,9 @@ public:
     std::span<const std::uint8_t> sizes() const { return sizes_; }
     std::span<const AccessKind> kinds() const { return kinds_; }
 
+    /// The values written by the write accesses, in trace order.
+    std::vector<std::uint32_t> write_values() const;
+
     /// Materialize access `i`.
     MemAccess at(std::size_t i) const {
         MEMOPT_ASSERT(i < addrs_.size());
@@ -105,14 +108,5 @@ private:
     std::uint64_t min_addr_ = 0;
     std::uint64_t max_addr_ = 0;
 };
-
-/// Round `v` up to the next power of two (v=0 -> 1).
-std::uint64_t ceil_pow2(std::uint64_t v);
-
-/// True if `v` is a power of two (v > 0).
-bool is_pow2(std::uint64_t v);
-
-/// Integer log2 of a power of two.
-unsigned log2_exact(std::uint64_t v);
 
 }  // namespace memopt

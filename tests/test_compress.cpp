@@ -3,11 +3,11 @@
 // simulation invariants.
 #include <gtest/gtest.h>
 
+#include "cache/memsys.hpp"
+#include "cache/platform.hpp"
 #include "compress/bdi_codec.hpp"
 #include "compress/dictionary_codec.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/memsys.hpp"
-#include "compress/platform.hpp"
 #include "compress/zero_run.hpp"
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
@@ -238,7 +238,7 @@ TEST(DictionaryCodec, TrainsFromTraceWrites) {
     for (int i = 0; i < 100; ++i)
         trace.add(MemAccess{.addr = 0, .cycle = 0, .value = 0x9999, .size = 4,
                             .kind = AccessKind::Read});
-    const DictionaryCodec codec = DictionaryCodec::train(trace, 2);
+    const DictionaryCodec codec = DictionaryCodec::train(trace.write_values(), 2);
     EXPECT_EQ(codec.dictionary()[0], 0x1234u);
 }
 
@@ -313,6 +313,25 @@ TEST(Memsys, CompressibleWorkloadSavesMemoryEnergy) {
         CompressedMemorySim(vliw_platform().config, &codec).run(source, prog.data, prog.data_base);
     EXPECT_LT(comp.energy.component("main_memory"), base.energy.component("main_memory"));
     EXPECT_LT(comp.traffic_ratio(), 0.85);
+}
+
+TEST(Memsys, SecdedWidensStoredLinesAndChargesEcc) {
+    // Check bits ride with every compressed line, and the checker runs on
+    // each compressed write-back and refill; an unprotected run has
+    // neither.
+    const DiffCodec codec;
+    AssembledProgram prog;
+    const MemTrace trace = kernel_trace("listchase", prog);
+    MaterializedSource source(trace);
+    CompressedMemConfig secded = vliw_platform().config;
+    secded.protection = ProtectionScheme::Secded;
+    const auto plain =
+        CompressedMemorySim(vliw_platform().config, &codec).run(source, prog.data, prog.data_base);
+    const auto guarded = CompressedMemorySim(secded, &codec).run(source, prog.data, prog.data_base);
+    EXPECT_GT(guarded.actual_traffic_bytes, plain.actual_traffic_bytes);
+    EXPECT_EQ(guarded.raw_traffic_bytes, plain.raw_traffic_bytes);
+    EXPECT_GT(guarded.energy.component("ecc"), 0.0);
+    EXPECT_EQ(plain.energy.component("ecc"), 0.0);
 }
 
 TEST(Memsys, EndToEndRoundTripInvariantHoldsOnAllKernels) {

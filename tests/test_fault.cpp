@@ -1,16 +1,12 @@
 // Fault-injection subsystem: SECDED/parity codes, the deterministic
-// injector, Monte-Carlo campaigns, and graceful degradation in the
-// compressed-memory simulation.
+// injector, and Monte-Carlo campaigns.
 #include <gtest/gtest.h>
 
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "fault/campaign.hpp"
 #include "fault/inject.hpp"
 #include "fault/protect.hpp"
 #include "support/rng.hpp"
-#include "trace/source.hpp"
-#include "trace/synthetic.hpp"
 
 namespace memopt {
 namespace {
@@ -328,80 +324,6 @@ TEST(FaultCampaign, ValidatesInputs) {
     EXPECT_THROW(run_campaign(config, {}), Error);
     const std::vector<double> wrong_probs(3, 1e-4);
     EXPECT_THROW(run_campaign(config, corpus, wrong_probs), Error);
-}
-
-// ---- graceful degradation in the memory system ---------------------------
-
-TEST(MemsysFaults, DegradedRefillsAreAccountedAndDeterministic) {
-    SyntheticParams sp;
-    sp.span_bytes = 4096;
-    sp.num_accesses = 6000;
-    sp.write_fraction = 0.5;
-    sp.seed = 3;
-    const MemTrace trace = uniform_trace(sp);
-    MaterializedSource source(trace);
-    std::vector<std::uint8_t> image(4096);
-    Rng rng(4);
-    std::uint8_t value = 0;
-    for (auto& b : image) {
-        value = static_cast<std::uint8_t>(value + rng.next_below(4));
-        b = value;
-    }
-
-    const DiffCodec diff;
-    CompressedMemConfig config = vliw_platform().config;
-    config.protection = ProtectionScheme::Secded;
-    config.faults = MemFaultParams{0.002, 8};
-
-    const CompressedMemReport a = CompressedMemorySim(config, &diff).run(source, image, 0);
-    EXPECT_GT(a.faults_injected, 0u);
-    EXPECT_GT(a.corrected_faults, 0u);
-    EXPECT_GT(a.degraded_refills, 0u);
-    EXPECT_GT(a.energy.component("refetch"), 0.0);
-    EXPECT_GT(a.energy.component("ecc"), 0.0);
-    // SECDED flags every detected line: nothing slips through silently at
-    // this flip rate's double-bit-per-word scale, and what does slip is
-    // counted, never delivered as if clean.
-    const CompressedMemReport b = CompressedMemorySim(config, &diff).run(source, image, 0);
-    EXPECT_EQ(a.faults_injected, b.faults_injected);
-    EXPECT_EQ(a.corrected_faults, b.corrected_faults);
-    EXPECT_EQ(a.degraded_refills, b.degraded_refills);
-    EXPECT_EQ(a.silent_refills, b.silent_refills);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-}
-
-TEST(MemsysFaults, UnprotectedFaultsSlipThroughOrRejected) {
-    SyntheticParams sp;
-    sp.span_bytes = 4096;
-    sp.num_accesses = 6000;
-    sp.write_fraction = 0.5;
-    sp.seed = 5;
-    const MemTrace trace = uniform_trace(sp);
-    MaterializedSource source(trace);
-    const std::vector<std::uint8_t> image(4096, 0x11);
-
-    const DiffCodec diff;
-    CompressedMemConfig config = vliw_platform().config;
-    config.faults = MemFaultParams{0.004, 8};  // protection stays None
-
-    const CompressedMemReport report =
-        CompressedMemorySim(config, &diff).run(source, image, 0);
-    EXPECT_GT(report.faults_injected, 0u);
-    EXPECT_EQ(report.corrected_faults, 0u);
-    // Without ECC every corrupted line either decodes to garbage (silent)
-    // or is rejected by the codec (degraded); both tallies are observable.
-    EXPECT_GT(report.silent_refills + report.degraded_refills, 0u);
-}
-
-TEST(MemsysFaults, FaultsAndRoundTripCheckAreExclusive) {
-    CompressedMemConfig config = vliw_platform().config;
-    config.verify_roundtrip = true;
-    config.faults = MemFaultParams{1e-3, 1};
-    const DiffCodec diff;
-    EXPECT_THROW(CompressedMemorySim(config, &diff), Error);
-    config.verify_roundtrip = false;
-    config.faults->stored_bit_flip_prob = 1.5;
-    EXPECT_THROW(CompressedMemorySim(config, &diff), Error);
 }
 
 }  // namespace

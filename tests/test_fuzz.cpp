@@ -383,7 +383,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoFuzz, ::testing::Range<std::uint64_t>(1, 
 /// flip random bits / truncate / extend the blob, and require decode() to
 /// either return exactly line_bytes bytes or throw memopt::Error — never
 /// crash, hang, or allocate past the line bound. This is the contract the
-/// degraded-refill path of compress/memsys and fault/campaign rely on.
+/// degraded-line classification of fault/campaign relies on.
 class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 std::vector<std::uint8_t> random_line(Rng& rng, std::size_t line_bytes) {
@@ -422,7 +422,7 @@ TEST_P(CodecFuzz, DecodersSurviveCorruptedBlobs) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp), 16);
+    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp).write_values(), 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 150; ++trial) {
@@ -457,7 +457,7 @@ TEST_P(CodecFuzz, DecodersSurvivePureGarbage) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp), 16);
+    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp).write_values(), 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 200; ++trial) {

@@ -52,7 +52,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
             const std::size_t block = static_cast<std::size_t>(phys / arch.block_size());
             const std::size_t bank = arch.bank_of_block(block);
 
-            if (gating.enabled) {
+            if (gating.idle_cycles > 0) {
                 // Retire gate transitions for every bank whose idle
                 // threshold has passed (the accessed bank must be exact,
                 // the rest need the transition point for their own
@@ -88,7 +88,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     const std::uint64_t end = std::max(now + 1, min_total_cycles);
     for (std::size_t b = 0; b < num_banks; ++b) {
         BankState& s = states[b];
-        if (gating.enabled && !s.gated && end > s.last_access + gating.idle_cycles) {
+        if (gating.idle_cycles > 0 && !s.gated && end > s.last_access + gating.idle_cycles) {
             const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
             activity[b].active_cycles += gate_start - s.state_since;
             s.gated = true;
@@ -168,7 +168,7 @@ TEST_P(HybridReplayReference, LazySettlementMatchesEagerReplay) {
 
     std::vector<std::pair<std::string, HybridGatingParams>> gatings;
     HybridGatingParams off;
-    off.enabled = false;
+    off.idle_cycles = 0;
     gatings.emplace_back("off", off);
     for (const std::uint64_t idle : {1ull, 7ull, 200ull, 1000000ull}) {
         HybridGatingParams g;
@@ -220,7 +220,7 @@ TEST(HybridReplayReferenceSpan, OutOfSpanAddressThrowsLikeTheReference) {
     const MemoryArchitecture arch = even_split(4, 2);
     const AddressMap map = AddressMap::identity(kBlockBytes, 4);
     HybridGatingParams off;
-    off.enabled = false;
+    off.idle_cycles = 0;
     for (const HybridGatingParams& gating : {HybridGatingParams{}, off}) {
         for (const bool use_reference : {true, false}) {
             try {

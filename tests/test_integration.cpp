@@ -2,8 +2,8 @@
 // on real kernel traces, and their headline properties hold.
 #include <gtest/gtest.h>
 
+#include "cache/platform.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/platform.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "encoding/baselines.hpp"

@@ -627,25 +627,27 @@ TEST(LintGraph, ModuleOfUsesSecondComponentUnderSrc) {
     EXPECT_EQ(module_of("tools/memopt_lint.cpp"), "tools");
 }
 
-TEST(LintGraph, LayeringBackEdgeFlaggedUnlessExcepted) {
+TEST(LintGraph, LayeringFlagsBackAndSameRankEdges) {
     std::map<std::string, FileIndex> indexes;
-    indexes["src/support/low.hpp"] =
-        synthetic_index("src/support/low.hpp", {"cache/high.hpp", "trace/peer.hpp"});
-    indexes["src/cache/high.hpp"] = synthetic_index("src/cache/high.hpp", {"support/low.hpp"});
+    indexes["src/support/low.hpp"] = synthetic_index("src/support/low.hpp", {"cache/high.hpp"});
+    indexes["src/cache/high.hpp"] =
+        synthetic_index("src/cache/high.hpp", {"support/low.hpp", "trace/peer.hpp"});
     indexes["src/trace/peer.hpp"] = synthetic_index("src/trace/peer.hpp", {});
     const IncludeGraph graph = build_include_graph(indexes);
     LayeringConfig config;
     config.module_layers = {{"support", 0}, {"cache", 1}, {"trace", 1}};
-    config.exceptions = {{"support", "trace"}};
 
     std::vector<Finding> findings;
     resolve_layering(indexes, graph, config, findings);
-    // support -> cache is a back-edge; support -> trace is excepted, and
+    // support -> cache is a back-edge and cache -> trace a same-rank edge;
     // cache -> support (downward) is the allowed direction.
-    ASSERT_EQ(findings.size(), 1u);
+    ASSERT_EQ(findings.size(), 2u);
     EXPECT_EQ(findings[0].rule, "L1");
-    EXPECT_EQ(findings[0].file, "src/support/low.hpp");
-    EXPECT_NE(findings[0].message.find("cache"), std::string::npos);
+    EXPECT_EQ(findings[0].file, "src/cache/high.hpp");
+    EXPECT_NE(findings[0].message.find("'trace'"), std::string::npos);
+    EXPECT_EQ(findings[1].rule, "L1");
+    EXPECT_EQ(findings[1].file, "src/support/low.hpp");
+    EXPECT_NE(findings[1].message.find("'cache'"), std::string::npos);
 }
 
 // L1 skips the files of a module without a rank, so a new src/ directory
@@ -662,6 +664,37 @@ TEST(LintGraph, EveryTreeModuleHasARank) {
     for (const std::string& m : modules) {
         EXPECT_EQ(layering.module_layers.count(m), 1u) << "module '" << m << "' has no rank";
     }
+}
+
+// The layering catches only unannotated upward and same-rank includes;
+// collapsing the tree's include graph to modules checks the acyclic
+// outcome directly, so a cycle hidden behind a `layering` annotation
+// fails here too.
+TEST(LintGraph, TreeModuleGraphIsAcyclic) {
+    namespace fs = std::filesystem;
+    const fs::path root = MEMOPT_LINT_TREE_ROOT;
+    std::map<std::string, FileIndex> indexes;
+    for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
+        if (!entry.is_regular_file()) continue;
+        const std::string rel = fs::relative(entry.path(), root).generic_string();
+        if (!rel.ends_with(".hpp") && !rel.ends_with(".cpp")) continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        indexes.emplace(rel, build_file_index(tokenize(rel, text), fnv1a64(text)));
+    }
+    ASSERT_GT(indexes.size(), 100u);
+
+    std::map<std::string, std::set<std::string>> module_edges;
+    for (const auto& [file, targets] : build_include_graph(indexes).edges) {
+        const std::string from = module_of(file);
+        for (const std::string& target : targets) {
+            if (module_of(target) != from) module_edges[from].insert(module_of(target));
+        }
+    }
+    IncludeGraph modules;
+    for (const auto& [from, to] : module_edges) modules.edges[from].assign(to.begin(), to.end());
+    EXPECT_EQ(include_cycles(modules), std::vector<std::vector<std::string>>{});
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "cache/memsys.hpp"
 #include "cache_hierarchy.hpp"
 #include "compress/diff_codec.hpp"
-#include "compress/memsys.hpp"
 #include "core/flow.hpp"
 #include "core/workload.hpp"
 #include "support/assert.hpp"

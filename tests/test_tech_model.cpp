@@ -181,7 +181,7 @@ TEST(HybridGating, ResidencyIsConsistent) {
 
     // Gating disabled: every cycle is active, nothing wakes.
     HybridGatingParams off;
-    off.enabled = false;
+    off.idle_cycles = 0;
     for (const BankActivity& a : replay_bank_activity(arch, map, source, off)) {
         EXPECT_EQ(a.gated_cycles, 0u);
         EXPECT_EQ(a.wakeups, 0u);
@@ -255,7 +255,7 @@ TEST(SleepyBanks, SleepCutsLeakageVersusAlwaysOn) {
     HybridGatingParams sleepy;
     sleepy.idle_cycles = 300;
     HybridGatingParams never;
-    never.enabled = false;
+    never.idle_cycles = 0;
     const EnergyBreakdown gated = drowsy_report(arch, map, source, {}, sleepy).energy;
     const EnergyBreakdown ungated = drowsy_report(arch, map, source, {}, never).energy;
     EXPECT_LT(gated.component("leakage") + gated.component("gated_leakage"),
@@ -302,7 +302,7 @@ TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     params.runtime_cycles = trace.cycles().back() + 1;
 
     HybridGatingParams off;
-    off.enabled = false;
+    off.idle_cycles = 0;
     const auto activity =
         replay_bank_activity(arch, map, source, off, params.runtime_cycles);
     const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);

@@ -6,7 +6,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/symbolize.hpp"
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/rng.hpp"
 #include "trace/affinity.hpp"
 #include "trace/profile.hpp"
@@ -14,7 +16,6 @@
 #include "sim/kernels.hpp"
 #include "trace/io.hpp"
 #include "trace/source.hpp"
-#include "trace/symbolize.hpp"
 #include "trace/trace.hpp"
 
 namespace memopt {

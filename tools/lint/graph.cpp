@@ -51,17 +51,13 @@ bool is_implementation_file(const std::string& p) {
 
 }  // namespace
 
-bool LayeringConfig::exception_allows(const std::string& from, const std::string& to) const {
-    for (const auto& [f, t] : exceptions) {
-        if (f == from && t == to) return true;
-    }
-    return false;
-}
-
-// The repository's growth contract: support has no dependencies, the
-// trace/energy/isa substrate stands only on support, the optimization
-// passes stand on the substrate, core orchestrates the passes, and the
-// tools/benches/tests/examples ring may see everything.
+// The repository's growth contract: support has no dependencies; the line
+// codecs, the energy models and the ISA stand only on support; the trace
+// substrate (whose .mtsc container reuses the codecs) and the passes that
+// need no trace stand on those; the replays, clustering and simulator
+// stand on the trace; partitioning places clusters on banks; fault
+// campaigns run on a partition; core orchestrates everything; the lint
+// engine sits in tools, which the tests and perf_micro drive in-process.
 const LayeringConfig& project_layering() {
     static const LayeringConfig config = [] {
         LayeringConfig c;
@@ -69,18 +65,14 @@ const LayeringConfig& project_layering() {
             for (const char* m : modules) c.module_layers.emplace(m, r);
         };
         rank(0, {"support"});
-        rank(1, {"trace", "energy", "isa"});
-        rank(2, {"cache", "cluster", "compress", "encoding", "partition"});
-        rank(2, {"fault", "sim", "sched", "lang"});
-        rank(3, {"core"});
-        rank(4, {"tools", "examples", "bench", "tests"});
-        c.allow_same_layer = true;
-        // trace/stream_file self-hosts on the in-tree codecs: .mtsc
-        // containers carry delta+varint/RLE-compressed chunks (DESIGN.md
-        // §6). Compression is a layer-2 pass, but the container format
-        // reuses it one layer down rather than duplicating the codecs. This
-        // is the repository's one sanctioned back-edge.
-        c.exceptions.emplace_back("trace", "compress");
+        rank(1, {"compress", "energy", "isa"});
+        rank(2, {"trace", "encoding", "sched", "lang"});
+        rank(3, {"cache", "cluster", "sim"});
+        rank(4, {"partition"});
+        rank(5, {"fault"});
+        rank(6, {"core"});
+        rank(7, {"tools"});
+        rank(8, {"bench", "examples", "tests"});
         return c;
     }();
     return config;
@@ -207,17 +199,13 @@ void resolve_layering(const std::map<std::string, FileIndex>& indexes,
             const auto layer_to = config.module_layers.find(to);
             if (layer_to == config.module_layers.end()) continue;
             if (layer_to->second < layer_from->second) continue;
-            if (layer_to->second == layer_from->second && config.allow_same_layer) continue;
-            if (config.exception_allows(from, to)) continue;
             findings.push_back(Finding{
                 path, site.line, "L1",
                 "include of '" + site.target + "' violates the layering DAG: module '" +
                     from + "' (layer " + std::to_string(layer_from->second) +
                     ") may not depend on '" + to + "' (layer " +
                     std::to_string(layer_to->second) +
-                    "); invert the dependency, move the shared piece to a lower layer, "
-                    "or add a documented exception to project_layering() in "
-                    "tools/lint/graph.cpp",
+                    "); invert the dependency or move the shared piece to a lower layer",
                 false});
         }
     }

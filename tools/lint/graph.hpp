@@ -22,16 +22,10 @@ namespace memopt::lint {
 // ---------------------------------------------------------------------------
 // Module layering (L1)
 
-/// A layering DAG: a module may include its own headers, any module of a
-/// strictly lower rank, same-rank peers when `allow_same_layer`, and the
-/// listed back-edges.
+/// A layering DAG: a module may include its own headers and those of any
+/// module of a strictly lower rank, so the module graph is acyclic.
 struct LayeringConfig {
     std::map<std::string, int> module_layers;  // module -> rank
-    bool allow_same_layer = true;
-    /// Documented back-edges: `from` may include `to` despite the ranks.
-    std::vector<std::pair<std::string, std::string>> exceptions;
-
-    bool exception_allows(const std::string& from, const std::string& to) const;
 };
 
 /// The repository's layering, declared once in graph.cpp. Every directory

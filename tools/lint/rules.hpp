@@ -34,9 +34,10 @@
 //      must be sorted before order-sensitive consumption or carry a
 //      `// memopt-lint: order-independent` annotation. Member containers
 //      (trailing '_') are recognized across files via the index union.
-//  L1  module layering: a file may include only its own module, lower
-//      layers of the declared DAG (project_layering() in graph.cpp), or
-//      same-layer modules; back-edges are findings.
+//  L1  module layering: a file may include only its own module or a
+//      module of a strictly lower rank in the declared DAG
+//      (project_layering() in graph.cpp); same-rank and upward includes
+//      are findings.
 //  L2  the include graph is acyclic; every cycle is a finding on its
 //      lexicographically-smallest member.
 //  I1  IWYU-lite: a quoted include no symbol of which (directly or via its
