@@ -182,6 +182,28 @@ void BM_WindowedAffinity(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowedAffinity)->Arg(512)->Arg(4096);
 
+// The product's window: FlowParams::affinity_window is 32, and no product
+// path counts at window 8. The trace is perfbench's affinity-16k input at
+// its tuning seed (16384 blocks of 256 B, 2.5e5 hotspot accesses, 428901
+// pairs), so the pair table is in its key-partitioned layout.
+void BM_ProductWindowAffinity(benchmark::State& state) {
+    const auto blocks = static_cast<std::size_t>(state.range(0));
+    const MemTrace trace = materialize_synthetic(parse_synthetic_spec(
+        "hotspot,span=" + std::to_string(blocks * 256) +
+        ",n=250000,seed=1,hotspots=8,hotspot-bytes=1024,hot-frac=0.9"));
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        const AffinityMatrix aff = windowed_affinity(source, profile, FlowParams{}.affinity_window);
+        accesses += trace.size();
+        benchmark::DoNotOptimize(aff.total());
+    }
+    state.counters["accesses/s"] =
+        benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ProductWindowAffinity)->Arg(16384);
+
 void BM_ProfileAndAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = scattered_hotspot_trace({

@@ -7,6 +7,11 @@
 #include <memory>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#include <sys/resource.h>
+#endif
+
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 
@@ -43,6 +48,26 @@ std::size_t hardware_jobs() {
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+/// glibc gives every thread that allocates an arena of its own, and each
+/// arena beyond the main one reserves 64 MiB of address space up front.
+/// That costs nothing until the process runs under an address-space limit
+/// (ulimit -v), where a pool of J workers takes J * 64 MiB of the limit
+/// before any work: the 10^7-access affinity partition of a 210 MiB .mtsc
+/// at --jobs 4 peaked at 576-592 MiB of address space with the three
+/// workers' arenas and at 384 MiB without them. So under any finite limit
+/// the workers share the main arena, and every run under a limit pays for
+/// that: BM_WindowedAffinity/512, whose tasks allocate and free a 1 MiB
+/// triangle per call, ran 1.5x slower under a 4 GiB limit, while the other
+/// affinity benchmarks and the 10^7-access partitions stayed within noise.
+/// Without a limit each worker keeps its own arena.
+void share_main_malloc_arena_under_address_limit() {
+#if defined(__GLIBC__)
+    rlimit limit{};
+    if (getrlimit(RLIMIT_AS, &limit) == 0 && limit.rlim_cur != RLIM_INFINITY)
+        mallopt(M_ARENA_MAX, 1);
+#endif
+}
+
 /// Shared worker pool, created on first use by a region with jobs > 1.
 /// Capacity is fixed at creation: enough workers for the largest plausible
 /// region (hardware threads, MEMOPT_JOBS, and a floor of 4 so that
@@ -50,6 +75,7 @@ std::size_t hardware_jobs() {
 /// participating caller. Regions never use more than jobs-1 of them.
 ThreadPool& shared_pool() {
     static ThreadPool pool([] {
+        share_main_malloc_arena_under_address_limit();
         const std::size_t want =
             std::max({hardware_jobs(), default_jobs(), std::size_t{4}});
         return std::clamp<std::size_t>(want, 2, 64) - 1;

@@ -1,6 +1,7 @@
 #include "trace/affinity.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -33,7 +34,7 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     std::size_t next = 0;   // slot holding the oldest entry once full
     auto push = [&](std::size_t block) {
         ring[next] = block;
-        next = (next + 1) % cap;
+        if (++next == cap) next = 0;
         if (count < cap) ++count;
     };
     const std::size_t skip = context.size() > cap ? context.size() - cap : 0;
@@ -42,9 +43,7 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
         on_access(i, block);
-        for (std::size_t k = 0; k < count; ++k) {
-            if (ring[k] != block) acc.add(ring[k], block);
-        }
+        acc.add_window(std::span<const std::size_t>(ring.data(), count), block);
         push(block);
     }
 }
@@ -77,17 +76,17 @@ double AffinityMatrix::at(std::size_t a, std::size_t b) const {
 }
 
 double AffinityMatrix::total() const {
-    double sum = 0.0;
+    std::uint64_t sum = 0;
     for (std::size_t a = 0; a < n_; ++a) {
         for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
             if (col_[e] >= a) sum += val_[e];
         }
     }
-    return sum;
+    return static_cast<double>(sum);
 }
 
 double AffinityMatrix::max_offdiagonal() const {
-    double best = 0.0;
+    std::uint32_t best = 0;
     for (std::size_t a = 0; a < n_; ++a) {
         for (std::size_t e = row_ptr_[a]; e < row_ptr_[a + 1]; ++e) {
             if (col_[e] > a) best = std::max(best, val_[e]);
@@ -104,116 +103,185 @@ namespace {
 constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 constexpr unsigned kInitialSlotsLog2 = 10;
 
+/// Key partition of a packed pair key among `count`: the top 32 bits of a
+/// multiplicative hash, scaled onto [0, count). Its multiplier is not the
+/// table's, so the keys of one partition still spread over all home slots.
+std::size_t partition_of(std::uint64_t key, std::size_t count) {
+    return static_cast<std::size_t>(((key * 0xBF58476D1CE4E5B9ull) >> 32) * count >> 32);
+}
+
 }  // namespace
 
-AffinityAccumulator::AffinityAccumulator(std::size_t num_blocks)
-    : n_(num_blocks), dense_(num_blocks <= kAffinityDenseMaxBlocks) {
+AffinityAccumulator::AffinityAccumulator(std::size_t num_blocks, KeyPartition part)
+    : n_(num_blocks), dense_(num_blocks <= kAffinityDenseMaxBlocks), part_(part) {
     require(num_blocks > 0, "AffinityAccumulator: num_blocks must be > 0");
     // Block ids below 2^32 - 1 keep every packed key below kEmptyKey.
     require(static_cast<std::uint64_t>(num_blocks) < (std::uint64_t{1} << 32),
             "AffinityAccumulator: num_blocks must be < 2^32");
+    require(part.index < part.count, "AffinityAccumulator: key partition out of range");
     if (dense_) {
+        require(part.count == 1, "AffinityAccumulator: the dense triangle counts every pair");
         tri_.assign(n_ * (n_ + 1) / 2, 0);
     } else {
-        slots_.assign(std::size_t{1} << kInitialSlotsLog2, Slot{kEmptyKey, 0});
-        hash_shift_ = 64 - kInitialSlotsLog2;
+        tables_.resize(part.count);
+        PairTable& table = tables_[part.index];
+        table.slots.assign(std::size_t{1} << kInitialSlotsLog2, Slot{kEmptyKey, 0});
+        table.hash_shift = 64 - kInitialSlotsLog2;
     }
 }
 
-void AffinityAccumulator::add(std::size_t a, std::size_t b) {
+void AffinityAccumulator::add(std::size_t a, std::size_t b, std::uint64_t count) {
     if (a > b) std::swap(a, b);
     MEMOPT_ASSERT(b < n_);
-    if (dense_) ++tri_[a * n_ - a * (a + 1) / 2 + b];
-    else add_to_slot((static_cast<std::uint64_t>(a) << 32) | b, 1);
+    if (dense_) {
+        tri_[a * n_ - a * (a + 1) / 2 + b] += count;
+        return;
+    }
+    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+    if (partition_of(key, part_.count) == part_.index) tables_[part_.index].add(key, count);
 }
 
-void AffinityAccumulator::add_to_slot(std::uint64_t key, std::uint64_t count) {
+void AffinityAccumulator::add_window(std::span<const std::size_t> window, std::size_t block) {
+    MEMOPT_ASSERT(block < n_);
+    if (dense_) {
+        for (const std::size_t other : window) {
+            MEMOPT_ASSERT(other < n_);
+            const std::size_t a = std::min(other, block);
+            const std::size_t b = std::max(other, block);
+            if (a != b) ++tri_[a * n_ - a * (a + 1) / 2 + b];
+        }
+        return;
+    }
+    // Gather the keys of the accumulator's partition, then insert them. The
+    // gather has no branch per slot: whether a pair spans two blocks, and
+    // whether it falls in the partition (1 in J for a task's state), are
+    // unpredictable. The partition test is arithmetic on the key and loads
+    // nothing, so one partition of one costs what a plain insert loop does.
+    PairTable& table = tables_[part_.index];
+    if (window_keys_.size() < window.size()) window_keys_.resize(window.size());
+    std::uint64_t* const keys = window_keys_.data();
+    std::size_t kept = 0;
+    for (const std::size_t other : window) {
+        MEMOPT_ASSERT(other < n_);
+        const std::uint64_t lo = std::min(other, block);
+        const std::uint64_t hi = std::max(other, block);
+        const std::uint64_t key = (lo << 32) | hi;
+        keys[kept] = key;
+        kept += static_cast<std::size_t>(lo != hi) &
+                static_cast<std::size_t>(partition_of(key, part_.count) == part_.index);
+    }
+    for (std::size_t k = 0; k < kept; ++k) table.add(keys[k], 1);
+}
+
+void AffinityAccumulator::PairTable::add(std::uint64_t key, std::uint64_t count) {
     // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
-    const std::size_t mask = slots_.size() - 1;
-    auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> hash_shift_);
-    while (slots_[i].key != key && slots_[i].key != kEmptyKey) i = (i + 1) & mask;
-    if (slots_[i].key == key) {
-        slots_[i].count += count;
-    } else if (4 * (occupied_ + 1) > 3 * slots_.size()) {
+    const std::size_t mask = slots.size() - 1;
+    auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> hash_shift);
+    while (slots[i].key != key && slots[i].key != kEmptyKey) i = (i + 1) & mask;
+    if (slots[i].key == key) {
+        slots[i].count += count;
+    } else if (4 * (occupied + 1) > 3 * slots.size()) {
         grow();
-        add_to_slot(key, count);
+        add(key, count);
     } else {
-        slots_[i] = Slot{key, count};
-        ++occupied_;
+        slots[i] = Slot{key, count};
+        ++occupied;
     }
 }
 
-void AffinityAccumulator::grow() {
+void AffinityAccumulator::PairTable::grow() {
     const std::vector<Slot> old =
-        std::exchange(slots_, std::vector<Slot>(2 * slots_.size(), Slot{kEmptyKey, 0}));
-    --hash_shift_;
-    occupied_ = 0;
+        std::exchange(slots, std::vector<Slot>(2 * slots.size(), Slot{kEmptyKey, 0}));
+    --hash_shift;
+    occupied = 0;
     for (const Slot& s : old) {
-        if (s.key != kEmptyKey) add_to_slot(s.key, s.count);
+        if (s.key != kEmptyKey) add(s.key, s.count);
     }
 }
 
-void AffinityAccumulator::merge(const AffinityAccumulator& other) {
-    require(other.n_ == n_ && other.dense_ == dense_,
+void AffinityAccumulator::merge(AffinityAccumulator&& other) {
+    require(other.n_ == n_ && other.tables_.size() == tables_.size(),
             "AffinityAccumulator::merge: shape mismatch");
     if (dense_) {
         for (std::size_t i = 0; i < tri_.size(); ++i) tri_[i] += other.tri_[i];
-    } else {
-        // Grow for the worst-case union first. other's slots come out in
-        // home-slot order, and a table that had to grow midway would take
-        // them at its old size, stacking them into one long probe run.
-        while (4 * (occupied_ + other.occupied_) > 3 * slots_.size()) grow();
-        for (const Slot& s : other.slots_) {
-            if (s.key != kEmptyKey) add_to_slot(s.key, s.count);
-        }
+        return;
+    }
+    for (std::size_t p = 0; p < tables_.size(); ++p) {
+        if (other.tables_[p].slots.empty()) continue;
+        require(tables_[p].slots.empty(), "AffinityAccumulator::merge: key partitions overlap");
+        tables_[p] = std::move(other.tables_[p]);
     }
 }
 
-AffinityMatrix AffinityAccumulator::finalize() {
-    // Collect the upper-triangle pairs sorted by (row, col), then scatter
-    // each into both adjacency rows. Processing pairs in ascending (a, b)
-    // order fills every row's columns in ascending order: row r first
-    // receives its below-diagonal neighbours (from pairs whose larger
-    // element is r, arriving as the smaller element ascends), then its
-    // above-diagonal neighbours (from its own row's pairs).
-    std::vector<Slot> sorted;
+AffinityMatrix AffinityAccumulator::finalize(std::size_t jobs) {
+    // Runs of distinct pairs in ascending key order: the triangle walk
+    // yields one, and each held key partition another.
+    std::vector<std::vector<Slot>> runs;
     if (dense_) {
         const std::vector<std::uint64_t> tri = std::exchange(tri_, {});
+        std::vector<Slot>& run = runs.emplace_back();
         for (std::size_t a = 0; a < n_; ++a) {
             const std::size_t row_base = a * n_ - a * (a + 1) / 2;
             for (std::size_t b = a; b < n_; ++b) {
-                if (tri[row_base + b] != 0)
-                    sorted.push_back(
-                        Slot{(static_cast<std::uint64_t>(a) << 32) | b, tri[row_base + b]});
+                const std::uint64_t count = tri[row_base + b];
+                if (count != 0)
+                    run.push_back(Slot{(static_cast<std::uint64_t>(a) << 32) | b, count});
             }
         }
     } else {
-        // Compact the table in place and hand its empty slots back before
-        // the CSR arrays are allocated; the sort erases the slot order.
-        sorted = std::exchange(slots_, {});
-        occupied_ = 0;
-        std::erase_if(sorted, [](const Slot& s) { return s.key == kEmptyKey; });
-        sorted.shrink_to_fit();
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const Slot& x, const Slot& y) { return x.key < y.key; });
+        for (PairTable& table : tables_) {
+            if (!table.slots.empty()) runs.push_back(std::exchange(table, PairTable{}).slots);
+        }
+        // Compact and sort every table in place, in parallel; the sort
+        // erases the slot order. Then hand each table's empty slots back,
+        // one table at a time, before the CSR arrays are allocated.
+        parallel_for(
+            runs.size(),
+            [&](std::size_t r) {
+                std::erase_if(runs[r], [](const Slot& s) { return s.key == kEmptyKey; });
+                std::sort(runs[r].begin(), runs[r].end(),
+                          [](const Slot& x, const Slot& y) { return x.key < y.key; });
+            },
+            jobs);
+        for (std::vector<Slot>& run : runs) run.shrink_to_fit();
     }
 
+    // Degrees first, then a merge of the runs in ascending (a, b) order that
+    // scatters each pair into both adjacency rows. That order fills every
+    // row's columns in ascending order: row r first receives its
+    // below-diagonal neighbours (from pairs whose larger element is r,
+    // arriving as the smaller element ascends), then its above-diagonal
+    // neighbours (from its own row's pairs).
     AffinityMatrix m(n_);
-    for (const Slot& s : sorted) {
-        const auto a = static_cast<std::size_t>(s.key >> 32);
-        const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
-        ++m.row_ptr_[a + 1];
-        if (a != b) ++m.row_ptr_[b + 1];
+    for (const std::vector<Slot>& run : runs) {
+        for (const Slot& s : run) {
+            require(s.count <= UINT32_MAX,
+                    "AffinityAccumulator::finalize: a pair's co-access count exceeds 2^32 - 1");
+            const auto a = static_cast<std::size_t>(s.key >> 32);
+            const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
+            ++m.row_ptr_[a + 1];
+            if (a != b) ++m.row_ptr_[b + 1];
+        }
     }
     for (std::size_t a = 0; a < n_; ++a) m.row_ptr_[a + 1] += m.row_ptr_[a];
     const std::size_t nnz = m.row_ptr_[n_];
     m.col_.assign(nnz, 0);
-    m.val_.assign(nnz, 0.0);
+    m.val_.assign(nnz, 0);
     std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
-    for (const Slot& s : sorted) {
+    // A min-heap of (next key, run) over the runs not yet drained.
+    std::vector<std::pair<std::uint64_t, std::size_t>> heads;
+    std::vector<std::size_t> next(runs.size(), 0);
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        if (!runs[r].empty()) heads.emplace_back(runs[r].front().key, r);
+    }
+    std::make_heap(heads.begin(), heads.end(), std::greater<>{});
+    while (!heads.empty()) {
+        std::pop_heap(heads.begin(), heads.end(), std::greater<>{});
+        const std::size_t r = heads.back().second;
+        const Slot& s = runs[r][next[r]++];
         const auto a = static_cast<std::size_t>(s.key >> 32);
         const auto b = static_cast<std::size_t>(s.key & 0xFFFFFFFFu);
-        const auto w = static_cast<double>(s.count);
+        const auto w = static_cast<std::uint32_t>(s.count);
         m.col_[cursor[a]] = static_cast<std::uint32_t>(b);
         m.val_[cursor[a]] = w;
         ++cursor[a];
@@ -221,6 +289,13 @@ AffinityMatrix AffinityAccumulator::finalize() {
             m.col_[cursor[b]] = static_cast<std::uint32_t>(a);
             m.val_[cursor[b]] = w;
             ++cursor[b];
+        }
+        if (next[r] < runs[r].size()) {
+            heads.back().first = runs[r][next[r]].key;
+            std::push_heap(heads.begin(), heads.end(), std::greater<>{});
+        } else {
+            heads.pop_back();
+            runs[r] = {};
         }
     }
     return m;
@@ -235,14 +310,17 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
     const unsigned shift = log2_exact(profile.block_size());
     const std::size_t num_blocks = profile.num_blocks();
     AffinityAccumulator acc = stream_accumulate(
-        source, window - 1, jobs, [&] { return AffinityAccumulator(num_blocks); },
+        source, window - 1, jobs, AffinityAccumulator::mapping(num_blocks),
+        [&](KeyPartition part) { return AffinityAccumulator(num_blocks, part); },
         [&](AffinityAccumulator& out, const TraceChunk& chunk,
             std::span<const std::uint64_t> context) {
             windowed_chunk(chunk, context, window, shift, num_blocks, out,
                            [](std::size_t, std::size_t) {});
         },
-        [](AffinityAccumulator& into, const AffinityAccumulator& from) { into.merge(from); });
-    return acc.finalize();
+        [](AffinityAccumulator& into, AffinityAccumulator& from) {
+            into.merge(std::move(from));
+        });
+    return acc.finalize(jobs);
 }
 
 ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
@@ -257,34 +335,39 @@ ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t bl
     const unsigned shift = log2_exact(block_size);
 
     // One fused chunked pass: block counts and window pairs together, so
-    // the trace's addr column is streamed once instead of twice. All sums
-    // are integer-valued and reduced in task order — bit-identical at any
-    // job count and to the unfused builders.
+    // the trace's addr column is streamed once instead of twice. Only the
+    // states of key partition 0 count the profile: under trace shards that
+    // is every state, and under key partitions the one state that maps every
+    // chunk, so each access is counted once either way. All sums are
+    // integer-valued and reduced in task order — bit-identical at any job
+    // count and to the unfused builders.
     struct Shard {
+        bool profiles;  // the state holds key partition 0
         std::vector<std::uint64_t> reads;
         std::vector<std::uint64_t> writes;
         AffinityAccumulator acc;
     };
     Shard merged = stream_accumulate(
-        source, window - 1, jobs,
-        [&] {
-            return Shard{std::vector<std::uint64_t>(num_blocks, 0),
+        source, window - 1, jobs, AffinityAccumulator::mapping(num_blocks),
+        [&](KeyPartition part) {
+            return Shard{part.index == 0, std::vector<std::uint64_t>(num_blocks, 0),
                          std::vector<std::uint64_t>(num_blocks, 0),
-                         AffinityAccumulator(num_blocks)};
+                         AffinityAccumulator(num_blocks, part)};
         },
         [&](Shard& shard, const TraceChunk& chunk, std::span<const std::uint64_t> context) {
             windowed_chunk(chunk, context, window, shift, num_blocks, shard.acc,
                            [&](std::size_t i, std::size_t block) {
+                               if (!shard.profiles) return;
                                if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
                                else ++shard.writes[block];
                            });
         },
-        [&](Shard& into, const Shard& from) {
+        [&](Shard& into, Shard& from) {
             for (std::size_t b = 0; b < num_blocks; ++b) {
                 into.reads[b] += from.reads[b];
                 into.writes[b] += from.writes[b];
             }
-            into.acc.merge(from.acc);
+            into.acc.merge(std::move(from.acc));
         });
 
     BlockProfile profile(block_size, num_blocks);
@@ -292,7 +375,7 @@ ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t bl
         if (merged.reads[b] != 0 || merged.writes[b] != 0)
             profile.add_counts(b, merged.reads[b], merged.writes[b]);
     }
-    return ProfileAffinity{std::move(profile), merged.acc.finalize()};
+    return ProfileAffinity{std::move(profile), merged.acc.finalize(jobs)};
 }
 
 }  // namespace memopt

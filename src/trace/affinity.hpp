@@ -8,36 +8,41 @@
 // the block profile and the affinity matrix from one streaming replay of
 // the trace.
 //
-// The matrix is a compressed-sparse-row (CSR) adjacency: a windowed trace
-// replay touches O(accesses * window) pairs, typically a tiny fraction of
-// the n^2 possible ones, and the greedy chain walks each block's neighbours.
+// The matrix is a compressed-sparse-row (CSR) adjacency of uint32_t
+// co-access counts: a windowed trace replay touches O(accesses * window)
+// pairs, typically a tiny fraction of the n^2 possible ones, and the greedy
+// chain walks each block's neighbours.
 //
 // The builders count pairs as uint64_t in an AffinityAccumulator: a dense
-// triangle for small block counts, a flat open-addressing table of packed
+// triangle for small block counts, flat open-addressing tables of packed
 // pair keys above that. Each access costs O(window) expected-O(1) counter
 // updates, finalize() sorts the P distinct pairs once (O(P log P)), and
 // memory follows P, not n^2.
 //
 // Both builders run one sliding-window kernel per chunk through
-// stream_accumulate (trace/source.hpp): each chunk's window is pre-warmed
-// from the accesses preceding it, the per-task partial counts are reduced
-// in task order, and counts are integers, so results are bit-identical at
-// any job count and chunk size.
+// stream_accumulate (trace/source.hpp), and the accumulator's layout picks
+// the mapping. The dense triangle shards the trace: each chunk's window is
+// pre-warmed from the accesses preceding it, and the per-task triangles sum
+// in task order. The tables partition the pair keys: every task replays
+// every chunk but keeps only the keys of its partition, so the J tables
+// hold each pair once at any job count, and finalize() merges their sorted
+// runs straight into the CSR. Counts are integers, so results are
+// bit-identical at any job count and chunk size.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 #include "trace/trace.hpp"
 
 namespace memopt {
 
-class TraceSource;
-
 /// Block counts at or below this count pairs in AffinityAccumulator's
-/// dense triangle; larger ones use its hash table.
+/// dense triangle; larger ones use its hash tables.
 inline constexpr std::size_t kAffinityDenseMaxBlocks = 1024;
 
 /// Symmetric block-affinity matrix in CSR form. AffinityAccumulator::
@@ -53,7 +58,7 @@ public:
     /// (diagonal included when present). O(n log degree).
     std::size_t stored_pairs() const;
 
-    /// Affinity between blocks a and b (symmetric; diagonal allowed).
+    /// Co-access count of blocks a and b (symmetric; diagonal allowed).
     double at(std::size_t a, std::size_t b) const;
 
     /// Total affinity mass (sum over unordered pairs, diagonal included once).
@@ -63,8 +68,8 @@ public:
     /// normalization constant).
     double max_offdiagonal() const;
 
-    /// Invoke fn(b, w) for every block b != a with non-zero affinity w to
-    /// `a`, in ascending block order. O(degree).
+    /// Invoke fn(b, w) for every block b != a with a non-zero co-access
+    /// count w (std::uint32_t) to `a`, in ascending block order. O(degree).
     template <typename Fn>
     void for_each_neighbor(std::size_t a, Fn&& fn) const {
         require(a < n_, "AffinityMatrix::for_each_neighbor out of range");
@@ -82,7 +87,7 @@ private:
     // rows, the diagonal once, and every row's columns ascend.
     std::vector<std::size_t> row_ptr_;  // n_ + 1
     std::vector<std::uint32_t> col_;
-    std::vector<double> val_;
+    std::vector<std::uint32_t> val_;
 };
 
 /// Co-access pair counter: the builders' task-local sink. Counts unordered
@@ -90,28 +95,54 @@ private:
 /// matrix.
 ///
 /// Up to kAffinityDenseMaxBlocks blocks the counts live in the dense
-/// triangle. Above it they live in a flat open-addressing table: packed
-/// (min << 32 | max) keys, linear probing over a power-of-two capacity that
-/// doubles whenever an insert would push the load factor above 3/4. Slot
-/// order depends on the insertion order, so finalize() sorts the occupied
-/// entries by key before it emits CSR.
+/// triangle, and the accumulator counts every pair. Above it they live in
+/// one flat open-addressing table per key partition: packed
+/// (min << 32 | max) keys, linear probing over a power-of-two capacity
+/// that doubles whenever an insert would push the load factor above 3/4.
+/// An accumulator counts the pairs of one key partition (all of them by
+/// default) and drops the others; merge() joins the tables of other
+/// partitions into it. Slot order depends on the insertion order, so
+/// finalize() sorts each table by key before it emits CSR.
 class AffinityAccumulator {
 public:
+    /// Counts the pairs of key partition `part` (every pair by default).
     /// Requires 0 < num_blocks < 2^32 (Error otherwise): a key packs two
-    /// 32-bit block ids, and the all-ones key marks an empty slot.
-    explicit AffinityAccumulator(std::size_t num_blocks);
+    /// 32-bit block ids, and the all-ones key marks an empty slot. The
+    /// dense triangle counts whole: it requires part.count == 1.
+    explicit AffinityAccumulator(std::size_t num_blocks, KeyPartition part = {});
+
+    /// The stream_accumulate mapping for `num_blocks`: trace shards for the
+    /// dense triangle, whose per-task copies are small and sum cheaply; key
+    /// partitions for the tables, which then hold each pair once.
+    static StreamMapping mapping(std::size_t num_blocks) {
+        return num_blocks <= kAffinityDenseMaxBlocks ? StreamMapping::Shards
+                                                     : StreamMapping::Keys;
+    }
 
     std::size_t num_blocks() const { return n_; }
 
-    /// Count one co-access of blocks a and b.
-    void add(std::size_t a, std::size_t b);
+    /// Count `count` co-accesses of blocks a and b, unless their pair falls
+    /// outside the accumulator's key partition.
+    void add(std::size_t a, std::size_t b, std::uint64_t count = 1);
 
-    /// Fold `other`'s counts into this accumulator. Call in task order for
-    /// a deterministic reduction.
-    void merge(const AffinityAccumulator& other);
+    /// Count one co-access of `block` with each block of `window` other
+    /// than itself: the pairs one access forms with the accesses before
+    /// it. Same counts as add() per slot; the pairs of the accumulator's
+    /// key partition are picked without a branch per slot.
+    void add_window(std::span<const std::size_t> window, std::size_t block);
 
-    /// Finalize into the CSR matrix. Leaves the accumulator empty.
-    AffinityMatrix finalize();
+    /// Fold `other`'s counts into this accumulator, consuming `other`.
+    /// Dense triangles add up; the tables of disjoint key partitions join
+    /// without a probe (overlapping partitions are an Error), and the
+    /// accumulator goes on counting its own partition only. Call in task
+    /// order for a deterministic reduction.
+    void merge(AffinityAccumulator&& other);
+
+    /// Finalize into the CSR matrix, compacting and sorting the tables in
+    /// parallel over `jobs` threads (0 = default_jobs()). Throws Error if a
+    /// pair's count exceeds 2^32 - 1, the CSR weight limit. Consumes the
+    /// counts: the accumulator must not count again.
+    AffinityMatrix finalize(std::size_t jobs = 0);
 
 private:
     struct Slot {
@@ -119,16 +150,25 @@ private:
         std::uint64_t count;
     };
 
-    /// Add `count` to the table entry of `key`, inserting it if absent.
-    void add_to_slot(std::uint64_t key, std::uint64_t count);
-    void grow();
+    /// The counts of one key partition. Aligned to a cache line: the task
+    /// states each write their own table's `occupied` on every new pair,
+    /// and must not share a line.
+    struct alignas(64) PairTable {
+        std::vector<Slot> slots;  // empty: a partition neither counted nor joined
+        std::size_t occupied = 0;  // non-empty slots
+        unsigned hash_shift = 0;   // 64 - log2(slots.size())
+
+        /// Add `count` to the entry of `key`, inserting it if absent.
+        void add(std::uint64_t key, std::uint64_t count);
+        void grow();
+    };
 
     std::size_t n_;
     bool dense_;
+    KeyPartition part_;               // the partition add() and add_window() count
     std::vector<std::uint64_t> tri_;  // dense counts, upper triangle
-    std::vector<Slot> slots_;         // sparse counts, flat hash table
-    std::size_t occupied_ = 0;        // non-empty slots
-    unsigned hash_shift_ = 0;         // 64 - log2(slots_.size())
+    std::vector<PairTable> tables_;   // sparse counts, one table per key partition
+    std::vector<std::uint64_t> window_keys_;  // add_window's gathered keys
 };
 
 /// Build a windowed co-access affinity from one chunked replay of `source`
@@ -138,9 +178,10 @@ private:
 /// once per window position where the pair is formed with the newest
 /// access). `window >= 2`; a window of 2 counts the transitions between
 /// consecutive accesses. Accesses outside the profile span are rejected
-/// (Error). Long traces are sharded over `jobs` threads (0 =
-/// default_jobs()); results are bit-identical at any job count and chunk
-/// size.
+/// (Error). Long traces are counted over `jobs` threads (0 =
+/// default_jobs()) in trace shards or key partitions, as
+/// AffinityAccumulator::mapping() picks; results are bit-identical at any
+/// job count and chunk size.
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs = 0);
 
@@ -155,7 +196,8 @@ struct ProfileAffinity {
 /// the source's summary) and the windowed co-access affinity. Equivalent
 /// to BlockProfile::from_source + windowed_affinity — bit-identical
 /// outputs — at roughly half the trace-replay cost. Long traces are
-/// sharded over `jobs` threads with an in-order reduction.
+/// counted over `jobs` threads as in windowed_affinity; the states of key
+/// partition 0 count the profile, so each access enters it once.
 ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
                                            std::size_t window, std::size_t jobs = 0);
 

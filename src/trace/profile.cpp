@@ -37,8 +37,8 @@ BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_
         std::vector<std::uint64_t> reads, writes;
     };
     const Counts total = stream_accumulate(
-        source, 0, jobs,
-        [&] {
+        source, 0, jobs, StreamMapping::Shards,
+        [&](KeyPartition) {
             return Counts{std::vector<std::uint64_t>(num_blocks, 0),
                           std::vector<std::uint64_t>(num_blocks, 0)};
         },

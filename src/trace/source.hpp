@@ -19,9 +19,13 @@
 //                          block container (trace/stream_file.hpp).
 //
 // The parallel replays (profiling and the affinity builders) share one
-// driver, stream_accumulate: one loop pulls chunks into batches, maps
-// contiguous ranges of each batch onto task-local states and merges the
-// states in task order.
+// engine, stream_accumulate: one loop pulls chunks into batches and maps
+// each batch onto task-local states in one of two ways. Trace shards give
+// each task a contiguous range of the batch, and the states sum in task
+// order. Key partitions give every task the whole batch, and each state
+// keeps only the keys of its own partition, so the states are disjoint and
+// join without a reduction (the affinity pair table above
+// kAffinityDenseMaxBlocks blocks).
 //
 // Determinism contract: a source replays the exact same access sequence on
 // every pass (reset() rewinds to access 0), and all chunked accumulations
@@ -272,25 +276,49 @@ inline void update_tail(std::vector<std::uint64_t>& tail, std::span<const std::u
 
 }  // namespace stream_detail
 
+/// How stream_accumulate spreads each batch over its task states.
+enum class StreamMapping {
+    /// Task s maps a contiguous range of the batch's chunks. The states
+    /// count disjoint stretches of the trace, and merge() sums them.
+    Shards,
+    /// Every task maps every chunk of the batch under its partition index.
+    /// The states count disjoint parts of the consumer's key space, and
+    /// merge() joins them.
+    Keys,
+};
+
+/// The part of a consumer's key space one stream_accumulate state counts:
+/// partition `index` of `count`. Under StreamMapping::Shards every state
+/// counts the whole space, {0, 1}.
+struct KeyPartition {
+    std::size_t index = 0;
+    std::size_t count = 1;
+};
+
 /// Chunked map/reduce replay engine shared by the sharded replay consumers
 /// (profiling and the affinity builders).
 ///
-/// Streams `source` once, calling `map_chunk(state, chunk, context)` for
-/// every non-empty chunk, where `context` holds the up-to-`context_size`
+/// Streams `source` once. Each task state comes from
+/// `make_state(KeyPartition)`, and `map_chunk(state, chunk, context)` maps
+/// a non-empty chunk into it. `context` holds the up-to-`context_size`
 /// addresses immediately preceding the chunk (for window pre-warming; pass
 /// 0 when the mapper is context-free). `merge(into, from)` folds the task
 /// states together in task order.
 ///
-/// One loop serves every source. It pulls chunks in order into a batch and
-/// cuts each chunk's context from the rolling tail as the chunk is pulled.
-/// A stable source's batch is all of its chunks, as zero-copy spans; any
-/// other source's batch holds up to one copied chunk per task (with one
-/// task, nothing is copied). Contiguous ranges of the batch map onto
-/// min(tasks, batch size) task states in parallel. Each state is moved into
-/// a local on its task's thread while it maps: the states sit side by side
-/// in one vector, and mapping them in place would share cache lines across
-/// threads. Every accumulation in this repository reduces integer-valued
-/// sums, so results are bit-identical at any job count.
+/// One loop serves every source and both mappings. It pulls chunks in
+/// order into a batch and cuts each chunk's context from the rolling tail
+/// as the chunk is pulled. A stable source's batch is all of its chunks,
+/// as zero-copy spans; any other source's batch holds up to one copied
+/// chunk per task (with one task, nothing is copied). Under
+/// StreamMapping::Shards, contiguous ranges of the batch map onto
+/// min(tasks, batch size) states in parallel. Under StreamMapping::Keys,
+/// all tasks map the whole batch, state s under partition {s, tasks}, so
+/// the state of partition 0 sees every access. With one task the two
+/// mappings coincide. Each state is moved into a local on its task's thread
+/// while it maps: the states sit side by side in one vector, and mapping
+/// them in place would share cache lines across threads. Every
+/// accumulation in this repository reduces integer-valued sums or joins
+/// disjoint keys, so results are bit-identical at any job count.
 ///
 /// Cancellation: the global CancellationToken is polled before every chunk
 /// is mapped, so a deadline or SIGINT/SIGTERM interrupts a billion-access
@@ -299,11 +327,12 @@ inline void update_tail(std::vector<std::uint64_t>& tail, std::span<const std::u
 /// is discarded by the caller.
 template <typename MakeState, typename MapChunk, typename Merge>
 auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_t jobs,
-                       const MakeState& make_state, const MapChunk& map_chunk,
-                       const Merge& merge) {
-    using State = std::invoke_result_t<MakeState>;
+                       StreamMapping mapping, const MakeState& make_state,
+                       const MapChunk& map_chunk, const Merge& merge) {
+    using State = std::invoke_result_t<MakeState, KeyPartition>;
     source.reset();
     const std::size_t tasks = stream_detail::stream_task_count(source.size(), jobs);
+    const bool keyed = mapping == StreamMapping::Keys;
     const bool stable = source.stable_chunks();
     std::vector<ChunkBuffer> buffers(stable || tasks == 1 ? 0 : tasks);
     std::vector<TraceChunk> batch;
@@ -326,15 +355,17 @@ auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_
             batch.push_back(c);
         }
         if (batch.empty()) break;
-        const std::size_t parts = std::min(tasks, batch.size());
+        const std::size_t parts = keyed ? tasks : std::min(tasks, batch.size());
         if (states.size() < parts) states.resize(parts);
         parallel_for(
             parts,
             [&](std::size_t s) {
                 std::optional<State> state = std::move(states[s]);
-                if (!state) state.emplace(make_state());
-                for (std::size_t k = batch.size() * s / parts; k < batch.size() * (s + 1) / parts;
-                     ++k) {
+                if (!state)
+                    state.emplace(make_state(keyed ? KeyPartition{s, tasks} : KeyPartition{}));
+                const std::size_t first = keyed ? 0 : batch.size() * s / parts;
+                const std::size_t last = keyed ? batch.size() : batch.size() * (s + 1) / parts;
+                for (std::size_t k = first; k < last; ++k) {
                     CancellationToken::global().check();
                     map_chunk(*state, batch[k], std::span<const std::uint64_t>(contexts[k]));
                 }
@@ -342,7 +373,7 @@ auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_
             },
             jobs);
     }
-    if (states.empty()) return make_state();
+    if (states.empty()) return make_state(KeyPartition{});
     State out = std::move(*states.front());
     for (std::size_t s = 1; s < states.size(); ++s) merge(out, *states[s]);
     return out;

@@ -1,12 +1,13 @@
 // Differential tests for the two affinity kernels of the clustering path:
-// the co-access pair accumulator behind windowed_affinity (at the tested
-// window and at window 2, the consecutive transitions) and
-// build_profile_and_affinity, and the heap-driven greedy chain in
+// the co-access pair accumulator behind windowed_affinity and
+// build_profile_and_affinity (at windows 2, the consecutive transitions, 4
+// and the product's 32), and the heap-driven greedy chain in
 // affinity_clustering. Each kernel is compared exactly against a short,
 // obviously-correct reference over the synthetic trace families, block
 // counts on both sides of the accumulator's dense/hash-table threshold,
-// stable and non-stable sources, and job counts that do and do not shard
-// the replay.
+// stable and non-stable sources, several chunk sizes, and job counts from
+// serial to eight tasks: trace shards below the threshold, key partitions
+// above it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,29 +127,49 @@ AddressMap affinity_chain(const BlockProfile& profile, const AffinityMatrix& aff
 
 constexpr std::uint64_t kBlock = 256;
 constexpr std::size_t kWindow = 4;
-// Two tasks at --jobs 8: the replay splits only from 2 * 64Ki accesses.
+// stream_accumulate gives a task at least 64Ki accesses: J tasks (and J key
+// partitions above the dense threshold) need J * 64Ki of them.
+constexpr std::size_t kAccessesPerTask = std::size_t{1} << 16;
+// Two tasks at --jobs 8.
 constexpr std::size_t kShardedAccesses = 140000;
 constexpr std::size_t kChunk = 4096;
 constexpr std::size_t kBlockCounts[] = {64, kAffinityDenseMaxBlocks, kAffinityDenseMaxBlocks + 1,
                                         16384};
 
-/// A trace length, the block counts and job counts it is replayed at, and
-/// whether a compressed .mtsc copy joins the sources.
+/// A trace length; the block counts, windows, job counts and chunk sizes
+/// it is replayed at; and whether a compressed .mtsc copy joins the stable
+/// and the generated source.
 struct Replay {
     std::size_t accesses;
-    std::span<const std::size_t> blocks;
+    std::vector<std::size_t> blocks;
+    std::vector<std::size_t> windows;
     std::vector<std::size_t> jobs;
+    std::vector<std::size_t> chunks;
     bool compressed;
 };
-// 140000 accesses: serial, and two tasks over 35 chunks, on both sides of
-// the accumulator's dense/hash-table threshold. 200000 accesses at
-// --jobs 3: three tasks over 49 chunks, so a non-stable source's last batch
-// holds one chunk; one small block count keeps the reference and the
-// compressed write cheap.
-constexpr std::size_t kSmallBlockCount[] = {64};
+// Every family:
+// - 140000 accesses: serial and two tasks over 35 chunks, on both sides of
+//   the accumulator's dense/hash-table threshold, at windows 4 and 2.
+// - 200000 accesses in chunks of 3001 at --jobs 3, at windows 4 and 2:
+//   three tasks, and a non-stable source's last batch holds one chunk. A
+//   compressed .mtsc joins the sources.
 const Replay kReplays[] = {
-    {kShardedAccesses, kBlockCounts, {1, 8}, false},
-    {200000, kSmallBlockCount, {3}, true},
+    {kShardedAccesses, {std::begin(kBlockCounts), std::end(kBlockCounts)}, {kWindow, 2}, {1, 8},
+     {kChunk}, false},
+    {200000, {64, 2048}, {kWindow, 2}, {3}, {3001}, true},
+};
+// The hotspot family, whose pairs concentrate on few blocks and keep the
+// reference small, also runs:
+// - 8 * 64Ki + 3001 accesses at 1, 2, 3, 4 and 8 tasks, which above the
+//   threshold are also the key-partition counts; and eight tasks over
+//   chunks of 65536, where the last batch holds one short chunk, on both
+//   sides of the threshold;
+// - the product's window of 32 (FlowParams::affinity_window).
+constexpr std::size_t kEightTaskAccesses = 8 * kAccessesPerTask + 3001;
+const Replay kHotspotReplays[] = {
+    {kEightTaskAccesses, {2048}, {kWindow}, {1, 2, 3, 4, 8}, {kChunk}, true},
+    {kEightTaskAccesses, {512, 2048}, {kWindow}, {8}, {65536}, true},
+    {kShardedAccesses, {16384}, {32}, {1, 8}, {kChunk}, true},
 };
 
 /// A trace of `kind` whose addresses fall in the first bit_floor(blocks)
@@ -225,47 +246,64 @@ class AffinityReference : public ::testing::TestWithParam<SyntheticKind> {};
 // Stable zero-copy chunks (MaterializedSource) and copied chunks
 // (SyntheticSource, and a compressed .mtsc read through the non-stable mmap
 // reader) batch differently in stream_accumulate; all of them must
-// reproduce the reference counts and profile at every job count.
+// reproduce the reference counts and profile at every job count and chunk
+// size, under either mapping.
 TEST_P(AffinityReference, PairCountsMatchStdMapReference) {
     const std::string packed = ::testing::TempDir() + "affinity_ref_" +
                                synthetic_kind_name(GetParam()) + "_z.mtsc";
-    for (const Replay& replay : kReplays) {
+    std::vector<Replay> replays(std::begin(kReplays), std::end(kReplays));
+    if (GetParam() == SyntheticKind::Hotspot)
+        replays.insert(replays.end(), std::begin(kHotspotReplays), std::end(kHotspotReplays));
+    for (const Replay& replay : replays) {
         for (const std::size_t blocks : replay.blocks) {
             SCOPED_TRACE(testing::Message() << replay.accesses << " accesses, blocks " << blocks);
             const SyntheticSpec spec = spec_for(GetParam(), blocks, replay.accesses);
             const MemTrace trace = materialize_synthetic(spec);
             const BlockProfile profile = profile_of(trace, blocks);
-            const ExpectedMatrix windowed =
-                expected_matrix(reference::pair_counts(trace.addrs(), kBlock, kWindow), blocks);
-            const ExpectedMatrix transitions =
-                expected_matrix(reference::pair_counts(trace.addrs(), kBlock, 2), blocks);
-            if (replay.compressed) {
-                MaterializedSource source(trace);
-                write_trace_stream(packed, source, {.chunk_accesses = kChunk, .compress = true});
-            }
-            for (const std::size_t jobs : replay.jobs) {
-                SCOPED_TRACE(testing::Message() << "jobs " << jobs);
-                MaterializedSource stable(trace, kChunk);
-                SyntheticSource generated(spec, kChunk);
-                std::vector<TraceSource*> sources = {&stable, &generated};
-                std::optional<MmapBinarySource> compressed;
+            std::vector<ExpectedMatrix> expected;
+            for (const std::size_t window : replay.windows)
+                expected.push_back(expected_matrix(
+                    reference::pair_counts(trace.addrs(), kBlock, window), blocks));
+            for (const std::size_t chunk : replay.chunks) {
                 if (replay.compressed) {
-                    compressed.emplace(packed);
-                    ASSERT_FALSE(compressed->stable_chunks());
-                    sources.push_back(&*compressed);
+                    MaterializedSource source(trace);
+                    write_trace_stream(packed, source, {.chunk_accesses = chunk, .compress = true});
                 }
-                for (TraceSource* source : sources) {
-                    expect_matrix(windowed_affinity(*source, profile, kWindow, jobs), windowed);
-                    expect_matrix(windowed_affinity(*source, profile, 2, jobs), transitions);
-                    if (!std::has_single_bit(blocks)) continue;  // the fused builder sizes by span
-                    const ProfileAffinity fused =
-                        build_profile_and_affinity(*source, kBlock, kWindow, jobs);
-                    ASSERT_EQ(fused.profile.num_blocks(), blocks);
-                    for (std::size_t b = 0; b < blocks; ++b) {
-                        ASSERT_EQ(fused.profile.counts(b).reads, profile.counts(b).reads) << b;
-                        ASSERT_EQ(fused.profile.counts(b).writes, profile.counts(b).writes) << b;
+                for (const std::size_t jobs : replay.jobs) {
+                    SCOPED_TRACE(testing::Message() << "chunk " << chunk << ", jobs " << jobs);
+                    MaterializedSource stable(trace, chunk);
+                    SyntheticSource generated(spec, chunk);
+                    std::vector<TraceSource*> sources = {&stable, &generated};
+                    std::optional<MmapBinarySource> compressed;
+                    if (replay.compressed) {
+                        compressed.emplace(packed);
+                        ASSERT_FALSE(compressed->stable_chunks());
+                        sources.push_back(&*compressed);
                     }
-                    expect_matrix(fused.affinity, windowed);
+                    for (TraceSource* source : sources) {
+                        SCOPED_TRACE(source == &stable      ? "stable source"
+                                     : source == &generated ? "generated source"
+                                                            : "compressed .mtsc source");
+                        for (std::size_t w = 0; w < replay.windows.size(); ++w) {
+                            const std::size_t window = replay.windows[w];
+                            SCOPED_TRACE(testing::Message() << "window " << window);
+                            expect_matrix(windowed_affinity(*source, profile, window, jobs),
+                                          expected[w]);
+                            // The fused builder sizes the profile by span.
+                            if (!std::has_single_bit(blocks)) continue;
+                            const ProfileAffinity fused =
+                                build_profile_and_affinity(*source, kBlock, window, jobs);
+                            ASSERT_EQ(fused.profile.num_blocks(), blocks);
+                            for (std::size_t b = 0; b < blocks; ++b) {
+                                ASSERT_EQ(fused.profile.counts(b).reads, profile.counts(b).reads)
+                                    << b;
+                                ASSERT_EQ(fused.profile.counts(b).writes,
+                                          profile.counts(b).writes)
+                                    << b;
+                            }
+                            expect_matrix(fused.affinity, expected[w]);
+                        }
+                    }
                 }
             }
         }

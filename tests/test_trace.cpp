@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/symbolize.hpp"
@@ -597,6 +598,74 @@ TEST(Affinity, AccumulatorBlockCountLimit) {
     constexpr std::size_t kLimit = std::size_t{1} << 32;
     EXPECT_THROW(AffinityAccumulator{kLimit}, Error);
     EXPECT_EQ(AffinityAccumulator{kLimit - 1}.num_blocks(), kLimit - 1);
+}
+
+// The CSR stores co-access counts as uint32_t: a pair counted 2^32 - 1
+// times keeps that weight, and one more count makes finalize() throw, in
+// the dense triangle and in the tables alike.
+TEST(Affinity, AccumulatorWeightLimit) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    for (const std::size_t n : {std::size_t{8}, kAffinityDenseMaxBlocks + 8}) {
+        SCOPED_TRACE(testing::Message() << n << " blocks");
+        AffinityAccumulator at_limit(n);
+        at_limit.add(1, 5, kMax);
+        at_limit.add(2, 2);
+        const AffinityMatrix m = at_limit.finalize();
+        EXPECT_EQ(m.at(5, 1), static_cast<double>(kMax));
+        EXPECT_EQ(m.max_offdiagonal(), static_cast<double>(kMax));
+        EXPECT_EQ(m.total(), static_cast<double>(kMax + 1));
+
+        AffinityAccumulator past(n);
+        past.add(1, 5, kMax);
+        past.add(5, 1);
+        EXPECT_THROW(past.finalize(), Error);
+    }
+}
+
+// Above the dense threshold an accumulator can hold one key partition of
+// several. The partitions split every pair multiset disjointly, they join
+// by merge() into the whole count in any task order, and overlapping ones
+// do not join. The dense triangle always counts whole.
+TEST(Affinity, KeyPartitionsJoinIntoTheWholeCount) {
+    const std::size_t n = kAffinityDenseMaxBlocks + 64;
+    Rng rng(11);
+    std::vector<std::pair<std::size_t, std::size_t>> adds;
+    for (int i = 0; i < 6000; ++i) {
+        adds.emplace_back(static_cast<std::size_t>(rng.next_below(n)),
+                          static_cast<std::size_t>(rng.next_below(n)));
+    }
+    AffinityAccumulator whole(n);
+    for (const auto& [a, b] : adds) whole.add(a, b);
+    const AffinityMatrix expected = whole.finalize();
+
+    for (const std::size_t count : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+        SCOPED_TRACE(testing::Message() << count << " partitions");
+        std::vector<AffinityAccumulator> parts;
+        for (std::size_t p = 0; p < count; ++p) {
+            parts.emplace_back(n, KeyPartition{p, count});
+            for (const auto& [a, b] : adds) parts.back().add(a, b);
+        }
+        // Join in reverse task order: disjoint tables need no order. A pair
+        // in two partitions would appear twice in its rows.
+        AffinityAccumulator joined = std::move(parts.back());
+        for (std::size_t p = count - 1; p-- > 0;) joined.merge(std::move(parts[p]));
+        const AffinityMatrix m = joined.finalize(count);
+        EXPECT_EQ(m.stored_pairs(), expected.stored_pairs());
+        EXPECT_EQ(m.total(), expected.total());
+        for (std::size_t row = 0; row < n; ++row) {
+            std::vector<std::pair<std::size_t, double>> got, want;
+            m.for_each_neighbor(row, [&](std::size_t b, double w) { got.emplace_back(b, w); });
+            expected.for_each_neighbor(row,
+                                       [&](std::size_t b, double w) { want.emplace_back(b, w); });
+            ASSERT_EQ(got, want) << "row " << row;
+        }
+    }
+
+    AffinityAccumulator first(n, KeyPartition{0, 2});
+    AffinityAccumulator again(n, KeyPartition{0, 2});
+    EXPECT_THROW(first.merge(std::move(again)), Error);
+    EXPECT_THROW((AffinityAccumulator{n, KeyPartition{2, 2}}), Error);
+    EXPECT_THROW((AffinityAccumulator{kAffinityDenseMaxBlocks, KeyPartition{0, 2}}), Error);
 }
 
 }  // namespace
