@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -378,11 +377,9 @@ BENCHMARK(BM_E1ClusteringSweep)
     ->UseRealTime();
 
 // The two-pass linter over the real src/ and tools/ trees (the lint engine
-// itself included): the cold scan tokenizes and indexes every file; the
-// warm scan replays the content-hash cache and only re-runs the (cheap)
-// global pass. Their ratio is the incremental win the static-analysis CI
-// job banks on. MEMOPT_LINT_SCAN_ROOT is the source tree (a compile
-// definition — the bench binary can run from anywhere).
+// itself included): every iteration tokenizes and indexes every file, then
+// runs the global pass. MEMOPT_LINT_SCAN_ROOT is the source tree (a
+// compile definition — the bench binary can run from anywhere).
 void BM_LintFullScan(benchmark::State& state) {
     lint::LintOptions options;
     options.root = MEMOPT_LINT_SCAN_ROOT;
@@ -393,22 +390,6 @@ void BM_LintFullScan(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_LintFullScan)->Unit(benchmark::kMillisecond);
-
-void BM_LintWarmCache(benchmark::State& state) {
-    const std::string cache =
-        (std::filesystem::temp_directory_path() / "memopt_lint_bench.cache").string();
-    lint::LintOptions options;
-    options.root = MEMOPT_LINT_SCAN_ROOT;
-    options.paths = {"src", "tools"};
-    options.cache_path = cache;
-    run_lint(options);  // prime the cache once, outside the timed loop
-    for (auto _ : state) {
-        const lint::LintReport report = run_lint(options);
-        benchmark::DoNotOptimize(report.files_from_cache);
-    }
-    std::remove(cache.c_str());
-}
-BENCHMARK(BM_LintWarmCache)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that also collects per-benchmark timings so the run
 /// can be re-emitted in the repo-wide "memopt.bench.v1" schema. Times are

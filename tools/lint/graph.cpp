@@ -205,8 +205,7 @@ void resolve_layering(const std::map<std::string, FileIndex>& indexes,
                     from + "' (layer " + std::to_string(layer_from->second) +
                     ") may not depend on '" + to + "' (layer " +
                     std::to_string(layer_to->second) +
-                    "); invert the dependency or move the shared piece to a lower layer",
-                false});
+                    "); invert the dependency or move the shared piece to a lower layer"});
         }
     }
 }
@@ -222,8 +221,7 @@ void resolve_cycles(const IncludeGraph& graph, std::vector<Finding>& findings) {
             cycle.front(), 1, "L2",
             "include cycle: " + members + " -> " + cycle.front() +
                 "; break it with a forward declaration or by splitting the shared "
-                "interface into its own header",
-            false});
+                "interface into its own header"});
     }
 }
 
@@ -316,8 +314,7 @@ void resolve_unused_includes(const std::map<std::string, FileIndex>& indexes,
                 "unused include '" + site.target +
                     "': nothing it declares (directly, or transitively beyond what the "
                     "other includes already provide) is referenced here; drop it or "
-                    "annotate `memopt-lint: keep-include` with a rationale",
-                false});
+                    "annotate `memopt-lint: keep-include` with a rationale"});
         }
     }
 }
@@ -336,8 +333,7 @@ void resolve_schemas(const std::map<std::string, FileIndex>& indexes,
                 findings.push_back(Finding{
                     golden.path, 1, "S1",
                     "schema " + golden.id + " lists source '" + source +
-                        "' which is not in the scanned tree; fix the golden's sources",
-                    false});
+                        "' which is not in the scanned tree; fix the golden's sources"});
                 continue;
             }
             for (const FileIndex::JsonKey& k : it->second.json_keys) {
@@ -350,8 +346,7 @@ void resolve_schemas(const std::map<std::string, FileIndex>& indexes,
                 where.first, where.second, "S1",
                 "JSON key '" + key + "' is not part of frozen schema " + golden.id + " (" +
                     golden.path +
-                    "); update the golden in the same change or stop emitting the key",
-                false});
+                    "); update the golden in the same change or stop emitting the key"});
         }
         for (const std::string& key : golden.keys) {
             if (emitted.count(key) != 0) continue;
@@ -359,8 +354,7 @@ void resolve_schemas(const std::map<std::string, FileIndex>& indexes,
                 golden.path, 1, "S1",
                 "frozen key '" + key + "' of schema " + golden.id +
                     " is no longer emitted by any of its sources; remove it from the "
-                    "golden or restore the writer",
-                false});
+                    "golden or restore the writer"});
         }
     }
 }

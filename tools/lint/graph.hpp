@@ -3,11 +3,8 @@
 // The global rules consume the per-file indexes (index.hpp) as a whole:
 // the include graph (L2 cycles, I1 include closures), the module layering
 // DAG declared in graph.cpp (L1), and the JSON-schema goldens (S1).
-// Everything here is pure set/graph computation over already-cached facts,
-// so it is cheap enough to recompute on every run — which is what makes
-// the incremental cache sound: a header edit or a golden update is
-// honoured immediately without invalidating unrelated per-file cache
-// entries.
+// Everything here is pure set/graph computation over the pass-1 facts; it
+// never re-touches tokens.
 #pragma once
 
 #include <map>

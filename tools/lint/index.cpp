@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 
 #include "support/assert.hpp"
 
@@ -207,25 +206,11 @@ bool parse_include(const std::string& text, std::string& target, bool& system) {
     return true;
 }
 
-void write_finding(std::ostringstream& out, const Finding& f) {
-    out << "lf " << f.line << ' ' << f.rule << ' ' << f.message << '\n';
-}
-
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-FileIndex build_file_index(const SourceFile& file, std::uint64_t content_hash) {
+FileIndex build_file_index(const SourceFile& file) {
     FileIndex idx;
     idx.path = file.path;
-    idx.content_hash = content_hash;
     idx.is_header = file.is_header;
 
     std::set<std::string> used;
@@ -283,134 +268,6 @@ FileIndex build_file_index(const SourceFile& file, std::uint64_t content_hash) {
 
     check_local(file, idx.local_findings);
     return idx;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache
-//
-// Line-oriented text, one block per file. The first line carries the tool
-// stamp; a stamp or shape mismatch anywhere makes the whole document a
-// cache miss (parse_cache returns empty), never an error — the driver just
-// rescans. Fields that may contain spaces (include targets, finding
-// messages, JSON keys) go last on their line.
-
-std::string serialize_cache(std::string_view tool_stamp,
-                            const std::vector<FileIndex>& indexes) {
-    std::ostringstream out;
-    out << "memopt-lint-cache " << tool_stamp << '\n';
-    for (const FileIndex& idx : indexes) {
-        out << "file " << idx.path << '\n';
-        out << "hash " << std::hex << idx.content_hash << std::dec << '\n';
-        out << "header " << (idx.is_header ? 1 : 0) << '\n';
-        for (const IncludeSite& inc : idx.includes) {
-            out << "inc " << inc.line << ' ' << (inc.system ? 1 : 0) << ' '
-                << (inc.keep_annotated ? 1 : 0) << ' ' << (inc.layer_exempt ? 1 : 0)
-                << ' ' << inc.target << '\n';
-        }
-        for (const std::string& s : idx.declared_symbols) out << "sym " << s << '\n';
-        for (const std::string& s : idx.used_identifiers) out << "use " << s << '\n';
-        for (const std::string& s : idx.unordered_locals) out << "ul " << s << '\n';
-        for (const std::string& s : idx.unordered_members) out << "um " << s << '\n';
-        for (const D1Site& d : idx.d1_sites) {
-            out << "d1 " << d.line << ' ' << d.group << ' ' << (d.suppressed ? 1 : 0)
-                << ' ' << d.name << '\n';
-        }
-        for (const FileIndex::JsonKey& k : idx.json_keys) {
-            out << "jk " << k.line << ' ' << k.key << '\n';
-        }
-        for (const Finding& f : idx.local_findings) write_finding(out, f);
-    }
-    return out.str();
-}
-
-std::map<std::string, FileIndex> parse_cache(std::string_view text,
-                                             std::string_view tool_stamp) {
-    std::map<std::string, FileIndex> result;
-    std::istringstream in{std::string(text)};
-    std::string line;
-    if (!std::getline(in, line)) return {};
-    if (line != "memopt-lint-cache " + std::string(tool_stamp)) return {};
-
-    FileIndex current;
-    bool have_file = false;
-    auto flush = [&] {
-        if (have_file) result[current.path] = std::move(current);
-        current = FileIndex{};
-    };
-    // Split "tag rest"; then pull space-separated fields off `rest`.
-    auto fail = [&]() -> std::map<std::string, FileIndex> { return {}; };
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        const std::size_t sp = line.find(' ');
-        if (sp == std::string::npos) return fail();
-        const std::string tag = line.substr(0, sp);
-        std::string rest = line.substr(sp + 1);
-        auto take_int = [&](long& value) {
-            const std::size_t s = rest.find(' ');
-            const std::string head = s == std::string::npos ? rest : rest.substr(0, s);
-            rest = s == std::string::npos ? std::string() : rest.substr(s + 1);
-            try {
-                value = std::stol(head);
-            } catch (const std::exception&) {
-                return false;
-            }
-            return true;
-        };
-        if (tag == "file") {
-            flush();
-            current.path = rest;
-            have_file = true;
-        } else if (!have_file) {
-            return fail();
-        } else if (tag == "hash") {
-            try {
-                current.content_hash = std::stoull(rest, nullptr, 16);
-            } catch (const std::exception&) {
-                return fail();
-            }
-        } else if (tag == "header") {
-            current.is_header = rest == "1";
-        } else if (tag == "inc") {
-            long ln = 0, sys = 0, keep = 0, exempt = 0;
-            if (!take_int(ln) || !take_int(sys) || !take_int(keep) || !take_int(exempt))
-                return fail();
-            current.includes.push_back(IncludeSite{rest, static_cast<int>(ln), sys != 0,
-                                                   keep != 0, exempt != 0});
-        } else if (tag == "sym") {
-            current.declared_symbols.push_back(rest);
-        } else if (tag == "use") {
-            current.used_identifiers.push_back(rest);
-        } else if (tag == "ul") {
-            current.unordered_locals.push_back(rest);
-        } else if (tag == "um") {
-            current.unordered_members.push_back(rest);
-        } else if (tag == "d1") {
-            long ln = 0, group = 0, sup = 0;
-            if (!take_int(ln) || !take_int(group) || !take_int(sup)) return fail();
-            current.d1_sites.push_back(
-                D1Site{rest, static_cast<int>(ln), static_cast<int>(group), sup != 0});
-        } else if (tag == "jk") {
-            long ln = 0;
-            if (!take_int(ln)) return fail();
-            current.json_keys.push_back(FileIndex::JsonKey{rest, static_cast<int>(ln)});
-        } else if (tag == "lf") {
-            long ln = 0;
-            if (!take_int(ln)) return fail();
-            const std::size_t s = rest.find(' ');
-            if (s == std::string::npos) return fail();
-            Finding f;
-            f.file = current.path;
-            f.line = static_cast<int>(ln);
-            f.rule = rest.substr(0, s);
-            f.message = rest.substr(s + 1);
-            current.local_findings.push_back(std::move(f));
-        } else {
-            return fail();
-        }
-    }
-    flush();
-    return result;
 }
 
 // ---------------------------------------------------------------------------

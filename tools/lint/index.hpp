@@ -4,24 +4,15 @@
 // cross-file unordered-member D1, JSON-schema conformance S1) cannot be
 // answered one file at a time: they need the include graph, every header's
 // declared-symbol table, and the JSON keys each writer emits. Pass 1
-// distils each source file into a small, content-derived `FileIndex` —
-// includes, declared symbols, used identifiers, unordered-container
-// declarations, D1 iteration candidates, JsonWriter key emissions, and the
-// file's token-local findings. Pass 2 (lint.cpp) then runs the global
-// rules over the index set alone, never re-touching tokens.
-//
-// Because a FileIndex depends only on the file's bytes (and its path), it
-// is the unit of the incremental cache: the driver persists every index
-// keyed by FNV-1a-64 content hash, and a warm re-lint re-tokenizes only
-// files whose hash changed. Global rules are recomputed from the cached
-// indexes on every run, so cross-file facts (a member added to a header,
-// a schema golden change) are always honoured without invalidating
-// unrelated per-file entries.
+// distils each source file into a small `FileIndex` — includes, declared
+// symbols, used identifiers, unordered-container declarations, D1
+// iteration candidates, JsonWriter key emissions, and the file's
+// token-local findings. A FileIndex depends only on the file's bytes and
+// path, so the driver builds the indexes in parallel. Pass 2 (lint.cpp)
+// then runs the global rules over the index set alone, never re-touching
+// tokens.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -30,11 +21,6 @@
 #include "tools/lint/rules.hpp"
 
 namespace memopt::lint {
-
-/// Bump when the tokenizer, index extraction, or any token-local rule
-/// changes behaviour: the driver folds it into the cache header, so stale
-/// caches from an older engine are discarded wholesale.
-inline constexpr std::string_view kEngineVersion = "memopt-lint-2";
 
 /// One #include directive, as seen in the source.
 struct IncludeSite {
@@ -46,11 +32,9 @@ struct IncludeSite {
 };
 
 /// Everything the global pass needs to know about one file. Derived from
-/// file content + path only — never from other files — so it can be cached
-/// by content hash.
+/// file content + path only — never from other files.
 struct FileIndex {
     std::string path;  // root-relative, '/' separators
-    std::uint64_t content_hash = 0;
     bool is_header = false;
 
     std::vector<IncludeSite> includes;
@@ -76,25 +60,8 @@ struct FileIndex {
     std::vector<Finding> local_findings;
 };
 
-/// FNV-1a-64 over raw bytes — the cache's content fingerprint.
-std::uint64_t fnv1a64(std::string_view bytes) noexcept;
-
 /// Build the index for one tokenized file (pass 1 work unit).
-FileIndex build_file_index(const SourceFile& file, std::uint64_t content_hash);
-
-// ---------------------------------------------------------------------------
-// Incremental cache (text format, one block per file)
-
-/// Serialize indexes for persistence. `tool_stamp` identifies the engine +
-/// rule versions; parse_cache rejects a document with a different stamp.
-std::string serialize_cache(std::string_view tool_stamp,
-                            const std::vector<FileIndex>& indexes);
-
-/// Parse a cache document into path -> FileIndex. Returns an empty map (and
-/// sets `stale` when given) if the document is unreadable, malformed, or
-/// stamped by a different engine version — a cache miss, never an error.
-std::map<std::string, FileIndex> parse_cache(std::string_view text,
-                                             std::string_view tool_stamp);
+FileIndex build_file_index(const SourceFile& file);
 
 // ---------------------------------------------------------------------------
 // Minimal JSON reader (for schema goldens; memopt has a writer only)

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
 #include "support/assert.hpp"
-#include "support/durable/atomic_file.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "tools/lint/graph.hpp"
@@ -78,52 +79,6 @@ std::string resolve_config(const fs::path& root, const std::string& configured,
 
 }  // namespace
 
-std::size_t LintReport::active_count() const {
-    return static_cast<std::size_t>(
-        std::count_if(findings.begin(), findings.end(),
-                      [](const Finding& f) { return !f.baselined; }));
-}
-
-std::size_t LintReport::baselined_count() const {
-    return findings.size() - active_count();
-}
-
-std::vector<BaselineEntry> parse_baseline(std::istream& in, const std::string& name) {
-    std::vector<BaselineEntry> entries;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos) line.erase(hash);
-        while (!line.empty() && (line.back() == ' ' || line.back() == '\t' ||
-                                 line.back() == '\r')) {
-            line.pop_back();
-        }
-        if (line.empty()) continue;
-        // file:line:rule — split on the *last* two colons so Windows-style
-        // or otherwise exotic paths survive.
-        const std::size_t c2 = line.rfind(':');
-        const std::size_t c1 = c2 == std::string::npos ? std::string::npos
-                                                       : line.rfind(':', c2 - 1);
-        BaselineEntry e;
-        if (c1 == std::string::npos || c1 == 0 || c2 == c1 + 1 || c2 + 1 >= line.size()) {
-            throw Error("memopt_lint: malformed baseline entry at " + name + ":" +
-                        std::to_string(lineno) + ": '" + line + "' (want file:line:rule)");
-        }
-        e.file = line.substr(0, c1);
-        e.rule = line.substr(c2 + 1);
-        try {
-            e.line = std::stoi(line.substr(c1 + 1, c2 - c1 - 1));
-        } catch (const std::exception&) {
-            throw Error("memopt_lint: malformed baseline line number at " + name + ":" +
-                        std::to_string(lineno) + ": '" + line + "'");
-        }
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
 LintReport run_lint(const LintOptions& options) {
     const fs::path root(options.root);
     if (!fs::is_directory(root)) {
@@ -135,57 +90,19 @@ LintReport run_lint(const LintOptions& options) {
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
-    // Warm-cache load. A missing, unreadable, malformed, or version-
-    // mismatched cache is a silent full miss, never an error.
-    std::map<std::string, FileIndex> cached;
-    if (!options.cache_path.empty()) {
-        std::ifstream in(fs::path(options.cache_path), std::ios::binary);
-        if (in) {
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            cached = parse_cache(ss.str(), kEngineVersion);
-        }
-    }
-
-    // Pass 1: read + hash every file; reuse the cached index when the
-    // content hash matches, otherwise tokenize and re-index. parallel_map
-    // preserves input order, so the index set is identical at any jobs.
-    struct Slot {
-        FileIndex index;
-        bool from_cache = false;
-    };
-    std::vector<Slot> slots = parallel_map(
+    // Pass 1: read, tokenize and index every file. parallel_map preserves
+    // input order, so the index set is identical at any jobs.
+    std::vector<FileIndex> scanned = parallel_map(
         files,
-        [&](const std::string& rel) -> Slot {
-            const std::string content = read_file(root / rel);
-            const std::uint64_t hash = fnv1a64(content);
-            const auto it = cached.find(rel);
-            if (it != cached.end() && it->second.content_hash == hash) {
-                return Slot{it->second, true};
-            }
-            return Slot{build_file_index(tokenize(rel, content), hash), false};
+        [&](const std::string& rel) {
+            return build_file_index(tokenize(rel, read_file(root / rel)));
         },
         options.jobs);
 
     LintReport report;
-    report.files_scanned = slots.size();
+    report.files_scanned = scanned.size();
     std::map<std::string, FileIndex> indexes;
-    for (Slot& slot : slots) {
-        if (slot.from_cache) ++report.files_from_cache;
-        indexes.emplace(slot.index.path, std::move(slot.index));
-    }
-
-    // Rewrite the cache only when it would change: every entry a hit and no
-    // stale entries to prune means the document on disk is already exact,
-    // and skipping the write (and its fsync) keeps warm re-lints cheap.
-    const bool cache_current =
-        report.files_from_cache == indexes.size() && cached.size() == indexes.size();
-    if (!options.cache_path.empty() && !cache_current) {
-        std::vector<FileIndex> ordered;
-        ordered.reserve(indexes.size());
-        for (const auto& [_, idx] : indexes) ordered.push_back(idx);
-        atomic_write(options.cache_path, serialize_cache(kEngineVersion, ordered));
-    }
+    for (FileIndex& index : scanned) indexes.emplace(index.path, std::move(index));
 
     // Pass 2: token-local findings straight from the indexes, then the
     // project-wide rules over the index set.
@@ -233,26 +150,6 @@ LintReport run_lint(const LintOptions& options) {
                          std::tie(b.file, b.line, b.rule, b.message);
               });
 
-    // Baseline: each entry may suppress exactly one finding; entries that
-    // match nothing are reported as stale so the file can be pruned.
-    if (!options.baseline_path.empty()) {
-        std::ifstream in(options.baseline_path);
-        if (!in) throw Error("memopt_lint: cannot read baseline " + options.baseline_path);
-        for (const BaselineEntry& e : parse_baseline(in, options.baseline_path)) {
-            bool matched = false;
-            for (Finding& f : report.findings) {
-                if (!f.baselined && f.file == e.file && f.line == e.line && f.rule == e.rule) {
-                    f.baselined = true;
-                    matched = true;
-                    break;
-                }
-            }
-            if (!matched) {
-                report.stale_baseline.push_back(e.file + ":" + std::to_string(e.line) + ":" +
-                                                e.rule);
-            }
-        }
-    }
     return report;
 }
 
@@ -264,7 +161,7 @@ void write_json(JsonWriter& w, const LintOptions& options, const LintReport& rep
     for (const std::string& p : options.paths) w.value(p);
     w.end_array();
     w.member("files_scanned", static_cast<std::uint64_t>(report.files_scanned));
-    w.member("files_from_cache", static_cast<std::uint64_t>(report.files_from_cache));
+    w.member("files_from_cache", std::uint64_t{0});
     w.key("rules").begin_array();
     for (const RuleInfo& r : rule_catalogue()) {
         w.begin_object();
@@ -280,17 +177,16 @@ void write_json(JsonWriter& w, const LintOptions& options, const LintReport& rep
         w.member("line", static_cast<std::int64_t>(f.line));
         w.member("rule", f.rule);
         w.member("message", f.message);
-        w.member("baselined", f.baselined);
+        w.member("baselined", false);
         w.end_object();
     }
     w.end_array();
     w.key("stale_baseline").begin_array();
-    for (const std::string& s : report.stale_baseline) w.value(s);
     w.end_array();
     w.key("summary").begin_object();
-    w.member("active", static_cast<std::uint64_t>(report.active_count()));
-    w.member("baselined", static_cast<std::uint64_t>(report.baselined_count()));
-    w.member("stale_baseline", static_cast<std::uint64_t>(report.stale_baseline.size()));
+    w.member("active", static_cast<std::uint64_t>(report.findings.size()));
+    w.member("baselined", std::uint64_t{0});
+    w.member("stale_baseline", std::uint64_t{0});
     w.end_object();
     w.end_object();
 }
@@ -356,14 +252,6 @@ void write_sarif(JsonWriter& w, const LintOptions& options, const LintReport& re
         w.end_object();  // physicalLocation
         w.end_object();  // location
         w.end_array();
-        if (f.baselined) {
-            w.key("suppressions").begin_array();
-            w.begin_object();
-            w.member("kind", "external");
-            w.member("justification", "listed in tools/lint_baseline.txt");
-            w.end_object();
-            w.end_array();
-        }
         w.end_object();  // result
     }
     w.end_array();

@@ -126,7 +126,7 @@ struct Emitter {
               std::string_view allowance = {}) {
         if (file.annotated(line, rule)) return;
         if (!allowance.empty() && file.annotated(line, allowance)) return;
-        findings.push_back(Finding{file.path, line, rule, std::move(message), false});
+        findings.push_back(Finding{file.path, line, rule, std::move(message)});
     }
 };
 
@@ -580,7 +580,7 @@ void resolve_d1(const std::string& path, const std::vector<D1Site>& sites,
         if (names.count(site.name) == 0) continue;
         done_group = site.group;
         if (site.suppressed) continue;
-        findings.push_back(Finding{path, site.line, "D1", d1_message(site.name), false});
+        findings.push_back(Finding{path, site.line, "D1", d1_message(site.name)});
     }
 }
 

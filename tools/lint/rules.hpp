@@ -9,7 +9,7 @@
 // stand on (module layering, include hygiene, frozen JSON schemas),
 // machine-checked at lint time instead of discovered at replay time.
 //
-// Token-local rules (checked per file, cacheable by content hash):
+// Token-local rules (checked per file, from its tokens alone):
 //  D2  no nondeterministic seed sources (std::random_device, time(),
 //      rand(), srand()) outside src/support/rng — all randomness flows
 //      from an explicit memopt::Rng seed.
@@ -47,15 +47,15 @@
 //  S1  JSON-schema freeze: the keys emitted through JsonWriter
 //      member("…")/key("…") literals in each schema's source files must
 //      equal the checked-in golden (docs/schemas/<id>.json); a key added
-//      or removed without updating the golden is a finding.
+//      or removed without updating the golden is a finding that names
+//      the key, and a deliberate change edits the golden's key list.
 //
 // Suppression: a finding on line L is suppressed by an annotation comment
 // `// memopt-lint: <word>` on line L or L-1, where <word> is the rule id
 // (e.g. `D1`) or the rule's named allowance (`order-independent` for
 // D1/D3, `guarded` for D5, `durable-write` for R1, `keep-include` for I1,
-// `layering` for L1). Legacy findings can instead be listed in the
-// checked-in baseline (tools/lint_baseline.txt) and burned down
-// incrementally.
+// `layering` for L1). There is no other suppression: every finding that
+// survives the annotations fails the run.
 #pragma once
 
 #include <set>
@@ -71,7 +71,6 @@ struct Finding {
     int line = 0;
     std::string rule;
     std::string message;
-    bool baselined = false;  // matched by the suppression baseline
 
     /// Canonical diagnostic rendering: `file:line: rule: message`.
     std::string render() const;
@@ -89,7 +88,7 @@ const std::vector<RuleInfo>& rule_catalogue();
 /// expression or a .begin()-family call). Sites sharing a `group` belong to
 /// one range-for — only the first whose name resolves to an unordered
 /// container emits. `suppressed` records the annotation state at the site,
-/// so cached indexes keep annotation semantics without tokens.
+/// so pass 2 keeps annotation semantics without tokens.
 struct D1Site {
     std::string name;
     int line = 0;
@@ -116,8 +115,7 @@ void resolve_d1(const std::string& path, const std::vector<D1Site>& sites,
                 const std::set<std::string>& names, std::vector<Finding>& findings);
 
 /// Run the token-local rules (D2–D5, R1, A1, H1) against one file.
-/// Findings suppressed by annotations are dropped here; baseline matching
-/// is the driver's job (see lint.hpp).
+/// Findings suppressed by annotations are dropped here.
 void check_local(const SourceFile& file, std::vector<Finding>& findings);
 
 /// Single-file convenience used by tests and in-isolation lints: the

@@ -1,21 +1,19 @@
 // memopt_lint — determinism & invariant static analysis for the memopt tree.
 //
 // Usage:
-//   memopt_lint [paths...] [--root DIR] [--baseline FILE] [--json FILE]
-//               [--sarif FILE] [--cache FILE] [--jobs N]
-//               [--schemas DIR] [--list-rules] [--help]
+//   memopt_lint [paths...] [--root DIR] [--json FILE] [--sarif FILE]
+//               [--jobs N] [--schemas DIR] [--list-rules] [--help]
 //
 // Walks the given paths (default: src bench tests examples tools, relative
-// to --root), indexes every C++ source file — in parallel, incrementally
-// when --cache names an index cache — and enforces the project's
-// determinism, layering, include-hygiene, and schema invariants as named
-// rules (see tools/lint/rules.hpp for the catalogue). Findings print
-// as `file:line: rule: message`; `--json` additionally writes a
+// to --root), indexes every C++ source file in parallel, and enforces the
+// project's determinism, layering, include-hygiene, and schema invariants
+// as named rules (see tools/lint/rules.hpp for the catalogue). Findings
+// print as `file:line: rule: message`; `--json` additionally writes a
 // memopt.lint.v1 report and `--sarif` a SARIF 2.1.0 document for GitHub
 // code scanning.
 //
-// Exit codes: 0 clean (no unsuppressed findings), 1 findings, 2 usage or
-// environment error.
+// Exit codes: 0 clean (no findings), 1 findings, 2 usage or environment
+// error.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,22 +26,16 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: memopt_lint [paths...] [--root DIR] [--baseline FILE] [--json FILE]\n"
-    "                   [--sarif FILE] [--cache FILE] [--jobs N]\n"
-    "                   [--schemas DIR] [--list-rules] [--help]\n"
+    "usage: memopt_lint [paths...] [--root DIR] [--json FILE] [--sarif FILE]\n"
+    "                   [--jobs N] [--schemas DIR] [--list-rules] [--help]\n"
     "\n"
     "Determinism & invariant static analysis over the memopt sources.\n"
     "Paths default to `src bench tests examples tools` relative to --root\n"
     "(default: .).\n"
     "\n"
     "  --root DIR       tree root; scan paths and diagnostics are relative to it\n"
-    "  --baseline FILE  suppression baseline (file:line:rule entries); matched\n"
-    "                   findings are reported but do not fail the run\n"
     "  --json FILE      write a memopt.lint.v1 JSON report\n"
     "  --sarif FILE     write a SARIF 2.1.0 report (GitHub code scanning)\n"
-    "  --cache FILE     incremental index cache: unchanged files (by content\n"
-    "                   hash) skip re-tokenization on warm runs; findings are\n"
-    "                   identical either way\n"
     "  --jobs N         scan parallelism (0 = hardware default); findings are\n"
     "                   bit-identical at any value\n"
     "  --schemas DIR    schema goldens for rule S1 (default: docs/schemas\n"
@@ -108,10 +100,6 @@ int main(int argc, char** argv) {
             const char* v = value("--root");
             if (!v) return usage_error("--root requires a directory argument");
             options.root = v;
-        } else if (arg == "--baseline") {
-            const char* v = value("--baseline");
-            if (!v) return usage_error("--baseline requires a file argument");
-            options.baseline_path = v;
         } else if (arg == "--json") {
             const char* v = value("--json");
             if (!v) return usage_error("--json requires a file argument");
@@ -120,10 +108,6 @@ int main(int argc, char** argv) {
             const char* v = value("--sarif");
             if (!v) return usage_error("--sarif requires a file argument");
             sarif_path = v;
-        } else if (arg == "--cache") {
-            const char* v = value("--cache");
-            if (!v) return usage_error("--cache requires a file argument");
-            options.cache_path = v;
         } else if (arg == "--jobs") {
             const char* v = value("--jobs");
             if (!v) return usage_error("--jobs requires a count argument");
@@ -153,14 +137,7 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    for (const memopt::lint::Finding& f : report.findings) {
-        if (f.baselined) continue;
-        std::cout << f.render() << "\n";
-    }
-    for (const std::string& s : report.stale_baseline) {
-        std::cerr << "memopt_lint: warning: stale baseline entry (matches nothing): " << s
-                  << "\n";
-    }
+    for (const memopt::lint::Finding& f : report.findings) std::cout << f.render() << "\n";
 
     if (!json_path.empty()) {
         const int rc = write_report(json_path, options, report, memopt::lint::write_json);
@@ -171,9 +148,7 @@ int main(int argc, char** argv) {
         if (rc != 0) return rc;
     }
 
-    const std::size_t active = report.active_count();
-    std::cerr << "memopt_lint: " << report.files_scanned << " files ("
-              << report.files_from_cache << " from cache), " << active << " finding(s), "
-              << report.baselined_count() << " baselined\n";
-    return active == 0 ? 0 : 1;
+    std::cerr << "memopt_lint: " << report.files_scanned << " files, "
+              << report.findings.size() << " finding(s)\n";
+    return report.findings.empty() ? 0 : 1;
 }
