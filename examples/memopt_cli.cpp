@@ -463,7 +463,7 @@ int cmd_trace(const Args& args) {
         return 0;
     }
     atomic_write(out, [&](std::ostream& os) {
-        write_trace_text(os, *source);  // rewinds, so commit retries restart cleanly
+        write_trace_text(os, *source);
         require(os.good(), "trace: write failed for '" + out + "'");
     });
     std::printf("wrote %llu accesses to %s (text)\n", (unsigned long long)source->size(),

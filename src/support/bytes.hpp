@@ -3,9 +3,8 @@
 //
 // Loads and stores are explicit little-endian byte assembly, so file bytes
 // never depend on the host's endianness or alignment. Fnv1a64 is the
-// repository's one FNV-1a-64 implementation: the checkpoint checksum, the
-// fault-injection and retry site keys, the atomic-write unit ids and the
-// checkpoint config fingerprints all hash through it.
+// repository's one FNV-1a-64 implementation: the checkpoint checksum and
+// the checkpoint config fingerprints both hash through it.
 #pragma once
 
 #include <bit>
@@ -68,6 +67,5 @@ private:
 inline std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
     return Fnv1a64().bytes(bytes).value();
 }
-inline std::uint64_t fnv1a64(std::string_view text) { return Fnv1a64().bytes(text).value(); }
 
 }  // namespace memopt

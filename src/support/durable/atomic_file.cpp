@@ -4,8 +4,6 @@
 #include <fstream>
 
 #include "support/assert.hpp"
-#include "support/bytes.hpp"
-#include "support/durable/retry.hpp"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -21,10 +19,10 @@ namespace {
 void sync_file(const std::string& path) {
 #if !defined(_WIN32)
     const int fd = ::open(path.c_str(), O_WRONLY);
-    if (fd < 0) throw TransientIoError("atomic_write: reopen for fsync failed: " + path);
+    if (fd < 0) throw Error("atomic_write: reopen for fsync failed: " + path);
     const int rc = ::fsync(fd);
     ::close(fd);
-    if (rc != 0) throw TransientIoError("atomic_write: fsync failed: " + path);
+    if (rc != 0) throw Error("atomic_write: fsync failed: " + path);
 #else
     (void)path;
 #endif
@@ -51,32 +49,24 @@ void sync_parent_dir(const std::string& path) {
 void atomic_write(const std::string& path, const std::function<void(std::ostream&)>& body,
                   std::ios_base::openmode mode) {
     const std::string tmp = path + ".tmp";
-    const std::uint64_t unit = fnv1a64(path);
     try {
-        RetryPolicy::process().run("atomic.write", unit, [&](std::uint32_t attempt) {
-            io_faults().maybe_fail("atomic.write", unit, attempt);
-            {
-                std::ofstream os(  // memopt-lint: durable-write
-                    tmp, mode | std::ios_base::out | std::ios_base::trunc);
-                if (!os) throw TransientIoError("atomic_write: cannot open temp file: " + tmp);
-                body(os);
-                os.flush();
-                if (!os) throw TransientIoError("atomic_write: write failed: " + tmp);
-            }
-            sync_file(tmp);
-            if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-                throw TransientIoError("atomic_write: rename to final path failed: " + path);
-            }
-            sync_parent_dir(path);
-            return 0;
-        });
-    } catch (const TransientIoError& e) {
-        std::remove(tmp.c_str());
-        throw Error(std::string("atomic_write: retries exhausted: ") + e.what());
+        {
+            std::ofstream os(  // memopt-lint: durable-write
+                tmp, mode | std::ios_base::out | std::ios_base::trunc);
+            if (!os) throw Error("atomic_write: cannot open temp file: " + tmp);
+            body(os);
+            os.flush();
+            if (!os) throw Error("atomic_write: write failed: " + tmp);
+        }
+        sync_file(tmp);
+        if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+            throw Error("atomic_write: rename to final path failed: " + path);
+        }
     } catch (...) {
         std::remove(tmp.c_str());
         throw;
     }
+    sync_parent_dir(path);
 }
 
 void atomic_write(const std::string& path, const std::string& contents,
@@ -137,7 +127,7 @@ bool AtomicOstream::commit() {
     }
     try {
         sync_file(tmp);
-    } catch (const TransientIoError&) {
+    } catch (const Error&) {
         std::remove(tmp.c_str());
         return false;
     }

@@ -12,9 +12,8 @@
 // lint finding.
 //
 // The `.tmp` suffix is fixed and deterministic (no PID, no randomness):
-// memopt's writers are single-process per artifact by construction, a
-// leftover temp from a crashed run is overwritten by the next run, and a
-// fixed name keeps fault-injection replays byte-identical.
+// memopt's writers are single-process per artifact by construction, and a
+// leftover temp from a crashed run is overwritten by the next run.
 #pragma once
 
 #include <fstream>
@@ -29,15 +28,9 @@ namespace memopt {
 /// out|trunc) and may seek/write freely; when it returns, the stream is
 /// flushed, fsync'd, and the temp file is renamed onto `path`.
 ///
-/// The open→body→commit cycle runs under RetryPolicy::process() at
-/// injection site "atomic.write" (unit = fnv1a64(path)): TransientIoError
-/// from `body` or the commit discards the temp file and re-runs the whole
-/// cycle, which is idempotent because nothing touches `path` until the
-/// final rename. Any other exception from `body` propagates after the temp
-/// file is removed, leaving `path` untouched.
-///
-/// Throws memopt::Error when the temp file cannot be opened or the
-/// commit (flush/fsync/rename) fails after retries.
+/// Throws memopt::Error on the first failure to open, write, fsync or
+/// rename the temp file. On that or any exception from `body`, the temp
+/// file is removed and `path` is left untouched.
 void atomic_write(const std::string& path, const std::function<void(std::ostream&)>& body,
                   std::ios_base::openmode mode = std::ios_base::openmode{});
 

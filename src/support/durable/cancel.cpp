@@ -29,7 +29,6 @@ void CancellationToken::request(const std::string& reason) {
         std::lock_guard<std::mutex> lock(reason_mutex_);
         if (!triggered_.load(std::memory_order_relaxed)) reason_ = reason;
     }
-    requested_.store(true, std::memory_order_release);
     triggered_.store(true, std::memory_order_release);
 }
 
@@ -62,7 +61,6 @@ void CancellationToken::check() {
 
 void CancellationToken::reset() {
     g_signal_tripped = 0;
-    requested_.store(false, std::memory_order_release);
     triggered_.store(false, std::memory_order_release);
     deadline_armed_ = false;
     std::lock_guard<std::mutex> lock(reason_mutex_);

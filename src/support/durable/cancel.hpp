@@ -66,7 +66,6 @@ public:
     static CancellationToken& global();
 
 private:
-    std::atomic<bool> requested_{false};
     std::atomic<bool> triggered_{false};
     bool deadline_armed_ = false;
     std::chrono::steady_clock::time_point deadline_{};

@@ -31,7 +31,7 @@ BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_
     // guarantees every delivered access lies within the summary range
     // (file-backed sources validate each block's addresses against the
     // header summary before first delivery), so the per-access bounds
-    // check of record() is not needed. Counts are integer sums reduced in
+    // check of block_of() is not needed. Counts are integer sums reduced in
     // task order, so the result is bit-identical at any job count.
     struct Counts {
         std::vector<std::uint64_t> reads, writes;
@@ -75,23 +75,11 @@ const BlockCounts& BlockProfile::counts(std::size_t block) const {
     return counts_[block];
 }
 
-void BlockProfile::record(std::uint64_t addr, AccessKind kind) {
-    BlockCounts& c = counts_[block_of(addr)];
-    if (kind == AccessKind::Read) {
-        ++c.reads;
-        ++total_reads_;
-    } else {
-        ++c.writes;
-        ++total_writes_;
-    }
-}
-
 void BlockProfile::add_counts(std::size_t block, std::uint64_t reads, std::uint64_t writes) {
     require(block < counts_.size(), "add_counts: block out of range");
     counts_[block].reads += reads;
     counts_[block].writes += writes;
-    total_reads_ += reads;
-    total_writes_ += writes;
+    total_accesses_ += reads + writes;
 }
 
 std::vector<std::size_t> BlockProfile::blocks_by_access_desc() const {

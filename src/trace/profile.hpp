@@ -54,17 +54,11 @@ public:
     std::size_t block_of(std::uint64_t addr) const;
 
     const BlockCounts& counts(std::size_t block) const;
-    std::span<const BlockCounts> all_counts() const { return counts_; }
-
-    /// Record one access of `kind` into the block containing `addr`.
-    void record(std::uint64_t addr, AccessKind kind);
 
     /// Directly add counts to a block (used by synthetic profile builders).
     void add_counts(std::size_t block, std::uint64_t reads, std::uint64_t writes);
 
-    std::uint64_t total_reads() const { return total_reads_; }
-    std::uint64_t total_writes() const { return total_writes_; }
-    std::uint64_t total_accesses() const { return total_reads_ + total_writes_; }
+    std::uint64_t total_accesses() const { return total_accesses_; }
 
     /// Blocks ordered by descending total access count (stable for ties).
     std::vector<std::size_t> blocks_by_access_desc() const;
@@ -99,8 +93,7 @@ public:
 private:
     std::uint64_t block_size_;
     std::vector<BlockCounts> counts_;
-    std::uint64_t total_reads_ = 0;
-    std::uint64_t total_writes_ = 0;
+    std::uint64_t total_accesses_ = 0;
 };
 
 }  // namespace memopt

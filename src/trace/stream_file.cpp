@@ -11,7 +11,6 @@
 #include "support/bytes.hpp"
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
-#include "support/durable/retry.hpp"
 #include "support/string_util.hpp"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
@@ -310,10 +309,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     TraceSummary s;
     // Crash-safe: blocks stream into <path>.tmp and the container appears
     // under its final name only on commit, so a killed writer never leaves
-    // a truncated '.mtsc' where a reader could find it. The body is
-    // restartable (it resets the source and all staging state on entry),
-    // which is what lets atomic_write retry the whole cycle on a transient
-    // fault.
+    // a truncated '.mtsc' where a reader could find it.
     atomic_write(path, [&](std::ostream& os) {
     // Header + offset table placeholders; rewritten once the summary and
     // the block offsets are known.
@@ -471,17 +467,9 @@ MmapBinarySource::MmapBinarySource(const std::string& path) : path_(path) {
 MmapBinarySource::~MmapBinarySource() { close_file(); }
 
 void MmapBinarySource::open_file() {
-    // Transient open failures (injected or real EINTR-class flake) retry
-    // under the process policy; a genuinely missing file throws plain
-    // Error on the first attempt and is never retried.
-    const std::uint64_t unit = fnv1a64(std::string_view{path_});
 #if MEMOPT_HAS_MMAP
-    fd_ = RetryPolicy::process().run("mtsc.open", unit, [&](std::uint32_t attempt) {
-        io_faults().maybe_fail("mtsc.open", unit, attempt);
-        const int fd = ::open(path_.c_str(), O_RDONLY);
-        require(fd >= 0, "stream trace: cannot open '" + path_ + "'");
-        return fd;
-    });
+    fd_ = ::open(path_.c_str(), O_RDONLY);
+    require(fd_ >= 0, "stream trace: cannot open '" + path_ + "'");
     struct stat st{};
     if (::fstat(fd_, &st) != 0 || st.st_size < 0) {
         close_file();
@@ -500,12 +488,8 @@ void MmapBinarySource::open_file() {
 #else
     // No mmap on this platform: read the whole file (same semantics, not
     // out-of-core).
-    std::ifstream is = RetryPolicy::process().run("mtsc.open", unit, [&](std::uint32_t attempt) {
-        io_faults().maybe_fail("mtsc.open", unit, attempt);
-        std::ifstream candidate(path_, std::ios::binary);
-        require(candidate.is_open(), "stream trace: cannot open '" + path_ + "'");
-        return candidate;
-    });
+    std::ifstream is(path_, std::ios::binary);
+    require(is.is_open(), "stream trace: cannot open '" + path_ + "'");
     is.seekg(0, std::ios::end);
     const std::streamoff end = is.tellg();
     is.seekg(0, std::ios::beg);
@@ -634,23 +618,13 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
     // consumer. For an uncompressed block both checks are one pass.
     RecordScreen screen(summary());
     if (first) {
-        // A checksum mismatch can be a transient misread (injected here as
-        // a bit flip into the computed checksum), so the verification
-        // re-reads the payload under the retry policy before giving up.
-        // Persistent corruption exhausts the retries and surfaces with the
-        // same diagnostic (TransientIoError is an Error).
-        RetryPolicy::process().run("mtsc.block", b, [&](std::uint32_t attempt) {
-            screen = RecordScreen(summary());
-            std::uint64_t got =
-                compressed_ ? mtsc_block_checksum(view.payload,
-                                                  static_cast<std::size_t>(view.payload_bytes))
-                            : scan_raw_block(view.payload, n, screen);
-            if (io_faults().should_fail("mtsc.block", b, attempt)) got ^= 1;
-            if (got != view.checksum) {
-                throw TransientIoError(format("stream trace: block %u: checksum mismatch", b));
-            }
-            return 0;
-        });
+        const std::uint64_t got =
+            compressed_ ? mtsc_block_checksum(view.payload,
+                                              static_cast<std::size_t>(view.payload_bytes))
+                        : scan_raw_block(view.payload, n, screen);
+        if (got != view.checksum) {
+            throw Error(format("stream trace: block %u: checksum mismatch", b));
+        }
     }
 
     const std::uint8_t* image = view.payload;

@@ -89,7 +89,11 @@ SyntheticSpec parse_synthetic_spec(std::string_view text) {
         else if (key == "hotspot-bytes") spec.hotspot_bytes = parse_u64(key, value);
         else if (key == "hot-frac") spec.hot_fraction = parse_f64(key, value);
         else if (key == "stride") spec.stride = parse_u64(key, value);
-        else if (key == "cores") spec.cores = static_cast<unsigned>(parse_u64(key, value));
+        else if (key == "cores") {
+            const std::uint64_t cores = parse_u64(key, value);
+            require(cores >= 1 && cores <= 64, "synthetic spec: key 'cores' must be in [1, 64]");
+            spec.cores = static_cast<unsigned>(cores);
+        }
         else if (key == "shared-bytes") spec.shared_bytes = parse_u64(key, value);
         else if (key == "shared-frac") spec.shared_fraction = parse_f64(key, value);
         else throw Error("synthetic spec: unknown key '" + std::string(key) + "'");
@@ -126,7 +130,8 @@ SyntheticGenerator::SyntheticGenerator(const SyntheticSpec& spec)
             require(spec_.hotspot_bytes >= 16, "scattered_hotspot_trace: hotspot too small");
             require(spec_.hot_fraction >= 0.0 && spec_.hot_fraction <= 1.0,
                     "scattered_hotspot_trace: hot_fraction must be in [0,1]");
-            require(spec_.num_hotspots * spec_.hotspot_bytes <= spec_.base.span_bytes / 2,
+            // Division form: the product num_hotspots * hotspot_bytes can wrap.
+            require(spec_.hotspot_bytes <= spec_.base.span_bytes / 2 / spec_.num_hotspots,
                     "scattered_hotspot_trace: hotspots must cover at most half of the span");
             // Spread hotspot bases across the span: divide the span into
             // num_hotspots slices and place one hotspot at a random offset

@@ -66,8 +66,8 @@ std::string synthetic_kind_name(SyntheticKind kind);
 /// and keys span, n, seed, write, hotspots, hotspot-bytes, hot-frac,
 /// stride, cores, shared-bytes, shared-frac —
 /// e.g. "uniform,span=16777216,n=100000000,seed=7". Throws memopt::Error
-/// on malformed input. Parameter validity itself is checked when the
-/// generator is constructed.
+/// on malformed input and on `cores` outside [1, 64]. Parameter validity
+/// itself is checked when the generator is constructed.
 SyntheticSpec parse_synthetic_spec(std::string_view text);
 
 /// Fan a spec out to `spec.cores` per-core specs: core c gets core_id = c

@@ -1,7 +1,7 @@
-// Durable-execution layer tests: seeded I/O fault injection, deterministic
-// retry/backoff, crash-safe atomic writes, the memopt.ckpt.v1 container
-// (including a corruption fuzz suite mirroring StreamFuzzTest), campaign
-// and study checkpoint/resume bit-identity, and the cooperative watchdog.
+// Durable-execution layer tests: crash-safe atomic writes, the
+// memopt.ckpt.v1 container (including a corruption fuzz suite mirroring
+// StreamFuzzTest), campaign and study checkpoint/resume bit-identity, and
+// the cooperative watchdog.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,8 +19,6 @@
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/durable/checkpoint.hpp"
-#include "support/durable/io_faults.hpp"
-#include "support/durable/retry.hpp"
 #include "support/rng.hpp"
 #include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
@@ -45,169 +43,13 @@ bool file_exists(const std::string& path) {
     return in.good();
 }
 
-/// Every test leaves the process-wide injector disabled and the global
-/// cancellation token disarmed, whatever it exercised.
+/// Every test leaves the global cancellation token disarmed, whatever it
+/// exercised.
 class DurableTest : public ::testing::Test {
 protected:
-    void SetUp() override {
-        set_io_faults(IoFaultSpec{});
-        CancellationToken::global().reset();
-    }
-    void TearDown() override {
-        set_io_faults(IoFaultSpec{});
-        CancellationToken::global().reset();
-    }
+    void SetUp() override { CancellationToken::global().reset(); }
+    void TearDown() override { CancellationToken::global().reset(); }
 };
-
-// ---------------------------------------------------------------------------
-// I/O fault injection
-
-TEST_F(DurableTest, FaultSpecParsesSeedRateAndMax) {
-    const IoFaultSpec spec = parse_io_fault_spec("7,0.25");
-    EXPECT_TRUE(spec.enabled);
-    EXPECT_EQ(spec.seed, 7u);
-    EXPECT_DOUBLE_EQ(spec.rate, 0.25);
-    EXPECT_EQ(spec.max_failures, 2u);
-
-    const IoFaultSpec custom = parse_io_fault_spec("11,1.0,max=1");
-    EXPECT_EQ(custom.seed, 11u);
-    EXPECT_DOUBLE_EQ(custom.rate, 1.0);
-    EXPECT_EQ(custom.max_failures, 1u);
-}
-
-TEST_F(DurableTest, FaultSpecRejectsMalformedInput) {
-    EXPECT_THROW(parse_io_fault_spec("x"), Error);
-    EXPECT_THROW(parse_io_fault_spec("7"), Error);
-    EXPECT_THROW(parse_io_fault_spec("7,2.0"), Error);
-    EXPECT_THROW(parse_io_fault_spec("7,-0.1"), Error);
-    EXPECT_THROW(parse_io_fault_spec("7,0.5,max=999"), Error);
-    EXPECT_THROW(parse_io_fault_spec("7,0.5,banana=1"), Error);
-}
-
-TEST_F(DurableTest, FaultDecisionsArePureAndBoundedByMaxFailures) {
-    IoFaultSpec spec;
-    spec.enabled = true;
-    spec.seed = 42;
-    spec.rate = 1.0;  // every eligible attempt fails
-    const IoFaultInjector inj(spec);
-    for (std::uint64_t unit = 0; unit < 16; ++unit) {
-        EXPECT_TRUE(inj.should_fail("site.a", unit, 0));
-        EXPECT_TRUE(inj.should_fail("site.a", unit, 1));
-        // The bound that makes retry loops converge: attempts >=
-        // max_failures never fail, whatever the rate.
-        EXPECT_FALSE(inj.should_fail("site.a", unit, 2));
-        EXPECT_FALSE(inj.should_fail("site.a", unit, 3));
-    }
-    // Same key, same answer — replays reproduce the same faults.
-    EXPECT_EQ(inj.should_fail("site.b", 9, 0), inj.should_fail("site.b", 9, 0));
-}
-
-TEST_F(DurableTest, FaultRateShapesTheDecisionStream) {
-    IoFaultSpec spec;
-    spec.enabled = true;
-    spec.seed = 3;
-    spec.rate = 0.5;
-    const IoFaultInjector inj(spec);
-    int failures = 0;
-    for (std::uint64_t unit = 0; unit < 1000; ++unit) {
-        failures += inj.should_fail("mtsc.block", unit, 0) ? 1 : 0;
-    }
-    EXPECT_GT(failures, 350);  // loose: Binomial(1000, 0.5)
-    EXPECT_LT(failures, 650);
-
-    spec.rate = 0.0;
-    const IoFaultInjector off(spec);
-    EXPECT_FALSE(off.enabled());
-    EXPECT_FALSE(off.should_fail("mtsc.block", 0, 0));
-}
-
-TEST_F(DurableTest, MaybeFailThrowsTransientIoError) {
-    IoFaultSpec spec;
-    spec.enabled = true;
-    spec.seed = 1;
-    spec.rate = 1.0;
-    const IoFaultInjector inj(spec);
-    EXPECT_THROW(inj.maybe_fail("s", 0, 0), TransientIoError);
-    EXPECT_NO_THROW(inj.maybe_fail("s", 0, 2));  // >= max_failures
-}
-
-// ---------------------------------------------------------------------------
-// Retry policy
-
-TEST_F(DurableTest, BackoffScheduleIsDeterministicAndCapped) {
-    RetryPolicy policy;
-    policy.enable_sleep = false;
-    const std::uint64_t d0 = policy.delay_us("s", 7, 0);
-    const std::uint64_t d1 = policy.delay_us("s", 7, 1);
-    EXPECT_EQ(d0, policy.delay_us("s", 7, 0));  // pure function
-    EXPECT_GE(d0, policy.base_delay_us);
-    EXPECT_LE(d0, policy.base_delay_us + policy.base_delay_us / 2);  // +50% jitter cap
-    EXPECT_GT(d1, d0);  // exponential growth
-    // Far past the ceiling: nominal delay saturates at max_delay_us.
-    EXPECT_LE(policy.delay_us("s", 7, 30), policy.max_delay_us + policy.max_delay_us / 2);
-}
-
-TEST_F(DurableTest, RunRetriesTransientErrorsOnly) {
-    RetryPolicy policy;
-    policy.enable_sleep = false;
-    int calls = 0;
-    const int result = policy.run("s", 0, [&](std::uint32_t attempt) {
-        ++calls;
-        if (attempt < 2) throw TransientIoError("flaky");
-        return 99;
-    });
-    EXPECT_EQ(result, 99);
-    EXPECT_EQ(calls, 3);
-
-    // Structural corruption is never retried: one call, straight through.
-    calls = 0;
-    EXPECT_THROW(policy.run("s", 0, [&](std::uint32_t) -> int {
-        ++calls;
-        throw Error("bad magic");
-    }),
-                 Error);
-    EXPECT_EQ(calls, 1);
-}
-
-TEST_F(DurableTest, RunGivesUpAfterMaxAttempts) {
-    RetryPolicy policy;
-    policy.enable_sleep = false;
-    policy.max_attempts = 3;
-    int calls = 0;
-    EXPECT_THROW(policy.run("s", 0, [&](std::uint32_t) -> int {
-        ++calls;
-        throw TransientIoError("always");
-    }),
-                 TransientIoError);
-    EXPECT_EQ(calls, 3);
-}
-
-TEST_F(DurableTest, RetryPolicyParsesAndRejects) {
-    const RetryPolicy p = parse_retry_policy("6,100,9999");
-    EXPECT_EQ(p.max_attempts, 6u);
-    EXPECT_EQ(p.base_delay_us, 100u);
-    EXPECT_EQ(p.max_delay_us, 9999u);
-    EXPECT_THROW(parse_retry_policy(""), Error);
-    EXPECT_THROW(parse_retry_policy("0,100"), Error);
-    EXPECT_THROW(parse_retry_policy("nope"), Error);
-}
-
-TEST_F(DurableTest, InjectorAndPolicyConvergeTogether) {
-    // The pairing contract: policy.max_attempts (4) > injector max_failures
-    // (2), so a site that faults on every eligible attempt still converges.
-    IoFaultSpec spec;
-    spec.enabled = true;
-    spec.seed = 5;
-    spec.rate = 1.0;
-    const IoFaultInjector inj(spec);
-    RetryPolicy policy;
-    policy.enable_sleep = false;
-    const int ok = policy.run("converge", 123, [&](std::uint32_t attempt) {
-        inj.maybe_fail("converge", 123, attempt);
-        return 1;
-    });
-    EXPECT_EQ(ok, 1);
-}
 
 // ---------------------------------------------------------------------------
 // atomic_write / AtomicOstream
@@ -233,16 +75,16 @@ TEST_F(DurableTest, AtomicWriteFailureLeavesPreviousArtifactIntact) {
     std::remove(path.c_str());
 }
 
-TEST_F(DurableTest, AtomicWriteRetriesUnderFaultInjection) {
-    IoFaultSpec spec;
-    spec.enabled = true;
-    spec.seed = 9;
-    spec.rate = 1.0;  // attempts 0 and 1 fail at every site
-    set_io_faults(spec);
-    const std::string path = temp_path("aw_faulted.txt");
-    atomic_write(path, std::string("survived\n"));
-    EXPECT_EQ(slurp(path), "survived\n");
-    std::remove(path.c_str());
+TEST_F(DurableTest, AtomicWriteIntoMissingDirectoryReportsTheOpenFailure) {
+    const std::string path = temp_path("no_such_dir/aw.txt");
+    try {
+        atomic_write(path, std::string("never published\n"));
+        FAIL() << "atomic_write into a missing directory must throw";
+    } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), "atomic_write: cannot open temp file: " + path + ".tmp");
+    }
+    EXPECT_FALSE(file_exists(path + ".tmp"));
+    EXPECT_FALSE(file_exists(path));
 }
 
 TEST_F(DurableTest, AtomicOstreamCommitAndDiscard) {
@@ -677,34 +519,6 @@ TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
     EXPECT_THROW(read_trace_stream(path), CancelledError);
     CancellationToken::global().reset();
     EXPECT_EQ(read_trace_stream(path).size(), 20000u);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Streaming I/O under fault injection
-
-TEST_F(DurableTest, StreamContainerReadsIdenticallyUnderFaults) {
-    const std::string path = temp_path("faulted.mtsc");
-    SyntheticSpec spec;
-    spec.kind = SyntheticKind::Stride;
-    spec.base.num_accesses = 30000;
-    SyntheticSource source(spec, 2048);
-    write_trace_stream(path, source);
-    const MemTrace clean = read_trace_stream(path);
-
-    IoFaultSpec faults;
-    faults.enabled = true;
-    faults.seed = 13;
-    faults.rate = 0.5;  // every other open/block draws a transient failure
-    set_io_faults(faults);
-    const MemTrace faulted = read_trace_stream(path);
-    set_io_faults(IoFaultSpec{});
-
-    ASSERT_EQ(faulted.size(), clean.size());
-    for (std::size_t i = 0; i < clean.size(); ++i) {
-        ASSERT_EQ(faulted.addrs()[i], clean.addrs()[i]) << i;
-        ASSERT_EQ(faulted.values()[i], clean.values()[i]) << i;
-    }
     std::remove(path.c_str());
 }
 

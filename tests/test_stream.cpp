@@ -1,14 +1,17 @@
 // Streaming trace pipeline tests: source equivalence (streamed results are
-// bit-identical to materialized ones at any job count), the .mtsc container
-// round-trip, and corruption handling of the mmap reader.
+// bit-identical to materialized ones at any job count), the profile replay
+// against a per-access reference count, the .mtsc container round-trip, and
+// corruption handling of the mmap reader.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/memsys.hpp"
@@ -193,6 +196,98 @@ TEST(StreamEquivalenceTest, ProfileMatchesAtAnyJobCount) {
         expect_profiles_equal(BlockProfile::from_source(mat, 256, jobs), expected);
     }
 }
+
+// ------------------------------------------------- profile reference ----
+
+/// Per-block read and write counts straight from the definition: every
+/// access counts once, in block addr >> log2(block_size).
+std::map<std::uint64_t, BlockCounts> reference_profile(const MemTrace& trace,
+                                                       std::uint64_t block_size) {
+    const int shift = std::countr_zero(block_size);
+    std::map<std::uint64_t, BlockCounts> counts;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        BlockCounts& c = counts[trace.addrs()[i] >> shift];
+        if (trace.kinds()[i] == AccessKind::Read) ++c.reads;
+        else ++c.writes;
+    }
+    return counts;
+}
+
+/// `profile` must span every touched block and hold exactly the reference
+/// counts, with zero in every other block.
+void expect_profile_matches(const BlockProfile& profile,
+                            const std::map<std::uint64_t, BlockCounts>& expected) {
+    ASSERT_LT(expected.rbegin()->first, profile.num_blocks());
+    for (std::size_t b = 0; b < profile.num_blocks(); ++b) {
+        const auto it = expected.find(b);
+        const BlockCounts want = it == expected.end() ? BlockCounts{} : it->second;
+        ASSERT_EQ(profile.counts(b).reads, want.reads) << "block " << b;
+        ASSERT_EQ(profile.counts(b).writes, want.writes) << "block " << b;
+    }
+}
+
+class ProfileReference : public ::testing::TestWithParam<SyntheticKind> {};
+
+// BlockProfile::from_source against the per-access count, from a stable
+// in-memory trace, the generator, and the same trace as an uncompressed and
+// a compressed .mtsc. 200000 accesses (over 2 * 64Ki) shard into three
+// tasks at --jobs 3 and 8; chunks of 3001 end on a short chunk. One-access
+// chunks run on a short trace.
+TEST_P(ProfileReference, FromSourceMatchesPerAccessCount) {
+    constexpr std::uint64_t kBlock = 256;
+    struct Replay {
+        std::size_t accesses;
+        std::vector<std::size_t> chunks;
+    };
+    const Replay replays[] = {{200000, {3001, 65536}}, {3000, {1}}};
+    const std::string name = synthetic_kind_name(GetParam());
+    const std::string plain = temp_path("profile_ref_" + name + ".mtsc");
+    const std::string packed = temp_path("profile_ref_" + name + "_z.mtsc");
+    for (const Replay& replay : replays) {
+        SyntheticSpec spec;
+        spec.kind = GetParam();
+        spec.base = {.span_bytes = 65536,
+                     .num_accesses = replay.accesses,
+                     .write_fraction = 0.3,
+                     .seed = 70 + static_cast<std::uint64_t>(GetParam())};
+        spec.num_hotspots = 4;
+        const MemTrace trace = materialize_synthetic(spec);
+        const auto expected = reference_profile(trace, kBlock);
+        for (const std::size_t chunk : replay.chunks) {
+            SCOPED_TRACE(testing::Message() << replay.accesses << " accesses, chunk " << chunk);
+            MaterializedSource materialized(trace, chunk);
+            SyntheticSource generated(spec, chunk);
+            write_trace_stream(plain, materialized, {.chunk_accesses = chunk});
+            write_trace_stream(packed, materialized, {.chunk_accesses = chunk, .compress = true});
+            MmapBinarySource mapped(plain);
+            MmapBinarySource compressed(packed);
+            const std::pair<const char*, TraceSource*> sources[] = {
+                {"materialized", &materialized},
+                {"generated", &generated},
+                {".mtsc", &mapped},
+                {"compressed .mtsc", &compressed}};
+            for (const auto& [label, source] : sources) {
+                for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+                    SCOPED_TRACE(testing::Message() << label << ", jobs " << jobs);
+                    expect_profile_matches(BlockProfile::from_source(*source, kBlock, jobs),
+                                           expected);
+                }
+            }
+        }
+    }
+    std::remove(plain.c_str());
+    std::remove(packed.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, ProfileReference,
+                         ::testing::Values(SyntheticKind::Uniform, SyntheticKind::Hotspot,
+                                           SyntheticKind::Stride, SyntheticKind::TwoPhase,
+                                           SyntheticKind::ProducerConsumer),
+                         [](const auto& info) {
+                             std::string name = synthetic_kind_name(info.param);
+                             std::erase(name, '-');
+                             return name;
+                         });
 
 TEST(StreamEquivalenceTest, AffinityMatchesAtAnyJobCount) {
     const SyntheticSpec spec =

@@ -242,6 +242,17 @@ TEST(Synthetic, HotspotValidation) {
     EXPECT_THROW(scattered_hotspot_trace(hp), Error);
 }
 
+// Range checks must not wrap: four hotspots of 2^62 bytes multiply to 0
+// mod 2^64, and cores=2^32+1 narrows to one core.
+TEST(Synthetic, SpecRangeChecksDoNotWrap) {
+    for (const char* text :
+         {"hotspot,span=1048576,n=5,hotspots=4,hotspot-bytes=4611686018427387904",
+          "producer-consumer,span=65536,n=5,cores=4294967297"}) {
+        SCOPED_TRACE(text);
+        EXPECT_THROW(materialize_synthetic(parse_synthetic_spec(text)), Error);
+    }
+}
+
 TEST(Synthetic, StridedWrapsAround) {
     StrideParams sp;
     sp.base.span_bytes = 1024;
