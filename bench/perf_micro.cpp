@@ -127,20 +127,24 @@ void BM_CacheSimulation(benchmark::State& state) {
 BENCHMARK(BM_CacheSimulation);
 
 void BM_CoherentReplay(benchmark::State& state) {
-    // The coherent multi-core machine end to end: 4 private L1s, 4 shared
+    // The coherent multi-core machine end to end: private L1s, 4 shared
     // L2 banks, MSI directory, round-robin replay of a producer-consumer
     // workload (heavy sharing, so the protocol paths are on the hot path).
+    // Arg is the core count; at 64 the directory bound is 16Ki lines.
+    const auto cores = static_cast<unsigned>(state.range(0));
     SyntheticSpec spec;
     spec.kind = SyntheticKind::ProducerConsumer;
     spec.base.span_bytes = 64 * 1024;
     spec.base.num_accesses = 25000;
     spec.base.seed = 7;
-    spec.cores = 4;
+    spec.cores = cores;
     spec.shared_bytes = 4096;
     spec.shared_fraction = 0.5;
+    MultiCoreConfig config;
+    config.cores = cores;
     std::uint64_t accesses = 0;
     for (auto _ : state) {
-        MultiCoreCacheSystem system(MultiCoreConfig{});
+        MultiCoreCacheSystem system(config);
         std::vector<std::unique_ptr<TraceSource>> sources;
         for (const SyntheticSpec& core_spec : per_core_specs(spec))
             sources.push_back(std::make_unique<SyntheticSource>(core_spec));
@@ -151,7 +155,7 @@ void BM_CoherentReplay(benchmark::State& state) {
     state.counters["accesses/s"] =
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CoherentReplay);
+BENCHMARK(BM_CoherentReplay)->Arg(4)->Arg(64);
 
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
 // affinity over the SoA columns (sharded when the trace is long enough),

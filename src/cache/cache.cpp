@@ -19,6 +19,10 @@ CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
             "CacheConfig: lines not divisible by associativity");
     sets_ = static_cast<std::size_t>(line_capacity / config.associativity);
     require(is_pow2(sets_), "CacheConfig: set count must be a power of two");
+    // Power-of-two lines and sets make the associativity one too.
+    line_shift_ = log2_exact(config.line_bytes);
+    way_shift_ = log2_exact(config.associativity);
+    set_mask_ = sets_ - 1;
     ways_.assign(sets_ * config.associativity, Way{});
 }
 
@@ -26,21 +30,15 @@ std::uint64_t CacheModel::line_base(std::uint64_t addr) const {
     return addr & ~static_cast<std::uint64_t>(config_.line_bytes - 1);
 }
 
-std::size_t CacheModel::set_of(std::uint64_t addr) const {
-    return static_cast<std::size_t>((addr / config_.line_bytes) & (sets_ - 1));
-}
-
-std::uint64_t CacheModel::tag_of(std::uint64_t addr) const {
-    return addr / config_.line_bytes / sets_;
+CacheModel::Way* CacheModel::set_of(std::uint64_t addr) {
+    return &ways_[((addr >> line_shift_) & set_mask_) << way_shift_];
 }
 
 CacheModel::Way* CacheModel::find_way(std::uint64_t addr) {
-    const std::size_t set = set_of(addr);
-    const std::uint64_t tag = tag_of(addr);
-    Way* base = &ways_[set * config_.associativity];
-    for (unsigned w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag) return &base[w];
-    }
+    const std::uint64_t key = line_base(addr) | kDirty;
+    Way* const set = set_of(addr);
+    for (unsigned w = 0; w < config_.associativity; ++w)
+        if ((set[w].tag | kDirty) == key) return &set[w];
     return nullptr;
 }
 
@@ -53,103 +51,89 @@ bool CacheModel::contains(std::uint64_t addr) const { return find_way(addr) != n
 std::optional<bool> CacheModel::probe(std::uint64_t addr) const {
     const Way* way = find_way(addr);
     if (way == nullptr) return std::nullopt;
-    return way->dirty;
+    return (way->tag & kDirty) != 0;
 }
 
 std::optional<bool> CacheModel::invalidate(std::uint64_t addr) {
     Way* way = find_way(addr);
     if (way == nullptr) return std::nullopt;
-    const bool dirty = way->dirty;
+    const bool dirty = (way->tag & kDirty) != 0;
     *way = Way{};
     return dirty;
 }
 
 bool CacheModel::downgrade(std::uint64_t addr) {
     Way* way = find_way(addr);
-    if (way == nullptr || !way->dirty) return false;
-    way->dirty = false;
+    if (way == nullptr || (way->tag & kDirty) == 0) return false;
+    way->tag &= ~kDirty;
     return true;
 }
 
 std::size_t CacheModel::resident_lines() const {
     std::size_t count = 0;
     for (const Way& way : ways_)
-        if (way.valid) ++count;
+        if (way.lru != 0) ++count;
     return count;
 }
 
 CacheAccessResult CacheModel::access(std::uint64_t addr, AccessKind kind) {
-    CacheAccessResult result;
-    const std::size_t set = set_of(addr);
-    const std::uint64_t tag = tag_of(addr);
-    Way* base = &ways_[set * config_.associativity];
-    ++tick_;
+    const std::uint64_t line = line_base(addr);
+    const std::uint64_t key = line | kDirty;
+    Way* const set = set_of(addr);
 
-    // Hit path.
+    // One pass over the whole set: the hit way, and the first way with the
+    // smallest stamp as the victim (stamps of valid ways are distinct, and
+    // an invalid way's 0 is below all of them).
+    unsigned hit = config_.associativity;
+    unsigned victim = 0;
+    std::uint64_t oldest = set[0].lru;
     for (unsigned w = 0; w < config_.associativity; ++w) {
-        Way& way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lru = tick_;
-            if (kind == AccessKind::Read) {
-                ++stats_.read_hits;
-            } else {
-                ++stats_.write_hits;
-                way.dirty = true;
-            }
-            result.hit = true;
-            return result;
-        }
+        // Selects, not branches: on a random stream each way's outcome is a
+        // coin flip.
+        const std::uint64_t lru = set[w].lru;
+        const bool older = lru < oldest;
+        hit = (set[w].tag | kDirty) == key ? w : hit;
+        victim = older ? w : victim;
+        oldest = older ? lru : oldest;
     }
 
-    // Miss path.
-    if (kind == AccessKind::Read) {
-        ++stats_.read_misses;
-    } else {
-        ++stats_.write_misses;
+    ++tick_;
+    const bool write = kind == AccessKind::Write;
+    CacheAccessResult result;
+    if (hit != config_.associativity) {
+        Way& way = set[hit];
+        result.hit = true;
+        result.was_dirty = (way.tag & kDirty) != 0;
+        if (write) way.tag |= kDirty;
+        way.lru = tick_;
+        ++(write ? stats_.write_hits : stats_.read_hits);
+        return result;
     }
 
-    // Choose the victim: an invalid way if any, else the least recently used.
-    Way* victim = nullptr;
-    for (unsigned w = 0; w < config_.associativity && victim == nullptr; ++w) {
-        if (!base[w].valid) victim = &base[w];
-    }
-    if (victim == nullptr) {
-        victim = base;
-        for (unsigned w = 1; w < config_.associativity; ++w) {
-            if (base[w].lru < victim->lru) victim = &base[w];
-        }
-    }
-
-    if (victim->valid) {
-        // Reconstruct the victim's base address from tag and set.
-        const std::uint64_t victim_addr =
-            (victim->tag * sets_ + set) * config_.line_bytes;
-        result.evicted_line = victim_addr;
-        if (victim->dirty) {
+    ++(write ? stats_.write_misses : stats_.read_misses);
+    Way& way = set[victim];
+    if (way.lru != 0) {
+        const std::uint64_t victim_line = way.tag & ~kDirty;
+        result.evicted_line = victim_line;
+        if ((way.tag & kDirty) != 0) {
             ++stats_.writebacks;
-            result.writeback_line = victim_addr;
+            result.writeback_line = victim_line;
         }
     }
-
     ++stats_.fills;
-    result.fill_line = line_base(addr);
-    victim->valid = true;
-    victim->dirty = kind == AccessKind::Write;
-    victim->tag = tag;
-    victim->lru = tick_;
+    result.fill_line = line;
+    way.tag = write ? key : line;
+    way.lru = tick_;
     return result;
 }
 
 std::vector<std::uint64_t> CacheModel::flush() {
     std::vector<std::uint64_t> dirty_lines;
-    for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned w = 0; w < config_.associativity; ++w) {
-            Way& way = ways_[set * config_.associativity + w];
-            if (way.valid && way.dirty) {
-                dirty_lines.push_back((way.tag * sets_ + set) * config_.line_bytes);
-                ++stats_.writebacks;
-                way.dirty = false;
-            }
+    for (Way& way : ways_) {  // set by set, ways in order
+        if (way.lru != 0 && (way.tag & kDirty) != 0) {
+            way.tag &= ~kDirty;
+            dirty_lines.push_back(way.tag);
+            ++stats_.writebacks;
         }
     }
     return dirty_lines;

@@ -6,6 +6,17 @@
 // write-allocate. It does not store data — data reconstruction is layered
 // on top by the compressed-memory simulation (cache/memsys), which
 // replays access values from the trace.
+//
+// Way layout: 16 bytes, a tag word and an LRU stamp. The tag word is the
+// resident line's base address with the dirty flag in bit 0 (a line is at
+// least 4 bytes, so a base address never sets the low two bits). The
+// stamp is the tick of the line's last access, and 0 marks an invalid way,
+// whose tag word is all ones so that no base address matches it. Every
+// geometry is a power of two, so the set of an address and the first way
+// of a set are found by shift and mask. access() scans its set once,
+// without an early exit: the pass finds the hit way and the victim (the
+// first way with the smallest stamp: an invalid way, else the least
+// recently used line).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +58,9 @@ struct CacheStats {
 /// Outcome of one access: what traffic it caused toward the next level.
 struct CacheAccessResult {
     bool hit = false;
+    /// On a hit, the line's dirty flag from before this access (false on a
+    /// miss): a coherence controller reads its Modified state here.
+    bool was_dirty = false;
     std::optional<std::uint64_t> fill_line;       ///< line base addr fetched
     std::optional<std::uint64_t> writeback_line;  ///< dirty line base addr evicted
     /// Base address of any valid line the fill replaced, dirty or clean.
@@ -101,21 +115,24 @@ public:
     std::uint64_t line_base(std::uint64_t addr) const;
 
 private:
+    static constexpr std::uint64_t kDirty = 1;
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+
     struct Way {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;  // larger = more recently used
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t tag = kNoLine;  // line base | kDirty when dirty
+        std::uint64_t lru = 0;        // larger = more recently used; 0 = invalid
     };
 
-    std::size_t set_of(std::uint64_t addr) const;
-    std::uint64_t tag_of(std::uint64_t addr) const;
+    Way* set_of(std::uint64_t addr);
     Way* find_way(std::uint64_t addr);
     const Way* find_way(std::uint64_t addr) const;
 
     CacheConfig config_;
     std::size_t sets_;
-    std::vector<Way> ways_;  // sets_ * associativity, row-major by set
+    unsigned line_shift_;     // log2(line_bytes)
+    unsigned way_shift_;      // log2(associativity)
+    std::uint64_t set_mask_;  // sets_ - 1
+    std::vector<Way> ways_;   // sets_ * associativity, row-major by set
     std::uint64_t tick_ = 0;
     CacheStats stats_;
 };

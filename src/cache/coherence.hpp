@@ -10,7 +10,15 @@
 //
 // The structures mirror the sparse-directory MSI organization of CMP
 // simulators (a Graphite-style pr_l1_sh_l2 subsystem), reduced to the
-// geometric counters this toolkit models.
+// geometric counters this toolkit models. Like a hardware sparse
+// directory, it is a fixed-size table: an entry exists exactly while some
+// L1 holds the line, so it never tracks more lines than the L1s hold
+// together (cores x L1 lines, the bound its constructor takes). The table
+// is open-addressed with linear probing and has a power-of-two capacity of
+// at least twice the bound, allocated once at construction. An empty slot
+// is one with no sharers, and the last sharer's eviction empties its slot
+// by backward-shift deletion, so the table needs no tombstones and never
+// grows.
 //
 // Transition table (directory view; `c` = requesting core):
 //
@@ -32,14 +40,15 @@
 // state (Shared/Modified for loads, Modified for stores) are
 // coherence-silent and never reach the directory, as in hardware.
 //
-// Determinism: every query mutates exactly one entry; no iteration order is
-// observable outside the sorted snapshot() helper. All counters are exact
-// integer sums, so replays are bit-identical at any job count.
+// Determinism: every query mutates exactly one entry (a deletion may also
+// move later entries of its probe run, which no query can observe); no
+// iteration order is observable outside the sorted snapshot() helper. All
+// counters are exact integer sums, so replays are bit-identical at any job
+// count.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,7 +96,9 @@ struct CoherenceStats {
 /// The MSI directory. Supports up to 64 cores (sharer bitset width).
 class MsiDirectory {
 public:
-    explicit MsiDirectory(unsigned cores);
+    /// `max_lines` bounds the lines tracked at once, in [1, 2^32]. Tracking
+    /// one more is a protocol violation (MEMOPT_ASSERT).
+    MsiDirectory(unsigned cores, std::size_t max_lines);
 
     unsigned cores() const { return cores_; }
     const CoherenceStats& stats() const { return stats_; }
@@ -114,7 +125,7 @@ public:
     DirectoryLine line(std::uint64_t line_addr) const;
 
     /// Number of tracked (non-Invalid) lines.
-    std::size_t tracked_lines() const { return entries_.size(); }
+    std::size_t tracked_lines() const { return size_; }
 
     /// Sum of sharer-bitset popcounts over all tracked lines (equals the
     /// total resident-line count across the private L1s).
@@ -125,10 +136,26 @@ public:
     std::vector<std::pair<std::uint64_t, DirectoryLine>> snapshot() const;
 
 private:
+    struct Slot {
+        std::uint64_t line = 0;
+        DirectoryLine entry;  ///< sharers == 0: the slot is empty
+    };
+
     unsigned owner_of(const DirectoryLine& entry) const;
+    /// First slot of the probe run of `line`.
+    std::size_t home_of(std::uint64_t line) const;
+    /// Slot of `line`, or the empty slot that ends its probe run.
+    std::size_t find(std::uint64_t line) const;
+    /// Start tracking `line` in the empty slot `find` returned for it.
+    DirectoryLine& insert(std::size_t slot, std::uint64_t line);
+    /// Empty `slot`, shifting later entries of its probe run back.
+    void erase(std::size_t slot);
 
     unsigned cores_;
-    std::unordered_map<std::uint64_t, DirectoryLine> entries_;
+    std::size_t max_lines_;
+    std::size_t size_ = 0;
+    unsigned hash_shift_;      // 64 - log2(capacity)
+    std::vector<Slot> slots_;  // capacity = slots_.size(), a power of two
     CoherenceStats stats_;
 };
 

@@ -1,17 +1,22 @@
 #include "cache/mcache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "energy/dram_model.hpp"
 #include "energy/sram_model.hpp"
 #include "support/assert.hpp"
+#include "support/bits.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
 
-MultiCoreCacheSystem::MultiCoreCacheSystem(const MultiCoreConfig& config)
-    : config_(config), directory_(config.cores) {
+namespace {
+// The machine-level checks, made before any member is built. The L1 models
+// then check their own geometry, which the directory bound divides by.
+const MultiCoreConfig& validated(const MultiCoreConfig& config) {
     require(config.cores >= 1 && config.cores <= 64,
             "MultiCoreCacheSystem: core count must be in [1, 64]");
     require(config.l2_banks >= 1,
@@ -19,14 +24,21 @@ MultiCoreCacheSystem::MultiCoreCacheSystem(const MultiCoreConfig& config)
     require(config.l2_bank.line_bytes == config.l1.line_bytes,
             "MultiCoreCacheSystem: L2 bank line size must equal the L1 line size "
             "(the directory tracks L1-line-sized blocks)");
-    l1s_.reserve(config.cores);
-    for (unsigned c = 0; c < config.cores; ++c) l1s_.emplace_back(config.l1);
-    l2_banks_.reserve(config.l2_banks);
-    for (unsigned b = 0; b < config.l2_banks; ++b) l2_banks_.emplace_back(config.l2_bank);
+    return config;
 }
+}  // namespace
+
+MultiCoreCacheSystem::MultiCoreCacheSystem(const MultiCoreConfig& config)
+    : config_(validated(config)),
+      l1s_(config.cores, CacheModel(config.l1)),
+      l2_banks_(config.l2_banks, CacheModel(config.l2_bank)),
+      // Each tracked line sits in at least one L1.
+      directory_(config.cores,
+                 config.cores * l1s_.front().num_sets() * config.l1.associativity),
+      line_shift_(log2_exact(config.l1.line_bytes)) {}
 
 unsigned MultiCoreCacheSystem::bank_of(std::uint64_t addr) const {
-    return static_cast<unsigned>((addr / config_.l1.line_bytes) % config_.l2_banks);
+    return static_cast<unsigned>((addr >> line_shift_) % config_.l2_banks);
 }
 
 void MultiCoreCacheSystem::l2_access(std::uint64_t line, AccessKind kind) {
@@ -45,13 +57,11 @@ void MultiCoreCacheSystem::apply_actions(std::uint64_t line,
                           "coherence: directory Modified owner held a clean line");
         l2_access(line, AccessKind::Write);
     }
-    for (unsigned j = 0; j < config_.cores; ++j) {
-        if ((actions.invalidate >> j) & 1) {
-            const auto dirty = l1s_[j].invalidate(line);
-            MEMOPT_ASSERT_MSG(dirty.has_value(),
-                              "coherence: invalidation target does not hold the line");
-            // A dirty target is always the flushed owner, handled above.
-        }
+    for (std::uint64_t targets = actions.invalidate; targets != 0; targets &= targets - 1) {
+        const auto dirty = l1s_[std::countr_zero(targets)].invalidate(line);
+        MEMOPT_ASSERT_MSG(dirty.has_value(),
+                          "coherence: invalidation target does not hold the line");
+        // A dirty target is always the flushed owner, handled above.
     }
     if (actions.fetch) l2_access(line, AccessKind::Read);
 }
@@ -61,10 +71,8 @@ void MultiCoreCacheSystem::access(unsigned core, std::uint64_t addr, AccessKind 
     CacheModel& l1 = l1s_[core];
     const std::uint64_t line = l1.line_base(addr);
     // In this protocol the L1 dirty bit IS the Modified indicator: stores
-    // set it (M), downgrades clear it (S), fills install clean (S). Probe
-    // it before access() mutates the line.
-    const std::optional<bool> prior_dirty = l1.probe(addr);
-
+    // set it (M), downgrades clear it (S), fills install clean (S). A hit
+    // reports it from before the access.
     const CacheAccessResult r = l1.access(addr, kind);
 
     // Precise sharer maintenance: a replaced victim (clean or dirty)
@@ -77,7 +85,7 @@ void MultiCoreCacheSystem::access(unsigned core, std::uint64_t addr, AccessKind 
     if (r.hit) {
         // Load hits and stores to an already-Modified line are
         // coherence-silent; a store to a Shared copy raises an upgrade.
-        if (kind == AccessKind::Write && !*prior_dirty)
+        if (kind == AccessKind::Write && !r.was_dirty)
             apply_actions(line, directory_.on_write(core, line));
         return;
     }
@@ -97,21 +105,45 @@ void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> 
         bool done = false;
     };
     std::vector<Cursor> cursors(sources.size());
-    const auto advance = [&](unsigned c) {
-        Cursor& cur = cursors[c];
-        while (!cur.done && cur.i >= cur.chunk.size()) {
-            cur.i = 0;
-            if (!sources[c]->next(cur.chunk)) cur.done = true;
-        }
-    };
+    // Cores whose chunk is used up, in core order, and how many accesses
+    // those chunks held. The first fill counts the whole traces instead.
+    std::vector<unsigned> empty;
+    empty.reserve(sources.size());
+    std::uint64_t consumed = 0;
     for (unsigned c = 0; c < sources.size(); ++c) {
         sources[c]->reset();
-        advance(c);
+        empty.push_back(c);
+        consumed += sources[c]->size();
     }
+    // Each used-up cursor pulls from its own source until it holds an
+    // access or the source ends. The sources are distinct objects with
+    // fixed sequences, so the refills are independent of each other.
+    const auto refill = [&](std::size_t k) {
+        Cursor& cur = cursors[empty[k]];
+        cur.i = 0;
+        do {
+            if (!sources[empty[k]]->next(cur.chunk)) {
+                cur.done = true;
+                return;
+            }
+        } while (cur.chunk.empty());
+    };
 
     const std::uint64_t line = config_.l1.line_bytes;
     bool live = true;
     while (live) {
+        // Refill between turns: in parallel once the chunks just consumed
+        // amount to a task's worth of accesses, inline below that (so a
+        // small chunk size pays no pool dispatch per turn). parallel_for
+        // rethrows the lowest failing core's error, as the loop would.
+        if (consumed >= stream_detail::kMinAccessesPerTask) {
+            parallel_for(empty.size(), refill);
+        } else {
+            for (std::size_t k = 0; k < empty.size(); ++k) refill(k);
+        }
+        empty.clear();
+        consumed = 0;
+
         live = false;
         // Fixed arbitration order: one access per live core per turn, in
         // core order — independent of chunk geometry and job count.
@@ -125,8 +157,10 @@ void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> 
             access(c, addr, kind);
             for (std::uint64_t a = l1s_[c].line_base(addr) + line; a <= last; a += line)
                 access(c, a, kind);
-            ++cur.i;
-            advance(c);
+            if (++cur.i == cur.chunk.size()) {
+                empty.push_back(c);
+                consumed += cur.chunk.size();
+            }
             live = true;
         }
     }

@@ -12,9 +12,15 @@
 // Determinism contract: replay() interleaves the per-core trace streams by
 // round-robin arbitration in fixed core order (core 0 access k, core 1
 // access k, ... ), one access per core per turn, independent of chunk
-// geometry and of --jobs. The simulation itself is a single serialized
-// machine, so results are bit-identical at any job count by construction —
-// the jobs-invariance test in tests/test_mcache.cpp polices the wiring.
+// geometry and of --jobs. Between turns, every core whose chunk ran out
+// pulls its next one; once the chunks just used up hold a task's worth of
+// accesses (stream_detail::kMinAccessesPerTask; the whole traces, for the
+// first fill), those refills run concurrently. Each refill advances only its own core's source, and every
+// source delivers a fixed sequence, so each turn sees the same accesses at
+// any job count. The simulation itself is a single serialized machine, so
+// results are bit-identical at any job count by construction — the
+// jobs-invariance test in tests/test_mcache.cpp polices the wiring over
+// every source kind.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +77,10 @@ public:
 
     /// Replay one trace stream per core, interleaved by fixed round-robin
     /// arbitration (see file comment). `sources.size()` must equal the
-    /// core count; accesses straddling an L1 line boundary are split per
-    /// covered line. Does not flush.
+    /// core count, and the sources must be distinct objects (their chunks
+    /// may be refilled concurrently); accesses straddling an L1 line
+    /// boundary are split per covered line. A source's error is rethrown,
+    /// the lowest core's first. Does not flush.
     void replay(std::span<const std::unique_ptr<TraceSource>> sources);
 
     /// Write every dirty line back (L1s in core order, then L2 banks) and
@@ -105,6 +113,7 @@ private:
     std::vector<CacheModel> l1s_;
     std::vector<CacheModel> l2_banks_;
     MsiDirectory directory_;
+    unsigned line_shift_;  // log2 of the L1 line size
     MemoryTraffic traffic_;
 };
 

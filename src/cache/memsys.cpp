@@ -1,7 +1,7 @@
 #include "cache/memsys.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -32,17 +32,18 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
     std::copy(image.begin(), image.end(),
               shadow.begin() + static_cast<std::ptrdiff_t>(image_base));
 
-    // Stored layout of each line currently resident in main memory in
-    // compressed form; absent means stored raw.
+    CacheModel cache(config_.cache);  // validates the line size first
+    const std::uint64_t lines = span / line_bytes;
+
+    // Stored layout of each line of main memory, indexed by line number:
+    // set while the line is stored in compressed form, empty while raw.
     struct StoredLine {
         std::uint32_t stored_bytes;  ///< blob + check bits, the burst size
         std::uint32_t blob_words;    ///< 64-bit words the checker walks
     };
-    std::unordered_map<std::uint64_t, StoredLine> stored_compressed;
-    // Stored blobs for the verify_roundtrip invariant.
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> stored_blobs;
-
-    CacheModel cache(config_.cache);
+    std::vector<std::optional<StoredLine>> stored_compressed(lines);
+    // Stored blobs for the verify_roundtrip invariant, indexed the same way.
+    std::vector<std::vector<std::uint8_t>> stored_blobs(config_.verify_roundtrip ? lines : 0);
     const SramEnergyModel cache_sram(config_.cache.size_bytes, 32, config_.cache_sram,
                                      config_.protection);
     const DramEnergyModel dram(config_.dram);
@@ -78,14 +79,13 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
             if (stored_bytes < line_bytes) {
                 burst_bytes = stored_bytes;
                 const auto blob_words = static_cast<std::uint32_t>((blob_bytes + 7) / 8);
-                stored_compressed[line_addr] =
+                stored_compressed[line_addr / line_bytes] =
                     StoredLine{static_cast<std::uint32_t>(stored_bytes), blob_words};
                 ecc_pj += ecc_word_pj * static_cast<double>(blob_words);
-                if (config_.verify_roundtrip) stored_blobs[line_addr] = coded.bytes();
+                if (config_.verify_roundtrip) stored_blobs[line_addr / line_bytes] = coded.bytes();
             } else {
                 // Store raw when compression (incl. check bits) does not pay.
-                stored_compressed.erase(line_addr);
-                if (config_.verify_roundtrip) stored_blobs.erase(line_addr);
+                stored_compressed[line_addr / line_bytes].reset();
             }
         }
         report.actual_traffic_bytes += burst_bytes;
@@ -97,21 +97,19 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
         report.raw_traffic_bytes += line_bytes;
         std::uint64_t burst_bytes = line_bytes;
         if (codec_ != nullptr) {
-            const auto it = stored_compressed.find(line_addr);
-            if (it != stored_compressed.end()) {
-                burst_bytes = it->second.stored_bytes;
+            const std::optional<StoredLine>& stored = stored_compressed[line_addr / line_bytes];
+            if (stored) {
+                burst_bytes = stored->stored_bytes;
                 codec_pj += config_.decompress_pj_per_word * static_cast<double>(words_per_line);
                 // The checker walks every stored word on refill.
-                ecc_pj += ecc_word_pj * static_cast<double>(it->second.blob_words);
+                ecc_pj += ecc_word_pj * static_cast<double>(stored->blob_words);
                 if (config_.verify_roundtrip) {
                     // Between eviction and this refill nothing wrote the
                     // line (writes allocate first), so the shadow still
                     // holds the bytes that were compressed: decode and
                     // compare, end to end.
-                    const auto blob = stored_blobs.find(line_addr);
-                    MEMOPT_ASSERT(blob != stored_blobs.end());
                     const std::vector<std::uint8_t> decoded =
-                        codec_->decode(blob->second, line_bytes);
+                        codec_->decode(stored_blobs[line_addr / line_bytes], line_bytes);
                     const auto expected = line_span(line_addr);
                     require(std::equal(decoded.begin(), decoded.end(), expected.begin()),
                             "CompressedMemorySim: stored line failed the round-trip check");

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -18,13 +19,17 @@
 #include "support/assert.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
+#include "trace/io.hpp"
 #include "trace/source.hpp"
+#include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
 namespace {
 
 constexpr std::uint64_t kLineA = 0x1000;
+// Line bound of the standalone directories: the tests track a line or two.
+constexpr std::size_t kMaxLines = 8;
 
 std::uint64_t bits(std::initializer_list<unsigned> cores) {
     std::uint64_t b = 0;
@@ -38,7 +43,7 @@ std::uint64_t bits(std::initializer_list<unsigned> cores) {
 // each checks the next state, the sharer set, and every action field.
 
 TEST(MsiDirectory, InvalidReadMissFetchesAndShares) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     const CoherenceActions a = dir.on_read_miss(1, kLineA);
     EXPECT_TRUE(a.fetch);
     EXPECT_EQ(a.invalidate, 0u);
@@ -48,7 +53,7 @@ TEST(MsiDirectory, InvalidReadMissFetchesAndShares) {
 }
 
 TEST(MsiDirectory, InvalidWriteMissFetchesAndOwns) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     const CoherenceActions a = dir.on_write(2, kLineA);
     EXPECT_TRUE(a.fetch);
     EXPECT_EQ(a.invalidate, 0u);
@@ -59,7 +64,7 @@ TEST(MsiDirectory, InvalidWriteMissFetchesAndOwns) {
 }
 
 TEST(MsiDirectory, SharedReadMissAddsSharer) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_read_miss(0, kLineA);
     const CoherenceActions a = dir.on_read_miss(3, kLineA);
     EXPECT_TRUE(a.fetch);
@@ -70,7 +75,7 @@ TEST(MsiDirectory, SharedReadMissAddsSharer) {
 }
 
 TEST(MsiDirectory, SharedHolderWriteUpgradesWithoutFetch) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_read_miss(0, kLineA);
     dir.on_read_miss(1, kLineA);
     const CoherenceActions a = dir.on_write(0, kLineA);
@@ -84,7 +89,7 @@ TEST(MsiDirectory, SharedHolderWriteUpgradesWithoutFetch) {
 }
 
 TEST(MsiDirectory, SharedNonHolderWriteInvalidatesAllAndFetches) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_read_miss(0, kLineA);
     dir.on_read_miss(1, kLineA);
     const CoherenceActions a = dir.on_write(2, kLineA);
@@ -98,7 +103,7 @@ TEST(MsiDirectory, SharedNonHolderWriteInvalidatesAllAndFetches) {
 }
 
 TEST(MsiDirectory, ModifiedRemoteReadDowngradesOwner) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_write(0, kLineA);
     const CoherenceActions a = dir.on_read_miss(1, kLineA);
     EXPECT_TRUE(a.fetch);
@@ -111,7 +116,7 @@ TEST(MsiDirectory, ModifiedRemoteReadDowngradesOwner) {
 }
 
 TEST(MsiDirectory, ModifiedRemoteWriteFlushesAndKillsOwner) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_write(0, kLineA);
     const CoherenceActions a = dir.on_write(1, kLineA);
     EXPECT_TRUE(a.fetch);
@@ -125,7 +130,7 @@ TEST(MsiDirectory, ModifiedRemoteWriteFlushesAndKillsOwner) {
 }
 
 TEST(MsiDirectory, EvictDropsSharerAndInvalidatesWhenLast) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_read_miss(0, kLineA);
     dir.on_read_miss(1, kLineA);
     dir.on_evict(0, kLineA);
@@ -138,7 +143,7 @@ TEST(MsiDirectory, EvictDropsSharerAndInvalidatesWhenLast) {
 }
 
 TEST(MsiDirectory, ModifiedEvictInvalidatesEntry) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_write(2, kLineA);
     dir.on_evict(2, kLineA);
     EXPECT_EQ(dir.line(kLineA).state, MsiState::Invalid);
@@ -146,7 +151,7 @@ TEST(MsiDirectory, ModifiedEvictInvalidatesEntry) {
 }
 
 TEST(MsiDirectory, FlushDowngradesModifiedOwnerInPlace) {
-    MsiDirectory dir(4);
+    MsiDirectory dir(4, kMaxLines);
     dir.on_write(1, kLineA);
     dir.on_flush(1, kLineA);
     EXPECT_EQ(dir.line(kLineA).state, MsiState::Shared);
@@ -154,9 +159,14 @@ TEST(MsiDirectory, FlushDowngradesModifiedOwnerInPlace) {
 }
 
 TEST(MsiDirectory, RejectsBadCoreCounts) {
-    EXPECT_THROW(MsiDirectory(0), Error);
-    EXPECT_THROW(MsiDirectory(65), Error);
-    EXPECT_NO_THROW(MsiDirectory(64));
+    EXPECT_THROW(MsiDirectory(0, kMaxLines), Error);
+    EXPECT_THROW(MsiDirectory(65, kMaxLines), Error);
+    EXPECT_NO_THROW(MsiDirectory(64, kMaxLines));
+}
+
+TEST(MsiDirectory, RejectsAZeroLineBound) {
+    EXPECT_THROW(MsiDirectory(4, 0), Error);  // no line could be tracked
+    EXPECT_NO_THROW(MsiDirectory(4, 1));
 }
 
 // --------------------------------------------------- system invariants ----
@@ -285,14 +295,27 @@ TEST(MultiCore, RejectsInvalidConfigs) {
     cfg = tiny_config(2);
     cfg.cores = 0;
     EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
+    // The directory bound divides by the L1 line size, so each of these
+    // must fail the L1 geometry check first, never the division.
+    cfg = tiny_config(2);
+    cfg.l1.line_bytes = 0;
+    cfg.l2_bank.line_bytes = 0;
+    EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
+    cfg = tiny_config(2);
+    cfg.l1.size_bytes = 500;  // not a power of two
+    EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
+    cfg = tiny_config(2);
+    cfg.l1.associativity = 32;  // 16 lines
+    EXPECT_THROW(MultiCoreCacheSystem{cfg}, Error);
 }
 
 // ------------------------------------------------------- determinism ----
 
-std::string run_and_serialize(unsigned cores, std::size_t chunk) {
+constexpr const char* kSharingSpec =
+    "synthetic:producer-consumer,span=16384,n=20000,seed=7,shared-bytes=1024,shared-frac=0.5";
+
+std::string run_and_serialize(const std::string& spec, unsigned cores, std::size_t chunk) {
     MultiCoreCacheSystem system(tiny_config(cores));
-    std::string spec = "synthetic:producer-consumer,span=16384,n=20000,seed=7,"
-                       "shared-bytes=1024,shared-frac=0.5";
     const auto sources = WorkloadRepository::instance().open_core_trace_sources(
         spec, cores, chunk);
     system.replay(sources);
@@ -304,21 +327,54 @@ std::string run_and_serialize(unsigned cores, std::size_t chunk) {
 }
 
 TEST(MultiCore, BitIdenticalAcrossReplaysAndChunkSizes) {
-    const std::string a = run_and_serialize(4, 512);
-    EXPECT_EQ(a, run_and_serialize(4, 512));
+    const std::string a = run_and_serialize(kSharingSpec, 4, 512);
+    EXPECT_EQ(a, run_and_serialize(kSharingSpec, 4, 512));
     // Round-robin arbitration is one access per core per turn, so chunk
     // geometry must not be observable either.
-    EXPECT_EQ(a, run_and_serialize(4, 4096));
+    EXPECT_EQ(a, run_and_serialize(kSharingSpec, 4, 4096));
 }
 
 TEST(MultiCore, ProducerConsumerBitIdenticalAtAnyJobCount) {
+    // Every source kind. The spec and the .mtsc traces are longer than one
+    // 64Ki-access chunk, so at --jobs 8 their first fill runs on the pool,
+    // and at 65536 so does every refill. The text trace is short: each core
+    // parses its own copy of the file.
+    const std::string spec =
+        "synthetic:producer-consumer,span=16384,n=66000,seed=7,shared-bytes=1024,"
+        "shared-frac=0.5";
+    SyntheticSource written(parse_synthetic_spec("uniform,span=16384,n=66000,seed=3,write=0.3"));
+    SyntheticSource short_text(parse_synthetic_spec("uniform,span=16384,n=6000,seed=3,write=0.3"));
+    const std::string text = ::testing::TempDir() + "mcache_jobs.trace";
+    const std::string plain = ::testing::TempDir() + "mcache_jobs.mtsc";
+    const std::string packed = ::testing::TempDir() + "mcache_jobs_z.mtsc";
+    {
+        std::ofstream os(text);
+        write_trace_text(os, short_text);
+    }
+    write_trace_stream(plain, written);
+    StreamWriteOptions compress;
+    compress.compress = true;
+    write_trace_stream(packed, written, compress);
+
+    struct Input {
+        std::string source;
+        bool takes_chunk;  // a .mtsc delivers the blocks it was written with
+    };
+    const Input inputs[] = {
+        {spec, true}, {"matmul", true}, {text, true}, {plain, false}, {packed, false},
+    };
     const std::size_t prior = default_jobs();
-    set_default_jobs(1);
-    const std::string serial = run_and_serialize(4, 1024);
-    set_default_jobs(8);
-    const std::string parallel = run_and_serialize(4, 1024);
+    for (const Input& input : inputs) {
+        for (const std::size_t chunk : {1, 512, 65536}) {
+            if (!input.takes_chunk && chunk != 65536) continue;
+            set_default_jobs(1);
+            const std::string serial = run_and_serialize(input.source, 4, chunk);
+            set_default_jobs(8);
+            const std::string parallel = run_and_serialize(input.source, 4, chunk);
+            EXPECT_EQ(serial, parallel) << input.source << " chunk=" << chunk;
+        }
+    }
     set_default_jobs(prior);
-    EXPECT_EQ(serial, parallel);
 }
 
 // ----------------------------------------------------- trace plumbing ----
