@@ -8,33 +8,6 @@
 
 namespace memopt::bench {
 
-namespace {
-
-std::optional<std::string> dir_path(const char* env_var, const std::string& name,
-                                    const std::string& extension) {
-    const char* dir = std::getenv(env_var);
-    if (dir == nullptr || *dir == '\0') return std::nullopt;
-    return std::string(dir) + "/" + name + "." + extension;
-}
-
-std::optional<AtomicOstream> dir_sink(const char* env_var, const std::string& name,
-                                      const std::string& extension) {
-    const auto path = dir_path(env_var, name, extension);
-    if (!path) return std::nullopt;
-    AtomicOstream os;
-    if (!os.open_staged(*path)) {
-        // A missing sink directory must not kill the bench, but a silently
-        // dropped BENCH_* export is undiagnosable — name the path.
-        std::fprintf(stderr, "memopt: warning: %s sink: cannot create '%s'; export dropped\n",
-                     env_var, path->c_str());
-        return std::nullopt;
-    }
-    std::printf("(figure data -> %s)\n", path->c_str());
-    return os;
-}
-
-}  // namespace
-
 std::vector<KernelRunPtr> run_suite(bool fetch) {
     return WorkloadRepository::instance().suite(fetch);
 }
@@ -52,20 +25,14 @@ void print_shape(bool ok, const std::string& message) {
     std::printf("SHAPE %s: %s\n", ok ? "ok" : "WARN", message.c_str());
 }
 
-std::optional<AtomicOstream> csv_sink(const std::string& name) {
-    return dir_sink("MEMOPT_CSV_DIR", name, "csv");
-}
-
-std::optional<AtomicOstream> json_sink(const std::string& name) {
-    return dir_sink("MEMOPT_JSON_DIR", name, "json");
-}
-
 std::optional<std::string> json_path(const std::string& name) {
-    return dir_path("MEMOPT_JSON_DIR", name, "json");
+    const char* dir = std::getenv("MEMOPT_JSON_DIR");
+    if (dir == nullptr || *dir == '\0') return std::nullopt;
+    return std::string(dir) + "/" + name + ".json";
 }
 
 BenchReport::BenchReport(const std::string& name) {
-    const auto path = dir_path("MEMOPT_JSON_DIR", name, "json");
+    const auto path = json_path(name);
     if (!path) return;
     path_ = *path;
     if (!out_.open_staged(path_)) {

@@ -34,23 +34,10 @@ void print_header(const std::string& experiment, const std::string& paper_claim,
 /// Print the closing shape-check line ("SHAPE <ok/warn>: ...").
 void print_shape(bool ok, const std::string& message);
 
-/// Figure-data export: when the MEMOPT_CSV_DIR environment variable is set,
-/// returns a crash-safe staged stream for <dir>/<name>.csv that publishes
-/// on destruction (see AtomicOstream); otherwise nullopt. When the
-/// directory is missing or the open fails, warns on stderr naming the path
-/// and returns nullopt — the bench still runs, and the dropped export is
-/// diagnosable. Lets plots be regenerated from the exact series a bench
-/// printed.
-std::optional<AtomicOstream> csv_sink(const std::string& name);
-
-/// Machine-readable export: like csv_sink, but on <dir>/<name>.json with
-/// the directory taken from MEMOPT_JSON_DIR.
-std::optional<AtomicOstream> json_sink(const std::string& name);
-
-/// The path json_sink would write to, without opening it — for tools like
-/// google-benchmark that insist on creating the output file themselves.
-/// Used by perf_micro to emit BENCH_perf.json so the perf trajectory can
-/// be tracked across PRs.
+/// The path <MEMOPT_JSON_DIR>/<name>.json, or nullopt when the variable is
+/// unset — for tools like google-benchmark that insist on creating the
+/// output file themselves. Used by perf_micro to emit BENCH_perf.json so
+/// the perf trajectory can be tracked from change to change.
 std::optional<std::string> json_path(const std::string& name);
 
 /// Structured export of one bench run: a "memopt.bench.v1" JSON document

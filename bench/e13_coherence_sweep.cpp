@@ -14,7 +14,6 @@
 #include "bench_util.hpp"
 #include "cache/mcache.hpp"
 #include "core/workload.hpp"
-#include "support/csv.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 #include "trace/source.hpp"
@@ -36,14 +35,6 @@ int main() {
     TablePrinter table({"cores", "msgs/1k acc", "invalidations", "downgrades",
                         "upgrades", "coherence [nJ]", "coh share [%]"});
     bench::BenchReport report("e13_coherence_sweep");
-    auto csv = bench::csv_sink("e13_coherence_sweep");
-    std::optional<CsvWriter> csv_writer;
-    if (csv) {
-        csv_writer.emplace(*csv);
-        csv_writer->write_row({"cores", "messages_per_1k", "invalidations",
-                               "downgrades", "upgrades", "coherence_nj",
-                               "coherence_share_pct"});
-    }
 
     std::vector<std::uint64_t> messages;
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
@@ -69,12 +60,6 @@ int main() {
                        format("%llu", (unsigned long long)cs.downgrades),
                        format("%llu", (unsigned long long)cs.upgrades),
                        format_fixed(coherence_nj, 1), format_fixed(share, 2)});
-        if (csv_writer)
-            csv_writer->write_row_numeric(
-                format("%u", cores),
-                {per_1k, static_cast<double>(cs.invalidations),
-                 static_cast<double>(cs.downgrades),
-                 static_cast<double>(cs.upgrades), coherence_nj, share});
         report.add_row({{"cores", static_cast<std::uint64_t>(cores)},
                         {"messages_per_1k", per_1k},
                         {"invalidations", cs.invalidations},

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "support/csv.hpp"
 #include "core/flow.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
@@ -32,12 +31,6 @@ int main() {
                         "clustering savings [%]"});
     std::vector<double> gains;
     bench::BenchReport report("e2_bank_sweep");
-    auto csv = bench::csv_sink("e2_bank_sweep");
-    std::optional<CsvWriter> csv_writer;
-    if (csv) {
-        csv_writer.emplace(*csv);
-        csv_writer->write_row({"max_banks", "partitioned_nj", "clustered_nj", "savings_pct"});
-    }
 
     for (std::size_t banks : {1, 2, 3, 4, 6, 8, 12, 16}) {
         FlowParams fp;
@@ -54,9 +47,6 @@ int main() {
         gains.push_back(savings);
         table.add_row({format("%zu", banks), format_fixed(part.mean() / 1e3, 1),
                        format_fixed(clus.mean() / 1e3, 1), format_fixed(savings, 1)});
-        if (csv_writer)
-            csv_writer->write_row_numeric(format("%zu", banks),
-                                          {part.mean() / 1e3, clus.mean() / 1e3, savings});
         report.add_row({{"max_banks", static_cast<std::uint64_t>(banks)},
                         {"partitioned_nj", part.mean() / 1e3},
                         {"clustered_nj", clus.mean() / 1e3},

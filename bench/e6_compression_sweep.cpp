@@ -3,12 +3,10 @@
 // per-line, so longer lines give the codec more context (better ratios)
 // while the off-chip per-byte energy scales how much a saved byte is worth.
 #include <cstdio>
-#include <optional>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "cache/platform.hpp"
-#include "support/csv.hpp"
 #include "compress/diff_codec.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
@@ -57,18 +55,11 @@ int main() {
     TablePrinter line_table({"line size", "avg mem-path savings [%]"});
     std::vector<double> by_line;
     bench::BenchReport report("e6_compression_sweep");
-    auto csv = bench::csv_sink("e6_compression_sweep");
-    std::optional<CsvWriter> csv_writer;
-    if (csv) {
-        csv_writer.emplace(*csv);
-        csv_writer->write_row({"axis", "value", "avg_savings_pct"});
-    }
     for (unsigned line : {16u, 32u, 64u}) {
         CompressedMemConfig cfg = base_platform.config;
         cfg.cache.line_bytes = line;
         by_line.push_back(avg_path_savings(cfg, runs));
         line_table.add_row({format("%u B", line), format_fixed(by_line.back(), 1)});
-        if (csv_writer) csv_writer->write_row_numeric("line_bytes", {double(line), by_line.back()});
         report.add_row({{"axis", "line_bytes"},
                         {"value", static_cast<double>(line)},
                         {"avg_savings_pct", by_line.back()}});
@@ -83,7 +74,6 @@ int main() {
         cfg.dram.per_byte_pj *= mult;
         by_cost.push_back(avg_path_savings(cfg, runs));
         dram_table.add_row({format_fixed(mult, 2), format_fixed(by_cost.back(), 1)});
-        if (csv_writer) csv_writer->write_row_numeric("per_byte_mult", {mult, by_cost.back()});
         report.add_row({{"axis", "per_byte_mult"},
                         {"value", mult},
                         {"avg_savings_pct", by_cost.back()}});

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "support/csv.hpp"
 #include "encoding/search.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
@@ -27,12 +26,6 @@ int main() {
     TablePrinter table({"gates", "avg reduction [%]", "min [%]", "max [%]"});
     std::vector<double> avg_curve;
     bench::BenchReport report("e8_gate_budget");
-    auto csv = bench::csv_sink("e8_gate_budget");
-    std::optional<CsvWriter> csv_writer;
-    if (csv) {
-        csv_writer.emplace(*csv);
-        csv_writer->write_row({"gates", "avg_reduction_pct", "min_pct", "max_pct"});
-    }
     for (std::size_t gates : budgets) {
         // Independent per-kernel searches run concurrently (MEMOPT_JOBS);
         // the accumulator consumes the ordered results serially.
@@ -45,9 +38,6 @@ int main() {
         avg_curve.push_back(acc.mean());
         table.add_row({format("%zu", gates), format_fixed(acc.mean(), 1),
                        format_fixed(acc.min(), 1), format_fixed(acc.max(), 1)});
-        if (csv_writer)
-            csv_writer->write_row_numeric(format("%zu", gates),
-                                          {acc.mean(), acc.min(), acc.max()});
         report.add_row({{"gates", static_cast<std::uint64_t>(gates)},
                         {"avg_reduction_pct", acc.mean()},
                         {"min_reduction_pct", acc.min()},

@@ -49,7 +49,8 @@ BENCHMARK(BM_IssSimulation);
 
 void BM_PartitionDp(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = blocks * 256, .num_accesses = 50000, .write_fraction = 0.3,
                  .seed = 1},
         .num_hotspots = 8,
@@ -67,7 +68,8 @@ BENCHMARK(BM_PartitionDp)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_PartitionGreedy(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = blocks * 256, .num_accesses = 50000, .write_fraction = 0.3,
                  .seed = 1},
         .num_hotspots = 8,
@@ -84,8 +86,10 @@ void BM_PartitionGreedy(benchmark::State& state) {
 BENCHMARK(BM_PartitionGreedy)->Arg(1024)->Arg(4096);
 
 void BM_FrequencyClustering(benchmark::State& state) {
-    const MemTrace trace = uniform_trace({.span_bytes = 256 * 1024, .num_accesses = 100000,
-                                          .write_fraction = 0.3, .seed = 2});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 256 * 1024, .num_accesses = 100000, .write_fraction = 0.3,
+                  .seed = 2}});
     MaterializedSource source(trace);
     const BlockProfile profile = BlockProfile::from_source(source, 256);
     for (auto _ : state) {
@@ -110,8 +114,10 @@ void BM_DiffCodecEncode(benchmark::State& state) {
 BENCHMARK(BM_DiffCodecEncode);
 
 void BM_CacheSimulation(benchmark::State& state) {
-    const MemTrace trace = uniform_trace({.span_bytes = 64 * 1024, .num_accesses = 100000,
-                                          .write_fraction = 0.3, .seed = 4});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 64 * 1024, .num_accesses = 100000, .write_fraction = 0.3,
+                  .seed = 4}});
     const auto addrs = trace.addrs();
     const auto kinds = trace.kinds();
     std::uint64_t accesses = 0;
@@ -165,7 +171,8 @@ BENCHMARK(BM_CoherentReplay)->Arg(4)->Arg(64);
 // is the size of the perfbench affinity-16k workload.
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = blocks * 256, .num_accesses = 200000, .write_fraction = 0.3,
                  .seed = 5},
         .num_hotspots = 8,
@@ -209,7 +216,8 @@ BENCHMARK(BM_ProductWindowAffinity)->Arg(16384);
 
 void BM_ProfileAndAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = blocks * 256, .num_accesses = 200000, .write_fraction = 0.3,
                  .seed = 5},
         .num_hotspots = 8,
@@ -227,7 +235,8 @@ BENCHMARK(BM_ProfileAndAffinity)->Arg(512)->Arg(4096);
 
 void BM_AffinityClustering(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = blocks * 256, .num_accesses = 200000, .write_fraction = 0.3,
                  .seed = 5},
         .num_hotspots = 8,

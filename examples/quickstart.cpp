@@ -16,7 +16,8 @@ int main() {
     // 1. A workload. Real users feed a MemTrace from their own simulator
     //    (or use the bundled AR32 kernels, see energy_report.cpp); here a
     //    synthetic trace with 8 scattered hotspots stands in.
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 128 * 1024, .num_accesses = 200000, .write_fraction = 0.3,
                  .seed = 42},
         .num_hotspots = 8,

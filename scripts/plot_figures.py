@@ -1,55 +1,47 @@
 #!/usr/bin/env python3
-"""Plot the figure-data CSVs exported by the benches.
+"""Plot the figure series of the sweep benches from their memopt.bench.v1
+documents.
 
 Usage:
-    scripts/reproduce.sh                     # writes reproduction/figures/*.csv
+    scripts/reproduce.sh                     # writes reproduction/figures/*.json
     python3 scripts/plot_figures.py [dir]    # writes <dir>/*.png
 
-A CSV whose first column is not numeric labels its rows (E6 sweeps two
-axes in one file): each label becomes its own figure, named
-<csv stem>_<label>, with the next column as x.
+Reads the documents E2, E6, E8 and E13 write under MEMOPT_JSON_DIR. A
+row's first numeric field is x and each later numeric field a y series. A
+row that starts with a string labels itself (E6 sweeps two axes in one
+document): each label becomes its own figure, named <experiment>_<label>.
 
-Degrades gracefully: without matplotlib it prints the series as text,
-with x as written in the CSV.
+Degrades gracefully: without matplotlib it prints the series as text.
 """
-import csv
+import json
 import sys
 from pathlib import Path
 
-
-def is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+# The benches whose rows sweep one knob, one figure (or one per label) each.
+FIGURES = ("e2_bank_sweep", "e6_compression_sweep", "e8_gate_budget", "e13_coherence_sweep")
 
 
 def load(path: Path):
-    """Return (x_name, y_names, figures); figures maps a row label ("" for
-    an unlabelled CSV) to (x values as written, {y name: [float]})."""
-    with path.open() as f:
-        header, *rows = csv.reader(f)
-    labelled = bool(rows) and not is_number(rows[0][0])
-    if labelled:
-        header = header[1:]
-    x_name, y_names = header[0], header[1:]
+    """Map each figure name to (x name, x values, {y name: [float]})."""
     figures = {}
-    for row in rows:
-        label, values = (row[0], row[1:]) if labelled else ("", row)
-        xs, ys = figures.setdefault(label, ([], {y: [] for y in y_names}))
-        xs.append(values[0])
-        for name, value in zip(y_names, values[1:]):
-            ys[name].append(float(value))
-    return x_name, y_names, figures
+    for row in json.loads(path.read_text())["rows"]:
+        first = next(iter(row.values()))
+        label = first if isinstance(first, str) else ""
+        (x_name, x), *ys = [(k, v) for k, v in row.items() if not isinstance(v, str)]
+        name = f"{path.stem}_{label}" if label else path.stem
+        _, xs, series = figures.setdefault(name, (label or x_name, [], {y: [] for y, _ in ys}))
+        xs.append(x)
+        for y, value in ys:
+            series[y].append(float(value))
+    return figures
 
 
 def main() -> int:
     directory = Path(sys.argv[1] if len(sys.argv) > 1 else "reproduction/figures")
-    csvs = sorted(directory.glob("*.csv"))
-    if not csvs:
-        print(f"no CSV files in {directory}; run scripts/reproduce.sh with "
-              "MEMOPT_CSV_DIR set (reproduce.sh does this for you)")
+    docs = sorted(p for p in (directory / f"{name}.json" for name in FIGURES) if p.exists())
+    if not docs:
+        print(f"no figure documents in {directory}; run scripts/reproduce.sh "
+              "(it sets MEMOPT_JSON_DIR)")
         return 1
 
     try:
@@ -61,15 +53,13 @@ def main() -> int:
         have_mpl = False
         print("matplotlib not available; printing series instead\n")
 
-    for path in csvs:
-        x_name, y_names, figures = load(path)
-        for label, (xs, ys) in figures.items():
-            name = f"{path.stem}_{label}" if label else path.stem
+    for path in docs:
+        for name, (x_label, xs, series) in load(path).items():
             if have_mpl:
                 fig, ax = plt.subplots(figsize=(6, 4))
-                for y in y_names:
-                    ax.plot([float(x) for x in xs], ys[y], marker="o", label=y)
-                ax.set_xlabel(label or x_name)
+                for y, values in series.items():
+                    ax.plot(xs, values, marker="o", label=y)
+                ax.set_xlabel(x_label)
                 ax.set_title(name)
                 ax.grid(True, alpha=0.3)
                 ax.legend()
@@ -79,8 +69,8 @@ def main() -> int:
                 print(f"wrote {out}")
             else:
                 print(f"-- {name} --")
-                for y in y_names:
-                    pairs = ", ".join(f"{x}:{v:.1f}" for x, v in zip(xs, ys[y]))
+                for y, values in series.items():
+                    pairs = ", ".join(f"{x:g}:{v:.1f}" for x, v in zip(xs, values))
                     print(f"  {y}: {pairs}")
     return 0
 

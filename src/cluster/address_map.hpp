@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "trace/profile.hpp"
-#include "trace/trace.hpp"
 
 namespace memopt {
 
@@ -38,9 +37,6 @@ public:
     /// Physical block of a logical block.
     std::size_t map_block(std::size_t logical) const;
 
-    /// Logical block of a physical block (inverse mapping).
-    std::size_t unmap_block(std::size_t physical) const;
-
     /// Remap a byte address (block bits remapped, offset preserved).
     std::uint64_t map_addr(std::uint64_t addr) const;
 
@@ -50,13 +46,9 @@ public:
     /// Apply to a profile: returns the physical-space profile.
     BlockProfile apply(const BlockProfile& profile) const;
 
-    /// Apply to a trace: returns the trace as seen after the remap stage.
-    MemTrace apply(const MemTrace& trace) const;
-
 private:
     std::uint64_t block_size_;
-    std::vector<std::size_t> perm_;     // logical -> physical
-    std::vector<std::size_t> inverse_;  // physical -> logical
+    std::vector<std::size_t> perm_;  // logical -> physical
 };
 
 }  // namespace memopt

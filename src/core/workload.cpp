@@ -108,9 +108,4 @@ std::vector<std::unique_ptr<TraceSource>> WorkloadRepository::open_core_trace_so
     return out;
 }
 
-void WorkloadRepository::clear() {
-    MutexLock lock(mutex_);
-    cache_.clear();
-}
-
 }  // namespace memopt

@@ -95,9 +95,6 @@ public:
         return simulations_.load(std::memory_order_relaxed);
     }
 
-    /// Drop all cached artifacts (testing aid).
-    void clear();
-
 private:
     using Key = std::pair<std::string, bool>;  ///< (kernel name, fetch variant)
 

@@ -25,12 +25,6 @@ std::size_t FaultInjector::flip_bits(std::span<std::uint8_t> bytes, double p, Rn
     return flips;
 }
 
-std::size_t FaultInjector::flip_bits(std::string& bytes, double p, Rng& rng) {
-    return flip_bits(std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(bytes.data()),
-                                             bytes.size()),
-                     p, rng);
-}
-
 std::size_t FaultInjector::flip_bits(ProtectedBuffer& buffer, double p, Rng& rng) {
     std::size_t flips = 0;
     const std::size_t bits = buffer.total_bits();

@@ -5,13 +5,12 @@
 // of call order or thread schedule. Campaigns assign one stream per Monte-
 // Carlo trial, so a parallel campaign is bit-identical to a serial one at
 // any job count. Injection targets are byte buffers (sleepy SRAM bank
-// contents, compressed lines between write-back and refill, serialized
-// trace streams) and the stored bit space of a ProtectedBuffer.
+// contents, compressed lines between write-back and refill) and the stored
+// bit space of a ProtectedBuffer.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fault/protect.hpp"
@@ -33,9 +32,6 @@ public:
     /// Flip every bit of `bytes` independently with probability `p`
     /// (clamped to [0, 1]). Returns the number of flips.
     static std::size_t flip_bits(std::span<std::uint8_t> bytes, double p, Rng& rng);
-
-    /// flip_bits over the bytes of a serialized stream (trace I/O fuzzing).
-    static std::size_t flip_bits(std::string& bytes, double p, Rng& rng);
 
     /// Flip the stored bits (data + check) of a protected buffer with
     /// per-bit probability `p`. Returns the number of flips.

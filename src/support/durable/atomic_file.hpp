@@ -38,7 +38,7 @@ void atomic_write(const std::string& path, const std::function<void(std::ostream
 void atomic_write(const std::string& path, const std::string& contents,
                   std::ios_base::openmode mode = std::ios_base::openmode{});
 
-/// Incremental crash-safe writer for long-lived sinks (bench CSV/JSON
+/// Incremental crash-safe writer for long-lived sinks (bench JSON
 /// exports): an ofstream that stages into `<path>.tmp` and renames onto the
 /// final path on commit(). The destructor auto-commits an open, undecided
 /// stream — a sink held until scope exit publishes on clean exit — but a

@@ -1,8 +1,10 @@
 // Cooperative watchdog: deadline + signal driven cancellation.
 //
 // Long-run engines poll CancellationToken at natural unit boundaries —
-// stream_accumulate chunk boundaries, campaign trial batches, study kernel
-// completions — instead of being torn down asynchronously. On trigger the
+// every trace chunk (the top of each concrete TraceSource's next(), and
+// stream_accumulate's tasks before they map a chunk), campaign trial
+// batches, study kernel completions — instead of being torn down
+// asynchronously. On trigger the
 // engine checkpoints what it has, the CLI emits a memopt.report.v1
 // document with "partial": true plus the reason, and the process exits
 // with code 3 (documented in DESIGN.md §9). Nothing is lost: rerunning

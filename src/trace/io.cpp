@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 
-#include "support/durable/atomic_file.hpp"
 #include "support/string_util.hpp"
 #include "trace/source.hpp"
 
@@ -86,17 +85,6 @@ void reject_retired_trace_format(const std::string& path) {
         throw Error("'" + path +
                     "': the .mtrc trace format is retired; use a .mtsc container or a "
                     "text trace instead");
-}
-
-void save_trace(const std::string& path, const MemTrace& trace) {
-    // Crash-safe: a killed run must never leave a truncated trace under the
-    // final name. atomic_write stages into <path>.tmp and renames on commit.
-    reject_retired_trace_format(path);
-    atomic_write(path, [&](std::ostream& os) {
-        MaterializedSource source(trace);
-        write_trace_text(os, source);
-        require(os.good(), "save_trace: write failed for '" + path + "'");
-    });
 }
 
 MemTrace load_trace(const std::string& path) {

@@ -30,9 +30,8 @@ MemTrace read_trace_text(std::istream& is);
 /// format is retired, and the message points at the ".mtsc" container.
 void reject_retired_trace_format(const std::string& path);
 
-/// Text-format file wrappers. Throw memopt::Error if the file cannot be
+/// Read a text-format file. Throws memopt::Error if the file cannot be
 /// opened or `path` ends in ".mtrc" (see reject_retired_trace_format).
-void save_trace(const std::string& path, const MemTrace& trace);
 MemTrace load_trace(const std::string& path);
 
 }  // namespace memopt

@@ -30,9 +30,9 @@ BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_
     // The span covers the summary's max_addr, and the TraceSource contract
     // guarantees every delivered access lies within the summary range
     // (file-backed sources validate each block's addresses against the
-    // header summary before first delivery), so the per-access bounds
-    // check of block_of() is not needed. Counts are integer sums reduced in
-    // task order, so the result is bit-identical at any job count.
+    // header summary before first delivery), so no per-access bounds check
+    // is needed. Counts are integer sums reduced in task order, so the
+    // result is bit-identical at any job count.
     struct Counts {
         std::vector<std::uint64_t> reads, writes;
     };
@@ -62,12 +62,6 @@ BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_
             profile.add_counts(b, total.reads[b], total.writes[b]);
     }
     return profile;
-}
-
-std::size_t BlockProfile::block_of(std::uint64_t addr) const {
-    const std::size_t block = static_cast<std::size_t>(addr / block_size_);
-    require(block < counts_.size(), "block_of: address outside profile span");
-    return block;
 }
 
 const BlockCounts& BlockProfile::counts(std::size_t block) const {

@@ -50,9 +50,6 @@ public:
     std::size_t num_blocks() const { return counts_.size(); }
     std::uint64_t span_bytes() const { return block_size_ * counts_.size(); }
 
-    /// Block index containing byte address `addr`. Must lie in the span.
-    std::size_t block_of(std::uint64_t addr) const;
-
     const BlockCounts& counts(std::size_t block) const;
 
     /// Directly add counts to a block (used by synthetic profile builders).

@@ -4,29 +4,34 @@
 
 namespace memopt {
 
+void TraceSummary::add(const TraceChunk& chunk) {
+    // A local copy: stores to the members could alias the chunk's
+    // uint64_t columns and would pin them in memory through the loop.
+    TraceSummary s = *this;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+        const std::uint64_t lo = chunk.addrs[i];
+        const std::uint64_t hi = lo + chunk.sizes[i] - 1;
+        if (s.accesses == 0) {
+            s.min_addr = lo;
+            s.max_addr = hi;
+        } else {
+            s.min_addr = std::min(s.min_addr, lo);
+            s.max_addr = std::max(s.max_addr, hi);
+        }
+        if (chunk.kinds[i] == AccessKind::Read) ++s.reads;
+        else ++s.writes;
+        ++s.accesses;
+    }
+    *this = s;
+}
+
 const TraceSummary& TraceSource::summary() {
     if (summary_.has_value()) return *summary_;
-    // One streaming pass; the accumulation mirrors the counters MemTrace
-    // maintains incrementally (max_addr covers the access width).
+    // One streaming pass (max_addr covers the access width).
     TraceSummary s;
     reset();
     TraceChunk chunk;
-    while (next(chunk)) {
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            const std::uint64_t lo = chunk.addrs[i];
-            const std::uint64_t hi = lo + chunk.sizes[i] - 1;
-            if (s.accesses == 0) {
-                s.min_addr = lo;
-                s.max_addr = hi;
-            } else {
-                s.min_addr = std::min(s.min_addr, lo);
-                s.max_addr = std::max(s.max_addr, hi);
-            }
-            if (chunk.kinds[i] == AccessKind::Read) ++s.reads;
-            else ++s.writes;
-            ++s.accesses;
-        }
-    }
+    while (next(chunk)) s.add(chunk);
     reset();
     summary_ = s;
     return *summary_;
@@ -62,6 +67,7 @@ void MaterializedSource::seed_summary() {
 }
 
 bool MaterializedSource::next(TraceChunk& chunk) {
+    CancellationToken::global().check();
     const std::uint64_t n = trace_->size();
     if (pos_ >= n) {
         chunk = TraceChunk{};
@@ -89,6 +95,7 @@ SyntheticSource::SyntheticSource(const SyntheticSpec& spec, std::size_t chunk_ac
 }
 
 bool SyntheticSource::next(TraceChunk& chunk) {
+    CancellationToken::global().check();
     if (pos_ >= gen_.size()) {
         chunk = TraceChunk{};
         return false;

@@ -17,6 +17,9 @@
 //                          (trace/synthetic.hpp);
 //  * MmapBinarySource    — memory-mapped zero-copy reader for the ".mtsc"
 //                          block container (trace/stream_file.hpp).
+// Each of them polls the global CancellationToken once per chunk, at the
+// top of next(), so a deadline or SIGINT/SIGTERM stops any replay within
+// one chunk.
 //
 // The parallel replays (profiling and the affinity builders) share one
 // engine, stream_accumulate: one loop pulls chunks into batches and maps
@@ -62,7 +65,7 @@ inline constexpr std::size_t kDefaultTraceChunk = std::size_t{1} << 16;
 /// TraceSource::stable_chunks()).
 ///
 /// Invariant: all five columns have equal length (validated at
-/// construction, mirroring MemTrace::from_columns).
+/// construction).
 struct TraceChunk {
     std::uint64_t first_index = 0;
     std::span<const std::uint64_t> addrs;
@@ -95,8 +98,12 @@ struct TraceSummary {
     std::uint64_t max_addr = 0;
 
     /// Smallest power-of-two span covering all touched addresses from zero
-    /// (the profile-geometry value; equals MemTrace::address_span_pow2()).
+    /// (the profile geometry).
     std::uint64_t span_pow2() const { return ceil_pow2(max_addr + 1); }
+
+    /// Fold the accesses of `chunk` into the statistics, the way MemTrace
+    /// counts each access it adds.
+    void add(const TraceChunk& chunk);
 };
 
 /// Abstract pull-based chunked trace stream. Single-pass cursor semantics:
@@ -322,9 +329,10 @@ struct KeyPartition {
 ///
 /// Cancellation: the global CancellationToken is polled before every chunk
 /// is mapped, so a deadline or SIGINT/SIGTERM interrupts a billion-access
-/// replay within one chunk (~64Ki accesses). The resulting CancelledError
-/// unwinds through parallel_for like any worker exception; partial state
-/// is discarded by the caller.
+/// replay within one chunk (~64Ki accesses) even over a stable source,
+/// which hands out its whole batch (and runs its own polls) before the
+/// tasks start. The resulting CancelledError unwinds through parallel_for
+/// like any worker exception; partial state is discarded by the caller.
 template <typename MakeState, typename MapChunk, typename Merge>
 auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_t jobs,
                        StreamMapping mapping, const MakeState& make_state,

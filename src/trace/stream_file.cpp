@@ -369,20 +369,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     source.reset();
     TraceChunk c;
     while (source.next(c)) {
-        for (std::size_t i = 0; i < c.size(); ++i) {
-            const std::uint64_t lo = c.addrs[i];
-            const std::uint64_t hi = lo + c.sizes[i] - 1;
-            if (s.accesses == 0) {
-                s.min_addr = lo;
-                s.max_addr = hi;
-            } else {
-                s.min_addr = std::min(s.min_addr, lo);
-                s.max_addr = std::max(s.max_addr, hi);
-            }
-            if (c.kinds[i] == AccessKind::Read) ++s.reads;
-            else ++s.writes;
-            ++s.accesses;
-        }
+        s.add(c);
         addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
         cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
         values.insert(values.end(), c.values.begin(), c.values.end());
@@ -416,37 +403,6 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     require(os.good(), "write_trace_stream: write failed for '" + path + "'");
     }, std::ios::binary);
     return s;
-}
-
-MemTrace read_trace_stream(const std::string& path) {
-    MmapBinarySource source(path);
-    MemTrace trace;
-    // The header count is only loosely bounded at open time (a compressed
-    // container's payloads have no fixed per-access size, so a crafted
-    // block_count/chunk pair can still claim up to block_count * 2^24
-    // accesses), so it must not drive an unbounded up-front allocation.
-    // Cap the hint and let the columns grow normally: a lying header fails
-    // fast on the first block's access-count mismatch instead of in the
-    // allocator.
-    constexpr std::uint64_t kMaxReserveRecords = std::uint64_t{1} << 16;
-    trace.reserve(
-        static_cast<std::size_t>(std::min<std::uint64_t>(source.size(), kMaxReserveRecords)));
-    TraceChunk chunk;
-    while (source.next(chunk)) {
-        // Chunk boundaries are the cooperative cancellation points of the
-        // replay: a tripped deadline or signal stops between blocks.
-        CancellationToken::global().check();
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            MemAccess a;
-            a.addr = chunk.addrs[i];
-            a.cycle = chunk.cycles[i];
-            a.value = chunk.values[i];
-            a.size = chunk.sizes[i];
-            a.kind = chunk.kinds[i];
-            trace.add(a);
-        }
-    }
-    return trace;
 }
 
 // ---------------------------------------------------------------------------
@@ -599,6 +555,7 @@ MmapBinarySource::BlockView MmapBinarySource::locate_block(std::uint32_t block) 
 }
 
 bool MmapBinarySource::next(TraceChunk& chunk) {
+    CancellationToken::global().check();
     if (block_ >= block_count_) {
         chunk = TraceChunk{};
         return false;

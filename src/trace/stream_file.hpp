@@ -89,11 +89,6 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
 /// comment above). Exposed so tests can reseal crafted payloads.
 std::uint64_t mtsc_block_checksum(const std::uint8_t* data, std::size_t n);
 
-/// Materialize an ".mtsc" container into an in-memory trace (for consumers
-/// that genuinely need random access; replay loops should stream through
-/// MmapBinarySource instead). Throws memopt::Error on corruption.
-MemTrace read_trace_stream(const std::string& path);
-
 /// Memory-mapped reader for the ".mtsc" container. Uncompressed containers
 /// deliver zero-copy chunks straight out of the mapping (stable for the
 /// source's lifetime); compressed containers decode each block into an

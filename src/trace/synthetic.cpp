@@ -125,14 +125,13 @@ SyntheticGenerator::SyntheticGenerator(const SyntheticSpec& spec)
         case SyntheticKind::TwoPhase:
             break;
         case SyntheticKind::Hotspot: {
-            require(spec_.num_hotspots > 0,
-                    "scattered_hotspot_trace: need at least one hotspot");
-            require(spec_.hotspot_bytes >= 16, "scattered_hotspot_trace: hotspot too small");
+            require(spec_.num_hotspots > 0, "synthetic hotspot: need at least one hotspot");
+            require(spec_.hotspot_bytes >= 16, "synthetic hotspot: hotspot too small");
             require(spec_.hot_fraction >= 0.0 && spec_.hot_fraction <= 1.0,
-                    "scattered_hotspot_trace: hot_fraction must be in [0,1]");
+                    "synthetic hotspot: hot_fraction must be in [0,1]");
             // Division form: the product num_hotspots * hotspot_bytes can wrap.
             require(spec_.hotspot_bytes <= spec_.base.span_bytes / 2 / spec_.num_hotspots,
-                    "scattered_hotspot_trace: hotspots must cover at most half of the span");
+                    "synthetic hotspot: hotspots must cover at most half of the span");
             // Spread hotspot bases across the span: divide the span into
             // num_hotspots slices and place one hotspot at a random offset
             // inside each slice. This guarantees the hot data is maximally
@@ -150,7 +149,7 @@ SyntheticGenerator::SyntheticGenerator(const SyntheticSpec& spec)
         }
         case SyntheticKind::Stride:
             require(spec_.stride >= 4 && spec_.stride % 4 == 0,
-                    "strided_trace: stride must be a multiple of 4");
+                    "synthetic stride: stride must be a multiple of 4");
             break;
         case SyntheticKind::ProducerConsumer:
             require(spec_.cores >= 1 && spec_.cores <= 64,
@@ -238,27 +237,6 @@ MemTrace materialize_synthetic(const SyntheticSpec& spec) {
     t.reserve(static_cast<std::size_t>(gen.size()));
     while (!gen.done()) t.add(gen.next());
     return t;
-}
-
-MemTrace uniform_trace(const SyntheticParams& p) {
-    return materialize_synthetic(SyntheticSpec{.kind = SyntheticKind::Uniform, .base = p});
-}
-
-MemTrace scattered_hotspot_trace(const HotspotParams& p) {
-    return materialize_synthetic(SyntheticSpec{.kind = SyntheticKind::Hotspot,
-                                               .base = p.base,
-                                               .num_hotspots = p.num_hotspots,
-                                               .hotspot_bytes = p.hotspot_bytes,
-                                               .hot_fraction = p.hot_fraction});
-}
-
-MemTrace strided_trace(const StrideParams& p) {
-    return materialize_synthetic(
-        SyntheticSpec{.kind = SyntheticKind::Stride, .base = p.base, .stride = p.stride});
-}
-
-MemTrace two_phase_trace(const SyntheticParams& p) {
-    return materialize_synthetic(SyntheticSpec{.kind = SyntheticKind::TwoPhase, .base = p});
 }
 
 std::vector<std::uint32_t> smooth_word_stream(std::size_t n, double smooth_prob,

@@ -5,11 +5,10 @@
 // shapes beyond what the bundled AR32 kernels produce.
 //
 // All trace families share one per-access engine, SyntheticGenerator:
-// the materializing helpers (uniform_trace, ...) and the streaming
-// SyntheticSource (trace/source.hpp) both drain the same generator, so the
-// chunked stream is bit-identical to the materialized trace by
-// construction — the RNG consumption order per access is defined exactly
-// once.
+// materialize_synthetic and the streaming SyntheticSource
+// (trace/source.hpp) both drain the same generator, so the chunked stream
+// is bit-identical to the materialized trace by construction — the RNG
+// consumption order per access is defined exactly once.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +30,24 @@ struct SyntheticParams {
 
 /// The synthetic trace families.
 enum class SyntheticKind {
-    Uniform,           ///< uniform random addresses over the span
-    Hotspot,           ///< scattered hotspots over a uniform background
-    Stride,            ///< sequential strided sweep
-    TwoPhase,          ///< disjoint working sets in two program phases
-    ProducerConsumer,  ///< multi-core: core 0 writes a shared region, others read it
+    /// Uniform random addresses over the span. The least informative
+    /// profile: partitioning gains little, clustering gains nothing.
+    Uniform,
+    /// Scattered hotspots: `num_hotspots` regions of `hotspot_bytes` each
+    /// sit at random, spread-out positions; `hot_fraction` of accesses hit
+    /// a hotspot (skewed towards hotspot 0), the rest are uniform
+    /// background. The profile class that motivates address clustering:
+    /// hot data exists but is NOT contiguous, so plain partitioning cannot
+    /// isolate it into a small bank.
+    Hotspot,
+    /// Sequential sweep of the span with step `stride` (array streaming).
+    Stride,
+    /// The first half of the accesses works in the lower half of the span,
+    /// the second half in the upper: disjoint working sets in two program
+    /// phases (favourable to partitioning even without clustering).
+    TwoPhase,
+    /// Multi-core: core 0 writes a shared region, the others read it.
+    ProducerConsumer,
 };
 
 /// Full description of one synthetic trace: the family plus every knob.
@@ -105,37 +117,6 @@ private:
 
 /// Materialize the full trace a spec describes (drains one generator).
 MemTrace materialize_synthetic(const SyntheticSpec& spec);
-
-/// Uniform random addresses over the span. The least informative profile:
-/// partitioning gains little, clustering gains nothing.
-MemTrace uniform_trace(const SyntheticParams& p);
-
-/// "Scattered hotspots": `num_hotspots` regions of `hotspot_bytes` each are
-/// placed at random (spread-out) positions; `hot_fraction` of accesses hit a
-/// hotspot (chosen with a skewed distribution across hotspots), the rest are
-/// uniform background. This is the profile class that motivates address
-/// clustering: hot data exists but is NOT contiguous, so plain partitioning
-/// cannot isolate it into a small bank.
-struct HotspotParams {
-    SyntheticParams base;
-    std::size_t num_hotspots = 8;
-    std::uint64_t hotspot_bytes = 1024;
-    double hot_fraction = 0.9;
-};
-MemTrace scattered_hotspot_trace(const HotspotParams& p);
-
-/// Sequential strided sweep: repeatedly walks the span with a given stride
-/// (array streaming). High spatial locality by construction.
-struct StrideParams {
-    SyntheticParams base;
-    std::uint64_t stride = 4;
-};
-MemTrace strided_trace(const StrideParams& p);
-
-/// Two-phase trace: phase 1 works in region A, phase 2 in region B; models
-/// program phases with disjoint working sets (favourable to partitioning
-/// even without clustering).
-MemTrace two_phase_trace(const SyntheticParams& p);
 
 /// Values stream with controlled smoothness, used by compression tests:
 /// generates `n` 32-bit words where consecutive words differ by a bounded

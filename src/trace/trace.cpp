@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/bits.hpp"
-
 namespace memopt {
 
 void MemTrace::add(const MemAccess& a) {
@@ -33,39 +31,6 @@ void MemTrace::add_write(std::uint64_t addr, std::uint8_t size, std::uint64_t cy
     add(MemAccess{.addr = addr, .cycle = cycle, .size = size, .kind = AccessKind::Write});
 }
 
-MemTrace MemTrace::from_columns(std::vector<std::uint64_t> addrs,
-                                std::vector<std::uint64_t> cycles,
-                                std::vector<std::uint32_t> values,
-                                std::vector<std::uint8_t> sizes,
-                                std::vector<AccessKind> kinds) {
-    const std::size_t n = addrs.size();
-    require(cycles.size() == n && values.size() == n && sizes.size() == n && kinds.size() == n,
-            "MemTrace::from_columns: column length mismatch");
-    MemTrace trace;
-    trace.addrs_ = std::move(addrs);
-    trace.cycles_ = std::move(cycles);
-    trace.values_ = std::move(values);
-    trace.sizes_ = std::move(sizes);
-    trace.kinds_ = std::move(kinds);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t size = trace.sizes_[i];
-        MEMOPT_ASSERT_MSG(size == 1 || size == 2 || size == 4 || size == 8,
-                          "access size must be 1/2/4/8 bytes");
-        const std::uint64_t lo = trace.addrs_[i];
-        const std::uint64_t hi = lo + size - 1;
-        if (i == 0) {
-            trace.min_addr_ = lo;
-            trace.max_addr_ = hi;
-        } else {
-            trace.min_addr_ = std::min(trace.min_addr_, lo);
-            trace.max_addr_ = std::max(trace.max_addr_, hi);
-        }
-        if (trace.kinds_[i] == AccessKind::Read) ++trace.reads_;
-        else ++trace.writes_;
-    }
-    return trace;
-}
-
 std::uint64_t MemTrace::min_addr() const {
     require(!addrs_.empty(), "min_addr on empty trace");
     return min_addr_;
@@ -74,11 +39,6 @@ std::uint64_t MemTrace::min_addr() const {
 std::uint64_t MemTrace::max_addr() const {
     require(!addrs_.empty(), "max_addr on empty trace");
     return max_addr_;
-}
-
-std::uint64_t MemTrace::address_span_pow2() const {
-    require(!addrs_.empty(), "address_span_pow2 on empty trace");
-    return ceil_pow2(max_addr_ + 1);
 }
 
 std::vector<std::uint32_t> MemTrace::write_values() const {

@@ -54,14 +54,6 @@ public:
     void add_read(std::uint64_t addr, std::uint8_t size = 4, std::uint64_t cycle = 0);
     void add_write(std::uint64_t addr, std::uint8_t size = 4, std::uint64_t cycle = 0);
 
-    /// Bulk construction from pre-built columns (all the same length).
-    /// Summary statistics are recomputed; sizes are validated.
-    static MemTrace from_columns(std::vector<std::uint64_t> addrs,
-                                 std::vector<std::uint64_t> cycles,
-                                 std::vector<std::uint32_t> values,
-                                 std::vector<std::uint8_t> sizes,
-                                 std::vector<AccessKind> kinds);
-
     /// Contiguous column views — the fast path for replay loops.
     std::span<const std::uint64_t> addrs() const { return addrs_; }
     std::span<const std::uint64_t> cycles() const { return cycles_; }
@@ -86,10 +78,6 @@ public:
     /// Lowest / highest byte address touched. Requires a non-empty trace.
     std::uint64_t min_addr() const;
     std::uint64_t max_addr() const;
-
-    /// Smallest power-of-two span (in bytes) that covers all touched
-    /// addresses starting from address zero. Requires a non-empty trace.
-    std::uint64_t address_span_pow2() const;
 
     /// Remove all accesses.
     void clear();

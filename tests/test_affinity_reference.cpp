@@ -234,10 +234,11 @@ void expect_matrix(const AffinityMatrix& m, const ExpectedMatrix& expected) {
     }
 }
 
-/// The physical block order a map lays out: position p holds unmap(p).
+/// The physical block order a map lays out: position p holds the logical
+/// block that maps to p.
 std::vector<std::size_t> layout(const AddressMap& map) {
     std::vector<std::size_t> order(map.num_blocks());
-    for (std::size_t p = 0; p < order.size(); ++p) order[p] = map.unmap_block(p);
+    for (std::size_t b = 0; b < order.size(); ++b) order[map.map_block(b)] = b;
     return order;
 }
 

@@ -113,8 +113,9 @@ TEST(Cache, ResetClearsStateAndStats) {
 
 TEST(Cache, StatsAreConsistent) {
     CacheModel c(small_cache(2, 32, 1024));
-    const MemTrace trace = uniform_trace({.span_bytes = 8192, .num_accesses = 5000,
-                                          .write_fraction = 0.4, .seed = 3});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 8192, .num_accesses = 5000, .write_fraction = 0.4, .seed = 3}});
     for (std::size_t i = 0; i < trace.size(); ++i) c.access(trace.addrs()[i], trace.kinds()[i]);
     const CacheStats& s = c.stats();
     EXPECT_EQ(s.accesses(), 5000u);
@@ -128,7 +129,8 @@ TEST(Cache, StatsAreConsistent) {
 class LruInclusion : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LruInclusion, BiggerFullyAssociativeCacheNeverWorse) {
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 16384, .num_accesses = 8000, .write_fraction = 0.3,
                  .seed = GetParam()},
         .num_hotspots = 4,
@@ -186,8 +188,9 @@ TEST(Hierarchy, ReplaySplitsLineStraddlingAccesses) {
 
 TEST(Hierarchy, TrafficConservation) {
     CacheHierarchy h(small_cache(2, 16, 512), small_cache(4, 32, 4096));
-    const MemTrace trace = uniform_trace({.span_bytes = 32768, .num_accesses = 20000,
-                                          .write_fraction = 0.3, .seed = 9});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 32768, .num_accesses = 20000, .write_fraction = 0.3, .seed = 9}});
     for (std::size_t i = 0; i < trace.size(); ++i) h.access(trace.addrs()[i], trace.kinds()[i]);
     h.flush();
     // Everything that was fetched from memory was either still resident at

@@ -28,7 +28,6 @@ TEST(AddressMap, IdentityMapsAddressesUnchanged) {
     EXPECT_TRUE(map.is_identity());
     EXPECT_EQ(map.map_addr(0x123), 0x123u);
     EXPECT_EQ(map.map_block(5), 5u);
-    EXPECT_EQ(map.unmap_block(5), 5u);
 }
 
 TEST(AddressMap, MapPreservesOffsetWithinBlock) {
@@ -38,8 +37,17 @@ TEST(AddressMap, MapPreservesOffsetWithinBlock) {
 }
 
 TEST(AddressMap, InverseIsConsistent) {
+    // Every physical block has exactly one logical preimage, and the
+    // permutation view, map_block and map_addr agree on it.
     const AddressMap map(256, {2, 0, 3, 1});
-    for (std::size_t b = 0; b < 4; ++b) EXPECT_EQ(map.unmap_block(map.map_block(b)), b);
+    std::vector<std::size_t> inverse(map.num_blocks(), SIZE_MAX);
+    for (std::size_t b = 0; b < map.num_blocks(); ++b) {
+        EXPECT_EQ(map.permutation()[b], map.map_block(b));
+        EXPECT_EQ(map.map_addr(b * 256 + 7), map.map_block(b) * 256 + 7);
+        EXPECT_EQ(inverse[map.map_block(b)], SIZE_MAX) << "two blocks map to one";
+        inverse[map.map_block(b)] = b;
+    }
+    EXPECT_EQ(inverse, (std::vector<std::size_t>{1, 3, 0, 2}));
 }
 
 TEST(AddressMap, RejectsNonBijections) {
@@ -57,8 +65,9 @@ TEST(AddressMap, MapAddrRejectsOutsideSpan) {
 TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
     // profile(map(trace)) == map(profile(trace)) — the remap stage commutes
     // with profiling.
-    const MemTrace trace = uniform_trace({.span_bytes = 4096, .num_accesses = 3000,
-                                          .write_fraction = 0.25, .seed = 5});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 4096, .num_accesses = 3000, .write_fraction = 0.25, .seed = 5}});
     MaterializedSource source(trace);
     const BlockProfile profile = BlockProfile::from_source(source, 256);
     Rng rng(7);
@@ -68,7 +77,12 @@ TEST(AddressMap, ProfileAndTraceApplicationsAgree) {
     const AddressMap map(256, perm);
 
     const BlockProfile direct = map.apply(profile);
-    const MemTrace mapped = map.apply(trace);
+    MemTrace mapped;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        MemAccess a = trace.at(i);
+        a.addr = map.map_addr(a.addr);
+        mapped.add(a);
+    }
     MaterializedSource mapped_source(mapped);
     const BlockProfile via_trace = BlockProfile::from_source(mapped_source, 256);
     ASSERT_EQ(direct.num_blocks(), via_trace.num_blocks());
@@ -96,7 +110,8 @@ TEST(FrequencyClustering, HotBlocksMoveToFront) {
 }
 
 TEST(FrequencyClustering, IsAlwaysABijection) {
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 32768, .num_accesses = 10000, .write_fraction = 0.3, .seed = 3},
         .num_hotspots = 5,
         .hotspot_bytes = 512,
@@ -109,8 +124,9 @@ TEST(FrequencyClustering, IsAlwaysABijection) {
 }
 
 TEST(AffinityClustering, ProducesValidMapAndKeepsHotSeedFirst) {
-    const MemTrace trace = two_phase_trace({.span_bytes = 8192, .num_accesses = 4000,
-                                            .write_fraction = 0.3, .seed = 11});
+    const MemTrace trace = materialize_synthetic(
+        {.kind = SyntheticKind::TwoPhase,
+         .base = {.span_bytes = 8192, .num_accesses = 4000, .write_fraction = 0.3, .seed = 11}});
     MaterializedSource source(trace);
     const BlockProfile p = BlockProfile::from_source(source, 256);
     const AffinityMatrix aff = windowed_affinity(source, p, 16);
@@ -197,7 +213,8 @@ TEST(RemapTable, LookupStaysSmallRelativeToBankAccess) {
 class ClusteringWins : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClusteringWins, BeatsPlainPartitioningOnScatteredHotspots) {
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 128 * 1024, .num_accesses = 40000, .write_fraction = 0.3,
                  .seed = GetParam()},
         .num_hotspots = 8,
@@ -244,7 +261,8 @@ TEST_P(FrequencyOptimality, NoPermutationBeatsFrequencyPlusExactDp) {
     // ordering followed by the exact DP against random permutations. The
     // exchange argument holds for read-only profiles only (see the
     // exhaustive tests below); on these traces no sampled permutation wins.
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 16384, .num_accesses = 20000, .write_fraction = 0.3,
                  .seed = GetParam()},
         .num_hotspots = 4,
@@ -312,7 +330,8 @@ TEST(ExchangeArgument, WritesCanBeatHotFirstOrder) {
 }
 
 TEST(Flow, ComparisonFieldsAreConsistent) {
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 32768, .num_accesses = 20000, .write_fraction = 0.3, .seed = 31},
         .num_hotspots = 6,
         .hotspot_bytes = 512,
@@ -347,7 +366,8 @@ TEST(Flow, AutoGreedyFallbackOnHugeProfiles) {
     // 2 MiB span at 256 B blocks = 8192 blocks: above the auto-greedy
     // threshold, the flow must still complete quickly and return a valid
     // architecture.
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 2 * 1024 * 1024, .num_accesses = 30000,
                  .write_fraction = 0.3, .seed = 77},
         .num_hotspots = 10,

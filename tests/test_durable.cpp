@@ -4,9 +4,11 @@
 // the cooperative watchdog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +22,9 @@
 #include "support/durable/cancel.hpp"
 #include "support/durable/checkpoint.hpp"
 #include "support/rng.hpp"
+#include "trace/affinity.hpp"
+#include "trace/profile.hpp"
+#include "trace/source.hpp"
 #include "trace/stream_file.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
@@ -505,21 +510,91 @@ TEST_F(DurableTest, TrippedTokenCancelsAStudySuite) {
     EXPECT_EQ(outcome.stop_reason, "test trip");
 }
 
-TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
-    // stream_accumulate polls the token at chunk boundaries; a pre-tripped
-    // token must surface as CancelledError from the replay entry points.
-    const std::string path = temp_path("cancel.mtsc");
+/// 200000 hotspot accesses: enough for stream_accumulate to shard the
+/// replay over 4 tasks.
+SyntheticSpec cancel_spec() {
     SyntheticSpec spec;
-    spec.kind = SyntheticKind::Stride;
-    spec.base.num_accesses = 20000;
-    SyntheticSource source(spec, 1024);
-    write_trace_stream(path, source);
+    spec.kind = SyntheticKind::Hotspot;
+    spec.base.num_accesses = 200000;
+    return spec;
+}
 
-    CancellationToken::global().request("stop replay");
-    EXPECT_THROW(read_trace_stream(path), CancelledError);
-    CancellationToken::global().reset();
-    EXPECT_EQ(read_trace_stream(path).size(), 20000u);
+TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
+    // Every concrete source polls the token at the top of next(), so a
+    // tripped token stops the sharded replays over each of them at any job
+    // count, and an untripped one lets them run to the end.
+    const SyntheticSpec spec = cancel_spec();
+    const std::string path = temp_path("cancel.mtsc");
+    {
+        SyntheticSource writer_input(spec, 4096);
+        write_trace_stream(path, writer_input);
+    }
+    const MemTrace trace = materialize_synthetic(spec);
+    MaterializedSource materialized(trace, 4096);
+    SyntheticSource synthetic(spec, 4096);
+    MmapBinarySource mapped(path);
+    const BlockProfile profile = BlockProfile::from_source(materialized, 256);
+    for (TraceSource* source : std::initializer_list<TraceSource*>{&materialized, &synthetic,
+                                                                    &mapped}) {
+        TraceChunk chunk;
+        CancellationToken::global().request("stop replay");
+        EXPECT_THROW(source->next(chunk), CancelledError);
+        for (const std::size_t jobs : {1, 4}) {
+            CancellationToken::global().request("stop replay");
+            EXPECT_THROW(BlockProfile::from_source(*source, 256, jobs), CancelledError);
+            EXPECT_THROW(windowed_affinity(*source, profile, 8, jobs), CancelledError);
+            CancellationToken::global().reset();
+            EXPECT_EQ(BlockProfile::from_source(*source, 256, jobs).total_accesses(),
+                      spec.base.num_accesses);
+        }
+    }
     std::remove(path.c_str());
+}
+
+/// A stable source over an in-memory trace whose next() never polls the
+/// token, so only stream_accumulate's tasks can notice a trip.
+class NonPollingSource final : public TraceSource {
+public:
+    explicit NonPollingSource(const MemTrace& trace) : trace_(trace) {
+        set_summary(MaterializedSource(trace).summary());
+    }
+
+    std::uint64_t size() const override { return trace_.size(); }
+    bool stable_chunks() const override { return true; }
+    void reset() override { pos_ = 0; }
+
+    bool next(TraceChunk& chunk) override {
+        if (pos_ >= trace_.size()) {
+            chunk = TraceChunk{};
+            return false;
+        }
+        const std::size_t n = std::min<std::size_t>(4096, trace_.size() - pos_);
+        chunk = TraceChunk(pos_, trace_.addrs().subspan(pos_, n),
+                           trace_.cycles().subspan(pos_, n), trace_.values().subspan(pos_, n),
+                           trace_.sizes().subspan(pos_, n), trace_.kinds().subspan(pos_, n));
+        pos_ += n;
+        return true;
+    }
+
+private:
+    const MemTrace& trace_;
+    std::size_t pos_ = 0;
+};
+
+TEST_F(DurableTest, StreamReplayTasksPollTheToken) {
+    // A stable source hands out its whole batch before the tasks map it;
+    // the tasks' own per-chunk check is what stops the replay.
+    const MemTrace trace = materialize_synthetic(cancel_spec());
+    NonPollingSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
+    for (const std::size_t jobs : {1, 4}) {
+        CancellationToken::global().request("stop replay");
+        EXPECT_THROW(BlockProfile::from_source(source, 256, jobs), CancelledError);
+        EXPECT_THROW(windowed_affinity(source, profile, 8, jobs), CancelledError);
+        CancellationToken::global().reset();
+        EXPECT_EQ(windowed_affinity(source, profile, 8, jobs).total(),
+                  windowed_affinity(source, profile, 8, 1).total());
+    }
 }
 
 }  // namespace

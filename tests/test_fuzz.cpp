@@ -310,7 +310,7 @@ TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
     sp.span_bytes = 4096;
     sp.num_accesses = 64;
     sp.seed = GetParam();
-    const MemTrace trace = uniform_trace(sp);
+    const MemTrace trace = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = sp});
     MaterializedSource source(trace);
     const std::string path =
         ::testing::TempDir() + "trace_fuzz_" + std::to_string(GetParam()) + ".mtsc";
@@ -353,7 +353,7 @@ TEST_P(TraceIoFuzz, TextReaderSurvivesCorruption) {
     sp.span_bytes = 4096;
     sp.num_accesses = 32;
     sp.seed = GetParam();
-    const MemTrace trace = uniform_trace(sp);
+    const MemTrace trace = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = sp});
     MaterializedSource source(trace);
     write_trace_text(ss, source);
     const std::string pristine = ss.str();
@@ -422,7 +422,8 @@ TEST_P(CodecFuzz, DecodersSurviveCorruptedBlobs) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp).write_values(), 16);
+    const MemTrace trace = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = sp});
+    const DictionaryCodec dict = DictionaryCodec::train(trace.write_values(), 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 150; ++trial) {
@@ -457,7 +458,8 @@ TEST_P(CodecFuzz, DecodersSurvivePureGarbage) {
     const DiffCodec diff;
     const ZeroRunCodec zero_run;
     const BdiCodec bdi;
-    const DictionaryCodec dict = DictionaryCodec::train(uniform_trace(sp).write_values(), 16);
+    const MemTrace trace = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = sp});
+    const DictionaryCodec dict = DictionaryCodec::train(trace.write_values(), 16);
     const std::array<const LineCodec*, 4> codecs = {&diff, &zero_run, &bdi, &dict};
 
     for (int trial = 0; trial < 200; ++trial) {

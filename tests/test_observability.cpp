@@ -25,12 +25,13 @@ namespace {
 // ---------------------------------------------------------------- JsonWriter
 
 MemTrace make_hot_trace(std::uint64_t seed) {
-    HotspotParams hp;
-    hp.base.span_bytes = 1 << 14;
-    hp.base.num_accesses = 3000;
-    hp.base.seed = seed;
-    hp.hot_fraction = 0.7;
-    return scattered_hotspot_trace(hp);
+    SyntheticSpec spec;
+    spec.kind = SyntheticKind::Hotspot;
+    spec.base.span_bytes = 1 << 14;
+    spec.base.num_accesses = 3000;
+    spec.base.seed = seed;
+    spec.hot_fraction = 0.7;
+    return materialize_synthetic(spec);
 }
 
 TEST(JsonWriter, BuildsCompleteDocument) {

@@ -166,7 +166,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverCertification,
 class SolverOrdering : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolverOrdering, OptimalLeqGreedyLeqMonolithic) {
-    const MemTrace trace = scattered_hotspot_trace({
+    const MemTrace trace = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 64 * 1024, .num_accesses = 30000, .write_fraction = 0.3,
                  .seed = GetParam()},
         .num_hotspots = 6,

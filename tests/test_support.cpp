@@ -1,4 +1,4 @@
-// Unit tests for the support module: RNG, statistics, strings, tables, CSV.
+// Unit tests for the support module: RNG, statistics, strings, tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "support/assert.hpp"
-#include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/string_util.hpp"
@@ -256,22 +255,6 @@ TEST(Table, RejectsMismatchedRow) {
 }
 
 TEST(Table, RejectsEmptyHeader) { EXPECT_THROW(TablePrinter({}), Error); }
-
-// ---------------------------------------------------------------- csv ----
-
-TEST(Csv, EscapesSpecials) {
-    EXPECT_EQ(csv_escape("plain"), "plain");
-    EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WritesRows) {
-    std::ostringstream oss;
-    CsvWriter csv(oss);
-    csv.write_row({"x", "y"});
-    csv.write_row_numeric("run1", {1.5, 2.0});
-    EXPECT_EQ(oss.str(), "x,y\nrun1,1.5,2\n");
-}
 
 // ------------------------------------------------------------- errors ----
 

@@ -39,16 +39,15 @@ TEST(MemTrace, CountersTrackAdds) {
 TEST(MemTrace, SpanIsPow2CoveringMaxByte) {
     MemTrace t;
     t.add_read(1000, 4);  // touches bytes 1000..1003
-    EXPECT_EQ(t.address_span_pow2(), 1024u);
+    EXPECT_EQ(MaterializedSource(t).summary().span_pow2(), 1024u);
     t.add_read(1024, 4);
-    EXPECT_EQ(t.address_span_pow2(), 2048u);
+    EXPECT_EQ(MaterializedSource(t).summary().span_pow2(), 2048u);
 }
 
 TEST(MemTrace, EmptyTraceQueriesThrow) {
     MemTrace t;
     EXPECT_THROW(t.min_addr(), Error);
     EXPECT_THROW(t.max_addr(), Error);
-    EXPECT_THROW(t.address_span_pow2(), Error);
 }
 
 TEST(MemTrace, ClearResets) {
@@ -92,12 +91,6 @@ TEST(BlockProfile, FromTraceCountsPerBlock) {
     EXPECT_EQ(p.counts(1).writes, 1u);
     EXPECT_EQ(p.counts(3).reads, 1u);
     EXPECT_EQ(p.total_accesses(), 4u);
-}
-
-TEST(BlockProfile, BlockOfRejectsOutsideSpan) {
-    BlockProfile p(256, 4);
-    EXPECT_EQ(p.block_of(1023), 3u);
-    EXPECT_THROW(p.block_of(1024), Error);
 }
 
 TEST(BlockProfile, RejectsBadGeometry) {
@@ -205,8 +198,8 @@ TEST(Affinity, WindowValidation) {
 TEST(Synthetic, DeterministicBySeed) {
     SyntheticParams p;
     p.num_accesses = 500;
-    const MemTrace a = uniform_trace(p);
-    const MemTrace b = uniform_trace(p);
+    const MemTrace a = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = p});
+    const MemTrace b = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = p});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a.at(i).addr, b.at(i).addr);
@@ -216,18 +209,19 @@ TEST(Synthetic, UniformStaysInSpan) {
     SyntheticParams p;
     p.span_bytes = 4096;
     p.num_accesses = 2000;
-    const MemTrace t = uniform_trace(p);
+    const MemTrace t = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = p});
     EXPECT_LT(t.max_addr(), 4096u);
 }
 
 TEST(Synthetic, HotspotTraceIsSkewedAndScattered) {
-    HotspotParams hp;
-    hp.base.span_bytes = 64 * 1024;
-    hp.base.num_accesses = 20000;
-    hp.num_hotspots = 8;
-    hp.hotspot_bytes = 1024;
-    hp.hot_fraction = 0.9;
-    const MemTrace t = scattered_hotspot_trace(hp);
+    SyntheticSpec spec;
+    spec.kind = SyntheticKind::Hotspot;
+    spec.base.span_bytes = 64 * 1024;
+    spec.base.num_accesses = 20000;
+    spec.num_hotspots = 8;
+    spec.hotspot_bytes = 1024;
+    spec.hot_fraction = 0.9;
+    const MemTrace t = materialize_synthetic(spec);
     MaterializedSource src(t);
     const BlockProfile p = BlockProfile::from_source(src, 256);
     // 8 hotspots of 4 blocks each: ~32 hot blocks should hold ~90%.
@@ -237,9 +231,15 @@ TEST(Synthetic, HotspotTraceIsSkewedAndScattered) {
 }
 
 TEST(Synthetic, HotspotValidation) {
-    HotspotParams hp;
-    hp.num_hotspots = 0;
-    EXPECT_THROW(scattered_hotspot_trace(hp), Error);
+    SyntheticSpec spec;
+    spec.kind = SyntheticKind::Hotspot;
+    spec.num_hotspots = 0;
+    try {
+        materialize_synthetic(spec);
+        FAIL() << "expected throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "synthetic hotspot: need at least one hotspot");
+    }
 }
 
 // Range checks must not wrap: four hotspots of 2^62 bytes multiply to 0
@@ -254,11 +254,12 @@ TEST(Synthetic, SpecRangeChecksDoNotWrap) {
 }
 
 TEST(Synthetic, StridedWrapsAround) {
-    StrideParams sp;
-    sp.base.span_bytes = 1024;
-    sp.base.num_accesses = 600;
-    sp.stride = 4;
-    const MemTrace t = strided_trace(sp);
+    SyntheticSpec spec;
+    spec.kind = SyntheticKind::Stride;
+    spec.base.span_bytes = 1024;
+    spec.base.num_accesses = 600;
+    spec.stride = 4;
+    const MemTrace t = materialize_synthetic(spec);
     EXPECT_EQ(t.at(0).addr, 0u);
     EXPECT_EQ(t.at(255).addr, 1020u);
     EXPECT_EQ(t.at(256).addr, 0u);  // wrapped
@@ -268,7 +269,7 @@ TEST(Synthetic, TwoPhaseUsesDisjointHalves) {
     SyntheticParams p;
     p.span_bytes = 8192;
     p.num_accesses = 1000;
-    const MemTrace t = two_phase_trace(p);
+    const MemTrace t = materialize_synthetic({.kind = SyntheticKind::TwoPhase, .base = p});
     for (std::size_t i = 0; i < 500; ++i) EXPECT_LT(t.at(i).addr, 4096u);
     for (std::size_t i = 500; i < 1000; ++i) EXPECT_GE(t.at(i).addr, 4096u);
 }
@@ -357,13 +358,18 @@ TEST(TraceIo, TextRejectsValueOutOfRange) {
 TEST(TraceIo, FileSaveLoadBothFormats) {
     const MemTrace t = sample_trace();
     const std::string text_path = ::testing::TempDir() + "memopt_trace_test.txt";
-    save_trace(text_path, t);
+    {
+        std::ofstream os(text_path);
+        MaterializedSource source(t);
+        write_trace_text(os, source);
+    }
     expect_traces_equal(t, load_trace(text_path));
     std::remove(text_path.c_str());
-    // The retired flat binary format is refused in both directions (nothing
-    // is written), with a message that points at its replacement.
+    // The retired flat binary format is refused in both directions (writers
+    // check the path before they open it), with a message that points at
+    // its replacement.
     const std::string mtrc_path = ::testing::TempDir() + "memopt_trace_test.mtrc";
-    EXPECT_THROW(save_trace(mtrc_path, t), Error);
+    EXPECT_THROW(reject_retired_trace_format(mtrc_path), Error);
     EXPECT_FALSE(std::ifstream(mtrc_path).is_open());
     try {
         load_trace(mtrc_path);
@@ -448,8 +454,9 @@ TEST(Symbolize, AccountsEveryAccessExactlyOnce) {
 // trace: every row assembled from the column spans equals the MemAccess
 // at(i) hands out.
 TEST(SoaLayout, ColumnsAgreeWithAccessView) {
-    const MemTrace t = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
-                                      .write_fraction = 0.4, .seed = 9});
+    const MemTrace t = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 65536, .num_accesses = 2000, .write_fraction = 0.4, .seed = 9}});
     const auto addrs = t.addrs();
     const auto cycles = t.cycles();
     const auto values = t.values();
@@ -474,8 +481,9 @@ TEST(SoaLayout, ColumnsAgreeWithAccessView) {
 // the AoS add() API serializes and deserializes to the same columns as the
 // SoA original — the storage layout is invisible to the formats.
 TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
-    const MemTrace soa = uniform_trace({.span_bytes = 65536, .num_accesses = 2000,
-                                        .write_fraction = 0.4, .seed = 10});
+    const MemTrace soa = materialize_synthetic(
+        {.kind = SyntheticKind::Uniform,
+         .base = {.span_bytes = 65536, .num_accesses = 2000, .write_fraction = 0.4, .seed = 10}});
     MemTrace aos;
     for (std::size_t i = 0; i < soa.size(); ++i) aos.add(soa.at(i));
 
@@ -489,20 +497,26 @@ TEST(SoaLayout, AosRebuildRoundTripsThroughIo) {
 }
 
 TEST(SoaLayout, FromColumnsMatchesAddAndValidates) {
+    // A chunk over raw columns folds into the summary MemTrace keeps as it
+    // adds the same accesses, and a chunk with ragged columns is refused.
     MemTrace reference;
     reference.add(MemAccess{0x100, 0, 0, 4, AccessKind::Read});
     reference.add(MemAccess{0x204, 5, 7, 2, AccessKind::Write});
     reference.add(MemAccess{0x108, 11, 0, 8, AccessKind::Read});
-    const MemTrace built = MemTrace::from_columns(
-        {0x100, 0x204, 0x108}, {0, 5, 11}, {0, 7, 0}, {4, 2, 8},
-        {AccessKind::Read, AccessKind::Write, AccessKind::Read});
-    expect_traces_equal(reference, built);
-    EXPECT_EQ(built.read_count(), 2u);
-    EXPECT_EQ(built.write_count(), 1u);
-    EXPECT_EQ(built.min_addr(), 0x100u);
-    EXPECT_EQ(built.max_addr(), 0x205u);
-    EXPECT_THROW(MemTrace::from_columns({0x100}, {0, 1}, {0}, {4}, {AccessKind::Read}),
-                 Error);
+    const std::vector<std::uint64_t> addrs{0x100, 0x204, 0x108};
+    const std::vector<std::uint64_t> cycles{0, 5, 11};
+    const std::vector<std::uint32_t> values{0, 7, 0};
+    const std::vector<std::uint8_t> sizes{4, 2, 8};
+    const std::vector<AccessKind> kinds{AccessKind::Read, AccessKind::Write, AccessKind::Read};
+    TraceSummary built;
+    built.add(TraceChunk(0, addrs, cycles, values, sizes, kinds));
+    EXPECT_EQ(built.accesses, reference.size());
+    EXPECT_EQ(built.reads, reference.read_count());
+    EXPECT_EQ(built.writes, reference.write_count());
+    EXPECT_EQ(built.min_addr, reference.min_addr());
+    EXPECT_EQ(built.max_addr, 0x205u);
+    EXPECT_EQ(built.max_addr, reference.max_addr());
+    EXPECT_THROW(TraceChunk(0, addrs, std::span(cycles).first(2), values, sizes, kinds), Error);
 }
 
 // -------------------------------------------- sharded replay invariance ----
@@ -511,7 +525,8 @@ TEST(SoaLayout, FromColumnsMatchesAddAndValidates) {
 // are integer-valued, so the merge order cannot change any sum.
 TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
     // Long enough to split into several shards (kMinAccessesPerShard = 64Ki).
-    const MemTrace t = scattered_hotspot_trace({
+    const MemTrace t = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 256 * 256, .num_accesses = 300000, .write_fraction = 0.3,
                  .seed = 21},
         .num_hotspots = 4,
@@ -545,7 +560,8 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
 // The fused single-pass builder must agree exactly with the two-pass
 // composition it replaces, at every job count.
 TEST(ShardedReplay, FusedBuilderMatchesTwoPass) {
-    const MemTrace t = scattered_hotspot_trace({
+    const MemTrace t = materialize_synthetic({
+        .kind = SyntheticKind::Hotspot,
         .base = {.span_bytes = 128 * 256, .num_accesses = 200000, .write_fraction = 0.3,
                  .seed = 22},
         .num_hotspots = 4,
