@@ -71,7 +71,7 @@ int main() {
         for (std::size_t p = 0; p < 4; ++p) {
             const auto result = flow.run_hybrid(
                 source, ClusterMethod::Frequency,
-                BankPool::homogeneous(parse_technology(kHomogeneous[p])));
+                BankPool::homogeneous(parse_technology(kHomogeneous[p]).value()));
             row.homogeneous_pj[p] = result.total();
         }
         const BankPool mix = BankPool::parse("sram,edram,sttmram,drowsy");

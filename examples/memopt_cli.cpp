@@ -492,11 +492,10 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
     const MemoryOptimizationFlow flow(fp);
 
     const std::string method_name = args.get("cluster", "frequency");
-    ClusterMethod method = ClusterMethod::Frequency;
-    if (method_name == "none") method = ClusterMethod::None;
-    else if (method_name == "frequency") method = ClusterMethod::Frequency;
-    else if (method_name == "affinity") method = ClusterMethod::Affinity;
-    else throw UsageError("partition: unknown clustering method '" + method_name + "'");
+    const auto parsed_method = parse_cluster_method(method_name);
+    if (!parsed_method)
+        throw UsageError("partition: unknown clustering method '" + method_name + "'");
+    const ClusterMethod method = *parsed_method;
 
     const std::string pool_spec = args.get("bank-pool", "");
     if (!pool_spec.empty()) {
@@ -696,10 +695,9 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
     const CheckpointOptions checkpoint = checkpoint_options(args, "fault", 16);
 
     const std::string prot_name = args.get("protection", "secded");
-    if (prot_name == "none") config.protection = ProtectionScheme::None;
-    else if (prot_name == "parity") config.protection = ProtectionScheme::Parity;
-    else if (prot_name == "secded") config.protection = ProtectionScheme::Secded;
-    else throw UsageError("fault: unknown protection '" + prot_name + "'");
+    const auto protection = parse_protection(prot_name);
+    if (!protection) throw UsageError("fault: unknown protection '" + prot_name + "'");
+    config.protection = *protection;
 
     const std::string codec_name = args.get("codec", "none");
     const std::unique_ptr<LineCodec> codec =

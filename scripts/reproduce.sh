@@ -5,8 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j
 
 mkdir -p reproduction/figures
 ctest --test-dir build --output-on-failure 2>&1 | tee reproduction/test_output.txt

@@ -10,6 +10,7 @@
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
+#include "support/string_util.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
@@ -36,16 +37,16 @@ MetricTimer& evaluate_timer() {
     return t;
 }
 
+constexpr std::string_view kClusterMethodNames[] = {"none", "frequency", "affinity"};
+
 }  // namespace
 
 std::string cluster_method_name(ClusterMethod method) {
-    switch (method) {
-        case ClusterMethod::None: return "none";
-        case ClusterMethod::Frequency: return "frequency";
-        case ClusterMethod::Affinity: return "affinity";
-    }
-    MEMOPT_ASSERT_MSG(false, "invalid ClusterMethod");
-    return "?";
+    return std::string(enum_entry(kClusterMethodNames, method));
+}
+
+std::optional<ClusterMethod> parse_cluster_method(std::string_view name) {
+    return parse_enum<ClusterMethod>(kClusterMethodNames, name);
 }
 
 MemoryOptimizationFlow::MemoryOptimizationFlow(const FlowParams& params) : params_(params) {

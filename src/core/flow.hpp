@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/address_map.hpp"
@@ -37,6 +39,9 @@ enum class ClusterMethod {
 
 /// Display name ("none", "frequency", "affinity").
 std::string cluster_method_name(ClusterMethod method);
+
+/// The method a display name names, or nullopt.
+std::optional<ClusterMethod> parse_cluster_method(std::string_view name);
 
 /// Flow configuration.
 struct FlowParams {

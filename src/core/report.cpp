@@ -18,25 +18,4 @@ TablePrinter energy_comparison_table(const std::vector<NamedEnergy>& rows) {
     return table;
 }
 
-TablePrinter benchmark_energy_table(
-    const std::vector<std::string>& columns,
-    const std::vector<std::pair<std::string, std::vector<double>>>& rows) {
-    require(columns.size() >= 2, "benchmark_energy_table: need at least two columns");
-    std::vector<std::string> header = {"benchmark"};
-    for (const std::string& c : columns) header.push_back(c + " [nJ]");
-    header.push_back("savings [%]");
-    TablePrinter table(header);
-    for (const auto& [name, values] : rows) {
-        require(values.size() == columns.size(),
-                "benchmark_energy_table: row width mismatch");
-        std::vector<std::string> cells = {name};
-        for (double v : values) cells.push_back(format_fixed(v / 1e3, 2));
-        const double base = values[values.size() - 2];
-        const double opt = values.back();
-        cells.push_back(format_fixed(percent_savings(base, opt), 1));
-        table.add_row(cells);
-    }
-    return table;
-}
-
 }  // namespace memopt

@@ -19,11 +19,4 @@ struct NamedEnergy {
 /// versus the first entry (the baseline).
 TablePrinter energy_comparison_table(const std::vector<NamedEnergy>& rows);
 
-/// Build a per-benchmark results table: columns are configuration totals
-/// plus savings of the last configuration vs the second-to-last. `rows`
-/// maps benchmark name -> energies in column order; all rows must have
-/// `columns.size()` entries.
-TablePrinter benchmark_energy_table(const std::vector<std::string>& columns,
-                                    const std::vector<std::pair<std::string, std::vector<double>>>& rows);
-
 }  // namespace memopt

@@ -30,14 +30,6 @@ double EnergyBreakdown::total() const {
     return sum;
 }
 
-void EnergyBreakdown::merge(const EnergyBreakdown& other) {
-    for (const auto& [name, pj] : other.parts_) add(name, pj);
-}
-
-void EnergyBreakdown::scale(double factor) {
-    for (auto& [name, pj] : parts_) pj *= factor;
-}
-
 void EnergyBreakdown::print(std::ostream& os, const std::string& title) const {
     if (!title.empty()) os << title << "\n";
     std::size_t width = 5;

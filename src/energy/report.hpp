@@ -31,13 +31,6 @@ public:
     /// Sum over all components [pJ].
     double total() const;
 
-    /// Merge another breakdown into this one (component-wise accumulate).
-    void merge(const EnergyBreakdown& other);
-
-    /// Multiply every component by `factor` (e.g. to scale a per-iteration
-    /// breakdown to a full run).
-    void scale(double factor);
-
     const std::vector<std::pair<std::string, double>>& components() const { return parts_; }
 
     /// Render as an aligned two-column listing with a total line.

@@ -4,17 +4,20 @@
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
+#include "support/string_util.hpp"
 
 namespace memopt {
 
+namespace {
+constexpr const char* kProtectionNames[] = {"none", "parity", "secded"};
+}  // namespace
+
 const char* protection_name(ProtectionScheme scheme) {
-    switch (scheme) {
-        case ProtectionScheme::None: return "none";
-        case ProtectionScheme::Parity: return "parity";
-        case ProtectionScheme::Secded: return "secded";
-    }
-    MEMOPT_ASSERT_MSG(false, "unknown ProtectionScheme");
-    return "?";
+    return enum_entry(kProtectionNames, scheme);
+}
+
+std::optional<ProtectionScheme> parse_protection(std::string_view name) {
+    return parse_enum<ProtectionScheme>(kProtectionNames, name);
 }
 
 unsigned protection_check_bits(ProtectionScheme scheme, unsigned data_bits) {

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace memopt {
 
@@ -38,6 +40,9 @@ enum class ProtectionScheme {
 
 /// Display name ("none", "parity", "secded").
 const char* protection_name(ProtectionScheme scheme);
+
+/// The scheme a display name names, or nullopt.
+std::optional<ProtectionScheme> parse_protection(std::string_view name);
 
 /// Check bits stored per `data_bits`-wide word under `scheme`
 /// (Parity: 1; SECDED: Hamming bits + overall parity, e.g. 8 for 64).

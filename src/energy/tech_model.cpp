@@ -9,6 +9,11 @@ namespace memopt {
 
 namespace {
 
+struct TechRow {
+    const char* name;
+    TechFactors factors;
+};
+
 // Default design points. SRAM is the all-ones reference; the others order
 // the tradeoffs the way the heterogeneous-memory literature does:
 //   * eDRAM: 1T1C cells move less bitline charge than 6T SRAM (cheaper
@@ -22,57 +27,32 @@ namespace {
 //   * Drowsy SRAM: the sleepy bank as a first-class technology — full
 //     access energy, full leakage while active, but a retentive standby
 //     state that is cheap to enter and leave.
-const TechFactors kSramFactors{
-    /*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
-    /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.03, /*gate_wake_pj=*/80.0};
-
-const TechFactors kEdramFactors{
-    /*read_factor=*/0.72, /*write_factor=*/0.78, /*leak_factor=*/0.30,
-    /*refresh_pw_per_byte=*/0.55,
-    /*gate_leak_factor=*/0.02, /*gate_wake_pj=*/60.0};
-
-const TechFactors kSttMramFactors{
-    /*read_factor=*/1.15, /*write_factor=*/5.5, /*leak_factor=*/0.02,
-    /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.0, /*gate_wake_pj=*/15.0};
-
-const TechFactors kDrowsyFactors{
-    /*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
-    /*refresh_pw_per_byte=*/0.0,
-    /*gate_leak_factor=*/0.08, /*gate_wake_pj=*/40.0};
+// The rows follow MemTechnology's enumerator order.
+constexpr TechRow kTechs[] = {
+    {"sram", {/*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
+              /*refresh_pw_per_byte=*/0.0,
+              /*gate_leak_factor=*/0.03, /*gate_wake_pj=*/80.0}},
+    {"edram", {/*read_factor=*/0.72, /*write_factor=*/0.78, /*leak_factor=*/0.30,
+               /*refresh_pw_per_byte=*/0.55,
+               /*gate_leak_factor=*/0.02, /*gate_wake_pj=*/60.0}},
+    {"sttmram", {/*read_factor=*/1.15, /*write_factor=*/5.5, /*leak_factor=*/0.02,
+                 /*refresh_pw_per_byte=*/0.0,
+                 /*gate_leak_factor=*/0.0, /*gate_wake_pj=*/15.0}},
+    {"drowsy", {/*read_factor=*/1.0, /*write_factor=*/1.0, /*leak_factor=*/1.0,
+                /*refresh_pw_per_byte=*/0.0,
+                /*gate_leak_factor=*/0.08, /*gate_wake_pj=*/40.0}},
+};
 
 }  // namespace
 
-const char* technology_name(MemTechnology tech) {
-    switch (tech) {
-        case MemTechnology::Sram: return "sram";
-        case MemTechnology::Edram: return "edram";
-        case MemTechnology::SttMram: return "sttmram";
-        case MemTechnology::DrowsySram: return "drowsy";
-    }
-    MEMOPT_ASSERT_MSG(false, "unknown MemTechnology");
-    return "?";
-}
+const char* technology_name(MemTechnology tech) { return enum_entry(kTechs, tech).name; }
 
-MemTechnology parse_technology(const std::string& name) {
-    if (name == "sram") return MemTechnology::Sram;
-    if (name == "edram") return MemTechnology::Edram;
-    if (name == "sttmram") return MemTechnology::SttMram;
-    if (name == "drowsy") return MemTechnology::DrowsySram;
-    throw Error("unknown memory technology '" + name +
-                "' (expected sram, edram, sttmram or drowsy)");
+std::optional<MemTechnology> parse_technology(std::string_view name) {
+    return parse_enum<MemTechnology>(kTechs, name, &TechRow::name);
 }
 
 const TechFactors& technology_factors(MemTechnology tech) {
-    switch (tech) {
-        case MemTechnology::Sram: return kSramFactors;
-        case MemTechnology::Edram: return kEdramFactors;
-        case MemTechnology::SttMram: return kSttMramFactors;
-        case MemTechnology::DrowsySram: return kDrowsyFactors;
-    }
-    MEMOPT_ASSERT_MSG(false, "unknown MemTechnology");
-    return kSramFactors;
+    return enum_entry(kTechs, tech).factors;
 }
 
 TechEnergyModel::TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes,
@@ -128,11 +108,15 @@ BankPool BankPool::parse(const std::string& spec) {
         require(!entry.empty(), "BankPool: empty entry in spec '" + spec + "'");
         const std::size_t eq = entry.find('=');
         PoolSlot slot;
+        const std::string_view name = trim(std::string_view{entry}.substr(0, eq));
+        const auto tech = parse_technology(name);
+        if (!tech)
+            throw Error("unknown memory technology '" + std::string{name} +
+                        "' (expected sram, edram, sttmram or drowsy)");
+        slot.tech = *tech;
         if (eq == std::string::npos) {
-            slot.tech = parse_technology(entry);
             slot.count = kUnbounded;
         } else {
-            slot.tech = parse_technology(std::string{trim(std::string_view{entry}.substr(0, eq))});
             const auto count = parse_int(std::string_view{entry}.substr(eq + 1));
             require(count.has_value() && *count > 0,
                     "BankPool: '" + entry + "' needs a positive count after '='");
@@ -151,12 +135,6 @@ std::size_t BankPool::total_banks() const {
     std::size_t total = 0;
     for (const PoolSlot& slot : slots_) total += slot.count;
     return total;
-}
-
-bool BankPool::is_homogeneous() const {
-    for (const PoolSlot& slot : slots_)
-        if (slot.tech != slots_.front().tech) return false;
-    return !slots_.empty();
 }
 
 std::string BankPool::to_string() const {

@@ -31,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "energy/sram_model.hpp"
@@ -49,9 +51,8 @@ enum class MemTechnology {
 /// Display name ("sram", "edram", "sttmram", "drowsy").
 const char* technology_name(MemTechnology tech);
 
-/// Parse a technology name as printed by technology_name(). Throws
-/// memopt::Error on anything else.
-MemTechnology parse_technology(const std::string& name);
+/// The technology a display name names, or nullopt.
+std::optional<MemTechnology> parse_technology(std::string_view name);
 
 /// Per-technology scaling factors applied on top of the SRAM base model,
 /// plus the refresh and gating constants that have no SRAM counterpart. All factors are relative to SramEnergyModel at the same
@@ -163,9 +164,6 @@ public:
 
     /// Total banks the pool can supply (sum of slot counts).
     std::size_t total_banks() const;
-
-    /// True when every slot is the same technology.
-    bool is_homogeneous() const;
 
     /// Canonical spec string (round-trips through parse()).
     std::string to_string() const;

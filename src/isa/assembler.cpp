@@ -83,26 +83,14 @@ std::size_t code_words_of(const Line& line) {
     return 1;
 }
 
-/// Branch mnemonic table: "b", "beq", ... -> condition.
+/// Condition of a branch mnemonic: "b" plus a condition suffix ("beq",
+/// ...), or the "bal" alias of "b".
 std::optional<Cond> branch_cond(std::string_view op) {
-    if (op == "b" || op == "bal") return Cond::Al;
-    if (op == "beq") return Cond::Eq;
-    if (op == "bne") return Cond::Ne;
-    if (op == "blt") return Cond::Lt;
-    if (op == "bge") return Cond::Ge;
-    if (op == "bgt") return Cond::Gt;
-    if (op == "ble") return Cond::Le;
-    if (op == "blo") return Cond::Lo;
-    if (op == "bhs") return Cond::Hs;
-    return std::nullopt;
-}
-
-std::optional<Op> plain_mnemonic(std::string_view op) {
-    for (unsigned i = 0; i < static_cast<unsigned>(Op::Count_); ++i) {
-        const Op candidate = static_cast<Op>(i);
-        if (candidate == Op::B || candidate == Op::Bl) continue;  // handled separately
-        if (mnemonic(candidate) == op) return candidate;
-    }
+    if (op == "bal") return Cond::Al;
+    const std::string_view b = mnemonic(Op::B);
+    if (!op.starts_with(b)) return std::nullopt;
+    for (unsigned c = 0; c < static_cast<unsigned>(Cond::Count_); ++c)
+        if (cond_name(static_cast<Cond>(c)) == op.substr(b.size())) return static_cast<Cond>(c);
     return std::nullopt;
 }
 
@@ -292,11 +280,11 @@ private:
         return value;
     }
 
-    unsigned reg_of(const Line& line, std::size_t idx) const {
+    std::uint8_t reg_of(const Line& line, std::size_t idx) const {
         if (idx >= line.operands.size()) fail(line.number, "missing register operand");
         const auto r = parse_reg(line.operands[idx]);
         if (!r) fail(line.number, "invalid register '" + line.operands[idx] + "'");
-        return *r;
+        return static_cast<std::uint8_t>(*r);
     }
 
     std::int32_t imm_of(const Line& line, std::size_t idx) const {
@@ -371,14 +359,13 @@ private:
         // Pseudo-instructions first.
         if (op == "li" || op == "la") {
             if (line.operands.size() != 2) fail(line.number, op + " requires rd, value");
-            const unsigned rd = reg_of(line, 0);
+            const std::uint8_t rd = reg_of(line, 0);
             const std::int64_t v64 = value_of(line, line.operands[1]);
             const auto value = static_cast<std::uint32_t>(static_cast<std::int64_t>(v64));
             const auto low = static_cast<std::int32_t>(static_cast<std::int16_t>(value & 0xFFFF));
             const auto high = static_cast<std::int32_t>(value >> 16);
-            push_instr(line, Instr{.op = Op::Movi, .rd = static_cast<std::uint8_t>(rd), .imm = low});
-            push_instr(line,
-                       Instr{.op = Op::Movhi, .rd = static_cast<std::uint8_t>(rd), .imm = high});
+            push_instr(line, Instr{.op = Op::Movi, .rd = rd, .imm = low});
+            push_instr(line, Instr{.op = Op::Movhi, .rd = rd, .imm = high});
             return;
         }
         if (op == "ret") {
@@ -386,125 +373,85 @@ private:
             return;
         }
         if (op == "push") {
-            const unsigned rd = reg_of(line, 0);
+            const std::uint8_t rd = reg_of(line, 0);
             push_instr(line, Instr{.op = Op::Subi, .rd = kRegSp, .rn = kRegSp, .imm = 4});
-            push_instr(line, Instr{.op = Op::Stw, .rd = static_cast<std::uint8_t>(rd),
-                                   .rn = kRegSp, .imm = 0});
+            push_instr(line, Instr{.op = Op::Stw, .rd = rd, .rn = kRegSp, .imm = 0});
             return;
         }
         if (op == "pop") {
-            const unsigned rd = reg_of(line, 0);
-            push_instr(line, Instr{.op = Op::Ldw, .rd = static_cast<std::uint8_t>(rd),
-                                   .rn = kRegSp, .imm = 0});
+            const std::uint8_t rd = reg_of(line, 0);
+            push_instr(line, Instr{.op = Op::Ldw, .rd = rd, .rn = kRegSp, .imm = 0});
             push_instr(line, Instr{.op = Op::Addi, .rd = kRegSp, .rn = kRegSp, .imm = 4});
             return;
         }
 
-        // Branches.
+        // Conditional branches; "bl" is an ordinary table row.
         if (const auto cond = branch_cond(op)) {
-            Instr instr{.op = Op::B, .cond = *cond, .imm = branch_offset(line, 0)};
-            push_instr(line, instr);
-            return;
-        }
-        if (op == "bl") {
-            push_instr(line, Instr{.op = Op::Bl, .imm = branch_offset(line, 0)});
+            push_instr(line, Instr{.op = Op::B, .cond = *cond, .imm = branch_offset(line, 0)});
             return;
         }
 
-        const auto opcode = plain_mnemonic(op);
+        const auto opcode = parse_mnemonic(op);
         if (!opcode) fail(line.number, "unknown mnemonic '" + op + "'");
+        const Operands shape = op_info(*opcode).operands;
         Instr instr{.op = *opcode};
-
-        switch (*opcode) {
-            case Op::Add:
-            case Op::Sub:
-            case Op::And:
-            case Op::Orr:
-            case Op::Eor:
-            case Op::Lsl:
-            case Op::Lsr:
-            case Op::Asr:
-            case Op::Mul:
-                instr.rd = static_cast<std::uint8_t>(reg_of(line, 0));
-                instr.rn = static_cast<std::uint8_t>(reg_of(line, 1));
-                instr.rm = static_cast<std::uint8_t>(reg_of(line, 2));
+        switch (shape) {
+            case Operands::RdRnRm:
+                instr.rd = reg_of(line, 0);
+                instr.rn = reg_of(line, 1);
+                instr.rm = reg_of(line, 2);
                 break;
-            case Op::Mov:
-            case Op::Mvn:
-                instr.rd = static_cast<std::uint8_t>(reg_of(line, 0));
-                instr.rm = static_cast<std::uint8_t>(reg_of(line, 1));
+            case Operands::RdRm:
+                instr.rd = reg_of(line, 0);
+                instr.rm = reg_of(line, 1);
                 break;
-            case Op::Cmp:
-                instr.rn = static_cast<std::uint8_t>(reg_of(line, 0));
-                instr.rm = static_cast<std::uint8_t>(reg_of(line, 1));
+            case Operands::RnRm:
+                instr.rn = reg_of(line, 0);
+                instr.rm = reg_of(line, 1);
                 break;
-            case Op::Jr:
-            case Op::Out:
-                instr.rm = static_cast<std::uint8_t>(reg_of(line, 0));
+            case Operands::Rm:
+                instr.rm = reg_of(line, 0);
                 break;
-            case Op::Addi:
-            case Op::Subi:
-            case Op::Andi:
-            case Op::Orri:
-            case Op::Eori:
-            case Op::Lsli:
-            case Op::Lsri:
-            case Op::Asri:
-                instr.rd = static_cast<std::uint8_t>(reg_of(line, 0));
-                instr.rn = static_cast<std::uint8_t>(reg_of(line, 1));
+            case Operands::RdRnImm:
+                instr.rd = reg_of(line, 0);
+                instr.rn = reg_of(line, 1);
                 instr.imm = imm_of(line, 2);
                 break;
-            case Op::Movi:
-            case Op::Movhi:
-                instr.rd = static_cast<std::uint8_t>(reg_of(line, 0));
+            case Operands::RdImm:
+                instr.rd = reg_of(line, 0);
                 instr.imm = imm_of(line, 1);
                 break;
-            case Op::Cmpi:
-                instr.rn = static_cast<std::uint8_t>(reg_of(line, 0));
+            case Operands::RnImm:
+                instr.rn = reg_of(line, 0);
                 instr.imm = imm_of(line, 1);
                 break;
-            case Op::Ldw:
-            case Op::Ldh:
-            case Op::Ldb:
-            case Op::Stw:
-            case Op::Sth:
-            case Op::Stb:
-            case Op::Ldwx:
-            case Op::Ldbx:
-            case Op::Stwx:
-            case Op::Stbx: {
-                instr.rd = static_cast<std::uint8_t>(reg_of(line, 0));
+            case Operands::RdMemReg:
+            case Operands::RdMemImm: {
+                instr.rd = reg_of(line, 0);
                 const MemOperand m = mem_of(line, 1);
                 instr.rn = static_cast<std::uint8_t>(m.rn);
                 if (m.reg_offset) {
-                    // Promote immediate-form mnemonics to the register form.
-                    switch (*opcode) {
-                        case Op::Ldw: instr.op = Op::Ldwx; break;
-                        case Op::Ldb: instr.op = Op::Ldbx; break;
-                        case Op::Stw: instr.op = Op::Stwx; break;
-                        case Op::Stb: instr.op = Op::Stbx; break;
-                        case Op::Ldwx:
-                        case Op::Ldbx:
-                        case Op::Stwx:
-                        case Op::Stbx:
-                            break;
-                        default:
+                    // Promote an immediate-form mnemonic to its register
+                    // form ("ldw" -> "ldwx").
+                    if (shape == Operands::RdMemImm) {
+                        const auto x_form = parse_mnemonic(op + "x");
+                        if (!x_form || op_info(*x_form).operands != Operands::RdMemReg)
                             fail(line.number, "register offset unsupported for this mnemonic");
+                        instr.op = *x_form;
                     }
                     instr.rm = static_cast<std::uint8_t>(m.rm);
                 } else {
-                    if (instr.op == Op::Ldwx || instr.op == Op::Ldbx || instr.op == Op::Stwx ||
-                        instr.op == Op::Stbx)
+                    if (shape == Operands::RdMemReg)
                         fail(line.number, "x-form load/store requires a register offset");
                     instr.imm = m.imm;
                 }
                 break;
             }
-            case Op::Halt:
-            case Op::Nop:
+            case Operands::Target:
+                instr.imm = branch_offset(line, 0);
                 break;
-            default:
-                fail(line.number, "unsupported mnemonic '" + op + "'");
+            case Operands::None:
+                break;
         }
         push_instr(line, instr);
     }

@@ -8,70 +8,39 @@
 namespace memopt {
 
 std::string disassemble(const Instr& i) {
-    const std::string m(mnemonic(i.op));
-    switch (i.op) {
-        // Three-register ALU ops.
-        case Op::Add:
-        case Op::Sub:
-        case Op::And:
-        case Op::Orr:
-        case Op::Eor:
-        case Op::Lsl:
-        case Op::Lsr:
-        case Op::Asr:
-        case Op::Mul:
+    if (i.op >= Op::Count_) return "<invalid>";
+    const OpInfo& info = op_info(i.op);
+    const std::string m(info.mnemonic);
+    switch (info.operands) {
+        case Operands::RdRnRm:
             return format("%s %s, %s, %s", m.c_str(), reg_name(i.rd).c_str(),
                           reg_name(i.rn).c_str(), reg_name(i.rm).c_str());
-        case Op::Mov:
-        case Op::Mvn:
+        case Operands::RdRm:
             return format("%s %s, %s", m.c_str(), reg_name(i.rd).c_str(), reg_name(i.rm).c_str());
-        case Op::Cmp:
-            return format("cmp %s, %s", reg_name(i.rn).c_str(), reg_name(i.rm).c_str());
-        case Op::Ldwx:
-        case Op::Ldbx:
-        case Op::Stwx:
-        case Op::Stbx:
-            return format("%s %s, [%s, %s]", m.c_str(), reg_name(i.rd).c_str(),
-                          reg_name(i.rn).c_str(), reg_name(i.rm).c_str());
-        case Op::Jr:
-            return format("jr %s", reg_name(i.rm).c_str());
-        case Op::Addi:
-        case Op::Subi:
-        case Op::Andi:
-        case Op::Orri:
-        case Op::Eori:
-        case Op::Lsli:
-        case Op::Lsri:
-        case Op::Asri:
+        case Operands::RnRm:
+            return format("%s %s, %s", m.c_str(), reg_name(i.rn).c_str(), reg_name(i.rm).c_str());
+        case Operands::Rm:
+            return format("%s %s", m.c_str(), reg_name(i.rm).c_str());
+        case Operands::RdRnImm:
             return format("%s %s, %s, #%d", m.c_str(), reg_name(i.rd).c_str(),
                           reg_name(i.rn).c_str(), i.imm);
-        case Op::Movi:
-        case Op::Movhi:
+        case Operands::RdImm:
             return format("%s %s, #%d", m.c_str(), reg_name(i.rd).c_str(), i.imm);
-        case Op::Cmpi:
-            return format("cmpi %s, #%d", reg_name(i.rn).c_str(), i.imm);
-        case Op::Ldw:
-        case Op::Ldh:
-        case Op::Ldb:
-        case Op::Stw:
-        case Op::Sth:
-        case Op::Stb:
+        case Operands::RnImm:
+            return format("%s %s, #%d", m.c_str(), reg_name(i.rn).c_str(), i.imm);
+        case Operands::RdMemReg:
+            return format("%s %s, [%s, %s]", m.c_str(), reg_name(i.rd).c_str(),
+                          reg_name(i.rn).c_str(), reg_name(i.rm).c_str());
+        case Operands::RdMemImm:
             return format("%s %s, [%s, #%d]", m.c_str(), reg_name(i.rd).c_str(),
                           reg_name(i.rn).c_str(), i.imm);
-        case Op::B: {
-            const std::string suffix(cond_name(i.cond));
-            return format("b%s %+d", suffix.c_str(), i.imm);
+        case Operands::Target: {
+            // Only the conditional branch carries a condition suffix.
+            const std::string suffix(info.format == Format::Branch ? cond_name(i.cond) : "");
+            return format("%s%s %+d", m.c_str(), suffix.c_str(), i.imm);
         }
-        case Op::Bl:
-            return format("bl %+d", i.imm);
-        case Op::Out:
-            return format("out %s", reg_name(i.rm).c_str());
-        case Op::Halt:
-            return "halt";
-        case Op::Nop:
-            return "nop";
-        case Op::Count_:
-            break;
+        case Operands::None:
+            return m;
     }
     return "<invalid>";
 }

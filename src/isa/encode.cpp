@@ -7,22 +7,6 @@ namespace memopt {
 
 namespace {
 
-// Zero-extended immediates for logical ops; sign-extended for the rest.
-bool imm_is_unsigned(Op op) {
-    switch (op) {
-        case Op::Andi:
-        case Op::Orri:
-        case Op::Eori:
-        case Op::Movhi:
-        case Op::Lsli:
-        case Op::Lsri:
-        case Op::Asri:
-            return true;
-        default:
-            return false;
-    }
-}
-
 std::uint32_t field(std::uint32_t value, unsigned shift) { return value << shift; }
 
 std::int32_t sext(std::uint32_t value, unsigned bits) {
@@ -35,7 +19,7 @@ std::int32_t sext(std::uint32_t value, unsigned bits) {
 }  // namespace
 
 bool imm_fits(Op op, std::int32_t imm) {
-    if (imm_is_unsigned(op)) return imm >= 0 && imm <= kUimm16Max;
+    if (op_info(op).zero_extended) return imm >= 0 && imm <= kUimm16Max;
     return imm >= kImm16Min && imm <= kImm16Max;
 }
 
@@ -83,7 +67,8 @@ Instr decode(std::uint32_t word) {
     require(opfield < static_cast<std::uint32_t>(Op::Count_), "decode: invalid opcode field");
     Instr instr;
     instr.op = static_cast<Op>(opfield);
-    switch (format_of(instr.op)) {
+    const OpInfo& info = op_info(instr.op);
+    switch (info.format) {
         case Format::R:
             instr.rd = static_cast<std::uint8_t>((word >> 22) & 0xF);
             instr.rn = static_cast<std::uint8_t>((word >> 18) & 0xF);
@@ -92,8 +77,8 @@ Instr decode(std::uint32_t word) {
         case Format::I:
             instr.rd = static_cast<std::uint8_t>((word >> 22) & 0xF);
             instr.rn = static_cast<std::uint8_t>((word >> 18) & 0xF);
-            instr.imm = imm_is_unsigned(instr.op) ? static_cast<std::int32_t>(word & 0xFFFFu)
-                                                  : sext(word, 16);
+            instr.imm = info.zero_extended ? static_cast<std::int32_t>(word & 0xFFFFu)
+                                           : sext(word, 16);
             break;
         case Format::Branch: {
             const std::uint32_t condfield = (word >> 22) & 0xF;

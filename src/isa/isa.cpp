@@ -1,126 +1,71 @@
 #include "isa/isa.hpp"
 
+#include <iterator>
+
 #include "support/assert.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {
 
-Format format_of(Op op) {
-    switch (op) {
-        case Op::Add:
-        case Op::Sub:
-        case Op::And:
-        case Op::Orr:
-        case Op::Eor:
-        case Op::Lsl:
-        case Op::Lsr:
-        case Op::Asr:
-        case Op::Mul:
-        case Op::Mov:
-        case Op::Mvn:
-        case Op::Cmp:
-        case Op::Ldwx:
-        case Op::Ldbx:
-        case Op::Stwx:
-        case Op::Stbx:
-        case Op::Jr:
-        case Op::Out:
-            return Format::R;
-        case Op::Addi:
-        case Op::Subi:
-        case Op::Andi:
-        case Op::Orri:
-        case Op::Eori:
-        case Op::Lsli:
-        case Op::Lsri:
-        case Op::Asri:
-        case Op::Movi:
-        case Op::Movhi:
-        case Op::Cmpi:
-        case Op::Ldw:
-        case Op::Ldh:
-        case Op::Ldb:
-        case Op::Stw:
-        case Op::Sth:
-        case Op::Stb:
-            return Format::I;
-        case Op::B:
-            return Format::Branch;
-        case Op::Bl:
-            return Format::Call;
-        case Op::Halt:
-        case Op::Nop:
-            return Format::None;
-        case Op::Count_:
-            break;
-    }
-    MEMOPT_ASSERT_MSG(false, "format_of: invalid opcode");
-    return Format::None;
+namespace {
+
+// The opcode table: one row per Op, in enumerator order.
+constexpr OpInfo kOps[] = {
+    {"add", Format::R, Operands::RdRnRm, false},
+    {"sub", Format::R, Operands::RdRnRm, false},
+    {"and", Format::R, Operands::RdRnRm, false},
+    {"orr", Format::R, Operands::RdRnRm, false},
+    {"eor", Format::R, Operands::RdRnRm, false},
+    {"lsl", Format::R, Operands::RdRnRm, false},
+    {"lsr", Format::R, Operands::RdRnRm, false},
+    {"asr", Format::R, Operands::RdRnRm, false},
+    {"mul", Format::R, Operands::RdRnRm, false},
+    {"mov", Format::R, Operands::RdRm, false},
+    {"mvn", Format::R, Operands::RdRm, false},
+    {"cmp", Format::R, Operands::RnRm, false},
+    {"ldwx", Format::R, Operands::RdMemReg, false},
+    {"ldbx", Format::R, Operands::RdMemReg, false},
+    {"stwx", Format::R, Operands::RdMemReg, false},
+    {"stbx", Format::R, Operands::RdMemReg, false},
+    {"jr", Format::R, Operands::Rm, false},
+    {"addi", Format::I, Operands::RdRnImm, false},
+    {"subi", Format::I, Operands::RdRnImm, false},
+    {"andi", Format::I, Operands::RdRnImm, true},
+    {"orri", Format::I, Operands::RdRnImm, true},
+    {"eori", Format::I, Operands::RdRnImm, true},
+    {"lsli", Format::I, Operands::RdRnImm, true},
+    {"lsri", Format::I, Operands::RdRnImm, true},
+    {"asri", Format::I, Operands::RdRnImm, true},
+    {"movi", Format::I, Operands::RdImm, false},
+    {"movhi", Format::I, Operands::RdImm, true},
+    {"cmpi", Format::I, Operands::RnImm, false},
+    {"ldw", Format::I, Operands::RdMemImm, false},
+    {"ldh", Format::I, Operands::RdMemImm, false},
+    {"ldb", Format::I, Operands::RdMemImm, false},
+    {"stw", Format::I, Operands::RdMemImm, false},
+    {"sth", Format::I, Operands::RdMemImm, false},
+    {"stb", Format::I, Operands::RdMemImm, false},
+    {"b", Format::Branch, Operands::Target, false},
+    {"bl", Format::Call, Operands::Target, false},
+    {"out", Format::R, Operands::Rm, false},
+    {"halt", Format::None, Operands::None, false},
+    {"nop", Format::None, Operands::None, false},
+};
+static_assert(std::size(kOps) == static_cast<std::size_t>(Op::Count_), "one row per Op");
+
+constexpr std::string_view kCondNames[] = {"eq", "ne", "lt", "ge", "gt", "le", "lo", "hs", ""};
+static_assert(std::size(kCondNames) == static_cast<std::size_t>(Cond::Count_),
+              "one name per Cond");
+
+}  // namespace
+
+const OpInfo& op_info(Op op) { return enum_entry(kOps, op); }
+
+std::optional<Op> parse_mnemonic(std::string_view name) {
+    return parse_enum<Op>(kOps, name, &OpInfo::mnemonic);
 }
 
-std::string_view mnemonic(Op op) {
-    switch (op) {
-        case Op::Add: return "add";
-        case Op::Sub: return "sub";
-        case Op::And: return "and";
-        case Op::Orr: return "orr";
-        case Op::Eor: return "eor";
-        case Op::Lsl: return "lsl";
-        case Op::Lsr: return "lsr";
-        case Op::Asr: return "asr";
-        case Op::Mul: return "mul";
-        case Op::Mov: return "mov";
-        case Op::Mvn: return "mvn";
-        case Op::Cmp: return "cmp";
-        case Op::Ldwx: return "ldwx";
-        case Op::Ldbx: return "ldbx";
-        case Op::Stwx: return "stwx";
-        case Op::Stbx: return "stbx";
-        case Op::Jr: return "jr";
-        case Op::Addi: return "addi";
-        case Op::Subi: return "subi";
-        case Op::Andi: return "andi";
-        case Op::Orri: return "orri";
-        case Op::Eori: return "eori";
-        case Op::Lsli: return "lsli";
-        case Op::Lsri: return "lsri";
-        case Op::Asri: return "asri";
-        case Op::Movi: return "movi";
-        case Op::Movhi: return "movhi";
-        case Op::Cmpi: return "cmpi";
-        case Op::Ldw: return "ldw";
-        case Op::Ldh: return "ldh";
-        case Op::Ldb: return "ldb";
-        case Op::Stw: return "stw";
-        case Op::Sth: return "sth";
-        case Op::Stb: return "stb";
-        case Op::B: return "b";
-        case Op::Bl: return "bl";
-        case Op::Out: return "out";
-        case Op::Halt: return "halt";
-        case Op::Nop: return "nop";
-        case Op::Count_: break;
-    }
-    MEMOPT_ASSERT_MSG(false, "mnemonic: invalid opcode");
-    return "?";
-}
-
-std::string_view cond_name(Cond c) {
-    switch (c) {
-        case Cond::Eq: return "eq";
-        case Cond::Ne: return "ne";
-        case Cond::Lt: return "lt";
-        case Cond::Ge: return "ge";
-        case Cond::Gt: return "gt";
-        case Cond::Le: return "le";
-        case Cond::Lo: return "lo";
-        case Cond::Hs: return "hs";
-        case Cond::Al: return "";
-        case Cond::Count_: break;
-    }
-    MEMOPT_ASSERT_MSG(false, "cond_name: invalid condition");
-    return "?";
-}
+std::string_view cond_name(Cond c) { return enum_entry(kCondNames, c); }
 
 std::optional<unsigned> parse_reg(std::string_view name) {
     const std::string lower = to_lower(name);

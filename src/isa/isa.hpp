@@ -111,11 +111,43 @@ struct Instr {
 /// Instruction format classes used by the encoder/decoder and assembler.
 enum class Format : std::uint8_t { R, I, Branch, Call, None };
 
+/// Assembly operand shape of an opcode: what follows the mnemonic.
+enum class Operands : std::uint8_t {
+    RdRnRm,    // rd, rn, rm
+    RdRm,      // rd, rm
+    RnRm,      // rn, rm
+    Rm,        // rm
+    RdRnImm,   // rd, rn, #imm
+    RdImm,     // rd, #imm
+    RnImm,     // rn, #imm
+    RdMemReg,  // rd, [rn, rm]
+    RdMemImm,  // rd, [rn, #imm]
+    Target,    // branch or call target: a label, or a word offset when disassembled
+    None,
+};
+
+/// One row of the opcode table (src/isa/isa.cpp), the single definition of
+/// an opcode's mnemonic, binary format, operand syntax and immediate
+/// extension that the encoder, decoder, assembler and disassembler read.
+struct OpInfo {
+    std::string_view mnemonic;  ///< lower-case ("add", "ldw", ...)
+    Format format;
+    Operands operands;
+    bool zero_extended;  ///< I-type immediate is zero- rather than sign-extended
+};
+
+/// Table row of an opcode; `op` must be below Op::Count_.
+const OpInfo& op_info(Op op);
+
 /// Format of an opcode.
-Format format_of(Op op);
+inline Format format_of(Op op) { return op_info(op).format; }
 
 /// Lower-case mnemonic ("add", "ldw", ...).
-std::string_view mnemonic(Op op);
+inline std::string_view mnemonic(Op op) { return op_info(op).mnemonic; }
+
+/// The opcode a mnemonic names, or nullopt ("beq" and the other condition
+/// suffixes of "b" are assembler syntax, not mnemonics).
+std::optional<Op> parse_mnemonic(std::string_view name);
 
 /// Condition suffix ("eq", "ne", ..., "" for Al).
 std::string_view cond_name(Cond c);

@@ -66,16 +66,6 @@ bool Rng::next_bool(double p) {
     return next_double() < p;
 }
 
-double Rng::next_gaussian() {
-    // Box–Muller; avoid log(0) by excluding u1 == 0.
-    double u1 = 0.0;
-    do {
-        u1 = next_double();
-    } while (u1 == 0.0);
-    const double u2 = next_double();
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
 std::uint64_t Rng::next_zipf_like(std::uint64_t n, double alpha) {
     MEMOPT_ASSERT(n > 0);
     MEMOPT_ASSERT(alpha > 0.0 && alpha < 1.0);

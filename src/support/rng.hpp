@@ -41,9 +41,6 @@ public:
     /// Bernoulli trial with probability `p` of returning true (clamped to [0,1]).
     bool next_bool(double p = 0.5);
 
-    /// Standard normal variate (Box–Muller, one value per call).
-    double next_gaussian();
-
     /// Geometric-like heavy-tailed block index in [0, n): probability of
     /// index i proportional to (1-alpha)^i. Used to synthesize skewed
     /// embedded access profiles. Requires n > 0 and 0 < alpha < 1.

@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -16,18 +15,10 @@ void Accumulator::add(double x) {
     }
     ++n_;
     sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double Accumulator::mean() const { return n_ == 0 ? 0.0 : mean_; }
-
-double Accumulator::variance() const {
-    return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double Accumulator::min() const {
     MEMOPT_ASSERT(n_ > 0);
@@ -44,22 +35,6 @@ double mean(std::span<const double> xs) {
     Accumulator acc;
     for (double x : xs) acc.add(x);
     return acc.mean();
-}
-
-double stddev(std::span<const double> xs) {
-    Accumulator acc;
-    for (double x : xs) acc.add(x);
-    return acc.stddev();
-}
-
-double geomean(std::span<const double> xs) {
-    if (xs.empty()) return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        require(x > 0.0, "geomean requires strictly positive samples");
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
 double percentile(std::span<const double> xs, double p) {

@@ -7,7 +7,7 @@
 
 namespace memopt {
 
-/// Streaming accumulator for count/mean/variance/min/max (Welford's method).
+/// Streaming accumulator for count/mean/min/max (Welford's running mean).
 class Accumulator {
 public:
     /// Add one sample.
@@ -16,16 +16,12 @@ public:
     std::size_t count() const { return n_; }
     double sum() const { return sum_; }
     double mean() const;
-    /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-    double variance() const;
-    double stddev() const;
     double min() const;
     double max() const;
 
 private:
     std::size_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
@@ -33,12 +29,6 @@ private:
 
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs);
-
-/// Sample standard deviation; 0 for fewer than two samples.
-double stddev(std::span<const double> xs);
-
-/// Geometric mean; requires all samples > 0; 0 for an empty span.
-double geomean(std::span<const double> xs);
 
 /// Linear-interpolated percentile, p in [0,100]; requires a non-empty span.
 double percentile(std::span<const double> xs, double p);

@@ -59,6 +59,8 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
         s.remove_prefix(2);
         if (s.empty()) return std::nullopt;
     }
+    // Checked accumulate: the magnitude may reach 2^63 only when negative.
+    const std::uint64_t limit = neg ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX};
     std::uint64_t acc = 0;
     for (char c : s) {
         int digit = -1;
@@ -66,9 +68,11 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
         else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
         else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
         if (digit < 0 || digit >= base) return std::nullopt;
-        acc = acc * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
+        const auto d = static_cast<std::uint64_t>(digit);
+        if (acc > (limit - d) / static_cast<std::uint64_t>(base)) return std::nullopt;
+        acc = acc * static_cast<std::uint64_t>(base) + d;
     }
-    return neg ? -static_cast<std::int64_t>(acc) : static_cast<std::int64_t>(acc);
+    return static_cast<std::int64_t>(neg ? 0 - acc : acc);
 }
 
 std::string format(const char* fmt, ...) {

@@ -2,10 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/assert.hpp"
 
 namespace memopt {
 
@@ -22,8 +26,27 @@ std::vector<std::string_view> split_ws(std::string_view s);
 std::string to_lower(std::string_view s);
 
 /// Parse a signed 64-bit integer. Accepts decimal, 0x-hex and a leading '-'.
-/// Returns nullopt on any malformed input (including trailing junk).
+/// Returns nullopt on any malformed input (including trailing junk) and on
+/// any value outside [INT64_MIN, INT64_MAX].
 std::optional<std::int64_t> parse_int(std::string_view s);
+
+/// The entry of `value` in a per-enum table: one entry (a name, or a row
+/// holding one) per enumerator, in declaration order.
+template <typename Table, typename Enum>
+const auto& enum_entry(const Table& table, Enum value) {
+    const auto i = static_cast<std::size_t>(value);
+    MEMOPT_ASSERT_MSG(i < std::size(table), "enum value outside its table");
+    return table[i];
+}
+
+/// The enumerator whose entry in a per-enum table is named `name`, or
+/// nullopt; `name_of` reads the name of a row.
+template <typename Enum, typename Table, typename NameOf = std::identity>
+std::optional<Enum> parse_enum(const Table& table, std::string_view name, NameOf name_of = {}) {
+    for (std::size_t i = 0; i < std::size(table); ++i)
+        if (std::invoke(name_of, table[i]) == name) return static_cast<Enum>(i);
+    return std::nullopt;
+}
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -330,9 +330,7 @@ ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t bl
     const TraceSummary& sum = source.summary();
     require(sum.accesses > 0, "build_profile_and_affinity: empty trace");
 
-    const std::uint64_t span = std::max<std::uint64_t>(sum.span_pow2(), block_size);
-    const auto num_blocks = static_cast<std::size_t>(span / block_size);
-    const unsigned shift = log2_exact(block_size);
+    const auto [num_blocks, shift] = profile_geometry(sum, block_size);
 
     // One fused chunked pass: block counts and window pairs together, so
     // the trace's addr column is streamed once instead of twice. Only the

@@ -1,11 +1,13 @@
 #include "trace/profile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 #include "support/bits.hpp"
 #include "support/parallel.hpp"
+#include "support/string_util.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
@@ -17,14 +19,27 @@ BlockProfile::BlockProfile(std::uint64_t block_size, std::size_t num_blocks)
     counts_.assign(num_blocks, BlockCounts{});
 }
 
+ProfileGeometry profile_geometry(const TraceSummary& summary, std::uint64_t block_size) {
+    const unsigned shift = log2_exact(block_size);
+    // The span 2^span_log2 is the power-of-two ceiling of max_addr + 1,
+    // and at least one block.
+    const unsigned span_log2 =
+        std::max(static_cast<unsigned>(std::bit_width(summary.max_addr)), shift);
+    if (span_log2 >= 64 || span_log2 - shift >= 32)
+        throw Error(format("profile: highest address 0x%llx needs a span of 2^%u bytes, "
+                           "2^%u blocks of %llu bytes; a profile spans less than 2^64 bytes "
+                           "in fewer than 2^32 blocks",
+                           static_cast<unsigned long long>(summary.max_addr), span_log2,
+                           span_log2 - shift, static_cast<unsigned long long>(block_size)));
+    return {std::size_t{1} << (span_log2 - shift), shift};
+}
+
 BlockProfile BlockProfile::from_source(TraceSource& source, std::uint64_t block_size,
                                        std::size_t jobs) {
     require(is_pow2(block_size), "from_source: block_size must be a power of two");
     const TraceSummary& sum = source.summary();
     require(sum.accesses > 0, "from_source: empty trace");
-    const std::uint64_t span = std::max<std::uint64_t>(sum.span_pow2(), block_size);
-    const auto num_blocks = static_cast<std::size_t>(span / block_size);
-    const unsigned shift = log2_exact(block_size);
+    const auto [num_blocks, shift] = profile_geometry(sum, block_size);
 
     // Chunked columnar replay: only the addr and kind columns are read.
     // The span covers the summary's max_addr, and the TraceSource contract

@@ -15,6 +15,23 @@
 namespace memopt {
 
 class TraceSource;
+struct TraceSummary;
+
+/// Block geometry of a profile over a trace: `num_blocks` blocks of
+/// 2^shift bytes cover [0, span), where span is the smallest power-of-two
+/// multiple of the block size above the trace's highest address.
+struct ProfileGeometry {
+    std::size_t num_blocks;
+    unsigned shift;  ///< log2(block_size): the block of `addr` is addr >> shift
+};
+
+/// The geometry every profile builder sizes its per-block state from.
+/// block_size must be a power of two. Throws memopt::Error, before the
+/// caller allocates anything, when the span has no power-of-two ceiling in
+/// 64 bits or the block count reaches 2^32 (AffinityAccumulator's block id
+/// limit); the message names the highest address, the span, the block
+/// size and the block count.
+ProfileGeometry profile_geometry(const TraceSummary& summary, std::uint64_t block_size);
 
 /// Per-block access counters.
 struct BlockCounts {
@@ -37,9 +54,9 @@ public:
 
     /// Build a profile from one chunked replay of `source` in O(chunk)
     /// memory (plus the profile itself); wrap an in-memory trace in a
-    /// MaterializedSource. The covered span is the smallest power-of-two
-    /// multiple of block_size that contains every access, taken from the
-    /// source's summary. block_size must be a power of two. Long traces are
+    /// MaterializedSource. The covered span is profile_geometry() of the
+    /// source's summary (which throws for spans too large to profile).
+    /// block_size must be a power of two. Long traces are
     /// replayed sharded over `jobs` threads (0 = default_jobs()) with an
     /// in-order reduction; counts are integer sums, so the result is
     /// bit-identical at any job count and chunk size.

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "support/assert.hpp"
-#include "support/bits.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/parallel.hpp"
 #include "trace/synthetic.hpp"
@@ -96,10 +95,6 @@ struct TraceSummary {
     std::uint64_t writes = 0;
     std::uint64_t min_addr = 0;
     std::uint64_t max_addr = 0;
-
-    /// Smallest power-of-two span covering all touched addresses from zero
-    /// (the profile geometry).
-    std::uint64_t span_pow2() const { return ceil_pow2(max_addr + 1); }
 
     /// Fold the accesses of `chunk` into the statistics, the way MemTrace
     /// counts each access it adds.

@@ -27,18 +27,17 @@ std::uint64_t pick_addr(Rng& rng, std::uint64_t base, std::uint64_t len) {
     const std::uint64_t words = len / 4;
     return base + rng.next_below(words) * 4;
 }
+
+constexpr std::string_view kSyntheticKindNames[] = {"uniform", "hotspot", "stride", "two-phase",
+                                                    "producer-consumer"};
 }  // namespace
 
 std::string synthetic_kind_name(SyntheticKind kind) {
-    switch (kind) {
-        case SyntheticKind::Uniform: return "uniform";
-        case SyntheticKind::Hotspot: return "hotspot";
-        case SyntheticKind::Stride: return "stride";
-        case SyntheticKind::TwoPhase: return "two-phase";
-        case SyntheticKind::ProducerConsumer: return "producer-consumer";
-    }
-    MEMOPT_ASSERT_MSG(false, "invalid SyntheticKind");
-    return "?";
+    return std::string(enum_entry(kSyntheticKindNames, kind));
+}
+
+std::optional<SyntheticKind> parse_synthetic_kind(std::string_view name) {
+    return parse_enum<SyntheticKind>(kSyntheticKindNames, name);
 }
 
 SyntheticSpec parse_synthetic_spec(std::string_view text) {
@@ -48,12 +47,9 @@ SyntheticSpec parse_synthetic_spec(std::string_view text) {
 
     SyntheticSpec spec;
     const std::string kind = to_lower(trim(fields[0]));
-    if (kind == "uniform") spec.kind = SyntheticKind::Uniform;
-    else if (kind == "hotspot") spec.kind = SyntheticKind::Hotspot;
-    else if (kind == "stride") spec.kind = SyntheticKind::Stride;
-    else if (kind == "two-phase") spec.kind = SyntheticKind::TwoPhase;
-    else if (kind == "producer-consumer") spec.kind = SyntheticKind::ProducerConsumer;
-    else throw Error("synthetic spec: unknown kind '" + kind + "'");
+    const auto parsed = parse_synthetic_kind(kind);
+    if (!parsed) throw Error("synthetic spec: unknown kind '" + kind + "'");
+    spec.kind = *parsed;
 
     auto parse_u64 = [](std::string_view key, std::string_view value) {
         const auto v = parse_int(value);

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -71,6 +73,9 @@ struct SyntheticSpec {
 /// Display name ("uniform", "hotspot", "stride", "two-phase",
 /// "producer-consumer").
 std::string synthetic_kind_name(SyntheticKind kind);
+
+/// The kind a display name names, or nullopt.
+std::optional<SyntheticKind> parse_synthetic_kind(std::string_view name);
 
 /// Parse a spec string of the form
 ///   "<kind>[,key=value]..."

@@ -388,6 +388,10 @@ TEST(Flow, MethodNames) {
     EXPECT_EQ(cluster_method_name(ClusterMethod::None), "none");
     EXPECT_EQ(cluster_method_name(ClusterMethod::Frequency), "frequency");
     EXPECT_EQ(cluster_method_name(ClusterMethod::Affinity), "affinity");
+    for (const ClusterMethod m :
+         {ClusterMethod::None, ClusterMethod::Frequency, ClusterMethod::Affinity})
+        EXPECT_EQ(parse_cluster_method(cluster_method_name(m)), m);
+    EXPECT_FALSE(parse_cluster_method("Affinity").has_value());
 }
 
 }  // namespace

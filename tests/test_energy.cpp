@@ -126,18 +126,6 @@ TEST(EnergyBreakdown, AddAccumulatesByName) {
     EXPECT_DOUBLE_EQ(b.total(), 17.5);
 }
 
-TEST(EnergyBreakdown, MergeAndScale) {
-    EnergyBreakdown a;
-    a.add("x", 1.0);
-    EnergyBreakdown b;
-    b.add("x", 2.0);
-    b.add("y", 3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.component("x"), 3.0);
-    a.scale(2.0);
-    EXPECT_DOUBLE_EQ(a.total(), 12.0);
-}
-
 TEST(EnergyBreakdown, PreservesInsertionOrderInPrint) {
     EnergyBreakdown b;
     b.add("zeta", 1.0);

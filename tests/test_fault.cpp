@@ -86,6 +86,10 @@ TEST(ProtectionSchemeTest, CheckBitsAndNames) {
     EXPECT_STREQ(protection_name(ProtectionScheme::None), "none");
     EXPECT_STREQ(protection_name(ProtectionScheme::Parity), "parity");
     EXPECT_STREQ(protection_name(ProtectionScheme::Secded), "secded");
+    for (const ProtectionScheme s :
+         {ProtectionScheme::None, ProtectionScheme::Parity, ProtectionScheme::Secded})
+        EXPECT_EQ(parse_protection(protection_name(s)), s);
+    EXPECT_FALSE(parse_protection("ecc").has_value());
     EXPECT_EQ(protected_stored_bytes(32, ProtectionScheme::None), 32u);
     EXPECT_EQ(protected_stored_bytes(32, ProtectionScheme::Secded), 36u);  // 4 words * 8 bits
     EXPECT_EQ(protected_stored_bytes(33, ProtectionScheme::Secded), 38u);  // 5 started words

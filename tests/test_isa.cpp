@@ -184,6 +184,25 @@ loop:   addi r1, r1, 1
     EXPECT_EQ(branch.imm, -3);
 }
 
+TEST(Assembler, EveryBranchMnemonic) {
+    const std::pair<const char*, Cond> branches[] = {
+        {"b", Cond::Al},   {"bal", Cond::Al}, {"beq", Cond::Eq}, {"bne", Cond::Ne},
+        {"blt", Cond::Lt}, {"bge", Cond::Ge}, {"bgt", Cond::Gt}, {"ble", Cond::Le},
+        {"blo", Cond::Lo}, {"bhs", Cond::Hs}};
+    for (const auto& [name, cond] : branches) {
+        const Instr branch = decode(assemble(std::string(name) + " next\nnext: halt\n").code[0]);
+        EXPECT_EQ(branch.op, Op::B) << name;
+        EXPECT_EQ(format_of(branch.op), Format::Branch) << name;
+        EXPECT_EQ(branch.cond, cond) << name;
+        EXPECT_EQ(branch.imm, 0) << name;
+    }
+    const Instr call = decode(assemble("bl next\nnext: halt\n").code[0]);
+    EXPECT_EQ(call.op, Op::Bl);
+    EXPECT_EQ(format_of(call.op), Format::Call);
+    EXPECT_EQ(call.imm, 0);
+    EXPECT_THROW(assemble("bhi next\nnext: halt\n"), Error);
+}
+
 TEST(Assembler, DataSectionAndSymbols) {
     const auto prog = assemble(R"(
         li r1, table

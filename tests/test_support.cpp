@@ -96,14 +96,6 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, GaussianMoments) {
-    Rng rng(17);
-    Accumulator acc;
-    for (int i = 0; i < 100000; ++i) acc.add(rng.next_gaussian());
-    EXPECT_NEAR(acc.mean(), 0.0, 0.02);
-    EXPECT_NEAR(acc.stddev(), 1.0, 0.02);
-}
-
 TEST(Rng, ZipfLikePrefersLowIndices) {
     Rng rng(23);
     std::uint64_t low = 0;
@@ -128,23 +120,12 @@ TEST(Rng, ShuffleIsPermutation) {
 
 // -------------------------------------------------------------- stats ----
 
-TEST(Stats, MeanAndStddev) {
+TEST(Stats, MeanKnownValue) {
     const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
     EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-    EXPECT_NEAR(stddev(xs), 2.138, 1e-3);
 }
 
 TEST(Stats, EmptyMeanIsZero) { EXPECT_DOUBLE_EQ(mean({}), 0.0); }
-
-TEST(Stats, GeomeanKnownValue) {
-    const std::vector<double> xs{1.0, 4.0, 16.0};
-    EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-}
-
-TEST(Stats, GeomeanRejectsNonPositive) {
-    const std::vector<double> xs{1.0, -2.0};
-    EXPECT_THROW(geomean(xs), Error);
-}
 
 TEST(Stats, PercentileEndpointsAndMedian) {
     const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
@@ -169,7 +150,6 @@ TEST(Stats, AccumulatorMatchesBatch) {
         acc.add(x);
     }
     EXPECT_NEAR(acc.mean(), mean(xs), 1e-9);
-    EXPECT_NEAR(acc.stddev(), stddev(xs), 1e-9);
     EXPECT_EQ(acc.count(), xs.size());
 }
 
@@ -209,6 +189,9 @@ TEST(StringUtil, ParseIntDecimalHexSigned) {
     EXPECT_EQ(parse_int("0x1F").value(), 31);
     EXPECT_EQ(parse_int("+5").value(), 5);
     EXPECT_EQ(parse_int(" 7 ").value(), 7);
+    EXPECT_EQ(parse_int("9223372036854775807").value(), INT64_MAX);
+    EXPECT_EQ(parse_int("-9223372036854775808").value(), INT64_MIN);
+    EXPECT_EQ(parse_int("0x7fffffffffffffff").value(), INT64_MAX);
 }
 
 TEST(StringUtil, ParseIntRejectsMalformed) {
@@ -217,6 +200,12 @@ TEST(StringUtil, ParseIntRejectsMalformed) {
     EXPECT_FALSE(parse_int("0x").has_value());
     EXPECT_FALSE(parse_int("-").has_value());
     EXPECT_FALSE(parse_int("1.5").has_value());
+    // Values outside int64 are rejected, never wrapped.
+    EXPECT_FALSE(parse_int("9223372036854775808").has_value());
+    EXPECT_FALSE(parse_int("-9223372036854775809").has_value());
+    EXPECT_FALSE(parse_int("0x8000000000000000").has_value());
+    EXPECT_FALSE(parse_int("18446744073709551618").has_value());  // 2^64 + 2
+    EXPECT_FALSE(parse_int("0x10000000000000100").has_value());   // 17 hex digits
 }
 
 TEST(StringUtil, FormatBytes) {

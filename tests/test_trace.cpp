@@ -39,9 +39,9 @@ TEST(MemTrace, CountersTrackAdds) {
 TEST(MemTrace, SpanIsPow2CoveringMaxByte) {
     MemTrace t;
     t.add_read(1000, 4);  // touches bytes 1000..1003
-    EXPECT_EQ(MaterializedSource(t).summary().span_pow2(), 1024u);
+    EXPECT_EQ(profile_geometry(MaterializedSource(t).summary(), 1).num_blocks, 1024u);
     t.add_read(1024, 4);
-    EXPECT_EQ(MaterializedSource(t).summary().span_pow2(), 2048u);
+    EXPECT_EQ(profile_geometry(MaterializedSource(t).summary(), 1).num_blocks, 2048u);
 }
 
 TEST(MemTrace, EmptyTraceQueriesThrow) {
@@ -96,6 +96,41 @@ TEST(BlockProfile, FromTraceCountsPerBlock) {
 TEST(BlockProfile, RejectsBadGeometry) {
     EXPECT_THROW(BlockProfile(100, 4), Error);  // not pow2
     EXPECT_THROW(BlockProfile(256, 0), Error);
+}
+
+// 2^31 blocks is the largest profile; one more address bit throws, and
+// the message names the highest address, the span, the block count and
+// the block size.
+TEST(BlockProfile, GeometryStopsBelow2To32Blocks) {
+    TraceSummary sum;
+    sum.accesses = 1;
+    sum.max_addr = (std::uint64_t{1} << 39) - 1;
+    EXPECT_EQ(profile_geometry(sum, 256).num_blocks, std::size_t{1} << 31);
+    EXPECT_EQ(profile_geometry(sum, 256).shift, 8u);
+    sum.max_addr = std::uint64_t{1} << 39;
+    try {
+        profile_geometry(sum, 256);
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("highest address 0x8000000000 needs a span of 2^40 "
+                                             "bytes, 2^32 blocks of 256 bytes"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// Accesses at the top of the 64-bit space have no power-of-two span in 64
+// bits: both builders throw before allocating.
+TEST(BlockProfile, TopOfRangeAccessThrows) {
+    for (const std::uint64_t top : {0xFFFFFFFFFFFFFFFCull, 0x8000000000000100ull}) {
+        SCOPED_TRACE(testing::Message() << std::hex << top);
+        MemTrace t;
+        t.add_read(0x100);
+        t.add_write(top);
+        MaterializedSource src(t);
+        EXPECT_THROW(BlockProfile::from_source(src, 256), Error);
+        EXPECT_THROW(build_profile_and_affinity(src, 256, 4), Error);
+    }
 }
 
 TEST(BlockProfile, HotFraction) {
@@ -253,6 +288,15 @@ TEST(Synthetic, SpecRangeChecksDoNotWrap) {
     }
 }
 
+TEST(Synthetic, KindNamesRoundTrip) {
+    for (const SyntheticKind k : {SyntheticKind::Uniform, SyntheticKind::Hotspot,
+                                  SyntheticKind::Stride, SyntheticKind::TwoPhase,
+                                  SyntheticKind::ProducerConsumer})
+        EXPECT_EQ(parse_synthetic_kind(synthetic_kind_name(k)), k);
+    EXPECT_FALSE(parse_synthetic_kind("zipf").has_value());
+    EXPECT_THROW(parse_synthetic_spec("zipf,n=5"), Error);
+}
+
 TEST(Synthetic, StridedWrapsAround) {
     SyntheticSpec spec;
     spec.kind = SyntheticKind::Stride;
@@ -333,6 +377,9 @@ TEST(TraceIo, TextRejectsMalformedRecords) {
     EXPECT_THROW(read_trace_text(bad_addr), Error);
     std::stringstream bad_size("R 0x100 3\n");
     EXPECT_THROW(read_trace_text(bad_size), Error);
+    // Fields beyond int64 are malformed, never wrapped to a small value.
+    std::stringstream wrapped("R 0x10000000000000100 4 18446744073709551617 0x0\n");
+    EXPECT_THROW(read_trace_text(wrapped), Error);
 }
 
 TEST(TraceIo, TextRejectsValueOutOfRange) {
