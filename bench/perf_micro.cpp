@@ -23,6 +23,7 @@
 #include "partition/hybrid.hpp"
 #include "partition/solver.hpp"
 #include "sim/kernels.hpp"
+#include "support/parallel.hpp"
 #include "tools/lint/lint.hpp"
 #include "trace/source.hpp"
 #include "trace/stream_file.hpp"
@@ -308,6 +309,35 @@ void BM_MmapRead(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MmapRead);
+
+// The same container drained through next_batch() in batches of one chunk
+// per default job: a fresh source per iteration, so every block runs its
+// first-delivery checks on the pool.
+void BM_MmapReadBatch(benchmark::State& state) {
+    const std::string path =
+        "/tmp/memopt_bm_mmap_batch_" + std::to_string(::getpid()) + ".mtsc";
+    {
+        SyntheticSource source(parse_synthetic_spec(
+            "stride,span=1048576,n=400000,seed=7,write=0.3,stride=16"));
+        write_trace_stream(path, source);
+    }
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        MmapBinarySource source(path);
+        std::vector<TraceChunk> batch;
+        std::uint64_t sum = 0;
+        while (source.next_batch(batch, default_jobs())) {
+            for (const TraceChunk& chunk : batch)
+                for (std::size_t i = 0; i < chunk.size(); ++i) sum += chunk.addrs[i];
+        }
+        accesses += source.size();
+        benchmark::DoNotOptimize(sum);
+    }
+    std::remove(path.c_str());
+    state.counters["accesses/s"] =
+        benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MmapReadBatch);
 
 // The hybrid flow's bank-activity replay: per access, a logical block ->
 // bank table lookup and the bank's lazy gate settlement.

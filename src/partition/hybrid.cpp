@@ -78,22 +78,28 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
         return true;
     };
 
+    // The replay itself is serial; batches of one chunk per task let the
+    // source produce (an .mtsc reader: map and verify) them in parallel.
     std::uint64_t now = 0;
     source.reset();
-    TraceChunk chunk;
-    while (source.next(chunk)) {
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-            if (chunk.cycles[i] < now)
-                throw_backward_cycle(chunk.first_index + i, chunk.cycles[i], now);
-            now = chunk.cycles[i];
-            const std::uint64_t block = chunk.addrs[i] >> block_shift;
-            if (block >= bank_of.size()) throw Error("map_addr: address outside mapped span");
-            const std::size_t bank = bank_of[block];
-            BankState& s = states[bank];
-            BankActivity& a = activity[bank];
-            if (settle(s, a, now)) ++a.wakeups;
-            s.last_access = now;
-            ++s.accesses[chunk.kinds[i] != AccessKind::Read];
+    std::vector<TraceChunk> batch;
+    const std::size_t batch_chunks = stream_detail::stream_task_count(source.size(), 0);
+    while (source.next_batch(batch, batch_chunks)) {
+        for (const TraceChunk& chunk : batch) {
+            for (std::size_t i = 0; i < chunk.size(); ++i) {
+                if (chunk.cycles[i] < now)
+                    throw_backward_cycle(chunk.first_index + i, chunk.cycles[i], now);
+                now = chunk.cycles[i];
+                const std::uint64_t block = chunk.addrs[i] >> block_shift;
+                if (block >= bank_of.size())
+                    throw Error("map_addr: address outside mapped span");
+                const std::size_t bank = bank_of[block];
+                BankState& s = states[bank];
+                BankActivity& a = activity[bank];
+                if (settle(s, a, now)) ++a.wakeups;
+                s.last_access = now;
+                ++s.accesses[chunk.kinds[i] != AccessKind::Read];
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <utility>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -229,8 +230,14 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
         while (region->helpers_finished != helpers) region->done_cv.wait(region->mutex);
     }
 
-    for (const std::exception_ptr& error : region->errors)
-        if (error) std::rethrow_exception(error);
+    // Move the error out of the region before rethrowing it: a helper may
+    // drop the last reference to the region after this returns, and the
+    // caller, which reads the exception, must then hold its last reference.
+    // (The exception's reference count lives in the C++ runtime, where a
+    // thread sanitizer cannot see it order a helper's release after the
+    // caller's read.)
+    for (std::exception_ptr& error : region->errors)
+        if (error) std::rethrow_exception(std::exchange(error, nullptr));
 }
 
 }  // namespace memopt

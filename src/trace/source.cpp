@@ -8,9 +8,11 @@ void TraceSummary::add(const TraceChunk& chunk) {
     // A local copy: stores to the members could alias the chunk's
     // uint64_t columns and would pin them in memory through the loop.
     TraceSummary s = *this;
+    bool past_top = false;
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::uint64_t lo = chunk.addrs[i];
         const std::uint64_t hi = lo + chunk.sizes[i] - 1;
+        past_top |= hi < lo && chunk.sizes[i] != 0;
         if (s.accesses == 0) {
             s.min_addr = lo;
             s.max_addr = hi;
@@ -22,7 +24,30 @@ void TraceSummary::add(const TraceChunk& chunk) {
         else ++s.writes;
         ++s.accesses;
     }
+    if (past_top) [[unlikely]] {
+        for (std::size_t i = 0;; ++i)
+            if (chunk.sizes[i] != 0 && chunk.addrs[i] + chunk.sizes[i] - 1 < chunk.addrs[i])
+                throw_access_past_top(chunk.addrs[i], chunk.sizes[i]);
+    }
     *this = s;
+}
+
+bool TraceSource::next_batch(std::vector<TraceChunk>& batch, std::size_t max_chunks,
+                             std::size_t /*jobs*/) {
+    require(max_chunks > 0, "TraceSource::next_batch: max_chunks must be > 0");
+    batch.clear();
+    const bool copy = !stable_chunks();
+    TraceChunk c;
+    while (batch.size() < max_chunks && next(c)) {
+        if (c.empty()) continue;
+        if (copy && batch.size() + 1 < max_chunks) {
+            if (batch_copies_.size() <= batch.size()) batch_copies_.resize(batch.size() + 1);
+            batch_copies_[batch.size()].assign(c);
+            c = batch_copies_[batch.size()].view();
+        }
+        batch.push_back(c);
+    }
+    return !batch.empty();
 }
 
 const TraceSummary& TraceSource::summary() {

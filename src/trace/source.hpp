@@ -15,19 +15,25 @@
 //                          deterministic generators in trace/synthetic.hpp
 //                          without ever materializing the trace
 //                          (trace/synthetic.hpp);
-//  * MmapBinarySource    — memory-mapped zero-copy reader for the ".mtsc"
-//                          block container (trace/stream_file.hpp).
-// Each of them polls the global CancellationToken once per chunk, at the
-// top of next(), so a deadline or SIGINT/SIGTERM stops any replay within
-// one chunk.
+//  * MmapBinarySource    — reader for the ".mtsc" block container that maps
+//                          one window of blocks at a time
+//                          (trace/stream_file.hpp).
+// A source hands out chunks one at a time through next(), or several at
+// once through next_batch(), whose spans all stay valid until the next
+// call. The base class serves next_batch() from next(); the .mtsc reader
+// overrides it to map one window over the batch's blocks and verify and
+// decode them in parallel. Each concrete source polls the global
+// CancellationToken at the top of every next() call, and the .mtsc reader
+// at the top of every next_batch() call too, so a deadline or
+// SIGINT/SIGTERM stops any replay within one batch.
 //
 // The parallel replays (profiling and the affinity builders) share one
-// engine, stream_accumulate: one loop pulls chunks into batches and maps
-// each batch onto task-local states in one of two ways. Trace shards give
-// each task a contiguous range of the batch, and the states sum in task
-// order. Key partitions give every task the whole batch, and each state
-// keeps only the keys of its own partition, so the states are disjoint and
-// join without a reduction (the affinity pair table above
+// engine, stream_accumulate: one loop pulls batches of one chunk per task
+// and maps each batch onto task-local states in one of two ways. Trace
+// shards give each task a contiguous range of the batch, and the states
+// sum in task order. Key partitions give every task the whole batch, and
+// each state keeps only the keys of its own partition, so the states are
+// disjoint and join without a reduction (the affinity pair table above
 // kAffinityDenseMaxBlocks blocks).
 //
 // Determinism contract: a source replays the exact same access sequence on
@@ -60,7 +66,7 @@ inline constexpr std::size_t kDefaultTraceChunk = std::size_t{1} << 16;
 
 /// One chunk of a trace: SoA column spans plus the global index of the
 /// chunk's first access. Spans stay valid until the producing source's next
-/// next()/reset() call (longer for stable sources — see
+/// next()/next_batch()/reset() call (longer for stable sources — see
 /// TraceSource::stable_chunks()).
 ///
 /// Invariant: all five columns have equal length (validated at
@@ -97,55 +103,13 @@ struct TraceSummary {
     std::uint64_t max_addr = 0;
 
     /// Fold the accesses of `chunk` into the statistics, the way MemTrace
-    /// counts each access it adds.
+    /// counts each access it adds. Throws memopt::Error, naming the first
+    /// such access, when an access's last byte lies past 2^64 - 1.
     void add(const TraceChunk& chunk);
 };
 
-/// Abstract pull-based chunked trace stream. Single-pass cursor semantics:
-/// next() yields consecutive chunks in program order until exhausted;
-/// reset() rewinds to access 0 for another identical pass.
-class TraceSource {
-public:
-    virtual ~TraceSource() = default;
-
-    /// Total number of accesses the full replay delivers.
-    virtual std::uint64_t size() const = 0;
-
-    /// True when chunk spans remain valid across next()/reset() calls for
-    /// the lifetime of the source (zero-copy backing storage). Stable
-    /// sources can be replayed in parallel without copying chunks.
-    virtual bool stable_chunks() const { return false; }
-
-    /// Produce the next chunk. Returns false (and leaves `chunk` empty)
-    /// once the trace is exhausted.
-    virtual bool next(TraceChunk& chunk) = 0;
-
-    /// Rewind to access 0. The subsequent pass delivers the identical
-    /// access sequence.
-    virtual void reset() = 0;
-
-    /// Whole-trace statistics. Computed with one streaming pass on first
-    /// use (then cached) unless the source seeded them at construction;
-    /// bit-identical to the counters of the materialized trace.
-    ///
-    /// Contract: every access the source delivers lies within the
-    /// summary's [min_addr, max_addr] range (inclusive of the access
-    /// width), so consumers may size address-indexed buffers from the
-    /// summary without per-access bounds checks. Sources whose summary
-    /// comes from an external header (e.g. MmapBinarySource) must enforce
-    /// this during content validation rather than trust the payload.
-    const TraceSummary& summary();
-
-protected:
-    /// Seed the cached summary (sources that know it without a pass).
-    void set_summary(const TraceSummary& s) { summary_ = s; }
-
-private:
-    std::optional<TraceSummary> summary_;
-};
-
 /// Owning SoA chunk storage: the staging buffer non-stable sources fill and
-/// the copy target of the parallel streaming driver.
+/// the copy target of TraceSource::next_batch().
 class ChunkBuffer {
 public:
     /// Start a fresh chunk whose first access has global index `first`.
@@ -199,6 +163,64 @@ private:
     std::vector<std::uint32_t> values_;
     std::vector<std::uint8_t> sizes_;
     std::vector<AccessKind> kinds_;
+};
+
+/// Abstract pull-based chunked trace stream. Single-pass cursor semantics:
+/// next() and next_batch() yield consecutive chunks in program order until
+/// exhausted; reset() rewinds to access 0 for another identical pass.
+class TraceSource {
+public:
+    virtual ~TraceSource() = default;
+
+    /// Total number of accesses the full replay delivers.
+    virtual std::uint64_t size() const = 0;
+
+    /// True when chunk spans remain valid across next()/reset() calls for
+    /// the lifetime of the source (zero-copy backing storage). The default
+    /// next_batch() hands such chunks out without copying them.
+    virtual bool stable_chunks() const { return false; }
+
+    /// Produce the next chunk. Returns false (and leaves `chunk` empty)
+    /// once the trace is exhausted.
+    virtual bool next(TraceChunk& chunk) = 0;
+
+    /// Replace `batch` with the next up-to-`max_chunks` (> 0) non-empty
+    /// chunks of the pass, the ones next() would deliver. Returns false
+    /// (and leaves `batch` empty) once the trace is exhausted. Every span
+    /// of the batch stays valid until the next next_batch(), next() or
+    /// reset() call. `jobs` bounds the threads the source may use to
+    /// produce the batch (0 = default_jobs()).
+    ///
+    /// The default pulls next() serially on the calling thread. Unless the
+    /// source has stable_chunks(), a chunk that another chunk may follow in
+    /// the batch is copied into a buffer this base class owns, so a batch
+    /// of one copies nothing.
+    virtual bool next_batch(std::vector<TraceChunk>& batch, std::size_t max_chunks,
+                            std::size_t jobs = 0);
+
+    /// Rewind to access 0. The subsequent pass delivers the identical
+    /// access sequence.
+    virtual void reset() = 0;
+
+    /// Whole-trace statistics. Computed with one streaming pass on first
+    /// use (then cached) unless the source seeded them at construction;
+    /// bit-identical to the counters of the materialized trace.
+    ///
+    /// Contract: every access the source delivers lies within the
+    /// summary's [min_addr, max_addr] range (inclusive of the access
+    /// width), so consumers may size address-indexed buffers from the
+    /// summary without per-access bounds checks. Sources whose summary
+    /// comes from an external header (e.g. MmapBinarySource) must enforce
+    /// this during content validation rather than trust the payload.
+    const TraceSummary& summary();
+
+protected:
+    /// Seed the cached summary (sources that know it without a pass).
+    void set_summary(const TraceSummary& s) { summary_ = s; }
+
+private:
+    std::optional<TraceSummary> summary_;
+    std::vector<ChunkBuffer> batch_copies_;  ///< the default next_batch()'s copies
 };
 
 /// Zero-copy source over an in-memory MemTrace: chunks are subspans of the
@@ -307,27 +329,26 @@ struct KeyPartition {
 /// 0 when the mapper is context-free). `merge(into, from)` folds the task
 /// states together in task order.
 ///
-/// One loop serves every source and both mappings. It pulls chunks in
-/// order into a batch and cuts each chunk's context from the rolling tail
-/// as the chunk is pulled. A stable source's batch is all of its chunks,
-/// as zero-copy spans; any other source's batch holds up to one copied
-/// chunk per task (with one task, nothing is copied). Under
-/// StreamMapping::Shards, contiguous ranges of the batch map onto
-/// min(tasks, batch size) states in parallel. Under StreamMapping::Keys,
-/// all tasks map the whole batch, state s under partition {s, tasks}, so
-/// the state of partition 0 sees every access. With one task the two
-/// mappings coincide. Each state is moved into a local on its task's thread
-/// while it maps: the states sit side by side in one vector, and mapping
-/// them in place would share cache lines across threads. Every
-/// accumulation in this repository reduces integer-valued sums or joins
-/// disjoint keys, so results are bit-identical at any job count.
+/// One loop serves every source and both mappings. It pulls batches of up
+/// to one chunk per task through TraceSource::next_batch() (which may
+/// verify or decode the batch's chunks on `jobs` threads) and cuts each
+/// chunk's context from the rolling tail. Under StreamMapping::Shards,
+/// contiguous ranges of the batch map onto min(tasks, batch size) states
+/// in parallel. Under StreamMapping::Keys, all tasks map the whole batch,
+/// state s under partition {s, tasks}, so the state of partition 0 sees
+/// every access. With one task the two mappings coincide. Each state is
+/// moved into a local on its task's thread while it maps: the states sit
+/// side by side in one vector, and mapping them in place would share cache
+/// lines across threads. Every accumulation in this repository reduces
+/// integer-valued sums or joins disjoint keys, so results are bit-identical
+/// at any job count.
 ///
 /// Cancellation: the global CancellationToken is polled before every chunk
 /// is mapped, so a deadline or SIGINT/SIGTERM interrupts a billion-access
-/// replay within one chunk (~64Ki accesses) even over a stable source,
-/// which hands out its whole batch (and runs its own polls) before the
-/// tasks start. The resulting CancelledError unwinds through parallel_for
-/// like any worker exception; partial state is discarded by the caller.
+/// replay within one chunk (~64Ki accesses) even over a source whose own
+/// polls run only once per batch, or never. The resulting CancelledError
+/// unwinds through parallel_for like any worker exception; partial state
+/// is discarded by the caller.
 template <typename MakeState, typename MapChunk, typename Merge>
 auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_t jobs,
                        StreamMapping mapping, const MakeState& make_state,
@@ -336,28 +357,16 @@ auto stream_accumulate(TraceSource& source, std::size_t context_size, std::size_
     source.reset();
     const std::size_t tasks = stream_detail::stream_task_count(source.size(), jobs);
     const bool keyed = mapping == StreamMapping::Keys;
-    const bool stable = source.stable_chunks();
-    std::vector<ChunkBuffer> buffers(stable || tasks == 1 ? 0 : tasks);
     std::vector<TraceChunk> batch;
     std::vector<std::vector<std::uint64_t>> contexts;
     std::vector<std::uint64_t> tail;
     std::vector<std::optional<State>> states;
-    bool more = true;
-    while (more) {
-        batch.clear();
-        contexts.clear();
-        TraceChunk c;
-        while ((stable || batch.size() < tasks) && (more = source.next(c))) {
-            if (c.empty()) continue;
-            if (!buffers.empty()) {
-                buffers[batch.size()].assign(c);
-                c = buffers[batch.size()].view();
-            }
-            contexts.push_back(tail);
-            stream_detail::update_tail(tail, c.addrs, context_size);
-            batch.push_back(c);
+    while (source.next_batch(batch, tasks, jobs)) {
+        contexts.resize(batch.size());
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            contexts[k] = tail;
+            stream_detail::update_tail(tail, batch[k].addrs, context_size);
         }
-        if (batch.empty()) break;
         const std::size_t parts = keyed ? tasks : std::min(tasks, batch.size());
         if (states.size() < parts) states.resize(parts);
         parallel_for(

@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
+
+#include <cerrno>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "compress/codec.hpp"
 #include "compress/diff_codec.hpp"
@@ -11,15 +17,8 @@
 #include "support/bytes.hpp"
 #include "support/durable/atomic_file.hpp"
 #include "support/durable/cancel.hpp"
+#include "support/parallel.hpp"
 #include "support/string_util.hpp"
-
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-#define MEMOPT_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace memopt {
 
@@ -32,6 +31,10 @@ constexpr std::uint32_t kFlagCompressed = 1u;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kBlockHeaderBytes = 24;
 constexpr std::size_t kBytesPerAccess = 22;  // 8 addr + 8 cycle + 4 value + 1 size + 1 kind
+
+// The smallest window MmapBinarySource maps: containers written with small
+// blocks get many blocks per mmap.
+constexpr std::uint64_t kMinWindowBytes = std::uint64_t{4} << 20;
 
 // Line codec ids inside a compressed payload.
 constexpr std::uint8_t kLineRaw = 0;
@@ -300,11 +303,13 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     require_little_endian();
     require(opts.chunk_accesses > 0 && opts.chunk_accesses <= kMaxStreamChunkAccesses,
             "write_trace_stream: chunk_accesses out of range");
+    const std::size_t chunk = opts.chunk_accesses;
     const std::uint64_t count = source.size();
-    const std::uint64_t blocks64 =
-        count == 0 ? 0 : (count + opts.chunk_accesses - 1) / opts.chunk_accesses;
+    const std::uint64_t blocks64 = count == 0 ? 0 : (count + chunk - 1) / chunk;
     require(blocks64 <= 0xFFFFFFFFULL, "write_trace_stream: too many blocks");
     const auto block_count = static_cast<std::uint32_t>(blocks64);
+    // Blocks are sealed in rounds of at least one block per task.
+    const std::size_t tasks = default_jobs();
 
     TraceSummary s;
     // Crash-safe: blocks stream into <path>.tmp and the container appears
@@ -329,36 +334,58 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     std::vector<std::uint8_t> sizes;
     std::vector<AccessKind> kinds;
 
-    const auto emit_block = [&](std::size_t n) {
-        const std::size_t raw = n * kBytesPerAccess;
-        std::vector<std::uint8_t> image(pad8(raw), 0);
-        std::memcpy(image.data(), addrs.data(), n * 8);
-        std::memcpy(image.data() + n * 8, cycles.data(), n * 8);
-        std::memcpy(image.data() + n * 16, values.data(), n * 4);
-        std::memcpy(image.data() + n * 20, sizes.data(), n);
-        std::memcpy(image.data() + n * 21, kinds.data(), n);
+    // One sealed block of a round: its column image, its compressed form
+    // and the checksum of whichever of the two is stored.
+    struct Sealed {
+        std::vector<std::uint8_t> image;
+        std::vector<std::uint8_t> packed;
+        std::span<const std::uint8_t> payload;
+        std::uint64_t checksum = 0;
+    };
+    std::vector<Sealed> round;
 
-        std::vector<std::uint8_t> compressed;
-        if (opts.compress) compressed = compress_image(image);
-        const std::uint8_t* payload = opts.compress ? compressed.data() : image.data();
-        const std::size_t payload_bytes = opts.compress ? compressed.size() : raw;
+    // Seal the first `blocks` staged blocks (the last may be short) on
+    // parallel tasks, write them in block order, and drop them from the
+    // staging columns.
+    const auto emit = [&](std::size_t blocks) {
+        const std::size_t staged = addrs.size();
+        if (round.size() < blocks) round.resize(blocks);
+        parallel_for(blocks, [&](std::size_t k) {
+            const std::size_t at = k * chunk;
+            const std::size_t n = std::min(chunk, staged - at);
+            Sealed& b = round[k];
+            b.image.assign(pad8(n * kBytesPerAccess), 0);
+            std::memcpy(b.image.data(), addrs.data() + at, n * 8);
+            std::memcpy(b.image.data() + n * 8, cycles.data() + at, n * 8);
+            std::memcpy(b.image.data() + n * 16, values.data() + at, n * 4);
+            std::memcpy(b.image.data() + n * 20, sizes.data() + at, n);
+            std::memcpy(b.image.data() + n * 21, kinds.data() + at, n);
+            b.payload = std::span<const std::uint8_t>(b.image).first(n * kBytesPerAccess);
+            if (opts.compress) {
+                b.packed = compress_image(b.image);
+                b.payload = b.packed;
+            }
+            b.checksum = mtsc_block_checksum(b.payload.data(), b.payload.size());
+        });
+        for (std::size_t k = 0; k < blocks; ++k) {
+            const Sealed& b = round[k];
+            const std::size_t n = std::min(chunk, staged - k * chunk);
+            std::uint8_t head[kBlockHeaderBytes];
+            std::memcpy(head, kBlockMagic, 4);
+            store_le32(head + 4, static_cast<std::uint32_t>(n));
+            store_le64(head + 8, b.payload.size());
+            store_le64(head + 16, b.checksum);
+            os.write(reinterpret_cast<const char*>(head), kBlockHeaderBytes);
+            os.write(reinterpret_cast<const char*>(b.payload.data()),
+                     static_cast<std::streamsize>(b.payload.size()));
+            const std::size_t pad = pad8(b.payload.size()) - b.payload.size();
+            const char zeros[8] = {0};
+            os.write(zeros, static_cast<std::streamsize>(pad));
 
-        std::uint8_t head[kBlockHeaderBytes];
-        std::memcpy(head, kBlockMagic, 4);
-        store_le32(head + 4, static_cast<std::uint32_t>(n));
-        store_le64(head + 8, payload_bytes);
-        store_le64(head + 16, mtsc_block_checksum(payload, payload_bytes));
-        os.write(reinterpret_cast<const char*>(head), kBlockHeaderBytes);
-        os.write(reinterpret_cast<const char*>(payload),
-                 static_cast<std::streamsize>(payload_bytes));
-        const std::size_t pad = pad8(payload_bytes) - payload_bytes;
-        const char zeros[8] = {0};
-        os.write(zeros, static_cast<std::streamsize>(pad));
-
-        offsets.push_back(file_off);
-        file_off += kBlockHeaderBytes + payload_bytes + pad;
-
-        const auto dn = static_cast<std::ptrdiff_t>(n);
+            offsets.push_back(file_off);
+            file_off += kBlockHeaderBytes + b.payload.size() + pad;
+        }
+        const auto dn = static_cast<std::ptrdiff_t>(std::min(staged, blocks * chunk));
         addrs.erase(addrs.begin(), addrs.begin() + dn);
         cycles.erase(cycles.begin(), cycles.begin() + dn);
         values.erase(values.begin(), values.begin() + dn);
@@ -367,17 +394,19 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     };
 
     source.reset();
-    TraceChunk c;
-    while (source.next(c)) {
-        s.add(c);
-        addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
-        cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
-        values.insert(values.end(), c.values.begin(), c.values.end());
-        sizes.insert(sizes.end(), c.sizes.begin(), c.sizes.end());
-        kinds.insert(kinds.end(), c.kinds.begin(), c.kinds.end());
-        while (addrs.size() >= opts.chunk_accesses) emit_block(opts.chunk_accesses);
+    std::vector<TraceChunk> batch;
+    while (source.next_batch(batch, tasks)) {
+        for (const TraceChunk& c : batch) {
+            s.add(c);
+            addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
+            cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
+            values.insert(values.end(), c.values.begin(), c.values.end());
+            sizes.insert(sizes.end(), c.sizes.begin(), c.sizes.end());
+            kinds.insert(kinds.end(), c.kinds.begin(), c.kinds.end());
+        }
+        if (addrs.size() >= tasks * chunk) emit(addrs.size() / chunk);
     }
-    if (!addrs.empty()) emit_block(addrs.size());
+    if (!addrs.empty()) emit((addrs.size() + chunk - 1) / chunk);
 
     require(s.accesses == count,
             "write_trace_stream: source delivered a different access count than size()");
@@ -387,7 +416,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     std::memcpy(head, kStreamMagic, 4);
     store_le32(head + 4, kStreamVersion);
     store_le64(head + 8, count);
-    store_le32(head + 16, static_cast<std::uint32_t>(opts.chunk_accesses));
+    store_le32(head + 16, static_cast<std::uint32_t>(chunk));
     store_le32(head + 20, block_count);
     store_le32(head + 24, opts.compress ? kFlagCompressed : 0u);
     store_le64(head + 32, s.min_addr);
@@ -410,8 +439,13 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
 
 MmapBinarySource::MmapBinarySource(const std::string& path) : path_(path) {
     require_little_endian();
-    open_file();
+    fd_ = ::open(path_.c_str(), O_RDONLY);
+    require(fd_ >= 0, "stream trace: cannot open '" + path_ + "'");
     try {
+        struct stat st{};
+        if (::fstat(fd_, &st) != 0 || st.st_size < 0)
+            throw Error("stream trace: cannot stat '" + path_ + "'");
+        file_bytes_ = static_cast<std::uint64_t>(st.st_size);
         parse_header();
     } catch (...) {
         // The destructor does not run when the constructor throws.
@@ -422,70 +456,40 @@ MmapBinarySource::MmapBinarySource(const std::string& path) : path_(path) {
 
 MmapBinarySource::~MmapBinarySource() { close_file(); }
 
-void MmapBinarySource::open_file() {
-#if MEMOPT_HAS_MMAP
-    fd_ = ::open(path_.c_str(), O_RDONLY);
-    require(fd_ >= 0, "stream trace: cannot open '" + path_ + "'");
-    struct stat st{};
-    if (::fstat(fd_, &st) != 0 || st.st_size < 0) {
-        close_file();
-        throw Error("stream trace: cannot stat '" + path_ + "'");
-    }
-    map_bytes_ = static_cast<std::size_t>(st.st_size);
-    if (map_bytes_ > 0) {
-        void* p = ::mmap(nullptr, map_bytes_, PROT_READ, MAP_PRIVATE, fd_, 0);
-        if (p == MAP_FAILED) {
-            close_file();
-            throw Error("stream trace: mmap failed for '" + path_ + "'");
-        }
-        map_ = static_cast<const std::uint8_t*>(p);
-        mapped_ = true;
-    }
-#else
-    // No mmap on this platform: read the whole file (same semantics, not
-    // out-of-core).
-    std::ifstream is(path_, std::ios::binary);
-    require(is.is_open(), "stream trace: cannot open '" + path_ + "'");
-    is.seekg(0, std::ios::end);
-    const std::streamoff end = is.tellg();
-    is.seekg(0, std::ios::beg);
-    fallback_.resize(end > 0 ? static_cast<std::size_t>(end) : 0);
-    if (!fallback_.empty()) {
-        is.read(reinterpret_cast<char*>(fallback_.data()),
-                static_cast<std::streamsize>(fallback_.size()));
-        require(is.gcount() == static_cast<std::streamsize>(fallback_.size()),
-                "stream trace: short read for '" + path_ + "'");
-    }
-    map_ = fallback_.data();
-    map_bytes_ = fallback_.size();
-#endif
-}
-
 void MmapBinarySource::close_file() {
-#if MEMOPT_HAS_MMAP
-    if (mapped_ && map_ != nullptr) {
-        ::munmap(const_cast<std::uint8_t*>(map_), map_bytes_);
-    }
+    unmap_window();
     if (fd_ >= 0) ::close(fd_);
-#endif
-    map_ = nullptr;
-    mapped_ = false;
     fd_ = -1;
 }
 
+void MmapBinarySource::read_at(void* dst, std::size_t bytes, std::uint64_t offset) const {
+    auto* out = static_cast<std::uint8_t*>(dst);
+    while (bytes > 0) {
+        const ::ssize_t got = ::pread(fd_, out, bytes, static_cast<::off_t>(offset));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) throw Error("stream trace: read failed for '" + path_ + "'");
+        const auto n = static_cast<std::size_t>(got);
+        out += n;
+        bytes -= n;
+        offset += n;
+    }
+}
+
 void MmapBinarySource::parse_header() {
-    require(map_bytes_ >= kHeaderBytes, "stream trace: truncated header");
-    require(std::memcmp(map_, kStreamMagic, 4) == 0, "stream trace: bad magic");
-    const std::uint32_t version = load_le32(map_ + 4);
+    require(file_bytes_ >= kHeaderBytes, "stream trace: truncated header");
+    std::uint8_t head[kHeaderBytes];
+    read_at(head, kHeaderBytes, 0);
+    require(std::memcmp(head, kStreamMagic, 4) == 0, "stream trace: bad magic");
+    const std::uint32_t version = load_le32(head + 4);
     if (version != kStreamVersion) {
         throw Error(format("stream trace: '%s' is .mtsc version %u, this reader reads version %u "
                            "only; regenerate it with `memopt_cli trace`",
                            path_.c_str(), version, kStreamVersion));
     }
-    count_ = load_le64(map_ + 8);
-    chunk_accesses_ = load_le32(map_ + 16);
-    block_count_ = load_le32(map_ + 20);
-    const std::uint32_t flags = load_le32(map_ + 24);
+    count_ = load_le64(head + 8);
+    chunk_accesses_ = load_le32(head + 16);
+    block_count_ = load_le32(head + 20);
+    const std::uint32_t flags = load_le32(head + 24);
     require((flags & ~kFlagCompressed) == 0, "stream trace: unknown flags");
     compressed_ = (flags & kFlagCompressed) != 0;
     require(chunk_accesses_ > 0 && chunk_accesses_ <= kMaxStreamChunkAccesses,
@@ -494,7 +498,7 @@ void MmapBinarySource::parse_header() {
         count_ == 0 ? 0 : (count_ + chunk_accesses_ - 1) / chunk_accesses_;
     require(block_count_ == expected, "stream trace: block count mismatch");
     // Bound the table against the file size BEFORE sizing anything from it.
-    require(std::uint64_t{block_count_} * 8 <= map_bytes_ - kHeaderBytes,
+    require(std::uint64_t{block_count_} * 8 <= file_bytes_ - kHeaderBytes,
             "stream trace: truncated block table");
     // An uncompressed container stores kBytesPerAccess payload bytes per
     // access, so the header count is bounded by the file size; reject a
@@ -502,17 +506,16 @@ void MmapBinarySource::parse_header() {
     // (Compressed containers have no fixed per-access size — their readers
     // clamp count-driven reserves instead.)
     if (!compressed_) {
-        require(count_ <= (map_bytes_ - kHeaderBytes) / kBytesPerAccess,
+        require(count_ <= (file_bytes_ - kHeaderBytes) / kBytesPerAccess,
                 "stream trace: access count exceeds file size");
     }
-    offset_table_ = map_ + kHeaderBytes;
-    verified_.assign(block_count_, false);
+    verified_.assign(block_count_, 0);
 
-    const std::uint64_t min_addr = load_le64(map_ + 32);
-    const std::uint64_t max_addr = load_le64(map_ + 40);
-    const std::uint64_t reads = load_le64(map_ + 48);
+    const std::uint64_t min_addr = load_le64(head + 32);
+    const std::uint64_t max_addr = load_le64(head + 40);
+    const std::uint64_t reads = load_le64(head + 48);
     require(reads <= count_, "stream trace: corrupt summary counts");
-    const std::uint64_t writes = load_le64(map_ + 56);
+    const std::uint64_t writes = load_le64(head + 56);
     require(writes == count_ - reads, "stream trace: corrupt summary counts");
     require(count_ == 0 || min_addr <= max_addr, "stream trace: corrupt summary range");
     TraceSummary s;
@@ -529,41 +532,96 @@ std::uint32_t MmapBinarySource::expected_block_accesses(std::uint32_t block) con
     return static_cast<std::uint32_t>(count_ - std::uint64_t{block} * chunk_accesses_);
 }
 
-MmapBinarySource::BlockView MmapBinarySource::locate_block(std::uint32_t block) const {
-    const std::uint64_t off = load_le64(offset_table_ + std::size_t{block} * 8);
-    const std::uint64_t blocks_start = kHeaderBytes + std::uint64_t{block_count_} * 8;
-    require(off >= blocks_start && off % 8 == 0 && off <= map_bytes_ &&
-                map_bytes_ - off >= kBlockHeaderBytes,
-            format("stream trace: block %u: bad offset", block));
-    const std::uint8_t* p = map_ + off;
-    require(std::memcmp(p, kBlockMagic, 4) == 0,
-            format("stream trace: block %u: bad block magic", block));
-    BlockView view;
-    view.count = load_le32(p + 4);
-    require(view.count == expected_block_accesses(block),
-            format("stream trace: block %u: access count mismatch", block));
-    view.payload_bytes = load_le64(p + 8);
-    require(view.payload_bytes <= map_bytes_ - off - kBlockHeaderBytes,
-            format("stream trace: block %u: truncated payload", block));
-    if (!compressed_) {
-        require(view.payload_bytes == std::uint64_t{view.count} * kBytesPerAccess,
-                format("stream trace: block %u: bad payload size", block));
-    }
-    view.checksum = load_le64(p + 16);
-    view.payload = p + kBlockHeaderBytes;
-    return view;
+void MmapBinarySource::unmap_window() {
+    if (window_ != nullptr) ::munmap(const_cast<std::uint8_t*>(window_), window_bytes_);
+    window_ = nullptr;
+    window_offset_ = 0;
+    window_bytes_ = 0;
 }
 
-bool MmapBinarySource::next(TraceChunk& chunk) {
-    CancellationToken::global().check();
-    if (block_ >= block_count_) {
-        chunk = TraceChunk{};
-        return false;
+void MmapBinarySource::map_window(std::uint64_t lo, std::uint64_t hi) {
+    if (window_ != nullptr && lo >= window_offset_ && hi <= window_offset_ + window_bytes_)
+        return;
+    unmap_window();
+    static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t start = lo / page * page;
+    const std::uint64_t end = std::min(file_bytes_, std::max(hi, start + kMinWindowBytes));
+    void* p = ::mmap(nullptr, static_cast<std::size_t>(end - start), PROT_READ, MAP_PRIVATE,
+                     fd_, static_cast<::off_t>(start));
+    if (p == MAP_FAILED) throw Error("stream trace: mmap failed for '" + path_ + "'");
+    window_ = static_cast<const std::uint8_t*>(p);
+    window_offset_ = start;
+    window_bytes_ = static_cast<std::size_t>(end - start);
+}
+
+void MmapBinarySource::locate_blocks(std::uint32_t first, std::uint32_t n) {
+    // The batch's offset-table entries, plus the next block's: the writer
+    // lays blocks out back to back, so it bounds the last compressed block
+    // before its header is read.
+    const auto entries = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(std::uint64_t{n} + 1, block_count_ - first));
+    table_.resize(entries);
+    read_at(table_.data(), std::size_t{entries} * 8, kHeaderBytes + std::uint64_t{first} * 8);
+    slots_.assign(n, BlockSlot{});
+    const std::uint64_t blocks_start = kHeaderBytes + std::uint64_t{block_count_} * 8;
+    std::uint64_t lo = file_bytes_;
+    std::uint64_t hi = 0;
+    for (std::uint32_t k = 0; k < n; ++k) {
+        BlockSlot& slot = slots_[k];
+        slot.offset = table_[k];
+        if (slot.offset < blocks_start || slot.offset % 8 != 0 || slot.offset > file_bytes_ ||
+            file_bytes_ - slot.offset < kBlockHeaderBytes) {
+            slot.fault = "bad offset";
+            continue;
+        }
+        // The block's extent: exact for an uncompressed block; up to the
+        // next block for a compressed one, checked against its header below.
+        std::uint64_t end = file_bytes_;
+        if (!compressed_)
+            end = slot.offset + kBlockHeaderBytes +
+                  std::uint64_t{expected_block_accesses(first + k)} * kBytesPerAccess;
+        else if (k + 1 < entries && table_[k + 1] > slot.offset)
+            end = table_[k + 1];
+        end = std::clamp(end, slot.offset + kBlockHeaderBytes, file_bytes_);
+        lo = std::min(lo, slot.offset);
+        hi = std::max(hi, end);
     }
-    const std::uint32_t b = block_;
-    const BlockView view = locate_block(b);
-    const std::uint32_t n = view.count;
-    const bool first = !verified_[b];
+    if (lo >= hi) return;  // every block has a bad offset
+    map_window(lo, hi);
+
+    // The block headers, in the order of the checks a block-by-block read
+    // makes; each slot keeps its first fault.
+    std::uint64_t need = hi;
+    for (std::uint32_t k = 0; k < n; ++k) {
+        BlockSlot& slot = slots_[k];
+        if (slot.fault != nullptr) continue;
+        const std::uint8_t* p = window_ + (slot.offset - window_offset_);
+        slot.count = load_le32(p + 4);
+        slot.payload_bytes = load_le64(p + 8);
+        slot.checksum = load_le64(p + 16);
+        if (std::memcmp(p, kBlockMagic, 4) != 0) slot.fault = "bad block magic";
+        else if (slot.count != expected_block_accesses(first + k))
+            slot.fault = "access count mismatch";
+        else if (slot.payload_bytes > file_bytes_ - slot.offset - kBlockHeaderBytes)
+            slot.fault = "truncated payload";
+        else if (!compressed_ && slot.payload_bytes != std::uint64_t{slot.count} * kBytesPerAccess)
+            slot.fault = "bad payload size";
+        else
+            need = std::max(need, slot.offset + kBlockHeaderBytes + slot.payload_bytes);
+    }
+    // Only a corrupt container has a compressed block that runs past the
+    // next block's offset.
+    if (need > hi) map_window(lo, need);
+}
+
+TraceChunk MmapBinarySource::deliver_block(std::uint32_t block, std::size_t k,
+                                           const TraceSummary& header) {
+    const BlockSlot& slot = slots_[k];
+    if (slot.fault != nullptr)
+        throw Error(format("stream trace: block %u: %s", block, slot.fault));
+    const std::uint8_t* payload = window_ + (slot.offset + kBlockHeaderBytes - window_offset_);
+    const std::uint32_t n = slot.count;
+    const bool first = verified_[block] == 0;
 
     // Downstream replay loops (e.g. BlockProfile::from_source) size their
     // buffers from the header summary and then index them by address
@@ -573,31 +631,32 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
     // matches its own seal, so a crafted payload with a resealed checksum
     // must fail here with a block diagnostic, not corrupt memory in a
     // consumer. For an uncompressed block both checks are one pass.
-    RecordScreen screen(summary());
+    RecordScreen screen(header);
     if (first) {
         const std::uint64_t got =
-            compressed_ ? mtsc_block_checksum(view.payload,
-                                              static_cast<std::size_t>(view.payload_bytes))
-                        : scan_raw_block(view.payload, n, screen);
-        if (got != view.checksum) {
-            throw Error(format("stream trace: block %u: checksum mismatch", b));
+            compressed_ ? mtsc_block_checksum(payload,
+                                              static_cast<std::size_t>(slot.payload_bytes))
+                        : scan_raw_block(payload, n, screen);
+        if (got != slot.checksum) {
+            throw Error(format("stream trace: block %u: checksum mismatch", block));
         }
     }
 
-    const std::uint8_t* image = view.payload;
+    const std::uint8_t* image = payload;
     if (compressed_) {
-        const std::size_t raw = std::size_t{n} * kBytesPerAccess;
+        const std::size_t padded = pad8(std::size_t{n} * kBytesPerAccess);
         // uint64_t backing guarantees the 8-byte alignment the column
-        // reinterpret_casts below rely on.
-        decoded_.assign(pad8(raw) / 8, 0);
-        decode_image({view.payload, static_cast<std::size_t>(view.payload_bytes)},
-                     reinterpret_cast<std::uint8_t*>(decoded_.data()), pad8(raw), b);
-        image = reinterpret_cast<const std::uint8_t*>(decoded_.data());
+        // reinterpret_casts below rely on; decode_image writes every byte.
+        std::vector<std::uint64_t>& decoded = decoded_[k];
+        decoded.resize(padded / 8);
+        decode_image({payload, static_cast<std::size_t>(slot.payload_bytes)},
+                     reinterpret_cast<std::uint8_t*>(decoded.data()), padded, block);
+        image = reinterpret_cast<const std::uint8_t*>(decoded.data());
         if (first) screen.image(image, n);
     }
     if (first) {
-        if (!screen.clean()) check_records(image, n, b, summary());
-        verified_[b] = true;
+        if (!screen.clean()) check_records(image, n, block, header);
+        verified_[block] = 1;
     }
 
     const auto* a = reinterpret_cast<const std::uint64_t*>(image);
@@ -605,10 +664,37 @@ bool MmapBinarySource::next(TraceChunk& chunk) {
     const auto* v = reinterpret_cast<const std::uint32_t*>(image + std::size_t{n} * 16);
     const std::uint8_t* sz = image + std::size_t{n} * 20;
     const auto* kd = reinterpret_cast<const AccessKind*>(image + std::size_t{n} * 21);
+    return TraceChunk(std::uint64_t{block} * chunk_accesses_, std::span(a, n), std::span(cy, n),
+                      std::span(v, n), std::span(sz, n), std::span(kd, n));
+}
 
-    chunk = TraceChunk(std::uint64_t{b} * chunk_accesses_, std::span(a, n), std::span(cy, n),
-                       std::span(v, n), std::span(sz, n), std::span(kd, n));
-    ++block_;
+bool MmapBinarySource::next_batch(std::vector<TraceChunk>& batch, std::size_t max_chunks,
+                                  std::size_t jobs) {
+    CancellationToken::global().check();
+    require(max_chunks > 0, "MmapBinarySource::next_batch: max_chunks must be > 0");
+    batch.clear();
+    if (block_ >= block_count_) return false;
+    const std::uint32_t first = block_;
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(max_chunks, block_count_ - first));
+    locate_blocks(first, n);
+    if (compressed_ && decoded_.size() < n) decoded_.resize(n);
+    const TraceSummary& header = summary();
+    batch.resize(n);
+    // parallel_for rethrows the lowest failing block's error: the one a
+    // block-by-block read meets first.
+    parallel_for(
+        n, [&](std::size_t k) { batch[k] = deliver_block(first + k, k, header); }, jobs);
+    block_ = first + n;
+    return true;
+}
+
+bool MmapBinarySource::next(TraceChunk& chunk) {
+    if (!next_batch(single_, 1, 1)) {
+        chunk = TraceChunk{};
+        return false;
+    }
+    chunk = single_.front();
     return true;
 }
 

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 
+#include "support/string_util.hpp"
+
 namespace memopt {
+
+void throw_access_past_top(std::uint64_t addr, unsigned size) {
+    throw Error(format("trace: access at 0x%llx of %u bytes runs past the top of the 64-bit "
+                       "address space",
+                       static_cast<unsigned long long>(addr), size));
+}
 
 void MemTrace::add(const MemAccess& a) {
     MEMOPT_ASSERT_MSG(a.size == 1 || a.size == 2 || a.size == 4 || a.size == 8,
                       "access size must be 1/2/4/8 bytes");
+    if (a.addr + a.size - 1 < a.addr) [[unlikely]]
+        throw_access_past_top(a.addr, a.size);
     if (addrs_.empty()) {
         min_addr_ = a.addr;
         max_addr_ = a.addr + a.size - 1;

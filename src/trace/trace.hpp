@@ -38,6 +38,12 @@ struct MemAccess {
     AccessKind kind = AccessKind::Read;
 };
 
+/// Throws memopt::Error naming an access of `size` bytes at `addr` whose
+/// last byte lies past 2^64 - 1. MemTrace::add and TraceSummary::add call
+/// it for such an access.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_access_past_top(std::uint64_t addr,
+                                                                  unsigned size);
+
 /// An ordered sequence of memory accesses plus cheap summary statistics,
 /// stored column-wise (see file comment).
 ///
@@ -47,7 +53,8 @@ class MemTrace {
 public:
     MemTrace() = default;
 
-    /// Append one access. O(1).
+    /// Append one access. O(1). Throws memopt::Error (through
+    /// throw_access_past_top) when its last byte lies past 2^64 - 1.
     void add(const MemAccess& a);
 
     /// Append a read/write of `size` bytes at `addr` (convenience).

@@ -552,7 +552,8 @@ TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
 }
 
 /// A stable source over an in-memory trace whose next() never polls the
-/// token, so only stream_accumulate's tasks can notice a trip.
+/// token. Its batches come from the base class's next_batch(), which only
+/// calls next(), so only stream_accumulate's tasks can notice a trip.
 class NonPollingSource final : public TraceSource {
 public:
     explicit NonPollingSource(const MemTrace& trace) : trace_(trace) {
@@ -582,8 +583,8 @@ private:
 };
 
 TEST_F(DurableTest, StreamReplayTasksPollTheToken) {
-    // A stable source hands out its whole batch before the tasks map it;
-    // the tasks' own per-chunk check is what stops the replay.
+    // The source hands out each batch without a poll before the tasks map
+    // it; the tasks' own per-chunk check is what stops the replay.
     const MemTrace trace = materialize_synthetic(cancel_spec());
     NonPollingSource source(trace);
     const BlockProfile profile = BlockProfile::from_source(source, 256);

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "compress/bdi_codec.hpp"
 #include "compress/dictionary_codec.hpp"
@@ -301,9 +302,52 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FrontEndFuzz, ::testing::Range<std::uint64_t>(1,
 /// attempts an unbounded allocation.
 class TraceIoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// What one drain of a (possibly corrupt) container yields: the accesses
+/// it delivered and, when it failed, the error's message (else "").
+struct DrainOutcome {
+    std::vector<std::uint64_t> addrs;
+    std::vector<std::uint64_t> cycles;
+    std::vector<std::uint32_t> values;
+    std::vector<std::uint8_t> sizes;
+    std::vector<AccessKind> kinds;
+    std::string error;
+
+    void add(const TraceChunk& c) {
+        addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
+        cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
+        values.insert(values.end(), c.values.begin(), c.values.end());
+        sizes.insert(sizes.end(), c.sizes.begin(), c.sizes.end());
+        kinds.insert(kinds.end(), c.kinds.begin(), c.kinds.end());
+    }
+    bool operator==(const DrainOutcome&) const = default;
+};
+
+/// Drain `path` through next(), or through next_batch() in batches of
+/// `max_chunks` at `jobs` when `max_chunks` > 0.
+DrainOutcome drain_container(const std::string& path, std::size_t max_chunks, std::size_t jobs) {
+    DrainOutcome out;
+    try {
+        MmapBinarySource reader(path);
+        if (max_chunks == 0) {
+            TraceChunk chunk;
+            while (reader.next(chunk)) out.add(chunk);
+        } else {
+            std::vector<TraceChunk> batch;
+            while (reader.next_batch(batch, max_chunks, jobs))
+                for (const TraceChunk& chunk : batch) out.add(chunk);
+        }
+    } catch (const Error& e) {
+        out.error = e.what();
+    }
+    return out;
+}
+
 // The binary reader is the mmap ".mtsc" container reader: header, offset
 // table, block headers and payloads all take random hits, on plain and
-// compressed containers alike.
+// compressed containers alike. Each mutant is drained twice, block by
+// block through next() and in batches of three verified on four threads;
+// the batch drain must deliver the same accesses, or fail with the same
+// message.
 TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
     Rng rng(GetParam() * 52711 + 11);
     SyntheticParams sp;
@@ -334,13 +378,14 @@ TEST_P(TraceIoFuzz, BinaryReaderSurvivesCorruption) {
         if (rng.next_below(4) == 0) bytes.resize(rng.next_below(bytes.size() + 1));
         std::ofstream(path, std::ios::binary | std::ios::trunc)
             .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        try {
-            MmapBinarySource reader(path);
-            TraceChunk chunk;
-            while (reader.next(chunk)) {
-            }
-        } catch (const Error&) {
-            // rejected cleanly: fine
+        // Either outcome is fine for one drain (rejected cleanly, or
+        // accepted); the two drains must agree. A failed batch delivers
+        // none of its chunks, so only complete drains compare accesses.
+        const DrainOutcome serial = drain_container(path, 0, 1);
+        const DrainOutcome batched = drain_container(path, 3, 4);
+        EXPECT_EQ(batched.error, serial.error) << "trial " << trial;
+        if (serial.error.empty()) {
+            EXPECT_TRUE(batched == serial) << "trial " << trial;
         }
     }
     std::remove(path.c_str());

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "core/flow.hpp"
 #include "core/workload.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "trace/affinity.hpp"
 #include "trace/io.hpp"
 #include "trace/profile.hpp"
@@ -433,7 +436,8 @@ TEST_F(StreamFileTest, RoundTripUncompressed) {
 
     MmapBinarySource source(file);
     EXPECT_FALSE(source.compressed());
-    EXPECT_TRUE(source.stable_chunks());
+    // Chunks point into a window that a later call may unmap.
+    EXPECT_FALSE(source.stable_chunks());
     EXPECT_EQ(source.chunk_accesses(), 1024u);
     EXPECT_EQ(source.size(), trace.size());
     // The summary comes straight from the header — no replay needed.
@@ -505,6 +509,186 @@ TEST_F(StreamFileTest, InvalidWriteOptionsThrow) {
     EXPECT_THROW(write_trace_stream(path("bad0.mtsc"), input, opts), Error);
     opts.chunk_accesses = kMaxStreamChunkAccesses + 1;
     EXPECT_THROW(write_trace_stream(path("bad1.mtsc"), input, opts), Error);
+}
+
+/// Drain `source` through next_batch(): every batch holds at most
+/// `max_chunks` chunks continuing the previous one, and its spans are read
+/// only after the call returns, so every chunk of a batch must stay
+/// readable until the next call.
+MemTrace drain_batches(TraceSource& source, std::size_t max_chunks, std::size_t jobs) {
+    source.reset();
+    MemTrace out;
+    std::vector<TraceChunk> batch;
+    std::uint64_t expected_first = 0;
+    while (source.next_batch(batch, max_chunks, jobs)) {
+        EXPECT_LE(batch.size(), max_chunks);
+        for (const TraceChunk& chunk : batch) {
+            EXPECT_EQ(chunk.first_index, expected_first);
+            EXPECT_FALSE(chunk.empty());
+            expected_first += chunk.size();
+        }
+        for (const TraceChunk& chunk : batch)
+            for (std::size_t i = 0; i < chunk.size(); ++i)
+                out.add(MemAccess{chunk.addrs[i], chunk.cycles[i], chunk.values[i],
+                                  chunk.sizes[i], chunk.kinds[i]});
+    }
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(expected_first, source.size());
+    return out;
+}
+
+/// Forwards next() and stable_chunks() only, like a counting wrapper
+/// around a library source: next_batch() is the base class's.
+class ForwardingSource final : public TraceSource {
+public:
+    explicit ForwardingSource(TraceSource& inner) : inner_(inner) {}
+    std::uint64_t size() const override { return inner_.size(); }
+    bool stable_chunks() const override { return inner_.stable_chunks(); }
+    bool next(TraceChunk& chunk) override { return inner_.next(chunk); }
+    void reset() override { inner_.reset(); }
+
+private:
+    TraceSource& inner_;
+};
+
+TEST_F(StreamFileTest, NextBatchDeliversTheSequenceOfNext) {
+    // 10007 accesses: neither 333 nor 1000 divides it.
+    const MemTrace trace = mixed_trace(10007);
+    const SyntheticSpec spec =
+        parse_synthetic_spec("hotspot,span=16384,n=10007,seed=11,write=0.4,hotspots=3,"
+                             "hotspot-bytes=512,hot-frac=0.85");
+    const std::string plain = path("batch_plain.mtsc"), packed = path("batch_packed.mtsc");
+    {
+        MaterializedSource input(trace, 333);
+        StreamWriteOptions opts;
+        opts.chunk_accesses = 1000;
+        write_trace_stream(plain, input, opts);
+        opts.compress = true;
+        write_trace_stream(packed, input, opts);
+    }
+    MaterializedSource materialized(trace, 333);
+    SyntheticSource synthetic(spec, 333);
+    MmapBinarySource mapped(plain);
+    MmapBinarySource compressed(packed);
+    MmapBinarySource wrapped_file(plain);
+    ForwardingSource forward_stable(materialized);
+    ForwardingSource forward_file(wrapped_file);
+    const std::pair<const char*, TraceSource*> sources[] = {
+        {"materialized", &materialized},     {"synthetic", &synthetic},
+        {"plain .mtsc", &mapped},            {"compressed .mtsc", &compressed},
+        {"forwarding, stable", &forward_stable}, {"forwarding, .mtsc", &forward_file}};
+    for (const auto& [name, source] : sources) {
+        const MemTrace serial = drain(*source);
+        expect_traces_equal(serial, trace);
+        for (const std::size_t max_chunks : {1, 2, 5}) {
+            for (const std::size_t jobs : {1, 4}) {
+                SCOPED_TRACE(std::string(name) + ", max_chunks " + std::to_string(max_chunks) +
+                             ", jobs " + std::to_string(jobs));
+                expect_traces_equal(drain_batches(*source, max_chunks, jobs), serial);
+            }
+        }
+    }
+}
+
+TEST_F(StreamFileTest, BatchesCrossWindowBoundaries) {
+    // 200003 accesses make a 4.4 MB plain container, more than one 4 MiB
+    // window: blocks of 1000 accesses pack many to a window and one
+    // straddles its end; blocks of 65536 accesses (1.44 MB) fit two and a
+    // part. Every read must map past the first window and stay in bounds.
+    const MemTrace trace = mixed_trace(200003);
+    for (const std::size_t chunk : {std::size_t{1000}, kDefaultTraceChunk}) {
+        const std::string file = path("windows_" + std::to_string(chunk) + ".mtsc");
+        MaterializedSource input(trace);
+        StreamWriteOptions opts;
+        opts.chunk_accesses = chunk;
+        write_trace_stream(file, input, opts);
+        MmapBinarySource source(file);
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        expect_traces_equal(drain(source), trace);
+        expect_traces_equal(drain_batches(source, 3, 4), trace);
+    }
+}
+
+TEST_F(StreamFileTest, CompressedWriteIsJobsInvariant) {
+    // Source chunks of 333 accesses into 1000-access blocks, the last one
+    // 7 accesses short of full: every byte must match at any job count.
+    const MemTrace trace = mixed_trace(9993);
+    const std::string one = path("jobs1.mtsc"), four = path("jobs4.mtsc");
+    StreamWriteOptions opts;
+    opts.chunk_accesses = 1000;
+    opts.compress = true;
+    for (const auto& [jobs, file] : {std::pair{std::size_t{1}, one}, std::pair{std::size_t{4}, four}}) {
+        set_default_jobs(jobs);
+        MaterializedSource input(trace, 333);
+        write_trace_stream(file, input, opts);
+    }
+    set_default_jobs(0);
+    std::ifstream a(one, std::ios::binary), b(four, std::ios::binary);
+    const std::string bytes_one((std::istreambuf_iterator<char>(a)), std::istreambuf_iterator<char>());
+    const std::string bytes_four((std::istreambuf_iterator<char>(b)), std::istreambuf_iterator<char>());
+    EXPECT_FALSE(bytes_one.empty());
+    EXPECT_EQ(bytes_one, bytes_four);
+    MmapBinarySource reader(four);
+    EXPECT_EQ(reader.block_count(), 10u);
+    expect_traces_equal(drain(reader), trace);
+}
+
+/// Delivers two raw accesses in one chunk without a seeded summary: one at
+/// 0x100 and one 4-byte access at `top`.
+class TopAccessSource final : public TraceSource {
+public:
+    explicit TopAccessSource(std::uint64_t top) : addrs_{0x100, top} {}
+    std::uint64_t size() const override { return 2; }
+    void reset() override { done_ = false; }
+    bool next(TraceChunk& chunk) override {
+        if (done_) {
+            chunk = TraceChunk{};
+            return false;
+        }
+        done_ = true;
+        chunk = TraceChunk(0, addrs_, cycles_, values_, sizes_, kinds_);
+        return true;
+    }
+
+private:
+    std::vector<std::uint64_t> addrs_;
+    std::vector<std::uint64_t> cycles_ = {0, 1};
+    std::vector<std::uint32_t> values_ = {0, 0};
+    std::vector<std::uint8_t> sizes_ = {4, 4};
+    std::vector<AccessKind> kinds_ = {AccessKind::Read, AccessKind::Write};
+    bool done_ = false;
+};
+
+TEST_F(StreamFileTest, AccessPastTopOfAddressSpaceThrows) {
+    const auto expect_message = [](const auto& call, const std::string& what) {
+        try {
+            call();
+            ADD_FAILURE() << "accepted; expected: " << what;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+        }
+    };
+    const std::string past = "access at 0xfffffffffffffffe of 4 bytes runs past";
+    {
+        TopAccessSource source(0xFFFFFFFFFFFFFFFEull);
+        expect_message([&] { source.summary(); }, past);
+    }
+    {
+        TopAccessSource source(0xFFFFFFFFFFFFFFFEull);
+        expect_message([&] { BlockProfile::from_source(source, 256); }, past);
+    }
+    {
+        TopAccessSource source(0xFFFFFFFFFFFFFFFEull);
+        const std::string file = path("past_top.mtsc");
+        expect_message([&] { write_trace_stream(file, source); }, past);
+        EXPECT_FALSE(std::ifstream(file).good());
+        EXPECT_FALSE(std::ifstream(file + ".tmp").good());
+    }
+    // An access that ends exactly at 2^64 - 1 is valid; the profile then
+    // meets its own geometry limit.
+    TopAccessSource source(0xFFFFFFFFFFFFFFFCull);
+    EXPECT_EQ(source.summary().max_addr, std::numeric_limits<std::uint64_t>::max());
+    expect_message([&] { BlockProfile::from_source(source, 256); }, "profile: highest address");
 }
 
 // ------------------------------------------------- corruption handling ----
@@ -696,6 +880,50 @@ TEST_F(StreamFuzzTest, FlippedPayloadByteFailsChecksum) {
     auto bytes = valid_container("flip.mtsc");
     bytes[bytes.size() - 3] ^= 0x40;  // inside the last block's payload
     expect_rejected_with(bytes, "block 2: checksum mismatch");
+}
+
+/// The message of the first error a drain through next_batch() meets, or
+/// "" when it meets none.
+std::string batch_drain_error(const std::string& file, std::size_t max_chunks, std::size_t jobs) {
+    try {
+        MmapBinarySource source(file);
+        std::vector<TraceChunk> batch;
+        while (source.next_batch(batch, max_chunks, jobs)) {
+        }
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(StreamFuzzTest, BatchReportsItsLowestFaultyBlock) {
+    // Eight blocks; the second batch of four holds two faults. Whichever
+    // fault comes first in block order is the one reported, at any job
+    // count, as a block-by-block read reports it: a later block's bad
+    // offset must not pre-empt an earlier block's checksum, nor the
+    // reverse.
+    const auto pristine = valid_container("order.mtsc", 800, 100);
+    const auto table_entry = [](std::uint32_t block) { return 64 + 8 * std::size_t{block}; };
+    const auto flip_payload = [&](std::vector<std::uint8_t>& bytes, std::uint32_t block) {
+        bytes[load_le64(pristine, table_entry(block)) + 24 + 10] ^= 0x40;
+    };
+    auto checksum_then_offset = pristine;
+    flip_payload(checksum_then_offset, 5);
+    store_le64(checksum_then_offset, table_entry(6), 3);
+    auto offset_then_checksum = pristine;
+    store_le64(offset_then_checksum, table_entry(5), 3);
+    flip_payload(offset_then_checksum, 6);
+    const std::pair<std::vector<std::uint8_t>, std::string> cases[] = {
+        {checksum_then_offset, "stream trace: block 5: checksum mismatch"},
+        {offset_then_checksum, "stream trace: block 5: bad offset"}};
+    for (const auto& [bytes, want] : cases) {
+        spit(file_, bytes);
+        expect_rejected_with(bytes, want);  // serial next()
+        for (const std::size_t jobs : {1, 4}) {
+            SCOPED_TRACE(want + ", jobs " + std::to_string(jobs));
+            EXPECT_EQ(batch_drain_error(file_, 4, jobs), want);
+        }
+    }
 }
 
 TEST_F(StreamFuzzTest, EverySingleBitFlipFailsChecksum) {

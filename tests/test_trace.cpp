@@ -133,6 +133,26 @@ TEST(BlockProfile, TopOfRangeAccessThrows) {
     }
 }
 
+TEST(MemTrace, AccessPastTopOfAddressSpaceThrows) {
+    // The last byte of a 4-byte access at 0xFFFFFFFFFFFFFFFE would be
+    // 2^64 + 1: it must not wrap into a small max_addr.
+    MemTrace t;
+    t.add_read(0x100);
+    try {
+        t.add_write(0xFFFFFFFFFFFFFFFEull, 4);
+        ADD_FAILURE() << "access past 2^64 - 1 accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("access at 0xfffffffffffffffe of 4 bytes"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.max_addr(), 0x103u);
+    // An access that ends exactly at 2^64 - 1 is valid.
+    t.add_write(0xFFFFFFFFFFFFFFF8ull, 8);
+    EXPECT_EQ(t.max_addr(), std::numeric_limits<std::uint64_t>::max());
+}
+
 TEST(BlockProfile, HotFraction) {
     BlockProfile p(256, 4);
     p.add_counts(0, 90, 0);
