@@ -65,7 +65,7 @@ void BM_PartitionDp(benchmark::State& state) {
         benchmark::DoNotOptimize(sol.energy.total());
     }
 }
-BENCHMARK(BM_PartitionDp)->Arg(128)->Arg(512)->Arg(1024);
+BENCHMARK(BM_PartitionDp)->Arg(128)->Arg(512)->Arg(1024)->Arg(4096);
 
 void BM_PartitionGreedy(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "support/string_util.hpp"
 #include "trace/source.hpp"
 
@@ -21,8 +22,7 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
             "replay_bank_activity: block size mismatch");
 }
 
-// Kept out of line so the replay loop's passing path stays a compare and a
-// branch.
+// Cold and out of line: only a faulty trace reaches it.
 [[noreturn, gnu::cold, gnu::noinline]] void throw_backward_cycle(std::uint64_t index,
                                                                  std::uint64_t cycle,
                                                                  std::uint64_t previous) {
@@ -31,6 +31,72 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
                        static_cast<unsigned long long>(index),
                        static_cast<unsigned long long>(cycle),
                        static_cast<unsigned long long>(previous)));
+}
+
+/// True when a bank last accessed at `from` went dark before `to`: it was
+/// idle for more than `idle` cycles (0 = banks never gate).
+bool dark_between(std::uint64_t idle, std::uint64_t from, std::uint64_t to) {
+    return idle != 0 && to > from + idle;
+}
+
+/// One bank's accesses within one chunk, folded: enough to join the chunk
+/// to the bank's timeline before it. `wakeups` and `gated_cycles` count the
+/// gaps between the bank's accesses inside the chunk only; the gap before
+/// `first` belongs to the join.
+struct BankSegment {
+    bool touched = false;     ///< the chunk accesses the bank
+    std::uint64_t first = 0;  ///< cycle of the bank's first access in the chunk
+    std::uint64_t last = 0;   ///< cycle of its last access in the chunk
+    std::uint64_t accesses[2] = {};  ///< reads, writes (indexed: no branch to mispredict)
+    std::uint64_t wakeups = 0;
+    std::uint64_t gated_cycles = 0;
+};
+
+/// A chunk folded into per-bank segments, with the chunk's first fault.
+struct ChunkFold {
+    std::vector<BankSegment> banks;
+    std::size_t fault_at = 0;    ///< position in the chunk; == chunk size when clean
+    bool fault_in_span = false;  ///< false: a backward cycle at fault_at
+};
+
+/// Fold `chunk` into one segment per bank, stopping at its first fault: a
+/// cycle below the previous access's in the chunk, or a block at or past
+/// `num_blocks`. `bank_of` maps logical blocks to banks.
+void fold_chunk(const TraceChunk& chunk, const std::uint32_t* bank_of, std::size_t num_blocks,
+                int block_shift, std::size_t num_banks, std::uint64_t idle, ChunkFold& fold) {
+    fold.banks.assign(num_banks, BankSegment{});
+    fold.fault_at = chunk.size();
+    BankSegment* const banks = fold.banks.data();
+    const std::uint64_t* const cycles = chunk.cycles.data();
+    const std::uint64_t* const addrs = chunk.addrs.data();
+    const AccessKind* const kinds = chunk.kinds.data();
+    const std::size_t n = chunk.size();
+    std::uint64_t previous = cycles[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t t = cycles[i];
+        if (t < previous) {
+            fold.fault_at = i;
+            fold.fault_in_span = false;
+            return;
+        }
+        previous = t;
+        const std::uint64_t block = addrs[i] >> block_shift;
+        if (block >= num_blocks) {
+            fold.fault_at = i;
+            fold.fault_in_span = true;
+            return;
+        }
+        BankSegment& g = banks[bank_of[block]];
+        if (!g.touched) {
+            g.touched = true;
+            g.first = t;
+        } else if (dark_between(idle, g.last, t)) {
+            ++g.wakeups;
+            g.gated_cycles += t - (g.last + idle);
+        }
+        g.last = t;
+        ++g.accesses[kinds[i] != AccessKind::Read];
+    }
 }
 
 }  // namespace
@@ -45,7 +111,6 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
             "HybridGatingParams: gate_leak_scale must be >= 0");
 
     const std::size_t num_banks = arch.num_banks();
-    std::vector<BankActivity> activity(num_banks);
 
     // Logical block -> bank, resolved once, so an access costs a shift and
     // a load.
@@ -57,62 +122,71 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     // The idle-threshold gate, recorded as cycles, not energy: the gate
     // state machine depends only on access times, so one pass serves every
     // candidate technology. Each bank's timeline depends only on its own
-    // access times, so a bank's gate transition is settled lazily, at its
-    // next access or at close-out: a bank idle past the threshold went dark
-    // idle_cycles after its last access, wherever in between the transition
-    // is noticed.
-    struct BankState {
-        std::uint64_t last_access = 0;
-        std::uint64_t powered_since = 0;  // start of the current powered stretch
-        std::uint64_t accesses[2] = {};   // reads, writes (indexed: no branch to mispredict)
-    };
-    std::vector<BankState> states(num_banks);
-    // Charges a bank found dark at cycle `t`: powered up to its gate point,
-    // dark from there to `t`. Returns false when the bank is still powered.
-    const auto settle = [&](BankState& s, BankActivity& a, std::uint64_t t) {
-        if (gating.idle_cycles == 0 || t <= s.last_access + gating.idle_cycles) return false;
-        const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
-        a.active_cycles += gate_start - s.powered_since;
-        a.gated_cycles += t - gate_start;
-        s.powered_since = t;
-        return true;
-    };
-
-    // The replay itself is serial; batches of one chunk per task let the
-    // source produce (an .mtsc reader: map and verify) them in parallel.
-    std::uint64_t now = 0;
+    // access times: a bank idle past the threshold between two accesses at
+    // `from` and `to` went dark idle_cycles after `from` and woke at `to`.
+    // The replay starts with every bank powered and last touched at cycle 0.
+    //
+    // Each chunk of a batch folds on its own task into per-bank segments
+    // (and finds its first fault); the segments then join in trace order.
+    // Every quantity is an integer, so the fold gives exactly the counts of
+    // an access-by-access replay, and each task reads (faults in) its own
+    // chunk.
+    const std::uint64_t idle = gating.idle_cycles;
+    std::vector<BankActivity> activity(num_banks);
+    std::vector<std::uint64_t> last_access(num_banks, 0);
+    std::uint64_t now = 0;  // the previous access's cycle
     source.reset();
     std::vector<TraceChunk> batch;
+    std::vector<ChunkFold> folds;
     const std::size_t batch_chunks = stream_detail::stream_task_count(source.size(), 0);
     while (source.next_batch(batch, batch_chunks)) {
-        for (const TraceChunk& chunk : batch) {
-            for (std::size_t i = 0; i < chunk.size(); ++i) {
-                if (chunk.cycles[i] < now)
-                    throw_backward_cycle(chunk.first_index + i, chunk.cycles[i], now);
-                now = chunk.cycles[i];
-                const std::uint64_t block = chunk.addrs[i] >> block_shift;
-                if (block >= bank_of.size())
-                    throw Error("map_addr: address outside mapped span");
-                const std::size_t bank = bank_of[block];
-                BankState& s = states[bank];
-                BankActivity& a = activity[bank];
-                if (settle(s, a, now)) ++a.wakeups;
-                s.last_access = now;
-                ++s.accesses[chunk.kinds[i] != AccessKind::Read];
+        if (folds.size() < batch.size()) folds.resize(batch.size());
+        parallel_for(batch.size(), [&](std::size_t c) {
+            fold_chunk(batch[c], bank_of.data(), bank_of.size(), block_shift, num_banks, idle,
+                       folds[c]);
+        });
+        for (std::size_t c = 0; c < batch.size(); ++c) {
+            const TraceChunk& chunk = batch[c];
+            const ChunkFold& fold = folds[c];
+            // An access-by-access replay's checks, in its order: the
+            // chunk's first access against the previous chunk's last, then
+            // the chunk's own first fault.
+            if (chunk.cycles[0] < now)
+                throw_backward_cycle(chunk.first_index, chunk.cycles[0], now);
+            if (fold.fault_at < chunk.size()) {
+                const std::size_t i = fold.fault_at;
+                if (fold.fault_in_span) throw Error("map_addr: address outside mapped span");
+                throw_backward_cycle(chunk.first_index + i, chunk.cycles[i],
+                                     chunk.cycles[i - 1]);
             }
+            for (std::size_t b = 0; b < num_banks; ++b) {
+                const BankSegment& g = fold.banks[b];
+                if (!g.touched) continue;
+                BankActivity& a = activity[b];
+                if (dark_between(idle, last_access[b], g.first)) {
+                    ++a.wakeups;
+                    a.gated_cycles += g.first - (last_access[b] + idle);
+                }
+                a.wakeups += g.wakeups;
+                a.gated_cycles += g.gated_cycles;
+                a.reads += g.accesses[0];
+                a.writes += g.accesses[1];
+                last_access[b] = g.last;
+            }
+            now = chunk.cycles.back();
         }
     }
 
     // Close out every bank at the end of the observation window. The tail
     // beyond the last access is idle time like any other: banks whose
-    // threshold passes inside it gate for the remainder.
+    // threshold passes inside it gate for the remainder. Powered and gated
+    // stretches tile [0, end), so the powered cycles are the rest.
     const std::uint64_t end = std::max(now + 1, min_total_cycles);
     for (std::size_t b = 0; b < num_banks; ++b) {
-        BankState& s = states[b];
-        settle(s, activity[b], end);
-        activity[b].active_cycles += end - s.powered_since;
-        activity[b].reads = s.accesses[0];
-        activity[b].writes = s.accesses[1];
+        BankActivity& a = activity[b];
+        if (dark_between(idle, last_access[b], end))
+            a.gated_cycles += end - (last_access[b] + idle);
+        a.active_cycles = end - a.gated_cycles;
     }
     return activity;
 }

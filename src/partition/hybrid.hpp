@@ -13,14 +13,15 @@
 //
 // The split matters: the gating state machine only looks at access *times*,
 // which are fixed by the architecture and the address map, never by what the
-// bank is built in. One sequential replay therefore serves every candidate
+// bank is built in. One replay therefore serves every candidate
 // technology, and the per-bank cost of a technology is closed-form in the
 // BankActivity — the assignment search costs microseconds, not replays.
 //
-// Determinism contract: the replay is sequential (state machine over cycle
-// time), the DP iterates banks/states/slots in fixed order with strict-<
-// improvement (first slot wins ties), and nothing here touches the parallel
-// runtime — results are bit-identical at any --jobs.
+// Determinism contract: the replay folds each chunk of a batch on its own
+// task into per-bank integer segments and joins them in trace order, so its
+// counts equal an access-by-access replay's; the DP iterates
+// banks/states/slots in fixed order with strict-< improvement (first slot
+// wins ties) — results are bit-identical at any --jobs.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +70,8 @@ struct BankActivity {
 /// one source are independent. Throws memopt::Error on an empty trace, a
 /// map that does not match `arch`, a negative gate_leak_scale, an address
 /// outside the mapped span, or an access whose cycle precedes the previous
-/// access's (the message names the access index and both cycles).
+/// access's (the message names the access index and both cycles); of
+/// several faulty accesses, the first in trace order is reported.
 std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const AddressMap& map, TraceSource& source,
                                                const HybridGatingParams& gating,

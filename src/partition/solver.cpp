@@ -1,11 +1,15 @@
 #include "partition/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 
 namespace memopt {
 
@@ -16,81 +20,215 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Precomputed per-range bank cost oracle: prefix access sums plus a
 /// per-bank-length energy table make cost(i, j) a handful of loads and
 /// three multiply-adds — it sits in the innermost O(k n^2) DP loop.
+///
+/// The prefix sums are doubles, so the DP's scan converts no integers. They
+/// are exact: the constructor requires the profile to hold fewer than 2^53
+/// accesses, and every difference of two such sums is exact too, so each
+/// cost is the one an integer prefix sum would give. The per-length
+/// energies are three columns reversed by length (entry n - L for a bank of
+/// L blocks), so a scan over ascending start blocks i of banks ending at j
+/// reads every column in ascending order.
 class BankCostOracle {
 public:
-    /// Per-capacity SRAM energies, indexed by bank length (block count).
-    struct Entry {
-        double read_pj;
-        double write_pj;
-        double leak_pj;
-    };
-
     BankCostOracle(const BlockProfile& profile, const PartitionEnergyParams& params)
-        : block_size_(profile.block_size()), params_(params) {
-        const std::size_t n = profile.num_blocks();
-        prefix_reads_.assign(n + 1, 0);
-        prefix_writes_.assign(n + 1, 0);
-        for (std::size_t b = 0; b < n; ++b) {
-            prefix_reads_[b + 1] = prefix_reads_[b] + profile.counts(b).reads;
-            prefix_writes_[b + 1] = prefix_writes_[b] + profile.counts(b).writes;
+        : n_(profile.num_blocks()) {
+        prefix_reads_.assign(n_ + 1, 0.0);
+        prefix_writes_.assign(n_ + 1, 0.0);
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        for (std::size_t b = 0; b < n_; ++b) {
+            const BlockCounts& c = profile.counts(b);
+            // reads + writes < 2^53 after every step, without overflow.
+            if (c.reads >= kExactAccessLimit - reads - writes) throw_not_exact();
+            reads += c.reads;
+            if (c.writes >= kExactAccessLimit - reads - writes) throw_not_exact();
+            writes += c.writes;
+            prefix_reads_[b + 1] = static_cast<double>(reads);
+            prefix_writes_[b + 1] = static_cast<double>(writes);
         }
+        total_accesses_ = reads + writes;
+
         // Cache energies for every capacity that can occur: powers of two
         // from min_bank_bytes up to the full span...
         struct CapEntry {
             std::uint64_t capacity;
-            Entry e;
+            double read_pj;
+            double write_pj;
+            double leak_pj;
         };
         std::vector<CapEntry> by_capacity;
+        const std::uint64_t block_size = profile.block_size();
         const std::uint64_t max_cap =
-            MemoryArchitecture::capacity_for(block_size_, n, params.min_bank_bytes);
+            MemoryArchitecture::capacity_for(block_size, n_, params.min_bank_bytes);
         for (std::uint64_t cap = params.min_bank_bytes; cap <= max_cap; cap *= 2) {
             const SramEnergyModel model(cap, 32, params.sram);
             const double leak = params.runtime_cycles > 0
                                     ? model.leakage_energy(params.runtime_cycles, params.cycle_ns)
                                     : 0.0;
             by_capacity.push_back(
-                CapEntry{cap, Entry{model.read_energy(), model.write_energy(), leak}});
+                CapEntry{cap, model.read_energy(), model.write_energy(), leak});
         }
-        // ...then flatten to a by-length table so cost() needs no capacity
-        // arithmetic or search at all: len_entries_[L] is the energy entry
-        // of a bank spanning L blocks.
-        len_entries_.resize(n + 1);
-        for (std::size_t len = 1; len <= n; ++len) {
+        // ...then flatten to the reversed by-length columns, so cost() needs
+        // no capacity arithmetic or search at all.
+        read_pj_.resize(n_);
+        write_pj_.resize(n_);
+        leak_pj_.resize(n_);
+        for (std::size_t len = 1; len <= n_; ++len) {
             const std::uint64_t cap =
-                MemoryArchitecture::capacity_for(block_size_, len, params.min_bank_bytes);
+                MemoryArchitecture::capacity_for(block_size, len, params.min_bank_bytes);
             const CapEntry* found = nullptr;
             for (const CapEntry& c : by_capacity) {
                 if (c.capacity == cap) found = &c;
             }
             MEMOPT_ASSERT_MSG(found != nullptr, "BankCostOracle: uncached capacity");
-            len_entries_[len] = found->e;
+            read_pj_[n_ - len] = found->read_pj;
+            write_pj_[n_ - len] = found->write_pj;
+            leak_pj_[n_ - len] = found->leak_pj;
         }
     }
 
     /// Energy of one bank covering blocks [i, j), excluding bank-select.
     /// Bounds are the caller's responsibility (0 <= i < j <= num_blocks).
     double cost(std::size_t i, std::size_t j) const {
-        const Entry& e = len_entries_[j - i];
-        const auto reads = static_cast<double>(prefix_reads_[j] - prefix_reads_[i]);
-        const auto writes = static_cast<double>(prefix_writes_[j] - prefix_writes_[i]);
-        return reads * e.read_pj + writes * e.write_pj + e.leak_pj;
+        const std::size_t r = n_ - (j - i);
+        const double reads = prefix_reads_[j] - prefix_reads_[i];
+        const double writes = prefix_writes_[j] - prefix_writes_[i];
+        return reads * read_pj_[r] + writes * write_pj_[r] + leak_pj_[r];
     }
 
-    std::uint64_t total_accesses() const {
-        return prefix_reads_.back() + prefix_writes_.back();
-    }
+    std::uint64_t total_accesses() const { return total_accesses_; }
 
-    const std::vector<std::uint64_t>& prefix_reads() const { return prefix_reads_; }
-    const std::vector<std::uint64_t>& prefix_writes() const { return prefix_writes_; }
-    const std::vector<Entry>& len_entries() const { return len_entries_; }
+    /// The columns the DP's scan reads directly.
+    struct Columns {
+        const double* prefix_reads;
+        const double* prefix_writes;
+        const double* read_pj;   ///< reversed by length
+        const double* write_pj;  ///< reversed by length
+        const double* leak_pj;   ///< reversed by length
+        std::size_t n;
+    };
+    Columns columns() const {
+        return Columns{prefix_reads_.data(), prefix_writes_.data(), read_pj_.data(),
+                       write_pj_.data(),     leak_pj_.data(),       n_};
+    }
 
 private:
-    std::uint64_t block_size_;
-    PartitionEnergyParams params_;
-    std::vector<std::uint64_t> prefix_reads_;
-    std::vector<std::uint64_t> prefix_writes_;
-    std::vector<Entry> len_entries_;
+    static constexpr std::uint64_t kExactAccessLimit = std::uint64_t{1} << 53;
+
+    [[noreturn]] static void throw_not_exact() {
+        throw Error(
+            "partition: the profile holds 2^53 or more accesses; the solvers' access sums "
+            "are exact only below 2^53");
+    }
+
+    std::size_t n_;
+    std::uint64_t total_accesses_ = 0;
+    std::vector<double> prefix_reads_;
+    std::vector<double> prefix_writes_;
+    std::vector<double> read_pj_;
+    std::vector<double> write_pj_;
+    std::vector<double> leak_pj_;
 };
+
+/// The DP's best predecessor of one cell: the lowest start block i whose
+/// candidate is the smallest.
+struct CellBest {
+    double value;
+    std::size_t index;
+};
+
+// The cell scan's lanes: kScanVectors independent vectors of two doubles
+// (GNU vector extensions; SSE2 registers on baseline x86-64). Candidate i
+// of a scan from `lo` goes to lane (i - lo) % kScanLanes.
+using LaneValues = double __attribute__((vector_size(16)));
+using LaneIndices = std::int64_t __attribute__((vector_size(16)));
+constexpr std::size_t kLaneWidth = sizeof(LaneValues) / sizeof(double);
+static_assert(kLaneWidth == 2 && sizeof(LaneIndices) == sizeof(LaneValues));
+constexpr std::size_t kScanVectors = 2;
+constexpr std::size_t kScanLanes = kLaneWidth * kScanVectors;
+
+LaneValues load_lanes(const double* p) {
+    LaneValues v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/// Scan the predecessors i in [lo, j) of cell j: the candidate of i is
+/// prev[i] + cost(i, j), computed by the oracle's expression in every lane.
+/// Each lane keeps its own minimum and the first index that reached it
+/// (strict <), and the lanes reduce by (value, lowest index), so the result
+/// is the serial scan's first minimum, bit for bit. A scan that finds no
+/// candidate below infinity returns {infinity, 0}, as the serial scan does.
+CellBest scan_cell(const BankCostOracle::Columns& c, const double* prev, std::size_t lo,
+                   std::size_t j) {
+    const double reads_j = c.prefix_reads[j];
+    const double writes_j = c.prefix_writes[j];
+    // Rebased so that index i reads the entry of a bank [i, j).
+    const double* const read_pj = c.read_pj + (c.n - j);
+    const double* const write_pj = c.write_pj + (c.n - j);
+    const double* const leak_pj = c.leak_pj + (c.n - j);
+
+    LaneValues best[kScanVectors];
+    LaneIndices first[kScanVectors];
+    LaneIndices next[kScanVectors];
+    for (std::size_t v = 0; v < kScanVectors; ++v) {
+        const auto at = static_cast<std::int64_t>(lo + v * kLaneWidth);
+        best[v] = LaneValues{kInf, kInf};
+        first[v] = LaneIndices{0, 0};
+        next[v] = LaneIndices{at, at + 1};
+    }
+    const LaneValues reads_jv = {reads_j, reads_j};
+    const LaneValues writes_jv = {writes_j, writes_j};
+    const auto step = static_cast<std::int64_t>(kScanLanes);
+    const LaneIndices next_step = {step, step};
+    std::size_t i = lo;
+    for (; j - i >= kScanLanes; i += kScanLanes) {
+        for (std::size_t v = 0; v < kScanVectors; ++v) {
+            const std::size_t at = i + v * kLaneWidth;
+            const LaneValues reads = reads_jv - load_lanes(c.prefix_reads + at);
+            const LaneValues writes = writes_jv - load_lanes(c.prefix_writes + at);
+            const LaneValues cand =
+                load_lanes(prev + at) + (reads * load_lanes(read_pj + at) +
+                                         writes * load_lanes(write_pj + at) +
+                                         load_lanes(leak_pj + at));
+            const auto lower = std::bit_cast<LaneIndices>(cand < best[v]);
+            best[v] = std::bit_cast<LaneValues>((std::bit_cast<LaneIndices>(cand) & lower) |
+                                                (std::bit_cast<LaneIndices>(best[v]) & ~lower));
+            first[v] = (next[v] & lower) | (first[v] & ~lower);
+            next[v] += next_step;
+        }
+    }
+
+    double lane_best[kScanLanes];
+    std::size_t lane_first[kScanLanes];
+    for (std::size_t v = 0; v < kScanVectors; ++v) {
+        for (std::size_t w = 0; w < kLaneWidth; ++w) {
+            lane_best[v * kLaneWidth + w] = best[v][w];
+            lane_first[v * kLaneWidth + w] = static_cast<std::size_t>(first[v][w]);
+        }
+    }
+    for (std::size_t l = 0; i < j; ++i, ++l) {
+        const double reads = reads_j - c.prefix_reads[i];
+        const double writes = writes_j - c.prefix_writes[i];
+        const double cand =
+            prev[i] + (reads * read_pj[i] + writes * write_pj[i] + leak_pj[i]);
+        if (cand < lane_best[l]) {
+            lane_best[l] = cand;
+            lane_first[l] = i;
+        }
+    }
+    CellBest out{lane_best[0], lane_first[0]};
+    for (std::size_t l = 1; l < kScanLanes; ++l) {
+        if (lane_best[l] < out.value ||
+            (lane_best[l] == out.value && lane_first[l] < out.index))
+            out = CellBest{lane_best[l], lane_first[l]};
+    }
+    return out;
+}
+
+/// Rows with fewer cells than this run on the calling thread: below it a
+/// row's scan is shorter than parallel_for's dispatch.
+constexpr std::size_t kMinParallelCells = 256;
 
 PartitionSolution make_solution(const BlockProfile& profile,
                                 const PartitionEnergyParams& params,
@@ -126,9 +264,8 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
     std::vector<double> cur_row(n + 1, kInf);
     std::vector<std::size_t> parent((kmax + 1) * (n + 1), 0);
     std::vector<double> dp_at_n(kmax + 1, kInf);
-    const std::vector<std::uint64_t>& pre_reads = oracle.prefix_reads();
-    const std::vector<std::uint64_t>& pre_writes = oracle.prefix_writes();
-    const std::vector<BankCostOracle::Entry>& len_entries = oracle.len_entries();
+    const BankCostOracle::Columns columns = oracle.columns();
+    const std::size_t jobs = default_jobs();
     prev_row[0] = 0.0;
     for (std::size_t k = 1; k <= kmax; ++k) {
         std::size_t* const par = parent.data() + k * (n + 1);
@@ -140,30 +277,34 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
             }
         } else {
             // Every prefix [0, i) with i >= k-1 is reachable with k-1
-            // banks, so no infinity checks are needed in the hot loop.
-            // The cost expression is oracle.cost(i, j) written out with
-            // the per-j prefix loads hoisted; the evaluation order is
-            // unchanged, so dp values stay bit-identical.
-            for (std::size_t j = k; j <= n; ++j) {
-                const std::uint64_t reads_j = pre_reads[j];
-                const std::uint64_t writes_j = pre_writes[j];
-                double best = kInf;
-                std::size_t best_i = 0;
-                for (std::size_t i = k - 1; i < j; ++i) {
-                    const BankCostOracle::Entry& e = len_entries[j - i];
-                    const auto reads = static_cast<double>(reads_j - pre_reads[i]);
-                    const auto writes = static_cast<double>(writes_j - pre_writes[i]);
-                    const double cand =
-                        prev_row[i] +
-                        (reads * e.read_pj + writes * e.write_pj + e.leak_pj);
-                    if (cand < best) {
-                        best = cand;
-                        best_i = i;
+            // banks, so no infinity checks are needed in the scan. The
+            // cells j of the row depend only on row k-1, so they split
+            // over tasks; cell number c (j = k + c) scans c + 1
+            // predecessors, so task t of T takes the cells from
+            // cells * sqrt(t / T) on, which gives every task about the
+            // same number of candidates. Four tasks per job: a thread
+            // descheduled mid-row then holds up a quarter of its share,
+            // not all of it.
+            const std::size_t cells = n - k + 1;
+            const std::size_t tasks = cells < kMinParallelCells ? 1 : 4 * jobs;
+            const double* const prev = prev_row.data();
+            double* const cur = cur_row.data();
+            const auto cell_at = [&](std::size_t t) {
+                if (t >= tasks) return cells;
+                return static_cast<std::size_t>(static_cast<double>(cells) *
+                                                std::sqrt(static_cast<double>(t) /
+                                                          static_cast<double>(tasks)));
+            };
+            parallel_for(
+                tasks,
+                [&](std::size_t t) {
+                    for (std::size_t j = k + cell_at(t); j < k + cell_at(t + 1); ++j) {
+                        const CellBest best = scan_cell(columns, prev, k - 1, j);
+                        cur[j] = best.value;
+                        par[j] = best.index;
                     }
-                }
-                cur_row[j] = best;
-                par[j] = best_i;
-            }
+                },
+                jobs);
         }
         dp_at_n[k] = cur_row[n];
         std::swap(prev_row, cur_row);

@@ -32,7 +32,11 @@ struct PartitionSolution {
 };
 
 /// Exact DP solver. Considers every bank count in [1, max_banks] and
-/// returns the globally optimal contiguous partition.
+/// returns the globally optimal contiguous partition; among equal-energy
+/// predecessors of a DP cell it keeps the lowest start block. The cells of
+/// each DP row split over tasks (four per default_jobs()), and the result is
+/// bit-identical at any job count. Both solvers throw memopt::Error when
+/// the profile holds 2^53 or more accesses.
 PartitionSolution solve_partition_optimal(const BlockProfile& profile,
                                           const PartitionConstraints& constraints,
                                           const PartitionEnergyParams& params);

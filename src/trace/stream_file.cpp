@@ -209,6 +209,11 @@ void check_records(const std::uint8_t* image, std::uint32_t n, std::uint32_t blo
 
 std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
+/// Where block 0 starts: right after the header and the offset table.
+std::uint64_t first_block_offset(std::uint32_t block_count) {
+    return kHeaderBytes + std::uint64_t{block_count} * 8;
+}
+
 // Split the raw column image into 4 KiB lines and store each as the
 // smallest of {raw, diff-coded, zero-run-coded}. Line framing: u8 codec id,
 // u32 stored length, then the stored bytes.
@@ -322,7 +327,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
         const std::vector<char> zeros(kHeaderBytes + std::size_t{block_count} * 8, 0);
         os.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
     }
-    std::uint64_t file_off = kHeaderBytes + std::uint64_t{block_count} * 8;
+    std::uint64_t file_off = first_block_offset(block_count);
     std::vector<std::uint64_t> offsets;
     offsets.reserve(block_count);
 
@@ -510,6 +515,7 @@ void MmapBinarySource::parse_header() {
                 "stream trace: access count exceeds file size");
     }
     verified_.assign(block_count_, 0);
+    next_offset_ = first_block_offset(block_count_);
 
     const std::uint64_t min_addr = load_le64(head + 32);
     const std::uint64_t max_addr = load_le64(head + 40);
@@ -563,7 +569,7 @@ void MmapBinarySource::locate_blocks(std::uint32_t first, std::uint32_t n) {
     table_.resize(entries);
     read_at(table_.data(), std::size_t{entries} * 8, kHeaderBytes + std::uint64_t{first} * 8);
     slots_.assign(n, BlockSlot{});
-    const std::uint64_t blocks_start = kHeaderBytes + std::uint64_t{block_count_} * 8;
+    const std::uint64_t blocks_start = first_block_offset(block_count_);
     std::uint64_t lo = file_bytes_;
     std::uint64_t hi = 0;
     for (std::uint32_t k = 0; k < n; ++k) {
@@ -590,10 +596,20 @@ void MmapBinarySource::locate_blocks(std::uint32_t first, std::uint32_t n) {
     map_window(lo, hi);
 
     // The block headers, in the order of the checks a block-by-block read
-    // makes; each slot keeps its first fault.
+    // makes; each slot keeps its first fault. The writer lays the blocks out
+    // back to back, so each must start where the previous one ends (the
+    // first where the cursor's previous block ended): an entry that points
+    // at another block, even one of the same access count, is a bad offset.
+    // Behind a faulty block the chain is unknown, but that block's error is
+    // the one the batch reports.
     std::uint64_t need = hi;
+    std::uint64_t expected = next_offset_;
+    bool chained = true;  // `expected` is known: every slot before k is sound
     for (std::uint32_t k = 0; k < n; ++k) {
         BlockSlot& slot = slots_[k];
+        if (slot.fault == nullptr && chained && slot.offset != expected)
+            slot.fault = "bad offset";
+        chained = false;
         if (slot.fault != nullptr) continue;
         const std::uint8_t* p = window_ + (slot.offset - window_offset_);
         slot.count = load_le32(p + 4);
@@ -606,8 +622,10 @@ void MmapBinarySource::locate_blocks(std::uint32_t first, std::uint32_t n) {
             slot.fault = "truncated payload";
         else if (!compressed_ && slot.payload_bytes != std::uint64_t{slot.count} * kBytesPerAccess)
             slot.fault = "bad payload size";
-        else
-            need = std::max(need, slot.offset + kBlockHeaderBytes + slot.payload_bytes);
+        if (slot.fault != nullptr) continue;
+        need = std::max(need, slot.offset + kBlockHeaderBytes + slot.payload_bytes);
+        expected = block_end(slot);
+        chained = true;
     }
     // Only a corrupt container has a compressed block that runs past the
     // next block's offset.
@@ -686,7 +704,17 @@ bool MmapBinarySource::next_batch(std::vector<TraceChunk>& batch, std::size_t ma
     parallel_for(
         n, [&](std::size_t k) { batch[k] = deliver_block(first + k, k, header); }, jobs);
     block_ = first + n;
+    next_offset_ = block_end(slots_.back());
     return true;
+}
+
+void MmapBinarySource::reset() {
+    block_ = 0;
+    next_offset_ = first_block_offset(block_count_);
+}
+
+std::uint64_t MmapBinarySource::block_end(const BlockSlot& slot) {
+    return slot.offset + kBlockHeaderBytes + pad8(slot.payload_bytes);
 }
 
 bool MmapBinarySource::next(TraceChunk& chunk) {

@@ -23,6 +23,12 @@
 //     "MTSB" magic | u32 count | u64 payload_bytes | u64 checksum (over
 //     the stored payload, below) | payload | zero padding to 8 bytes
 //
+// The blocks lie back to back in block order: block 0 starts right after
+// the offset table, and block b+1 where block b's padding ends. A block
+// header carries no index and its seal covers only the payload, so the
+// reader checks every offset-table entry against that chain; an entry
+// that points at another block is a "bad offset".
+//
 // An uncompressed payload is the raw column image
 //   addrs[count*8] cycles[count*8] values[count*4] sizes[count] kinds[count]
 // whose columns are all naturally aligned relative to the 8-aligned payload
@@ -129,7 +135,7 @@ public:
     bool next(TraceChunk& chunk) override;
     bool next_batch(std::vector<TraceChunk>& batch, std::size_t max_chunks,
                     std::size_t jobs = 0) override;
-    void reset() override { block_ = 0; }
+    void reset() override;
 
     bool compressed() const { return compressed_; }
     std::uint32_t chunk_accesses() const { return chunk_accesses_; }
@@ -153,6 +159,9 @@ private:
     /// them. Structural faults are recorded per slot, not thrown, so that
     /// the batch reports its lowest faulty block whatever the fault.
     void locate_blocks(std::uint32_t first, std::uint32_t n);
+    /// The file offset just past `slot`'s block and its padding: where the
+    /// next block starts.
+    static std::uint64_t block_end(const BlockSlot& slot);
     /// Keep or replace the window so that it covers file bytes [lo, hi).
     void map_window(std::uint64_t lo, std::uint64_t hi);
     void unmap_window();
@@ -181,6 +190,7 @@ private:
     std::vector<std::vector<std::uint64_t>> decoded_;  ///< per-slot 8-aligned decode buffers
     std::vector<TraceChunk> single_;       ///< next()'s batch of one
     std::uint32_t block_ = 0;              ///< cursor
+    std::uint64_t next_offset_ = 0;        ///< where block block_ must start
 };
 
 }  // namespace memopt

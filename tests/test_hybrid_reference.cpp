@@ -1,10 +1,11 @@
 // Seeded differential test of the bank-activity replay
 // (partition/hybrid.hpp) against its reference: the eager per-access loop
 // that retires gate transitions for every bank on every access, kept here
-// verbatim as the obviously-correct oracle. The library settles each
-// bank's gate lazily instead; every BankActivity field must match exactly
-// across trace families, gating thresholds, replay windows, address maps,
-// bank splits and trace sources.
+// verbatim as the obviously-correct oracle. The library folds each chunk
+// into per-bank segments on its own task and joins them in trace order
+// instead; every BankActivity field must match exactly across trace
+// families, gating thresholds, replay windows, address maps, bank splits,
+// trace sources, chunk sizes and job counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "partition/bank.hpp"
 #include "partition/hybrid.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "trace/affinity.hpp"
 #include "trace/profile.hpp"
 #include "trace/source.hpp"
@@ -208,6 +210,56 @@ INSTANTIATE_TEST_SUITE_P(Families, HybridReplayReference,
                              std::replace(name.begin(), name.end(), '-', '_');
                              return name;
                          });
+
+TEST(HybridReplayReferenceFold, SegmentsJoinAcrossChunksAndBatches) {
+    // 2^19 accesses are enough for batches of eight chunks at eight jobs,
+    // so the per-chunk segments join inside a batch as well as across
+    // batches; 1000-access chunks put most joins mid-run.
+    const std::size_t prior = default_jobs();
+    for (const char* family : {"hotspot", "two-phase"}) {
+        const SyntheticSpec spec = parse_synthetic_spec(
+            std::string(family) + ",span=65536,n=524288,seed=9,write=0.3");
+        const MemTrace trace = materialize_synthetic(spec);
+        MaterializedSource oracle_source(trace);
+        const BlockProfile profile = BlockProfile::from_source(oracle_source, kBlockBytes);
+        const AddressMap map = frequency_clustering(profile);
+        const MemoryArchitecture arch = even_split(profile.num_blocks(), 8);
+
+        const std::string file = ::testing::TempDir() + "hybrid_fold_" + family + ".mtsc";
+        StreamWriteOptions opts;
+        opts.chunk_accesses = 1000;
+        write_trace_stream(file, oracle_source, opts);
+        MaterializedSource small(trace, 1000);
+        MaterializedSource large(trace, std::size_t{1} << 16);
+        MmapBinarySource mapped(file);
+        const std::pair<const char*, TraceSource*> sources[] = {
+            {"materialized/1000", &small}, {"materialized/64Ki", &large}, {"mtsc/1000", &mapped}};
+
+        const std::uint64_t span = trace.cycles().back() + 1;
+        for (const std::uint64_t idle : {0ull, 7ull, 200ull, 1000000ull}) {
+            HybridGatingParams gating;
+            gating.idle_cycles = idle;
+            for (const std::uint64_t min_total : {std::uint64_t{0}, 10 * span}) {
+                const std::vector<BankActivity> want = reference::replay_bank_activity(
+                    arch, map, oracle_source, gating, min_total);
+                for (const auto& [source_name, source] : sources) {
+                    for (const std::size_t jobs : {1u, 8u}) {
+                        set_default_jobs(jobs);
+                        const std::string where = std::string(family) + ", idle " +
+                                                  std::to_string(idle) + ", min_total " +
+                                                  std::to_string(min_total) + ", " +
+                                                  source_name + ", jobs " + std::to_string(jobs);
+                        expect_activity_equal(
+                            replay_bank_activity(arch, map, *source, gating, min_total), want,
+                            where);
+                    }
+                }
+            }
+        }
+        std::remove(file.c_str());
+    }
+    set_default_jobs(prior);
+}
 
 TEST(HybridReplayReferenceSpan, OutOfSpanAddressThrowsLikeTheReference) {
     // Four 256-byte blocks mapped; the third access lies past them.

@@ -2,19 +2,108 @@
 // validation, energy evaluation, and DP-vs-brute-force certification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "energy/sram_model.hpp"
 #include "partition/evaluate.hpp"
 #include "partition/solver.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
 namespace memopt {
+namespace reference {
+
+/// The exact DP's oracle: the O(K n^2) recurrence as one serial loop, with
+/// integer prefix sums, one energy entry per bank length, and a scan of
+/// every predecessor that keeps its first minimum. Every candidate is the
+/// library's expression, so splits and energies must match bit for bit.
+PartitionSolution solve_partition_optimal(const BlockProfile& profile,
+                                          const PartitionConstraints& constraints,
+                                          const PartitionEnergyParams& params) {
+    const std::size_t n = profile.num_blocks();
+    const std::size_t kmax = std::min(constraints.max_banks, n);
+    std::vector<std::uint64_t> pre_reads(n + 1, 0);
+    std::vector<std::uint64_t> pre_writes(n + 1, 0);
+    for (std::size_t b = 0; b < n; ++b) {
+        pre_reads[b + 1] = pre_reads[b] + profile.counts(b).reads;
+        pre_writes[b + 1] = pre_writes[b] + profile.counts(b).writes;
+    }
+    struct Entry {
+        double read_pj;
+        double write_pj;
+        double leak_pj;
+    };
+    std::map<std::uint64_t, Entry> by_capacity;
+    std::vector<Entry> by_length(n + 1);
+    for (std::size_t len = 1; len <= n; ++len) {
+        const std::uint64_t cap = MemoryArchitecture::capacity_for(profile.block_size(), len,
+                                                                   params.min_bank_bytes);
+        if (!by_capacity.contains(cap)) {
+            const SramEnergyModel model(cap, 32, params.sram);
+            by_capacity[cap] = Entry{
+                model.read_energy(), model.write_energy(),
+                params.runtime_cycles > 0
+                    ? model.leakage_energy(params.runtime_cycles, params.cycle_ns)
+                    : 0.0};
+        }
+        by_length[len] = by_capacity[cap];
+    }
+    const auto cost = [&](std::size_t i, std::size_t j) {
+        const Entry& e = by_length[j - i];
+        const auto reads = static_cast<double>(pre_reads[j] - pre_reads[i]);
+        const auto writes = static_cast<double>(pre_writes[j] - pre_writes[i]);
+        return reads * e.read_pj + writes * e.write_pj + e.leak_pj;
+    };
+
+    // dp[k][j]: min cost of blocks [0, j) in exactly k banks.
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<std::vector<double>> dp(kmax + 1, std::vector<double>(n + 1, inf));
+    std::vector<std::vector<std::size_t>> parent(kmax + 1, std::vector<std::size_t>(n + 1, 0));
+    dp[0][0] = 0.0;
+    for (std::size_t k = 1; k <= kmax; ++k) {
+        for (std::size_t j = k; j <= n; ++j) {
+            for (std::size_t i = k - 1; i < j; ++i) {
+                const double cand = dp[k - 1][i] + cost(i, j);
+                if (cand < dp[k][j]) {
+                    dp[k][j] = cand;
+                    parent[k][j] = i;
+                }
+            }
+        }
+    }
+    const auto total_accesses = static_cast<double>(pre_reads[n] + pre_writes[n]);
+    double best_total = inf;
+    std::size_t best_k = 1;
+    for (std::size_t k = 1; k <= kmax; ++k) {
+        const double total = dp[k][n] + total_accesses * bank_select_energy(k, params.sram);
+        if (total < best_total) {
+            best_total = total;
+            best_k = k;
+        }
+    }
+    std::vector<std::size_t> splits;
+    for (std::size_t k = best_k, j = n; k >= 1; --k) {
+        j = parent[k][j];
+        if (j != 0) splits.push_back(j);
+    }
+    std::reverse(splits.begin(), splits.end());
+    auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits,
+                                                params.min_bank_bytes);
+    auto energy = evaluate_partition(arch, profile, params);
+    return PartitionSolution{std::move(arch), std::move(energy)};
+}
+
+}  // namespace reference
+
 namespace {
 
 BlockProfile random_profile(std::size_t blocks, std::uint64_t seed, std::uint64_t max_count = 1000) {
@@ -230,6 +319,127 @@ TEST(Solver, BruteForceRejectsLargeInstances) {
     const BlockProfile p = random_profile(32, 80);
     EXPECT_THROW(solve_partition_brute(p, {4}, {}), Error);
 }
+
+TEST(Solver, AccessSumsReachingTwoToThe53Throw) {
+    // The solvers keep their prefix access sums in doubles, exact below
+    // 2^53 accesses.
+    BlockProfile p(256, 4);
+    p.add_counts(0, std::uint64_t{1} << 52, 0);
+    p.add_counts(3, 0, (std::uint64_t{1} << 52) - 1);
+    EXPECT_NO_THROW(solve_partition_optimal(p, {4}, {}));
+    EXPECT_NO_THROW(solve_partition_greedy(p, {4}, {}));
+    p.add_counts(1, 0, 1);
+    ASSERT_EQ(p.total_accesses(), std::uint64_t{1} << 53);
+    for (const bool greedy : {false, true}) {
+        try {
+            if (greedy)
+                solve_partition_greedy(p, {4}, {});
+            else
+                solve_partition_optimal(p, {4}, {});
+            ADD_FAILURE() << "2^53 accesses accepted (greedy " << greedy << ")";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("2^53"), std::string::npos) << e.what();
+        }
+    }
+}
+
+// ------------------------------------------------- DP differential test ----
+
+/// A profile of `n` blocks in one of the differential test's families.
+BlockProfile dp_profile(const std::string& family, std::size_t n, std::uint64_t seed) {
+    BlockProfile p(256, n);
+    Rng rng(seed);
+    if (family == "random") {
+        for (std::size_t b = 0; b < n; ++b) {
+            if (rng.next_bool(0.3)) continue;
+            p.add_counts(b, rng.next_below(1000), rng.next_below(501));
+        }
+    } else if (family == "hot-first") {
+        // The order frequency clustering leaves: counts fall with the block
+        // index, and the long cold tail repeats the same small counts.
+        for (std::size_t b = 0; b < n; ++b) {
+            const std::uint64_t hot = 200000 / (b + 1);
+            p.add_counts(b, hot, hot / 3);
+        }
+    } else if (family == "all-equal") {
+        // Every bank of a given length costs the same: the most ties.
+        for (std::size_t b = 0; b < n; ++b) p.add_counts(b, 100, 50);
+    } else {
+        // Runs of untouched blocks between runs of touched ones; the first
+        // profile of each size touches nothing at all.
+        bool touched = false;
+        for (std::size_t b = 0; b < n;) {
+            const std::size_t run = 1 + rng.next_below(std::max<std::size_t>(n / 8, 1));
+            for (std::size_t r = 0; r < run && b < n; ++r, ++b)
+                if (touched && seed % 4 != 0)
+                    p.add_counts(b, rng.next_below(64), rng.next_below(16));
+            touched = !touched;
+        }
+    }
+    return p;
+}
+
+void expect_same_solution(const PartitionSolution& got, const PartitionSolution& want,
+                          const std::string& where) {
+    ASSERT_EQ(got.arch.num_banks(), want.arch.num_banks()) << where;
+    for (std::size_t b = 0; b < want.arch.num_banks(); ++b) {
+        EXPECT_EQ(got.arch.banks()[b].first_block, want.arch.banks()[b].first_block) << where;
+        EXPECT_EQ(got.arch.banks()[b].num_blocks, want.arch.banks()[b].num_blocks) << where;
+        EXPECT_EQ(got.arch.banks()[b].size_bytes, want.arch.banks()[b].size_bytes) << where;
+    }
+    ASSERT_EQ(got.energy.components().size(), want.energy.components().size()) << where;
+    for (std::size_t c = 0; c < want.energy.components().size(); ++c) {
+        EXPECT_EQ(got.energy.components()[c].first, want.energy.components()[c].first) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energy.components()[c].second),
+                  std::bit_cast<std::uint64_t>(want.energy.components()[c].second))
+            << where << ", " << want.energy.components()[c].first;
+    }
+}
+
+class DpReference : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DpReference, LanedParallelDpMatchesSerialLoopBitForBit) {
+    const std::string family = GetParam();
+    const std::size_t prior = default_jobs();
+    // Every size for every bank budget, with leakage off and on; 4096
+    // blocks only as the hybrid flow solves them, with leakage and four
+    // banks (the CLI's default budget): the oracle is quadratic.
+    struct Case {
+        std::size_t n;
+        std::size_t max_banks;
+        bool leakage;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 17u, 64u, 129u, 300u, 600u, 1024u})
+        for (std::size_t k = 1; k <= 8; ++k)
+            for (const bool leakage : {false, true}) cases.push_back(Case{n, k, leakage});
+    cases.push_back(Case{4096, 4, true});
+    for (const Case& c : cases) {
+        const BlockProfile profile = dp_profile(family, c.n, 1000 * c.n + c.max_banks);
+        PartitionEnergyParams params;
+        if (c.leakage) params.runtime_cycles = 250000;
+        const PartitionSolution want =
+            reference::solve_partition_optimal(profile, {c.max_banks}, params);
+        for (const std::size_t jobs : {1u, 8u}) {
+            set_default_jobs(jobs);
+            const std::string where = family + ", " + std::to_string(c.n) + " blocks, " +
+                                      std::to_string(c.max_banks) + " banks, leakage " +
+                                      (c.leakage ? "on" : "off") + ", jobs " +
+                                      std::to_string(jobs);
+            expect_same_solution(solve_partition_optimal(profile, {c.max_banks}, params), want,
+                                 where);
+        }
+    }
+    set_default_jobs(prior);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, DpReference,
+                         ::testing::Values("random", "hot-first", "all-equal", "zero-runs"),
+                         [](const auto& info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
+                         });
 
 TEST(Solver, GreedyHandlesLargeProfiles) {
     const BlockProfile p = random_profile(4096, 81);

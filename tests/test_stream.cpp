@@ -926,6 +926,33 @@ TEST_F(StreamFuzzTest, BatchReportsItsLowestFaultyBlock) {
     }
 }
 
+TEST_F(StreamFuzzTest, OffsetTableEntriesMustChain) {
+    // Two blocks of 1000 accesses. An entry for block 1 that points at
+    // block 0 passes every check of the block it points at (magic, count,
+    // payload size, seal), so only the chain catches it: block 1 must start
+    // where block 0 and its padding end.
+    for (const bool compress : {false, true}) {
+        SCOPED_TRACE(compress ? "compressed" : "plain");
+        auto bytes = valid_container(compress ? "chain_z.mtsc" : "chain.mtsc", 2000, 1000,
+                                     compress);
+        store_le64(bytes, 64 + 8, load_le64(bytes, 64));
+        const std::string want = "stream trace: block 1: bad offset";
+        expect_rejected_with(bytes, want);  // serial next()
+        for (const std::size_t jobs : {1, 4}) EXPECT_EQ(batch_drain_error(file_, 2, jobs), want);
+        // The cursor's chain restarts with every pass.
+        spit(file_, valid_container(compress ? "chain_z.mtsc" : "chain.mtsc", 2000, 1000,
+                                    compress));
+        MmapBinarySource source(file_);
+        for (int pass = 0; pass < 2; ++pass) {
+            source.reset();
+            std::uint64_t accesses = 0;
+            TraceChunk chunk;
+            while (source.next(chunk)) accesses += chunk.size();
+            EXPECT_EQ(accesses, 2000u);
+        }
+    }
+}
+
 TEST_F(StreamFuzzTest, EverySingleBitFlipFailsChecksum) {
     // A 3-record block has a 66-byte payload: two whole 32-byte stripes and
     // a 2-byte tail. Every one of its 528 single-bit flips must break the

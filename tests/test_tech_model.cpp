@@ -6,6 +6,7 @@
 // jobs-invariance determinism contracts.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,39 @@ TEST(HybridGating, BackwardCyclesThrowNamingTheAccess) {
             EXPECT_NE(what.find("cycle 10 "), std::string::npos) << what;
         }
     }
+
+    // Batches of several chunks, each folded on its own task: 2^17 accesses
+    // in 1000-access chunks at eight jobs give batches of two chunks, so
+    // chunks 4 and 5 share a batch. Cycles count up by one.
+    const std::size_t prior = default_jobs();
+    set_default_jobs(8);
+    const auto replay_error = [&](std::uint64_t backward_at, std::uint64_t outside_at) {
+        MemTrace long_trace;
+        for (std::uint64_t i = 0; i < (std::uint64_t{1} << 17); ++i)
+            long_trace.add(MemAccess{.addr = i == outside_at ? 1024 : 4 * (i % 256),
+                                     .cycle = i == backward_at ? i - 2 : i,
+                                     .size = 4,
+                                     .kind = AccessKind::Read});
+        MaterializedSource source(long_trace, 1000);
+        try {
+            replay_bank_activity(arch, map, source, HybridGatingParams{});
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    const std::uint64_t none = std::numeric_limits<std::uint64_t>::max();
+    // A backward cycle on the boundary between the batch's two chunks.
+    EXPECT_EQ(replay_error(5000, none),
+              "replay_bank_activity: access 5000 is at cycle 4998, before the previous "
+              "access's cycle 4999 (trace cycles must be non-decreasing)");
+    // An out-of-span access in the batch's first chunk comes before a
+    // backward cycle in its second, as in an access-by-access replay.
+    EXPECT_EQ(replay_error(5500, 4500), "map_addr: address outside mapped span");
+    EXPECT_EQ(replay_error(4500, 5500),
+              "replay_bank_activity: access 4500 is at cycle 4498, before the previous "
+              "access's cycle 4499 (trace cycles must be non-decreasing)");
+    set_default_jobs(prior);
 }
 
 // ---------------------------------------------------------- sleepy banks ----
