@@ -59,8 +59,7 @@ int main() {
             const double imem_pj =
                 imem.read_energy() * static_cast<double>(stream.size());
             const double raw_path = imem_pj + bus.transition_energy(row.raw);
-            const EnergyBreakdown enc = encoded_energy(
-                row.xf.transform, stream, bus.technology().energy_per_transition_pj);
+            const EnergyBreakdown enc = encoded_energy(row.xf.transform, stream);
             const double enc_path = imem_pj + enc.total();
             row.path_saved_pct = 100.0 * (raw_path - enc_path) / raw_path;
             return row;

@@ -434,11 +434,13 @@ void BM_LintFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LintFullScan)->Unit(benchmark::kMillisecond);
 
-/// Console reporter that also collects per-benchmark timings so the run
-/// can be re-emitted in the repo-wide "memopt.bench.v1" schema. Times are
+/// Display reporter that forwards every call to the library's default
+/// display reporter (the console table, or the format --benchmark_format
+/// selects) and also collects per-benchmark timings so the run can be
+/// re-emitted in the repo-wide "memopt.bench.v1" schema. Times are
 /// normalized to nanoseconds per iteration regardless of each benchmark's
 /// display unit, which is what scripts/check_perf.py compares.
-class CollectingReporter : public benchmark::ConsoleReporter {
+class CollectingReporter : public benchmark::BenchmarkReporter {
 public:
     struct Row {
         std::string name;
@@ -447,6 +449,10 @@ public:
         std::uint64_t iterations;
     };
     std::vector<Row> rows;
+
+    bool ReportContext(const Context& context) override {
+        return display_->ReportContext(context);
+    }
 
     void ReportRuns(const std::vector<Run>& runs) override {
         for (const Run& run : runs) {
@@ -457,8 +463,14 @@ public:
                                run.cpu_accumulated_time / iters * 1e9,
                                static_cast<std::uint64_t>(run.iterations)});
         }
-        ConsoleReporter::ReportRuns(runs);
+        display_->ReportRuns(runs);
     }
+
+    void Finalize() override { display_->Finalize(); }
+
+private:
+    /// Created once per process and owned by the library: never deleted.
+    benchmark::BenchmarkReporter* display_ = benchmark::CreateDefaultDisplayReporter();
 };
 
 }  // namespace

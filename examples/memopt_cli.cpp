@@ -90,7 +90,6 @@
 #include "lang/codegen.hpp"
 #include "encoding/decoder_cost.hpp"
 #include "encoding/search.hpp"
-#include "energy/bus_model.hpp"
 #include "fault/campaign.hpp"
 #include "partition/hybrid.hpp"
 #include "sched/scheduler.hpp"
@@ -653,9 +652,7 @@ int cmd_encode(const Args& args, JsonWriter* jw) {
     TransformSearchParams params;
     params.max_gates = args.get_count<std::size_t>("gates", 16);
     const TransformSearchResult result = search_transform(run.fetch_stream, params);
-    const BusEnergyModel bus;
-    const EnergyBreakdown net = encoded_energy(result.transform, run.fetch_stream,
-                                               bus.technology().energy_per_transition_pj);
+    const EnergyBreakdown net = encoded_energy(result.transform, run.fetch_stream);
 
     std::printf("raw transitions    : %llu\n",
                 (unsigned long long)result.original_transitions);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "energy/coherence_model.hpp"
 #include "energy/dram_model.hpp"
 #include "energy/sram_model.hpp"
 #include "support/assert.hpp"
@@ -200,7 +201,7 @@ CacheStats MultiCoreCacheSystem::l2_totals() const {
     return total;
 }
 
-EnergyBreakdown MultiCoreCacheSystem::energy(const CoherenceEnergyModel& coherence) const {
+EnergyBreakdown MultiCoreCacheSystem::energy() const {
     EnergyBreakdown out;
     const unsigned line_bytes = config_.l1.line_bytes;
     const double words_per_line = static_cast<double>(line_bytes) / 4.0;
@@ -225,6 +226,7 @@ EnergyBreakdown MultiCoreCacheSystem::energy(const CoherenceEnergyModel& coheren
             bank_select_energy(config_.l2_banks) * static_cast<double>(l2.accesses()));
 
     const CoherenceStats& cs = directory_.stats();
+    const CoherenceEnergyModel coherence;
     out.add("directory", coherence.lookup_energy(cs.lookups));
     out.add("coherence", coherence.message_energy(cs.messages()) +
                              coherence.transfer_energy(cs.dirty_transfers() * line_bytes));

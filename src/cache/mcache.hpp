@@ -30,7 +30,6 @@
 
 #include "cache/cache.hpp"
 #include "cache/coherence.hpp"
-#include "energy/coherence_model.hpp"
 #include "energy/report.hpp"
 
 namespace memopt {
@@ -100,10 +99,10 @@ public:
     CacheStats l2_totals() const;
 
     /// Full energy breakdown: per-access L1/L2 array energy, bank-select
-    /// overhead, directory lookups, coherence messages + dirty transfers,
-    /// and the off-chip traffic behind the L2.
-    EnergyBreakdown energy(const CoherenceEnergyModel& coherence =
-                               CoherenceEnergyModel{}) const;
+    /// overhead, directory lookups, coherence messages + dirty transfers
+    /// (priced by CoherenceEnergyModel), and the off-chip traffic behind
+    /// the L2.
+    EnergyBreakdown energy() const;
 
 private:
     void apply_actions(std::uint64_t line, const CoherenceActions& actions);

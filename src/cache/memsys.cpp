@@ -11,6 +11,11 @@
 
 namespace memopt {
 
+namespace {
+constexpr double kCompressPjPerWord = 1.2;    // HW compression unit, per 32-bit word
+constexpr double kDecompressPjPerWord = 0.9;  // HW decompression unit, per word
+}  // namespace
+
 CompressedMemorySim::CompressedMemorySim(const CompressedMemConfig& config,
                                          const LineCodec* codec)
     : config_(config), codec_(codec) {}
@@ -44,15 +49,13 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
     std::vector<std::optional<StoredLine>> stored_compressed(lines);
     // Stored blobs for the verify_roundtrip invariant, indexed the same way.
     std::vector<std::vector<std::uint8_t>> stored_blobs(config_.verify_roundtrip ? lines : 0);
-    const SramEnergyModel cache_sram(config_.cache.size_bytes, 32, config_.cache_sram,
-                                     config_.protection);
+    const SramEnergyModel cache_sram(config_.cache.size_bytes, 32, config_.protection);
     const DramEnergyModel dram(config_.dram);
     const std::size_t words_per_line = line_bytes / 4;
     // Protection accounting for stored compressed lines, at 64-bit word
     // granularity: check bits inflate the burst, the encode/check logic is
     // charged per stored word on both write-back and refill.
-    const double ecc_word_pj =
-        protection_access_energy(config_.protection, 64, config_.cache_sram);
+    const double ecc_word_pj = protection_access_energy(config_.protection, 64);
 
     CompressedMemReport report;
     double cache_pj = 0.0;
@@ -75,7 +78,7 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
             const std::size_t blob_bytes = (coded.bit_count() + 7) / 8;
             const std::size_t stored_bytes =
                 protected_stored_bytes(blob_bytes, config_.protection);
-            codec_pj += config_.compress_pj_per_word * static_cast<double>(words_per_line);
+            codec_pj += kCompressPjPerWord * static_cast<double>(words_per_line);
             if (stored_bytes < line_bytes) {
                 burst_bytes = stored_bytes;
                 const auto blob_words = static_cast<std::uint32_t>((blob_bytes + 7) / 8);
@@ -100,7 +103,7 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
             const std::optional<StoredLine>& stored = stored_compressed[line_addr / line_bytes];
             if (stored) {
                 burst_bytes = stored->stored_bytes;
-                codec_pj += config_.decompress_pj_per_word * static_cast<double>(words_per_line);
+                codec_pj += kDecompressPjPerWord * static_cast<double>(words_per_line);
                 // The checker walks every stored word on refill.
                 ecc_pj += ecc_word_pj * static_cast<double>(stored->blob_words);
                 if (config_.verify_roundtrip) {

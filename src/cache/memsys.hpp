@@ -25,10 +25,7 @@ class TraceSource;
 /// Configuration of the compressed memory system.
 struct CompressedMemConfig {
     CacheConfig cache;                   ///< D-cache geometry (write-back)
-    SramTechnology cache_sram;           ///< cache array technology
     DramTechnology dram;                 ///< off-chip path technology
-    double compress_pj_per_word = 1.2;   ///< HW compression unit, per 32-bit word
-    double decompress_pj_per_word = 0.9; ///< HW decompression unit, per word
     /// Protection of the stored (compressed) lines and the cache array.
     /// Check bits inflate the stored size of every compressed line (the
     /// honest cost of protecting narrow-delta encodings) and add encode/

@@ -12,8 +12,6 @@ PlatformModel vliw_platform() {
     p.config.cache.associativity = 4;
     p.config.dram.activate_pj = 2200.0;
     p.config.dram.per_byte_pj = 55.0;
-    p.config.compress_pj_per_word = 1.2;
-    p.config.decompress_pj_per_word = 0.9;
     return p;
 }
 
@@ -27,8 +25,6 @@ PlatformModel risc_platform() {
     p.config.cache.associativity = 2;
     p.config.dram.activate_pj = 1400.0;
     p.config.dram.per_byte_pj = 52.0;
-    p.config.compress_pj_per_word = 1.2;
-    p.config.decompress_pj_per_word = 0.9;
     return p;
 }
 

@@ -1,5 +1,7 @@
 #include "core/workload.hpp"
 
+#include <string_view>
+
 #include "sim/kernels.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
@@ -10,6 +12,32 @@
 #include "trace/synthetic.hpp"
 
 namespace memopt {
+
+namespace {
+
+constexpr std::string_view kSyntheticPrefix = "synthetic:";
+
+/// What a trace spec names, by the resolution order open_trace_source
+/// documents.
+enum class SpecKind { Synthetic, Mtsc, TextFile, Kernel };
+
+SpecKind spec_kind(const std::string& spec) {
+    if (spec.starts_with(kSyntheticPrefix)) return SpecKind::Synthetic;
+    if (spec.ends_with(".mtsc")) return SpecKind::Mtsc;
+    if (spec.find_first_of("./") != std::string::npos) return SpecKind::TextFile;
+    return SpecKind::Kernel;
+}
+
+/// The resident trace of a text-file or kernel spec: the file parsed once,
+/// or an alias of the cached kernel artifact (no trace copy).
+std::shared_ptr<const MemTrace> resident_trace(WorkloadRepository& repo,
+                                               const std::string& spec, SpecKind kind) {
+    if (kind == SpecKind::TextFile) return std::make_shared<const MemTrace>(load_trace(spec));
+    const KernelRunPtr artifact = repo.run(spec);
+    return std::shared_ptr<const MemTrace>(artifact, &artifact->result.data_trace);
+}
+
+}  // namespace
 
 WorkloadRepository& WorkloadRepository::instance() {
     static WorkloadRepository repository;
@@ -72,39 +100,36 @@ std::vector<KernelRunPtr> WorkloadRepository::suite(bool fetch, std::size_t jobs
 std::unique_ptr<TraceSource> WorkloadRepository::open_trace_source(
     const std::string& spec, std::size_t chunk_accesses) {
     if (chunk_accesses == 0) chunk_accesses = kDefaultTraceChunk;
-    if (spec.rfind("synthetic:", 0) == 0)
+    const SpecKind kind = spec_kind(spec);
+    if (kind == SpecKind::Synthetic)
         return std::make_unique<SyntheticSource>(
-            parse_synthetic_spec(spec.substr(std::string("synthetic:").size())),
-            chunk_accesses);
-    if (spec.ends_with(".mtsc")) return std::make_unique<MmapBinarySource>(spec);
-    if (spec.find('.') != std::string::npos || spec.find('/') != std::string::npos)
-        return std::make_unique<MaterializedSource>(
-            std::make_shared<const MemTrace>(load_trace(spec)), chunk_accesses);
-    // A bundled kernel: alias the cached artifact so the source shares the
-    // repository's immutable trace instead of copying it.
-    const KernelRunPtr artifact = run(spec);
-    return std::make_unique<MaterializedSource>(
-        std::shared_ptr<const MemTrace>(artifact, &artifact->result.data_trace),
-        chunk_accesses);
+            parse_synthetic_spec(spec.substr(kSyntheticPrefix.size())), chunk_accesses);
+    if (kind == SpecKind::Mtsc) return std::make_unique<MmapBinarySource>(spec);
+    return std::make_unique<MaterializedSource>(resident_trace(*this, spec, kind),
+                                                chunk_accesses);
 }
 
 std::vector<std::unique_ptr<TraceSource>> WorkloadRepository::open_core_trace_sources(
     const std::string& spec, unsigned cores, std::size_t chunk_accesses) {
     require(cores >= 1 && cores <= 64,
             "open_core_trace_sources: cores must be in [1, 64]");
+    if (chunk_accesses == 0) chunk_accesses = kDefaultTraceChunk;
     std::vector<std::unique_ptr<TraceSource>> out;
     out.reserve(cores);
-    if (spec.rfind("synthetic:", 0) == 0) {
-        if (chunk_accesses == 0) chunk_accesses = kDefaultTraceChunk;
-        SyntheticSpec parsed =
-            parse_synthetic_spec(spec.substr(std::string("synthetic:").size()));
+    const SpecKind kind = spec_kind(spec);
+    if (kind == SpecKind::Synthetic) {
+        SyntheticSpec parsed = parse_synthetic_spec(spec.substr(kSyntheticPrefix.size()));
         parsed.cores = cores;  // the caller's core count wins over a cores= key
         for (const SyntheticSpec& core_spec : per_core_specs(parsed))
             out.push_back(std::make_unique<SyntheticSource>(core_spec, chunk_accesses));
-        return out;
+    } else if (kind == SpecKind::Mtsc) {
+        for (unsigned c = 0; c < cores; ++c)
+            out.push_back(std::make_unique<MmapBinarySource>(spec));
+    } else {
+        const std::shared_ptr<const MemTrace> trace = resident_trace(*this, spec, kind);
+        for (unsigned c = 0; c < cores; ++c)
+            out.push_back(std::make_unique<MaterializedSource>(trace, chunk_accesses));
     }
-    for (unsigned c = 0; c < cores; ++c)
-        out.push_back(open_trace_source(spec, chunk_accesses));
     return out;
 }
 

@@ -81,11 +81,15 @@ public:
     std::unique_ptr<TraceSource> open_trace_source(const std::string& spec,
                                                    std::size_t chunk_accesses = 0);
 
-    /// Open one trace stream per core for a multi-core replay. Synthetic
-    /// specs fan out via per_core_specs (per-core seed remix + core_id, with
-    /// `cores` overriding any cores= key in the spec); every other spec kind
-    /// opens `cores` independent streams over the same trace, so all cores
-    /// replay identical access sequences (a worst-case sharing workload).
+    /// Open one trace stream per core for a multi-core replay. The spec
+    /// resolves as in open_trace_source. Synthetic specs fan out via
+    /// per_core_specs (per-core seed remix + core_id, with `cores`
+    /// overriding any cores= key in the spec); every other spec kind opens
+    /// `cores` independent streams over the same trace, so all cores replay
+    /// identical access sequences (a worst-case sharing workload): one
+    /// reader per core for an .mtsc, and for a text file or kernel one
+    /// MaterializedSource per core over a single resident trace (the file
+    /// is parsed once).
     std::vector<std::unique_ptr<TraceSource>> open_core_trace_sources(
         const std::string& spec, unsigned cores, std::size_t chunk_accesses = 0);
 

@@ -2,9 +2,13 @@
 
 #include <vector>
 
-#include "support/assert.hpp"
+#include "energy/bus_model.hpp"
 
 namespace memopt {
+
+namespace {
+constexpr double kGateTogglePj = 0.012;  // one XOR output toggle (gate-load cap)
+}  // namespace
 
 std::uint64_t decoder_toggles(const LinearTransform& transform,
                               std::span<const std::uint32_t> words, std::uint32_t initial) {
@@ -40,19 +44,16 @@ std::uint64_t decoder_toggles(const LinearTransform& transform,
 }
 
 double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words,
-                      std::uint32_t initial, const DecoderTechnology& tech) {
-    return tech.gate_toggle_pj * static_cast<double>(decoder_toggles(transform, words, initial));
+                      std::uint32_t initial) {
+    return kGateTogglePj * static_cast<double>(decoder_toggles(transform, words, initial));
 }
 
 EnergyBreakdown encoded_energy(const LinearTransform& transform,
-                               std::span<const std::uint32_t> words,
-                               double bus_pj_per_transition, std::uint32_t initial,
-                               const DecoderTechnology& tech) {
-    require(bus_pj_per_transition >= 0.0, "encoded_energy: negative bus energy");
+                               std::span<const std::uint32_t> words, std::uint32_t initial) {
     EnergyBreakdown breakdown;
-    breakdown.add("bus", bus_pj_per_transition *
-                             static_cast<double>(encoded_transitions(transform, words, initial)));
-    breakdown.add("decoder", decoder_energy(transform, words, initial, tech));
+    breakdown.add("bus", BusEnergyModel{}.transition_energy(
+                             encoded_transitions(transform, words, initial)));
+    breakdown.add("decoder", decoder_energy(transform, words, initial));
     return breakdown;
 }
 

@@ -15,27 +15,21 @@
 
 namespace memopt {
 
-/// Decoder technology constants.
-struct DecoderTechnology {
-    double gate_toggle_pj = 0.012;  ///< one XOR output toggle (gate-load cap)
-};
-
 /// Exact toggle count of every gate output across the stream: the stream is
 /// replayed through the gate chain word by word and each gate's output bit
 /// is compared with its previous value.
 std::uint64_t decoder_toggles(const LinearTransform& transform,
                               std::span<const std::uint32_t> words, std::uint32_t initial = 0);
 
-/// Decoder energy [pJ] for the stream.
+/// Decoder energy [pJ] for the stream, at the per-toggle gate energy
+/// calibrated in decoder_cost.cpp.
 double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words,
-                      std::uint32_t initial = 0,
-                      const DecoderTechnology& tech = DecoderTechnology{});
+                      std::uint32_t initial = 0);
 
 /// Net bus+decoder energy comparison for a transform on a stream:
-/// components "bus" (encoded transitions) and "decoder".
+/// components "bus" (encoded transitions, priced by BusEnergyModel) and
+/// "decoder".
 EnergyBreakdown encoded_energy(const LinearTransform& transform,
-                               std::span<const std::uint32_t> words,
-                               double bus_pj_per_transition, std::uint32_t initial = 0,
-                               const DecoderTechnology& tech = DecoderTechnology{});
+                               std::span<const std::uint32_t> words, std::uint32_t initial = 0);
 
 }  // namespace memopt

@@ -4,6 +4,10 @@
 
 namespace memopt {
 
+namespace {
+constexpr double kPjPerTransition = 0.8;  // C_line * Vdd^2 for one line toggle
+}  // namespace
+
 unsigned hamming32(std::uint32_t a, std::uint32_t b) {
     return static_cast<unsigned>(std::popcount(a ^ b));
 }
@@ -19,7 +23,7 @@ std::uint64_t count_transitions(std::span<const std::uint32_t> words, std::uint3
 }
 
 double BusEnergyModel::transition_energy(std::uint64_t transitions) const {
-    return tech_.energy_per_transition_pj * static_cast<double>(transitions);
+    return kPjPerTransition * static_cast<double>(transitions);
 }
 
 double BusEnergyModel::stream_energy(std::span<const std::uint32_t> words,

@@ -12,17 +12,10 @@
 
 namespace memopt {
 
-/// Bus technology constants.
-struct BusTechnology {
-    double energy_per_transition_pj = 0.8;  ///< C_line * Vdd^2 for one line toggle
-    unsigned width_bits = 32;               ///< number of bus lines
-};
-
-/// Converts switching activity on a parallel bus into energy.
+/// Converts switching activity on a parallel bus into energy, at the
+/// per-toggle line energy calibrated in bus_model.cpp.
 class BusEnergyModel {
 public:
-    explicit BusEnergyModel(const BusTechnology& tech = BusTechnology{}) : tech_(tech) {}
-
     /// Energy of `transitions` line toggles [pJ].
     double transition_energy(std::uint64_t transitions) const;
 
@@ -30,11 +23,6 @@ public:
     /// `initial` line state [pJ]: counts Hamming transitions between
     /// consecutive words.
     double stream_energy(std::span<const std::uint32_t> words, std::uint32_t initial = 0) const;
-
-    const BusTechnology& technology() const { return tech_; }
-
-private:
-    BusTechnology tech_;
 };
 
 /// Total Hamming transitions between consecutive words of a stream,

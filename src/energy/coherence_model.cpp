@@ -2,16 +2,23 @@
 
 namespace memopt {
 
+namespace {
+// Coherence fabric calibration [pJ].
+constexpr double kCtrlMsgPj = 2.4;    // one control message (invalidate/downgrade)
+constexpr double kPerBytePj = 0.9;    // payload byte moved L1 <-> home L2 bank
+constexpr double kDirLookupPj = 1.6;  // one directory SRAM lookup + update
+}  // namespace
+
 double CoherenceEnergyModel::message_energy(std::uint64_t messages) const {
-    return tech_.ctrl_msg_pj * static_cast<double>(messages);
+    return kCtrlMsgPj * static_cast<double>(messages);
 }
 
 double CoherenceEnergyModel::transfer_energy(std::uint64_t bytes) const {
-    return tech_.per_byte_pj * static_cast<double>(bytes);
+    return kPerBytePj * static_cast<double>(bytes);
 }
 
 double CoherenceEnergyModel::lookup_energy(std::uint64_t lookups) const {
-    return tech_.dir_lookup_pj * static_cast<double>(lookups);
+    return kDirLookupPj * static_cast<double>(lookups);
 }
 
 }  // namespace memopt

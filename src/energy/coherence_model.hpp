@@ -6,29 +6,19 @@
 // coherence interconnect (a BusEnergyModel-class cost per message), dirty
 // transfers move a full line of payload between an L1 and its home L2
 // bank, and every directory consultation reads and updates a small
-// directory SRAM. Defaults are sized against the 0.18um-era constants of
-// the SRAM/bus models so coherence shows up in an EnergyBreakdown at the
-// expected order of magnitude: noticeable under contention, negligible
-// without sharing.
+// directory SRAM. The constants in coherence_model.cpp are sized against
+// the 0.18um-era constants of the SRAM/bus models so coherence shows up in
+// an EnergyBreakdown at the expected order of magnitude: noticeable under
+// contention, negligible without sharing.
 #pragma once
 
 #include <cstdint>
 
 namespace memopt {
 
-/// Technology constants of the coherence fabric. Energies in picojoules.
-struct CoherenceTechnology {
-    double ctrl_msg_pj = 2.4;     ///< one control message (invalidate/downgrade)
-    double per_byte_pj = 0.9;     ///< payload byte moved L1 <-> home L2 bank
-    double dir_lookup_pj = 1.6;   ///< one directory SRAM lookup + update
-};
-
 /// Converts coherence event counts into energy.
 class CoherenceEnergyModel {
 public:
-    explicit CoherenceEnergyModel(const CoherenceTechnology& tech = CoherenceTechnology{})
-        : tech_(tech) {}
-
     /// Energy of `messages` control messages [pJ].
     double message_energy(std::uint64_t messages) const;
 
@@ -37,11 +27,6 @@ public:
 
     /// Energy of `lookups` directory consultations [pJ].
     double lookup_energy(std::uint64_t lookups) const;
-
-    const CoherenceTechnology& technology() const { return tech_; }
-
-private:
-    CoherenceTechnology tech_;
 };
 
 }  // namespace memopt

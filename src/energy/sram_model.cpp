@@ -9,7 +9,18 @@
 namespace memopt {
 
 namespace {
+
 constexpr const char* kProtectionNames[] = {"none", "parity", "secded"};
+
+// Calibration of a 0.18um-class embedded SRAM. Energies in picojoules,
+// leakage in picowatts.
+constexpr double kReadBasePj = 2.0;     // sense/control fixed cost per read
+constexpr double kReadSqrtPj = 0.60;    // bitline+wordline cost, scaled by sqrt(words)
+constexpr double kReadDecPj = 0.25;     // decoder cost per address bit
+constexpr double kWriteFactor = 1.18;   // write energy = factor * read energy
+constexpr double kLeakPwPerByte = 1.5;  // standby leakage per byte
+constexpr double kEccXorPj = 0.004;     // one XOR term of an ECC encode/check tree
+
 }  // namespace
 
 const char* protection_name(ProtectionScheme scheme) {
@@ -46,18 +57,17 @@ std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme sche
     return data_bytes + (check_bits + 7) / 8;
 }
 
-double protection_access_energy(ProtectionScheme scheme, unsigned data_bits,
-                                const SramTechnology& tech) {
+double protection_access_energy(ProtectionScheme scheme, unsigned data_bits) {
     const unsigned check = protection_check_bits(scheme, data_bits);
     if (check == 0) return 0.0;
     // Every check bit is produced/verified by an XOR tree over roughly half
     // of the data word (plus the stored check bit itself).
-    return static_cast<double>(check) * (data_bits / 2.0 + 1.0) * tech.ecc_xor_pj;
+    return static_cast<double>(check) * (data_bits / 2.0 + 1.0) * kEccXorPj;
 }
 
 SramEnergyModel::SramEnergyModel(std::uint64_t size_bytes, unsigned word_bits,
-                                 const SramTechnology& tech, ProtectionScheme protection)
-    : size_bytes_(size_bytes), word_bits_(word_bits), tech_(tech), protection_(protection) {
+                                 ProtectionScheme protection)
+    : size_bytes_(size_bytes), word_bits_(word_bits), protection_(protection) {
     require(is_pow2(size_bytes), "SramEnergyModel: size must be a power of two");
     require(size_bytes >= 16, "SramEnergyModel: size must be >= 16 bytes");
     require(word_bits == 8 || word_bits == 16 || word_bits == 32 || word_bits == 64 ||
@@ -74,26 +84,25 @@ SramEnergyModel::SramEnergyModel(std::uint64_t size_bytes, unsigned word_bits,
                   static_cast<double>(word_bits);
     // Wider words move more bitlines per access; scale the array term
     // linearly with width relative to the 32-bit reference.
-    read_pj_ = tech.read_base_pj + tech.read_dec_pj * addr_bits +
-               tech.read_sqrt_pj * std::sqrt(words) *
-                   (static_cast<double>(word_bits) / 32.0) * width_factor;
-    write_pj_ = read_pj_ * tech.write_factor;
-    leak_pw_ = tech.leak_pw_per_byte * static_cast<double>(size_bytes) * width_factor;
+    read_pj_ = kReadBasePj + kReadDecPj * addr_bits +
+               kReadSqrtPj * std::sqrt(words) * (static_cast<double>(word_bits) / 32.0) *
+                   width_factor;
+    write_pj_ = read_pj_ * kWriteFactor;
+    leak_pw_ = kLeakPwPerByte * static_cast<double>(size_bytes) * width_factor;
 }
 
-double SramEnergyModel::leakage_energy(std::uint64_t cycles, double cycle_ns) const {
-    require(cycle_ns >= 0.0, "leakage_energy: negative cycle time");
+double SramEnergyModel::leakage_energy(std::uint64_t cycles) const {
     // pW * ns = 1e-21 J = 1e-9 pJ.
-    return leak_pw_ * static_cast<double>(cycles) * cycle_ns * 1e-9;
+    return leak_pw_ * static_cast<double>(cycles) * kCycleNs * 1e-9;
 }
 
-double bank_select_energy(std::size_t num_banks, const SramTechnology& tech) {
+double bank_select_energy(std::size_t num_banks) {
     MEMOPT_ASSERT(num_banks >= 1);
     if (num_banks <= 1) return 0.0;
     const double sel_bits = std::ceil(std::log2(static_cast<double>(num_banks)));
     // Selector decode scales with select bits; output multiplexing and the
     // longer inter-bank wiring scale mildly with the bank count itself.
-    return 0.9 * tech.read_dec_pj * sel_bits + 0.15 * static_cast<double>(num_banks);
+    return 0.9 * kReadDecPj * sel_bits + 0.15 * static_cast<double>(num_banks);
 }
 
 }  // namespace memopt

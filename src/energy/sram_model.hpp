@@ -5,9 +5,10 @@
 // this model substitutes an analytical formulation that preserves the single
 // property the optimizations depend on: energy per access grows monotonically
 // and super-logarithmically with capacity (decoder ~ log2(words), bitline /
-// wordline ~ sqrt(words) for a square array organization). Default constants
-// are calibrated so that a 1 KiB cut reads at ~12 pJ and a 64 KiB cut at
-// ~79 pJ, in line with published 0.18um-era figures.
+// wordline ~ sqrt(words) for a square array organization). The constants
+// next to the formula in sram_model.cpp are calibrated so that a 1 KiB cut
+// reads at ~12 pJ and a 64 KiB cut at ~79 pJ, in line with published
+// 0.18um-era figures.
 #pragma once
 
 #include <cstddef>
@@ -17,16 +18,9 @@
 
 namespace memopt {
 
-/// Technology constants of the SRAM model. All energies in picojoules,
-/// leakage in picowatts. Defaults model a 0.18um-class embedded SRAM.
-struct SramTechnology {
-    double read_base_pj = 2.0;      ///< sense/control fixed cost per read
-    double read_sqrt_pj = 0.60;     ///< bitline+wordline cost, scaled by sqrt(words)
-    double read_dec_pj = 0.25;      ///< decoder cost per address bit
-    double write_factor = 1.18;     ///< write energy = factor * read energy
-    double leak_pw_per_byte = 1.5;  ///< standby leakage per byte
-    double ecc_xor_pj = 0.004;      ///< one XOR term of an ECC encode/check tree
-};
+/// Cycle time of the modeled core [ns] (a 100 MHz-class embedded core):
+/// leakage and refresh energies accrue over cycles of this length.
+inline constexpr double kCycleNs = 10.0;
 
 /// Error-protection scheme of a memory array or stored line. The energy
 /// techniques reproduced here (drowsy banks, compressed write-back) trade
@@ -57,8 +51,7 @@ std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme sche
 /// SramEnergyModel's protection-aware constructor; call sites charge this
 /// logic term explicitly (typically as an "ecc" breakdown component) so
 /// reports can isolate the cost of protection.
-double protection_access_energy(ProtectionScheme scheme, unsigned data_bits,
-                                const SramTechnology& tech = SramTechnology{});
+double protection_access_energy(ProtectionScheme scheme, unsigned data_bits);
 
 /// Energy model for a single SRAM cut of a given capacity.
 ///
@@ -72,7 +65,6 @@ public:
     /// physical row. The encode/check *logic* energy is not folded in —
     /// see protection_access_energy().
     explicit SramEnergyModel(std::uint64_t size_bytes, unsigned word_bits = 32,
-                             const SramTechnology& tech = SramTechnology{},
                              ProtectionScheme protection = ProtectionScheme::None);
 
     std::uint64_t size_bytes() const { return size_bytes_; }
@@ -88,15 +80,12 @@ public:
     /// Standby leakage power [pW].
     double leakage_pw() const { return leak_pw_; }
 
-    /// Leakage energy [pJ] over `cycles` at `cycle_ns` nanoseconds per cycle.
-    double leakage_energy(std::uint64_t cycles, double cycle_ns) const;
-
-    const SramTechnology& technology() const { return tech_; }
+    /// Leakage energy [pJ] over `cycles` cycles of kCycleNs.
+    double leakage_energy(std::uint64_t cycles) const;
 
 private:
     std::uint64_t size_bytes_;
     unsigned word_bits_;
-    SramTechnology tech_;
     ProtectionScheme protection_;
     double read_pj_;
     double write_pj_;
@@ -107,6 +96,6 @@ private:
 /// inter-bank wiring) of a multi-bank memory with `num_banks` banks [pJ].
 /// Grows with log2 of the bank count; 0 for a monolithic memory. This is the
 /// term that makes unbounded banking unprofitable.
-double bank_select_energy(std::size_t num_banks, const SramTechnology& tech = SramTechnology{});
+double bank_select_energy(std::size_t num_banks);
 
 }  // namespace memopt

@@ -55,44 +55,37 @@ const TechFactors& technology_factors(MemTechnology tech) {
     return enum_entry(kTechs, tech).factors;
 }
 
-TechEnergyModel::TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes,
-                                 unsigned word_bits, const SramTechnology& base,
-                                 ProtectionScheme protection)
-    : tech_(tech),
-      factors_(technology_factors(tech)),
-      base_(size_bytes, word_bits, base, protection) {
+TechEnergyModel::TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes)
+    : tech_(tech), factors_(technology_factors(tech)), size_bytes_(size_bytes) {
+    const SramEnergyModel base(size_bytes);
     // SRAM bypasses the factor multiplications entirely so an all-SRAM pool
     // reproduces the legacy SramEnergyModel doubles bit for bit (x * 1.0 is
     // identity in IEEE, but the contract should not hinge on that).
     if (tech == MemTechnology::Sram || tech == MemTechnology::DrowsySram) {
-        read_pj_ = base_.read_energy();
-        write_pj_ = base_.write_energy();
-        leak_pw_ = base_.leakage_pw();
+        read_pj_ = base.read_energy();
+        write_pj_ = base.write_energy();
+        leak_pw_ = base.leakage_pw();
     } else {
-        read_pj_ = base_.read_energy() * factors_.read_factor;
-        write_pj_ = base_.read_energy() * factors_.write_factor;
-        leak_pw_ = base_.leakage_pw() * factors_.leak_factor;
+        read_pj_ = base.read_energy() * factors_.read_factor;
+        write_pj_ = base.read_energy() * factors_.write_factor;
+        leak_pw_ = base.leakage_pw() * factors_.leak_factor;
     }
 }
 
-double TechEnergyModel::leakage_energy(std::uint64_t cycles, double cycle_ns) const {
-    if (tech_ == MemTechnology::Sram || tech_ == MemTechnology::DrowsySram)
-        return base_.leakage_energy(cycles, cycle_ns);
-    require(cycle_ns >= 0.0, "leakage_energy: negative cycle time");
-    // pW * ns = 1e-9 pJ (same unit bridge as SramEnergyModel).
-    return leak_pw_ * static_cast<double>(cycles) * cycle_ns * 1e-9;
+double TechEnergyModel::leakage_energy(std::uint64_t cycles) const {
+    // The expression of SramEnergyModel::leakage_energy, so SRAM and drowsy
+    // banks (whose leak_pw_ is the SRAM value) leak bit-identically to it.
+    return leak_pw_ * static_cast<double>(cycles) * kCycleNs * 1e-9;
 }
 
-double TechEnergyModel::refresh_energy(std::uint64_t cycles, double cycle_ns) const {
+double TechEnergyModel::refresh_energy(std::uint64_t cycles) const {
     if (factors_.refresh_pw_per_byte <= 0.0) return 0.0;
-    require(cycle_ns >= 0.0, "refresh_energy: negative cycle time");
-    const double refresh_pw =
-        factors_.refresh_pw_per_byte * static_cast<double>(base_.size_bytes());
-    return refresh_pw * static_cast<double>(cycles) * cycle_ns * 1e-9;
+    const double refresh_pw = factors_.refresh_pw_per_byte * static_cast<double>(size_bytes_);
+    return refresh_pw * static_cast<double>(cycles) * kCycleNs * 1e-9;
 }
 
-double TechEnergyModel::gated_leakage_energy(std::uint64_t cycles, double cycle_ns) const {
-    return leakage_energy(cycles, cycle_ns) * factors_.gate_leak_factor;
+double TechEnergyModel::gated_leakage_energy(std::uint64_t cycles) const {
+    return leakage_energy(cycles) * factors_.gate_leak_factor;
 }
 
 BankPool::BankPool(std::vector<PoolSlot> slots) : slots_(std::move(slots)) {

@@ -84,16 +84,14 @@ const TechFactors& technology_factors(MemTechnology tech);
 /// legacy model.
 class TechEnergyModel {
 public:
-    /// `size_bytes` power of two and >= 16, as in SramEnergyModel.
-    /// The SRAM technology constants and protection scheme feed the base
-    /// model; the factors are the technology's standard design point.
-    TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes, unsigned word_bits = 32,
-                    const SramTechnology& base = SramTechnology{},
-                    ProtectionScheme protection = ProtectionScheme::None);
+    /// `size_bytes` power of two and >= 16, as in SramEnergyModel. The
+    /// base is an unprotected 32-bit SramEnergyModel of that size; the
+    /// factors are the technology's standard design point.
+    TechEnergyModel(MemTechnology tech, std::uint64_t size_bytes);
 
     MemTechnology technology() const { return tech_; }
     const TechFactors& factors() const { return factors_; }
-    std::uint64_t size_bytes() const { return base_.size_bytes(); }
+    std::uint64_t size_bytes() const { return size_bytes_; }
 
     /// Energy of one read / write access [pJ].
     double read_energy() const { return read_pj_; }
@@ -102,16 +100,16 @@ public:
     /// Standby (powered, not gated) leakage power [pW].
     double leakage_pw() const { return leak_pw_; }
 
-    /// Leakage energy [pJ] over `cycles` powered cycles.
-    double leakage_energy(std::uint64_t cycles, double cycle_ns) const;
+    /// Leakage energy [pJ] over `cycles` powered cycles of kCycleNs.
+    double leakage_energy(std::uint64_t cycles) const;
 
     /// Refresh energy [pJ] over `cycles` powered cycles (0 for static
     /// technologies). Scales linearly with time: the refresh sweep is
     /// periodic, so twice the powered time costs twice the refresh.
-    double refresh_energy(std::uint64_t cycles, double cycle_ns) const;
+    double refresh_energy(std::uint64_t cycles) const;
 
     /// Leakage energy [pJ] over `cycles` spent power-gated.
-    double gated_leakage_energy(std::uint64_t cycles, double cycle_ns) const;
+    double gated_leakage_energy(std::uint64_t cycles) const;
 
     /// Energy to re-activate the bank after a gate period [pJ].
     double gate_wake_energy() const { return factors_.gate_wake_pj; }
@@ -119,7 +117,7 @@ public:
 private:
     MemTechnology tech_;
     TechFactors factors_;
-    SramEnergyModel base_;
+    std::uint64_t size_bytes_;
     double read_pj_;
     double write_pj_;
     double leak_pw_;

@@ -92,6 +92,9 @@ std::vector<double> sleepy_line_probabilities(const MemoryArchitecture& arch,
 
 namespace {
 
+/// The SRAM cut whose access energy the campaign charges per stored word.
+constexpr std::uint64_t kSramBankBytes = 4096;
+
 /// Precondition checks of run_campaign.
 void validate_campaign(const FaultCampaignConfig& config,
                        std::span<const std::vector<std::uint8_t>> corpus,
@@ -186,14 +189,12 @@ FaultCampaignResult reduce_trials(const FaultCampaignConfig& config, std::size_t
     for (const std::vector<std::uint8_t>& blob : stored) stored_words += (blob.size() + 7) / 8;
     const double accesses_per_trial = static_cast<double>(stored_words);
     const double total_accesses = accesses_per_trial * static_cast<double>(trials.size());
-    const SramEnergyModel base_model(config.sram_bank_bytes, 64, config.sram);
-    const SramEnergyModel prot_model(config.sram_bank_bytes, 64, config.sram,
-                                     config.protection);
+    const SramEnergyModel base_model(kSramBankBytes, 64);
+    const SramEnergyModel prot_model(kSramBankBytes, 64, config.protection);
     result.energy.add("sram_access", base_model.read_energy() * total_accesses);
     if (config.protection != ProtectionScheme::None) {
-        const double per_word =
-            (prot_model.read_energy() - base_model.read_energy()) +
-            protection_access_energy(config.protection, 64, config.sram);
+        const double per_word = (prot_model.read_energy() - base_model.read_energy()) +
+                                protection_access_energy(config.protection, 64);
         result.energy.add("protection", per_word * total_accesses);
     }
     const DramEnergyModel dram(config.dram);

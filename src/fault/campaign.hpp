@@ -43,8 +43,6 @@ struct FaultCampaignConfig {
     const LineCodec* codec = nullptr;  ///< when set, lines are stored compressed
     std::string codec_tag;             ///< names the codec in the checkpoint config hash
     unsigned line_bytes = 32;          ///< corpus line size (multiple of 4)
-    std::uint64_t sram_bank_bytes = 4096;  ///< bank cut for access-energy accounting
-    SramTechnology sram;               ///< technology for access/protection energy
     DramTechnology dram;               ///< technology for the re-fetch penalty
     std::size_t jobs = 0;              ///< parallelism; 0 = default_jobs()
 };

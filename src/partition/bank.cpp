@@ -7,10 +7,9 @@
 
 namespace memopt {
 
-std::uint64_t MemoryArchitecture::capacity_for(std::uint64_t block_size, std::size_t num_blocks,
-                                               std::uint64_t min_bytes) {
+std::uint64_t MemoryArchitecture::capacity_for(std::uint64_t block_size, std::size_t num_blocks) {
     const std::uint64_t needed = block_size * num_blocks;
-    return std::max(ceil_pow2(needed), min_bytes);
+    return std::max(ceil_pow2(needed), kMinBankBytes);
 }
 
 MemoryArchitecture::MemoryArchitecture(std::vector<Bank> banks, std::uint64_t block_size)
@@ -19,22 +18,19 @@ MemoryArchitecture::MemoryArchitecture(std::vector<Bank> banks, std::uint64_t bl
 }
 
 MemoryArchitecture MemoryArchitecture::monolithic(std::uint64_t block_size,
-                                                  std::size_t num_blocks,
-                                                  std::uint64_t min_bank_bytes) {
-    return from_splits(block_size, num_blocks, {}, min_bank_bytes);
+                                                  std::size_t num_blocks) {
+    return from_splits(block_size, num_blocks, {});
 }
 
 MemoryArchitecture MemoryArchitecture::from_splits(std::uint64_t block_size,
                                                    std::size_t num_blocks,
-                                                   const std::vector<std::size_t>& splits,
-                                                   std::uint64_t min_bank_bytes) {
+                                                   const std::vector<std::size_t>& splits) {
     require(num_blocks > 0, "from_splits: num_blocks must be > 0");
     std::vector<Bank> banks;
     std::size_t start = 0;
     auto close_bank = [&](std::size_t end) {
         require(end > start, "from_splits: splits must be strictly increasing in range");
-        banks.push_back(Bank{start, end - start,
-                             capacity_for(block_size, end - start, min_bank_bytes)});
+        banks.push_back(Bank{start, end - start, capacity_for(block_size, end - start)});
         start = end;
     };
     for (std::size_t split : splits) {

@@ -13,6 +13,10 @@
 
 namespace memopt {
 
+/// Smallest manufacturable SRAM cut [bytes]: capacity_for() clamps every
+/// bank of monolithic() and from_splits() up to it.
+inline constexpr std::uint64_t kMinBankBytes = 256;
+
 /// One SRAM bank covering a contiguous block range.
 struct Bank {
     std::size_t first_block = 0;  ///< first covered block (inclusive)
@@ -34,20 +38,17 @@ public:
     /// constructible; replace it before use.
     MemoryArchitecture() : MemoryArchitecture({Bank{0, 1, 4096}}, 4096) {}
 
-    /// Build from bank ranges. `block_size` is the profile's block size;
-    /// `min_bank_bytes` is the smallest manufacturable cut (bank capacities
-    /// are clamped up to it). Throws memopt::Error on invalid layouts.
+    /// Build from bank ranges. `block_size` is the profile's block size.
+    /// Throws memopt::Error on invalid layouts.
     MemoryArchitecture(std::vector<Bank> banks, std::uint64_t block_size);
 
     /// Monolithic architecture: one bank covering `num_blocks` blocks.
-    static MemoryArchitecture monolithic(std::uint64_t block_size, std::size_t num_blocks,
-                                         std::uint64_t min_bank_bytes = 256);
+    static MemoryArchitecture monolithic(std::uint64_t block_size, std::size_t num_blocks);
 
     /// Build from split points: `splits` are the first blocks of each bank
     /// after the first (strictly increasing, in (0, num_blocks)).
     static MemoryArchitecture from_splits(std::uint64_t block_size, std::size_t num_blocks,
-                                          const std::vector<std::size_t>& splits,
-                                          std::uint64_t min_bank_bytes = 256);
+                                          const std::vector<std::size_t>& splits);
 
     const std::vector<Bank>& banks() const { return banks_; }
     std::size_t num_banks() const { return banks_.size(); }
@@ -60,10 +61,9 @@ public:
     /// Total physical capacity over all banks (>= covered span).
     std::uint64_t total_capacity() const;
 
-    /// Physical capacity (power of two, >= min_bytes) needed for a run of
-    /// `num_blocks` blocks of `block_size` bytes.
-    static std::uint64_t capacity_for(std::uint64_t block_size, std::size_t num_blocks,
-                                      std::uint64_t min_bytes);
+    /// Physical capacity (power of two, >= kMinBankBytes) needed for a run
+    /// of `num_blocks` blocks of `block_size` bytes.
+    static std::uint64_t capacity_for(std::uint64_t block_size, std::size_t num_blocks);
 
 private:
     void validate() const;

@@ -1,5 +1,6 @@
 #include "partition/evaluate.hpp"
 
+#include "energy/sram_model.hpp"
 #include "support/assert.hpp"
 
 namespace memopt {
@@ -15,7 +16,7 @@ EnergyBreakdown evaluate_partition(const MemoryArchitecture& arch, const BlockPr
     double access_pj = 0.0;
     double leak_pj = 0.0;
     for (const Bank& bank : arch.banks()) {
-        const SramEnergyModel model(bank.size_bytes, 32, params.sram, params.protection);
+        const SramEnergyModel model(bank.size_bytes);
         std::uint64_t reads = 0;
         std::uint64_t writes = 0;
         for (std::size_t b = bank.first_block; b < bank.end_block(); ++b) {
@@ -25,27 +26,23 @@ EnergyBreakdown evaluate_partition(const MemoryArchitecture& arch, const BlockPr
         access_pj += static_cast<double>(reads) * model.read_energy() +
                      static_cast<double>(writes) * model.write_energy();
         if (params.runtime_cycles > 0)
-            leak_pj += model.leakage_energy(params.runtime_cycles, params.cycle_ns);
+            leak_pj += model.leakage_energy(params.runtime_cycles);
     }
     breakdown.add("bank_access", access_pj);
 
-    const double select_pj = bank_select_energy(arch.num_banks(), params.sram);
+    const double select_pj = bank_select_energy(arch.num_banks());
     breakdown.add("bank_select",
                   select_pj * static_cast<double>(profile.total_accesses()));
     if (params.runtime_cycles > 0) breakdown.add("leakage", leak_pj);
     if (params.extra_pj_per_access > 0.0)
         breakdown.add("remap",
                       params.extra_pj_per_access * static_cast<double>(profile.total_accesses()));
-    if (params.protection != ProtectionScheme::None)
-        breakdown.add("ecc", protection_access_energy(params.protection, 32, params.sram) *
-                                 static_cast<double>(profile.total_accesses()));
     return breakdown;
 }
 
 EnergyBreakdown evaluate_monolithic(const BlockProfile& profile,
                                     const PartitionEnergyParams& params) {
-    const auto arch = MemoryArchitecture::monolithic(profile.block_size(), profile.num_blocks(),
-                                                     params.min_bank_bytes);
+    const auto arch = MemoryArchitecture::monolithic(profile.block_size(), profile.num_blocks());
     return evaluate_partition(arch, profile, params);
 }
 

@@ -33,6 +33,26 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
                        static_cast<unsigned long long>(previous)));
 }
 
+/// The closed-form energy of `bank` built in `tech` with activity `a`.
+HybridBankReport bank_slice(MemTechnology tech, const Bank& bank, const BankActivity& a,
+                            double gate_leak_scale) {
+    const TechEnergyModel model(tech, bank.size_bytes);
+    HybridBankReport slice;
+    slice.tech = tech;
+    slice.bank = bank;
+    slice.activity = a;
+    // Same accumulation shape as evaluate_partition(): one fused read+write
+    // term per bank — the all-SRAM case reproduces the legacy "bank_access"
+    // double bit for bit.
+    slice.access_pj = static_cast<double>(a.reads) * model.read_energy() +
+                      static_cast<double>(a.writes) * model.write_energy();
+    slice.leakage_pj = model.leakage_energy(a.active_cycles);
+    slice.refresh_pj = model.refresh_energy(a.active_cycles);
+    slice.gated_pj = model.gated_leakage_energy(a.gated_cycles) * gate_leak_scale;
+    slice.wakeup_pj = static_cast<double>(a.wakeups) * model.gate_wake_energy();
+    return slice;
+}
+
 /// True when a bank last accessed at `from` went dark before `to`: it was
 /// idle for more than `idle` cycles (0 = banks never gate).
 bool dark_between(std::uint64_t idle, std::uint64_t from, std::uint64_t to) {
@@ -191,20 +211,10 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     return activity;
 }
 
-double hybrid_bank_energy(const TechEnergyModel& model, const BankActivity& a,
-                          double cycle_ns, double gate_leak_scale) {
-    return static_cast<double>(a.reads) * model.read_energy() +
-           static_cast<double>(a.writes) * model.write_energy() +
-           model.leakage_energy(a.active_cycles, cycle_ns) +
-           model.refresh_energy(a.active_cycles, cycle_ns) +
-           model.gated_leakage_energy(a.gated_cycles, cycle_ns) * gate_leak_scale +
-           static_cast<double>(a.wakeups) * model.gate_wake_energy();
-}
-
 std::vector<MemTechnology> assign_technologies(const MemoryArchitecture& arch,
                                                const std::vector<BankActivity>& activity,
                                                const BankPool& pool,
-                                               const PartitionEnergyParams& params,
+                                               const PartitionEnergyParams& /*params*/,
                                                const HybridGatingParams& gating) {
     const std::size_t num_banks = arch.num_banks();
     require(activity.size() == num_banks,
@@ -217,16 +227,14 @@ std::vector<MemTechnology> assign_technologies(const MemoryArchitecture& arch,
     const std::size_t num_slots = slots.size();
 
     // Per-(bank, slot) closed-form cost. Only technology-dependent terms
-    // enter the DP; bank select / remap / ecc are per-access constants that
+    // enter the DP; bank select / remap are per-access constants that
     // cannot change the arg-min.
     std::vector<double> cost(num_banks * num_slots);
     for (std::size_t b = 0; b < num_banks; ++b) {
         for (std::size_t s = 0; s < num_slots; ++s) {
-            const TechEnergyModel model(slots[s].tech, arch.banks()[b].size_bytes, 32,
-                                        params.sram, params.protection);
             cost[b * num_slots + s] =
-                hybrid_bank_energy(model, activity[b], params.cycle_ns,
-                                   gating.gate_leak_scale);
+                bank_slice(slots[s].tech, arch.banks()[b], activity[b], gating.gate_leak_scale)
+                    .total_pj();
         }
     }
 
@@ -326,36 +334,21 @@ HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
     double gated_pj = 0.0;
     double wake_pj = 0.0;
     for (std::size_t b = 0; b < num_banks; ++b) {
-        const Bank& bank = arch.banks()[b];
-        const BankActivity& a = activity[b];
-        const TechEnergyModel model(techs[b], bank.size_bytes, 32, params.sram,
-                                    params.protection);
-        HybridBankReport slice;
-        slice.tech = techs[b];
-        slice.bank = bank;
-        slice.activity = a;
-        // Same accumulation shape as evaluate_partition(): one fused
-        // read+write term per bank, summed in bank order — the all-SRAM
-        // case reproduces the legacy "bank_access" double bit for bit.
-        slice.access_pj = static_cast<double>(a.reads) * model.read_energy() +
-                          static_cast<double>(a.writes) * model.write_energy();
-        slice.leakage_pj = model.leakage_energy(a.active_cycles, params.cycle_ns);
-        slice.refresh_pj = model.refresh_energy(a.active_cycles, params.cycle_ns);
-        slice.gated_pj = model.gated_leakage_energy(a.gated_cycles, params.cycle_ns) *
-                         gating.gate_leak_scale;
-        slice.wakeup_pj = static_cast<double>(a.wakeups) * model.gate_wake_energy();
+        const HybridBankReport slice =
+            bank_slice(techs[b], arch.banks()[b], activity[b], gating.gate_leak_scale);
+        // Summed in bank order, as evaluate_partition() sums its banks.
         access_pj += slice.access_pj;
         leak_pj += slice.leakage_pj;
         refresh_pj += slice.refresh_pj;
         gated_pj += slice.gated_pj;
         wake_pj += slice.wakeup_pj;
-        accesses += a.accesses();
-        report.total_cycles = std::max(report.total_cycles, a.total_cycles());
+        accesses += slice.activity.accesses();
+        report.total_cycles = std::max(report.total_cycles, slice.activity.total_cycles());
         report.banks.push_back(slice);
     }
 
     report.energy.add("bank_access", access_pj);
-    const double select_pj = bank_select_energy(num_banks, params.sram);
+    const double select_pj = bank_select_energy(num_banks);
     report.energy.add("bank_select", select_pj * static_cast<double>(accesses));
     report.energy.add("leakage", leak_pj);
     if (refresh_pj > 0.0) report.energy.add("refresh", refresh_pj);
@@ -366,10 +359,6 @@ HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
     if (params.extra_pj_per_access > 0.0)
         report.energy.add("remap",
                           params.extra_pj_per_access * static_cast<double>(accesses));
-    if (params.protection != ProtectionScheme::None)
-        report.energy.add("ecc", protection_access_energy(params.protection, 32,
-                                                          params.sram) *
-                                     static_cast<double>(accesses));
     return report;
 }
 

@@ -77,24 +77,22 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const HybridGatingParams& gating,
                                                std::uint64_t min_total_cycles = 0);
 
-/// Closed-form energy [pJ] of one bank built as `model` with activity `a`:
-/// access + powered leakage + refresh (over powered cycles) + gated leakage
-/// (scaled by gate_leak_scale) + wake-up energy. Excludes the per-access
-/// architecture terms (bank select, remap, ecc), which are technology-blind.
-double hybrid_bank_energy(const TechEnergyModel& model, const BankActivity& a,
-                          double cycle_ns, double gate_leak_scale = 1.0);
-
 /// Energy-optimal technology per bank, drawing at most slot.count banks
-/// from each pool slot. Exact DP over (bank, per-slot usage) states;
-/// deterministic (earlier pool slots win cost ties). Throws memopt::Error
-/// when the pool has fewer banks than the architecture.
+/// from each pool slot. Exact DP over (bank, per-slot usage) states whose
+/// per-bank cost is the HybridBankReport::total_pj() that
+/// evaluate_partition_hybrid reports; deterministic (earlier pool slots win
+/// cost ties). `params` holds only technology-blind per-access terms, which
+/// cannot change the arg-min, so the DP does not read it. Throws
+/// memopt::Error when the pool has fewer banks than the architecture.
 std::vector<MemTechnology> assign_technologies(const MemoryArchitecture& arch,
                                                const std::vector<BankActivity>& activity,
                                                const BankPool& pool,
                                                const PartitionEnergyParams& params,
                                                const HybridGatingParams& gating);
 
-/// Per-bank slice of a hybrid evaluation.
+/// Per-bank slice of a hybrid evaluation: the closed-form energy of one
+/// bank built in `tech` with activity `activity`. Excludes the per-access
+/// architecture terms (bank select, remap), which are technology-blind.
 struct HybridBankReport {
     MemTechnology tech = MemTechnology::Sram;
     Bank bank;
@@ -102,9 +100,10 @@ struct HybridBankReport {
     double access_pj = 0.0;
     double leakage_pj = 0.0;   ///< powered (non-gated) leakage
     double refresh_pj = 0.0;
-    double gated_pj = 0.0;     ///< residual leakage while gated
+    double gated_pj = 0.0;     ///< residual leakage while gated, x gate_leak_scale
     double wakeup_pj = 0.0;
 
+    /// access + powered leakage + refresh + gated leakage + wake-up.
     double total_pj() const {
         return access_pj + leakage_pj + refresh_pj + gated_pj + wakeup_pj;
     }
@@ -112,7 +111,7 @@ struct HybridBankReport {
 
 /// Result of a hybrid evaluation: the full breakdown plus per-bank detail.
 /// Components: "bank_access", "bank_select", "leakage", "refresh",
-/// "gated_leakage", "wakeup", and the usual "remap"/"ecc" when configured.
+/// "gated_leakage", "wakeup", and the usual "remap" when configured.
 struct HybridReport {
     EnergyBreakdown energy;
     std::vector<HybridBankReport> banks;
@@ -126,7 +125,7 @@ struct HybridReport {
 /// Evaluate `arch` with the given per-bank technologies and activity.
 /// With every bank Sram, gating disabled and min_total_cycles >=
 /// params.runtime_cycles > 0, "bank_access"/"bank_select"/"leakage" (and
-/// "remap"/"ecc") are bit-identical to evaluate_partition() — the legacy
+/// "remap") are bit-identical to evaluate_partition() — the legacy
 /// arithmetic is delegated to, not reproduced.
 HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
                                        const std::vector<MemTechnology>& techs,

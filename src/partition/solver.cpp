@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "energy/sram_model.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
 
@@ -49,7 +50,7 @@ public:
         total_accesses_ = reads + writes;
 
         // Cache energies for every capacity that can occur: powers of two
-        // from min_bank_bytes up to the full span...
+        // from kMinBankBytes up to the full span...
         struct CapEntry {
             std::uint64_t capacity;
             double read_pj;
@@ -58,13 +59,11 @@ public:
         };
         std::vector<CapEntry> by_capacity;
         const std::uint64_t block_size = profile.block_size();
-        const std::uint64_t max_cap =
-            MemoryArchitecture::capacity_for(block_size, n_, params.min_bank_bytes);
-        for (std::uint64_t cap = params.min_bank_bytes; cap <= max_cap; cap *= 2) {
-            const SramEnergyModel model(cap, 32, params.sram);
-            const double leak = params.runtime_cycles > 0
-                                    ? model.leakage_energy(params.runtime_cycles, params.cycle_ns)
-                                    : 0.0;
+        const std::uint64_t max_cap = MemoryArchitecture::capacity_for(block_size, n_);
+        for (std::uint64_t cap = kMinBankBytes; cap <= max_cap; cap *= 2) {
+            const SramEnergyModel model(cap);
+            const double leak =
+                params.runtime_cycles > 0 ? model.leakage_energy(params.runtime_cycles) : 0.0;
             by_capacity.push_back(
                 CapEntry{cap, model.read_energy(), model.write_energy(), leak});
         }
@@ -74,8 +73,7 @@ public:
         write_pj_.resize(n_);
         leak_pj_.resize(n_);
         for (std::size_t len = 1; len <= n_; ++len) {
-            const std::uint64_t cap =
-                MemoryArchitecture::capacity_for(block_size, len, params.min_bank_bytes);
+            const std::uint64_t cap = MemoryArchitecture::capacity_for(block_size, len);
             const CapEntry* found = nullptr;
             for (const CapEntry& c : by_capacity) {
                 if (c.capacity == cap) found = &c;
@@ -233,8 +231,8 @@ constexpr std::size_t kMinParallelCells = 256;
 PartitionSolution make_solution(const BlockProfile& profile,
                                 const PartitionEnergyParams& params,
                                 const std::vector<std::size_t>& splits) {
-    auto arch = MemoryArchitecture::from_splits(profile.block_size(), profile.num_blocks(),
-                                                splits, params.min_bank_bytes);
+    auto arch =
+        MemoryArchitecture::from_splits(profile.block_size(), profile.num_blocks(), splits);
     auto energy = evaluate_partition(arch, profile, params);
     return PartitionSolution{std::move(arch), std::move(energy)};
 }
@@ -316,8 +314,7 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
     std::size_t best_k = 1;
     for (std::size_t k = 1; k <= kmax; ++k) {
         if (dp_at_n[k] == kInf) continue;
-        const double total =
-            dp_at_n[k] + total_accesses * bank_select_energy(k, params.sram);
+        const double total = dp_at_n[k] + total_accesses * bank_select_energy(k);
         if (total < best_total) {
             best_total = total;
             best_k = k;
@@ -352,10 +349,8 @@ PartitionSolution solve_partition_greedy(const BlockProfile& profile,
 
     while (bounds.size() - 1 < constraints.max_banks) {
         const std::size_t k = bounds.size() - 1;
-        const double current_total =
-            current_bank_cost + total_accesses * bank_select_energy(k, params.sram);
-        const double next_select =
-            total_accesses * bank_select_energy(k + 1, params.sram);
+        const double current_total = current_bank_cost + total_accesses * bank_select_energy(k);
+        const double next_select = total_accesses * bank_select_energy(k + 1);
 
         // Find the single most profitable split across all banks.
         double best_total = current_total;

@@ -179,6 +179,15 @@ TEST(DecoderCost, IdentityTransformIsFree) {
     EXPECT_DOUBLE_EQ(decoder_energy(LinearTransform{}, words), 0.0);
 }
 
+TEST(DecoderCost, CalibrationPinnedExactly) {
+    // One gate output toggle: its energy, printed with %.17g, pins the
+    // per-toggle gate constant.
+    const LinearTransform t({XorGate{0, 1}});
+    const std::vector<std::uint32_t> words{0x1};
+    ASSERT_EQ(decoder_toggles(t, words), 1u);
+    EXPECT_EQ(decoder_energy(t, words), 0.012);
+}
+
 TEST(DecoderCost, TogglesBoundedByGatesTimesWords) {
     Rng rng(5);
     const LinearTransform t = random_transform(rng, 10);
@@ -210,8 +219,7 @@ TEST(DecoderCost, NetEnergyStaysPositiveOnRealStreams) {
         cfg.record_fetch_stream = true;
         const RunResult run = run_kernel(kernel_by_name(name), cfg);
         const auto r = search_transform(run.fetch_stream, {.max_gates = 16});
-        const EnergyBreakdown enc = encoded_energy(
-            r.transform, run.fetch_stream, bus.technology().energy_per_transition_pj);
+        const EnergyBreakdown enc = encoded_energy(r.transform, run.fetch_stream);
         const double raw = bus.transition_energy(r.original_transitions);
         EXPECT_LT(enc.total(), raw) << name;
         EXPECT_GT(enc.component("decoder"), 0.0) << name;

@@ -1,9 +1,11 @@
-// Unit tests for the energy models (SRAM, DRAM, bus) and EnergyBreakdown.
+// Unit tests for the energy models (SRAM, DRAM, bus, coherence) and
+// EnergyBreakdown.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "energy/bus_model.hpp"
+#include "energy/coherence_model.hpp"
 #include "energy/dram_model.hpp"
 #include "energy/report.hpp"
 #include "energy/sram_model.hpp"
@@ -34,8 +36,7 @@ TEST(SramModel, GrowthIsSuperLogarithmic) {
 TEST(SramModel, WriteCostsMoreThanRead) {
     const SramEnergyModel model(4096);
     EXPECT_GT(model.write_energy(), model.read_energy());
-    EXPECT_NEAR(model.write_energy() / model.read_energy(),
-                model.technology().write_factor, 1e-12);
+    EXPECT_NEAR(model.write_energy() / model.read_energy(), 1.18, 1e-12);  // write factor
 }
 
 TEST(SramModel, WiderWordsCostMore) {
@@ -47,10 +48,10 @@ TEST(SramModel, WiderWordsCostMore) {
 TEST(SramModel, LeakageScalesWithSizeAndTime) {
     const SramEnergyModel model(8192);
     EXPECT_DOUBLE_EQ(model.leakage_pw(), 1.5 * 8192);
-    const double e1 = model.leakage_energy(1000, 10.0);
-    const double e2 = model.leakage_energy(2000, 10.0);
+    const double e1 = model.leakage_energy(1000);
+    const double e2 = model.leakage_energy(2000);
     EXPECT_NEAR(e2, 2.0 * e1, 1e-12);
-    EXPECT_DOUBLE_EQ(model.leakage_energy(0, 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(model.leakage_energy(0), 0.0);
 }
 
 TEST(SramModel, RejectsBadGeometry) {
@@ -64,6 +65,31 @@ TEST(SramModel, CalibrationAnchors) {
     // ~79 pJ at 64 KiB (0.18um-class embedded SRAM).
     EXPECT_NEAR(SramEnergyModel(1024).read_energy(), 12.0, 2.0);
     EXPECT_NEAR(SramEnergyModel(64 * 1024).read_energy(), 79.0, 8.0);
+}
+
+// Exact values of the calibrated models, printed with %.17g: EXPECT_EQ
+// catches a drift of any constant that CalibrationAnchors' tolerances
+// would absorb.
+TEST(SramModel, CalibrationPinnedExactly) {
+    const SramEnergyModel small(1024);
+    EXPECT_EQ(small.read_energy(), 13.6);
+    EXPECT_EQ(small.write_energy(), 16.047999999999998);
+    EXPECT_EQ(small.leakage_pw(), 1536.0);
+    EXPECT_EQ(small.leakage_energy(1000), 0.01536);  // pins kCycleNs too
+    const SramEnergyModel big(64 * 1024);
+    EXPECT_EQ(big.read_energy(), 82.299999999999997);
+    EXPECT_EQ(big.write_energy(), 97.11399999999999);
+    EXPECT_EQ(big.leakage_pw(), 98304.0);
+    const SramEnergyModel secded(4096, 32, ProtectionScheme::Secded);
+    EXPECT_EQ(secded.read_energy(), 27.899999999999999);
+    EXPECT_EQ(secded.write_energy(), 32.921999999999997);
+    EXPECT_EQ(secded.leakage_pw(), 7488.0);
+}
+
+TEST(BankSelect, CalibrationPinnedExactly) {
+    EXPECT_EQ(bank_select_energy(2), 0.52500000000000002);
+    EXPECT_EQ(bank_select_energy(4), 1.05);
+    EXPECT_EQ(bank_select_energy(8), 1.875);
 }
 
 TEST(BankSelect, ZeroForMonolithicAndMonotone) {
@@ -111,6 +137,19 @@ TEST(Bus, StreamEnergyMatchesTransitionCount) {
     const BusEnergyModel model;
     EXPECT_DOUBLE_EQ(model.stream_energy(words, 0),
                      model.transition_energy(count_transitions(words, 0)));
+}
+
+TEST(Bus, CalibrationPinnedExactly) {
+    EXPECT_EQ(BusEnergyModel{}.transition_energy(1), 0.80000000000000004);
+}
+
+// ------------------------------------------------------------ coherence ----
+
+TEST(CoherenceModel, CalibrationPinnedExactly) {
+    const CoherenceEnergyModel model;
+    EXPECT_EQ(model.message_energy(1), 2.3999999999999999);
+    EXPECT_EQ(model.transfer_energy(1), 0.90000000000000002);
+    EXPECT_EQ(model.lookup_energy(1), 1.6000000000000001);
 }
 
 // ------------------------------------------------------------ breakdown ----

@@ -103,12 +103,20 @@ TEST(ProtectionEnergy, NoneIsFreeAndStrongerCostsMore) {
     EXPECT_GT(parity, 0.0);
     EXPECT_GT(secded, parity);
     // None keeps the SRAM model bit-identical to the unprotected one.
-    const SramEnergyModel base(4096, 32, SramTechnology{});
-    const SramEnergyModel none(4096, 32, SramTechnology{}, ProtectionScheme::None);
+    const SramEnergyModel base(4096, 32);
+    const SramEnergyModel none(4096, 32, ProtectionScheme::None);
     EXPECT_EQ(base.read_energy(), none.read_energy());
     EXPECT_EQ(base.write_energy(), none.write_energy());
-    const SramEnergyModel prot(4096, 32, SramTechnology{}, ProtectionScheme::Secded);
+    const SramEnergyModel prot(4096, 32, ProtectionScheme::Secded);
     EXPECT_GT(prot.read_energy(), base.read_energy());
+}
+
+TEST(ProtectionEnergy, CalibrationPinnedExactly) {
+    // Exact values printed with %.17g: they pin the ECC XOR-term constant.
+    EXPECT_EQ(protection_access_energy(ProtectionScheme::Parity, 32), 0.068000000000000005);
+    EXPECT_EQ(protection_access_energy(ProtectionScheme::Secded, 32), 0.47600000000000003);
+    EXPECT_EQ(protection_access_energy(ProtectionScheme::Parity, 64), 0.13200000000000001);
+    EXPECT_EQ(protection_access_energy(ProtectionScheme::Secded, 64), 1.056);
 }
 
 // ---- ProtectedBuffer -----------------------------------------------------

@@ -337,8 +337,8 @@ TEST(MultiCore, BitIdenticalAcrossReplaysAndChunkSizes) {
 TEST(MultiCore, ProducerConsumerBitIdenticalAtAnyJobCount) {
     // Every source kind. The spec and the .mtsc traces are longer than one
     // 64Ki-access chunk, so at --jobs 8 their first fill runs on the pool,
-    // and at 65536 so does every refill. The text trace is short: each core
-    // parses its own copy of the file.
+    // and at 65536 so does every refill. The text trace is short: the cores
+    // share one parsed copy of the file.
     const std::string spec =
         "synthetic:producer-consumer,span=16384,n=66000,seed=7,shared-bytes=1024,"
         "shared-frac=0.5";
@@ -414,6 +414,27 @@ TEST(MultiCore, OpenCoreTraceSourcesKernelFansOut) {
     ASSERT_EQ(a.size(), b.size());
     // Identical streams: worst-case sharing.
     EXPECT_TRUE(std::equal(a.addrs.begin(), a.addrs.end(), b.addrs.begin()));
+}
+
+TEST(MultiCore, OpenCoreTraceSourcesParsesATextTraceOnce) {
+    SyntheticSource generated(parse_synthetic_spec("uniform,span=4096,n=1000,seed=5"));
+    const std::string text = ::testing::TempDir() + "mcache_shared.trace";
+    {
+        std::ofstream os(text);
+        write_trace_text(os, generated);
+    }
+    const auto sources = WorkloadRepository::instance().open_core_trace_sources(text, 4);
+    ASSERT_EQ(sources.size(), 4u);
+    // Every core replays the one resident copy of the file, so their first
+    // chunks view the same addrs column.
+    TraceChunk first;
+    ASSERT_TRUE(sources[0]->next(first));
+    for (std::size_t c = 1; c < sources.size(); ++c) {
+        TraceChunk chunk;
+        ASSERT_TRUE(sources[c]->next(chunk));
+        EXPECT_EQ(chunk.addrs.data(), first.addrs.data()) << "core " << c;
+        EXPECT_EQ(chunk.size(), first.size()) << "core " << c;
+    }
 }
 
 }  // namespace

@@ -45,15 +45,12 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
     std::map<std::uint64_t, Entry> by_capacity;
     std::vector<Entry> by_length(n + 1);
     for (std::size_t len = 1; len <= n; ++len) {
-        const std::uint64_t cap = MemoryArchitecture::capacity_for(profile.block_size(), len,
-                                                                   params.min_bank_bytes);
+        const std::uint64_t cap = MemoryArchitecture::capacity_for(profile.block_size(), len);
         if (!by_capacity.contains(cap)) {
-            const SramEnergyModel model(cap, 32, params.sram);
+            const SramEnergyModel model(cap);
             by_capacity[cap] = Entry{
                 model.read_energy(), model.write_energy(),
-                params.runtime_cycles > 0
-                    ? model.leakage_energy(params.runtime_cycles, params.cycle_ns)
-                    : 0.0};
+                params.runtime_cycles > 0 ? model.leakage_energy(params.runtime_cycles) : 0.0};
         }
         by_length[len] = by_capacity[cap];
     }
@@ -84,7 +81,7 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
     double best_total = inf;
     std::size_t best_k = 1;
     for (std::size_t k = 1; k <= kmax; ++k) {
-        const double total = dp[k][n] + total_accesses * bank_select_energy(k, params.sram);
+        const double total = dp[k][n] + total_accesses * bank_select_energy(k);
         if (total < best_total) {
             best_total = total;
             best_k = k;
@@ -96,8 +93,7 @@ PartitionSolution solve_partition_optimal(const BlockProfile& profile,
         if (j != 0) splits.push_back(j);
     }
     std::reverse(splits.begin(), splits.end());
-    auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits,
-                                                params.min_bank_bytes);
+    auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits);
     auto energy = evaluate_partition(arch, profile, params);
     return PartitionSolution{std::move(arch), std::move(energy)};
 }
@@ -133,8 +129,7 @@ PartitionSolution solve_partition_brute(const BlockProfile& profile,
         for (std::size_t bit = 0; bit + 1 < n; ++bit) {
             if (mask & (std::uint64_t{1} << bit)) splits.push_back(bit + 1);
         }
-        auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits,
-                                                    params.min_bank_bytes);
+        auto arch = MemoryArchitecture::from_splits(profile.block_size(), n, splits);
         auto energy = evaluate_partition(arch, profile, params);
         if (!best || energy.total() < best->energy.total())
             best = PartitionSolution{std::move(arch), std::move(energy)};
@@ -145,9 +140,10 @@ PartitionSolution solve_partition_brute(const BlockProfile& profile,
 // ------------------------------------------------------- architecture ----
 
 TEST(MemoryArchitecture, CapacityForRoundsUp) {
-    EXPECT_EQ(MemoryArchitecture::capacity_for(256, 3, 256), 1024u);
-    EXPECT_EQ(MemoryArchitecture::capacity_for(256, 4, 256), 1024u);
-    EXPECT_EQ(MemoryArchitecture::capacity_for(256, 1, 1024), 1024u);  // min clamp
+    EXPECT_EQ(MemoryArchitecture::capacity_for(256, 3), 1024u);
+    EXPECT_EQ(MemoryArchitecture::capacity_for(256, 4), 1024u);
+    EXPECT_EQ(MemoryArchitecture::capacity_for(64, 1), kMinBankBytes);  // min clamp
+    EXPECT_EQ(kMinBankBytes, 256u);
 }
 
 TEST(MemoryArchitecture, FromSplitsBuildsContiguousBanks) {

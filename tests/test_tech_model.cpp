@@ -53,13 +53,13 @@ TEST(TechModel, SramIsBitIdenticalToLegacyModel) {
     for (std::uint64_t size : {256u, 4096u, 131072u}) {
         const SramEnergyModel legacy(size);
         const TechEnergyModel tech(MemTechnology::Sram, size);
-        // Exact equality, not near: the SRAM branch delegates, it does not
-        // multiply by 1.0.
+        // Exact equality, not near: the SRAM branch copies the SRAM values
+        // and leaks by the same expression, it does not multiply by 1.0.
         EXPECT_EQ(tech.read_energy(), legacy.read_energy());
         EXPECT_EQ(tech.write_energy(), legacy.write_energy());
         EXPECT_EQ(tech.leakage_pw(), legacy.leakage_pw());
-        EXPECT_EQ(tech.leakage_energy(12345, 10.0), legacy.leakage_energy(12345, 10.0));
-        EXPECT_EQ(tech.refresh_energy(12345, 10.0), 0.0);
+        EXPECT_EQ(tech.leakage_energy(12345), legacy.leakage_energy(12345));
+        EXPECT_EQ(tech.refresh_energy(12345), 0.0);
     }
 }
 
@@ -72,22 +72,21 @@ TEST(TechModel, SttMramReadWriteAsymmetry) {
     EXPECT_LT(stt.read_energy(), 1.5 * sram.read_energy());
     EXPECT_GT(stt.write_energy(), 4.0 * stt.read_energy());
     EXPECT_LT(stt.leakage_pw(), 0.05 * sram.leakage_pw());
-    EXPECT_EQ(stt.gated_leakage_energy(100000, 10.0), 0.0);
+    EXPECT_EQ(stt.gated_leakage_energy(100000), 0.0);
 }
 
 TEST(TechModel, EdramRefreshScalesWithPoweredCycles) {
     const TechEnergyModel edram(MemTechnology::Edram, 4096);
-    const double one = edram.refresh_energy(1000, 10.0);
+    const double one = edram.refresh_energy(1000);
     EXPECT_GT(one, 0.0);
-    EXPECT_DOUBLE_EQ(edram.refresh_energy(2000, 10.0), 2.0 * one);
-    EXPECT_DOUBLE_EQ(edram.refresh_energy(0, 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(edram.refresh_energy(2000), 2.0 * one);
+    EXPECT_DOUBLE_EQ(edram.refresh_energy(0), 0.0);
     // Refresh power scales with the array size (per-byte sweep).
     const TechEnergyModel big(MemTechnology::Edram, 8192);
-    EXPECT_DOUBLE_EQ(big.refresh_energy(1000, 10.0), 2.0 * one);
+    EXPECT_DOUBLE_EQ(big.refresh_energy(1000), 2.0 * one);
     // Static technologies never refresh.
-    EXPECT_EQ(TechEnergyModel(MemTechnology::SttMram, 4096).refresh_energy(1000, 10.0), 0.0);
-    EXPECT_EQ(TechEnergyModel(MemTechnology::DrowsySram, 4096).refresh_energy(1000, 10.0),
-              0.0);
+    EXPECT_EQ(TechEnergyModel(MemTechnology::SttMram, 4096).refresh_energy(1000), 0.0);
+    EXPECT_EQ(TechEnergyModel(MemTechnology::DrowsySram, 4096).refresh_energy(1000), 0.0);
 }
 
 TEST(TechModel, DrowsyMatchesSleepMachineryConstants) {
