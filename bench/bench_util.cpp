@@ -21,10 +21,6 @@ void print_header(const std::string& experiment, const std::string& paper_claim,
     std::printf("================================================================\n");
 }
 
-void print_shape(bool ok, const std::string& message) {
-    std::printf("SHAPE %s: %s\n", ok ? "ok" : "WARN", message.c_str());
-}
-
 std::optional<std::string> json_path(const std::string& name) {
     const char* dir = std::getenv("MEMOPT_JSON_DIR");
     if (dir == nullptr || *dir == '\0') return std::nullopt;
@@ -86,8 +82,8 @@ void BenchReport::summary(std::initializer_list<Field> fields) {
     write_fields(fields);
 }
 
-void BenchReport::finish(bool shape_ok, const std::string& message) {
-    print_shape(shape_ok, message);
+void BenchReport::finish(bool shape_ok, const std::string& message, std::FILE* verdict) {
+    std::fprintf(verdict, "SHAPE %s: %s\n", shape_ok ? "ok" : "WARN", message.c_str());
     if (!active() || finished_) return;
     close_rows();
     writer_->key("shape").begin_object();
@@ -100,7 +96,7 @@ void BenchReport::finish(bool shape_ok, const std::string& message) {
     MEMOPT_ASSERT_MSG(writer_->complete(), "BenchReport: unbalanced JSON document");
     out_ << '\n';
     require(out_.commit(), "MEMOPT_JSON_DIR sink: failed writing '" + path_ + "'");
-    std::printf("(figure data -> %s)\n", path_.c_str());
+    std::fprintf(verdict, "(figure data -> %s)\n", path_.c_str());
     finished_ = true;
 }
 

@@ -1,6 +1,7 @@
 // Shared helpers for the experiment-reproduction benches.
 #pragma once
 
+#include <cstdio>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -31,9 +32,6 @@ std::vector<KernelRunPtr> run_suite(bool fetch = false);
 void print_header(const std::string& experiment, const std::string& paper_claim,
                   const std::string& setup);
 
-/// Print the closing shape-check line ("SHAPE <ok/warn>: ...").
-void print_shape(bool ok, const std::string& message);
-
 /// The path <MEMOPT_JSON_DIR>/<name>.json, or nullopt when the variable is
 /// unset — for tools like google-benchmark that insist on creating the
 /// output file themselves. Used by perf_micro to emit BENCH_perf.json so
@@ -52,8 +50,8 @@ std::optional<std::string> json_path(const std::string& name);
 /// "rows"/"summary" mirror the printed tables and are deterministic at any
 /// job count; "metrics" carries the wall-clock observability snapshot.
 /// When MEMOPT_JSON_DIR is unset every method is a no-op, so benches use
-/// the report unconditionally. finish() also prints the standard SHAPE
-/// line (it replaces the bare print_shape() call).
+/// the report unconditionally. finish() also prints the closing
+/// shape-check line ("SHAPE <ok/warn>: ...").
 class BenchReport {
 public:
     /// One row/summary field value. The implicit constructors make
@@ -90,7 +88,10 @@ public:
 
     /// Print the SHAPE line and, when active, write "shape" + "metrics"
     /// and close the document (throws memopt::Error on write failure).
-    void finish(bool shape_ok, const std::string& message);
+    /// The SHAPE line and the "(figure data -> PATH)" note go to
+    /// `verdict`: stdout for the experiment tables, stderr where stdout
+    /// carries another document (perf_micro's --benchmark_format=json).
+    void finish(bool shape_ok, const std::string& message, std::FILE* verdict = stdout);
 
 private:
     void write_fields(std::initializer_list<Field> fields);

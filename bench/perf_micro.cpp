@@ -165,11 +165,11 @@ void BM_CoherentReplay(benchmark::State& state) {
 BENCHMARK(BM_CoherentReplay)->Arg(4)->Arg(64);
 
 // The tentpole paths of the trace-pipeline overhaul: single-pass windowed
-// affinity over the SoA columns (sharded when the trace is long enough),
-// the fused profile+affinity builder, and the heap-driven greedy affinity
-// chain. Arg is the block count, which also decides whether the pair
-// accumulator counts in its dense triangle or its hash table; 16384 blocks
-// is the size of the perfbench affinity-16k workload.
+// affinity over the SoA columns (sharded when the trace is long enough)
+// and the heap-driven greedy affinity chain. Arg is the block count, which
+// also decides whether the pair accumulator counts in its dense triangle or
+// its hash table; 16384 blocks is the size of the perfbench affinity-16k
+// workload.
 void BM_WindowedAffinity(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = materialize_synthetic({
@@ -215,25 +215,6 @@ void BM_ProductWindowAffinity(benchmark::State& state) {
 }
 BENCHMARK(BM_ProductWindowAffinity)->Arg(16384);
 
-void BM_ProfileAndAffinity(benchmark::State& state) {
-    const auto blocks = static_cast<std::size_t>(state.range(0));
-    const MemTrace trace = materialize_synthetic({
-        .kind = SyntheticKind::Hotspot,
-        .base = {.span_bytes = blocks * 256, .num_accesses = 200000, .write_fraction = 0.3,
-                 .seed = 5},
-        .num_hotspots = 8,
-        .hotspot_bytes = 1024,
-        .hot_fraction = 0.9,
-    });
-    MaterializedSource source(trace);
-    for (auto _ : state) {
-        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
-        benchmark::DoNotOptimize(pa.affinity.total());
-        benchmark::DoNotOptimize(pa.profile.total_accesses());
-    }
-}
-BENCHMARK(BM_ProfileAndAffinity)->Arg(512)->Arg(4096);
-
 void BM_AffinityClustering(benchmark::State& state) {
     const auto blocks = static_cast<std::size_t>(state.range(0));
     const MemTrace trace = materialize_synthetic({
@@ -245,17 +226,18 @@ void BM_AffinityClustering(benchmark::State& state) {
         .hot_fraction = 0.9,
     });
     MaterializedSource source(trace);
-    const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
+    const BlockProfile profile = BlockProfile::from_source(source, 256);
+    const AffinityMatrix affinity = windowed_affinity(source, profile, 8);
     for (auto _ : state) {
-        const AddressMap map = affinity_clustering(pa.profile, pa.affinity);
+        const AddressMap map = affinity_clustering(profile, affinity);
         benchmark::DoNotOptimize(map.num_blocks());
     }
 }
 BENCHMARK(BM_AffinityClustering)->Arg(512)->Arg(4096)->Arg(16384);
 
 // Streaming-pipeline paths: the chunked replay driver feeding the profile
-// builder from a generator source (no materialized trace), the fused
-// streamed profile+affinity build, and the mmap zero-copy container read.
+// builder from a generator source (no materialized trace), and the mmap
+// zero-copy container read.
 void BM_StreamReplay(benchmark::State& state) {
     const SyntheticSpec spec = parse_synthetic_spec(
         "hotspot,span=1048576,n=400000,seed=5,write=0.3,hotspots=8,"
@@ -271,19 +253,6 @@ void BM_StreamReplay(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_StreamReplay);
-
-void BM_StreamProfileAndAffinity(benchmark::State& state) {
-    const SyntheticSpec spec = parse_synthetic_spec(
-        "hotspot,span=1048576,n=200000,seed=5,write=0.3,hotspots=8,"
-        "hotspot-bytes=1024,hot-frac=0.9");
-    for (auto _ : state) {
-        SyntheticSource source(spec);
-        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 8);
-        benchmark::DoNotOptimize(pa.affinity.total());
-        benchmark::DoNotOptimize(pa.profile.total_accesses());
-    }
-}
-BENCHMARK(BM_StreamProfileAndAffinity);
 
 void BM_MmapRead(benchmark::State& state) {
     const std::string path =
@@ -495,8 +464,11 @@ int main(int argc, char** argv) {
                         {"iterations", row.iterations}});
     }
     report.summary({{"benchmarks", static_cast<std::uint64_t>(reporter.rows.size())}});
-    report.finish(!reporter.rows.empty(), reporter.rows.empty()
-                                              ? "no benchmark results collected"
-                                              : "per-benchmark timings collected");
+    // The verdict goes to stderr: stdout holds the display format, which
+    // --benchmark_format=json makes a JSON document.
+    report.finish(!reporter.rows.empty(),
+                  reporter.rows.empty() ? "no benchmark results collected"
+                                        : "per-benchmark timings collected",
+                  stderr);
     return 0;
 }

@@ -130,7 +130,6 @@ void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> 
         } while (cur.chunk.empty());
     };
 
-    const std::uint64_t line = config_.l1.line_bytes;
     bool live = true;
     while (live) {
         // Refill between turns: in parallel once the chunks just consumed
@@ -156,8 +155,10 @@ void MultiCoreCacheSystem::replay(std::span<const std::unique_ptr<TraceSource>> 
             const std::uint64_t last =
                 addr + std::max<std::uint64_t>(cur.chunk.sizes[cur.i], 1) - 1;
             access(c, addr, kind);
-            for (std::uint64_t a = l1s_[c].line_base(addr) + line; a <= last; a += line)
-                access(c, a, kind);
+            // The other covered lines, by line index: a line base past the
+            // last line of the address space would wrap to 0.
+            for (std::uint64_t l = (addr >> line_shift_) + 1; l <= last >> line_shift_; ++l)
+                access(c, l << line_shift_, kind);
             if (++cur.i == cur.chunk.size()) {
                 empty.push_back(c);
                 consumed += cur.chunk.size();

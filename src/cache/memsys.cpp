@@ -7,6 +7,7 @@
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "support/json.hpp"
+#include "support/string_util.hpp"
 #include "trace/source.hpp"
 
 namespace memopt {
@@ -26,16 +27,24 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
     require(source.size() > 0, "CompressedMemorySim: empty trace");
 
     const unsigned line_bytes = config_.cache.line_bytes;
+    // The shadow spans the power-of-two ceiling of the highest byte the run
+    // touches, in the trace or in the image; that ceiling must fit in 64 bits.
+    std::uint64_t top = source.summary().max_addr;
+    if (!image.empty()) top = std::max(top, image_base + (image.size() - 1));
+    if (top >> 63 != 0)
+        throw Error(format("CompressedMemorySim: highest address 0x%llx has no power-of-two "
+                           "span in 64 bits",
+                           static_cast<unsigned long long>(top)));
     const std::uint64_t span =
-        std::max(ceil_pow2(std::max(source.summary().max_addr + 1, image_base + image.size())),
-                 static_cast<std::uint64_t>(line_bytes));
+        std::max(ceil_pow2(top + 1), static_cast<std::uint64_t>(line_bytes));
 
     // Shadow memory: the current value of every byte. It reflects the
     // program's view (cache + memory combined); at eviction time the victim
     // line's bytes are exactly the values the cache would write back.
     std::vector<std::uint8_t> shadow(span, 0);
-    std::copy(image.begin(), image.end(),
-              shadow.begin() + static_cast<std::ptrdiff_t>(image_base));
+    if (!image.empty())
+        std::copy(image.begin(), image.end(),
+                  shadow.begin() + static_cast<std::ptrdiff_t>(image_base));
 
     CacheModel cache(config_.cache);  // validates the line size first
     const std::uint64_t lines = span / line_bytes;
@@ -133,7 +142,8 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             const std::uint64_t addr = chunk.addrs[i];
             const AccessKind kind = chunk.kinds[i];
-            require(addr + chunk.sizes[i] <= span, "CompressedMemorySim: access outside span");
+            require(addr <= span && chunk.sizes[i] <= span - addr,
+                    "CompressedMemorySim: access outside span");
             const CacheAccessResult r = cache.access(addr, kind);
             // The CPU-side cache access itself.
             cache_pj += kind == AccessKind::Read ? cache_sram.read_energy()

@@ -54,33 +54,47 @@ MemoryOptimizationFlow::MemoryOptimizationFlow(const FlowParams& params) : param
     require(params.affinity_window >= 2, "FlowParams: affinity_window must be >= 2");
 }
 
-FlowResult MemoryOptimizationFlow::run(TraceSource& source, ClusterMethod method) const {
-    if (method == ClusterMethod::Affinity) {
-        // Fused path: the profile and the windowed affinity come out of one
-        // streaming replay of the trace (bit-identical to the two-pass
-        // build, roughly half the replay cost).
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(source, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_prepared(pa.profile, method, &pa.affinity);
-    }
-    const BlockProfile profile = [&] {
+namespace {
+
+/// The block profile of a trace and, for ClusterMethod::Affinity, its
+/// windowed affinity.
+struct Prepared {
+    BlockProfile profile;
+    std::optional<AffinityMatrix> affinity;
+};
+
+/// The flow's one path from a trace to its inputs: the profile (one replay,
+/// timed as flow.profile), then the affinity when `method` needs it (one
+/// more, timed as flow.cluster).
+Prepared prepare(TraceSource& source, ClusterMethod method, const FlowParams& params) {
+    BlockProfile profile = [&] {
         const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
+        return BlockProfile::from_source(source, params.block_size);
     }();
-    return run_prepared(profile, method, nullptr);
+    std::optional<AffinityMatrix> affinity;
+    if (method == ClusterMethod::Affinity) {
+        const ScopedTimer scope(cluster_timer());
+        affinity.emplace(windowed_affinity(source, profile, params.affinity_window));
+    }
+    return Prepared{std::move(profile), std::move(affinity)};
 }
 
-FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method) const {
-    return run_prepared(profile, method, nullptr);
-}
+/// One configuration clustered and split, with the profile in physical
+/// block space and the energy parameters (remap-table overhead included)
+/// that priced it.
+struct Solved {
+    FlowResult result;
+    BlockProfile physical;
+    PartitionEnergyParams energy;
+};
 
-FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
-                                                ClusterMethod method,
-                                                const AffinityMatrix* affinity,
-                                                std::size_t pool_banks) const {
+/// Cluster + partition + evaluate one profile. ClusterMethod::Affinity
+/// requires `affinity` (Error when empty). `pool_banks` > 0 additionally
+/// caps the bank budget at the hybrid pool size (solve_partition_pooled);
+/// 0 is the legacy path.
+Solved run_prepared(const BlockProfile& profile, ClusterMethod method,
+                    const std::optional<AffinityMatrix>& affinity, const FlowParams& params,
+                    std::size_t pool_banks = 0) {
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.runs");
     runs.add();
 
@@ -94,89 +108,75 @@ FlowResult MemoryOptimizationFlow::run_prepared(const BlockProfile& profile,
                 map = frequency_clustering(profile);
                 break;
             case ClusterMethod::Affinity:
-                require(affinity != nullptr,
+                require(affinity.has_value(),
                         "affinity clustering requires the trace, not just the profile");
-                map = affinity_clustering(profile, *affinity, params_.affinity);
+                map = affinity_clustering(profile, *affinity, params.affinity);
                 break;
         }
     }
 
-    const BlockProfile physical = map.apply(profile);
+    BlockProfile physical = map.apply(profile);
 
     // The remap table adds a constant per-access energy; being constant it
     // does not change the partitioner's arg-min, so it is added at
     // evaluation time only.
-    PartitionEnergyParams energy_params = params_.energy;
+    PartitionEnergyParams energy_params = params.energy;
     if (method != ClusterMethod::None) {
-        const RemapTableModel remap(physical.num_blocks(), params_.remap);
+        const RemapTableModel remap(physical.num_blocks(), params.remap);
         energy_params.extra_pj_per_access = remap.lookup_energy();
     }
 
-    const bool greedy = params_.use_greedy_solver ||
-                        physical.num_blocks() > params_.auto_greedy_blocks;
+    const bool greedy = params.use_greedy_solver ||
+                        physical.num_blocks() > params.auto_greedy_blocks;
     PartitionSolution solution = [&] {
         const ScopedTimer scope(partition_timer());
         if (pool_banks > 0)
-            return solve_partition_pooled(physical, params_.constraints, energy_params,
+            return solve_partition_pooled(physical, params.constraints, energy_params,
                                           pool_banks, greedy);
-        return greedy ? solve_partition_greedy(physical, params_.constraints, energy_params)
-                      : solve_partition_optimal(physical, params_.constraints, energy_params);
+        return greedy ? solve_partition_greedy(physical, params.constraints, energy_params)
+                      : solve_partition_optimal(physical, params.constraints, energy_params);
     }();
 
     FlowResult result{method, std::move(map), std::move(solution), EnergyBreakdown{}};
     result.energy = result.solution.energy;
-    return result;
+    return Solved{std::move(result), std::move(physical), energy_params};
+}
+
+}  // namespace
+
+FlowResult MemoryOptimizationFlow::run(TraceSource& source, ClusterMethod method) const {
+    const Prepared in = prepare(source, method, params_);
+    return run_prepared(in.profile, method, in.affinity, params_).result;
+}
+
+FlowResult MemoryOptimizationFlow::run(const BlockProfile& profile, ClusterMethod method) const {
+    return run_prepared(profile, method, std::nullopt, params_).result;
 }
 
 HybridFlowResult MemoryOptimizationFlow::run_hybrid(TraceSource& source, ClusterMethod method,
                                                     const BankPool& pool,
                                                     const HybridGatingParams& gating) const {
     require(pool.num_slots() > 0, "run_hybrid: empty bank pool");
-    if (method == ClusterMethod::Affinity) {
-        ProfileAffinity pa = [&] {
-            const ScopedTimer scope(profile_timer());
-            return build_profile_and_affinity(source, params_.block_size,
-                                              params_.affinity_window);
-        }();
-        return run_hybrid_prepared(pa.profile, method, &pa.affinity, source, pool, gating);
-    }
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
-    }();
-    return run_hybrid_prepared(profile, method, nullptr, source, pool, gating);
-}
-
-HybridFlowResult MemoryOptimizationFlow::run_hybrid_prepared(
-    const BlockProfile& profile, ClusterMethod method, const AffinityMatrix* affinity,
-    TraceSource& source, const BankPool& pool, const HybridGatingParams& gating) const {
+    const Prepared in = prepare(source, method, params_);
     static MetricCounter& runs = MetricsRegistry::instance().counter("flow.hybrid_runs");
     runs.add();
 
-    FlowResult base = run_prepared(profile, method, affinity, pool.total_banks());
-
-    // The remap-table per-access overhead enters the hybrid evaluation the
-    // same way it enters the legacy one (constant per access, added at
-    // evaluation time).
-    PartitionEnergyParams energy_params = params_.energy;
-    if (method != ClusterMethod::None) {
-        const RemapTableModel remap(profile.num_blocks(), params_.remap);
-        energy_params.extra_pj_per_access = remap.lookup_energy();
-    }
+    // solved.energy carries the remap-table per-access overhead, so the
+    // hybrid evaluation prices it the way the legacy one does.
+    Solved solved = run_prepared(in.profile, method, in.affinity, params_, pool.total_banks());
+    const MemoryArchitecture& arch = solved.result.solution.arch;
 
     const std::vector<BankActivity> activity = [&] {
         const ScopedTimer scope(evaluate_timer());
-        return replay_bank_activity(base.solution.arch, base.map, source, gating,
+        return replay_bank_activity(arch, solved.result.map, source, gating,
                                     params_.energy.runtime_cycles);
     }();
     std::vector<MemTechnology> techs =
-        assign_technologies(base.solution.arch, activity, pool, energy_params, gating);
-    HybridReport report =
-        evaluate_partition_hybrid(base.solution.arch, techs, activity, energy_params, gating);
-
-    const BlockProfile physical = base.map.apply(profile);
-    const std::vector<std::size_t> rank = bank_heat_rank(bank_heat(base.solution.arch, physical));
-    return HybridFlowResult{std::move(base), pool, std::move(techs), rank, std::move(report)};
+        assign_technologies(arch, activity, pool, solved.energy, gating);
+    HybridReport report = evaluate_partition_hybrid(arch, techs, activity, solved.energy, gating);
+    std::vector<std::size_t> rank = bank_heat_rank(bank_heat(arch, solved.physical));
+    return HybridFlowResult{std::move(solved.result), pool, std::move(techs), std::move(rank),
+                            std::move(report)};
 }
 
 FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
@@ -184,27 +184,16 @@ FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
     require(method != ClusterMethod::None, "compare: pick a real clustering method");
     static MetricCounter& compares = MetricsRegistry::instance().counter("flow.compares");
     compares.add();
-    const BlockProfile profile = [&] {
-        const ScopedTimer scope(profile_timer());
-        return BlockProfile::from_source(source, params_.block_size);
-    }();
+    const Prepared in = prepare(source, method, params_);
     EnergyBreakdown monolithic = [&] {
         const ScopedTimer scope(evaluate_timer());
-        return evaluate_monolithic(profile, params_.energy);
+        return evaluate_monolithic(in.profile, params_.energy);
     }();
-    // Affinity needs the trace a second time; re-replay the source instead
-    // of materializing.
-    std::optional<AffinityMatrix> built;
-    if (method == ClusterMethod::Affinity) {
-        const ScopedTimer scope(cluster_timer());
-        built.emplace(windowed_affinity(source, profile, params_.affinity_window));
-    }
-    FlowComparison cmp{
+    return FlowComparison{
         std::move(monolithic),
-        run_prepared(profile, ClusterMethod::None, nullptr),
-        run_prepared(profile, method, built ? &*built : nullptr),
+        run_prepared(in.profile, ClusterMethod::None, std::nullopt, params_).result,
+        run_prepared(in.profile, method, in.affinity, params_).result,
     };
-    return cmp;
 }
 
 std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(

@@ -132,21 +132,6 @@ public:
         ClusterMethod method = ClusterMethod::Frequency, std::size_t jobs = 0) const;
 
 private:
-    /// Shared implementation: cluster + partition + evaluate one profile.
-    /// `affinity` is the pre-built windowed affinity from a trace replay;
-    /// ClusterMethod::Affinity requires it (Error when null).
-    /// `pool_banks` > 0 additionally caps the bank budget at the hybrid
-    /// pool size (solve_partition_pooled); 0 is the legacy path.
-    FlowResult run_prepared(const BlockProfile& profile, ClusterMethod method,
-                            const AffinityMatrix* affinity,
-                            std::size_t pool_banks = 0) const;
-
-    /// Shared hybrid implementation: split (pool-capped), replay, assign.
-    HybridFlowResult run_hybrid_prepared(const BlockProfile& profile, ClusterMethod method,
-                                         const AffinityMatrix* affinity, TraceSource& source,
-                                         const BankPool& pool,
-                                         const HybridGatingParams& gating) const;
-
     FlowParams params_;
 };
 

@@ -9,7 +9,8 @@
 
 namespace memopt {
 
-/// Round `v` up to the next power of two (v=0 -> 1).
+/// Round `v` up to the next power of two (v=0 -> 1). Requires v <= 2^63:
+/// larger values have no power-of-two ceiling in 64 bits.
 inline std::uint64_t ceil_pow2(std::uint64_t v) { return v <= 1 ? 1 : std::bit_ceil(v); }
 
 /// True if `v` is a power of two (v > 0).

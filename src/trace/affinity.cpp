@@ -23,11 +23,9 @@ std::size_t block_of_checked(std::uint64_t addr, unsigned shift, std::size_t num
 /// up-to-`window - 1` addresses preceding the chunk (`context`), so the
 /// pairs a chunk forms are exactly the ones the serial replay forms at the
 /// same positions — chunk boundaries are invisible in the pair multiset.
-/// `on_access(i, block)` sees each access of the chunk before it pairs.
-template <typename OnAccess>
 void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> context,
                     std::size_t window, unsigned shift, std::size_t num_blocks,
-                    AffinityAccumulator& acc, const OnAccess& on_access) {
+                    AffinityAccumulator& acc) {
     const std::size_t cap = window - 1;
     std::vector<std::size_t> ring(cap);
     std::size_t count = 0;  // occupied slots
@@ -42,7 +40,6 @@ void windowed_chunk(const TraceChunk& chunk, std::span<const std::uint64_t> cont
         push(block_of_checked(context[i], shift, num_blocks));
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         const std::size_t block = block_of_checked(chunk.addrs[i], shift, num_blocks);
-        on_access(i, block);
         acc.add_window(std::span<const std::size_t>(ring.data(), count), block);
         push(block);
     }
@@ -302,7 +299,7 @@ AffinityMatrix AffinityAccumulator::finalize(std::size_t jobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Builders
+// Builder
 
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs) {
@@ -314,66 +311,12 @@ AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profil
         [&](KeyPartition part) { return AffinityAccumulator(num_blocks, part); },
         [&](AffinityAccumulator& out, const TraceChunk& chunk,
             std::span<const std::uint64_t> context) {
-            windowed_chunk(chunk, context, window, shift, num_blocks, out,
-                           [](std::size_t, std::size_t) {});
+            windowed_chunk(chunk, context, window, shift, num_blocks, out);
         },
         [](AffinityAccumulator& into, AffinityAccumulator& from) {
             into.merge(std::move(from));
         });
     return acc.finalize(jobs);
-}
-
-ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs) {
-    require(is_pow2(block_size), "build_profile_and_affinity: block_size must be a power of two");
-    require(window >= 2, "build_profile_and_affinity: window must be >= 2");
-    const TraceSummary& sum = source.summary();
-    require(sum.accesses > 0, "build_profile_and_affinity: empty trace");
-
-    const auto [num_blocks, shift] = profile_geometry(sum, block_size);
-
-    // One fused chunked pass: block counts and window pairs together, so
-    // the trace's addr column is streamed once instead of twice. Only the
-    // states of key partition 0 count the profile: under trace shards that
-    // is every state, and under key partitions the one state that maps every
-    // chunk, so each access is counted once either way. All sums are
-    // integer-valued and reduced in task order — bit-identical at any job
-    // count and to the unfused builders.
-    struct Shard {
-        bool profiles;  // the state holds key partition 0
-        std::vector<std::uint64_t> reads;
-        std::vector<std::uint64_t> writes;
-        AffinityAccumulator acc;
-    };
-    Shard merged = stream_accumulate(
-        source, window - 1, jobs, AffinityAccumulator::mapping(num_blocks),
-        [&](KeyPartition part) {
-            return Shard{part.index == 0, std::vector<std::uint64_t>(num_blocks, 0),
-                         std::vector<std::uint64_t>(num_blocks, 0),
-                         AffinityAccumulator(num_blocks, part)};
-        },
-        [&](Shard& shard, const TraceChunk& chunk, std::span<const std::uint64_t> context) {
-            windowed_chunk(chunk, context, window, shift, num_blocks, shard.acc,
-                           [&](std::size_t i, std::size_t block) {
-                               if (!shard.profiles) return;
-                               if (chunk.kinds[i] == AccessKind::Read) ++shard.reads[block];
-                               else ++shard.writes[block];
-                           });
-        },
-        [&](Shard& into, Shard& from) {
-            for (std::size_t b = 0; b < num_blocks; ++b) {
-                into.reads[b] += from.reads[b];
-                into.writes[b] += from.writes[b];
-            }
-            into.acc.merge(std::move(from.acc));
-        });
-
-    BlockProfile profile(block_size, num_blocks);
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-        if (merged.reads[b] != 0 || merged.writes[b] != 0)
-            profile.add_counts(b, merged.reads[b], merged.writes[b]);
-    }
-    return ProfileAffinity{std::move(profile), merged.acc.finalize(jobs)};
 }
 
 }  // namespace memopt

@@ -4,22 +4,21 @@
 // accessed close together in time: placing such blocks in the same bank lets
 // the other banks stay idle for long stretches. This module computes a
 // windowed co-access affinity matrix (a window of 2 counts consecutive-
-// access block transitions), plus a fused single-pass builder that produces
-// the block profile and the affinity matrix from one streaming replay of
-// the trace.
+// access block transitions) from one streaming replay of the trace, over
+// the block geometry of its BlockProfile.
 //
 // The matrix is a compressed-sparse-row (CSR) adjacency of uint32_t
 // co-access counts: a windowed trace replay touches O(accesses * window)
 // pairs, typically a tiny fraction of the n^2 possible ones, and the greedy
 // chain walks each block's neighbours.
 //
-// The builders count pairs as uint64_t in an AffinityAccumulator: a dense
+// The builder counts pairs as uint64_t in an AffinityAccumulator: a dense
 // triangle for small block counts, flat open-addressing tables of packed
 // pair keys above that. Each access costs O(window) expected-O(1) counter
 // updates, finalize() sorts the P distinct pairs once (O(P log P)), and
 // memory follows P, not n^2.
 //
-// Both builders run one sliding-window kernel per chunk through
+// The builder runs one sliding-window kernel per chunk through
 // stream_accumulate (trace/source.hpp), and the accumulator's layout picks
 // the mapping. The dense triangle shards the trace: each chunk's window is
 // pre-warmed from the accesses preceding it, and the per-task triangles sum
@@ -90,9 +89,9 @@ private:
     std::vector<std::uint32_t> val_;
 };
 
-/// Co-access pair counter: the builders' task-local sink. Counts unordered
-/// (a, b) pairs (a == b allowed) as uint64_t and finalizes into the CSR
-/// matrix.
+/// Co-access pair counter: windowed_affinity's task-local sink. Counts
+/// unordered (a, b) pairs (a == b allowed) as uint64_t and finalizes into
+/// the CSR matrix.
 ///
 /// Up to kAffinityDenseMaxBlocks blocks the counts live in the dense
 /// triangle, and the accumulator counts every pair. Above it they live in
@@ -184,21 +183,5 @@ private:
 /// job count and chunk size.
 AffinityMatrix windowed_affinity(TraceSource& source, const BlockProfile& profile,
                                  std::size_t window, std::size_t jobs = 0);
-
-/// A block profile and its windowed affinity, built together.
-struct ProfileAffinity {
-    BlockProfile profile;
-    AffinityMatrix affinity;
-};
-
-/// Fused single pass: stream `source` once in O(chunk) memory,
-/// producing both the block profile (reads/writes per block; geometry from
-/// the source's summary) and the windowed co-access affinity. Equivalent
-/// to BlockProfile::from_source + windowed_affinity — bit-identical
-/// outputs — at roughly half the trace-replay cost. Long traces are
-/// counted over `jobs` threads as in windowed_affinity; the states of key
-/// partition 0 count the profile, so each access enters it once.
-ProfileAffinity build_profile_and_affinity(TraceSource& source, std::uint64_t block_size,
-                                           std::size_t window, std::size_t jobs = 0);
 
 }  // namespace memopt

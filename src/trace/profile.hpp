@@ -25,7 +25,7 @@ struct ProfileGeometry {
     unsigned shift;  ///< log2(block_size): the block of `addr` is addr >> shift
 };
 
-/// The geometry every profile builder sizes its per-block state from.
+/// The geometry BlockProfile::from_source sizes its counters from.
 /// block_size must be a power of two. Throws memopt::Error, before the
 /// caller allocates anything, when the span has no power-of-two ceiling in
 /// 64 bits or the block count reaches 2^32 (AffinityAccumulator's block id

@@ -48,8 +48,8 @@ public:
                 const AccessKind kind = chunk.kinds[i];
                 const std::uint64_t last = addr + std::max<std::uint64_t>(chunk.sizes[i], 1) - 1;
                 access(addr, kind);
-                for (std::uint64_t a = l1_.line_base(addr) + line; a <= last; a += line)
-                    access(a, kind);
+                for (std::uint64_t l = addr / line + 1; l <= last / line; ++l)
+                    access(l * line, kind);
             }
         }
     }

@@ -330,8 +330,8 @@ public:
                 const std::uint64_t last =
                     addr + std::max<std::uint64_t>(cur.chunk.sizes[cur.i], 1) - 1;
                 access(c, addr, kind);
-                for (std::uint64_t a = l1s_[c].line_base(addr) + line; a <= last; a += line)
-                    access(c, a, kind);
+                for (std::uint64_t l = addr / line + 1; l <= last / line; ++l)
+                    access(c, l * line, kind);
                 ++cur.i;
                 advance(c);
                 live = true;

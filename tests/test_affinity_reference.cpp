@@ -1,13 +1,12 @@
 // Differential tests for the two affinity kernels of the clustering path:
-// the co-access pair accumulator behind windowed_affinity and
-// build_profile_and_affinity (at windows 2, the consecutive transitions, 4
-// and the product's 32), and the heap-driven greedy chain in
-// affinity_clustering. Each kernel is compared exactly against a short,
-// obviously-correct reference over the synthetic trace families, block
-// counts on both sides of the accumulator's dense/hash-table threshold,
-// stable and non-stable sources, several chunk sizes, and job counts from
-// serial to eight tasks: trace shards below the threshold, key partitions
-// above it.
+// the co-access pair accumulator behind windowed_affinity (at windows 2,
+// the consecutive transitions, 4 and the product's 32), and the heap-driven
+// greedy chain in affinity_clustering. Each kernel is compared exactly
+// against a short, obviously-correct reference over the synthetic trace
+// families, block counts on both sides of the accumulator's dense/hash-table
+// threshold, stable and non-stable sources, several chunk sizes, and job
+// counts from serial to eight tasks: trace shards below the threshold, key
+// partitions above it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,8 +246,8 @@ class AffinityReference : public ::testing::TestWithParam<SyntheticKind> {};
 // Stable zero-copy chunks (MaterializedSource) and copied chunks
 // (SyntheticSource, and a compressed .mtsc read through the non-stable mmap
 // reader) batch differently in stream_accumulate; all of them must
-// reproduce the reference counts and profile at every job count and chunk
-// size, under either mapping.
+// reproduce the reference counts at every job count and chunk size, under
+// either mapping.
 TEST_P(AffinityReference, PairCountsMatchStdMapReference) {
     const std::string packed = ::testing::TempDir() + "affinity_ref_" +
                                synthetic_kind_name(GetParam()) + "_z.mtsc";
@@ -290,19 +289,6 @@ TEST_P(AffinityReference, PairCountsMatchStdMapReference) {
                             SCOPED_TRACE(testing::Message() << "window " << window);
                             expect_matrix(windowed_affinity(*source, profile, window, jobs),
                                           expected[w]);
-                            // The fused builder sizes the profile by span.
-                            if (!std::has_single_bit(blocks)) continue;
-                            const ProfileAffinity fused =
-                                build_profile_and_affinity(*source, kBlock, window, jobs);
-                            ASSERT_EQ(fused.profile.num_blocks(), blocks);
-                            for (std::size_t b = 0; b < blocks; ++b) {
-                                ASSERT_EQ(fused.profile.counts(b).reads, profile.counts(b).reads)
-                                    << b;
-                                ASSERT_EQ(fused.profile.counts(b).writes,
-                                          profile.counts(b).writes)
-                                    << b;
-                            }
-                            expect_matrix(fused.affinity, expected[w]);
                         }
                     }
                 }

@@ -363,6 +363,23 @@ TEST(Memsys, EmptyTraceRejected) {
     EXPECT_THROW(sim.run(source, {}, 0), Error);
 }
 
+// A span reaching the top of the 64-bit space has no power-of-two ceiling:
+// the simulator throws before allocating its shadow, naming the address.
+TEST(Memsys, TopOfAddressSpaceRejected) {
+    MemTrace trace;
+    trace.add_write(0x0);
+    trace.add_write(0xFFFFFFFFFFFFFFFCull);
+    MaterializedSource source(trace);
+    try {
+        CompressedMemorySim(vliw_platform().config, nullptr).run(source, {}, 0);
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("highest address 0xffffffffffffffff"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(DictionaryCodec, TrainingInvariantUnderInsertOrder) {
     // Regression for the unordered value-frequency map in train(): the same
     // multiset of words presented in different stream orders populates the

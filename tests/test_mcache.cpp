@@ -288,6 +288,40 @@ TEST(MultiCore, StraddlingAccessTouchesBothLinesOnEveryCore) {
     EXPECT_EQ(system.directory().line(32).sharers, bits({0, 1}));
 }
 
+// An access in the last L1 line of the 64-bit space touches that line
+// only: the walk over the lines an access covers must not wrap to line 0.
+TEST(MultiCore, TopLineAccessTouchesOneLineOnEveryCore) {
+    MultiCoreCacheSystem system(tiny_config(2));
+    MemTrace trace;
+    trace.add_read(0xFFFFFFFFFFFFFFFCull);
+    const auto shared = std::make_shared<const MemTrace>(std::move(trace));
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    sources.push_back(std::make_unique<MaterializedSource>(shared));
+    sources.push_back(std::make_unique<MaterializedSource>(shared));
+    system.replay(sources);
+    for (unsigned c = 0; c < 2; ++c) EXPECT_EQ(system.l1(c).stats().accesses(), 1u) << c;
+    EXPECT_EQ(system.directory().line(0xFFFFFFFFFFFFFFE0ull).sharers, bits({0, 1}));
+}
+
+TEST(MultiCore, TopLineAccessMatchesCacheHierarchy) {
+    const MultiCoreConfig cfg = tiny_config(1, 1);
+    MultiCoreCacheSystem system(cfg);
+    CacheHierarchy hierarchy(cfg.l1, cfg.l2_bank);
+    MemTrace trace;
+    trace.add_read(0x100);
+    trace.add_write(0xFFFFFFFFFFFFFFFCull);
+    const auto shared = std::make_shared<const MemTrace>(std::move(trace));
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    sources.push_back(std::make_unique<MaterializedSource>(shared));
+    system.replay(sources);
+    MaterializedSource mirror(shared);
+    hierarchy.replay(mirror);
+    EXPECT_EQ(system.l1_totals().accesses(), 2u);
+    EXPECT_EQ(system.l1_totals(), hierarchy.l1().stats());
+    EXPECT_EQ(system.l2_totals(), hierarchy.l2().stats());
+    EXPECT_EQ(system.traffic().line_fetches, hierarchy.traffic().line_fetches);
+}
+
 TEST(MultiCore, RejectsInvalidConfigs) {
     MultiCoreConfig cfg = tiny_config(2);
     cfg.l2_bank.line_bytes = 64;  // directory blocks must match the L1 line

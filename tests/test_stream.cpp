@@ -319,22 +319,6 @@ TEST(StreamEquivalenceTest, SparseAffinityMatchesOnLargeSpans) {
     expect_matrices_equal(windowed_affinity(source, profile, 8, 8), expected);
 }
 
-TEST(StreamEquivalenceTest, FusedBuilderMatchesTwoPass) {
-    const SyntheticSpec spec =
-        parse_synthetic_spec("hotspot,span=32768,n=200000,seed=5,hotspots=4,"
-                             "hotspot-bytes=1024,hot-frac=0.8");
-    const MemTrace trace = materialize_synthetic(spec);
-    MaterializedSource reference(trace);  // default chunking
-    const BlockProfile p_expected = BlockProfile::from_source(reference, 256, 1);
-    const AffinityMatrix a_expected = windowed_affinity(reference, p_expected, 32, 1);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        SyntheticSource source(spec, 10000);
-        const ProfileAffinity pa = build_profile_and_affinity(source, 256, 32, jobs);
-        expect_profiles_equal(pa.profile, p_expected);
-        expect_matrices_equal(pa.affinity, a_expected);
-    }
-}
-
 // ----------------------------------------------- replay-engine equality ----
 
 TEST(StreamEquivalenceTest, CompressedMemoryReplayMatches) {

@@ -2,11 +2,12 @@
 // BankPool parsing, gating residency replay (including the sleepy-bank
 // study's drowsy-SRAM contracts and the rejection of backward cycles),
 // assignment DP behavior, the homogeneous-SRAM bit-identity contract with
-// the legacy evaluation, and the back-to-back pool evaluation /
-// jobs-invariance determinism contracts.
+// the legacy evaluation, the back-to-back pool evaluation /
+// jobs-invariance determinism contracts, and the hybrid-pool affinity path.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,10 @@
 #include "partition/evaluate.hpp"
 #include "partition/hybrid.hpp"
 #include "support/assert.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "trace/source.hpp"
+#include "trace/synthetic.hpp"
 
 namespace memopt {
 namespace {
@@ -466,6 +469,70 @@ TEST(HybridDeterminism, JobsInvariance1vs8) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "trace " << i;
+}
+
+// --------------------------------------------- hybrid pool, affinity ----
+//
+// run_hybrid over ClusterMethod::Affinity: the flow profiles the trace,
+// builds its windowed affinity, clusters, splits over the pool, replays for
+// gating and assigns technologies. 4096 blocks of 256 B put the affinity
+// pairs in key-partitioned tables.
+
+constexpr const char* kHotspotSpec =
+    "hotspot,span=1048576,n=100000,seed=3,hotspots=8,hotspot-bytes=1024,hot-frac=0.9";
+
+FlowParams affinity_pool_params() {
+    FlowParams fp;
+    fp.constraints.max_banks = 4;  // memopt_cli partition's default
+    return fp;
+}
+
+HybridFlowResult run_affinity_pool(TraceSource& source, std::size_t jobs) {
+    const std::size_t prior = default_jobs();
+    set_default_jobs(jobs);
+    HybridFlowResult result = MemoryOptimizationFlow(affinity_pool_params())
+                                  .run_hybrid(source, ClusterMethod::Affinity,
+                                              BankPool::parse("sram=2,sttmram=6"));
+    set_default_jobs(prior);
+    return result;
+}
+
+std::string json_of(const HybridFlowResult& result) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    to_json(w, result);
+    return os.str();
+}
+
+TEST(HybridAffinity, JsonIdenticalAtAnyJobCount) {
+    const SyntheticSpec spec = parse_synthetic_spec(kHotspotSpec);
+    SyntheticSource serial(spec);
+    SyntheticSource parallel(spec);
+    EXPECT_EQ(json_of(run_affinity_pool(serial, 1)), json_of(run_affinity_pool(parallel, 8)));
+}
+
+TEST(HybridAffinity, JsonIdenticalOverGeneratedAndMaterializedSources) {
+    const SyntheticSpec spec = parse_synthetic_spec(kHotspotSpec);
+    const MemTrace trace = materialize_synthetic(spec);
+    SyntheticSource generated(spec);
+    MaterializedSource materialized(trace);
+    EXPECT_EQ(json_of(run_affinity_pool(generated, 4)),
+              json_of(run_affinity_pool(materialized, 4)));
+}
+
+TEST(HybridAffinity, MapIsTheChainOverTheHandBuiltAffinity) {
+    const SyntheticSpec spec = parse_synthetic_spec(kHotspotSpec);
+    SyntheticSource source(spec);
+    const HybridFlowResult result = run_affinity_pool(source, 4);
+
+    const FlowParams fp = affinity_pool_params();
+    SyntheticSource replay(spec);
+    const BlockProfile profile = BlockProfile::from_source(replay, fp.block_size);
+    const AffinityMatrix affinity = windowed_affinity(replay, profile, fp.affinity_window);
+    const AddressMap expected = affinity_clustering(profile, affinity, fp.affinity);
+    ASSERT_EQ(result.base.map.num_blocks(), expected.num_blocks());
+    for (std::size_t b = 0; b < expected.num_blocks(); ++b)
+        ASSERT_EQ(result.base.map.map_block(b), expected.map_block(b)) << b;
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ TEST(BlockProfile, GeometryStopsBelow2To32Blocks) {
 }
 
 // Accesses at the top of the 64-bit space have no power-of-two span in 64
-// bits: both builders throw before allocating.
+// bits: the profile builder throws before allocating.
 TEST(BlockProfile, TopOfRangeAccessThrows) {
     for (const std::uint64_t top : {0xFFFFFFFFFFFFFFFCull, 0x8000000000000100ull}) {
         SCOPED_TRACE(testing::Message() << std::hex << top);
@@ -129,7 +129,6 @@ TEST(BlockProfile, TopOfRangeAccessThrows) {
         t.add_write(top);
         MaterializedSource src(t);
         EXPECT_THROW(BlockProfile::from_source(src, 256), Error);
-        EXPECT_THROW(build_profile_and_affinity(src, 256, 4), Error);
     }
 }
 
@@ -621,34 +620,6 @@ TEST(ShardedReplay, ProfileAndAffinityInvariantAcrossJobs) {
                 ASSERT_EQ(aj.at(a, b), a1.at(a, b)) << a << "," << b;
             }
         }
-    }
-}
-
-// The fused single-pass builder must agree exactly with the two-pass
-// composition it replaces, at every job count.
-TEST(ShardedReplay, FusedBuilderMatchesTwoPass) {
-    const MemTrace t = materialize_synthetic({
-        .kind = SyntheticKind::Hotspot,
-        .base = {.span_bytes = 128 * 256, .num_accesses = 200000, .write_fraction = 0.3,
-                 .seed = 22},
-        .num_hotspots = 4,
-        .hotspot_bytes = 512,
-        .hot_fraction = 0.8,
-    });
-    MaterializedSource src(t);
-    const BlockProfile ref_profile = BlockProfile::from_source(src, 256, 1);
-    const AffinityMatrix ref_affinity = windowed_affinity(src, ref_profile, 8, 1);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        const ProfileAffinity pa = build_profile_and_affinity(src, 256, 8, jobs);
-        ASSERT_EQ(pa.profile.num_blocks(), ref_profile.num_blocks());
-        for (std::size_t b = 0; b < ref_profile.num_blocks(); ++b) {
-            EXPECT_EQ(pa.profile.counts(b).reads, ref_profile.counts(b).reads) << b;
-            EXPECT_EQ(pa.profile.counts(b).writes, ref_profile.counts(b).writes) << b;
-        }
-        EXPECT_EQ(pa.affinity.total(), ref_affinity.total());
-        for (std::size_t a = 0; a < ref_profile.num_blocks(); ++a)
-            for (std::size_t b = a; b < ref_profile.num_blocks(); ++b)
-                ASSERT_EQ(pa.affinity.at(a, b), ref_affinity.at(a, b)) << a << "," << b;
     }
 }
 
