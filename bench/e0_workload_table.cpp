@@ -56,8 +56,8 @@ int main() {
         std::uint64_t touched_blocks = 0;
         for (std::size_t b = 0; b < profile.num_blocks(); ++b)
             touched_blocks += profile.counts(b).total() > 0;
-        const double write_pct =
-            100.0 * static_cast<double>(trace.write_count()) / static_cast<double>(trace.size());
+        const double write_pct = 100.0 * static_cast<double>(trace.summary().writes) /
+                                 static_cast<double>(trace.size());
         table.add_row({run.name, format("%llu", (unsigned long long)run.result.instructions),
                        format("%zu", trace.size()), format_fixed(write_pct, 1),
                        format_bytes(touched_blocks * 256),

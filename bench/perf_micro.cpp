@@ -406,9 +406,12 @@ BENCHMARK(BM_LintFullScan)->Unit(benchmark::kMillisecond);
 /// Display reporter that forwards every call to the library's default
 /// display reporter (the console table, or the format --benchmark_format
 /// selects) and also collects per-benchmark timings so the run can be
-/// re-emitted in the repo-wide "memopt.bench.v1" schema. Times are
-/// normalized to nanoseconds per iteration regardless of each benchmark's
-/// display unit, which is what scripts/check_perf.py compares.
+/// re-emitted in the repo-wide "memopt.bench.v1" schema. Each benchmark
+/// gives one row under its own name: its median aggregate when
+/// --benchmark_repetitions runs it more than once (whether or not the
+/// repetitions are reported too), else its one run. Times are normalized
+/// to nanoseconds per iteration regardless of each benchmark's display
+/// unit, which is what scripts/check_perf.py compares.
 class CollectingReporter : public benchmark::BenchmarkReporter {
 public:
     struct Row {
@@ -425,9 +428,16 @@ public:
 
     void ReportRuns(const std::vector<Run>& runs) override {
         for (const Run& run : runs) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+            const bool wanted = run.repetitions > 1
+                                    ? run.run_type == Run::RT_Aggregate &&
+                                          run.aggregate_name == "median"
+                                    : run.run_type == Run::RT_Iteration;
+            if (!wanted || run.error_occurred) continue;
+            // An aggregate's accumulated times are rescaled so that this
+            // quotient is its statistic per iteration, as for a single run;
+            // its iteration count is the number of repetitions.
             const auto iters = static_cast<double>(run.iterations);
-            rows.push_back(Row{run.benchmark_name(),
+            rows.push_back(Row{run.run_name.str(),
                                run.real_accumulated_time / iters * 1e9,
                                run.cpu_accumulated_time / iters * 1e9,
                                static_cast<std::uint64_t>(run.iterations)});
@@ -470,5 +480,5 @@ int main(int argc, char** argv) {
                   reporter.rows.empty() ? "no benchmark results collected"
                                         : "per-benchmark timings collected",
                   stderr);
-    return 0;
+    return reporter.rows.empty() ? 1 : 0;
 }

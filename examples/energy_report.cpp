@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
                 "(%llu reads / %llu writes)\n",
                 static_cast<unsigned long long>(run.instructions),
                 static_cast<unsigned long long>(run.cycles), run.data_trace.size(),
-                static_cast<unsigned long long>(run.data_trace.read_count()),
-                static_cast<unsigned long long>(run.data_trace.write_count()));
+                static_cast<unsigned long long>(run.data_trace.summary().reads),
+                static_cast<unsigned long long>(run.data_trace.summary().writes));
     std::printf("outputs:");
     for (std::uint32_t v : run.output) std::printf(" 0x%08x", v);
     std::printf("\n\n");

@@ -371,8 +371,8 @@ int cmd_run(const Args& args, JsonWriter* jw) {
     std::printf("instructions : %llu\n", (unsigned long long)r.instructions);
     std::printf("cycles       : %llu\n", (unsigned long long)r.cycles);
     std::printf("data accesses: %zu (%llu R / %llu W)\n", r.data_trace.size(),
-                (unsigned long long)r.data_trace.read_count(),
-                (unsigned long long)r.data_trace.write_count());
+                (unsigned long long)r.data_trace.summary().reads,
+                (unsigned long long)r.data_trace.summary().writes);
     std::printf("outputs      :");
     for (std::uint32_t v : r.output) std::printf(" 0x%08x", v);
     std::printf("\nhot symbols  :\n");
@@ -389,8 +389,8 @@ int cmd_run(const Args& args, JsonWriter* jw) {
         jw->member("instructions", r.instructions);
         jw->member("cycles", r.cycles);
         jw->member("data_accesses", static_cast<std::uint64_t>(r.data_trace.size()));
-        jw->member("reads", r.data_trace.read_count());
-        jw->member("writes", r.data_trace.write_count());
+        jw->member("reads", r.data_trace.summary().reads);
+        jw->member("writes", r.data_trace.summary().writes);
         jw->key("outputs").begin_array();
         for (std::uint32_t v : r.output) jw->value(v);
         jw->end_array();

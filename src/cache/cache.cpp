@@ -4,6 +4,7 @@
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
+#include "support/json.hpp"
 
 namespace memopt {
 
@@ -143,6 +144,18 @@ void CacheModel::reset() {
     std::fill(ways_.begin(), ways_.end(), Way{});
     tick_ = 0;
     stats_ = CacheStats{};
+}
+
+void to_json(JsonWriter& w, const CacheStats& s) {
+    w.begin_object();
+    w.member("read_hits", s.read_hits);
+    w.member("read_misses", s.read_misses);
+    w.member("write_hits", s.write_hits);
+    w.member("write_misses", s.write_misses);
+    w.member("fills", s.fills);
+    w.member("writebacks", s.writebacks);
+    w.member("miss_rate", s.miss_rate());
+    w.end_object();
 }
 
 }  // namespace memopt

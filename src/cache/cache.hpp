@@ -27,6 +27,8 @@
 
 namespace memopt {
 
+class JsonWriter;
+
 /// Cache geometry. size_bytes, line_bytes and associativity must make a
 /// consistent power-of-two geometry (sets = size / (line * assoc) >= 1).
 struct CacheConfig {
@@ -46,6 +48,16 @@ struct CacheStats {
 
     bool operator==(const CacheStats&) const = default;
 
+    CacheStats& operator+=(const CacheStats& o) {
+        read_hits += o.read_hits;
+        read_misses += o.read_misses;
+        write_hits += o.write_hits;
+        write_misses += o.write_misses;
+        fills += o.fills;
+        writebacks += o.writebacks;
+        return *this;
+    }
+
     std::uint64_t accesses() const {
         return read_hits + read_misses + write_hits + write_misses;
     }
@@ -54,6 +66,9 @@ struct CacheStats {
         return accesses() == 0 ? 0.0 : static_cast<double>(misses()) / static_cast<double>(accesses());
     }
 };
+
+/// Write `s` as one JSON object: the six counters, then miss_rate.
+void to_json(JsonWriter& w, const CacheStats& s);
 
 /// Outcome of one access: what traffic it caused toward the next level.
 struct CacheAccessResult {

@@ -179,26 +179,15 @@ void MultiCoreCacheSystem::flush() {
         traffic_.line_writes += bank.flush().size();
 }
 
-namespace {
-void accumulate(CacheStats& into, const CacheStats& from) {
-    into.read_hits += from.read_hits;
-    into.read_misses += from.read_misses;
-    into.write_hits += from.write_hits;
-    into.write_misses += from.write_misses;
-    into.fills += from.fills;
-    into.writebacks += from.writebacks;
-}
-}  // namespace
-
 CacheStats MultiCoreCacheSystem::l1_totals() const {
     CacheStats total;
-    for (const CacheModel& l1 : l1s_) accumulate(total, l1.stats());
+    for (const CacheModel& l1 : l1s_) total += l1.stats();
     return total;
 }
 
 CacheStats MultiCoreCacheSystem::l2_totals() const {
     CacheStats total;
-    for (const CacheModel& bank : l2_banks_) accumulate(total, bank.stats());
+    for (const CacheModel& bank : l2_banks_) total += bank.stats();
     return total;
 }
 
@@ -239,20 +228,6 @@ EnergyBreakdown MultiCoreCacheSystem::energy() const {
     return out;
 }
 
-namespace {
-void cache_stats_json(JsonWriter& w, const CacheStats& s) {
-    w.begin_object();
-    w.member("read_hits", s.read_hits);
-    w.member("read_misses", s.read_misses);
-    w.member("write_hits", s.write_hits);
-    w.member("write_misses", s.write_misses);
-    w.member("fills", s.fills);
-    w.member("writebacks", s.writebacks);
-    w.member("miss_rate", s.miss_rate());
-    w.end_object();
-}
-}  // namespace
-
 void to_json(JsonWriter& w, const MultiCoreCacheSystem& system) {
     const MultiCoreConfig& cfg = system.config();
     w.begin_object();
@@ -266,11 +241,11 @@ void to_json(JsonWriter& w, const MultiCoreCacheSystem& system) {
     w.end_object();
     w.key("l1_per_core").begin_array();
     for (unsigned c = 0; c < system.cores(); ++c)
-        cache_stats_json(w, system.l1(c).stats());
+        to_json(w, system.l1(c).stats());
     w.end_array();
     w.key("l2_per_bank").begin_array();
     for (unsigned b = 0; b < cfg.l2_banks; ++b)
-        cache_stats_json(w, system.l2_bank(b).stats());
+        to_json(w, system.l2_bank(b).stats());
     w.end_array();
     const CoherenceStats& cs = system.directory().stats();
     w.key("coherence").begin_object();

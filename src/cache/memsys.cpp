@@ -170,17 +170,9 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
 }
 
 void to_json(JsonWriter& w, const CompressedMemReport& report) {
-    const CacheStats& cs = report.cache_stats;
     w.begin_object();
-    w.key("cache").begin_object();
-    w.member("read_hits", cs.read_hits);
-    w.member("read_misses", cs.read_misses);
-    w.member("write_hits", cs.write_hits);
-    w.member("write_misses", cs.write_misses);
-    w.member("fills", cs.fills);
-    w.member("writebacks", cs.writebacks);
-    w.member("miss_rate", cs.miss_rate());
-    w.end_object();
+    w.key("cache");
+    to_json(w, report.cache_stats);
     w.member("writeback_lines", report.writeback_lines);
     w.member("fill_lines", report.fill_lines);
     w.member("raw_traffic_bytes", report.raw_traffic_bytes);

@@ -189,11 +189,12 @@ FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
         const ScopedTimer scope(evaluate_timer());
         return evaluate_monolithic(in.profile, params_.energy);
     }();
-    return FlowComparison{
-        std::move(monolithic),
-        run_prepared(in.profile, ClusterMethod::None, std::nullopt, params_).result,
-        run_prepared(in.profile, method, in.affinity, params_).result,
-    };
+    // One statement per solve: each Solved, with its physical profile, is
+    // gone before the next solve allocates its own.
+    FlowResult partitioned =
+        run_prepared(in.profile, ClusterMethod::None, std::nullopt, params_).result;
+    FlowResult clustered = run_prepared(in.profile, method, in.affinity, params_).result;
+    return FlowComparison{std::move(monolithic), std::move(partitioned), std::move(clustered)};
 }
 
 std::vector<FlowComparison> MemoryOptimizationFlow::compare_all(

@@ -1,20 +1,24 @@
 // Streaming trace sources: the pull-based, chunked replay abstraction.
 //
 // A TraceSource delivers a trace as a sequence of TraceChunks — SoA column
-// spans over up to ~64Ki accesses — instead of requiring the whole MemTrace
-// to be resident. Every replay loop in the toolkit (profile builder,
-// affinity builders, bank-activity replay, compressed-memory simulation,
-// cache hierarchy, the end-to-end flow) consumes a TraceSource, which is
-// what lets a 10^8–10^9-access trace run end to end in O(chunk) memory.
+// spans over up to ~64Ki accesses (trace/trace.hpp) — instead of requiring
+// the whole MemTrace to be resident. Every replay loop in the toolkit
+// (profile builder, affinity builders, bank-activity replay,
+// compressed-memory simulation, cache hierarchy, the end-to-end flow)
+// consumes a TraceSource, which is what lets a 10^8–10^9-access trace run
+// end to end in O(chunk) memory.
 //
 // Every replay consumer has a single TraceSource& entry point; an
 // in-memory MemTrace enters through a MaterializedSource at the call site.
-// Three concrete sources exist:
-//  * MaterializedSource  — zero-copy span slices over an in-memory MemTrace;
-//  * SyntheticSource     — generates chunks on the fly from the
-//                          deterministic generators in trace/synthetic.hpp
-//                          without ever materializing the trace
-//                          (trace/synthetic.hpp);
+// Every source's summary() comes from the one counting rule,
+// TraceSummary::add: seeded from the trace's own summary, from the .mtsc
+// header (which the writer folded with that rule), or folded chunk by
+// chunk in one pass on first use. Three concrete sources exist:
+//  * MaterializedSource  — zero-copy chunk slices over an in-memory MemTrace;
+//  * SyntheticSource     — generates chunks on the fly into a ChunkBuffer
+//                          from the deterministic generators in
+//                          trace/synthetic.hpp without ever materializing
+//                          the trace;
 //  * MmapBinarySource    — reader for the ".mtsc" block container that maps
 //                          one window of blocks at a time
 //                          (trace/stream_file.hpp).
@@ -50,7 +54,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "support/assert.hpp"
 #include "support/durable/cancel.hpp"
 #include "support/parallel.hpp"
 #include "trace/synthetic.hpp"
@@ -63,107 +66,6 @@ namespace memopt {
 /// while amortizing per-chunk dispatch, and match the sharding floor of the
 /// parallel replay loops.
 inline constexpr std::size_t kDefaultTraceChunk = std::size_t{1} << 16;
-
-/// One chunk of a trace: SoA column spans plus the global index of the
-/// chunk's first access. Spans stay valid until the producing source's next
-/// next()/next_batch()/reset() call (longer for stable sources — see
-/// TraceSource::stable_chunks()).
-///
-/// Invariant: all five columns have equal length (validated at
-/// construction).
-struct TraceChunk {
-    std::uint64_t first_index = 0;
-    std::span<const std::uint64_t> addrs;
-    std::span<const std::uint64_t> cycles;
-    std::span<const std::uint32_t> values;
-    std::span<const std::uint8_t> sizes;
-    std::span<const AccessKind> kinds;
-
-    TraceChunk() = default;
-    TraceChunk(std::uint64_t first, std::span<const std::uint64_t> a,
-               std::span<const std::uint64_t> c, std::span<const std::uint32_t> v,
-               std::span<const std::uint8_t> s, std::span<const AccessKind> k)
-        : first_index(first), addrs(a), cycles(c), values(v), sizes(s), kinds(k) {
-        require(c.size() == a.size() && v.size() == a.size() && s.size() == a.size() &&
-                    k.size() == a.size(),
-                "TraceChunk: column length mismatch");
-    }
-
-    std::size_t size() const { return addrs.size(); }
-    bool empty() const { return addrs.empty(); }
-};
-
-/// Cheap whole-trace statistics, matching the counters MemTrace maintains.
-/// `max_addr` is inclusive and covers the access width (addr + size - 1).
-struct TraceSummary {
-    std::uint64_t accesses = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t min_addr = 0;
-    std::uint64_t max_addr = 0;
-
-    /// Fold the accesses of `chunk` into the statistics, the way MemTrace
-    /// counts each access it adds. Throws memopt::Error, naming the first
-    /// such access, when an access's last byte lies past 2^64 - 1.
-    void add(const TraceChunk& chunk);
-};
-
-/// Owning SoA chunk storage: the staging buffer non-stable sources fill and
-/// the copy target of TraceSource::next_batch().
-class ChunkBuffer {
-public:
-    /// Start a fresh chunk whose first access has global index `first`.
-    void begin(std::uint64_t first) {
-        first_index_ = first;
-        addrs_.clear();
-        cycles_.clear();
-        values_.clear();
-        sizes_.clear();
-        kinds_.clear();
-    }
-
-    void reserve(std::size_t n) {
-        addrs_.reserve(n);
-        cycles_.reserve(n);
-        values_.reserve(n);
-        sizes_.reserve(n);
-        kinds_.reserve(n);
-    }
-
-    void push_back(const MemAccess& a) {
-        addrs_.push_back(a.addr);
-        cycles_.push_back(a.cycle);
-        values_.push_back(a.value);
-        sizes_.push_back(a.size);
-        kinds_.push_back(a.kind);
-    }
-
-    /// Deep-copy `chunk` into this buffer.
-    void assign(const TraceChunk& chunk) {
-        first_index_ = chunk.first_index;
-        addrs_.assign(chunk.addrs.begin(), chunk.addrs.end());
-        cycles_.assign(chunk.cycles.begin(), chunk.cycles.end());
-        values_.assign(chunk.values.begin(), chunk.values.end());
-        sizes_.assign(chunk.sizes.begin(), chunk.sizes.end());
-        kinds_.assign(chunk.kinds.begin(), chunk.kinds.end());
-    }
-
-    std::size_t size() const { return addrs_.size(); }
-    bool empty() const { return addrs_.empty(); }
-
-    /// Non-owning chunk view over the buffered columns.
-    TraceChunk view() const {
-        return TraceChunk(first_index_, addrs_, cycles_, values_, sizes_, kinds_);
-    }
-
-private:
-    std::uint64_t first_index_ = 0;
-    std::vector<std::uint64_t> addrs_;
-    std::vector<std::uint64_t> cycles_;
-    std::vector<std::uint32_t> values_;
-    std::vector<std::uint8_t> sizes_;
-    std::vector<AccessKind> kinds_;
-};
 
 /// Abstract pull-based chunked trace stream. Single-pass cursor semantics:
 /// next() and next_batch() yield consecutive chunks in program order until
@@ -202,9 +104,9 @@ public:
     /// access sequence.
     virtual void reset() = 0;
 
-    /// Whole-trace statistics. Computed with one streaming pass on first
-    /// use (then cached) unless the source seeded them at construction;
-    /// bit-identical to the counters of the materialized trace.
+    /// Whole-trace statistics. Folded chunk by chunk in one streaming pass
+    /// on first use (then cached) unless the source seeded them at
+    /// construction; equal to the materialized trace's summary().
     ///
     /// Contract: every access the source delivers lies within the
     /// summary's [min_addr, max_addr] range (inclusive of the access
@@ -223,9 +125,9 @@ private:
     std::vector<ChunkBuffer> batch_copies_;  ///< the default next_batch()'s copies
 };
 
-/// Zero-copy source over an in-memory MemTrace: chunks are subspans of the
+/// Zero-copy source over an in-memory MemTrace: chunks are slices of the
 /// trace's columns (stable for the source's lifetime), and the summary is
-/// seeded from the trace's own counters — no extra pass, no extra memory.
+/// seeded from the trace's own — no extra pass, no extra memory.
 class MaterializedSource final : public TraceSource {
 public:
     /// Non-owning view; `trace` must outlive the source.
@@ -243,8 +145,6 @@ public:
     void reset() override { pos_ = 0; }
 
 private:
-    void seed_summary();
-
     std::shared_ptr<const MemTrace> owned_;  ///< may be null (non-owning ctor)
     const MemTrace* trace_;
     std::size_t chunk_;

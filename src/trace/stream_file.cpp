@@ -107,6 +107,40 @@ private:
     std::uint64_t lane_[4] = {kMixP1 + kMixP2, kMixP2, 0, 0 - kMixP1};
 };
 
+// The raw column image of an `n`-record block (see the layout comment in
+// stream_file.hpp): each column's byte offset, and the image's length. The
+// writer packs a chunk into it (pack_image) and the reader views it as a
+// chunk (view_image); every other reader of the image goes through these
+// offsets too.
+struct ImageLayout {
+    explicit ImageLayout(std::size_t n)
+        : cycles(n * 8), values(n * 16), sizes(n * 20), kinds(n * 21),
+          bytes(n * kBytesPerAccess) {}
+
+    std::size_t addrs = 0;
+    std::size_t cycles, values, sizes, kinds, bytes;
+};
+
+void pack_image(const TraceChunk& c, std::uint8_t* image) {
+    const ImageLayout at(c.size());
+    std::memcpy(image + at.addrs, c.addrs.data(), c.addrs.size_bytes());
+    std::memcpy(image + at.cycles, c.cycles.data(), c.cycles.size_bytes());
+    std::memcpy(image + at.values, c.values.data(), c.values.size_bytes());
+    std::memcpy(image + at.sizes, c.sizes.data(), c.sizes.size_bytes());
+    std::memcpy(image + at.kinds, c.kinds.data(), c.kinds.size_bytes());
+}
+
+// The 8-aligned image holds naturally aligned columns, so the chunk views
+// them in place.
+TraceChunk view_image(const std::uint8_t* image, std::size_t n, std::uint64_t first) {
+    const ImageLayout at(n);
+    return TraceChunk(first, {reinterpret_cast<const std::uint64_t*>(image + at.addrs), n},
+                      {reinterpret_cast<const std::uint64_t*>(image + at.cycles), n},
+                      {reinterpret_cast<const std::uint32_t*>(image + at.values), n},
+                      {image + at.sizes, n},
+                      {reinterpret_cast<const AccessKind*>(image + at.kinds), n});
+}
+
 // The content rules every delivered record meets: size in {1, 2, 4, 8},
 // kind 0 or 1, and [addr, addr + size - 1] inside the header's
 // [min_addr, max_addr]. RecordScreen is the branch-free form that runs
@@ -140,11 +174,11 @@ public:
         bad_ = bad;
     }
 
-    /// All columns of an `n`-record raw image at once.
-    void image(const std::uint8_t* image, std::size_t n) {
-        addrs(reinterpret_cast<const std::uint64_t*>(image), n);
-        sizes(image + n * 20, n);
-        kinds(image + n * 21, n);
+    /// Every column of `chunk` at once.
+    void chunk(const TraceChunk& c) {
+        addrs(c.addrs.data(), c.size());
+        sizes(c.sizes.data(), c.size());
+        kinds(reinterpret_cast<const std::uint8_t*>(c.kinds.data()), c.size());
     }
 
     bool clean() const { return bad_ == 0 && worst_ <= span_ && span_ - worst_ >= 7; }
@@ -164,19 +198,20 @@ constexpr std::size_t kScanTileBytes = std::size_t{8} << 10;
 // `n`-record column image and screens the addr/size/kind columns tile by
 // tile on the way.
 std::uint64_t scan_raw_block(const std::uint8_t* image, std::size_t n, RecordScreen& screen) {
-    const std::size_t bytes = n * kBytesPerAccess;
-    const auto* addrs = reinterpret_cast<const std::uint64_t*>(image);
+    const ImageLayout at(n);
+    const std::size_t bytes = at.bytes;
     ChecksumLanes lanes;
     for (std::size_t lo = 0; lo < bytes; lo += kScanTileBytes) {
         const std::size_t hi = std::min(lo + kScanTileBytes, bytes);
         lanes.absorb(image + lo, (hi - lo) / kStripeBytes);
-        // The tile's share of a column [begin, begin + len) as a byte range.
-        const auto overlap = [&](std::size_t begin, std::size_t len) {
-            return std::pair{std::max(lo, begin), std::min(hi, begin + len)};
+        // The tile's share of the column image [begin, end) as a byte range.
+        const auto overlap = [&](std::size_t begin, std::size_t end) {
+            return std::pair{std::max(lo, begin), std::min(hi, end)};
         };
-        if (const auto [b, e] = overlap(0, n * 8); b < e) screen.addrs(addrs + b / 8, (e - b) / 8);
-        if (const auto [b, e] = overlap(n * 20, n); b < e) screen.sizes(image + b, e - b);
-        if (const auto [b, e] = overlap(n * 21, n); b < e) screen.kinds(image + b, e - b);
+        if (const auto [b, e] = overlap(at.addrs, at.cycles); b < e)
+            screen.addrs(reinterpret_cast<const std::uint64_t*>(image + b), (e - b) / 8);
+        if (const auto [b, e] = overlap(at.sizes, at.kinds); b < e) screen.sizes(image + b, e - b);
+        if (const auto [b, e] = overlap(at.kinds, at.bytes); b < e) screen.kinds(image + b, e - b);
     }
     const std::size_t tail = bytes % kStripeBytes;
     return lanes.finish(image + (bytes - tail), tail, bytes);
@@ -184,22 +219,19 @@ std::uint64_t scan_raw_block(const std::uint8_t* image, std::size_t n, RecordScr
 
 // The exact form of the content rules: throws memopt::Error naming block
 // `block`'s first offending record.
-void check_records(const std::uint8_t* image, std::uint32_t n, std::uint32_t block,
-                   const TraceSummary& s) {
-    const auto* a = reinterpret_cast<const std::uint64_t*>(image);
-    const std::uint8_t* sz = image + std::size_t{n} * 20;
-    const std::uint8_t* kd = image + std::size_t{n} * 21;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint8_t size = sz[i];
+void check_records(const TraceChunk& c, std::uint32_t block, const TraceSummary& s) {
+    for (std::uint32_t i = 0; i < c.size(); ++i) {
+        const std::uint64_t addr = c.addrs[i];
+        const std::uint8_t size = c.sizes[i];
         if (size != 1 && size != 2 && size != 4 && size != 8) {
             throw Error(format("stream trace: block %u: record %u has invalid access size %u",
                                block, i, static_cast<unsigned>(size)));
         }
-        if (kd[i] > 1) {
+        if (static_cast<std::uint8_t>(c.kinds[i]) > 1) {
             throw Error(
                 format("stream trace: block %u: record %u has invalid access kind", block, i));
         }
-        if (a[i] < s.min_addr || a[i] > s.max_addr || s.max_addr - a[i] < size - 1u) {
+        if (addr < s.min_addr || addr > s.max_addr || s.max_addr - addr < size - 1u) {
             throw Error(format(
                 "stream trace: block %u: record %u address outside the header summary range",
                 block, i));
@@ -332,12 +364,8 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     offsets.reserve(block_count);
 
     s = TraceSummary{};
-    // Staging columns: the source's chunking need not match the container's.
-    std::vector<std::uint64_t> addrs;
-    std::vector<std::uint64_t> cycles;
-    std::vector<std::uint32_t> values;
-    std::vector<std::uint8_t> sizes;
-    std::vector<AccessKind> kinds;
+    // Staging: the source's chunking need not match the container's.
+    ChunkBuffer staged;
 
     // One sealed block of a round: its column image, its compressed form
     // and the checksum of whichever of the two is stored.
@@ -351,20 +379,16 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
 
     // Seal the first `blocks` staged blocks (the last may be short) on
     // parallel tasks, write them in block order, and drop them from the
-    // staging columns.
+    // staging buffer.
     const auto emit = [&](std::size_t blocks) {
-        const std::size_t staged = addrs.size();
+        const TraceChunk pending = staged.view();
         if (round.size() < blocks) round.resize(blocks);
         parallel_for(blocks, [&](std::size_t k) {
             const std::size_t at = k * chunk;
-            const std::size_t n = std::min(chunk, staged - at);
+            const std::size_t n = std::min(chunk, pending.size() - at);
             Sealed& b = round[k];
             b.image.assign(pad8(n * kBytesPerAccess), 0);
-            std::memcpy(b.image.data(), addrs.data() + at, n * 8);
-            std::memcpy(b.image.data() + n * 8, cycles.data() + at, n * 8);
-            std::memcpy(b.image.data() + n * 16, values.data() + at, n * 4);
-            std::memcpy(b.image.data() + n * 20, sizes.data() + at, n);
-            std::memcpy(b.image.data() + n * 21, kinds.data() + at, n);
+            pack_image(pending.subchunk(at, n), b.image.data());
             b.payload = std::span<const std::uint8_t>(b.image).first(n * kBytesPerAccess);
             if (opts.compress) {
                 b.packed = compress_image(b.image);
@@ -374,7 +398,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
         });
         for (std::size_t k = 0; k < blocks; ++k) {
             const Sealed& b = round[k];
-            const std::size_t n = std::min(chunk, staged - k * chunk);
+            const std::size_t n = std::min(chunk, pending.size() - k * chunk);
             std::uint8_t head[kBlockHeaderBytes];
             std::memcpy(head, kBlockMagic, 4);
             store_le32(head + 4, static_cast<std::uint32_t>(n));
@@ -390,12 +414,7 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
             offsets.push_back(file_off);
             file_off += kBlockHeaderBytes + b.payload.size() + pad;
         }
-        const auto dn = static_cast<std::ptrdiff_t>(std::min(staged, blocks * chunk));
-        addrs.erase(addrs.begin(), addrs.begin() + dn);
-        cycles.erase(cycles.begin(), cycles.begin() + dn);
-        values.erase(values.begin(), values.begin() + dn);
-        sizes.erase(sizes.begin(), sizes.begin() + dn);
-        kinds.erase(kinds.begin(), kinds.begin() + dn);
+        staged.erase_front(std::min(pending.size(), blocks * chunk));
     };
 
     source.reset();
@@ -403,15 +422,11 @@ TraceSummary write_trace_stream(const std::string& path, TraceSource& source,
     while (source.next_batch(batch, tasks)) {
         for (const TraceChunk& c : batch) {
             s.add(c);
-            addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
-            cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
-            values.insert(values.end(), c.values.begin(), c.values.end());
-            sizes.insert(sizes.end(), c.sizes.begin(), c.sizes.end());
-            kinds.insert(kinds.end(), c.kinds.begin(), c.kinds.end());
+            staged.append(c);
         }
-        if (addrs.size() >= tasks * chunk) emit(addrs.size() / chunk);
+        if (staged.size() >= tasks * chunk) emit(staged.size() / chunk);
     }
-    if (!addrs.empty()) emit((addrs.size() + chunk - 1) / chunk);
+    if (!staged.empty()) emit((staged.size() + chunk - 1) / chunk);
 
     require(s.accesses == count,
             "write_trace_stream: source delivered a different access count than size()");
@@ -663,27 +678,21 @@ TraceChunk MmapBinarySource::deliver_block(std::uint32_t block, std::size_t k,
     const std::uint8_t* image = payload;
     if (compressed_) {
         const std::size_t padded = pad8(std::size_t{n} * kBytesPerAccess);
-        // uint64_t backing guarantees the 8-byte alignment the column
-        // reinterpret_casts below rely on; decode_image writes every byte.
+        // uint64_t backing guarantees the 8-byte alignment view_image
+        // relies on; decode_image writes every byte.
         std::vector<std::uint64_t>& decoded = decoded_[k];
         decoded.resize(padded / 8);
         decode_image({payload, static_cast<std::size_t>(slot.payload_bytes)},
                      reinterpret_cast<std::uint8_t*>(decoded.data()), padded, block);
         image = reinterpret_cast<const std::uint8_t*>(decoded.data());
-        if (first) screen.image(image, n);
     }
+    const TraceChunk chunk = view_image(image, n, std::uint64_t{block} * chunk_accesses_);
     if (first) {
-        if (!screen.clean()) check_records(image, n, block, header);
+        if (compressed_) screen.chunk(chunk);
+        if (!screen.clean()) check_records(chunk, block, header);
         verified_[block] = 1;
     }
-
-    const auto* a = reinterpret_cast<const std::uint64_t*>(image);
-    const auto* cy = reinterpret_cast<const std::uint64_t*>(image + std::size_t{n} * 8);
-    const auto* v = reinterpret_cast<const std::uint32_t*>(image + std::size_t{n} * 16);
-    const std::uint8_t* sz = image + std::size_t{n} * 20;
-    const auto* kd = reinterpret_cast<const AccessKind*>(image + std::size_t{n} * 21);
-    return TraceChunk(std::uint64_t{block} * chunk_accesses_, std::span(a, n), std::span(cy, n),
-                      std::span(v, n), std::span(sz, n), std::span(kd, n));
+    return chunk;
 }
 
 bool MmapBinarySource::next_batch(std::vector<TraceChunk>& batch, std::size_t max_chunks,

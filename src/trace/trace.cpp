@@ -1,7 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
-
 #include "support/string_util.hpp"
 
 namespace memopt {
@@ -12,25 +10,20 @@ void throw_access_past_top(std::uint64_t addr, unsigned size) {
                        static_cast<unsigned long long>(addr), size));
 }
 
+void TraceSummary::add(const TraceChunk& chunk) {
+    // A local copy: stores to the members could alias the chunk's
+    // uint64_t columns and would pin them in memory through the loop.
+    TraceSummary s = *this;
+    for (std::size_t i = 0; i < chunk.size(); ++i)
+        s.add(chunk.addrs[i], chunk.sizes[i], chunk.kinds[i]);
+    *this = s;
+}
+
 void MemTrace::add(const MemAccess& a) {
     MEMOPT_ASSERT_MSG(a.size == 1 || a.size == 2 || a.size == 4 || a.size == 8,
                       "access size must be 1/2/4/8 bytes");
-    if (a.addr + a.size - 1 < a.addr) [[unlikely]]
-        throw_access_past_top(a.addr, a.size);
-    if (addrs_.empty()) {
-        min_addr_ = a.addr;
-        max_addr_ = a.addr + a.size - 1;
-    } else {
-        min_addr_ = std::min(min_addr_, a.addr);
-        max_addr_ = std::max(max_addr_, a.addr + a.size - 1);
-    }
-    if (a.kind == AccessKind::Read) ++reads_;
-    else ++writes_;
-    addrs_.push_back(a.addr);
-    cycles_.push_back(a.cycle);
-    values_.push_back(a.value);
-    sizes_.push_back(a.size);
-    kinds_.push_back(a.kind);
+    summary_.add(a.addr, a.size, a.kind);
+    columns_.push_back(a);
 }
 
 void MemTrace::add_read(std::uint64_t addr, std::uint8_t size, std::uint64_t cycle) {
@@ -41,41 +34,20 @@ void MemTrace::add_write(std::uint64_t addr, std::uint8_t size, std::uint64_t cy
     add(MemAccess{.addr = addr, .cycle = cycle, .size = size, .kind = AccessKind::Write});
 }
 
-std::uint64_t MemTrace::min_addr() const {
-    require(!addrs_.empty(), "min_addr on empty trace");
-    return min_addr_;
-}
-
-std::uint64_t MemTrace::max_addr() const {
-    require(!addrs_.empty(), "max_addr on empty trace");
-    return max_addr_;
+MemAccess MemTrace::at(std::size_t i) const {
+    MEMOPT_ASSERT(i < size());
+    const TraceChunk c = view();
+    return MemAccess{c.addrs[i], c.cycles[i], c.values[i], c.sizes[i], c.kinds[i]};
 }
 
 std::vector<std::uint32_t> MemTrace::write_values() const {
+    const TraceChunk c = view();
     std::vector<std::uint32_t> out;
-    out.reserve(writes_);
-    for (std::size_t i = 0; i < size(); ++i) {
-        if (kinds_[i] == AccessKind::Write) out.push_back(values_[i]);
+    out.reserve(summary_.writes);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        if (c.kinds[i] == AccessKind::Write) out.push_back(c.values[i]);
     }
     return out;
-}
-
-void MemTrace::clear() {
-    addrs_.clear();
-    cycles_.clear();
-    values_.clear();
-    sizes_.clear();
-    kinds_.clear();
-    reads_ = writes_ = 0;
-    min_addr_ = max_addr_ = 0;
-}
-
-void MemTrace::reserve(std::size_t n) {
-    addrs_.reserve(n);
-    cycles_.reserve(n);
-    values_.reserve(n);
-    sizes_.reserve(n);
-    kinds_.reserve(n);
 }
 
 }  // namespace memopt

@@ -557,7 +557,7 @@ TEST_F(DurableTest, TrippedTokenCancelsStreamReplay) {
 class NonPollingSource final : public TraceSource {
 public:
     explicit NonPollingSource(const MemTrace& trace) : trace_(trace) {
-        set_summary(MaterializedSource(trace).summary());
+        set_summary(trace.summary());
     }
 
     std::uint64_t size() const override { return trace_.size(); }
@@ -570,9 +570,7 @@ public:
             return false;
         }
         const std::size_t n = std::min<std::size_t>(4096, trace_.size() - pos_);
-        chunk = TraceChunk(pos_, trace_.addrs().subspan(pos_, n),
-                           trace_.cycles().subspan(pos_, n), trace_.values().subspan(pos_, n),
-                           trace_.sizes().subspan(pos_, n), trace_.kinds().subspan(pos_, n));
+        chunk = trace_.view().subchunk(pos_, n);
         pos_ += n;
         return true;
     }

@@ -305,20 +305,9 @@ class TraceIoFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 /// What one drain of a (possibly corrupt) container yields: the accesses
 /// it delivered and, when it failed, the error's message (else "").
 struct DrainOutcome {
-    std::vector<std::uint64_t> addrs;
-    std::vector<std::uint64_t> cycles;
-    std::vector<std::uint32_t> values;
-    std::vector<std::uint8_t> sizes;
-    std::vector<AccessKind> kinds;
+    ChunkBuffer accesses;
     std::string error;
 
-    void add(const TraceChunk& c) {
-        addrs.insert(addrs.end(), c.addrs.begin(), c.addrs.end());
-        cycles.insert(cycles.end(), c.cycles.begin(), c.cycles.end());
-        values.insert(values.end(), c.values.begin(), c.values.end());
-        sizes.insert(sizes.end(), c.sizes.begin(), c.sizes.end());
-        kinds.insert(kinds.end(), c.kinds.begin(), c.kinds.end());
-    }
     bool operator==(const DrainOutcome&) const = default;
 };
 
@@ -330,11 +319,11 @@ DrainOutcome drain_container(const std::string& path, std::size_t max_chunks, st
         MmapBinarySource reader(path);
         if (max_chunks == 0) {
             TraceChunk chunk;
-            while (reader.next(chunk)) out.add(chunk);
+            while (reader.next(chunk)) out.accesses.append(chunk);
         } else {
             std::vector<TraceChunk> batch;
             while (reader.next_batch(batch, max_chunks, jobs))
-                for (const TraceChunk& chunk : batch) out.add(chunk);
+                for (const TraceChunk& chunk : batch) out.accesses.append(chunk);
         }
     } catch (const Error& e) {
         out.error = e.what();

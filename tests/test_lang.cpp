@@ -320,7 +320,7 @@ TEST(LangExec, CompiledProgramsProduceTraces) {
     const RunResult run = Cpu(CpuConfig{}).run(program);
     EXPECT_FALSE(run.data_trace.empty());
     // Locals live on the stack: writes must appear in the trace.
-    EXPECT_GT(run.data_trace.write_count(), 256u);
+    EXPECT_GT(run.data_trace.summary().writes, 256u);
 }
 
 }  // namespace

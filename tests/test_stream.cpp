@@ -138,15 +138,59 @@ TEST(MaterializedSourceTest, ChunksAreZeroCopyViews) {
     EXPECT_EQ(chunk.first_index, 256u);
 }
 
+void expect_summaries_equal(const TraceSummary& a, const TraceSummary& b) {
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.min_addr, b.min_addr);
+    EXPECT_EQ(a.max_addr, b.max_addr);
+}
+
+/// Forwards next() and stable_chunks() only, like a counting wrapper
+/// around a library source: next_batch() is the base class's, and
+/// summary() the base class's fold of the delivered chunks, since no
+/// summary is seeded.
+class ForwardingSource final : public TraceSource {
+public:
+    explicit ForwardingSource(TraceSource& inner) : inner_(inner) {}
+    std::uint64_t size() const override { return inner_.size(); }
+    bool stable_chunks() const override { return inner_.stable_chunks(); }
+    bool next(TraceChunk& chunk) override { return inner_.next(chunk); }
+    void reset() override { inner_.reset(); }
+
+private:
+    TraceSource& inner_;
+};
+
+// The summary a MaterializedSource seeds from its trace, counted access by
+// access as the trace grew, equals the chunk-by-chunk fold of the same
+// accesses in every field, whatever the chunk size: the two uses of the
+// one counting rule agree. The second trace mixes every access width and
+// ends its highest access exactly at 2^64 - 1; its lowest address is not
+// its first.
 TEST(MaterializedSourceTest, SummarySeededFromTraceCounters) {
-    const MemTrace trace = mixed_trace(500);
-    MaterializedSource source(trace);
-    const TraceSummary& sum = source.summary();
-    EXPECT_EQ(sum.accesses, trace.size());
-    EXPECT_EQ(sum.reads, trace.read_count());
-    EXPECT_EQ(sum.writes, trace.write_count());
-    EXPECT_EQ(sum.min_addr, trace.min_addr());
-    EXPECT_EQ(sum.max_addr, trace.max_addr());
+    const MemTrace widths = [] {
+        MemTrace t;
+        t.add_read(0x1000, 1);
+        t.add_write(0xFFFFFFFFFFFFFFF8ull, 8);
+        t.add_read(0x0FFE, 2);
+        t.add_write(0x2000, 4);
+        t.add_read(0x40, 8);
+        t.add_write(0xFFFFFFFFFFFFFFF0ull, 4);
+        return t;
+    }();
+    const MemTrace mixed = mixed_trace(70000);
+    for (const MemTrace* trace : {&mixed, &widths}) {
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{777}, kDefaultTraceChunk}) {
+            SCOPED_TRACE(testing::Message() << trace->size() << " accesses, chunks of " << chunk);
+            MaterializedSource source(*trace, chunk);
+            expect_summaries_equal(source.summary(), trace->summary());
+            ForwardingSource folded(source);
+            expect_summaries_equal(folded.summary(), trace->summary());
+        }
+    }
+    EXPECT_EQ(widths.summary().min_addr, 0x40u);
+    EXPECT_EQ(widths.summary().max_addr, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(MaterializedSourceTest, ZeroChunkSizeThrows) {
@@ -168,7 +212,7 @@ TEST(SyntheticSourceTest, MatchesMaterializedGenerator) {
         EXPECT_EQ(source.size(), expected.size());
         expect_traces_equal(drain(source), expected);
         // summary() takes its own pass, then replay restarts cleanly.
-        EXPECT_EQ(source.summary().accesses, expected.size());
+        expect_summaries_equal(source.summary(), expected.summary());
         expect_traces_equal(drain(source), expected);
     }
 }
@@ -416,7 +460,7 @@ TEST_F(StreamFileTest, RoundTripUncompressed) {
     MaterializedSource input(trace);
     const TraceSummary written = write_trace_stream(file, input, opts);
     EXPECT_EQ(written.accesses, trace.size());
-    EXPECT_EQ(written.reads, trace.read_count());
+    expect_summaries_equal(written, trace.summary());
 
     MmapBinarySource source(file);
     EXPECT_FALSE(source.compressed());
@@ -425,7 +469,7 @@ TEST_F(StreamFileTest, RoundTripUncompressed) {
     EXPECT_EQ(source.chunk_accesses(), 1024u);
     EXPECT_EQ(source.size(), trace.size());
     // The summary comes straight from the header — no replay needed.
-    EXPECT_EQ(source.summary().reads, trace.read_count());
+    expect_summaries_equal(source.summary(), trace.summary());
     EXPECT_EQ(source.summary().max_addr, written.max_addr);
     expect_traces_equal(drain(source), trace);
     expect_traces_equal(drain(source), trace);  // second pass after reset
@@ -520,20 +564,6 @@ MemTrace drain_batches(TraceSource& source, std::size_t max_chunks, std::size_t 
     EXPECT_EQ(expected_first, source.size());
     return out;
 }
-
-/// Forwards next() and stable_chunks() only, like a counting wrapper
-/// around a library source: next_batch() is the base class's.
-class ForwardingSource final : public TraceSource {
-public:
-    explicit ForwardingSource(TraceSource& inner) : inner_(inner) {}
-    std::uint64_t size() const override { return inner_.size(); }
-    bool stable_chunks() const override { return inner_.stable_chunks(); }
-    bool next(TraceChunk& chunk) override { return inner_.next(chunk); }
-    void reset() override { inner_.reset(); }
-
-private:
-    TraceSource& inner_;
-};
 
 TEST_F(StreamFileTest, NextBatchDeliversTheSequenceOfNext) {
     // 10007 accesses: neither 333 nor 1000 divides it.

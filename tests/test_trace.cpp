@@ -30,24 +30,19 @@ TEST(MemTrace, CountersTrackAdds) {
     t.add_write(0x200, 1);
     t.add_read(0x104, 2);
     EXPECT_EQ(t.size(), 3u);
-    EXPECT_EQ(t.read_count(), 2u);
-    EXPECT_EQ(t.write_count(), 1u);
-    EXPECT_EQ(t.min_addr(), 0x100u);
-    EXPECT_EQ(t.max_addr(), 0x200u);
+    EXPECT_EQ(t.summary().accesses, 3u);
+    EXPECT_EQ(t.summary().reads, 2u);
+    EXPECT_EQ(t.summary().writes, 1u);
+    EXPECT_EQ(t.summary().min_addr, 0x100u);
+    EXPECT_EQ(t.summary().max_addr, 0x200u);
 }
 
 TEST(MemTrace, SpanIsPow2CoveringMaxByte) {
     MemTrace t;
     t.add_read(1000, 4);  // touches bytes 1000..1003
-    EXPECT_EQ(profile_geometry(MaterializedSource(t).summary(), 1).num_blocks, 1024u);
+    EXPECT_EQ(profile_geometry(t.summary(), 1).num_blocks, 1024u);
     t.add_read(1024, 4);
-    EXPECT_EQ(profile_geometry(MaterializedSource(t).summary(), 1).num_blocks, 2048u);
-}
-
-TEST(MemTrace, EmptyTraceQueriesThrow) {
-    MemTrace t;
-    EXPECT_THROW(t.min_addr(), Error);
-    EXPECT_THROW(t.max_addr(), Error);
+    EXPECT_EQ(profile_geometry(t.summary(), 1).num_blocks, 2048u);
 }
 
 TEST(MemTrace, ClearResets) {
@@ -55,7 +50,7 @@ TEST(MemTrace, ClearResets) {
     t.add_write(4);
     t.clear();
     EXPECT_TRUE(t.empty());
-    EXPECT_EQ(t.read_count() + t.write_count(), 0u);
+    EXPECT_TRUE(t.summary() == TraceSummary{});
 }
 
 TEST(Pow2Helpers, CeilPow2) {
@@ -146,10 +141,11 @@ TEST(MemTrace, AccessPastTopOfAddressSpaceThrows) {
             << e.what();
     }
     EXPECT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.max_addr(), 0x103u);
+    EXPECT_EQ(t.summary().accesses, 1u);
+    EXPECT_EQ(t.summary().max_addr, 0x103u);
     // An access that ends exactly at 2^64 - 1 is valid.
     t.add_write(0xFFFFFFFFFFFFFFF8ull, 8);
-    EXPECT_EQ(t.max_addr(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(t.summary().max_addr, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(BlockProfile, HotFraction) {
@@ -264,7 +260,7 @@ TEST(Synthetic, UniformStaysInSpan) {
     p.span_bytes = 4096;
     p.num_accesses = 2000;
     const MemTrace t = materialize_synthetic({.kind = SyntheticKind::Uniform, .base = p});
-    EXPECT_LT(t.max_addr(), 4096u);
+    EXPECT_LT(t.summary().max_addr, 4096u);
 }
 
 TEST(Synthetic, HotspotTraceIsSkewedAndScattered) {
@@ -577,11 +573,8 @@ TEST(SoaLayout, FromColumnsMatchesAddAndValidates) {
     TraceSummary built;
     built.add(TraceChunk(0, addrs, cycles, values, sizes, kinds));
     EXPECT_EQ(built.accesses, reference.size());
-    EXPECT_EQ(built.reads, reference.read_count());
-    EXPECT_EQ(built.writes, reference.write_count());
-    EXPECT_EQ(built.min_addr, reference.min_addr());
     EXPECT_EQ(built.max_addr, 0x205u);
-    EXPECT_EQ(built.max_addr, reference.max_addr());
+    EXPECT_TRUE(built == reference.summary());
     EXPECT_THROW(TraceChunk(0, addrs, std::span(cycles).first(2), values, sizes, kinds), Error);
 }
 
