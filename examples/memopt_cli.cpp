@@ -516,18 +516,16 @@ int cmd_partition(const Args& args, JsonWriter* jw) {
         result.report.energy.print(std::cout, "hybrid energy (" + pool.to_string() + "):");
         std::printf("banks: %zu   wakeups: %llu\n", result.base.solution.arch.num_banks(),
                     static_cast<unsigned long long>(result.report.total_wakeups()));
-        for (std::size_t b = 0; b < result.base.solution.arch.num_banks(); ++b) {
-            const Bank& bank = result.base.solution.arch.banks()[b];
-            const HybridBankReport& slice = result.report.banks[b];
+        for (const HybridBankReport& slice : result.report.banks) {
             const double gated_pct =
                 slice.activity.total_cycles() == 0
                     ? 0.0
                     : 100.0 * static_cast<double>(slice.activity.gated_cycles) /
                           static_cast<double>(slice.activity.total_cycles());
             std::printf("  bank [%zu, %zu) -> %s  %-8s heat#%zu  gated %.1f%%\n",
-                        bank.first_block, bank.end_block(),
-                        format_bytes(bank.size_bytes).c_str(),
-                        technology_name(result.techs[b]), result.heat_rank[b], gated_pct);
+                        slice.bank.first_block, slice.bank.end_block(),
+                        format_bytes(slice.bank.size_bytes).c_str(),
+                        technology_name(slice.tech), slice.heat_rank, gated_pct);
         }
         if (jw != nullptr) to_json(*jw, result);
         return 0;

@@ -9,8 +9,11 @@ Usage:
 
 The input is the memopt.bench.v1 document perf_micro writes when run with
 MEMOPT_JSON_DIR set; each row carries {benchmark, real_time_ns, cpu_time_ns,
-iterations}. The baseline (bench/baselines/perf_baseline.json) stores one
-reference real_time_ns per benchmark name.
+iterations}. Under --benchmark_repetitions=N the row is the median of the N
+repetitions, which is how CI runs it (N = 5): one run on a shared runner can
+be off by more than the tolerance on code that did not change. The baseline
+(bench/baselines/perf_baseline.json) stores one reference real_time_ns per
+benchmark name.
 
 A benchmark FAILS when its per-iteration real time exceeds the baseline by
 more than the tolerance band (default 25%, matching the regression budget

@@ -261,7 +261,9 @@ void to_json(JsonWriter& w, const MultiCoreCacheSystem& system) {
     w.key("traffic").begin_object();
     w.member("line_fetches", system.traffic().line_fetches);
     w.member("line_writes", system.traffic().line_writes);
-    w.member("word_writes", system.traffic().word_writes);
+    // Frozen memopt.report.v1 key: every cache is write-back, so no word is
+    // ever written through to memory.
+    w.member("word_writes", 0u);
     w.end_object();
     w.key("energy");
     system.energy().to_json(w);

@@ -41,7 +41,6 @@ class TraceSource;
 struct MemoryTraffic {
     std::uint64_t line_fetches = 0;  ///< L2-line reads from memory
     std::uint64_t line_writes = 0;   ///< L2-line write-backs to memory
-    std::uint64_t word_writes = 0;   ///< always 0: every cache is write-back
 };
 
 /// Geometry of the multi-core system. L2 bank line size must equal the L1

@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "energy/sram_model.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "support/json.hpp"
@@ -49,28 +50,19 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
     CacheModel cache(config_.cache);  // validates the line size first
     const std::uint64_t lines = span / line_bytes;
 
-    // Stored layout of each line of main memory, indexed by line number:
-    // set while the line is stored in compressed form, empty while raw.
-    struct StoredLine {
-        std::uint32_t stored_bytes;  ///< blob + check bits, the burst size
-        std::uint32_t blob_words;    ///< 64-bit words the checker walks
-    };
-    std::vector<std::optional<StoredLine>> stored_compressed(lines);
+    // Stored size of each line of main memory, indexed by line number: set
+    // while the line is stored in compressed form, empty while raw.
+    std::vector<std::optional<std::uint32_t>> stored_compressed(lines);
     // Stored blobs for the verify_roundtrip invariant, indexed the same way.
     std::vector<std::vector<std::uint8_t>> stored_blobs(config_.verify_roundtrip ? lines : 0);
-    const SramEnergyModel cache_sram(config_.cache.size_bytes, 32, config_.protection);
+    const SramEnergyModel cache_sram(config_.cache.size_bytes);
     const DramEnergyModel dram(config_.dram);
     const std::size_t words_per_line = line_bytes / 4;
-    // Protection accounting for stored compressed lines, at 64-bit word
-    // granularity: check bits inflate the burst, the encode/check logic is
-    // charged per stored word on both write-back and refill.
-    const double ecc_word_pj = protection_access_energy(config_.protection, 64);
 
     CompressedMemReport report;
     double cache_pj = 0.0;
     double dram_pj = 0.0;
     double codec_pj = 0.0;
-    double ecc_pj = 0.0;
 
     auto line_span = [&](std::uint64_t line_addr) {
         return std::span<const std::uint8_t>(shadow).subspan(line_addr, line_bytes);
@@ -85,18 +77,13 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
         if (codec_ != nullptr) {
             const BitWriter coded = codec_->encode(line_span(line_addr));
             const std::size_t blob_bytes = (coded.bit_count() + 7) / 8;
-            const std::size_t stored_bytes =
-                protected_stored_bytes(blob_bytes, config_.protection);
             codec_pj += kCompressPjPerWord * static_cast<double>(words_per_line);
-            if (stored_bytes < line_bytes) {
-                burst_bytes = stored_bytes;
-                const auto blob_words = static_cast<std::uint32_t>((blob_bytes + 7) / 8);
-                stored_compressed[line_addr / line_bytes] =
-                    StoredLine{static_cast<std::uint32_t>(stored_bytes), blob_words};
-                ecc_pj += ecc_word_pj * static_cast<double>(blob_words);
+            if (blob_bytes < line_bytes) {
+                burst_bytes = blob_bytes;
+                stored_compressed[line_addr / line_bytes] = static_cast<std::uint32_t>(blob_bytes);
                 if (config_.verify_roundtrip) stored_blobs[line_addr / line_bytes] = coded.bytes();
             } else {
-                // Store raw when compression (incl. check bits) does not pay.
+                // Store raw when compression does not pay.
                 stored_compressed[line_addr / line_bytes].reset();
             }
         }
@@ -109,12 +96,10 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
         report.raw_traffic_bytes += line_bytes;
         std::uint64_t burst_bytes = line_bytes;
         if (codec_ != nullptr) {
-            const std::optional<StoredLine>& stored = stored_compressed[line_addr / line_bytes];
+            const std::optional<std::uint32_t>& stored = stored_compressed[line_addr / line_bytes];
             if (stored) {
-                burst_bytes = stored->stored_bytes;
+                burst_bytes = *stored;
                 codec_pj += kDecompressPjPerWord * static_cast<double>(words_per_line);
-                // The checker walks every stored word on refill.
-                ecc_pj += ecc_word_pj * static_cast<double>(stored->blob_words);
                 if (config_.verify_roundtrip) {
                     // Between eviction and this refill nothing wrote the
                     // line (writes allocate first), so the shadow still
@@ -165,7 +150,6 @@ CompressedMemReport CompressedMemorySim::run(TraceSource& source,
     report.energy.add("cache", cache_pj);
     report.energy.add("main_memory", dram_pj);
     if (codec_ != nullptr) report.energy.add("codec", codec_pj);
-    if (ecc_pj > 0.0) report.energy.add("ecc", ecc_pj);
     return report;
 }
 

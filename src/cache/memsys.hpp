@@ -15,7 +15,6 @@
 #include "compress/codec.hpp"
 #include "energy/dram_model.hpp"
 #include "energy/report.hpp"
-#include "energy/sram_model.hpp"
 
 namespace memopt {
 
@@ -26,11 +25,6 @@ class TraceSource;
 struct CompressedMemConfig {
     CacheConfig cache;                   ///< D-cache geometry (write-back)
     DramTechnology dram;                 ///< off-chip path technology
-    /// Protection of the stored (compressed) lines and the cache array.
-    /// Check bits inflate the stored size of every compressed line (the
-    /// honest cost of protecting narrow-delta encodings) and add encode/
-    /// check logic energy per refill/write-back ("ecc" component).
-    ProtectionScheme protection = ProtectionScheme::None;
     /// When set, the simulation keeps every compressed blob and, on each
     /// refill of a compressed line, decodes it and checks the bytes against
     /// the shadow memory — an end-to-end losslessness invariant across the
@@ -45,7 +39,7 @@ struct CompressedMemReport {
     std::uint64_t fill_lines = 0;           ///< lines fetched from main memory
     std::uint64_t raw_traffic_bytes = 0;    ///< bytes if all bursts were raw
     std::uint64_t actual_traffic_bytes = 0; ///< bytes actually moved
-    EnergyBreakdown energy;  ///< "cache", "main_memory", "codec" (+ "ecc")
+    EnergyBreakdown energy;  ///< "cache", "main_memory", "codec"
 
     /// Actual/raw traffic; 1.0 when nothing was compressible (or no codec).
     double traffic_ratio() const {

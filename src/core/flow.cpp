@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "cluster/frequency.hpp"
-#include "partition/heat.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "support/json.hpp"
@@ -79,12 +78,10 @@ Prepared prepare(TraceSource& source, ClusterMethod method, const FlowParams& pa
     return Prepared{std::move(profile), std::move(affinity)};
 }
 
-/// One configuration clustered and split, with the profile in physical
-/// block space and the energy parameters (remap-table overhead included)
-/// that priced it.
+/// One configuration clustered and split, with the energy parameters
+/// (remap-table overhead included) that priced it.
 struct Solved {
     FlowResult result;
-    BlockProfile physical;
     PartitionEnergyParams energy;
 };
 
@@ -115,7 +112,7 @@ Solved run_prepared(const BlockProfile& profile, ClusterMethod method,
         }
     }
 
-    BlockProfile physical = map.apply(profile);
+    const BlockProfile physical = map.apply(profile);
 
     // The remap table adds a constant per-access energy; being constant it
     // does not change the partitioner's arg-min, so it is added at
@@ -139,7 +136,7 @@ Solved run_prepared(const BlockProfile& profile, ClusterMethod method,
 
     FlowResult result{method, std::move(map), std::move(solution), EnergyBreakdown{}};
     result.energy = result.solution.energy;
-    return Solved{std::move(result), std::move(physical), energy_params};
+    return Solved{std::move(result), energy_params};
 }
 
 }  // namespace
@@ -171,12 +168,10 @@ HybridFlowResult MemoryOptimizationFlow::run_hybrid(TraceSource& source, Cluster
         return replay_bank_activity(arch, solved.result.map, source, gating,
                                     params_.energy.runtime_cycles);
     }();
-    std::vector<MemTechnology> techs =
+    const std::vector<MemTechnology> techs =
         assign_technologies(arch, activity, pool, solved.energy, gating);
     HybridReport report = evaluate_partition_hybrid(arch, techs, activity, solved.energy, gating);
-    std::vector<std::size_t> rank = bank_heat_rank(bank_heat(arch, solved.physical));
-    return HybridFlowResult{std::move(solved.result), pool, std::move(techs), std::move(rank),
-                            std::move(report)};
+    return HybridFlowResult{std::move(solved.result), pool, std::move(report)};
 }
 
 FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
@@ -189,8 +184,6 @@ FlowComparison MemoryOptimizationFlow::compare(TraceSource& source,
         const ScopedTimer scope(evaluate_timer());
         return evaluate_monolithic(in.profile, params_.energy);
     }();
-    // One statement per solve: each Solved, with its physical profile, is
-    // gone before the next solve allocates its own.
     FlowResult partitioned =
         run_prepared(in.profile, ClusterMethod::None, std::nullopt, params_).result;
     FlowResult clustered = run_prepared(in.profile, method, in.affinity, params_).result;
@@ -252,15 +245,13 @@ void to_json(JsonWriter& w, const HybridFlowResult& result) {
     w.member("total_capacity_bytes", arch.total_capacity());
     w.member("total_cycles", result.report.total_cycles);
     w.key("banks").begin_array();
-    for (std::size_t b = 0; b < arch.num_banks(); ++b) {
-        const Bank& bank = arch.banks()[b];
-        const HybridBankReport& slice = result.report.banks[b];
+    for (const HybridBankReport& slice : result.report.banks) {
         w.begin_object();
-        w.member("first_block", static_cast<std::uint64_t>(bank.first_block));
-        w.member("num_blocks", static_cast<std::uint64_t>(bank.num_blocks));
-        w.member("size_bytes", bank.size_bytes);
-        w.member("tech", technology_name(result.techs[b]));
-        w.member("heat_rank", static_cast<std::uint64_t>(result.heat_rank[b]));
+        w.member("first_block", static_cast<std::uint64_t>(slice.bank.first_block));
+        w.member("num_blocks", static_cast<std::uint64_t>(slice.bank.num_blocks));
+        w.member("size_bytes", slice.bank.size_bytes);
+        w.member("tech", technology_name(slice.tech));
+        w.member("heat_rank", static_cast<std::uint64_t>(slice.heat_rank));
         w.member("reads", slice.activity.reads);
         w.member("writes", slice.activity.writes);
         w.member("wakeups", slice.activity.wakeups);

@@ -68,11 +68,9 @@ struct FlowResult {
 
 /// Result of one flow configuration over a hybrid bank pool.
 struct HybridFlowResult {
-    FlowResult base;                  ///< clustering + splits (SRAM oracle)
-    BankPool pool;                    ///< the pool the banks were drawn from
-    std::vector<MemTechnology> techs; ///< technology of each bank
-    std::vector<std::size_t> heat_rank; ///< 0 = hottest bank (cluster/heat.hpp)
-    HybridReport report;              ///< gated heterogeneous energy
+    FlowResult base;      ///< clustering + splits (SRAM oracle)
+    BankPool pool;        ///< the pool the banks were drawn from
+    HybridReport report;  ///< gated heterogeneous energy, one record per bank
 
     double total() const { return report.total(); }
 };

@@ -50,13 +50,6 @@ unsigned protection_check_bits(ProtectionScheme scheme, unsigned data_bits) {
     return 0;
 }
 
-std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme) {
-    if (scheme == ProtectionScheme::None || data_bytes == 0) return data_bytes;
-    const std::size_t words = (data_bytes + 7) / 8;
-    const std::size_t check_bits = words * protection_check_bits(scheme, 64);
-    return data_bytes + (check_bits + 7) / 8;
-}
-
 double protection_access_energy(ProtectionScheme scheme, unsigned data_bits) {
     const unsigned check = protection_check_bits(scheme, data_bits);
     if (check == 0) return 0.0;

@@ -42,15 +42,11 @@ std::optional<ProtectionScheme> parse_protection(std::string_view name);
 /// (Parity: 1; SECDED: Hamming bits + overall parity, e.g. 8 for 64).
 unsigned protection_check_bits(ProtectionScheme scheme, unsigned data_bits);
 
-/// Bytes a `data_bytes`-long buffer occupies in storage under `scheme`
-/// (check bits of every started 64-bit word, rounded up to whole bytes).
-std::size_t protected_stored_bytes(std::size_t data_bytes, ProtectionScheme scheme);
-
 /// Per-access energy of the encode/check logic (XOR trees) [pJ]. The
 /// *storage* overhead of the check bits is modeled separately by
-/// SramEnergyModel's protection-aware constructor; call sites charge this
-/// logic term explicitly (typically as an "ecc" breakdown component) so
-/// reports can isolate the cost of protection.
+/// SramEnergyModel's protection-aware constructor; the fault campaign
+/// charges this logic term explicitly (its "protection" breakdown
+/// component) so reports can isolate the cost of protection.
 double protection_access_energy(ProtectionScheme scheme, unsigned data_bits);
 
 /// Energy model for a single SRAM cut of a given capacity.

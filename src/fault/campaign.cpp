@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "energy/dram_model.hpp"
 #include "fault/inject.hpp"
 #include "support/assert.hpp"
 #include "support/bytes.hpp"
@@ -197,7 +198,7 @@ FaultCampaignResult reduce_trials(const FaultCampaignConfig& config, std::size_t
                                 protection_access_energy(config.protection, 64);
         result.energy.add("protection", per_word * total_accesses);
     }
-    const DramEnergyModel dram(config.dram);
+    const DramEnergyModel dram;
     result.energy.add("refetch", dram.burst_energy(config.line_bytes) *
                                      static_cast<double>(result.degraded));
 

@@ -23,7 +23,6 @@
 
 #include "cluster/address_map.hpp"
 #include "compress/codec.hpp"
-#include "energy/dram_model.hpp"
 #include "energy/report.hpp"
 #include "energy/sram_model.hpp"
 #include "partition/bank.hpp"
@@ -43,7 +42,6 @@ struct FaultCampaignConfig {
     const LineCodec* codec = nullptr;  ///< when set, lines are stored compressed
     std::string codec_tag;             ///< names the codec in the checkpoint config hash
     unsigned line_bytes = 32;          ///< corpus line size (multiple of 4)
-    DramTechnology dram;               ///< technology for the re-fetch penalty
     std::size_t jobs = 0;              ///< parallelism; 0 = default_jobs()
 };
 

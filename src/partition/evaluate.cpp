@@ -1,6 +1,8 @@
 #include "partition/evaluate.hpp"
 
-#include "energy/sram_model.hpp"
+#include <vector>
+
+#include "partition/hybrid.hpp"
 #include "support/assert.hpp"
 
 namespace memopt {
@@ -12,32 +14,21 @@ EnergyBreakdown evaluate_partition(const MemoryArchitecture& arch, const BlockPr
     require(arch.block_size() == profile.block_size(),
             "evaluate_partition: block size mismatch");
 
-    EnergyBreakdown breakdown;
-    double access_pj = 0.0;
-    double leak_pj = 0.0;
-    for (const Bank& bank : arch.banks()) {
-        const SramEnergyModel model(bank.size_bytes);
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
+    // The ungated all-SRAM case of the hybrid evaluation: every bank is
+    // powered for the whole run and never gates.
+    std::vector<BankActivity> activity(arch.num_banks());
+    for (std::size_t k = 0; k < arch.num_banks(); ++k) {
+        const Bank& bank = arch.banks()[k];
         for (std::size_t b = bank.first_block; b < bank.end_block(); ++b) {
-            reads += profile.counts(b).reads;
-            writes += profile.counts(b).writes;
+            activity[k].reads += profile.counts(b).reads;
+            activity[k].writes += profile.counts(b).writes;
         }
-        access_pj += static_cast<double>(reads) * model.read_energy() +
-                     static_cast<double>(writes) * model.write_energy();
-        if (params.runtime_cycles > 0)
-            leak_pj += model.leakage_energy(params.runtime_cycles);
+        activity[k].active_cycles = params.runtime_cycles;
     }
-    breakdown.add("bank_access", access_pj);
-
-    const double select_pj = bank_select_energy(arch.num_banks());
-    breakdown.add("bank_select",
-                  select_pj * static_cast<double>(profile.total_accesses()));
-    if (params.runtime_cycles > 0) breakdown.add("leakage", leak_pj);
-    if (params.extra_pj_per_access > 0.0)
-        breakdown.add("remap",
-                      params.extra_pj_per_access * static_cast<double>(profile.total_accesses()));
-    return breakdown;
+    const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);
+    return evaluate_partition_hybrid(arch, sram, activity, params,
+                                     HybridGatingParams{.idle_cycles = 0})
+        .energy;
 }
 
 EnergyBreakdown evaluate_monolithic(const BlockProfile& profile,

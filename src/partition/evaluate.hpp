@@ -4,6 +4,8 @@
 // clustering search: for each bank, every access pays the SRAM access energy
 // of *that bank's capacity*; every access additionally pays the bank-select
 // overhead of the architecture; leakage (optional) accrues over the run.
+// It is priced by the hybrid evaluation (partition/hybrid.hpp) as every
+// bank SRAM, powered for the whole run, with gating off.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +23,9 @@ struct PartitionEnergyParams {
     double extra_pj_per_access = 0.0;    ///< e.g. address-remap table lookup energy
 };
 
-/// Energy breakdown of running `profile` against `arch`.
-/// Components: "bank_access", "bank_select", "leakage", "remap".
+/// Energy breakdown of running `profile` against `arch`. Components, in
+/// this order: "bank_access", "bank_select", "leakage" when
+/// runtime_cycles > 0, "remap" when extra_pj_per_access > 0.
 /// The architecture must cover exactly the profile's blocks.
 EnergyBreakdown evaluate_partition(const MemoryArchitecture& arch, const BlockProfile& profile,
                                    const PartitionEnergyParams& params);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
@@ -14,6 +15,10 @@ namespace memopt {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The one cycle no access may take: the replay window ends one cycle after
+/// the last access, and that end must fit in 64 bits.
+constexpr std::uint64_t kNoWindowEnd = std::numeric_limits<std::uint64_t>::max();
 
 void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
     require(map.num_blocks() == arch.num_blocks(),
@@ -33,6 +38,14 @@ void check_arch_map(const MemoryArchitecture& arch, const AddressMap& map) {
                        static_cast<unsigned long long>(previous)));
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void throw_last_cycle(std::uint64_t index) {
+    throw Error(format("replay_bank_activity: access %llu is at cycle %llu, where the replay "
+                       "window cannot end one cycle later (trace cycles must be below "
+                       "2^64 - 1)",
+                       static_cast<unsigned long long>(index),
+                       static_cast<unsigned long long>(kNoWindowEnd)));
+}
+
 /// The closed-form energy of `bank` built in `tech` with activity `a`.
 HybridBankReport bank_slice(MemTechnology tech, const Bank& bank, const BankActivity& a,
                             double gate_leak_scale) {
@@ -41,9 +54,6 @@ HybridBankReport bank_slice(MemTechnology tech, const Bank& bank, const BankActi
     slice.tech = tech;
     slice.bank = bank;
     slice.activity = a;
-    // Same accumulation shape as evaluate_partition(): one fused read+write
-    // term per bank — the all-SRAM case reproduces the legacy "bank_access"
-    // double bit for bit.
     slice.access_pj = static_cast<double>(a.reads) * model.read_energy() +
                       static_cast<double>(a.writes) * model.write_energy();
     slice.leakage_pj = model.leakage_energy(a.active_cycles);
@@ -53,10 +63,12 @@ HybridBankReport bank_slice(MemTechnology tech, const Bank& bank, const BankActi
     return slice;
 }
 
-/// True when a bank last accessed at `from` went dark before `to`: it was
-/// idle for more than `idle` cycles (0 = banks never gate).
+/// True when a bank last accessed at `from` went dark before `to` >= `from`:
+/// it was idle for more than `idle` cycles (0 = banks never gate). The gap
+/// is a difference, so no sum can wrap near 2^64; the dark stretch is
+/// (to - from) - idle cycles.
 bool dark_between(std::uint64_t idle, std::uint64_t from, std::uint64_t to) {
-    return idle != 0 && to > from + idle;
+    return idle != 0 && to - from > idle;
 }
 
 /// One bank's accesses within one chunk, folded: enough to join the chunk
@@ -86,6 +98,7 @@ void fold_chunk(const TraceChunk& chunk, const std::uint32_t* bank_of, std::size
                 int block_shift, std::size_t num_banks, std::uint64_t idle, ChunkFold& fold) {
     fold.banks.assign(num_banks, BankSegment{});
     fold.fault_at = chunk.size();
+    fold.fault_in_span = false;
     BankSegment* const banks = fold.banks.data();
     const std::uint64_t* const cycles = chunk.cycles.data();
     const std::uint64_t* const addrs = chunk.addrs.data();
@@ -96,7 +109,6 @@ void fold_chunk(const TraceChunk& chunk, const std::uint32_t* bank_of, std::size
         const std::uint64_t t = cycles[i];
         if (t < previous) {
             fold.fault_at = i;
-            fold.fault_in_span = false;
             return;
         }
         previous = t;
@@ -112,7 +124,7 @@ void fold_chunk(const TraceChunk& chunk, const std::uint32_t* bank_of, std::size
             g.first = t;
         } else if (dark_between(idle, g.last, t)) {
             ++g.wakeups;
-            g.gated_cycles += t - (g.last + idle);
+            g.gated_cycles += (t - g.last) - idle;
         }
         g.last = t;
         ++g.accesses[kinds[i] != AccessKind::Read];
@@ -170,9 +182,19 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
             const ChunkFold& fold = folds[c];
             // An access-by-access replay's checks, in its order: the
             // chunk's first access against the previous chunk's last, then
-            // the chunk's own first fault.
+            // the chunk's first access at kNoWindowEnd or its fold's fault,
+            // whichever comes first. The cycles up to the fold's fault (and
+            // at it, when only its address is faulty) never decrease, so
+            // an access at kNoWindowEnd among them ends that run; checking
+            // it here costs the fold nothing per access.
             if (chunk.cycles[0] < now)
                 throw_backward_cycle(chunk.first_index, chunk.cycles[0], now);
+            const std::size_t ordered = fold.fault_at + (fold.fault_in_span ? 1 : 0);
+            if (ordered > 0 && chunk.cycles[ordered - 1] == kNoWindowEnd)
+                throw_last_cycle(chunk.first_index +
+                                 static_cast<std::uint64_t>(
+                                     std::ranges::find(chunk.cycles, kNoWindowEnd) -
+                                     chunk.cycles.begin()));
             if (fold.fault_at < chunk.size()) {
                 const std::size_t i = fold.fault_at;
                 if (fold.fault_in_span) throw Error("map_addr: address outside mapped span");
@@ -185,7 +207,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                 BankActivity& a = activity[b];
                 if (dark_between(idle, last_access[b], g.first)) {
                     ++a.wakeups;
-                    a.gated_cycles += g.first - (last_access[b] + idle);
+                    a.gated_cycles += (g.first - last_access[b]) - idle;
                 }
                 a.wakeups += g.wakeups;
                 a.gated_cycles += g.gated_cycles;
@@ -200,12 +222,13 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     // Close out every bank at the end of the observation window. The tail
     // beyond the last access is idle time like any other: banks whose
     // threshold passes inside it gate for the remainder. Powered and gated
-    // stretches tile [0, end), so the powered cycles are the rest.
+    // stretches tile [0, end), so the powered cycles are the rest. `now` is
+    // below kNoWindowEnd, so now + 1 does not wrap.
     const std::uint64_t end = std::max(now + 1, min_total_cycles);
     for (std::size_t b = 0; b < num_banks; ++b) {
         BankActivity& a = activity[b];
         if (dark_between(idle, last_access[b], end))
-            a.gated_cycles += end - (last_access[b] + idle);
+            a.gated_cycles += (end - last_access[b]) - idle;
         a.active_cycles = end - a.gated_cycles;
     }
     return activity;
@@ -328,6 +351,7 @@ HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
     HybridReport report;
     report.banks.reserve(num_banks);
     std::uint64_t accesses = 0;
+    bool powered = false;
     double access_pj = 0.0;
     double leak_pj = 0.0;
     double refresh_pj = 0.0;
@@ -336,21 +360,33 @@ HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
     for (std::size_t b = 0; b < num_banks; ++b) {
         const HybridBankReport slice =
             bank_slice(techs[b], arch.banks()[b], activity[b], gating.gate_leak_scale);
-        // Summed in bank order, as evaluate_partition() sums its banks.
         access_pj += slice.access_pj;
         leak_pj += slice.leakage_pj;
         refresh_pj += slice.refresh_pj;
         gated_pj += slice.gated_pj;
         wake_pj += slice.wakeup_pj;
         accesses += slice.activity.accesses();
+        powered = powered || slice.activity.active_cycles > 0;
         report.total_cycles = std::max(report.total_cycles, slice.activity.total_cycles());
         report.banks.push_back(slice);
     }
 
+    // Heat: accesses per byte of capacity. A stable sort keeps density ties
+    // in bank order.
+    const auto heat = [&](std::size_t b) {
+        return static_cast<double>(report.banks[b].activity.accesses()) /
+               static_cast<double>(report.banks[b].bank.size_bytes);
+    };
+    std::vector<std::size_t> hottest_first(num_banks);
+    std::iota(hottest_first.begin(), hottest_first.end(), std::size_t{0});
+    std::stable_sort(hottest_first.begin(), hottest_first.end(),
+                     [&](std::size_t a, std::size_t b) { return heat(a) > heat(b); });
+    for (std::size_t r = 0; r < num_banks; ++r) report.banks[hottest_first[r]].heat_rank = r;
+
     report.energy.add("bank_access", access_pj);
     const double select_pj = bank_select_energy(num_banks);
     report.energy.add("bank_select", select_pj * static_cast<double>(accesses));
-    report.energy.add("leakage", leak_pj);
+    if (powered) report.energy.add("leakage", leak_pj);
     if (refresh_pj > 0.0) report.energy.add("refresh", refresh_pj);
     if (gating.idle_cycles > 0) {
         report.energy.add("gated_leakage", gated_pj);

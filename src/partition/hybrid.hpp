@@ -1,14 +1,15 @@
 // Hybrid (mixed-technology) bank evaluation with dark-silicon gating.
 //
-// The trace-driven counterpart of partition/evaluate.hpp, and the toolkit's
-// one gated-bank model: given an architecture and a BankPool of available
-// technologies, replay the trace once to extract each bank's
-// *technology-independent* activity (access counts and the power-gating
-// residency the idle-threshold controller would produce), then choose the
-// energy-optimal technology per bank with an exact assignment DP over the
-// pool's slot counts. Sleepy banks are DrowsySram banks under the default
-// controller: the leakage-aware study (bench/e10_sleep_ablation) evaluates
-// them with evaluate_partition_hybrid, and the drowsy fault scaling
+// The toolkit's one bank formula and one gated-bank model; the static
+// objective of partition/evaluate.hpp is its ungated all-SRAM case. Given
+// an architecture and a BankPool of available technologies, replay the
+// trace once to extract each bank's *technology-independent* activity
+// (access counts and the power-gating residency the idle-threshold
+// controller would produce), then choose the energy-optimal technology per
+// bank with an exact assignment DP over the pool's slot counts. Sleepy
+// banks are DrowsySram banks under the default controller: the
+// leakage-aware study (bench/e10_sleep_ablation) evaluates them with
+// evaluate_partition_hybrid, and the drowsy fault scaling
 // (fault/campaign.hpp) reads their gated residency from the replay.
 //
 // The split matters: the gating state machine only looks at access *times*,
@@ -24,6 +25,7 @@
 // wins ties) — results are bit-identical at any --jobs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,9 +71,11 @@ struct BankActivity {
 /// leaves it exhausted), so back-to-back evaluations of different pools on
 /// one source are independent. Throws memopt::Error on an empty trace, a
 /// map that does not match `arch`, a negative gate_leak_scale, an address
-/// outside the mapped span, or an access whose cycle precedes the previous
-/// access's (the message names the access index and both cycles); of
-/// several faulty accesses, the first in trace order is reported.
+/// outside the mapped span, an access whose cycle precedes the previous
+/// access's (the message names the access index and both cycles), or an
+/// access at cycle 2^64 - 1, whose window end cannot be represented (the
+/// message names the access index and its cycle); of several faulty
+/// accesses, the first in trace order is reported.
 std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                                                const AddressMap& map, TraceSource& source,
                                                const HybridGatingParams& gating,
@@ -90,13 +94,16 @@ std::vector<MemTechnology> assign_technologies(const MemoryArchitecture& arch,
                                                const PartitionEnergyParams& params,
                                                const HybridGatingParams& gating);
 
-/// Per-bank slice of a hybrid evaluation: the closed-form energy of one
+/// Per-bank record of a hybrid evaluation: the closed-form energy of one
 /// bank built in `tech` with activity `activity`. Excludes the per-access
 /// architecture terms (bank select, remap), which are technology-blind.
 struct HybridBankReport {
     MemTechnology tech = MemTechnology::Sram;
     Bank bank;
     BankActivity activity;
+    /// 0 for the bank with the most accesses per byte of capacity, 1 for
+    /// the next, ...; density ties go to the lower bank index.
+    std::size_t heat_rank = 0;
     double access_pj = 0.0;
     double leakage_pj = 0.0;   ///< powered (non-gated) leakage
     double refresh_pj = 0.0;
@@ -110,8 +117,10 @@ struct HybridBankReport {
 };
 
 /// Result of a hybrid evaluation: the full breakdown plus per-bank detail.
-/// Components: "bank_access", "bank_select", "leakage", "refresh",
-/// "gated_leakage", "wakeup", and the usual "remap" when configured.
+/// Components, in this order: "bank_access" and "bank_select" always;
+/// "leakage" when some bank was powered for at least one cycle; "refresh"
+/// when it is above 0; "gated_leakage" and "wakeup" when gating is on; and
+/// "remap" when params.extra_pj_per_access is above 0.
 struct HybridReport {
     EnergyBreakdown energy;
     std::vector<HybridBankReport> banks;
@@ -122,11 +131,8 @@ struct HybridReport {
     std::uint64_t total_gated_cycles() const;
 };
 
-/// Evaluate `arch` with the given per-bank technologies and activity.
-/// With every bank Sram, gating disabled and min_total_cycles >=
-/// params.runtime_cycles > 0, "bank_access"/"bank_select"/"leakage" (and
-/// "remap") are bit-identical to evaluate_partition() — the legacy
-/// arithmetic is delegated to, not reproduced.
+/// Evaluate `arch` with the given per-bank technologies and activity: the
+/// one place that prices a bank. Banks are summed in bank order.
 HybridReport evaluate_partition_hybrid(const MemoryArchitecture& arch,
                                        const std::vector<MemTechnology>& techs,
                                        const std::vector<BankActivity>& activity,

@@ -70,7 +70,7 @@ std::string machine_json(const Machine& m) {
     w.key("traffic").begin_object();
     w.member("line_fetches", m.traffic().line_fetches);
     w.member("line_writes", m.traffic().line_writes);
-    w.member("word_writes", m.traffic().word_writes);
+    w.member("word_writes", 0u);
     w.end_object();
     w.key("energy");
     m.energy().to_json(w);

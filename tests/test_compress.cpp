@@ -315,25 +315,6 @@ TEST(Memsys, CompressibleWorkloadSavesMemoryEnergy) {
     EXPECT_LT(comp.traffic_ratio(), 0.85);
 }
 
-TEST(Memsys, SecdedWidensStoredLinesAndChargesEcc) {
-    // Check bits ride with every compressed line, and the checker runs on
-    // each compressed write-back and refill; an unprotected run has
-    // neither.
-    const DiffCodec codec;
-    AssembledProgram prog;
-    const MemTrace trace = kernel_trace("listchase", prog);
-    MaterializedSource source(trace);
-    CompressedMemConfig secded = vliw_platform().config;
-    secded.protection = ProtectionScheme::Secded;
-    const auto plain =
-        CompressedMemorySim(vliw_platform().config, &codec).run(source, prog.data, prog.data_base);
-    const auto guarded = CompressedMemorySim(secded, &codec).run(source, prog.data, prog.data_base);
-    EXPECT_GT(guarded.actual_traffic_bytes, plain.actual_traffic_bytes);
-    EXPECT_EQ(guarded.raw_traffic_bytes, plain.raw_traffic_bytes);
-    EXPECT_GT(guarded.energy.component("ecc"), 0.0);
-    EXPECT_EQ(plain.energy.component("ecc"), 0.0);
-}
-
 TEST(Memsys, EndToEndRoundTripInvariantHoldsOnAllKernels) {
     // With verify_roundtrip on, every refill of a compressed line decodes
     // the stored blob and compares it byte-for-byte against the shadow —

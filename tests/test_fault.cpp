@@ -90,10 +90,6 @@ TEST(ProtectionSchemeTest, CheckBitsAndNames) {
          {ProtectionScheme::None, ProtectionScheme::Parity, ProtectionScheme::Secded})
         EXPECT_EQ(parse_protection(protection_name(s)), s);
     EXPECT_FALSE(parse_protection("ecc").has_value());
-    EXPECT_EQ(protected_stored_bytes(32, ProtectionScheme::None), 32u);
-    EXPECT_EQ(protected_stored_bytes(32, ProtectionScheme::Secded), 36u);  // 4 words * 8 bits
-    EXPECT_EQ(protected_stored_bytes(33, ProtectionScheme::Secded), 38u);  // 5 started words
-    EXPECT_EQ(protected_stored_bytes(32, ProtectionScheme::Parity), 33u);  // 4 bits, 1 byte
 }
 
 TEST(ProtectionEnergy, NoneIsFreeAndStrongerCostsMore) {

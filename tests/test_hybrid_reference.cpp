@@ -1,15 +1,17 @@
 // Seeded differential test of the bank-activity replay
 // (partition/hybrid.hpp) against its reference: the eager per-access loop
 // that retires gate transitions for every bank on every access, kept here
-// verbatim as the obviously-correct oracle. The library folds each chunk
-// into per-bank segments on its own task and joins them in trace order
-// instead; every BankActivity field must match exactly across trace
+// as the obviously-correct oracle (it tests idle gaps as differences, as
+// the library does, so cycles near 2^64 cannot wrap). The library folds
+// each chunk into per-bank segments on its own task and joins them in trace
+// order instead; every BankActivity field must match exactly across trace
 // families, gating thresholds, replay windows, address maps, bank splits,
 // trace sources, chunk sizes and job counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,7 +63,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
                 // residency split).
                 for (std::size_t b = 0; b < num_banks; ++b) {
                     BankState& s = states[b];
-                    if (!s.gated && now > s.last_access + gating.idle_cycles) {
+                    if (!s.gated && now - s.last_access > gating.idle_cycles) {
                         const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
                         activity[b].active_cycles += gate_start - s.state_since;
                         s.gated = true;
@@ -90,7 +92,7 @@ std::vector<BankActivity> replay_bank_activity(const MemoryArchitecture& arch,
     const std::uint64_t end = std::max(now + 1, min_total_cycles);
     for (std::size_t b = 0; b < num_banks; ++b) {
         BankState& s = states[b];
-        if (gating.idle_cycles > 0 && !s.gated && end > s.last_access + gating.idle_cycles) {
+        if (gating.idle_cycles > 0 && !s.gated && end - s.last_access > gating.idle_cycles) {
             const std::uint64_t gate_start = s.last_access + gating.idle_cycles;
             activity[b].active_cycles += gate_start - s.state_since;
             s.gated = true;
@@ -259,6 +261,84 @@ TEST(HybridReplayReferenceFold, SegmentsJoinAcrossChunksAndBatches) {
         std::remove(file.c_str());
     }
     set_default_jobs(prior);
+}
+
+// One bank accessed at c, c + 50 and c + 500 under a 200-cycle threshold
+// wakes twice and stays powered for 451 cycles wherever c lies, up to the
+// top of the 64-bit cycle range; only the gated lead-in grows with c.
+TEST(HybridReplayReferenceTop, GapsNearTheTopCountAsLowerDown) {
+    const MemoryArchitecture arch = even_split(1, 1);
+    const AddressMap map = AddressMap::identity(kBlockBytes, 1);
+    HybridGatingParams gating;
+    gating.idle_cycles = 200;
+    const std::uint64_t low = 1000;
+    const std::uint64_t high = std::numeric_limits<std::uint64_t>::max() - 600;
+    std::vector<BankActivity> got;
+    for (const std::uint64_t c : {low, high}) {
+        MemTrace trace;
+        for (const std::uint64_t offset : {0u, 50u, 500u})
+            trace.add(MemAccess{.addr = 4, .cycle = c + offset, .size = 4,
+                                .kind = AccessKind::Read});
+        MaterializedSource source(trace);
+        got.push_back(replay_bank_activity(arch, map, source, gating).at(0));
+        expect_activity_equal({got.back()}, reference::replay_bank_activity(arch, map, source,
+                                                                            gating),
+                              "c = " + std::to_string(c));
+        EXPECT_EQ(got.back().wakeups, 2u) << c;
+        EXPECT_EQ(got.back().active_cycles, 451u) << c;
+    }
+    EXPECT_EQ(got[1].gated_cycles - got[0].gated_cycles, high - low);
+}
+
+// The replay window ends one cycle after the last access, which no access
+// at cycle 2^64 - 1 leaves room for. Such an access is reported like any
+// other fault: the first faulty access in trace order wins.
+TEST(HybridReplayReferenceTop, LastCycleThrowsNamingTheAccess) {
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    const MemoryArchitecture arch = even_split(1, 1);
+    const AddressMap map = AddressMap::identity(kBlockBytes, 1);
+    const auto expect_error = [&](const std::vector<std::uint64_t>& cycles,
+                                  const std::string& want) {
+        MemTrace trace;
+        for (const std::uint64_t cycle : cycles)
+            trace.add(MemAccess{.addr = 4, .cycle = cycle, .size = 4,
+                                .kind = AccessKind::Write});
+        const std::string file = ::testing::TempDir() + "hybrid_top.mtsc";
+        {
+            MaterializedSource writer(trace);
+            StreamWriteOptions opts;
+            opts.chunk_accesses = 2;
+            write_trace_stream(file, writer, opts);
+        }
+        MaterializedSource one(trace, 1);
+        MaterializedSource whole(trace);
+        MmapBinarySource mapped(file);
+        const std::pair<const char*, TraceSource*> sources[] = {
+            {"materialized/1", &one}, {"materialized", &whole}, {"mtsc/2", &mapped}};
+        for (const auto& [name, source] : sources) {
+            try {
+                replay_bank_activity(arch, map, *source, HybridGatingParams{});
+                ADD_FAILURE() << name << ": accepted, expected " << want;
+            } catch (const Error& e) {
+                EXPECT_EQ(e.what(), want) << name;
+            }
+        }
+        std::remove(file.c_str());
+    };
+    // The faulty access opens the second two-access block of the .mtsc.
+    expect_error({10, top - 1, top, top},
+                 "replay_bank_activity: access 2 is at cycle 18446744073709551615, where the "
+                 "replay window cannot end one cycle later (trace cycles must be below "
+                 "2^64 - 1)");
+    // Before a backward cycle in the same chunk.
+    expect_error({10, top, 5},
+                 "replay_bank_activity: access 1 is at cycle 18446744073709551615, where the "
+                 "replay window cannot end one cycle later (trace cycles must be below "
+                 "2^64 - 1)");
+    // After a backward cycle.
+    expect_error({10, 5, top},
+                 "replay_bank_activity: access 1 is at cycle 5, before the previous access's "
+                 "cycle 10 (trace cycles must be non-decreasing)");
 }
 
 TEST(HybridReplayReferenceSpan, OutOfSpanAddressThrowsLikeTheReference) {

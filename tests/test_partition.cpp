@@ -217,12 +217,30 @@ TEST(Evaluate, RemapOverheadCharged) {
                      1.5 * static_cast<double>(p.total_accesses()));
 }
 
+std::vector<std::string> component_names(const EnergyBreakdown& energy) {
+    std::vector<std::string> names;
+    for (const auto& [name, pj] : energy.components()) names.push_back(name);
+    return names;
+}
+
 TEST(Evaluate, LeakageOnlyWhenRuntimeGiven) {
     const BlockProfile p = random_profile(8, 3);
+    const auto arch = MemoryArchitecture::from_splits(256, 8, {2});
+    using Names = std::vector<std::string>;
     PartitionEnergyParams params;
     EXPECT_DOUBLE_EQ(evaluate_monolithic(p, params).component("leakage"), 0.0);
+    EXPECT_EQ(component_names(evaluate_partition(arch, p, params)),
+              (Names{"bank_access", "bank_select"}));
     params.runtime_cycles = 100000;
     EXPECT_GT(evaluate_monolithic(p, params).component("leakage"), 0.0);
+    EXPECT_EQ(component_names(evaluate_partition(arch, p, params)),
+              (Names{"bank_access", "bank_select", "leakage"}));
+    params.extra_pj_per_access = 1.5;
+    EXPECT_EQ(component_names(evaluate_partition(arch, p, params)),
+              (Names{"bank_access", "bank_select", "leakage", "remap"}));
+    params.runtime_cycles = 0;
+    EXPECT_EQ(component_names(evaluate_partition(arch, p, params)),
+              (Names{"bank_access", "bank_select", "remap"}));
 }
 
 TEST(Evaluate, RejectsGeometryMismatch) {

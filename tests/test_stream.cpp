@@ -399,7 +399,6 @@ TEST(StreamEquivalenceTest, CacheHierarchyReplayMatches) {
     streamed.replay(source);
     EXPECT_EQ(streamed.traffic().line_fetches, expected.traffic().line_fetches);
     EXPECT_EQ(streamed.traffic().line_writes, expected.traffic().line_writes);
-    EXPECT_EQ(streamed.traffic().word_writes, expected.traffic().word_writes);
     EXPECT_EQ(streamed.l1().stats().read_hits, expected.l1().stats().read_hits);
     EXPECT_EQ(streamed.l2().stats().read_misses, expected.l2().stats().read_misses);
 }

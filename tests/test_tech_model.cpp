@@ -1,12 +1,15 @@
 // Heterogeneous memory technology tests: per-technology energy identities,
 // BankPool parsing, gating residency replay (including the sleepy-bank
 // study's drowsy-SRAM contracts and the rejection of backward cycles),
-// assignment DP behavior, the homogeneous-SRAM bit-identity contract with
-// the legacy evaluation, the back-to-back pool evaluation /
-// jobs-invariance determinism contracts, and the hybrid-pool affinity path.
+// assignment DP behavior, the static objective as the ungated all-SRAM
+// case of the hybrid evaluation, the component list of a hybrid report,
+// the heat rank, the back-to-back pool evaluation / jobs-invariance
+// determinism contracts, and the hybrid-pool affinity path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -326,6 +329,10 @@ TEST(SleepyBanks, ValidatesInputs) {
 
 // ------------------------------------------------- legacy bit-identity ----
 
+// evaluate_partition prices the profile's per-bank counts as every bank
+// SRAM, powered for runtime_cycles, never gated. An ungated replay over the
+// same window yields exactly that activity, so both reports agree bit for
+// bit.
 TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     const MemTrace trace = bursty_trace(1000);
     MaterializedSource source(trace);
@@ -339,6 +346,20 @@ TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     off.idle_cycles = 0;
     const auto activity =
         replay_bank_activity(arch, map, source, off, params.runtime_cycles);
+    ASSERT_EQ(activity.size(), arch.num_banks());
+    for (std::size_t k = 0; k < arch.num_banks(); ++k) {
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        for (std::size_t b = arch.banks()[k].first_block; b < arch.banks()[k].end_block(); ++b) {
+            reads += profile.counts(b).reads;
+            writes += profile.counts(b).writes;
+        }
+        EXPECT_EQ(activity[k].reads, reads) << "bank " << k;
+        EXPECT_EQ(activity[k].writes, writes) << "bank " << k;
+        EXPECT_EQ(activity[k].active_cycles, params.runtime_cycles) << "bank " << k;
+        EXPECT_EQ(activity[k].gated_cycles, 0u) << "bank " << k;
+        EXPECT_EQ(activity[k].wakeups, 0u) << "bank " << k;
+    }
     const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);
     const HybridReport report =
         evaluate_partition_hybrid(arch, sram, activity, params, off);
@@ -347,6 +368,47 @@ TEST(HybridIdentity, AllSramUngatedReplayMatchesLegacyBitForBit) {
     for (const char* component : {"bank_access", "bank_select", "leakage"})
         EXPECT_EQ(report.energy.component(component), legacy.component(component))
             << component;
+}
+
+std::vector<std::string> component_names(const EnergyBreakdown& energy) {
+    std::vector<std::string> names;
+    for (const auto& [name, pj] : energy.components()) names.push_back(name);
+    return names;
+}
+
+// Which components a hybrid report holds, and in which order: "leakage"
+// whenever a bank was powered, "gated_leakage" and "wakeup" whenever gating
+// is on (even at 0 pJ), "refresh" only when it is above 0.
+TEST(HybridIdentity, ComponentsInOrder) {
+    const MemTrace trace = bursty_trace(1000);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, 1024);
+    const auto arch = MemoryArchitecture::from_splits(1024, profile.num_blocks(), {2});
+    const AddressMap map = AddressMap::identity(1024, profile.num_blocks());
+    const std::vector<MemTechnology> sram(arch.num_banks(), MemTechnology::Sram);
+    const std::vector<MemTechnology> edram(arch.num_banks(), MemTechnology::Edram);
+    PartitionEnergyParams remap;
+    remap.extra_pj_per_access = 1.5;
+
+    HybridGatingParams off;
+    off.idle_cycles = 0;
+    const auto ungated = replay_bank_activity(arch, map, source, off);
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(component_names(evaluate_partition_hybrid(arch, sram, ungated, {}, off).energy),
+              (Names{"bank_access", "bank_select", "leakage"}));
+    EXPECT_EQ(
+        component_names(evaluate_partition_hybrid(arch, sram, ungated, remap, off).energy),
+        (Names{"bank_access", "bank_select", "leakage", "remap"}));
+    EXPECT_EQ(component_names(evaluate_partition_hybrid(arch, edram, ungated, {}, off).energy),
+              (Names{"bank_access", "bank_select", "leakage", "refresh"}));
+
+    const HybridGatingParams on;
+    const auto gated = replay_bank_activity(arch, map, source, on);
+    EXPECT_EQ(component_names(evaluate_partition_hybrid(arch, sram, gated, {}, on).energy),
+              (Names{"bank_access", "bank_select", "leakage", "gated_leakage", "wakeup"}));
+    EXPECT_EQ(component_names(evaluate_partition_hybrid(arch, edram, gated, remap, on).energy),
+              (Names{"bank_access", "bank_select", "leakage", "refresh", "gated_leakage",
+                     "wakeup", "remap"}));
 }
 
 // -------------------------------------------------------- assignment ----
@@ -363,17 +425,79 @@ TEST(HybridAssignment, RespectsPoolCountsAndPrefersCheapTech) {
     MaterializedSource source(trace);
     const auto result = flow.run_hybrid(source, ClusterMethod::Frequency, pool);
     std::size_t sram_banks = 0;
-    for (MemTechnology tech : result.techs)
-        if (tech == MemTechnology::Sram) ++sram_banks;
+    for (const HybridBankReport& bank : result.report.banks)
+        if (bank.tech == MemTechnology::Sram) ++sram_banks;
     EXPECT_LE(sram_banks, 1u);
-    EXPECT_EQ(result.techs.size(), result.base.solution.arch.num_banks());
+    EXPECT_EQ(result.report.banks.size(), result.base.solution.arch.num_banks());
     // heat_rank is a permutation of [0, num_banks).
-    std::vector<bool> seen(result.heat_rank.size(), false);
-    for (std::size_t r : result.heat_rank) {
-        ASSERT_LT(r, seen.size());
-        seen[r] = true;
+    std::vector<bool> seen(result.report.banks.size(), false);
+    for (const HybridBankReport& bank : result.report.banks) {
+        ASSERT_LT(bank.heat_rank, seen.size());
+        seen[bank.heat_rank] = true;
     }
     for (bool s : seen) EXPECT_TRUE(s);
+}
+
+/// The heat rank as a physical profile gives it: each bank's accesses per
+/// byte of capacity, hottest first, density ties to the lower bank index.
+std::vector<std::size_t> profile_heat_rank(const MemoryArchitecture& arch,
+                                           const BlockProfile& physical) {
+    std::vector<double> heat;
+    for (const Bank& bank : arch.banks()) {
+        std::uint64_t accesses = 0;
+        for (std::size_t b = bank.first_block; b < bank.end_block(); ++b)
+            accesses += physical.counts(b).total();
+        heat.push_back(static_cast<double>(accesses) / static_cast<double>(bank.size_bytes));
+    }
+    std::vector<std::size_t> order(heat.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return heat[a] > heat[b]; });
+    std::vector<std::size_t> rank(heat.size());
+    for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+    return rank;
+}
+
+TEST(HybridAssignment, HeatRankIsTheProfileDensityRank) {
+    // Blocks 0 and 7 take 300 accesses each, blocks 2 and 5 take 40 each,
+    // and the rest one each.
+    MemTrace trace;
+    std::uint64_t cycle = 0;
+    const auto touch = [&](std::uint64_t block, int times) {
+        for (int i = 0; i < times; ++i)
+            trace.add(MemAccess{.addr = block * 1024 + static_cast<std::uint64_t>(i % 64) * 4,
+                                .cycle = cycle += 3, .size = 4,
+                                .kind = i % 3 == 0 ? AccessKind::Write : AccessKind::Read});
+    };
+    for (int round = 0; round < 10; ++round) {
+        touch(0, 30);
+        touch(7, 30);
+        touch(round % 2 == 0 ? 2 : 5, 8);
+    }
+    for (const std::uint64_t block : {1u, 3u, 4u, 6u}) touch(block, 1);
+
+    FlowParams fp;
+    fp.block_size = 1024;
+    fp.constraints.max_banks = 4;
+    fp.energy.runtime_cycles = cycle + 1;
+    const MemoryOptimizationFlow flow(fp);
+    MaterializedSource source(trace);
+    const BlockProfile profile = BlockProfile::from_source(source, fp.block_size);
+    for (const ClusterMethod method : {ClusterMethod::None, ClusterMethod::Frequency}) {
+        const HybridFlowResult result =
+            flow.run_hybrid(source, method, BankPool::parse("sram=2,sttmram=6"));
+        const std::vector<std::size_t> want =
+            profile_heat_rank(result.base.solution.arch, result.base.map.apply(profile));
+        // Unclustered, the banks are [0,1), [1,3), [3,7) and [7,8): the two
+        // 1 KiB banks of the hot blocks tie, and the lower index wins.
+        if (method == ClusterMethod::None) {
+            ASSERT_EQ(want, (std::vector<std::size_t>{0, 2, 3, 1}));
+        }
+        ASSERT_EQ(result.report.banks.size(), want.size());
+        for (std::size_t b = 0; b < want.size(); ++b)
+            EXPECT_EQ(result.report.banks[b].heat_rank, want[b])
+                << cluster_method_name(method) << ", bank " << b;
+    }
 }
 
 TEST(HybridAssignment, FreeMixNeverLosesToHomogeneous) {
@@ -431,9 +555,9 @@ TEST(HybridDeterminism, BackToBackPoolEvaluationsAreIndependent) {
     const auto alone = flow.run_hybrid(fresh, ClusterMethod::Frequency,
                                        BankPool::parse("sram=1,sttmram=7"));
     EXPECT_EQ(second.total(), alone.total());
-    EXPECT_EQ(second.techs, alone.techs);
     ASSERT_EQ(second.report.banks.size(), alone.report.banks.size());
     for (std::size_t b = 0; b < alone.report.banks.size(); ++b) {
+        EXPECT_EQ(second.report.banks[b].tech, alone.report.banks[b].tech);
         EXPECT_EQ(second.report.banks[b].activity.gated_cycles,
                   alone.report.banks[b].activity.gated_cycles);
         EXPECT_EQ(second.report.banks[b].activity.wakeups,
