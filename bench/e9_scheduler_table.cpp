@@ -22,7 +22,6 @@ int main() {
         "8 generated multimedia applications (6 buffers, 8 phases, 4 contexts); "
         "2 KiB L1 / 8 KiB L2 scratchpads; 2 context slots");
 
-    const ReconfArch arch;
     TablePrinter table({"application", "naive [uJ]", "greedy [uJ]", "optimal [uJ]",
                         "greedy savings [%]", "optimal savings [%]", "context savings [%]"});
     bench::BenchReport report("e9_scheduler_table");
@@ -30,12 +29,10 @@ int main() {
     Accumulator optimal_acc;
 
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        AppGenParams params;
-        params.seed = seed;
-        const Application app = generate_application(params);
-        const auto e_naive = evaluate_schedule(app, arch, naive_schedule(app, arch));
-        const auto e_greedy = evaluate_schedule(app, arch, greedy_schedule(app, arch));
-        const auto e_opt = evaluate_schedule(app, arch, optimal_schedule(app, arch));
+        const Application app = generate_application(seed);
+        const auto e_naive = evaluate_schedule(app, naive_schedule(app));
+        const auto e_greedy = evaluate_schedule(app, greedy_schedule(app));
+        const auto e_opt = evaluate_schedule(app, optimal_schedule(app));
         const double gs = percent_savings(e_naive.total(), e_greedy.total());
         const double os = percent_savings(e_naive.total(), e_opt.total());
         const double cs = percent_savings(e_naive.component("context_load"),
@@ -70,10 +67,8 @@ int main() {
     bool kernel_pipelines_win = true;
     for (const auto& names : pipelines) {
         const Application app = application_from_kernels(names);
-        const double naive_pj =
-            evaluate_schedule(app, arch, naive_schedule(app, arch)).total();
-        const double greedy_pj =
-            evaluate_schedule(app, arch, greedy_schedule(app, arch)).total();
+        const double naive_pj = evaluate_schedule(app, naive_schedule(app)).total();
+        const double greedy_pj = evaluate_schedule(app, greedy_schedule(app)).total();
         kernel_pipelines_win = kernel_pipelines_win && greedy_pj < naive_pj;
         std::string label;
         for (const std::string& n : names) label += (label.empty() ? "" : "+") + n;

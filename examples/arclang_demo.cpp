@@ -58,10 +58,8 @@ out(cks);
                 run.data_trace.size());
 
     // Full study: partitioning/clustering, compression, bus encoding.
-    StudyParams params;
-    params.flow.constraints.max_banks = 4;
     const StudyReport report = study_trace("movavg", run.data_trace, program.data,
-                                           program.data_base, run.fetch_stream, params);
+                                           program.data_base, run.fetch_stream);
     std::printf("optimization study for the compiled kernel:\n");
     std::printf("  clustering savings vs partitioning : %6.1f %%\n",
                 report.clustering_savings_pct());

@@ -649,6 +649,8 @@ int cmd_encode(const Args& args, JsonWriter* jw) {
 
     TransformSearchParams params;
     params.max_gates = args.get_count<std::size_t>("gates", 16);
+    usage_require(params.max_gates <= kMaxTransformGates,
+                  "encode: --gates expects at most " + std::to_string(kMaxTransformGates));
     const TransformSearchResult result = search_transform(run.fetch_stream, params);
     const EnergyBreakdown net = encoded_energy(result.transform, run.fetch_stream);
 
@@ -746,12 +748,10 @@ int cmd_fault(const Args& args, JsonWriter* jw) {
 }
 
 int cmd_schedule(const Args& args) {
-    AppGenParams params;
-    params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const Application app = generate_application(params);
-    const ReconfArch arch;
-    const auto naive = evaluate_schedule(app, arch, naive_schedule(app, arch));
-    const auto optimal = evaluate_schedule(app, arch, optimal_schedule(app, arch));
+    const Application app =
+        generate_application(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+    const auto naive = evaluate_schedule(app, naive_schedule(app));
+    const auto optimal = evaluate_schedule(app, optimal_schedule(app));
     naive.print(std::cout, "naive schedule:");
     optimal.print(std::cout, "\noptimal schedule:");
     std::printf("\nsavings: %.1f%%\n",
@@ -761,9 +761,6 @@ int cmd_schedule(const Args& args) {
 
 int cmd_study(const Args& args, JsonWriter* jw) {
     usage_require(!args.positional.empty(), "study: missing kernel name (or 'all')");
-    StudyParams params;
-    params.flow.constraints.max_banks = 4;
-
     if (args.positional[0] == "all") {
         // Whole-suite batch study: every (kernel x optimization) evaluated
         // concurrently on the parallel runtime. With --checkpoint, kernels
@@ -771,7 +768,7 @@ int cmd_study(const Args& args, JsonWriter* jw) {
         // and resumed kernels splice their recorded JSON into the envelope
         // byte-identically.
         const CheckpointOptions checkpoint = checkpoint_options(args, "study", 1);
-        const StudySuiteOutcome outcome = study_suite(kernel_suite(), params, 0, checkpoint);
+        const StudySuiteOutcome outcome = study_suite(kernel_suite(), 0, checkpoint);
         TablePrinter table({"kernel", "1B-1 clustering [%]", "1B-2 compression [%]",
                             "1B-3 encoding [%]"});
         for (const StudyOutcome& o : outcome.outcomes)
@@ -795,7 +792,7 @@ int cmd_study(const Args& args, JsonWriter* jw) {
 
     args.reject_unread("study", {"checkpoint", "resume", "checkpoint-every", "ckpt-max-units"},
                        "'study all'");
-    const StudyReport report = study_kernel(kernel_by_name(args.positional[0]), params);
+    const StudyReport report = study_kernel(kernel_by_name(args.positional[0]));
     if (jw != nullptr) to_json(*jw, report);
     std::printf("study for %s\n", report.name.c_str());
     std::printf("  1B-1 clustering savings vs partitioning : %6.1f %%\n",

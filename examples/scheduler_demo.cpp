@@ -29,14 +29,13 @@ int main() {
     }
     app.validate();
 
-    const ReconfArch arch;
-    const DataSchedule naive = naive_schedule(app, arch);
-    const DataSchedule greedy = greedy_schedule(app, arch);
-    const DataSchedule optimal = optimal_schedule(app, arch);
+    const DataSchedule naive = naive_schedule(app);
+    const DataSchedule greedy = greedy_schedule(app);
+    const DataSchedule optimal = optimal_schedule(app);
 
-    const auto e_naive = evaluate_schedule(app, arch, naive);
-    const auto e_greedy = evaluate_schedule(app, arch, greedy);
-    const auto e_opt = evaluate_schedule(app, arch, optimal);
+    const auto e_naive = evaluate_schedule(app, naive);
+    const auto e_greedy = evaluate_schedule(app, greedy);
+    const auto e_opt = evaluate_schedule(app, optimal);
 
     TablePrinter table({"scheduler", "data access [uJ]", "movement [uJ]", "context [uJ]",
                         "total [uJ]"});

@@ -8,11 +8,13 @@
 
 namespace memopt {
 
-Application application_from_kernels(const std::vector<std::string>& kernel_names,
-                                     const AppBuildOptions& options) {
+namespace {
+constexpr std::size_t kDatasetsPerKernel = 4;  // keep the hottest symbols
+constexpr std::uint64_t kMinDatasetBytes = 64;  // tiny symbols round up to this
+}  // namespace
+
+Application application_from_kernels(const std::vector<std::string>& kernel_names) {
     require(!kernel_names.empty(), "application_from_kernels: no kernels");
-    require(options.max_datasets_per_kernel >= 1,
-            "application_from_kernels: need at least one data set per kernel");
 
     Application app;
     app.name = "kernel-pipeline";
@@ -30,13 +32,13 @@ Application application_from_kernels(const std::vector<std::string>& kernel_name
 
         std::size_t taken = 0;
         for (const SymbolTraffic& symbol : traffic) {
-            if (taken == options.max_datasets_per_kernel) break;
+            if (taken == kDatasetsPerKernel) break;
             // The stack/anon region has no meaningful size; approximate it
             // with a fixed small scratch area. Symbol regions keep their
             // measured extent, clamped up to the minimum and rounded to
             // words.
             std::uint64_t bytes = symbol.name == "<stack/anon>" ? 256 : symbol.bytes;
-            bytes = std::max<std::uint64_t>(bytes, options.min_dataset_bytes);
+            bytes = std::max<std::uint64_t>(bytes, kMinDatasetBytes);
             bytes = (bytes + 3) & ~std::uint64_t{3};
 
             const std::size_t dataset_index = app.datasets.size();

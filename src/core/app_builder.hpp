@@ -15,19 +15,12 @@
 
 namespace memopt {
 
-/// Options for the builder.
-struct AppBuildOptions {
-    std::size_t max_datasets_per_kernel = 4;  ///< keep the hottest N symbols
-    std::uint64_t min_dataset_bytes = 64;     ///< merge tiny symbols upward
-};
-
 /// Build an Application whose phases are the named kernels, executed in
-/// order. Each kernel is simulated once; its top symbols (by traffic)
-/// become data sets. Kernel data sets are distinct across kernels (no
-/// sharing — each kernel owns its image), which models a pipeline of
-/// independent tasks on one reconfigurable fabric.
-/// Throws memopt::Error on unknown kernel names.
-Application application_from_kernels(const std::vector<std::string>& kernel_names,
-                                     const AppBuildOptions& options = {});
+/// order. Each kernel is simulated once; its 4 hottest symbols (by
+/// traffic) become data sets of at least 64 B. Kernel data sets are
+/// distinct across kernels (no sharing — each kernel owns its image),
+/// which models a pipeline of independent tasks on one reconfigurable
+/// fabric. Throws memopt::Error on unknown kernel names.
+Application application_from_kernels(const std::vector<std::string>& kernel_names);
 
 }  // namespace memopt

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "cache/platform.hpp"
 #include "support/assert.hpp"
 #include "support/bytes.hpp"
 #include "support/json.hpp"
@@ -9,6 +10,10 @@
 #include "trace/source.hpp"
 
 namespace memopt {
+
+namespace {
+constexpr std::size_t kStudyBanks = 4;  // bank budget of a study's partitions
+}  // namespace
 
 double StudyReport::compression_savings_pct() const {
     const double base = compression_baseline.energy.component("main_memory");
@@ -20,35 +25,34 @@ double StudyReport::compression_savings_pct() const {
 
 StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
                         std::span<const std::uint8_t> image, std::uint64_t image_base,
-                        std::span<const std::uint32_t> fetch_stream,
-                        const StudyParams& params) {
+                        std::span<const std::uint32_t> fetch_stream) {
     require(!data_trace.empty(), "study_trace: empty data trace");
     StudyReport report;
     report.name = name;
 
     // Every replay below resets the source first, so one cursor serves all.
     MaterializedSource source(data_trace);
-    const MemoryOptimizationFlow flow(params.flow);
-    report.memory = flow.compare(source, params.cluster_method);
+    FlowParams flow_params;
+    flow_params.constraints.max_banks = kStudyBanks;
+    report.memory = MemoryOptimizationFlow(flow_params).compare(source, ClusterMethod::Frequency);
 
     const DiffCodec codec;
+    const CompressedMemConfig platform = vliw_platform().config;
     report.compression_baseline =
-        CompressedMemorySim(params.platform.config, nullptr).run(source, image, image_base);
-    report.compression =
-        CompressedMemorySim(params.platform.config, &codec).run(source, image, image_base);
+        CompressedMemorySim(platform, nullptr).run(source, image, image_base);
+    report.compression = CompressedMemorySim(platform, &codec).run(source, image, image_base);
 
-    if (!fetch_stream.empty())
-        report.encoding = search_transform(fetch_stream, params.encoding);
+    if (!fetch_stream.empty()) report.encoding = search_transform(fetch_stream);
     return report;
 }
 
-StudyReport study_kernel(const Kernel& kernel, const StudyParams& params) {
+StudyReport study_kernel(const Kernel& kernel) {
     CpuConfig config;
     config.record_fetch_stream = true;
     const AssembledProgram program = assemble(kernel.source);
     const RunResult run = Cpu(config).run(program);
     return study_trace(kernel.name, run.data_trace, program.data, program.data_base,
-                       run.fetch_stream, params);
+                       run.fetch_stream);
 }
 
 void to_json(JsonWriter& w, const StudyReport& report) {
@@ -72,9 +76,9 @@ namespace {
 
 /// Fingerprint of the suite: the result-shaping bank count, then every
 /// kernel name, each field followed by a 0xFF separator byte.
-std::uint64_t suite_config_hash(std::span<const Kernel> kernels, const StudyParams& params) {
+std::uint64_t suite_config_hash(std::span<const Kernel> kernels) {
     Fnv1a64 hash;
-    hash.bytes("banks=" + std::to_string(params.flow.constraints.max_banks)).byte(0xFF);
+    hash.bytes("banks=" + std::to_string(kStudyBanks)).byte(0xFF);
     for (const Kernel& kernel : kernels) hash.bytes(kernel.name).byte(0xFF);
     return hash.value();
 }
@@ -117,13 +121,11 @@ StudyOutcome decode_study_record(std::string_view record) {
     return out;
 }
 
-StudySuiteOutcome study_suite(std::span<const Kernel> kernels, const StudyParams& params,
-                              std::size_t jobs, const CheckpointOptions& checkpoint) {
+StudySuiteOutcome study_suite(std::span<const Kernel> kernels, std::size_t jobs,
+                              const CheckpointOptions& checkpoint) {
     const CheckpointedRun run = run_checkpointed(
-        kCkptEngineStudy, suite_config_hash(kernels, params), kernels.size(),
-        [&](std::size_t i) {
-            return encode_study_record(to_outcome(study_kernel(kernels[i], params)));
-        },
+        kCkptEngineStudy, suite_config_hash(kernels), kernels.size(),
+        [&](std::size_t i) { return encode_study_record(to_outcome(study_kernel(kernels[i]))); },
         checkpoint, jobs);
 
     StudySuiteOutcome out;

@@ -5,7 +5,9 @@
 // kernel (or adopt an external trace + fetch stream), and get back the
 // 1B-1 partition/clustering comparison, the 1B-2 compression result on a
 // platform model, and the 1B-3 bus-transform result, each with its energy
-// numbers.
+// numbers. A study has one configuration: the default flow with at most 4
+// banks and frequency clustering, the VLIW platform, and the default
+// 16-gate transform search.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "cache/memsys.hpp"
-#include "cache/platform.hpp"
 #include "compress/diff_codec.hpp"
 #include "core/flow.hpp"
 #include "encoding/search.hpp"
@@ -23,14 +24,6 @@
 #include "support/durable/checkpoint.hpp"
 
 namespace memopt {
-
-/// Configuration of a study.
-struct StudyParams {
-    FlowParams flow;                        ///< partition/clustering settings
-    ClusterMethod cluster_method = ClusterMethod::Frequency;
-    PlatformModel platform = vliw_platform();  ///< compression platform
-    TransformSearchParams encoding;         ///< bus-transform search budget
-};
 
 /// Combined results of a study.
 struct StudyReport {
@@ -61,7 +54,7 @@ struct StudyReport {
 void to_json(JsonWriter& w, const StudyReport& report);
 
 /// Run the full study on a bundled kernel.
-StudyReport study_kernel(const Kernel& kernel, const StudyParams& params = StudyParams{});
+StudyReport study_kernel(const Kernel& kernel);
 
 /// Run the full study on externally supplied artifacts: a value-carrying
 /// data trace, the initial data image (may be empty), and the instruction
@@ -69,8 +62,7 @@ StudyReport study_kernel(const Kernel& kernel, const StudyParams& params = Study
 /// left value-initialized).
 StudyReport study_trace(const std::string& name, const MemTrace& data_trace,
                         std::span<const std::uint8_t> image, std::uint64_t image_base,
-                        std::span<const std::uint32_t> fetch_stream,
-                        const StudyParams& params = StudyParams{});
+                        std::span<const std::uint32_t> fetch_stream);
 
 // ---------------------------------------------------------------------------
 // Suites and checkpoint/resume
@@ -111,13 +103,12 @@ struct StudySuiteOutcome {
 /// calls at any job count and after any resume.
 ///
 /// The kernels run on run_checkpointed() (engine kCkptEngineStudy). The
-/// config hash covers params.flow.constraints.max_banks and the kernel-name
-/// sequence; resume refuses a mismatch. With `checkpoint.path` set, the
-/// finished prefix is snapshotted every `checkpoint.every` kernels. A
+/// config hash covers the study's bank count and the kernel-name sequence;
+/// resume refuses a mismatch. With `checkpoint.path` set, the finished
+/// prefix is snapshotted every `checkpoint.every` kernels. A
 /// deadline, signal or exhausted `max_units_this_run` returns completed ==
 /// false with the prefix intact instead of throwing.
-StudySuiteOutcome study_suite(std::span<const Kernel> kernels,
-                              const StudyParams& params = StudyParams{}, std::size_t jobs = 0,
+StudySuiteOutcome study_suite(std::span<const Kernel> kernels, std::size_t jobs = 0,
                               const CheckpointOptions& checkpoint = {});
 
 }  // namespace memopt

@@ -4,10 +4,9 @@
 
 namespace memopt {
 
-std::uint64_t bus_invert_transitions(std::span<const std::uint32_t> words,
-                                     std::uint32_t initial) {
+std::uint64_t bus_invert_transitions(std::span<const std::uint32_t> words) {
     std::uint64_t total = 0;
-    std::uint32_t bus = initial;
+    std::uint32_t bus = 0;
     bool invert_line = false;
     for (std::uint32_t w : words) {
         const unsigned direct = hamming32(bus, w);
@@ -27,22 +26,15 @@ std::uint64_t bus_invert_transitions(std::span<const std::uint32_t> words,
     return total;
 }
 
-std::uint64_t gray_code_transitions(std::span<const std::uint32_t> words,
-                                    std::uint32_t initial) {
+std::uint64_t gray_code_transitions(std::span<const std::uint32_t> words) {
     std::uint64_t total = 0;
-    std::uint32_t prev = initial ^ (initial >> 1);
+    std::uint32_t prev = 0;  // the Gray code of the idle state 0
     for (std::uint32_t w : words) {
         const std::uint32_t g = w ^ (w >> 1);
         total += hamming32(prev, g);
         prev = g;
     }
     return total;
-}
-
-std::uint32_t gray_decode(std::uint32_t g) {
-    std::uint32_t w = g;
-    for (unsigned shift = 1; shift < 32; shift <<= 1) w ^= w >> shift;
-    return w;
 }
 
 }  // namespace memopt

@@ -11,18 +11,13 @@ namespace memopt {
 /// current bus state and the next word exceeds half the width, the inverted
 /// word is sent and an extra invert line toggles. Returns the total line
 /// transitions including the invert line (the honest cost of the extra
-/// wire).
-std::uint64_t bus_invert_transitions(std::span<const std::uint32_t> words,
-                                     std::uint32_t initial = 0);
+/// wire), from the idle bus state 0.
+std::uint64_t bus_invert_transitions(std::span<const std::uint32_t> words);
 
-/// Gray re-coding g = w ^ (w >> 1) applied to every word (invertible).
-/// Effective for sequential numeric streams, largely ineffective for
-/// instruction words — included as the representative "fixed codebook"
-/// baseline.
-std::uint64_t gray_code_transitions(std::span<const std::uint32_t> words,
-                                    std::uint32_t initial = 0);
-
-/// Gray-decode (inverse of g = w ^ (w >> 1)).
-std::uint32_t gray_decode(std::uint32_t g);
+/// Gray re-coding g = w ^ (w >> 1) applied to every word (invertible), from
+/// the idle bus state 0. Effective for sequential numeric streams, largely
+/// ineffective for instruction words — included as the representative
+/// "fixed codebook" baseline.
+std::uint64_t gray_code_transitions(std::span<const std::uint32_t> words);
 
 }  // namespace memopt

@@ -11,13 +11,14 @@ constexpr double kGateTogglePj = 0.012;  // one XOR output toggle (gate-load cap
 }  // namespace
 
 std::uint64_t decoder_toggles(const LinearTransform& transform,
-                              std::span<const std::uint32_t> words, std::uint32_t initial) {
+                              std::span<const std::uint32_t> words) {
     if (transform.is_identity() || words.empty()) return 0;
     const auto& gates = transform.gates();
 
-    // prev_outputs[g] = output bit of gate g for the previous word.
-    // The decoder applies the gates in reverse (invert order); the gate
-    // chain state is reproduced here stage by stage.
+    // prev_outputs[g] = output bit of gate g for the previous word, all 0
+    // for the idle bus (a linear transform maps 0 to 0). The decoder
+    // applies the gates in reverse (invert order); the gate chain state is
+    // reproduced here stage by stage.
     std::vector<std::uint8_t> prev_outputs(gates.size(), 0);
     std::uint64_t toggles = 0;
 
@@ -31,8 +32,6 @@ std::uint64_t decoder_toggles(const LinearTransform& transform,
         }
     };
 
-    // Initialize with the encoded idle state.
-    stage_outputs(transform.apply(initial), prev_outputs);
     std::vector<std::uint8_t> outputs(gates.size(), 0);
     for (std::uint32_t word : words) {
         stage_outputs(transform.apply(word), outputs);
@@ -43,17 +42,16 @@ std::uint64_t decoder_toggles(const LinearTransform& transform,
     return toggles;
 }
 
-double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words,
-                      std::uint32_t initial) {
-    return kGateTogglePj * static_cast<double>(decoder_toggles(transform, words, initial));
+double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words) {
+    return kGateTogglePj * static_cast<double>(decoder_toggles(transform, words));
 }
 
 EnergyBreakdown encoded_energy(const LinearTransform& transform,
-                               std::span<const std::uint32_t> words, std::uint32_t initial) {
+                               std::span<const std::uint32_t> words) {
     EnergyBreakdown breakdown;
-    breakdown.add("bus", BusEnergyModel{}.transition_energy(
-                             encoded_transitions(transform, words, initial)));
-    breakdown.add("decoder", decoder_energy(transform, words, initial));
+    breakdown.add("bus",
+                  BusEnergyModel{}.transition_energy(encoded_transitions(transform, words)));
+    breakdown.add("decoder", decoder_energy(transform, words));
     return breakdown;
 }
 

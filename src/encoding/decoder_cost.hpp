@@ -17,19 +17,19 @@ namespace memopt {
 
 /// Exact toggle count of every gate output across the stream: the stream is
 /// replayed through the gate chain word by word and each gate's output bit
-/// is compared with its previous value.
+/// is compared with its previous value, starting from the idle bus state 0
+/// (where every gate output is 0).
 std::uint64_t decoder_toggles(const LinearTransform& transform,
-                              std::span<const std::uint32_t> words, std::uint32_t initial = 0);
+                              std::span<const std::uint32_t> words);
 
 /// Decoder energy [pJ] for the stream, at the per-toggle gate energy
 /// calibrated in decoder_cost.cpp.
-double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words,
-                      std::uint32_t initial = 0);
+double decoder_energy(const LinearTransform& transform, std::span<const std::uint32_t> words);
 
 /// Net bus+decoder energy comparison for a transform on a stream:
 /// components "bus" (encoded transitions, priced by BusEnergyModel) and
 /// "decoder".
 EnergyBreakdown encoded_energy(const LinearTransform& transform,
-                               std::span<const std::uint32_t> words, std::uint32_t initial = 0);
+                               std::span<const std::uint32_t> words);
 
 }  // namespace memopt

@@ -22,9 +22,9 @@ struct DiffHistogram {
     std::vector<std::uint32_t> values;
     std::vector<std::uint64_t> counts;
 
-    static DiffHistogram build(std::span<const std::uint32_t> words, std::uint32_t initial) {
+    static DiffHistogram build(std::span<const std::uint32_t> words) {
         std::unordered_map<std::uint32_t, std::uint64_t> map;
-        std::uint32_t prev = initial;
+        std::uint32_t prev = 0;
         for (std::uint32_t w : words) {
             ++map[prev ^ w];
             prev = w;
@@ -166,7 +166,7 @@ void to_json(JsonWriter& w, const TransformSearchResult& result) {
 
 TransformSearchResult search_transform(std::span<const std::uint32_t> words,
                                        const TransformSearchParams& params) {
-    require(params.max_gates <= 1024, "TransformSearchParams: absurd gate budget");
+    require(params.max_gates <= kMaxTransformGates, "TransformSearchParams: absurd gate budget");
     static MetricCounter& searches = MetricsRegistry::instance().counter("encoding.searches");
     static MetricCounter& gates_selected =
         MetricsRegistry::instance().counter("encoding.gates_selected");
@@ -177,7 +177,7 @@ TransformSearchResult search_transform(std::span<const std::uint32_t> words,
     TransformSearchResult result;
     if (words.empty()) return result;
 
-    DiffHistogram hist = DiffHistogram::build(words, params.initial);
+    DiffHistogram hist = DiffHistogram::build(words);
     result.original_transitions = hist.total_transitions();
 
     LinearTransform transform;
@@ -193,15 +193,13 @@ TransformSearchResult search_transform(std::span<const std::uint32_t> words,
 
     // Cross-check the histogram bookkeeping against a direct simulation of
     // the encoder; cheap relative to the search and catches any drift.
-    MEMOPT_ASSERT(encoded_transitions(result.transform, words, params.initial) ==
-                  result.encoded_transitions);
+    MEMOPT_ASSERT(encoded_transitions(result.transform, words) == result.encoded_transitions);
     return result;
 }
 
-TransformSearchResult best_single_gate(std::span<const std::uint32_t> words,
-                                       std::uint32_t initial) {
+TransformSearchResult best_single_gate(std::span<const std::uint32_t> words) {
     TransformSearchResult result;
-    result.original_transitions = count_transitions(words, initial);
+    result.original_transitions = count_transitions(words);
     result.encoded_transitions = result.original_transitions;
 
     // Candidate evaluation is 32*31 full-stream simulations; fan the dst
@@ -219,7 +217,7 @@ TransformSearchResult best_single_gate(std::span<const std::uint32_t> words,
             if (dst == src) continue;
             const LinearTransform t(std::vector<XorGate>{
                 XorGate{static_cast<std::uint8_t>(dst), static_cast<std::uint8_t>(src)}});
-            const std::uint64_t trans = encoded_transitions(t, words, initial);
+            const std::uint64_t trans = encoded_transitions(t, words);
             if (trans < best.transitions) {
                 best.transitions = trans;
                 best.transform = t;

@@ -23,10 +23,12 @@ namespace memopt {
 
 class JsonWriter;
 
+/// Largest gate budget search_transform accepts.
+inline constexpr std::size_t kMaxTransformGates = 1024;
+
 /// Search configuration.
 struct TransformSearchParams {
     std::size_t max_gates = 16;   ///< hardware budget (XOR gates in the decoder)
-    std::uint32_t initial = 0;    ///< bus line state before the first fetch
 };
 
 /// Result of a search.
@@ -47,13 +49,13 @@ struct TransformSearchResult {
 /// Serialize one search result: gate list, transition counts, reduction.
 void to_json(JsonWriter& w, const TransformSearchResult& result);
 
-/// Greedy gate search over the profiled stream.
+/// Greedy gate search over the profiled stream. Like every transition
+/// count in the toolkit, it starts from the idle bus state 0.
 TransformSearchResult search_transform(std::span<const std::uint32_t> words,
                                        const TransformSearchParams& params = {});
 
 /// Exhaustive best single gate (32*31 candidates); used by tests to certify
 /// that the greedy step is optimal for a one-gate budget.
-TransformSearchResult best_single_gate(std::span<const std::uint32_t> words,
-                                       std::uint32_t initial = 0);
+TransformSearchResult best_single_gate(std::span<const std::uint32_t> words);
 
 }  // namespace memopt

@@ -43,10 +43,9 @@ std::vector<std::uint32_t> LinearTransform::apply_stream(
 }
 
 std::uint64_t encoded_transitions(const LinearTransform& t,
-                                  std::span<const std::uint32_t> words,
-                                  std::uint32_t initial) {
+                                  std::span<const std::uint32_t> words) {
     std::uint64_t total = 0;
-    std::uint32_t prev = t.apply(initial);
+    std::uint32_t prev = 0;
     for (std::uint32_t w : words) {
         const std::uint32_t enc = t.apply(w);
         total += hamming32(prev, enc);

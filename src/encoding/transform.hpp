@@ -59,10 +59,9 @@ private:
 };
 
 /// Total bus transitions of `words` after encoding with `t` (the encoded
-/// stream's consecutive Hamming distances, starting from line state
-/// t.apply(initial)).
+/// stream's consecutive Hamming distances, starting from the idle line
+/// state 0, which every linear transform maps to itself).
 std::uint64_t encoded_transitions(const LinearTransform& t,
-                                  std::span<const std::uint32_t> words,
-                                  std::uint32_t initial = 0);
+                                  std::span<const std::uint32_t> words);
 
 }  // namespace memopt

@@ -12,9 +12,9 @@ unsigned hamming32(std::uint32_t a, std::uint32_t b) {
     return static_cast<unsigned>(std::popcount(a ^ b));
 }
 
-std::uint64_t count_transitions(std::span<const std::uint32_t> words, std::uint32_t initial) {
+std::uint64_t count_transitions(std::span<const std::uint32_t> words) {
     std::uint64_t total = 0;
-    std::uint32_t prev = initial;
+    std::uint32_t prev = 0;
     for (std::uint32_t w : words) {
         total += hamming32(prev, w);
         prev = w;
@@ -24,11 +24,6 @@ std::uint64_t count_transitions(std::span<const std::uint32_t> words, std::uint3
 
 double BusEnergyModel::transition_energy(std::uint64_t transitions) const {
     return kPjPerTransition * static_cast<double>(transitions);
-}
-
-double BusEnergyModel::stream_energy(std::span<const std::uint32_t> words,
-                                     std::uint32_t initial) const {
-    return transition_energy(count_transitions(words, initial));
 }
 
 }  // namespace memopt

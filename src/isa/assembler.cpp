@@ -94,9 +94,11 @@ std::optional<Cond> branch_cond(std::string_view op) {
     return std::nullopt;
 }
 
+constexpr std::uint64_t kDataBase = 0x10000;  // byte address of the data section
+
 class Assembler {
 public:
-    Assembler(std::string_view source, const AssembleOptions& options) : options_(options) {
+    explicit Assembler(std::string_view source) {
         lines_ = tokenize(source);
         pass1();
         pass2();
@@ -115,7 +117,7 @@ private:
             std::uint64_t& offset = section == Section::Code ? code_bytes : data_bytes;
             if (!line.label.empty()) {
                 const std::uint64_t addr =
-                    section == Section::Code ? offset : options_.data_base + offset;
+                    section == Section::Code ? offset : kDataBase + offset;
                 if (!program_.symbols.emplace(line.label, addr).second)
                     fail(line.number, "duplicate label '" + line.label + "'");
             }
@@ -187,8 +189,8 @@ private:
                 emit_instruction(line);
             }
         }
-        program_.data_base = options_.data_base;
-        require(program_.code.size() * 4 <= options_.data_base,
+        program_.data_base = kDataBase;
+        require(program_.code.size() * 4 <= kDataBase,
                 "assemble: code section overlaps the data base");
     }
 
@@ -456,7 +458,6 @@ private:
         push_instr(line, instr);
     }
 
-    AssembleOptions options_;
     std::vector<Line> lines_;
     AssembledProgram program_;
     std::vector<std::uint8_t> code_partial_;  // sub-word bytes pending in .code
@@ -470,10 +471,8 @@ std::uint64_t AssembledProgram::symbol(const std::string& name) const {
     return it->second;
 }
 
-AssembledProgram assemble(std::string_view source, const AssembleOptions& options) {
-    require(is_pow2(options.data_base) || options.data_base == 0,
-            "assemble: data_base must be a power of two");
-    return Assembler(source, options).take();
+AssembledProgram assemble(std::string_view source) {
+    return Assembler(source).take();
 }
 
 std::vector<std::uint32_t> asm_random_words(std::size_t count, std::uint64_t seed) {

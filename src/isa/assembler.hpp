@@ -1,9 +1,9 @@
 // AR32 two-pass assembler.
 //
 // Turns textual AR32 assembly into an AssembledProgram: a code image (based
-// at address 0), a data image (based at a configurable data base), and a
-// symbol table. The bundled benchmark kernels (src/sim/kernels.cpp) are
-// written in this syntax.
+// at address 0), a data image (based at 0x10000), and a symbol table. The
+// bundled benchmark kernels (src/sim/kernels.cpp) are written in this
+// syntax.
 //
 // Syntax summary (one statement per line, ';' starts a comment):
 //
@@ -43,11 +43,6 @@
 
 namespace memopt {
 
-/// Assembler configuration.
-struct AssembleOptions {
-    std::uint64_t data_base = 0x10000;  ///< byte address of the data section
-};
-
 /// Output of the assembler.
 struct AssembledProgram {
     std::vector<std::uint32_t> code;             ///< instruction words, based at 0
@@ -61,7 +56,7 @@ struct AssembledProgram {
 
 /// Assemble AR32 source. Throws memopt::Error with a line-numbered message
 /// on any syntax or range error.
-AssembledProgram assemble(std::string_view source, const AssembleOptions& options = {});
+AssembledProgram assemble(std::string_view source);
 
 /// The deterministic word stream behind the `.rand` directive (SplitMix64).
 /// Exposed so tests can reproduce kernel input data exactly.

@@ -54,25 +54,23 @@ struct Application {
     void validate() const;
 };
 
-/// Architecture parameters. Energies are per 32-bit access / per byte.
-struct ReconfArch {
-    std::uint64_t l1_bytes = 2 * 1024;
-    std::uint64_t l2_bytes = 8 * 1024;
-    double l1_access_pj = 4.0;
-    double l2_access_pj = 14.0;
-    double ext_access_pj = 130.0;
-    std::uint64_t context_bytes = 2 * 1024;   ///< size of one context word plane
-    double context_byte_pj = 0.9;             ///< per byte moved into the context store
-    std::size_t context_slots = 2;            ///< on-chip context store capacity
+/// The architecture of the 1B-4 evaluation: capacities of the two
+/// scratchpad levels and of the on-chip context store. The energies that
+/// price it are named constants in model.cpp (4, 14 and 130 pJ per 32-bit
+/// access at L1, L2 and external memory) and scheduler.cpp (0.9 pJ per
+/// context byte).
+inline constexpr std::uint64_t kL1Bytes = 2 * 1024;
+inline constexpr std::uint64_t kL2Bytes = 8 * 1024;
+inline constexpr std::uint64_t kContextBytes = 2 * 1024;  ///< one context word plane
+inline constexpr std::size_t kContextSlots = 2;           ///< LRU context store slots
 
-    /// Per-word access energy of a level.
-    double access_pj(MemLevel level) const;
+/// Per-word access energy of a level [pJ].
+double access_pj(MemLevel level);
 
-    /// Energy to move one data set of `bytes` bytes from `from` to `to`
-    /// (read at source + write at destination, word by word). Zero if the
-    /// levels are equal.
-    double move_pj(MemLevel from, MemLevel to, std::uint64_t bytes) const;
-};
+/// Energy to move one data set of `bytes` bytes from `from` to `to` (read
+/// at source + write at destination, word by word) [pJ]. Zero if the
+/// levels are equal.
+double move_pj(MemLevel from, MemLevel to, std::uint64_t bytes);
 
 /// A schedule: assignment[phase][dataset] = level of that data set during
 /// that phase. Every data set has an assignment in every phase (unused data
@@ -84,17 +82,8 @@ struct DataSchedule {
 
 /// Deterministic generator of synthetic multimedia applications (pipelines
 /// of filter/transform kernels with shared buffers), used by tests and the
-/// E9 bench.
-struct AppGenParams {
-    std::size_t num_datasets = 6;
-    std::size_t num_phases = 8;
-    std::size_t num_contexts = 4;
-    std::uint64_t min_bytes = 512;
-    std::uint64_t max_bytes = 8 * 1024;
-    std::uint64_t min_accesses = 2'000;
-    std::uint64_t max_accesses = 60'000;
-    std::uint64_t seed = 1;
-};
-Application generate_application(const AppGenParams& params);
+/// E9 bench: 6 data sets of 512 B to 8 KiB, 8 phases over 4 contexts, 2 000
+/// to 60 000 accesses per use.
+Application generate_application(std::uint64_t seed);
 
 }  // namespace memopt

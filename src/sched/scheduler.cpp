@@ -17,30 +17,29 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 const std::array<MemLevel, kNumLevels> kLevels = {MemLevel::L1, MemLevel::L2, MemLevel::Ext};
 
+constexpr double kContextBytePj = 0.9;  // per byte moved into the context store
+
+static_assert(kL2Bytes > kContextBytes, "a staged context plane must fit in L2");
+
 /// Effective L2 capacity, accounting for the context staging reservation.
-std::uint64_t l2_capacity(const ReconfArch& arch, bool prefetch_contexts) {
-    if (!prefetch_contexts) return arch.l2_bytes;
-    require(arch.l2_bytes > arch.context_bytes,
-            "ReconfArch: context plane does not fit in L2 for prefetching");
-    return arch.l2_bytes - arch.context_bytes;
+constexpr std::uint64_t l2_capacity(bool prefetch_contexts) {
+    return prefetch_contexts ? kL2Bytes - kContextBytes : kL2Bytes;
 }
 
 /// Capacity check of one phase assignment.
-bool fits(const Application& app, const ReconfArch& arch, bool prefetch,
-          const std::vector<MemLevel>& assign) {
+bool fits(const Application& app, bool prefetch, const std::vector<MemLevel>& assign) {
     std::uint64_t l1 = 0;
     std::uint64_t l2 = 0;
     for (std::size_t d = 0; d < assign.size(); ++d) {
         if (assign[d] == MemLevel::L1) l1 += app.datasets[d].bytes;
         if (assign[d] == MemLevel::L2) l2 += app.datasets[d].bytes;
     }
-    return l1 <= arch.l1_bytes && l2 <= l2_capacity(arch, prefetch);
+    return l1 <= kL1Bytes && l2 <= l2_capacity(prefetch);
 }
 
-/// Context-store simulation (LRU over `context_slots` slots). Returns the
+/// Context-store simulation (LRU over kContextSlots slots). Returns the
 /// number of context loads (first-use and reloads alike).
-std::uint64_t count_context_loads(const Application& app, std::size_t slots) {
-    MEMOPT_ASSERT(slots >= 1);
+std::uint64_t count_context_loads(const Application& app) {
     std::list<std::size_t> lru;  // front = most recent
     std::uint64_t loads = 0;
     for (const KernelPhase& phase : app.phases) {
@@ -49,7 +48,7 @@ std::uint64_t count_context_loads(const Application& app, std::size_t slots) {
             lru.erase(it);
         } else {
             ++loads;
-            if (lru.size() == slots) lru.pop_back();
+            if (lru.size() == kContextSlots) lru.pop_back();
         }
         lru.push_front(phase.context);
     }
@@ -68,56 +67,54 @@ std::size_t distinct_contexts(const Application& app) {
     return n;
 }
 
-double context_energy(const Application& app, const ReconfArch& arch, bool prefetch) {
-    const std::uint64_t loads = count_context_loads(app, arch.context_slots);
-    const auto plane = static_cast<double>(arch.context_bytes);
-    if (!prefetch) return static_cast<double>(loads) * plane * arch.context_byte_pj;
+double context_energy(const Application& app, bool prefetch) {
+    const std::uint64_t loads = count_context_loads(app);
+    const auto plane = static_cast<double>(kContextBytes);
+    if (!prefetch) return static_cast<double>(loads) * plane * kContextBytePj;
     // With staging, each distinct context is fetched from external memory
     // into L2 once; every load into the context store then reads L2, which
     // is cheaper in proportion to the level access energies.
-    const double l2_factor = arch.l2_access_pj / arch.ext_access_pj;
-    const double stage = static_cast<double>(distinct_contexts(app)) * plane * arch.context_byte_pj;
-    return stage + static_cast<double>(loads) * plane * arch.context_byte_pj * l2_factor;
+    const double l2_factor = access_pj(MemLevel::L2) / access_pj(MemLevel::Ext);
+    const double stage = static_cast<double>(distinct_contexts(app)) * plane * kContextBytePj;
+    return stage + static_cast<double>(loads) * plane * kContextBytePj * l2_factor;
 }
 
 }  // namespace
 
-EnergyBreakdown evaluate_schedule(const Application& app, const ReconfArch& arch,
-                                  const DataSchedule& schedule) {
+EnergyBreakdown evaluate_schedule(const Application& app, const DataSchedule& schedule) {
     app.validate();
     require(schedule.assignment.size() == app.phases.size(),
             "evaluate_schedule: wrong phase count");
 
-    double access_pj = 0.0;
-    double move_pj = 0.0;
+    double access = 0.0;
+    double movement = 0.0;
     std::vector<MemLevel> prev(app.datasets.size(), MemLevel::Ext);
     for (std::size_t p = 0; p < app.phases.size(); ++p) {
         const auto& assign = schedule.assignment[p];
         require(assign.size() == app.datasets.size(),
                 "evaluate_schedule: wrong data set count in phase");
-        require(fits(app, arch, schedule.prefetch_contexts, assign),
+        require(fits(app, schedule.prefetch_contexts, assign),
                 "evaluate_schedule: capacity violated in phase " + app.phases[p].name);
         for (std::size_t d = 0; d < assign.size(); ++d)
-            move_pj += arch.move_pj(prev[d], assign[d], app.datasets[d].bytes);
+            movement += move_pj(prev[d], assign[d], app.datasets[d].bytes);
         for (const KernelUse& use : app.phases[p].uses)
-            access_pj +=
-                static_cast<double>(use.accesses) * arch.access_pj(assign[use.dataset]);
+            access += static_cast<double>(use.accesses) * access_pj(assign[use.dataset]);
         prev = assign;
     }
 
     EnergyBreakdown breakdown;
-    breakdown.add("data_access", access_pj);
-    breakdown.add("data_movement", move_pj);
-    breakdown.add("context_load", context_energy(app, arch, schedule.prefetch_contexts));
+    breakdown.add("data_access", access);
+    breakdown.add("data_movement", movement);
+    breakdown.add("context_load", context_energy(app, schedule.prefetch_contexts));
     return breakdown;
 }
 
-DataSchedule naive_schedule(const Application& app, const ReconfArch& arch) {
+DataSchedule naive_schedule(const Application& app) {
     app.validate();
     std::vector<MemLevel> assign(app.datasets.size(), MemLevel::Ext);
     std::uint64_t l2_used = 0;
     for (std::size_t d = 0; d < app.datasets.size(); ++d) {
-        if (l2_used + app.datasets[d].bytes <= arch.l2_bytes) {
+        if (l2_used + app.datasets[d].bytes <= kL2Bytes) {
             assign[d] = MemLevel::L2;
             l2_used += app.datasets[d].bytes;
         }
@@ -130,16 +127,15 @@ DataSchedule naive_schedule(const Application& app, const ReconfArch& arch) {
 
 namespace {
 
-DataSchedule greedy_with_prefetch(const Application& app, const ReconfArch& arch,
-                                  bool prefetch) {
+DataSchedule greedy_with_prefetch(const Application& app, bool prefetch) {
     DataSchedule schedule;
     schedule.prefetch_contexts = prefetch;
     std::vector<MemLevel> prev(app.datasets.size(), MemLevel::Ext);
 
     for (const KernelPhase& phase : app.phases) {
         std::vector<MemLevel> assign(app.datasets.size(), MemLevel::Ext);
-        std::uint64_t remaining_l1 = arch.l1_bytes;
-        std::uint64_t remaining_l2 = l2_capacity(arch, prefetch);
+        std::uint64_t remaining_l1 = kL1Bytes;
+        std::uint64_t remaining_l2 = l2_capacity(prefetch);
 
         // Used data sets first, by access density (accesses per byte).
         std::vector<KernelUse> uses = phase.uses;
@@ -158,9 +154,8 @@ DataSchedule greedy_with_prefetch(const Application& app, const ReconfArch& arch
             for (MemLevel level : kLevels) {
                 if (level == MemLevel::L1 && bytes > remaining_l1) continue;
                 if (level == MemLevel::L2 && bytes > remaining_l2) continue;
-                const double cost =
-                    static_cast<double>(use.accesses) * arch.access_pj(level) +
-                    arch.move_pj(prev[use.dataset], level, bytes);
+                const double cost = static_cast<double>(use.accesses) * access_pj(level) +
+                                    move_pj(prev[use.dataset], level, bytes);
                 if (cost < best_cost) {
                     best_cost = cost;
                     best = level;
@@ -197,20 +192,19 @@ DataSchedule greedy_with_prefetch(const Application& app, const ReconfArch& arch
 
 }  // namespace
 
-DataSchedule greedy_schedule(const Application& app, const ReconfArch& arch) {
+DataSchedule greedy_schedule(const Application& app) {
     app.validate();
-    DataSchedule no_prefetch = greedy_with_prefetch(app, arch, false);
-    DataSchedule with_prefetch = greedy_with_prefetch(app, arch, true);
-    const double e0 = evaluate_schedule(app, arch, no_prefetch).total();
-    const double e1 = evaluate_schedule(app, arch, with_prefetch).total();
+    DataSchedule no_prefetch = greedy_with_prefetch(app, false);
+    DataSchedule with_prefetch = greedy_with_prefetch(app, true);
+    const double e0 = evaluate_schedule(app, no_prefetch).total();
+    const double e1 = evaluate_schedule(app, with_prefetch).total();
     return e1 < e0 ? with_prefetch : no_prefetch;
 }
 
 namespace {
 
 /// All capacity-feasible assignment vectors for `app` (3^D enumeration).
-std::vector<std::vector<MemLevel>> feasible_states(const Application& app,
-                                                   const ReconfArch& arch, bool prefetch) {
+std::vector<std::vector<MemLevel>> feasible_states(const Application& app, bool prefetch) {
     const std::size_t d = app.datasets.size();
     std::vector<std::vector<MemLevel>> states;
     std::vector<MemLevel> current(d, MemLevel::L1);
@@ -222,13 +216,13 @@ std::vector<std::vector<MemLevel>> feasible_states(const Application& app,
             current[i] = kLevels[rest % kNumLevels];
             rest /= kNumLevels;
         }
-        if (fits(app, arch, prefetch, current)) states.push_back(current);
+        if (fits(app, prefetch, current)) states.push_back(current);
     }
     return states;
 }
 
-DataSchedule viterbi(const Application& app, const ReconfArch& arch, bool prefetch) {
-    const auto states = feasible_states(app, arch, prefetch);
+DataSchedule viterbi(const Application& app, bool prefetch) {
+    const auto states = feasible_states(app, prefetch);
     MEMOPT_ASSERT(!states.empty());  // all-Ext is always feasible
     const std::size_t s = states.size();
     const std::size_t p = app.phases.size();
@@ -238,13 +232,13 @@ DataSchedule viterbi(const Application& app, const ReconfArch& arch, bool prefet
     auto move_cost = [&](const std::vector<MemLevel>& a, const std::vector<MemLevel>& b) {
         double cost = 0.0;
         for (std::size_t i = 0; i < a.size(); ++i)
-            cost += arch.move_pj(a[i], b[i], app.datasets[i].bytes);
+            cost += move_pj(a[i], b[i], app.datasets[i].bytes);
         return cost;
     };
     auto access_cost = [&](std::size_t phase, const std::vector<MemLevel>& assign) {
         double cost = 0.0;
         for (const KernelUse& use : app.phases[phase].uses)
-            cost += static_cast<double>(use.accesses) * arch.access_pj(assign[use.dataset]);
+            cost += static_cast<double>(use.accesses) * access_pj(assign[use.dataset]);
         return cost;
     };
 
@@ -287,13 +281,13 @@ DataSchedule viterbi(const Application& app, const ReconfArch& arch, bool prefet
 
 }  // namespace
 
-DataSchedule optimal_schedule(const Application& app, const ReconfArch& arch) {
+DataSchedule optimal_schedule(const Application& app) {
     app.validate();
     require(app.datasets.size() <= 6, "optimal_schedule: too many data sets (exact DP)");
-    DataSchedule no_prefetch = viterbi(app, arch, false);
-    DataSchedule with_prefetch = viterbi(app, arch, true);
-    const double e0 = evaluate_schedule(app, arch, no_prefetch).total();
-    const double e1 = evaluate_schedule(app, arch, with_prefetch).total();
+    DataSchedule no_prefetch = viterbi(app, false);
+    DataSchedule with_prefetch = viterbi(app, true);
+    const double e0 = evaluate_schedule(app, no_prefetch).total();
+    const double e1 = evaluate_schedule(app, with_prefetch).total();
     return e1 < e0 ? with_prefetch : no_prefetch;
 }
 

@@ -2,7 +2,6 @@
 
 #include "isa/encode.hpp"
 #include "sim/memory.hpp"
-#include "support/bits.hpp"
 #include "support/string_util.hpp"
 
 namespace memopt {
@@ -45,20 +44,18 @@ bool cond_holds(Cond cond, const Flags& f) {
 
 }  // namespace
 
-Cpu::Cpu(const CpuConfig& config) : config_(config) {
-    require(is_pow2(config.mem_size), "CpuConfig: mem_size must be a power of two");
-}
+Cpu::Cpu(const CpuConfig& config) : config_(config) {}
 
 RunResult Cpu::run(const AssembledProgram& program) {
     require(!program.code.empty(), "Cpu::run: empty program");
-    require(program.data_base + program.data.size() <= config_.mem_size,
+    require(program.data_base + program.data.size() <= kCpuMemBytes,
             "Cpu::run: data image does not fit in memory");
 
-    Memory mem(config_.mem_size);
+    Memory mem(kCpuMemBytes);
     mem.write_block(program.data_base, program.data);
 
     std::array<std::uint32_t, kNumRegs> regs{};
-    regs[kRegSp] = static_cast<std::uint32_t>(config_.mem_size);
+    regs[kRegSp] = static_cast<std::uint32_t>(kCpuMemBytes);
     std::uint32_t pc = 0;
     Flags flags;
     RunResult result;

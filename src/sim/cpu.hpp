@@ -18,9 +18,11 @@
 
 namespace memopt {
 
+/// Size of the simulated data memory; the stack starts at its top.
+inline constexpr std::uint64_t kCpuMemBytes = 256 * 1024;
+
 /// Simulator configuration.
 struct CpuConfig {
-    std::uint64_t mem_size = 256 * 1024;       ///< data memory size (power of two)
     std::uint64_t max_instructions = 100'000'000;  ///< runaway guard
     bool record_data_trace = true;             ///< collect the D-side MemTrace
     bool record_fetch_stream = false;          ///< collect executed instruction words

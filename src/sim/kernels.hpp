@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "isa/assembler.hpp"
 #include "sim/cpu.hpp"
 
 namespace memopt {

@@ -44,23 +44,17 @@ std::string to_lower(std::string_view s) {
     return out;
 }
 
-std::optional<std::int64_t> parse_int(std::string_view s) {
-    s = trim(s);
-    if (s.empty()) return std::nullopt;
-    bool neg = false;
-    if (s.front() == '-' || s.front() == '+') {
-        neg = s.front() == '-';
-        s.remove_prefix(1);
-        if (s.empty()) return std::nullopt;
-    }
+namespace {
+
+/// Checked accumulate of an unsigned decimal or 0x-hex magnitude; nullopt
+/// on an empty or malformed digit string and on a value above `limit`.
+std::optional<std::uint64_t> parse_magnitude(std::string_view s, std::uint64_t limit) {
     int base = 10;
     if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
         base = 16;
         s.remove_prefix(2);
-        if (s.empty()) return std::nullopt;
     }
-    // Checked accumulate: the magnitude may reach 2^63 only when negative.
-    const std::uint64_t limit = neg ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX};
+    if (s.empty()) return std::nullopt;
     std::uint64_t acc = 0;
     for (char c : s) {
         int digit = -1;
@@ -72,7 +66,27 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
         if (acc > (limit - d) / static_cast<std::uint64_t>(base)) return std::nullopt;
         acc = acc * static_cast<std::uint64_t>(base) + d;
     }
-    return static_cast<std::int64_t>(neg ? 0 - acc : acc);
+    return acc;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> parse_int(std::string_view s) {
+    s = trim(s);
+    bool neg = false;
+    if (!s.empty() && (s.front() == '-' || s.front() == '+')) {
+        neg = s.front() == '-';
+        s.remove_prefix(1);
+    }
+    // The magnitude may reach 2^63 only when negative.
+    const auto magnitude =
+        parse_magnitude(s, neg ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX});
+    if (!magnitude) return std::nullopt;
+    return static_cast<std::int64_t>(neg ? 0 - *magnitude : *magnitude);
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+    return parse_magnitude(trim(s), UINT64_MAX);
 }
 
 std::string format(const char* fmt, ...) {

@@ -30,6 +30,10 @@ std::string to_lower(std::string_view s);
 /// any value outside [INT64_MIN, INT64_MAX].
 std::optional<std::int64_t> parse_int(std::string_view s);
 
+/// Parse an unsigned 64-bit integer: decimal or 0x-hex, no sign. Returns
+/// nullopt on any malformed input and on any value above UINT64_MAX.
+std::optional<std::uint64_t> parse_u64(std::string_view s);
+
 /// The entry of `value` in a per-enum table: one entry (a name, or a row
 /// holding one) per enumerator, in declaration order.
 template <typename Table, typename Enum>

@@ -51,9 +51,9 @@ MemTrace read_trace_text(std::istream& is) {
         } else {
             throw Error(format("trace text line %d: kind must be R or W", line_no));
         }
-        const auto addr = parse_int(fields[1]);
-        require(addr.has_value() && *addr >= 0, format("trace text line %d: bad address", line_no));
-        access.addr = static_cast<std::uint64_t>(*addr);
+        const auto addr = parse_u64(fields[1]);
+        require(addr.has_value(), format("trace text line %d: bad address", line_no));
+        access.addr = *addr;
         if (fields.size() >= 3) {
             const auto size = parse_int(fields[2]);
             require(size && (*size == 1 || *size == 2 || *size == 4 || *size == 8),
@@ -61,9 +61,9 @@ MemTrace read_trace_text(std::istream& is) {
             access.size = static_cast<std::uint8_t>(*size);
         }
         if (fields.size() >= 4) {
-            const auto cycle = parse_int(fields[3]);
-            require(cycle && *cycle >= 0, format("trace text line %d: bad cycle", line_no));
-            access.cycle = static_cast<std::uint64_t>(*cycle);
+            const auto cycle = parse_u64(fields[3]);
+            require(cycle.has_value(), format("trace text line %d: bad cycle", line_no));
+            access.cycle = *cycle;
         }
         if (fields.size() >= 5) {
             const auto value = parse_int(fields[4]);

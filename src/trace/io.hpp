@@ -5,7 +5,9 @@
 // format — one access per line: "R|W <hex addr> <size> <cycle> <hex
 // value>". It is human-readable and diffable; columns after addr are
 // optional on input (defaults: size 4, cycle 0, value 0), and '#' starts a
-// comment. Traces too large for text go into the ".mtsc" block container
+// comment. Numbers are decimal or 0x-hex: address and cycle take any
+// unsigned 64-bit value, size is 1, 2, 4 or 8, and value is a 32-bit word.
+// Traces too large for text go into the ".mtsc" block container
 // (trace/stream_file.hpp).
 #pragma once
 

@@ -5,6 +5,7 @@
 #include "core/report.hpp"
 #include "core/app_builder.hpp"
 #include "core/study.hpp"
+#include "core/symbolize.hpp"
 #include "sched/scheduler.hpp"
 #include "support/assert.hpp"
 #include "trace/profile.hpp"
@@ -71,9 +72,7 @@ TEST(ProfileMerge, SingleProfileIsIdentityOperation) {
 // --------------------------------------------------------------- study ----
 
 TEST(KernelStudy, ProducesAllSections) {
-    StudyParams params;
-    params.flow.constraints.max_banks = 4;
-    const StudyReport report = study_kernel(kernel_by_name("histogram"), params);
+    const StudyReport report = study_kernel(kernel_by_name("histogram"));
     EXPECT_EQ(report.name, "histogram");
     // 1B-1 section.
     EXPECT_GT(report.memory.monolithic.total(), 0.0);
@@ -90,28 +89,24 @@ TEST(KernelStudy, ProducesAllSections) {
                 report.memory.clustering_savings_pct(), 1e-12);
 }
 
+TEST(KernelStudy, HeadlinesPinnedExactly) {
+    // The three headline percentages of `study histogram` (4 banks), printed
+    // with %.17g.
+    const StudyReport report = study_kernel(kernel_by_name("histogram"));
+    EXPECT_EQ(report.clustering_savings_pct(), 30.460024543733351);
+    EXPECT_EQ(report.compression_savings_pct(), 4.567524200336706);
+    EXPECT_EQ(report.encoding_reduction_pct(), 45.505972899156134);
+}
+
 TEST(KernelStudy, ExternalTraceWithoutFetchStream) {
     const RunResult run = run_kernel(kernel_by_name("qsort"));
-    const StudyReport report =
-        study_trace("external", run.data_trace, {}, 0x10000, {}, StudyParams{});
+    const StudyReport report = study_trace("external", run.data_trace, {}, 0x10000, {});
     EXPECT_EQ(report.encoding.original_transitions, 0u);  // section skipped
     EXPECT_GT(report.memory.monolithic.total(), 0.0);
 }
 
 TEST(KernelStudy, RejectsEmptyTrace) {
-    EXPECT_THROW(study_trace("empty", MemTrace{}, {}, 0, {}, StudyParams{}), Error);
-}
-
-TEST(KernelStudy, PlatformChoiceMatters) {
-    StudyParams vliw;
-    vliw.platform = vliw_platform();
-    StudyParams risc;
-    risc.platform = risc_platform();
-    const Kernel& kernel = kernel_by_name("biquad");
-    const StudyReport a = study_kernel(kernel, vliw);
-    const StudyReport b = study_kernel(kernel, risc);
-    EXPECT_NE(a.compression_baseline.cache_stats.misses(),
-              b.compression_baseline.cache_stats.misses());
+    EXPECT_THROW(study_trace("empty", MemTrace{}, {}, 0, {}), Error);
 }
 
 // --------------------------------------------------------- app builder ----
@@ -132,17 +127,20 @@ TEST(AppBuilder, BuildsValidPipelineFromKernels) {
 }
 
 TEST(AppBuilder, RespectsDatasetCap) {
-    AppBuildOptions options;
-    options.max_datasets_per_kernel = 2;
-    const Application app = application_from_kernels({"conv3x3"}, options);
-    EXPECT_LE(app.phases[0].uses.size(), 2u);
+    // fft16 has 7 symbols with traffic; the builder keeps the 4 hottest.
+    const Kernel& kernel = kernel_by_name("fft16");
+    const AssembledProgram program = assemble(kernel.source);
+    const RunResult run = Cpu().run(program);
+    ASSERT_EQ(symbolize_trace(program, run.data_trace).size(), 7u);
+    const Application app = application_from_kernels({"fft16"});
+    EXPECT_EQ(app.phases[0].uses.size(), 4u);
+    EXPECT_EQ(app.datasets.size(), 4u);
 }
 
 TEST(AppBuilder, SchedulerImprovesKernelPipelines) {
     const Application app = application_from_kernels({"fir", "biquad", "fft16"});
-    const ReconfArch arch;
-    const double naive = evaluate_schedule(app, arch, naive_schedule(app, arch)).total();
-    const double greedy = evaluate_schedule(app, arch, greedy_schedule(app, arch)).total();
+    const double naive = evaluate_schedule(app, naive_schedule(app)).total();
+    const double greedy = evaluate_schedule(app, greedy_schedule(app)).total();
     EXPECT_LT(greedy, naive);
 }
 

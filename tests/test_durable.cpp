@@ -411,17 +411,9 @@ std::vector<Kernel> two_study_kernels() {
     return {suite.begin(), suite.begin() + 2};
 }
 
-StudyParams four_bank_study() {
-    StudyParams params;
-    params.flow.constraints.max_banks = 4;
-    return params;
-}
-
 TEST_F(DurableTest, StudySuiteResumesByteIdentically) {
     const std::vector<Kernel> kernels = two_study_kernels();
-    const StudyParams params = four_bank_study();
-
-    const std::vector<StudyOutcome> reference = study_suite(kernels, params).outcomes;
+    const std::vector<StudyOutcome> reference = study_suite(kernels).outcomes;
     ASSERT_EQ(reference.size(), 2u);
 
     const std::string path = temp_path("study.ckpt");
@@ -430,7 +422,7 @@ TEST_F(DurableTest, StudySuiteResumesByteIdentically) {
     first.path = path;
     first.every = 1;
     first.max_units_this_run = 1;
-    const StudySuiteOutcome partial = study_suite(kernels, params, 0, first);
+    const StudySuiteOutcome partial = study_suite(kernels, 0, first);
     EXPECT_FALSE(partial.completed);
     EXPECT_EQ(partial.outcomes.size(), 1u);
     EXPECT_FALSE(partial.stop_reason.empty());
@@ -441,7 +433,7 @@ TEST_F(DurableTest, StudySuiteResumesByteIdentically) {
     second.path = path;
     second.resume = true;
     second.every = 1;
-    const StudySuiteOutcome resumed = study_suite(kernels, params, 0, second);
+    const StudySuiteOutcome resumed = study_suite(kernels, 0, second);
     ASSERT_TRUE(resumed.completed);
     ASSERT_EQ(resumed.outcomes.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -503,7 +495,7 @@ TEST_F(DurableTest, TrippedTokenCancelsACampaign) {
 
 TEST_F(DurableTest, TrippedTokenCancelsAStudySuite) {
     CancellationToken::global().request("test trip");
-    const StudySuiteOutcome outcome = study_suite(two_study_kernels(), four_bank_study());
+    const StudySuiteOutcome outcome = study_suite(two_study_kernels());
     EXPECT_FALSE(outcome.completed);
     EXPECT_TRUE(outcome.outcomes.empty());
     EXPECT_EQ(outcome.total, 2u);

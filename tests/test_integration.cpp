@@ -4,9 +4,11 @@
 
 #include "cache/platform.hpp"
 #include "compress/diff_codec.hpp"
+#include "core/app_builder.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "encoding/baselines.hpp"
+#include "encoding/decoder_cost.hpp"
 #include "encoding/search.hpp"
 #include "energy/bus_model.hpp"
 #include "sched/scheduler.hpp"
@@ -101,15 +103,70 @@ TEST(E7Headline, TransformsBeatBaselinesOnEveryKernel) {
     }
 }
 
+TEST(E7Table, Crc32RowPinnedExactly) {
+    // E7's crc32 row: raw, bus-invert and Gray transitions, the 16-gate
+    // search and the net bus+decoder energy (%.17g).
+    CpuConfig cfg;
+    cfg.record_data_trace = false;
+    cfg.record_fetch_stream = true;
+    const RunResult run = run_kernel(kernel_by_name("crc32"), cfg);
+    const auto& stream = run.fetch_stream;
+    EXPECT_EQ(count_transitions(stream), 688729u);
+    EXPECT_EQ(bus_invert_transitions(stream), 526423u);
+    EXPECT_EQ(gray_code_transitions(stream), 608358u);
+    const auto xform = search_transform(stream, {.max_gates = 16});
+    EXPECT_EQ(xform.encoded_transitions, 419941u);
+    EXPECT_EQ(encoded_energy(xform.transform, stream).total(), 340180.42400000006);
+}
+
 TEST(E9Headline, SchedulerReducesEnergyOnGeneratedApps) {
-    const ReconfArch arch;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        AppGenParams params;
-        params.seed = seed;
-        const Application app = generate_application(params);
-        const double naive = evaluate_schedule(app, arch, naive_schedule(app, arch)).total();
-        const double greedy = evaluate_schedule(app, arch, greedy_schedule(app, arch)).total();
+        const Application app = generate_application(seed);
+        const double naive = evaluate_schedule(app, naive_schedule(app)).total();
+        const double greedy = evaluate_schedule(app, greedy_schedule(app)).total();
         EXPECT_LT(greedy, naive) << "seed " << seed;
+    }
+}
+
+TEST(E9Table, TotalsPinnedExactly) {
+    // E9's naive, greedy and optimal totals [pJ] for seeds 1..8, printed
+    // with %.17g.
+    const double expected[8][3] = {
+        {64479423.600000001, 28121451.600000001, 27325839.600000001},
+        {44324632, 22049658, 22049658},
+        {69314432.400000006, 55326282.399999999, 53549254.399999999},
+        {49248122, 21506730, 20879898},
+        {77091704.400000006, 46910784.399999999, 44976172.399999999},
+        {59295500, 25113388, 25072672},
+        {47926102.799999997, 21954980.800000001, 21954980.800000001},
+        {51788268, 38030594, 37021846},
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const Application app = generate_application(seed);
+        const double* row = expected[seed - 1];
+        EXPECT_EQ(evaluate_schedule(app, naive_schedule(app)).total(), row[0]) << "seed " << seed;
+        EXPECT_EQ(evaluate_schedule(app, greedy_schedule(app)).total(), row[1]) << "seed " << seed;
+        EXPECT_EQ(evaluate_schedule(app, optimal_schedule(app)).total(), row[2]) << "seed " << seed;
+    }
+}
+
+TEST(E9Table, KernelPipelinesPinnedExactly) {
+    // E9's kernel-derived pipelines: naive and greedy totals [pJ].
+    struct Pipeline {
+        std::vector<std::string> kernels;
+        double naive;
+        double greedy;
+    };
+    const std::vector<Pipeline> pipelines = {
+        {{"fir", "biquad", "fft16"}, 4813273.5999999996, 3535713.6000000001},
+        {{"conv3x3", "dither", "rle"}, 5359625.5999999996, 4357241.5999999996},
+        {{"crc32", "histogram", "strsearch", "qsort"}, 3677404.7999999998,
+         2186478.7938461537},
+    };
+    for (const Pipeline& p : pipelines) {
+        const Application app = application_from_kernels(p.kernels);
+        EXPECT_EQ(evaluate_schedule(app, naive_schedule(app)).total(), p.naive) << p.kernels[0];
+        EXPECT_EQ(evaluate_schedule(app, greedy_schedule(app)).total(), p.greedy) << p.kernels[0];
     }
 }
 

@@ -282,7 +282,7 @@ TEST_P(KernelRuns, ProducesTraceWithinMemoryAndTerminates) {
     EXPECT_GT(r.instructions, 1000u);
     EXPECT_LT(r.instructions, 1'000'000u);
     EXPECT_FALSE(r.data_trace.empty());
-    EXPECT_LT(r.data_trace.summary().max_addr, cfg.mem_size);
+    EXPECT_LT(r.data_trace.summary().max_addr, kCpuMemBytes);
     // Data accesses never touch the code region (Harvard layout).
     EXPECT_GE(r.data_trace.summary().min_addr, 0x10000u);
     EXPECT_EQ(r.fetch_stream.size(), r.instructions);

@@ -224,11 +224,8 @@ TEST(Determinism, CompareAllIsBitIdenticalAcrossJobCounts) {
 TEST(Determinism, StudySuiteIsBitIdenticalAcrossJobCounts) {
     // Two media kernels keep the test fast; study_kernel re-simulates.
     const std::vector<Kernel> kernels{kernel_by_name("fir"), kernel_by_name("rle")};
-    StudyParams params;
-    params.flow.constraints.max_banks = 4;
-
-    const StudySuiteOutcome serial = study_suite(kernels, params, 1);
-    const StudySuiteOutcome threaded = study_suite(kernels, params, 8);
+    const StudySuiteOutcome serial = study_suite(kernels, 1);
+    const StudySuiteOutcome threaded = study_suite(kernels, 8);
     ASSERT_TRUE(serial.completed);
     ASSERT_TRUE(threaded.completed);
     ASSERT_EQ(serial.outcomes.size(), kernels.size());
@@ -246,7 +243,7 @@ TEST(Determinism, StudySuiteIsBitIdenticalAcrossJobCounts) {
 
         // study_kernel itself under a MEMOPT_JOBS-style global override.
         const JobsGuard guard(8);
-        EXPECT_EQ(to_outcome(study_kernel(kernels[i], params)).json, s.json);
+        EXPECT_EQ(to_outcome(study_kernel(kernels[i])).json, s.json);
     }
 }
 

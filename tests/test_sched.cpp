@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/app_builder.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/kernels.hpp"
 #include "support/assert.hpp"
 
 namespace memopt {
@@ -22,6 +24,25 @@ Application tiny_app() {
         {"p1", 1, {{0, 8000}}},
     };
     return app;
+}
+
+/// `phases` phases over `contexts` contexts cycling 0, 1, ..., each reading
+/// one small data set.
+Application context_cycle(std::size_t phases, std::size_t contexts) {
+    Application app;
+    app.name = "cycle";
+    app.num_contexts = contexts;
+    app.datasets = {{"d", 256}};
+    for (std::size_t i = 0; i < phases; ++i) app.phases.push_back({"p", i % contexts, {{0, 100}}});
+    return app;
+}
+
+/// An all-external schedule of the right shape for `app`.
+DataSchedule all_ext(const Application& app) {
+    DataSchedule schedule;
+    schedule.assignment.assign(app.phases.size(),
+                               std::vector<MemLevel>(app.datasets.size(), MemLevel::Ext));
+    return schedule;
 }
 
 // ---------------------------------------------------------------- model ----
@@ -47,24 +68,37 @@ TEST(Model, ValidationCatchesBadInputs) {
 }
 
 TEST(Model, ArchCostsAreOrdered) {
-    const ReconfArch arch;
-    EXPECT_LT(arch.access_pj(MemLevel::L1), arch.access_pj(MemLevel::L2));
-    EXPECT_LT(arch.access_pj(MemLevel::L2), arch.access_pj(MemLevel::Ext));
+    EXPECT_LT(access_pj(MemLevel::L1), access_pj(MemLevel::L2));
+    EXPECT_LT(access_pj(MemLevel::L2), access_pj(MemLevel::Ext));
+}
+
+TEST(Model, CalibrationPinnedExactly) {
+    // The 1B-4 level energies, one data-set move and the context-load
+    // component of three contexts in rotation (a load on every phase),
+    // printed with %.17g.
+    EXPECT_EQ(access_pj(MemLevel::L1), 4.0);
+    EXPECT_EQ(access_pj(MemLevel::L2), 14.0);
+    EXPECT_EQ(access_pj(MemLevel::Ext), 130.0);
+    EXPECT_EQ(move_pj(MemLevel::Ext, MemLevel::L1, 1024), 34304.0);
+
+    const Application app = context_cycle(12, 3);
+    const DataSchedule plain = all_ext(app);
+    DataSchedule prefetch = plain;
+    prefetch.prefetch_contexts = true;
+    EXPECT_EQ(evaluate_schedule(app, plain).component("context_load"), 22118.400000000001);
+    EXPECT_EQ(evaluate_schedule(app, prefetch).component("context_load"), 7911.5815384615389);
 }
 
 TEST(Model, MoveCostSymmetricAndZeroForStay) {
-    const ReconfArch arch;
-    EXPECT_DOUBLE_EQ(arch.move_pj(MemLevel::L1, MemLevel::L1, 1024), 0.0);
-    EXPECT_DOUBLE_EQ(arch.move_pj(MemLevel::Ext, MemLevel::L1, 1024),
-                     arch.move_pj(MemLevel::L1, MemLevel::Ext, 1024));
-    EXPECT_GT(arch.move_pj(MemLevel::Ext, MemLevel::L1, 1024), 0.0);
+    EXPECT_DOUBLE_EQ(move_pj(MemLevel::L1, MemLevel::L1, 1024), 0.0);
+    EXPECT_DOUBLE_EQ(move_pj(MemLevel::Ext, MemLevel::L1, 1024),
+                     move_pj(MemLevel::L1, MemLevel::Ext, 1024));
+    EXPECT_GT(move_pj(MemLevel::Ext, MemLevel::L1, 1024), 0.0);
 }
 
 TEST(Model, GeneratorIsDeterministicAndValid) {
-    AppGenParams params;
-    params.seed = 5;
-    const Application a = generate_application(params);
-    const Application b = generate_application(params);
+    const Application a = generate_application(5);
+    const Application b = generate_application(5);
     EXPECT_EQ(a.datasets.size(), b.datasets.size());
     EXPECT_EQ(a.phases.size(), b.phases.size());
     for (std::size_t p = 0; p < a.phases.size(); ++p)
@@ -76,11 +110,8 @@ TEST(Model, GeneratorIsDeterministicAndValid) {
 
 TEST(Evaluate, AllExtScheduleCostsAccessOnly) {
     const Application app = tiny_app();
-    const ReconfArch arch;
-    DataSchedule schedule;
-    schedule.assignment.assign(2, std::vector<MemLevel>(2, MemLevel::Ext));
-    const auto e = evaluate_schedule(app, arch, schedule);
-    const double expected_access = (10000 + 500 + 8000) * arch.ext_access_pj;
+    const auto e = evaluate_schedule(app, all_ext(app));
+    const double expected_access = (10000 + 500 + 8000) * access_pj(MemLevel::Ext);
     EXPECT_DOUBLE_EQ(e.component("data_access"), expected_access);
     EXPECT_DOUBLE_EQ(e.component("data_movement"), 0.0);
     EXPECT_GT(e.component("context_load"), 0.0);
@@ -88,84 +119,61 @@ TEST(Evaluate, AllExtScheduleCostsAccessOnly) {
 
 TEST(Evaluate, MovementChargedOnLevelChange) {
     const Application app = tiny_app();
-    const ReconfArch arch;
     DataSchedule schedule;
     schedule.assignment = {
         {MemLevel::L1, MemLevel::Ext},  // a moves Ext->L1
         {MemLevel::L2, MemLevel::Ext},  // a moves L1->L2
     };
-    const auto e = evaluate_schedule(app, arch, schedule);
-    const double expected_move = arch.move_pj(MemLevel::Ext, MemLevel::L1, 1024) +
-                                 arch.move_pj(MemLevel::L1, MemLevel::L2, 1024);
+    const auto e = evaluate_schedule(app, schedule);
+    const double expected_move = move_pj(MemLevel::Ext, MemLevel::L1, 1024) +
+                                 move_pj(MemLevel::L1, MemLevel::L2, 1024);
     EXPECT_DOUBLE_EQ(e.component("data_movement"), expected_move);
 }
 
 TEST(Evaluate, RejectsCapacityViolation) {
     Application app = tiny_app();
-    app.datasets[0].bytes = 4096;  // a no longer fits L1 (2 KiB)
-    const ReconfArch arch;
-    DataSchedule schedule;
-    schedule.assignment.assign(2, std::vector<MemLevel>(2, MemLevel::Ext));
+    app.datasets[0].bytes = 2 * kL1Bytes;  // a no longer fits L1
+    DataSchedule schedule = all_ext(app);
     schedule.assignment[0][0] = MemLevel::L1;
-    EXPECT_THROW(evaluate_schedule(app, arch, schedule), Error);
+    EXPECT_THROW(evaluate_schedule(app, schedule), Error);
 }
 
 TEST(Evaluate, RejectsShapeMismatch) {
     const Application app = tiny_app();
-    const ReconfArch arch;
     DataSchedule schedule;
     schedule.assignment.assign(1, std::vector<MemLevel>(2, MemLevel::Ext));
-    EXPECT_THROW(evaluate_schedule(app, arch, schedule), Error);
+    EXPECT_THROW(evaluate_schedule(app, schedule), Error);
 }
 
 TEST(Evaluate, ContextReloadsCostEnergy) {
-    // Two contexts ping-ponging with a single slot reload every phase;
-    // with two slots they load once each.
-    Application app;
-    app.name = "pingpong";
-    app.num_contexts = 2;
-    app.datasets = {{"d", 256}};
-    for (int i = 0; i < 8; ++i)
-        app.phases.push_back({"p", static_cast<std::size_t>(i % 2), {{0, 100}}});
-
-    DataSchedule schedule;
-    schedule.assignment.assign(8, std::vector<MemLevel>(1, MemLevel::Ext));
-
-    ReconfArch one_slot;
-    one_slot.context_slots = 1;
-    ReconfArch two_slots;
-    two_slots.context_slots = 2;
-    const double e1 = evaluate_schedule(app, one_slot, schedule).component("context_load");
-    const double e2 = evaluate_schedule(app, two_slots, schedule).component("context_load");
-    EXPECT_DOUBLE_EQ(e1, 8 * 2048 * one_slot.context_byte_pj);
-    EXPECT_DOUBLE_EQ(e2, 2 * 2048 * two_slots.context_byte_pj);
+    // The context store is LRU over kContextSlots == 2 slots: two contexts
+    // ping-ponging load once each, three in rotation load on every phase.
+    ASSERT_EQ(kContextSlots, 2u);
+    const Application pingpong = context_cycle(8, 2);
+    const Application rotation = context_cycle(8, 3);
+    const double per_load = static_cast<double>(kContextBytes) * 0.9;
+    EXPECT_DOUBLE_EQ(evaluate_schedule(pingpong, all_ext(pingpong)).component("context_load"),
+                     2 * per_load);
+    EXPECT_DOUBLE_EQ(evaluate_schedule(rotation, all_ext(rotation)).component("context_load"),
+                     8 * per_load);
 }
 
 TEST(Evaluate, ContextPrefetchHelpsThrashingSequences) {
-    Application app;
-    app.name = "thrash";
-    app.num_contexts = 3;
-    app.datasets = {{"d", 256}};
-    for (int i = 0; i < 12; ++i)
-        app.phases.push_back({"p", static_cast<std::size_t>(i % 3), {{0, 100}}});
-    const ReconfArch arch;  // 2 slots, 3 contexts -> thrash
-
-    DataSchedule plain;
-    plain.assignment.assign(12, std::vector<MemLevel>(1, MemLevel::Ext));
+    const Application app = context_cycle(12, 3);  // 2 slots, 3 contexts -> thrash
+    const DataSchedule plain = all_ext(app);
     DataSchedule prefetch = plain;
     prefetch.prefetch_contexts = true;
 
-    EXPECT_LT(evaluate_schedule(app, arch, prefetch).component("context_load"),
-              evaluate_schedule(app, arch, plain).component("context_load"));
+    EXPECT_LT(evaluate_schedule(app, prefetch).component("context_load"),
+              evaluate_schedule(app, plain).component("context_load"));
 }
 
 // -------------------------------------------------------------- solvers ----
 
 TEST(Solvers, NaiveIsFeasibleAndStatic) {
     const Application app = tiny_app();
-    const ReconfArch arch;
-    const DataSchedule s = naive_schedule(app, arch);
-    EXPECT_NO_THROW(evaluate_schedule(app, arch, s));
+    const DataSchedule s = naive_schedule(app);
+    EXPECT_NO_THROW(evaluate_schedule(app, s));
     for (std::size_t p = 1; p < s.assignment.size(); ++p)
         EXPECT_EQ(s.assignment[p], s.assignment[0]);
 }
@@ -173,15 +181,10 @@ TEST(Solvers, NaiveIsFeasibleAndStatic) {
 class SolverOrdering : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolverOrdering, OptimalBeatsGreedyBeatsNothing) {
-    AppGenParams params;
-    params.seed = GetParam();
-    params.num_datasets = 5;
-    params.num_phases = 8;
-    const Application app = generate_application(params);
-    const ReconfArch arch;
-    const double naive = evaluate_schedule(app, arch, naive_schedule(app, arch)).total();
-    const double greedy = evaluate_schedule(app, arch, greedy_schedule(app, arch)).total();
-    const double optimal = evaluate_schedule(app, arch, optimal_schedule(app, arch)).total();
+    const Application app = generate_application(GetParam());
+    const double naive = evaluate_schedule(app, naive_schedule(app)).total();
+    const double greedy = evaluate_schedule(app, greedy_schedule(app)).total();
+    const double optimal = evaluate_schedule(app, optimal_schedule(app)).total();
     EXPECT_LE(optimal, greedy * (1 + 1e-12));
     EXPECT_LE(optimal, naive * (1 + 1e-12));
     // The headline claim: scheduling reduces application energy.
@@ -195,7 +198,7 @@ namespace brute {
 
 /// Exhaustive schedule enumeration for tiny instances: every sequence of
 /// feasible per-phase assignments. Used to certify the Viterbi DP.
-double best_total(const Application& app, const ReconfArch& arch, bool prefetch) {
+double best_total(const Application& app, bool prefetch) {
     const std::size_t d = app.datasets.size();
     std::size_t states_per_phase = 1;
     for (std::size_t i = 0; i < d; ++i) states_per_phase *= kNumLevels;
@@ -217,7 +220,7 @@ double best_total(const Application& app, const ReconfArch& arch, bool prefetch)
         for (std::size_t p = 0; p < app.phases.size(); ++p)
             schedule.assignment.push_back(decode_state(choice[p]));
         try {
-            best = std::min(best, evaluate_schedule(app, arch, schedule).total());
+            best = std::min(best, evaluate_schedule(app, schedule).total());
         } catch (const Error&) {
             // capacity violation: skip
         }
@@ -238,16 +241,16 @@ double best_total(const Application& app, const ReconfArch& arch, bool prefetch)
 class ViterbiCertification : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ViterbiCertification, ExactDpMatchesBruteForceEnumeration) {
-    AppGenParams params;
-    params.seed = GetParam();
-    params.num_datasets = 2;
-    params.num_phases = 3;
-    params.num_contexts = 2;
-    const Application app = generate_application(params);
-    const ReconfArch arch;
-    const double dp = evaluate_schedule(app, arch, optimal_schedule(app, arch)).total();
-    const double brute_best = std::min(brute::best_total(app, arch, false),
-                                       brute::best_total(app, arch, true));
+    // A small instance cut from a generated application: its first three
+    // phases and data sets 0-1 (9^3 schedules per prefetch setting).
+    Application app = generate_application(GetParam());
+    app.datasets.resize(2);
+    app.phases.resize(3);
+    for (KernelPhase& phase : app.phases)
+        std::erase_if(phase.uses, [](const KernelUse& use) { return use.dataset >= 2; });
+    const double dp = evaluate_schedule(app, optimal_schedule(app)).total();
+    const double brute_best =
+        std::min(brute::best_total(app, false), brute::best_total(app, true));
     EXPECT_NEAR(dp, brute_best, 1e-6 * brute_best);
 }
 
@@ -255,20 +258,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ViterbiCertification,
                          ::testing::Values(101, 102, 103, 104, 105, 106));
 
 TEST(Solvers, GreedyFeasibleOnLargerInstances) {
-    AppGenParams params;
-    params.seed = 42;
-    params.num_datasets = 12;
-    params.num_phases = 24;
-    const Application app = generate_application(params);
-    const ReconfArch arch;
-    EXPECT_NO_THROW(evaluate_schedule(app, arch, greedy_schedule(app, arch)));
+    // The whole kernel suite as one pipeline: 35 data sets, 12 phases.
+    std::vector<std::string> names;
+    for (const Kernel& kernel : kernel_suite()) names.push_back(kernel.name);
+    const Application app = application_from_kernels(names);
+    ASSERT_EQ(app.datasets.size(), 35u);
+    ASSERT_EQ(app.phases.size(), 12u);
+    EXPECT_NO_THROW(evaluate_schedule(app, greedy_schedule(app)));
 }
 
 TEST(Solvers, OptimalRejectsHugeInstances) {
-    AppGenParams params;
-    params.num_datasets = 9;
-    const Application app = generate_application(params);
-    EXPECT_THROW(optimal_schedule(app, ReconfArch{}), Error);
+    const Application app = application_from_kernels({"fir", "biquad", "fft16"});
+    ASSERT_EQ(app.datasets.size(), 11u);  // the exact DP takes at most 6
+    EXPECT_THROW(optimal_schedule(app), Error);
 }
 
 TEST(Solvers, HotSmallDataEndsUpInL1) {
@@ -277,8 +279,7 @@ TEST(Solvers, HotSmallDataEndsUpInL1) {
     app.num_contexts = 1;
     app.datasets = {{"hot", 512}, {"cold", 16 * 1024}};
     app.phases = {{"p0", 0, {{0, 100000}, {1, 100}}}};
-    const ReconfArch arch;
-    const DataSchedule s = optimal_schedule(app, arch);
+    const DataSchedule s = optimal_schedule(app);
     EXPECT_EQ(s.assignment[0][0], MemLevel::L1);
     EXPECT_EQ(s.assignment[0][1], MemLevel::Ext);  // cold and too big for L2? it fits... 16K > 8K L2
 }

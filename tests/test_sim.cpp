@@ -283,9 +283,9 @@ TEST(CpuExec, MisalignedAccessFaults) {
 }
 
 TEST(CpuExec, OutOfRangeAccessFaults) {
-    CpuConfig cfg;
-    cfg.mem_size = 64 * 1024;
-    EXPECT_THROW(run_source("li r1, 0x100000\nldw r2, [r1]\nhalt\n", cfg), Error);
+    // 1 MiB lies beyond the 256 KiB data memory.
+    static_assert(kCpuMemBytes < 0x100000);
+    EXPECT_THROW(run_source("li r1, 0x100000\nldw r2, [r1]\nhalt\n"), Error);
 }
 
 // ------------------------------------------------------------- tracing ----

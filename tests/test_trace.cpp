@@ -376,6 +376,34 @@ TEST(TraceIo, TextRoundTrip) {
     expect_traces_equal(t, read_trace_text(ss));
 }
 
+TEST(TraceIo, TextRoundTripsTheTopOfTheU64Range) {
+    // A .mtsc holds any u64 cycle and addresses up to 2^64 - 1; the text
+    // reader takes back every address and cycle the writer prints.
+    MemTrace t;
+    t.add(MemAccess{.addr = std::uint64_t{1} << 63, .cycle = std::uint64_t{1} << 63,
+                    .value = 0x12345678, .size = 4, .kind = AccessKind::Write});
+    t.add(MemAccess{.addr = 0xFFFFFFFFFFFFFFF8ULL, .cycle = UINT64_MAX, .value = 0xFFFFFFFF,
+                    .size = 8, .kind = AccessKind::Read});
+    std::stringstream ss;
+    MaterializedSource src(t);
+    write_trace_text(ss, src);
+    expect_traces_equal(t, read_trace_text(ss));
+}
+
+TEST(TraceIo, TextRejectsAddressesAndCyclesOutsideU64) {
+    const auto expect_rejected = [](const char* text, const char* message) {
+        std::stringstream ss(text);
+        try {
+            read_trace_text(ss);
+            FAIL() << "expected Error for " << text;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+        }
+    };
+    expect_rejected("R 0x100 4 18446744073709551616\n", "trace text line 1: bad cycle");
+    expect_rejected("R -1\n", "trace text line 1: bad address");
+}
+
 TEST(TraceIo, TextAcceptsShortRecordsAndComments) {
     std::stringstream ss("# header\nR 0x100\nW 0x104 2\nR 0x108 4 99  # inline\n");
     const MemTrace t = read_trace_text(ss);
@@ -392,7 +420,7 @@ TEST(TraceIo, TextRejectsMalformedRecords) {
     EXPECT_THROW(read_trace_text(bad_addr), Error);
     std::stringstream bad_size("R 0x100 3\n");
     EXPECT_THROW(read_trace_text(bad_size), Error);
-    // Fields beyond int64 are malformed, never wrapped to a small value.
+    // Fields beyond 64 bits are malformed, never wrapped to a small value.
     std::stringstream wrapped("R 0x10000000000000100 4 18446744073709551617 0x0\n");
     EXPECT_THROW(read_trace_text(wrapped), Error);
 }
